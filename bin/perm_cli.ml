@@ -353,8 +353,6 @@ let help_text =
                            results are bit-identical to serial execution)
   \set parallel_threshold N
                            min driving-table rows before a query fans out
-  \set morsel_rows N       rows per morsel (0 = planner-sized from the
-                           driving table, batch size, and domain count)
   \set batch_rows N        rows per executor batch on the vectorized path
                            (default 1024; PERM_BATCH_ROWS overrides at start)
   \set vectorized on|off   batch-at-a-time executor (default on; off runs
@@ -534,14 +532,6 @@ let handle_meta session line =
       Engine.set_parallel_threshold session.engine n;
       Printf.printf "parallel threshold: %d rows\n" n
     | _ -> print_endline "usage: \\set parallel_threshold N");
-    `Continue
-  | [ "\\set"; "morsel_rows"; n ] ->
-    (match int_of_string_opt n with
-    | Some n when n >= 0 ->
-      Engine.set_morsel_rows session.engine n;
-      if n = 0 then print_endline "morsel size: planner-chosen"
-      else Printf.printf "morsel size: %d rows\n" n
-    | _ -> print_endline "usage: \\set morsel_rows N (0 = planner-chosen)");
     `Continue
   | [ "\\set"; "batch_rows"; n ] ->
     (match int_of_string_opt n with

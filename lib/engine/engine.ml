@@ -81,6 +81,19 @@ type bundle = {
   bu_doc : Perm_obs.Json.t;
 }
 
+(* What the GC alarm last saw. A cell of its own, so the alarm closure —
+   a process-global root until [Gc.delete_alarm] — does not keep an
+   engine that was never closed alive. *)
+type gc_cell = {
+  mutable gc_pending : bool;
+      (* a major cycle ended since the last statement; the alarm only
+         flips this flag (recording from inside the alarm would mutate
+         the ring on every [Gc.compact], which breaks benchmark harnesses
+         that compact until the live-word count stabilizes) *)
+  mutable gc_heap_words : int;  (* heap size at that major cycle *)
+  mutable gc_major_collections : int;  (* major count at that cycle *)
+}
+
 type t = {
   mutable cat : Catalog.t;
   mutable store : Store.t;
@@ -105,7 +118,6 @@ type t = {
          stats accumulator attributes rules to the right fingerprint *)
   mutable parallel_domains : int;  (* 0 = parallel execution off *)
   mutable parallel_threshold : int;  (* min driving-table rows to fan out *)
-  mutable morsel_rows : int;  (* rows per morsel; 0 = planner-chosen *)
   mutable batch_rows : int;  (* rows per executor batch (vectorized path) *)
   mutable vectorized : bool;  (* batch-at-a-time executor on/off *)
   mutable pool : Pool.t option;  (* lazily created, reused *)
@@ -150,13 +162,7 @@ type t = {
   mutable stmt_metrics0 : (string * float) list;
       (* forensics-tracked metric values at top-level statement start, so
          a bundle can report the delta the statement caused *)
-  mutable gc_pending : bool;
-      (* a major cycle ended since the last statement; the alarm only
-         flips this flag (recording from inside the alarm would mutate
-         the ring on every [Gc.compact], which breaks benchmark harnesses
-         that compact until the live-word count stabilizes) *)
-  mutable gc_heap_words : int;  (* heap size at that major cycle *)
-  mutable gc_major_collections : int;  (* major count at that cycle *)
+  gc_seen : gc_cell;  (* written by the GC alarm, read per statement *)
   mutable on_close : (unit -> unit) list;  (* run (LIFO) by [close] *)
 }
 
@@ -488,8 +494,7 @@ let create () =
       history = History.create ();
       stmt_rules = [];
       parallel_domains = 0;
-      parallel_threshold = Planner.default_parallel_threshold;
-      morsel_rows = 0;
+      parallel_threshold = Executor.default_parallel_threshold;
       batch_rows =
         (match Sys.getenv_opt "PERM_BATCH_ROWS" with
         | Some s -> (
@@ -526,9 +531,8 @@ let create () =
       bundle_dir = None;
       stmt_degraded = None;
       stmt_metrics0 = [];
-      gc_pending = false;
-      gc_heap_words = 0;
-      gc_major_collections = 0;
+      gc_seen =
+        { gc_pending = false; gc_heap_words = 0; gc_major_collections = 0 };
       on_close = [];
     }
   in
@@ -541,23 +545,26 @@ let create () =
      waiting for the live-word count to settle (Bechamel does) would
      never converge. The alarm only stashes the stats into unboxed
      fields; the next statement emits the event. *)
+  let cell = t.gc_seen in
   let alarm =
     Gc.create_alarm (fun () ->
         let s = Gc.quick_stat () in
-        t.gc_heap_words <- s.Gc.heap_words;
-        t.gc_major_collections <- s.Gc.major_collections;
-        t.gc_pending <- true)
+        cell.gc_heap_words <- s.Gc.heap_words;
+        cell.gc_major_collections <- s.Gc.major_collections;
+        cell.gc_pending <- true)
   in
   t.on_close <- (fun () -> Gc.delete_alarm alarm) :: t.on_close;
   (* Spill milestones (runs, chunks, batch-path fallback reasons) fire
      from inside the executor on whatever domain spilled; the recorder is
      domain-safe. The tap is process-global, so the engine created last
      owns it — the right semantics for the one-engine-per-process CLI and
-     harmless in multi-engine tests. *)
+     harmless in multi-engine tests. It captures only the recorder, so it
+     does not pin the engine either. *)
+  let recorder = t.recorder in
   Spill.set_observer
     (Some
        (fun kind detail ->
-         Recorder.record t.recorder (Recorder.Spill { kind; detail })));
+         Recorder.record recorder (Recorder.Spill { kind; detail })));
   t
 
 type result_set = { columns : string list; rows : Tuple.t list }
@@ -656,8 +663,6 @@ let set_parallel t setting =
 let parallel_domains t = t.parallel_domains
 let set_parallel_threshold t n = t.parallel_threshold <- max 0 n
 let parallel_threshold t = t.parallel_threshold
-let set_morsel_rows t n = t.morsel_rows <- max 0 n
-let morsel_rows t = t.morsel_rows
 let set_batch_rows t n = t.batch_rows <- max 1 n
 let batch_rows t = t.batch_rows
 let set_vectorized t b = t.vectorized <- b
@@ -775,17 +780,6 @@ let provider t : Executor.provider =
            build it on demand *)
         if not (Heap.has_index heap col) then Heap.create_index heap col;
         Heap.index_probe heap col key);
-    Executor.scan_morsels =
-      (fun table rows ->
-        match Store.find t.store table with
-        | Some heap -> Heap.scan_morsels heap ~rows
-        | None -> (
-          match Hashtbl.find_opt t.virtuals (String.lowercase_ascii table) with
-          | Some vp -> Executor.morsels_of_list ~morsel_rows:rows (vp.vp_rows ())
-          | None ->
-            raise
-              (Executor.Runtime_error
-                 (Printf.sprintf "table %S vanished" table))));
     Executor.scan_batches =
       (fun table rows ->
         match Store.find t.store table with
@@ -1061,7 +1055,6 @@ let settings_json t =
     [
       ("parallel", Json.Int t.parallel_domains);
       ("parallel_threshold", Json.Int t.parallel_threshold);
-      ("morsel_rows", Json.Int t.morsel_rows);
       ("batch_rows", Json.Int t.batch_rows);
       ("vectorized", Json.Bool t.vectorized);
       ("timeout_ms", Json.Float t.statement_timeout_ms);
@@ -1380,41 +1373,24 @@ let prepare t (q : Ast.query) =
   Ok (analyzed, rewritten, optimized)
 
 (* Morsel-driven parallel execution is attempted when the session has
-   parallelism on, the planner's verdict is favourable, and the executor
-   accepts the plan shape. Session instrumentation no longer forces the
-   serial path: the parallel executor carries its own plan-node profiler
-   (atomic per-stage counters), so [profile] is switched on instead.
-   Every fallback leaves a reason counter in the metrics so "why didn't
-   this parallelize?" is answerable from perm_metrics. *)
+   parallelism on, runs the vectorized executor (the gather is a batch
+   operator), and the executor finds a parallel spine. Every fallback
+   leaves a reason counter in the metrics so "why didn't this
+   parallelize?" is answerable from perm_metrics. *)
 let try_parallel t optimized =
+  let fallback reason =
+    Metrics.incr t.metrics ("executor.par.fallback." ^ reason);
+    None
+  in
   if t.parallel_domains <= 0 then None
+  else if not t.vectorized then fallback "row_path"
   else
     match
-      Planner.parallel_verdict ~threshold:t.parallel_threshold (stats t)
-        optimized
+      Executor.parallel_spine ~threshold:t.parallel_threshold
+        ~table_rows:(stats t).Planner.table_rows optimized
     with
-    | Planner.Par_fallback reason ->
-      Metrics.incr t.metrics ("executor.par.fallback." ^ reason);
-      None
-    | Planner.Par_ok { par_est_rows; _ } -> (
-      let morsel_rows =
-        if t.morsel_rows > 0 then t.morsel_rows
-        else if t.vectorized then
-          Planner.choose_morsel_rows ~batch_rows:t.batch_rows
-            ~driving_rows:par_est_rows ~domains:t.parallel_domains
-        else Executor.Par.default_morsel_rows
-      in
-      match
-        Executor.Par.prepare ~provider:(provider t) ~pool:(pool t)
-          ~morsel_rows ?batch_rows:(active_batch_rows t) ~token:t.token
-          ?row_limit:(active_row_limit t) ?progress:(live_progress t)
-          ~profile:t.instrument ?spill:(active_spill t) optimized
-      with
-      | None ->
-        (* the planner mirror accepted a shape the executor declined *)
-        Metrics.incr t.metrics "executor.par.fallback.shape";
-        None
-      | Some run -> Some run)
+    | Error reason -> fallback reason
+    | Ok spine -> Some spine
 
 (* The top-level statement's first executed plan defines its plan hash and
    estimate total for the telemetry history; nested executions (DML
@@ -1432,7 +1408,7 @@ let note_plan t optimized ~parallel =
     t.stmt_est_rows <- Planner.estimate_total (stats t) optimized
   end
 
-let record_par_report t plan (r : Executor.Par.report) =
+let record_par_report t (r : Executor.Par.report) =
   obs_locked t @@ fun () ->
   Metrics.incr t.metrics "executor.par.queries";
   Metrics.incr t.metrics ~by:r.Executor.Par.par_morsels "executor.par.morsels";
@@ -1478,48 +1454,7 @@ let record_par_report t plan (r : Executor.Par.report) =
         (Printf.sprintf "%.2f"
            (float_of_int r.Executor.Par.par_participants
            /. float_of_int (max 1 r.Executor.Par.par_domains)))
-  end;
-  (* plan-node cardinalities from the parallel stage counters; self time is
-     not attributable per node on the push-based path, so it stays 0 *)
-  match r.Executor.Par.par_nodes with
-  | [] -> ()
-  | nodes ->
-    if t.stmt_fp <> "" then begin
-      let ids = Executor.node_ids plan in
-      let ests = plan_estimates t plan in
-      List.iter
-        (fun (np : Executor.Par.node_profile) ->
-          let kind = Plan.operator_kind np.Executor.Par.np_node in
-          Metrics.incr t.metrics ~by:np.Executor.Par.np_rows
-            ("executor.rows." ^ kind);
-          Metrics.incr t.metrics ~by:np.Executor.Par.np_loops
-            ("executor.invocations." ^ kind);
-          (match np.Executor.Par.np_node with
-          | Plan.Scan { table; _ } ->
-            Stats.record_scan t.stats_acc ~relation:table
-              ~rows:np.Executor.Par.np_rows
-          | _ -> ());
-          match
-            List.find_opt (fun (n, _) -> n == np.Executor.Par.np_node) ids
-          with
-          | None -> ()
-          | Some (node, id) ->
-            Profile.record_plan_node t.profile ~fingerprint:t.stmt_fp ~node:id
-              ~operator:(Plan.operator_name node)
-              ~est_rows:(estimate_of ests node)
-              ~act_rows:np.Executor.Par.np_rows ~self_ms:0.
-              ~loops:np.Executor.Par.np_loops ~peak_bytes:0;
-            Recorder.record t.recorder
-              (Recorder.Plan_node
-                 {
-                   fingerprint = t.stmt_fp;
-                   node = id;
-                   operator = Plan.operator_name node;
-                   est_rows = estimate_of ests node;
-                   act_rows = np.Executor.Par.np_rows;
-                 }))
-        nodes
-    end
+  end
 
 (* Execute a prepared plan, collecting per-operator stats when the session
    has instrumentation switched on. *)
@@ -1559,7 +1494,7 @@ let exec_plan t optimized =
       ?spill:(active_spill t) ~provider:(provider t) optimized
   in
   match try_parallel t optimized with
-  | Some run ->
+  | Some spine ->
     note_plan t optimized ~parallel:true;
     phase_sp t "execute" (fun sp ->
         let run_par () =
@@ -1567,9 +1502,15 @@ let exec_plan t optimized =
           Fun.protect
             ~finally:(fun () -> Option.iter Trace.finish par_sp)
             (fun () ->
-              let result = run () in
+              let result =
+                Executor.run_parallel ~token:t.token
+                  ?row_limit:(active_row_limit t) ?progress:(live_progress t)
+                  ?spill:(active_spill t) ~instrument:t.instrument
+                  ~pool:(pool t) ~batch_rows:t.batch_rows
+                  ~provider:(provider t) spine optimized
+              in
               (match par_sp, result with
-              | Some psp, Ok (_, r) ->
+              | Some psp, Ok (_, r, _) ->
                 Trace.annotate psp "domains"
                   (string_of_int r.Executor.Par.par_domains);
                 Trace.annotate psp "morsels"
@@ -1581,8 +1522,13 @@ let exec_plan t optimized =
               result)
         in
         match run_par () with
-        | Ok (rows, report) ->
-          record_par_report t optimized report;
+        | Ok (rows, report, exec_stats) ->
+          record_par_report t report;
+          Option.iter
+            (fun exec_stats ->
+              record_exec_stats t exec_stats;
+              record_plan_profile t optimized exec_stats)
+            exec_stats;
           Ok rows
         | Error msg -> Error (Err.runtime msg)
         | exception (Err.Cancel _ as e) ->
@@ -2575,13 +2521,13 @@ let execute_statement t sql (st : Ast.statement) =
     if Recorder.enabled t.recorder then
       t.stmt_metrics0 <- forensics_snapshot t;
     (* flush the major-cycle note the GC alarm stashed (see [create]) *)
-    if t.gc_pending then begin
-      t.gc_pending <- false;
+    if t.gc_seen.gc_pending then begin
+      t.gc_seen.gc_pending <- false;
       Recorder.record t.recorder
         (Recorder.Gc_major
            {
-             heap_words = t.gc_heap_words;
-             major_collections = t.gc_major_collections;
+             heap_words = t.gc_seen.gc_heap_words;
+             major_collections = t.gc_seen.gc_major_collections;
            })
     end;
     Recorder.record t.recorder

@@ -290,24 +290,25 @@ val set_optimizer_config : t -> Perm_planner.Planner.config -> unit
 (** {1 Parallel execution}
 
     Morsel-driven parallel execution on OCaml domains
-    ({!Perm_executor.Executor.Par}). Off by default; switch on with
-    {!set_parallel}. Eligible plans (scan/filter/project spines, hash-join
-    probes, mergeable aggregates — as judged by
-    {!Perm_planner.Planner.parallel_verdict} and re-checked by the
-    executor) fan out over a session-owned worker pool, created lazily on
-    the first parallel query and reused until the size changes or
-    {!close}. Results are bit-identical to serial execution. Ineligible or
-    small plans fall back to the serial path, leaving an
-    [executor.par.fallback.<reason>] counter; parallel runs maintain
-    [executor.par.queries] / [executor.par.morsels] counters and
-    [executor.par.domains] / [executor.par.utilization] /
+    ({!Perm_executor.Executor.run_parallel}). Off by default; switch on
+    with {!set_parallel}. A plan whose parallel spine
+    ({!Perm_executor.Executor.parallel_spine}: filter/project/join-probe
+    operators over a large enough base table) is found runs that spine
+    per morsel over a session-owned worker pool, created lazily on the
+    first parallel query and reused until the size changes or {!close};
+    everything above the spine runs as the serial batch operators.
+    Results are bit-identical to serial execution. Ineligible or small
+    plans, and every plan with vectorization off, fall back to the serial
+    path, leaving an [executor.par.fallback.<reason>] counter; parallel
+    runs maintain [executor.par.queries] / [executor.par.morsels]
+    counters and [executor.par.domains] / [executor.par.utilization] /
     [executor.par.skew] gauges, and attach a [parallel] child span to the
     statement's [execute] phase. Each fan-out records per-worker morsel
     slices on dedicated trace lanes ({!Perm_obs.Trace.worker_lane}), so
     {!Perm_obs.Trace.to_chrome_json} renders one timeline row per domain.
-    With instrumentation on, parallel plans run parallel {e with} per-stage
-    profiling (feeding [perm_stat_plans] / [perm_stat_workers]) instead of
-    being forced onto the serial instrumented path. *)
+    With instrumentation on, every morsel task keeps its own operator
+    counters, merged into the statement's profile ([perm_stat_plans])
+    after the fan-out. *)
 
 type parallel_setting =
   | Par_off
@@ -320,16 +321,10 @@ val parallel_domains : t -> int
 
 val set_parallel_threshold : t -> int -> unit
 (** Minimum driving-table rows before fan-out (default
-    {!Perm_planner.Planner.default_parallel_threshold}). *)
+    {!Perm_executor.Executor.default_parallel_threshold}). Morsels are
+    whole batches of [batch_rows] rows, about four per domain. *)
 
 val parallel_threshold : t -> int
-val set_morsel_rows : t -> int -> unit
-(** Rows per morsel. 0 (the default) lets the planner size morsels from
-    the driving-table estimate, the session's [batch_rows], and the
-    domain count ({!Perm_planner.Planner.choose_morsel_rows}); a positive
-    value pins the size. *)
-
-val morsel_rows : t -> int
 
 val set_batch_rows : t -> int -> unit
 (** Rows per executor batch on the vectorized path (clamped to >= 1;

@@ -24,10 +24,6 @@ type provider = {
       (** [probe_index table col key]: rows whose column [col] equals [key]
           — backs [Plan.Index_scan]; only called for indexes the planner
           saw in its statistics *)
-  scan_morsels : string -> int -> Perm_storage.Tuple.t array array;
-      (** [scan_morsels table rows]: the table partitioned into fixed-size
-          morsels (the last may be short) in scan order; concatenating the
-          morsels must reproduce [scan_table]. Backs {!Par}. *)
   scan_batches : string -> int -> Perm_storage.Batch.t array;
       (** [scan_batches table rows]: the table as columnar batches of at
           most [rows] rows each, in scan order; their live tuples must
@@ -35,12 +31,6 @@ type provider = {
           columnar image — callers must never mutate the column arrays.
           Backs the vectorized path's [Plan.Scan]. *)
 }
-
-val morsels_of_list :
-  morsel_rows:int -> Perm_storage.Tuple.t list -> Perm_storage.Tuple.t array array
-(** Partition a materialized row list into morsels — the [scan_morsels]
-    implementation for providers without chunked storage (virtual
-    relations, test fixtures). *)
 
 val batches_of_list :
   arity:int ->
@@ -178,25 +168,16 @@ val scan_stats : exec_stats -> (string * node_stats) list
 
 (** {1 Morsel-driven parallel execution}
 
-    Runs eligible plans over a {!Pool} of worker domains: the driving base
-    relation is split into fixed-size morsels, scan→filter→project→probe
-    pipeline fragments run on workers (hash-join builds stay serial and
-    shared read-only), aggregation is partitioned with a serial merge, and
-    Sort/Limit/Project tails run serially over the merged core. Results
-    are bit-identical to the serial closures: morsel outputs concatenate
-    in morsel order (= scan order) and aggregate partials merge in that
-    same order, so group first-seen order matches serial execution. *)
+    A parallel run is the ordinary batch plan with one subtree — the
+    {e spine} — replaced by a gather over a {!Pool} of worker domains.
+    The spine (Filter, Project and probe-side Join operators over a
+    base-table Scan) runs once per morsel: a run of whole batches of the
+    driving table's cached columnar image. Each spine join's build side is
+    built once, serially, and shared read-only by every task. The
+    operators above the spine (Aggregate, Sort, Limit, Project) run
+    serially over the gathered batches, which concatenate in morsel order
+    (= scan order), so results are byte-identical to {!run}. *)
 module Par : sig
-  type node_profile = {
-    np_node : Perm_algebra.Plan.t;
-        (** physical node within the executed plan (match with [==] or
-            {!node_ids}) *)
-    np_rows : int;  (** rows the stage emitted, summed over all morsels *)
-    np_loops : int;
-        (** stage instantiations: one per morsel, or 1 for serial
-            merge/tail stages *)
-  }
-
   type report = {
     par_domains : int;  (** pool size, caller included *)
     par_morsels : int;  (** tasks fanned out *)
@@ -204,50 +185,50 @@ module Par : sig
     par_pool : Pool.report;
         (** per-worker morsel/busy/row accounting and timed morsel slices
             — feeds [perm_stat_workers] and the trace's worker lanes *)
-    par_nodes : node_profile list;
-        (** per-stage cardinality profile; [[]] unless [profile] was
-            requested *)
   }
-
-  val default_morsel_rows : int
-
-  val prepare :
-    provider:provider ->
-    pool:Pool.t ->
-    ?morsel_rows:int ->
-    ?batch_rows:int ->
-    ?token:Perm_err.Token.t ->
-    ?row_limit:int ->
-    ?progress:Progress.t ->
-    ?profile:bool ->
-    ?spill:Perm_storage.Spill.config ->
-    Perm_algebra.Plan.t ->
-    (unit -> (Perm_storage.Tuple.t list * report, string) result) option
-  (** [None] when the plan shape is not morsel-eligible (correlated
-      [Apply], Right/Full join, Distinct, Set_op, non-mergeable
-      aggregates, Index_scan or Values spines) — the caller falls back to
-      {!run}. The returned thunk may be invoked once per statement; the
-      pool is reused across calls.
-
-      When [batch_rows] is given (and positive), workers slice their
-      morsels into columnar batches and push them through the same batch
-      kernels as the serial vectorized path — per-morsel overhead
-      amortizes across the batch, and the token is charged per batch.
-      Output rows still concatenate in morsel order, so results remain
-      byte-identical to both serial paths.
-
-      When [token] is active every morsel task checks it on entry and
-      charges it per emitted batch, so a kill noticed by one domain stops
-      the rest at their next morsel; the poisoned generation drains fully
-      before {!Perm_err.Cancel} is re-raised on the caller, leaving the
-      pool reusable. [row_limit] is enforced after the merge.
-
-      When [progress] is given the fan-out sizes its morsel counters and
-      every finished morsel bumps them (plus the live row count), so
-      another domain can sample mid-flight progress. [profile:true]
-      additionally counts rows/loops per recognized pipeline stage with
-      shared atomics (a couple of atomic increments per row). *)
 end
+
+type spine
+(** The subtree a parallel run fans out, with its driving table. *)
+
+val default_parallel_threshold : int
+(** Minimum driving-table cardinality worth a pool fan-out (2048). *)
+
+val parallel_spine :
+  threshold:int ->
+  table_rows:(string -> int) ->
+  Perm_algebra.Plan.t ->
+  (spine, string) result
+(** The only parallel-eligibility decision. Descends from the root
+    through Sort/Limit/Project/Aggregate to the highest spine; the spine's
+    joins must be Inner, Cross, Left, Semi or Anti (entered through their
+    left input), it must contain a Filter or a Join, and the driving table
+    must hold at least [threshold] rows ([table_rows]). [Error] carries
+    the fallback reason: ["apply"] (the plan is not {!batch_eligible}),
+    ["outer-join"], ["index-scan"], ["values"], ["shape"] or ["small"]. *)
+
+val run_parallel :
+  ?token:Perm_err.Token.t ->
+  ?row_limit:int ->
+  ?progress:Progress.t ->
+  ?spill:Perm_storage.Spill.config ->
+  ?instrument:bool ->
+  pool:Pool.t ->
+  batch_rows:int ->
+  provider:provider ->
+  spine ->
+  Perm_algebra.Plan.t ->
+  (Perm_storage.Tuple.t list * Par.report * exec_stats option, string) result
+(** Runs a plan with its {!parallel_spine} gathered over [pool]. Every
+    task checks [token] before its morsel and the per-batch guard charges
+    it, so a kill noticed by one domain stops the rest at their next
+    morsel; the pool drains before {!Perm_err.Cancel} re-raises on the
+    caller. [row_limit] and [progress] rows apply at the root as in
+    {!run}; [progress] also counts morsels. With [instrument] each task
+    keeps its own operator counters, merged into the returned stats
+    (finalized as by {!run_instrumented}) after the fan-out. The batch
+    path does not spill: past the [spill] threshold a build side or sort
+    raises {!Perm_storage.Spill.Fallback_needed} for a serial retry. *)
 
 val eval_const : Perm_algebra.Expr.t -> (Perm_value.Value.t, string) result
 (** Evaluates a closed expression (no attribute references) — INSERT rows,

@@ -163,7 +163,7 @@ let empty_report () =
   }
 
 (* Run every task to completion, caller included. Not reentrant: one batch
-   at a time per pool (the engine submits one parallel fragment at a time). *)
+   at a time per pool (the engine runs one gather at a time). *)
 let run t (tasks : (unit -> int) array) : report =
   let n = Array.length tasks in
   if n = 0 then empty_report ()

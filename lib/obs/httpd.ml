@@ -261,6 +261,34 @@ let rec worker_loop t handler =
       (fun () -> try serve_connection t handler fd with _ -> ());
     worker_loop t handler
 
+(* Turn away a connection over the cap. Closing a socket whose request
+   bytes are still unread makes the kernel answer with a reset, which can
+   overtake the 503 on its way to the client; so half-close after the
+   response and drain what the client sends — at most one request head,
+   for at most a short grace period, so a slow client cannot stall the
+   acceptor — before closing. *)
+let refuse_grace_s = 0.25
+
+let refuse fd =
+  (try fixed_response fd 503 "text/plain" "too many connections\n"
+   with _ -> ());
+  (try
+     Unix.shutdown fd Unix.SHUTDOWN_SEND;
+     let chunk = Bytes.create 512 in
+     let deadline = Unix.gettimeofday () +. refuse_grace_s in
+     let rec drain seen =
+       let left = deadline -. Unix.gettimeofday () in
+       if seen <= head_limit && left > 0. then
+         match Unix.select [ fd ] [] [] left with
+         | [], _, _ -> ()
+         | _ ->
+           let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+           if n > 0 then drain (seen + n)
+     in
+     drain 0
+   with _ -> ());
+  try Unix.close fd with _ -> ()
+
 let accept_loop t =
   while not (Atomic.get t.stopping) do
     match Unix.select [ t.sock ] [] [] 0.2 with
@@ -283,9 +311,7 @@ let accept_loop t =
           in
           if not enqueued then begin
             Atomic.incr t.rejected;
-            (try fixed_response fd 503 "text/plain" "too many connections\n"
-             with _ -> ());
-            try Unix.close fd with _ -> ()
+            refuse fd
           end)
     | exception Unix.Unix_error _ -> ()
   done

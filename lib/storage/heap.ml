@@ -164,18 +164,13 @@ let scan t =
 
 let to_list t = Vec.to_list t.rows
 
-(* Chunked access for morsel-driven parallel scans: contiguous row slices
-   in insertion order, so concatenating the chunks reproduces [scan]. *)
+(* Contiguous row slice in insertion order. *)
 let scan_chunk t ~pos ~len = Vec.sub t.rows pos len
-
-let scan_morsels t ~rows =
-  Perm_fault.trip fp_scan;
-  Vec.chunks t.rows ~size:rows
 
 (* Columnar scan for the vectorized executor. The transpose runs once per
    (table version, batch size) and the resulting image — column arrays
    shared by every batch — is reused by all later scans; any mutation
-   drops it. The fault point trips per scan, like [scan_morsels], so
+   drops it. The fault point trips per scan, like [scan], so
    chaos schedules are unchanged by caching. *)
 let scan_batches t ~rows =
   Perm_fault.trip fp_scan;

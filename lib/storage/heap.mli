@@ -32,11 +32,6 @@ val scan_chunk : t -> pos:int -> len:int -> Tuple.t array
 (** Contiguous slice of the heap in insertion order.
     @raise Invalid_argument when the range is out of bounds. *)
 
-val scan_morsels : t -> rows:int -> Tuple.t array array
-(** The heap partitioned into fixed-size morsels (the last may be short)
-    in insertion order, for morsel-driven parallel scans: concatenating
-    the morsels reproduces {!scan}. *)
-
 val scan_batches : t -> rows:int -> Batch.t array
 (** The heap as columnar batches of at most [rows] rows each, in
     insertion order: their live tuples reproduce {!scan}. The transpose

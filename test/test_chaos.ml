@@ -24,10 +24,11 @@ let domains =
   | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 2)
   | None -> 2
 
+(* Small batches give the small chaos tables several morsels each. *)
 let go_parallel e =
   Engine.set_parallel e (Engine.Par_domains domains);
   Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 16
+  Engine.set_batch_rows e (min (Engine.batch_rows e) 16)
 
 let chaos_engine () =
   let e = engine () in

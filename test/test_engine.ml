@@ -259,6 +259,20 @@ let pipeline_tests =
         let e = forum_engine () in
         let msg = query_err e "SELECT 1 / (uid - uid) FROM users" in
         Alcotest.(check string) "" "division by zero" msg);
+    case "an engine dropped without close is collected" (fun () ->
+        let first = Weak.create 1 in
+        let make () =
+          let e = forum_engine () in
+          ignore (query_ok e "SELECT * FROM users");
+          Weak.set first 0 (Some e)
+        in
+        make ();
+        (* the second engine takes over the process-wide spill observer *)
+        let second = engine () in
+        Gc.full_major ();
+        Alcotest.(check bool) "first engine collected" false
+          (Weak.check first 0);
+        Engine.close second);
   ]
 
 let () =

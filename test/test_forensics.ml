@@ -43,7 +43,7 @@ let forum_scaled ?(messages = 300) ?(users = 3) () =
 let go_parallel e =
   Engine.set_parallel e (Engine.Par_domains 2);
   Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 64
+  Engine.set_batch_rows e (min (Engine.batch_rows e) 64)
 
 (* The shared assertion: the newest bundle exists, validates against the
    schema, and carries the class the scenario was built to produce. *)

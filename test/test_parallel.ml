@@ -18,11 +18,12 @@ let domains =
   | None -> 2
 
 (* Make parallelism reachable for the small test relations: fan out from
-   one row up, with tiny morsels so several tasks exist. *)
+   one row up, with small batches so several morsels exist. A smaller
+   PERM_BATCH_ROWS is kept. *)
 let go_parallel e =
   Engine.set_parallel e (Engine.Par_domains domains);
   Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 16
+  Engine.set_batch_rows e (min (Engine.batch_rows e) 16)
 
 (* Rows in order, rendered — order differences must fail the check. *)
 let ordered_rows e sql = strings_of_rows (query_ok e sql).Engine.rows
@@ -48,11 +49,12 @@ let forum_queries =
     "SELECT * FROM users";
     (* join spine: probe parallel, build serial *)
     "SELECT m.text, u.name FROM messages m, users u WHERE m.uid = u.uid";
-    (* aggregation: partitioned pre-aggregation + ordered merge *)
+    (* aggregation over a bare scan: no spine, stays serial *)
     "SELECT uid, count(*) FROM messages GROUP BY uid";
     "SELECT count(*), min(mid), max(mid) FROM messages";
-    (* serial Sort/Limit tails over a parallel core *)
-    "SELECT mid, text FROM messages ORDER BY mid DESC LIMIT 7";
+    (* serial Aggregate/Sort/Limit above a gathered spine *)
+    "SELECT uid, count(*), max(mid) FROM messages WHERE mid > 1 GROUP BY uid";
+    "SELECT mid, text FROM messages WHERE mid > 1 ORDER BY mid DESC LIMIT 7";
     (* fallback shapes must stay correct too *)
     Perm_workload.Forum.q1;
     Perm_workload.Forum.q3;
@@ -163,6 +165,16 @@ let suite_fallback =
         Alcotest.(check bool) "apply fallback recorded" true
           (Metrics.counter (Engine.metrics e) "executor.par.fallback.apply" > 0);
         Engine.close e);
+    case "vectorized off stays serial (row_path fallback)" (fun () ->
+        let e = forum_engine () in
+        go_parallel e;
+        Engine.set_vectorized e false;
+        ignore (query_ok e eligible);
+        Alcotest.(check int) "no parallel queries" 0 (par_queries e);
+        Alcotest.(check bool) "row_path fallback recorded" true
+          (Metrics.counter (Engine.metrics e) "executor.par.fallback.row_path"
+          > 0);
+        Engine.close e);
     case "set operations fall back serially" (fun () ->
         let e = forum_engine () in
         go_parallel e;
@@ -241,11 +253,12 @@ let suite_workers =
       (fun () ->
         let e = forum_engine () in
         Engine.set_instrumentation e true;
-        (* 2 forum messages in one huge morsel: with 4 domains at least
-           two workers never receive work, yet every domain must appear *)
+        (* 2 forum messages in one batch, hence one morsel: with 4 domains
+           at least two workers never receive work, yet every domain must
+           appear *)
         Engine.set_parallel e (Engine.Par_domains 4);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1_000_000;
+        Engine.set_batch_rows e 1024;
         ignore (query_ok e eligible);
         let rs =
           query_ok e
@@ -279,7 +292,7 @@ let suite_workers =
         Engine.set_instrumentation e true;
         Engine.set_parallel e (Engine.Par_domains 1);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_batch_rows e 1;
         ignore (query_ok e eligible);
         let rs =
           query_ok e "SELECT domain, morsels, rows FROM perm_stat_workers"
@@ -297,6 +310,117 @@ let suite_workers =
           Alcotest.(check (float 1e-9)) "balanced by definition" 1. skew
         | _ -> Alcotest.fail "max_skew row missing");
         Engine.close e);
+  ]
+
+(* Shapes the gather parallelizes because the operators above the spine
+   run serially over the concatenated morsel outputs: float sums and
+   averages (order-sensitive), DISTINCT aggregates, and ORDER BY/LIMIT
+   under a row limit. Each must match serial at batch sizes 1, 7 and the
+   default, with the parallel path engaged. *)
+let gather_batch_sizes = [ 1; 7; 1024 ]
+
+let check_gathered e bn sql =
+  Engine.set_batch_rows e bn;
+  Engine.set_parallel e Engine.Par_off;
+  let serial = ordered_rows e sql in
+  Engine.set_parallel e (Engine.Par_domains domains);
+  Engine.set_parallel_threshold e 1;
+  let before = par_queries e in
+  let parallel = ordered_rows e sql in
+  Engine.set_parallel e Engine.Par_off;
+  Alcotest.(check rows_testable)
+    (Printf.sprintf "%s [serial = parallel, batch_rows=%d]" sql bn)
+    serial parallel;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s [gathered, batch_rows=%d]" sql bn)
+    true
+    (par_queries e > before)
+
+let error_kind e sql =
+  match Engine.execute_err e sql with
+  | Ok _ -> "ok"
+  | Error err -> Perm_err.kind_label err.Perm_err.kind
+
+let join_build_counts () =
+  match
+    List.find_opt (fun (n, _, _, _) -> n = "join.build") (Perm_fault.points ())
+  with
+  | Some (_, _, hits, injected) -> (hits, injected)
+  | None -> (0, 0)
+
+let suite_gather =
+  [
+    case "float SUM/AVG and count(DISTINCT) over a join spine" (fun () ->
+        let e = forum_scaled () in
+        List.iter
+          (fun bn ->
+            List.iter (check_gathered e bn)
+              [
+                "SELECT u.name, sum(m.mid * 0.1), avg(m.mid / 7.0) FROM \
+                 messages m, users u WHERE m.uid = u.uid GROUP BY u.name";
+                "SELECT count(DISTINCT m.uid), sum(DISTINCT m.mid % 5), \
+                 avg(m.mid * 0.3) FROM messages m JOIN users u ON m.uid = \
+                 u.uid WHERE m.mid % 2 = 0";
+              ])
+          gather_batch_sizes;
+        Engine.close e);
+    case "ORDER BY/LIMIT under row_limit above a gathered spine" (fun () ->
+        let e = forum_scaled () in
+        let sql n =
+          Printf.sprintf
+            "SELECT m.mid, u.name FROM messages m, users u WHERE m.uid = \
+             u.uid ORDER BY u.name DESC, m.mid LIMIT %d"
+            n
+        in
+        Engine.set_row_limit e 10;
+        List.iter
+          (fun bn ->
+            check_gathered e bn (sql 10);
+            (* past the cap, both paths die the same way *)
+            Engine.set_parallel e Engine.Par_off;
+            let serial = error_kind e (sql 11) in
+            Engine.set_parallel e (Engine.Par_domains domains);
+            Alcotest.(check string)
+              (Printf.sprintf "row_limit kill [batch_rows=%d]" bn)
+              serial (error_kind e (sql 11));
+            Alcotest.(check string) "killed, not answered"
+              "resource_exhausted" serial;
+            Engine.set_parallel e Engine.Par_off)
+          gather_batch_sizes;
+        Engine.close e);
+    case "join.build fires once per statement at 1, 2 and 4 domains"
+      (fun () ->
+        let sql =
+          "SELECT m.text, u.name FROM messages m, users u WHERE m.uid = u.uid"
+        in
+        List.iter
+          (fun d ->
+            let e = forum_scaled () in
+            Engine.set_parallel e (Engine.Par_domains d);
+            Engine.set_parallel_threshold e 1;
+            (* 300 messages in batches of 7: dozens of morsels *)
+            Engine.set_batch_rows e 7;
+            Perm_fault.reset ();
+            (* armed but (almost surely) silent: counts every trip *)
+            Perm_fault.set "join.build" 1e-300;
+            ignore (query_ok e sql);
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "one shared build, %d domains" d)
+              (1, 0) (join_build_counts ());
+            Perm_fault.reset ();
+            Perm_fault.set "join.build" 1.0;
+            Alcotest.(check string)
+              (Printf.sprintf "statement faulted, %d domains" d)
+              "faulted" (error_kind e sql);
+            (* once in the parallel attempt, once in its serial retry *)
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "fired once per attempt, %d domains" d)
+              (2, 2) (join_build_counts ());
+            Alcotest.(check int) "one degraded retry" 1
+              (Metrics.counter (Engine.metrics e) "executor.par.degraded");
+            Perm_fault.reset ();
+            Engine.close e)
+          [ 1; 2; 4 ]);
   ]
 
 (* The determinism gate must hold with telemetry history recording on:
@@ -325,5 +449,6 @@ let () =
       ("fallback", suite_fallback);
       ("metrics", suite_metrics);
       ("workers", suite_workers);
+      ("gather", suite_gather);
       ("history", suite_history);
     ]

@@ -38,10 +38,6 @@ let provider : Executor.provider =
         List.to_seq
           (List.map row (if table = "r" then r_rows else s_rows)));
     Executor.probe_index = (fun _ _ _ -> Seq.empty);
-    Executor.scan_morsels =
-      (fun table rows ->
-        Executor.morsels_of_list ~morsel_rows:rows
-          (List.map row (if table = "r" then r_rows else s_rows)));
     Executor.scan_batches =
       (fun table rows ->
         Executor.batches_of_list ~arity:2 ~batch_rows:rows

@@ -21,7 +21,7 @@ let domains =
 let go_parallel e =
   Engine.set_parallel e (Engine.Par_domains domains);
   Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 64
+  Engine.set_batch_rows e (min (Engine.batch_rows e) 64)
 
 let kind_testable =
   Alcotest.testable

@@ -100,7 +100,7 @@ let test_parallel_identity () =
   let e = spill_engine () in
   Engine.set_parallel e (Engine.Par_domains domains);
   Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 64;
+  Engine.set_batch_rows e (min (Engine.batch_rows e) 64);
   check_identical ~label:"parallel (spill fallback)" e;
   Engine.close e
 
@@ -167,7 +167,7 @@ let test_budget_hard_ceiling () =
   non_spillable_ceiling ~label:"parallel" (fun e ->
       Engine.set_parallel e (Engine.Par_domains domains);
       Engine.set_parallel_threshold e 1;
-      Engine.set_morsel_rows e 64)
+      Engine.set_batch_rows e (min (Engine.batch_rows e) 64))
 
 let test_spill_dir_honoured () =
   let dir = Filename.temp_file "perm_spill_dir" "" in

@@ -281,7 +281,7 @@ let profiler_views_tests =
         Engine.set_instrumentation e true;
         Engine.set_parallel e (Engine.Par_domains 2);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_batch_rows e 1;
         ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
         (* one row per domain (participants and idle workers alike) *)
         check_count e "SELECT * FROM perm_stat_workers" 2;
@@ -306,7 +306,7 @@ let profiler_views_tests =
         Engine.set_instrumentation e true;
         Engine.set_parallel e (Engine.Par_domains 2);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_batch_rows e 1;
         ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
         let rs =
           query_ok e
@@ -334,7 +334,7 @@ let profiler_views_tests =
         let e = forum_engine () in
         Engine.set_parallel e (Engine.Par_domains 2);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_batch_rows e 1;
         ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
         (match Engine.progress e with
         | None -> Alcotest.fail "no progress record"
@@ -571,7 +571,7 @@ let watchdog_detection_tests =
         ignore (query_ok e sql);
         Engine.set_parallel e (Engine.Par_domains 2);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_batch_rows e 1;
         ignore (query_ok e sql);
         let fp = Fingerprint.of_sql sql in
         let regs =
@@ -784,7 +784,7 @@ let trace_export_tests =
         let e = forum_engine () in
         Engine.set_parallel e (Engine.Par_domains 2);
         Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_batch_rows e 1;
         ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
         Engine.close e;
         let text = Json.to_string (Trace.to_chrome_json (Engine.trace_log e)) in

@@ -42,10 +42,9 @@ let check_against_oracle e sql =
       Alcotest.(check rows_testable)
         (Printf.sprintf "%s [row = batch, batch_rows=%d]" sql bn)
         oracle (ordered_rows e sql);
-      (* parallel batch path: tiny morsels so several tasks exist *)
+      (* parallel batch path: one morsel per few batches *)
       Engine.set_parallel e (Engine.Par_domains domains);
       Engine.set_parallel_threshold e 1;
-      Engine.set_morsel_rows e 16;
       Alcotest.(check rows_testable)
         (Printf.sprintf "%s [row = parallel batch, batch_rows=%d]" sql bn)
         oracle (ordered_rows e sql))
@@ -183,35 +182,39 @@ let suite_profiler =
 
 let suite_morsel_sizing =
   [
-    case "planner morsel choice is a whole multiple of batch_rows" (fun () ->
+    case "morsels are whole batches, about four per domain" (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
+        Engine.set_parallel_threshold e 1;
+        let morsels () =
+          Metrics.counter (Engine.metrics e) "executor.par.morsels"
+        in
         List.iter
-          (fun (batch_rows, driving_rows, domains) ->
-            let m =
-              Perm_planner.Planner.choose_morsel_rows ~batch_rows
-                ~driving_rows ~domains
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "b=%d rows=%d d=%d -> %d" batch_rows
-                 driving_rows domains m)
-              true
-              (m >= batch_rows && m mod batch_rows = 0))
-          [
-            (1024, 100_000, 4);
-            (1024, 10, 1);
-            (7, 1_000, 2);
-            (256, 1_000_000, 8);
-            (4096, 4096, 1);
-          ]);
-    case "auto morsels (morsel_rows 0) keep determinism" (fun () ->
+          (fun (batch_rows, d, expected) ->
+            Engine.set_batch_rows e batch_rows;
+            Engine.set_parallel e (Engine.Par_domains d);
+            let before = morsels () in
+            ignore (query_ok e "SELECT mid FROM messages WHERE mid > 0");
+            Alcotest.(check int)
+              (Printf.sprintf "batch_rows=%d, %d domains" batch_rows d)
+              expected
+              (morsels () - before))
+          (* 300 rows in batches of 7 are 43 batches *)
+          [ (1024, 2, 1); (100, 2, 3); (7, 1, 4); (7, 2, 8); (7, 4, 15) ];
+        Engine.close e);
+    case "derived morsels keep determinism" (fun () ->
         let e = engine () in
         Perm_workload.Forum.load_scaled e ~messages:500 ~users:40 ();
-        let sql = "SELECT uid, count(*) FROM messages GROUP BY uid" in
+        let sql =
+          "SELECT uid, count(*) FROM messages WHERE mid % 3 <> 1 GROUP BY uid"
+        in
         let oracle = row_oracle e sql in
-        Engine.set_morsel_rows e 0;
         Engine.set_parallel e (Engine.Par_domains domains);
         Engine.set_parallel_threshold e 1;
         Alcotest.(check rows_testable) "auto-sized parallel = oracle" oracle
           (ordered_rows e sql);
+        Alcotest.(check bool) "parallel path engaged" true
+          (Metrics.counter (Engine.metrics e) "executor.par.queries" > 0);
         Engine.close e);
   ]
 
