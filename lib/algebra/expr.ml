@@ -69,6 +69,14 @@ let conjoin = function
   | [] -> Const (Value.Bool true)
   | e :: rest -> List.fold_left (fun acc c -> Binop (And, acc, c)) e rest
 
+(* SQL = is three-valued; rejoins need a predicate under which a NULL
+   key matches itself. *)
+let null_safe_eq a b =
+  Binop (Or, Binop (Eq, a, b), Binop (And, Unop (Is_null, a), Unop (Is_null, b)))
+
+let null_safe_eq_all pairs =
+  conjoin (List.map (fun (a, b) -> null_safe_eq a b) pairs)
+
 let rec type_of = function
   | Const v -> Value.type_of v
   | Attr a -> a.Attr.ty

@@ -45,6 +45,12 @@ val conjuncts : t -> t list
 val conjoin : t list -> t
 (** Inverse of {!conjuncts}; the empty list is [Const (Bool true)]. *)
 
+val null_safe_eq_all : (t * t) list -> t
+(** Conjunction of [(a = b) OR (a IS NULL AND b IS NULL)] per pair — the
+    rejoin predicate under which a NULL key matches itself (the executor's
+    hash join recognizes the shape as a null-safe key). [TRUE] for no
+    pairs. *)
+
 val type_of : t -> Perm_value.Dtype.t
 (** Static result type (assumes the expression is well-typed; the analyzer
     checks that). *)

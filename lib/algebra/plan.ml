@@ -41,6 +41,11 @@ type t =
       group_by : (Expr.t * Attr.t) list;
       aggs : agg_call list;
     }
+  | Group_annotate of {
+      child : t;
+      group_by : (Expr.t * Attr.t) list;
+      aggs : agg_call list;
+    }
   | Distinct of t
   | Set_op of {
       kind : set_kind;
@@ -75,6 +80,8 @@ let rec schema = function
     | A_semi | A_anti -> schema left)
   | Aggregate { group_by; aggs; _ } ->
     List.map snd group_by @ List.map (fun c -> c.agg_out) aggs
+  | Group_annotate { child; group_by; aggs } ->
+    List.map snd group_by @ List.map (fun c -> c.agg_out) aggs @ schema child
 
 let arity t = List.length (schema t)
 
@@ -94,6 +101,7 @@ let children = function
   | Sort { child; _ }
   | Limit { child; _ }
   | Aggregate { child; _ }
+  | Group_annotate { child; _ }
   | Prov { child; _ }
   | Baserel { child; _ }
   | External { child; _ } ->
@@ -110,6 +118,7 @@ let map_children f = function
   | Sort r -> Sort { r with child = f r.child }
   | Limit r -> Limit { r with child = f r.child }
   | Aggregate r -> Aggregate { r with child = f r.child }
+  | Group_annotate r -> Group_annotate { r with child = f r.child }
   | Join r -> Join { r with left = f r.left; right = f r.right }
   | Apply r -> Apply { r with left = f r.left; right = f r.right }
   | Set_op r -> Set_op { r with left = f r.left; right = f r.right }
@@ -142,6 +151,7 @@ let operator_name = function
   | Join { kind; _ } -> join_kind_name kind
   | Apply { kind; _ } -> apply_kind_name kind
   | Aggregate _ -> "Aggregate"
+  | Group_annotate _ -> "GroupAnnotate"
   | Distinct _ -> "Distinct"
   | Set_op { kind; all; _ } ->
     let base =
@@ -171,7 +181,7 @@ let operator_kind = function
   | Filter _ -> "filter"
   | Join _ -> "join"
   | Apply _ -> "apply"
-  | Aggregate _ -> "aggregate"
+  | Aggregate _ | Group_annotate _ -> "aggregate"
   | Distinct _ -> "distinct"
   | Set_op _ -> "set_op"
   | Sort _ -> "sort"

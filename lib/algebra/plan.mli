@@ -81,6 +81,19 @@ type t =
       group_by : (Expr.t * Attr.t) list;
       aggs : agg_call list;
     }  (** output schema: group-by outs then aggregate outs *)
+  | Group_annotate of {
+      child : t;
+      group_by : (Expr.t * Attr.t) list;
+      aggs : agg_call list;
+    }
+      (** every input row annotated with its group's key and aggregate
+          values — an [Aggregate] fused with its rejoin to the same input
+          (Niu & Glavic's window-style provenance aggregation). One row out
+          per input row: groups in first-seen order, rows within a group in
+          input order. A global aggregate over empty input yields one row of
+          aggregate defaults with the child columns NULL. Output schema:
+          group-by outs, aggregate outs, then [schema child]. Introduced by
+          the provenance rewriter only. *)
   | Distinct of t
   | Set_op of { kind : set_kind; all : bool; left : t; right : t; attrs : Attr.t list }
       (** children must agree in arity and (unified) types; [attrs] are the
@@ -123,6 +136,7 @@ val operator_name : t -> string
 val operator_kind : t -> string
 (** Coarse parameter-free operator class for metric names: ["scan"],
     ["join"], ["aggregate"], ... — every join kind maps to ["join"], every
-    apply kind to ["apply"], both scan forms to ["scan"]. *)
+    apply kind to ["apply"], both scan forms to ["scan"], [Group_annotate]
+    to ["aggregate"]. *)
 
 val count_operators : t -> int

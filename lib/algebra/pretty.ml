@@ -22,7 +22,8 @@ let details plan =
   | Plan.Apply { kind = Plan.A_scalar a; _ } ->
     Printf.sprintf "[-> %s]" a.Attr.name
   | Plan.Apply _ -> ""
-  | Plan.Aggregate { group_by; aggs; _ } ->
+  | Plan.Aggregate { group_by; aggs; _ }
+  | Plan.Group_annotate { group_by; aggs; _ } ->
     let gb =
       List.map (fun (e, (a : Attr.t)) ->
           Printf.sprintf "%s -> %s" (Expr.to_string e) a.Attr.name)

@@ -238,6 +238,21 @@ let plan_to_sql plan =
       Printf.sprintf "SELECT %s FROM (%s) AS %s%s"
         (String.concat ", " (gcols @ acols))
         (go child) (fresh_t ()) group_clause
+    | Plan.Group_annotate { child; group_by; aggs } ->
+      (* the rejoin it fuses: the aggregate left-joined back to its input
+         on null-safe group-key equality, which yields the same rows in
+         the same order *)
+      go
+        (Plan.Join
+           {
+             kind = Plan.Left;
+             left = Plan.Aggregate { child; group_by; aggs };
+             right = child;
+             pred =
+               Some
+                 (Expr.null_safe_eq_all
+                    (List.map (fun (e, out) -> (e, Expr.Attr out)) group_by));
+           })
     | Plan.Distinct child ->
       Printf.sprintf "SELECT DISTINCT * FROM (%s) AS %s" (go child) (fresh_t ())
     | Plan.Set_op { kind; all; left; right; attrs } ->

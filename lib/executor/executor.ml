@@ -492,6 +492,66 @@ let agg_result (call : Plan.agg_call) state =
       Value.Float (total /. float_of_int state.sum_count)
   | Plan.Min | Plan.Max | Plan.Bool_and | Plan.Bool_or -> state.extreme
 
+(* Group annotation (Plan.Group_annotate), shared by the row and batch
+   walkers: [assign key r] feeds row [r] to the group of [key] and returns
+   the group's id — ids in first-seen order, the same state machines as
+   hash aggregation. [heads ()], by group id, is each group's output
+   prefix: key, then aggregate values. *)
+type 'r annotator = {
+  assign : Tuple.t -> 'r -> int;
+  heads : unit -> Tuple.t array;
+  empty_head : unit -> Tuple.t;  (* a global aggregate's row over no input *)
+}
+
+let annotator (aggs : Plan.agg_call list) ~(args : ('r -> Value.t) option list)
+    =
+  let aggs = Array.of_list aggs and args = Array.of_list args in
+  let tbl : (int * agg_state array) Tuple.Hash.t = Tuple.Hash.create 64 in
+  let order = ref [] in
+  let assign k r =
+    let id, states =
+      match Tuple.Hash.find_opt tbl k with
+      | Some g -> g
+      | None ->
+        let g = (Tuple.Hash.length tbl, Array.map new_agg_state aggs) in
+        Tuple.Hash.replace tbl k g;
+        budget_materialized ~what:"GROUP BY" (Tuple.Hash.length tbl);
+        order := (k, snd g) :: !order;
+        g
+    in
+    for i = 0 to Array.length aggs - 1 do
+      agg_feed aggs.(i) states.(i)
+        (match args.(i) with None -> None | Some f -> Some (f r))
+    done;
+    id
+  in
+  let head (k, states) =
+    Array.append k (Array.mapi (fun i c -> agg_result c states.(i)) aggs)
+  in
+  {
+    assign;
+    heads = (fun () -> Array.of_list (List.rev_map head !order));
+    empty_head = (fun () -> head ([||], Array.map new_agg_state aggs));
+  }
+
+(* The annotation's output order over rows numbered in input order, given
+   each row's group id: groups in id (first-seen) order, rows of a group
+   in input order — the order of the [LeftJoin(Aggregate(x), x')] the
+   node replaces. A stable counting sort. *)
+let grouped_order ~groups (gids : int array) =
+  let next = Array.make (groups + 1) 0 in
+  Array.iter (fun g -> next.(g + 1) <- next.(g + 1) + 1) gids;
+  for g = 1 to groups do
+    next.(g) <- next.(g) + next.(g - 1)
+  done;
+  let order = Array.make (Array.length gids) 0 in
+  Array.iteri
+    (fun k g ->
+      order.(next.(g)) <- k;
+      next.(g) <- next.(g) + 1)
+    gids;
+  order
+
 (* ------------------------------------------------------------------ *)
 (* Operator evaluation                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +606,8 @@ and compile_node ~(provider : provider) ~(wrap : wrapper) (outer : resolver)
   | Plan.Apply { kind; left; right } -> compile_apply ~provider ~wrap outer kind left right
   | Plan.Aggregate { child; group_by; aggs } ->
     compile_aggregate ~provider ~wrap outer child group_by aggs
+  | Plan.Group_annotate { child; group_by; aggs } ->
+    compile_group_annotate ~provider ~wrap outer child group_by aggs
   | Plan.Distinct child ->
     let run_child = compile ~provider ~wrap outer child in
     fun () ->
@@ -978,6 +1040,74 @@ and compile_aggregate ~provider ~wrap outer child group_by aggs =
                !order)
             ())
 
+(* In memory the annotation holds every input row and reorders them by
+   group. Under a spill configuration it holds only group states: rows
+   are tagged with (group id, input index) and go through the external
+   merge sort, whose order on those tags is the same. The sort consumes
+   its whole input before yielding, so every group is final by then. *)
+and compile_group_annotate ~provider ~wrap outer child group_by aggs =
+  let child_schema = Plan.schema child in
+  let resolve = combine_resolvers (resolver_of_schema child_schema) outer in
+  let key_fs =
+    Array.of_list (List.map (fun (e, _) -> compile_expr resolve e) group_by)
+  in
+  let args =
+    List.map
+      (fun (c : Plan.agg_call) -> Option.map (compile_expr resolve) c.arg)
+      aggs
+  in
+  let run_child = compile ~provider ~wrap outer child in
+  let global = group_by = [] in
+  fun () ->
+    Seq.memoize (fun () ->
+        Perm_fault.trip fp_agg_merge;
+        let ann = annotator aggs ~args in
+        let assign row = ann.assign (key_of key_fs row) row in
+        let rows =
+          match spill_config () with
+          | None ->
+            let rows = Array.of_seq (run_child ()) in
+            let gids = Array.map assign rows in
+            let heads = ann.heads () in
+            Seq.map
+              (fun k -> Tuple.concat heads.(gids.(k)) rows.(k))
+              (Array.to_seq
+                 (grouped_order ~groups:(Array.length heads) gids))
+          | Some cfg ->
+            let tag = function
+              | Value.Int i -> i
+              | _ -> err "internal: untagged group annotation row"
+            in
+            let cmp a b =
+              let c = Int.compare (tag a.(0)) (tag b.(0)) in
+              if c <> 0 then c else Int.compare (tag a.(1)) (tag b.(1))
+            in
+            let index = ref 0 in
+            let tagged =
+              Seq.map
+                (fun row ->
+                  let g = assign row in
+                  let i = !index in
+                  incr index;
+                  Tuple.concat [| Value.Int g; Value.Int i |] row)
+                (run_child ())
+            in
+            let sorted = external_sort cfg cmp tagged in
+            let heads = ann.heads () in
+            Seq.map
+              (fun row ->
+                Tuple.concat heads.(tag row.(0))
+                  (Array.sub row 2 (Array.length row - 2)))
+              sorted
+        in
+        match rows () with
+        | Seq.Nil when global ->
+          Seq.return
+            (Tuple.concat (ann.empty_head ())
+               (Array.make (List.length child_schema) Value.Null))
+            ()
+        | node -> node)
+
 and compile_set_op ~provider ~wrap outer kind all left right =
   let run_left = compile ~provider ~wrap outer left in
   let run_right = compile ~provider ~wrap outer right in
@@ -1226,24 +1356,30 @@ let batches_of_rows ~arity ~batch_rows (rows : Tuple.t array) : Batch.t Seq.t =
 let batches_of_tuple_list ~arity ~batch_rows rows =
   batches_of_rows ~arity ~batch_rows (Array.of_list rows)
 
-(* Materialize a batch stream into tuples, raising Fallback_needed as
-   soon as the count passes the spill threshold — the fallback must fire
-   before the memory spike it exists to bound, not after full
-   materialization. *)
-let collect_tuples_bounded ~what (bs : Batch.t Seq.t) : Tuple.t array =
+(* A batch stream that raises Fallback_needed as soon as the live-row
+   count passes the spill threshold — for operators that hold their whole
+   input, the fallback must fire before the memory spike it exists to
+   bound, not after full materialization. *)
+let bounded_batches ~what (bs : Batch.t Seq.t) : Batch.t Seq.t =
   let limit =
     match spill_config () with
     | Some c -> c.Spill.threshold
     | None -> max_int
   in
-  let acc = ref [] in
   let n = ref 0 in
-  Seq.iter
+  Seq.map
     (fun b ->
       n := !n + Batch.live b;
       if !n > limit then spill_fallback ~what !n limit;
-      List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
-    bs;
+      b)
+    bs
+
+(* Materialize a bounded batch stream into tuples. *)
+let collect_tuples_bounded ~what (bs : Batch.t Seq.t) : Tuple.t array =
+  let acc = ref [] in
+  Seq.iter
+    (fun b -> List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
+    (bounded_batches ~what bs);
   Array.of_list (List.rev !acc)
 
 (* ---- filter kernels ---------------------------------------------- *)
@@ -1691,6 +1827,8 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     compile_batch_join cx plan kind left right pred
   | Plan.Aggregate { child; group_by; aggs } ->
     compile_batch_aggregate cx child group_by aggs
+  | Plan.Group_annotate { child; group_by; aggs } ->
+    compile_batch_group_annotate cx child group_by aggs
   | Plan.Distinct child ->
     let run_child = compile_batch cx child in
     fun () ->
@@ -2079,6 +2217,80 @@ and compile_batch_aggregate cx child group_by aggs =
                (run_child ()));
         batches_of_tuple_list ~arity:out_arity ~batch_rows (rows_of_order ())
           ())
+
+(* The batch side keeps the input batches (immutable once emitted) and
+   addresses rows as (batch, position), so no row is materialized as a
+   tuple: output columns gather straight from the input columns, in the
+   row path's order. *)
+and compile_batch_group_annotate cx child group_by aggs =
+  let batch_rows = cx.batch_rows in
+  let child_schema = Plan.schema child in
+  let pos = positions_of_schema child_schema in
+  let gkey = key_filler pos (List.map fst group_by) in
+  let cur = ref (Batch.dense [||] 0) in
+  let args =
+    List.map
+      (fun (c : Plan.agg_call) ->
+        Option.map
+          (fun e ->
+            let get = bexpr_of pos e in
+            fun p -> get !cur p)
+          c.arg)
+      aggs
+  in
+  let run_child = compile_batch cx child in
+  let global = group_by = [] in
+  let child_arity = List.length child_schema in
+  fun () ->
+    Seq.memoize (fun () ->
+        Perm_fault.trip fp_agg_merge;
+        (* the batch path does not spill; hand inputs past the threshold
+           back to the engine, which retries on the spilling row path *)
+        let batches =
+          Array.of_seq (bounded_batches ~what:"group annotate" (run_child ()))
+        in
+        let n = Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches in
+        let ann = annotator aggs ~args in
+        let row_batch = Array.make n 0
+        and row_pos = Array.make n 0
+        and gids = Array.make n 0 in
+        let k = ref 0 in
+        Array.iteri
+          (fun bi b ->
+            cur := b;
+            Batch.iter_live
+              (fun p ->
+                row_batch.(!k) <- bi;
+                row_pos.(!k) <- p;
+                gids.(!k) <- ann.assign (gkey b p) p;
+                incr k)
+              b)
+          batches;
+        let heads = ann.heads () in
+        if n = 0 && global then
+          let row =
+            Tuple.concat (ann.empty_head ()) (Array.make child_arity Value.Null)
+          in
+          batches_of_tuple_list ~arity:(Array.length row) ~batch_rows [ row ] ()
+        else
+          let order = grouped_order ~groups:(Array.length heads) gids in
+          let head_arity = List.length group_by + List.length aggs in
+          let size = max 1 batch_rows in
+          Seq.init
+            ((n + size - 1) / size)
+            (fun bi ->
+              let start = bi * size in
+              let len = min size (n - start) in
+              let gather f = Array.init len (fun j -> f order.(start + j)) in
+              Batch.dense
+                (Array.append
+                   (Array.init head_arity (fun c ->
+                        gather (fun r -> heads.(gids.(r)).(c))))
+                   (Array.init child_arity (fun c ->
+                        gather (fun r ->
+                            (Batch.col batches.(row_batch.(r)) c).(row_pos.(r))))))
+                len)
+            ())
 
 and compile_batch_set_op cx kind all left right =
   let run_left = compile_batch cx left in
@@ -2536,7 +2748,7 @@ let parallel_spine ~threshold ~table_rows plan =
     in
     match p with
     | Plan.Sort { child; _ } | Plan.Limit { child; _ }
-    | Plan.Aggregate { child; _ } ->
+    | Plan.Aggregate { child; _ } | Plan.Group_annotate { child; _ } ->
       find child
     | Plan.Project { child; _ } -> (
       match here () with Ok _ as ok -> ok | Error _ -> find child)
@@ -2728,9 +2940,10 @@ let plan_hash ?(mode = "serial") plan =
         ("apply:"
         ^ Plan.apply_kind_name kind
         ^ (match kind with Plan.A_scalar a -> ":" ^ attr a | _ -> ""))
-    | Plan.Aggregate { group_by; aggs; _ } ->
+    | Plan.Aggregate { group_by; aggs; _ }
+    | Plan.Group_annotate { group_by; aggs; _ } ->
       add
-        ("agg:"
+        ((match p with Plan.Aggregate _ -> "agg:" | _ -> "gannot:")
         ^ String.concat ","
             (List.map (fun (e, a) -> expr e ^ ">" ^ attr a) group_by)
         ^ ":"

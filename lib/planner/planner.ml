@@ -46,6 +46,11 @@ let rec column_origin (plan : Plan.t) (a : Attr.t) : (string * string) option =
     match List.find_opt (fun (_, out) -> Attr.equal out a) group_by with
     | Some (Expr.Attr src, _) -> column_origin child src
     | _ -> None)
+  | Plan.Group_annotate { child; group_by; _ } -> (
+    match List.find_opt (fun (_, out) -> Attr.equal out a) group_by with
+    | Some (Expr.Attr src, _) -> column_origin child src
+    | Some _ -> None
+    | None -> column_origin child a)
   | Plan.Values _ | Plan.Set_op _ | Plan.Prov _ | Plan.Baserel _
   | Plan.External _ ->
     None
@@ -95,6 +100,7 @@ let rec estimate_rows stats (plan : Plan.t) : float =
   | Plan.Values { rows; _ } -> float_of_int (max 1 (List.length rows))
   | Plan.Project { child; _ } | Plan.Sort { child; _ } ->
     estimate_rows stats child
+  | Plan.Group_annotate { child; _ } -> max 1. (estimate_rows stats child)
   | Plan.Filter { child; pred } ->
     let rows = estimate_rows stats child in
     max 1. (rows *. selectivity stats child ~rows pred)
@@ -200,7 +206,7 @@ let rec cost stats (plan : Plan.t) : float =
   | Plan.Apply { left; right; _ } ->
     let l = estimate_rows stats left in
     cost stats left +. (l *. cost stats right) +. out
-  | Plan.Aggregate { child; _ } ->
+  | Plan.Aggregate { child; _ } | Plan.Group_annotate { child; _ } ->
     cost stats child +. estimate_rows stats child +. out
   | Plan.Distinct child -> cost stats child +. estimate_rows stats child
   | Plan.Set_op { left; right; _ } ->
@@ -296,6 +302,10 @@ let rec fold_expr (e : Expr.t) : Expr.t =
 
 let rec map_exprs f (plan : Plan.t) : Plan.t =
   let plan = Plan.map_children (map_exprs f) plan in
+  let map_group_by = List.map (fun (e, a) -> (f e, a)) in
+  let map_aggs =
+    List.map (fun (c : Plan.agg_call) -> { c with arg = Option.map f c.arg })
+  in
   match plan with
   | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Distinct _
   | Plan.Prov _ | Plan.Baserel _ | Plan.External _ ->
@@ -307,14 +317,10 @@ let rec map_exprs f (plan : Plan.t) : Plan.t =
   | Plan.Apply _ -> plan
   | Plan.Aggregate r ->
     Plan.Aggregate
-      {
-        r with
-        group_by = List.map (fun (e, a) -> (f e, a)) r.group_by;
-        aggs =
-          List.map
-            (fun (c : Plan.agg_call) -> { c with arg = Option.map f c.arg })
-            r.aggs;
-      }
+      { r with group_by = map_group_by r.group_by; aggs = map_aggs r.aggs }
+  | Plan.Group_annotate r ->
+    Plan.Group_annotate
+      { r with group_by = map_group_by r.group_by; aggs = map_aggs r.aggs }
   | Plan.Set_op _ -> plan
   | Plan.Sort r ->
     Plan.Sort { r with keys = List.map (fun (e, d) -> (f e, d)) r.keys }
@@ -370,8 +376,8 @@ let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
     Some (Plan.Sort { child = with_filter child pred; keys })
   | Plan.Distinct child -> Some (Plan.Distinct (with_filter child pred))
   | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Join _
-  | Plan.Apply _ | Plan.Aggregate _ | Plan.Set_op _ | Plan.Limit _
-  | Plan.Prov _ | Plan.Baserel _ | Plan.External _ ->
+  | Plan.Apply _ | Plan.Aggregate _ | Plan.Group_annotate _ | Plan.Set_op _
+  | Plan.Limit _ | Plan.Prov _ | Plan.Baserel _ | Plan.External _ ->
     None
 
 and with_filter plan pred =
@@ -416,7 +422,8 @@ let free_attrs plan =
     | Plan.Filter { pred; _ } -> ref_expr pred
     | Plan.Join { pred; _ } -> Option.iter ref_expr pred
     | Plan.Apply _ -> ()
-    | Plan.Aggregate { group_by; aggs; _ } ->
+    | Plan.Aggregate { group_by; aggs; _ }
+    | Plan.Group_annotate { group_by; aggs; _ } ->
       List.iter (fun (e, _) -> ref_expr e) group_by;
       List.iter
         (fun (c : Plan.agg_call) -> Option.iter ref_expr c.arg)
@@ -561,6 +568,28 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
     in
     Plan.Aggregate
       { child = prune ~needed:(Some child_needed) child; group_by; aggs }
+  | Plan.Group_annotate { child; group_by; aggs } ->
+    (* the child's columns pass through: needed ones stay needed, plus
+       everything the grouping and the surviving aggregates read *)
+    let aggs = List.filter (fun (c : Plan.agg_call) -> keep c.agg_out) aggs in
+    let child_needed =
+      Option.map
+        (fun s ->
+          let s =
+            List.fold_left
+              (fun acc (e, _) -> Attr.Set.union acc (Expr.attrs e))
+              s group_by
+          in
+          List.fold_left
+            (fun acc (c : Plan.agg_call) ->
+              match c.arg with
+              | Some e -> Attr.Set.union acc (Expr.attrs e)
+              | None -> acc)
+            s aggs)
+        needed
+    in
+    Plan.Group_annotate
+      { child = prune ~needed:child_needed child; group_by; aggs }
   | Plan.Distinct child -> Plan.Distinct (prune ~needed:None child)
   | Plan.Set_op { kind; all; left; right; attrs } ->
     (* positional: keep every column *)

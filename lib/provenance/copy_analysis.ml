@@ -70,7 +70,8 @@ let rec walk env (plan : Plan.t) =
       | [ r0 ] -> bind env a (lookup env r0)
       | _ -> bind env a Pair_set.empty)
     | Plan.A_cross | Plan.A_outer | Plan.A_semi | Plan.A_anti -> ())
-  | Plan.Aggregate { child; group_by; aggs } ->
+  | Plan.Aggregate { child; group_by; aggs }
+  | Plan.Group_annotate { child; group_by; aggs } ->
     walk env child;
     List.iter (fun (e, out) -> bind env out (copy_of_expr env e)) group_by;
     List.iter

@@ -33,20 +33,6 @@ let fired ctx rule =
   let n = Option.value ~default:0 (Hashtbl.find_opt ctx.rules rule) in
   Hashtbl.replace ctx.rules rule (n + 1)
 
-(* SQL = is three-valued; the rejoin rules need a predicate under which each
-   original tuple matches its own rewritten copy even when a key is NULL. *)
-let null_safe_eq a b =
-  Expr.Binop
-    ( Expr.Or,
-      Expr.Binop (Expr.Eq, a, b),
-      Expr.Binop (Expr.And, Expr.Unop (Expr.Is_null, a), Expr.Unop (Expr.Is_null, b))
-    )
-
-let null_safe_eq_all pairs =
-  match pairs with
-  | [] -> Expr.Const (Value.Bool true)
-  | pairs -> Expr.conjoin (List.map (fun (a, b) -> null_safe_eq a b) pairs)
-
 (* Duplicate a plan's output columns as provenance copies, named after the
    given relation display name. Returns the projection and the bindings. *)
 let duplicate_as_provenance rel_name plan =
@@ -79,6 +65,32 @@ let rename_for_rejoin orig_attrs plan bindings =
     @ List.map2 (fun b p -> (b, p)) bindings prov_attrs
   in
   (Plan.Project { child = plan; cols }, data_copies, prov_attrs)
+
+(* Whether [rw plan] yields exactly one rewritten row per row of [plan],
+   carrying that row's original column values — the precondition for
+   aggregating the rewritten input in place of the original one. Rules
+   that replicate (semi joins and semi/scalar applies expose witnesses),
+   rejoin (aggregation, LIMIT, INTERSECT, EXCEPT) or drop the original's
+   duplicate elimination (DISTINCT, UNION) break it. *)
+let rec preserves_rows (plan : Plan.t) =
+  match plan with
+  | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Baserel _
+  | Plan.External _ | Plan.Prov _ ->
+    true
+  | Plan.Project { child; _ } | Plan.Filter { child; _ } | Plan.Sort { child; _ }
+    ->
+    preserves_rows child
+  | Plan.Join { kind = Plan.Anti; left; _ }
+  | Plan.Apply { kind = Plan.A_anti; left; _ } ->
+    preserves_rows left
+  | Plan.Join
+      { kind = Plan.Inner | Plan.Left | Plan.Right | Plan.Full | Plan.Cross;
+        left; right; _ }
+  | Plan.Set_op { kind = Plan.Union; all = true; left; right; _ } ->
+    preserves_rows left && preserves_rows right
+  | Plan.Join { kind = Plan.Semi; _ } | Plan.Apply _ | Plan.Aggregate _
+  | Plan.Group_annotate _ | Plan.Distinct _ | Plan.Set_op _ | Plan.Limit _ ->
+    false
 
 let rec eliminate ctx (plan : Plan.t) =
   match plan with
@@ -178,27 +190,13 @@ and rw ctx (plan : Plan.t) : Plan.t * Expr.t list =
     (Plan.Apply { kind; left = left'; right = right' }, bl @ br)
   | Plan.Aggregate { child; group_by; aggs } ->
     rw_aggregate ctx ~child ~group_by ~aggs
+  | Plan.Group_annotate _ ->
+    raise (Rewrite_error "group annotation under a provenance marker")
   | Plan.Distinct child ->
-    fired ctx "distinct_rejoin";
-    let child', bindings = rw ctx child in
-    let orig_attrs = Plan.schema child in
-    let renamed, data_copies, prov_attrs =
-      rename_for_rejoin orig_attrs child' bindings
-    in
-    let pred =
-      null_safe_eq_all
-        (List.map2
-           (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
-           orig_attrs data_copies)
-    in
-    ( Plan.Join
-        {
-          kind = Plan.Inner;
-          left = Plan.Distinct child;
-          right = renamed;
-          pred = Some pred;
-        },
-      List.map (fun p -> Expr.Attr p) prov_attrs )
+    (* every rewritten input row equals exactly one DISTINCT result row, so
+       the rewritten input already is the answer: one row per witness *)
+    fired ctx "distinct";
+    rw ctx child
   | Plan.Sort { child; keys } ->
     fired ctx "sort";
     let child', bindings = rw ctx child in
@@ -211,7 +209,7 @@ and rw ctx (plan : Plan.t) : Plan.t * Expr.t list =
       rename_for_rejoin orig_attrs child' bindings
     in
     let pred =
-      null_safe_eq_all
+      Expr.null_safe_eq_all
         (List.map2
            (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
            orig_attrs data_copies)
@@ -231,12 +229,18 @@ and rw_aggregate ctx ~child ~group_by ~aggs =
   let child', bindings = rw ctx child in
   let original = Plan.Aggregate { child; group_by; aggs } in
   let pred =
-    null_safe_eq_all
+    Expr.null_safe_eq_all
       (List.map (fun (e, out) -> (e, Expr.Attr out)) group_by)
   in
   let join_candidate () =
-    Plan.Join
-      { kind = Plan.Left; left = original; right = child'; pred = Some pred }
+    (* a row-preserving rewrite carries the original input, so one pass
+       over it computes the aggregate and annotates its rows; otherwise
+       the aggregate runs over the original input and is rejoined *)
+    if preserves_rows child then
+      Plan.Group_annotate { child = child'; group_by; aggs }
+    else
+      Plan.Join
+        { kind = Plan.Left; left = original; right = child'; pred = Some pred }
   in
   let lateral_candidate () =
     Plan.Apply
@@ -304,34 +308,20 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
       bl_outs @ br_outs )
   in
   match kind, all with
-  | Plan.Union, true ->
-    (* no rejoin needed: the result rows are exactly the original rows, so
-       the union keeps the original output attribute identities *)
-    fired ctx "union_all";
+  | Plan.Union, _ ->
+    (* no rejoin needed: every padded branch row equals exactly one result
+       row (for UNION, the one its duplicates collapse into), so the union
+       keeps the original output attribute identities *)
+    fired ctx (if all then "union_all" else "union_distinct");
     let u, prov_outs = union_all ~data_outs:attrs in
     (u, List.map (fun p -> Expr.Attr p) prov_outs)
-  | Plan.Union, false ->
-    fired ctx "union_distinct";
-    let original = Plan.Set_op { kind; all; left; right; attrs } in
-    let data_copies =
-      List.map (fun (a : Attr.t) -> Attr.renamed (a.Attr.name ^ "_rw") a) attrs
-    in
-    let u, prov_outs = union_all ~data_outs:data_copies in
-    let pred =
-      null_safe_eq_all
-        (List.map2
-           (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
-           attrs data_copies)
-    in
-    ( Plan.Join { kind = Plan.Inner; left = original; right = u; pred = Some pred },
-      List.map (fun p -> Expr.Attr p) prov_outs )
   | Plan.Intersect, _ ->
     fired ctx "intersect";
     let original = Plan.Set_op { kind; all; left; right; attrs } in
     let l_renamed, l_copies, l_prov = rename_for_rejoin l_attrs left' bl in
     let r_renamed, r_copies, r_prov = rename_for_rejoin r_attrs right' br in
     let match_pred copies =
-      null_safe_eq_all
+      Expr.null_safe_eq_all
         (List.map2
            (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
            attrs copies)
@@ -363,7 +353,7 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
     let original = Plan.Set_op { kind; all; left; right; attrs } in
     let l_renamed, l_copies, l_prov = rename_for_rejoin l_attrs left' bl in
     let pred =
-      null_safe_eq_all
+      Expr.null_safe_eq_all
         (List.map2
            (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
            attrs l_copies)

@@ -20,16 +20,20 @@
       become inner joins (one output row per witness — the replication of
       §2.1); anti joins keep an unrewritten right side (absence has no
       witness tuples);
-    - aggregation: two strategies — {e Join} rejoins the original aggregate
-      with the rewritten input on null-safe group-key equality; {e Lateral}
-      re-evaluates the rewritten input per group (an [Apply]). The paper's
-      "heuristic and cost-based solution for choosing the best rewrite
-      strategy" is {!strategy_mode};
-    - duplicate elimination / LIMIT: rejoin the original operator's output
-      with the (renamed) rewritten input on null-safe equality of all
-      columns;
-    - set operations: union-all NULL-pads each branch's missing provenance
-      columns (Figure 2's shape); distinct union and intersection rejoin
+    - aggregation: two strategies — {e Join} annotates the rewritten input
+      in one pass with its group's key and aggregate values
+      ([Plan.Group_annotate], the window-style aggregation of Niu & Glavic)
+      when the input's rewrite keeps one row per input row, and otherwise
+      rejoins the original aggregate with the rewritten input on null-safe
+      group-key equality; {e Lateral} re-evaluates the rewritten input per
+      group (an [Apply]). The paper's "heuristic and cost-based solution for
+      choosing the best rewrite strategy" is {!strategy_mode};
+    - duplicate elimination: [Distinct(T)+ = T+] — every rewritten row
+      equals exactly one result row, so one row per witness;
+    - LIMIT: rejoin the original operator's output with the (renamed)
+      rewritten input on null-safe equality of all columns;
+    - set operations: union (all or distinct) NULL-pads each branch's
+      missing provenance columns (Figure 2's shape); intersection rejoins
       the original operator result with each rewritten branch; difference
       propagates only left-branch provenance (the right side contributes no
       witness tuples);
@@ -62,7 +66,8 @@ type report = {
   rule_counts : (string * int) list;
       (** how often each rewrite rule fired, sorted by rule name — e.g.
           [("base_relation", 2); ("join", 1)]; aggregate rewrites appear as
-          [aggregate_join] / [aggregate_lateral] per chosen strategy. The
+          [aggregate_join] / [aggregate_lateral] per chosen strategy (fused
+          or rejoined, the join strategy counts as [aggregate_join]). The
           engine republishes these as [rewriter.rule.<name>] counters. *)
 }
 

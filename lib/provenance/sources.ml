@@ -65,6 +65,7 @@ let rec instances (plan : Plan.t) =
   | Plan.Project { child; _ }
   | Plan.Filter { child; _ }
   | Plan.Aggregate { child; _ }
+  | Plan.Group_annotate { child; _ }
   | Plan.Distinct child
   | Plan.Sort { child; _ }
   | Plan.Limit { child; _ } ->

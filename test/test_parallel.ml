@@ -388,6 +388,46 @@ let suite_gather =
             Engine.set_parallel e Engine.Par_off)
           gather_batch_sizes;
         Engine.close e);
+    case "group annotation above a gathered spine at 1, 2 and 4 domains"
+      (fun () ->
+        (* provenance aggregates over a join spine: the fused
+           GroupAnnotate runs serially over the gathered batches *)
+        let queries =
+          [
+            "SELECT PROVENANCE u.name, count(*), sum(m.mid * 0.1) FROM \
+             messages m, users u WHERE m.uid = u.uid GROUP BY u.name";
+            "SELECT PROVENANCE m.uid, count(DISTINCT m.mid % 5) FROM messages \
+             m JOIN users u ON m.uid = u.uid WHERE m.mid % 2 = 0 GROUP BY m.uid";
+            "SELECT PROVENANCE count(*), avg(m.mid) FROM messages m JOIN users \
+             u ON m.uid = u.uid WHERE m.mid < 0";
+          ]
+        in
+        let e = forum_scaled () in
+        List.iter
+          (fun d ->
+            List.iter
+              (fun bn ->
+                List.iter
+                  (fun sql ->
+                    Engine.set_batch_rows e bn;
+                    Engine.set_parallel e Engine.Par_off;
+                    let serial = ordered_rows e sql in
+                    Engine.set_parallel e (Engine.Par_domains d);
+                    Engine.set_parallel_threshold e 1;
+                    let before = par_queries e in
+                    let parallel = ordered_rows e sql in
+                    Engine.set_parallel e Engine.Par_off;
+                    Alcotest.(check rows_testable)
+                      (Printf.sprintf "%s [%d domains, batch_rows=%d]" sql d bn)
+                      serial parallel;
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s [gathered, %d domains]" sql d)
+                      true
+                      (par_queries e > before))
+                  queries)
+              gather_batch_sizes)
+          [ 1; 2; 4 ];
+        Engine.close e);
     case "join.build fires once per statement at 1, 2 and 4 domains"
       (fun () ->
         let sql =

@@ -34,8 +34,21 @@ let gen_db =
 
 let lit = function None -> "null" | Some n -> string_of_int n
 
+(* CI reruns this suite under a PERM_BATCH_ROWS x PERM_PARALLEL matrix.
+   The engine reads the batch size itself; a domain count here turns the
+   morsel gather on for every query the suite generates. *)
+let parallel_domains =
+  match Option.bind (Sys.getenv_opt "PERM_PARALLEL") int_of_string_opt with
+  | Some n when n >= 1 -> Some n
+  | _ -> None
+
 let load_db db =
   let e = engine () in
+  Option.iter
+    (fun n ->
+      Engine.set_parallel e (Engine.Par_domains n);
+      Engine.set_parallel_threshold e 1)
+    parallel_domains;
   exec_all e [ "CREATE TABLE pt (k int, v text, w int)"; "CREATE TABLE qt (x int, y text)" ];
   List.iter
     (fun (k, v, w) ->
@@ -105,6 +118,34 @@ let gen_query =
           { sql = "SELECT v, count(*) FROM pt GROUP BY v"; arity = 2; has_agg = true; monotone = false };
           { sql = "SELECT k % 2, sum(w) FROM pt WHERE k IS NOT NULL GROUP BY k % 2"; arity = 2; has_agg = true; monotone = false };
           { sql = "SELECT count(*), max(v) FROM pt"; arity = 2; has_agg = true; monotone = false };
+          (* shapes the rewriter fuses into one GroupAnnotate pass: (v)
+             then checks them against the lateral rejoin *)
+          {
+            sql =
+              "SELECT pt.v, count(*), sum(qt.x) FROM pt JOIN qt ON pt.k = qt.x \
+               GROUP BY pt.v";
+            arity = 3;
+            has_agg = true;
+            monotone = false;
+          };
+          {
+            sql = "SELECT v, count(*) FROM pt GROUP BY v HAVING count(*) > 1";
+            arity = 2;
+            has_agg = true;
+            monotone = false;
+          };
+          {
+            sql = "SELECT w, count(DISTINCT k), avg(k) FROM pt GROUP BY w";
+            arity = 3;
+            has_agg = true;
+            monotone = false;
+          };
+          {
+            sql = "SELECT count(*), sum(w) FROM pt WHERE k > 100";
+            arity = 2;
+            has_agg = true;
+            monotone = false;
+          };
         ]
     in
     let union_all =
@@ -240,6 +281,11 @@ let provenance_sql q = "SELECT PROVENANCE " ^ String.sub q.sql 7 (String.length 
 
 let rows_of e sql = strings_of_rows (query_ok e sql).Engine.rows
 
+(* Engines own a domain pool once a parallel query ran: close each one. *)
+let with_db db f =
+  let e = load_db db in
+  Fun.protect ~finally:(fun () -> Engine.close e) (fun () -> f e)
+
 let take n l = List.filteri (fun idx _ -> idx < n) l
 let drop n l = List.filteri (fun idx _ -> idx >= n) l
 
@@ -262,14 +308,14 @@ let witness_blocks e sql =
   (rs, triples)
 
 let prop_original_projection (db, q) =
-  let e = load_db db in
+  with_db db @@ fun e ->
   let orig = List.sort_uniq compare (rows_of e q.sql) in
   let prov = rows_of e (provenance_sql q) in
   let projected = List.sort_uniq compare (List.map (take q.arity) prov) in
   orig = projected
 
 let prop_witnesses_exist (db, q) =
-  let e = load_db db in
+  with_db db @@ fun e ->
   let pt = rows_of e "SELECT * FROM pt" in
   let qt = rows_of e "SELECT * FROM qt" in
   let rs, blocks = witness_blocks e (provenance_sql q) in
@@ -286,7 +332,7 @@ let prop_witnesses_exist (db, q) =
 
 let prop_replay (db, q) =
   QCheck.assume q.monotone;
-  let e = load_db db in
+  with_db db @@ fun e ->
   let rs, blocks = witness_blocks e (provenance_sql q) in
   match rs.Engine.rows with
   | [] -> true
@@ -320,7 +366,7 @@ let prop_replay (db, q) =
 
 let prop_optimizer_equivalence (db, q) =
   let run config =
-    let e = load_db db in
+    with_db db @@ fun e ->
     Engine.set_optimizer_config e config;
     List.sort compare (rows_of e (provenance_sql q))
   in
@@ -329,14 +375,14 @@ let prop_optimizer_equivalence (db, q) =
 let prop_strategies_agree (db, q) =
   QCheck.assume q.has_agg;
   let run strategy =
-    let e = load_db db in
+    with_db db @@ fun e ->
     Engine.set_agg_strategy e strategy;
     List.sort compare (rows_of e (provenance_sql q))
   in
   run Engine.Use_join = run Engine.Use_lateral
 
 let prop_eager_equals_lazy (db, q) =
-  let e = load_db db in
+  with_db db @@ fun e ->
   ignore (exec_ok e (Printf.sprintf "STORE PROVENANCE %s INTO stored" q.sql));
   let eager = List.sort compare (rows_of e "SELECT * FROM stored") in
   let lazy_ = List.sort compare (rows_of e (provenance_sql q)) in

@@ -83,9 +83,13 @@ let rule_tests =
           ]);
     case "union distinct rejoins each result tuple with all witnesses" (fun () ->
         (* a=2 appears twice in r and once in s: 3 provenance rows for 1 result *)
-        check_count (setup ())
+        check_rows (setup ())
           "SELECT PROVENANCE a FROM r WHERE a = 2 UNION SELECT a FROM s WHERE a = 2"
-          3);
+          [
+            [ "2"; "2"; "y"; "null"; "null" ];
+            [ "2"; "2"; "y"; "null"; "null" ];
+            [ "2"; "null"; "null"; "2"; "20" ];
+          ]);
     case "intersect joins witnesses from both branches" (fun () ->
         (* a=3: one r witness x two s witnesses *)
         check_rows (setup ())
@@ -267,6 +271,194 @@ let strategy_tests =
             (List.map fst r.Rewriter.rule_counts));
   ]
 
+(* Single-pass rewrites: DISTINCT and UNION return the rewritten input
+   as is, and an aggregate over a row-preserving input annotates that
+   input in one pass (GroupAnnotate) instead of rejoining. Neither uses
+   SQL = to find a row's witnesses any more, so NaN and -0.0 keys keep
+   theirs. *)
+let float_setup () =
+  let e = setup () in
+  exec_all e
+    [
+      "CREATE TABLE ft (f float, g int)";
+      "INSERT INTO ft VALUES (CAST('nan' AS float), 1), (0.0, 2), (-0.0, 3), \
+       (1.5, 4), (null, 5), (1.5, 6), (null, 7)";
+    ];
+  e
+
+let optimized_tree e sql =
+  match Engine.explain e sql with
+  | Ok ex -> ex.Engine.optimized_tree
+  | Error msg -> Alcotest.fail msg
+
+let occurrences tree op =
+  List.length
+    (List.filter
+       (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | w :: _ -> String.equal w op
+         | [] -> false)
+       (String.split_on_char '\n' tree))
+
+let check_ops e sql expected =
+  let tree = optimized_tree e sql in
+  List.iter
+    (fun (op, n) ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s nodes" sql op) n
+        (occurrences tree op))
+    expected
+
+(* The fused node and its rejoin (the lateral strategy, decorrelated back
+   into LeftJoin(Aggregate(x), x')) give the same multiset. *)
+let check_strategies_agree e sql =
+  let run strategy =
+    Engine.set_agg_strategy e strategy;
+    List.sort compare (strings_of_rows (query_ok e sql).Engine.rows)
+  in
+  let join = run Engine.Use_join in
+  Alcotest.(check rows_testable) (sql ^ " [lateral]") join (run Engine.Use_lateral);
+  Alcotest.(check rows_testable) (sql ^ " [cost-based]") join
+    (run Engine.Use_cost_based);
+  Engine.set_agg_strategy e Engine.Use_heuristic
+
+let single_pass_tests =
+  [
+    case "distinct keeps the NaN row the plain query returns" (fun () ->
+        let e = float_setup () in
+        check_rows e "SELECT DISTINCT f FROM ft WHERE g <= 2"
+          [ [ "nan" ]; [ "0.0" ] ];
+        check_rows e "SELECT PROVENANCE DISTINCT f FROM ft WHERE g <= 2"
+          [ [ "nan"; "nan"; "1" ]; [ "0.0"; "0.0"; "2" ] ];
+        check_ops e "SELECT PROVENANCE DISTINCT f FROM ft" [ ("Join", 0) ]);
+    case "distinct -0.0 witness shows its own value, equal to the plain row"
+      (fun () ->
+        let e = float_setup () in
+        check_rows e "SELECT DISTINCT f FROM ft WHERE g IN (2, 3)" [ [ "0.0" ] ];
+        let rows =
+          (query_ok e "SELECT PROVENANCE DISTINCT f FROM ft WHERE g IN (2, 3)")
+            .Engine.rows
+        in
+        check_rows e "SELECT PROVENANCE DISTINCT f FROM ft WHERE g IN (2, 3)"
+          [ [ "0.0"; "0.0"; "2" ]; [ "-0.0"; "-0.0"; "3" ] ];
+        List.iter
+          (fun r ->
+            Alcotest.(check bool) "Value.equal to the plain 0.0" true
+              (Perm_value.Value.equal r.(0) (Perm_value.Value.Float 0.0)))
+          rows);
+    case "distinct over NULL keeps every witness" (fun () ->
+        check_rows (float_setup ())
+          "SELECT PROVENANCE DISTINCT f FROM ft WHERE f IS NULL"
+          [ [ "null"; "null"; "5" ]; [ "null"; "null"; "7" ] ]);
+    case "union keeps the NaN row the plain query returns" (fun () ->
+        let e = float_setup () in
+        let sql = "f FROM ft WHERE g = 1 UNION SELECT f FROM ft WHERE g = 4" in
+        check_rows e ("SELECT " ^ sql) [ [ "nan" ]; [ "1.5" ] ];
+        check_rows e ("SELECT PROVENANCE " ^ sql)
+          [
+            [ "nan"; "nan"; "1"; "null"; "null" ];
+            [ "1.5"; "null"; "null"; "1.5"; "4" ];
+          ];
+        check_ops e ("SELECT PROVENANCE " ^ sql) [ ("Join", 0); ("Union", 0) ]);
+    case "group by a NaN key annotates its witness" (fun () ->
+        let e = float_setup () in
+        check_rows e "SELECT f, count(*) FROM ft WHERE g <= 2 GROUP BY f"
+          [ [ "nan"; "1" ]; [ "0.0"; "1" ] ];
+        check_rows e
+          "SELECT PROVENANCE f, count(*) FROM ft WHERE g <= 2 GROUP BY f"
+          [ [ "nan"; "1"; "nan"; "1" ]; [ "0.0"; "1"; "0.0"; "2" ] ]);
+    case "group by NULL and -0.0 keys: one group, every witness" (fun () ->
+        let e = float_setup () in
+        check_rows e
+          "SELECT PROVENANCE f, count(*) FROM ft WHERE f IS NULL OR g IN (2, 3) \
+           GROUP BY f"
+          [
+            [ "0.0"; "2"; "0.0"; "2" ];
+            [ "0.0"; "2"; "-0.0"; "3" ];
+            [ "null"; "2"; "null"; "5" ];
+            [ "null"; "2"; "null"; "7" ];
+          ];
+        check_strategies_agree e
+          "SELECT PROVENANCE f, count(*) FROM ft WHERE f IS NULL GROUP BY f");
+    case "fused global aggregate over empty input: one row, NULL provenance"
+      (fun () ->
+        let e = float_setup () in
+        let sql =
+          "SELECT PROVENANCE count(*), sum(f), avg(f) FROM ft WHERE g > 100"
+        in
+        check_ops e sql [ ("GroupAnnotate", 1); ("LeftJoin", 0) ];
+        check_rows e sql [ [ "0"; "null"; "null"; "null"; "null" ] ];
+        check_strategies_agree e sql);
+    case "count(DISTINCT), HAVING and float sum/avg through the fused node"
+      (fun () ->
+        let e = float_setup () in
+        let sql =
+          "SELECT PROVENANCE g % 2, count(DISTINCT f), sum(f), avg(f) FROM ft \
+           WHERE g >= 3 GROUP BY g % 2 HAVING count(*) > 1"
+        in
+        check_ops e sql [ ("GroupAnnotate", 1); ("Aggregate", 0) ];
+        check_rows e sql
+          [
+            [ "0"; "1"; "3.0"; "1.5"; "1.5"; "4" ];
+            [ "0"; "1"; "3.0"; "1.5"; "1.5"; "6" ];
+            [ "1"; "1"; "-0.0"; "-0.0"; "-0.0"; "3" ];
+            [ "1"; "1"; "-0.0"; "-0.0"; "null"; "5" ];
+            [ "1"; "1"; "-0.0"; "-0.0"; "null"; "7" ];
+          ];
+        check_strategies_agree e sql);
+    case "aggregate over a join annotates in one pass" (fun () ->
+        let e = setup () in
+        let sql =
+          "SELECT PROVENANCE r.b, sum(s.c) FROM r JOIN s ON r.a = s.a GROUP BY r.b"
+        in
+        check_ops e sql
+          [ ("GroupAnnotate", 1); ("Aggregate", 0); ("LeftJoin", 0); ("Join", 1) ];
+        check_strategies_agree e sql;
+        (* the cost model prices one pass below per-group re-evaluation *)
+        Engine.set_agg_strategy e Engine.Use_cost_based;
+        ignore (query_ok e sql);
+        match Engine.last_report e with
+        | Some r ->
+          Alcotest.(check bool) "cost-based picks the fused join strategy" true
+            (r.Rewriter.agg_choices = [ Rewriter.Agg_join ])
+        | None -> Alcotest.fail "no report");
+    case "aggregate over an aggregate still rejoins the outer one" (fun () ->
+        let e = setup () in
+        let sql =
+          "SELECT PROVENANCE sum(c) FROM (SELECT a, count(*) AS c FROM s GROUP \
+           BY a) x"
+        in
+        (* the inner aggregate is annotated; the outer one rejoins, its
+           left side computing the plain inner aggregate again *)
+        check_ops e sql
+          [ ("GroupAnnotate", 1); ("Aggregate", 2); ("LeftJoin", 1) ];
+        check_strategies_agree e sql);
+    case "aggregate over a semi join still rejoins" (fun () ->
+        let e = setup () in
+        let sql =
+          "SELECT PROVENANCE count(*) FROM r WHERE a IN (SELECT a FROM s)"
+        in
+        check_ops e sql
+          [ ("GroupAnnotate", 0); ("Aggregate", 1); ("LeftJoin", 1) ];
+        check_strategies_agree e sql);
+    case "aggregate over a UNION view still rejoins" (fun () ->
+        let e = setup () in
+        exec_all e [ "CREATE VIEW ru AS SELECT a FROM r UNION SELECT a FROM s" ];
+        let sql = "SELECT PROVENANCE a, count(*) FROM ru GROUP BY a" in
+        check_ops e sql
+          [ ("GroupAnnotate", 0); ("Aggregate", 1); ("LeftJoin", 1) ];
+        check_strategies_agree e sql);
+    case "rule names: distinct no longer rejoins" (fun () ->
+        let e = setup () in
+        ignore (query_ok e "SELECT PROVENANCE DISTINCT a FROM r");
+        match Engine.last_report e with
+        | None -> Alcotest.fail "no report"
+        | Some r ->
+          Alcotest.(check (option int)) "distinct fired" (Some 1)
+            (List.assoc_opt "distinct" r.Rewriter.rule_counts);
+          Alcotest.(check (option int)) "no distinct_rejoin" None
+            (List.assoc_opt "distinct_rejoin" r.Rewriter.rule_counts));
+  ]
+
 let sources_tests =
   [
     case "sources in DFS order with figure-2 naming" (fun () ->
@@ -360,6 +552,7 @@ let () =
       ("rules", rule_tests);
       ("invariants", invariant_tests);
       ("strategies", strategy_tests);
+      ("single-pass", single_pass_tests);
       ("sources", sources_tests);
       ("copy-semantics", copy_tests);
     ]

@@ -169,6 +169,52 @@ let test_budget_hard_ceiling () =
       Engine.set_parallel_threshold e 1;
       Engine.set_batch_rows e (min (Engine.batch_rows e) 64))
 
+(* A provenance aggregate over a row-preserving input runs as one
+   GroupAnnotate pass that must hold every input row. Past the budget the
+   batch path hands off to the row path, which sorts the rows by (group,
+   input position) through the external merge instead: same rows, same
+   order. With spill off the budget kills it. *)
+let test_group_annotate_budget () =
+  let sqls =
+    [
+      "SELECT PROVENANCE uid, count(*), avg(mid * 0.5) FROM messages GROUP BY uid";
+      "SELECT PROVENANCE m.uid, count(*) FROM messages m JOIN users u ON \
+       m.uid = u.uid GROUP BY m.uid HAVING count(*) > 1";
+    ]
+  in
+  let reference =
+    let e = forum_scaled () in
+    let rows = List.map (rows_of e) sqls in
+    Engine.close e;
+    rows
+  in
+  List.iter
+    (fun (label, setup) ->
+      let e = spill_engine () in
+      setup e;
+      let before = (Spill.counters ()).Spill.c_spills in
+      List.iter2
+        (fun sql (ref_cols, ref_rows) ->
+          let cols, rows = rows_of e sql in
+          Alcotest.(check (list string)) (label ^ ": " ^ sql ^ " [columns]")
+            ref_cols cols;
+          Alcotest.(check rows_testable) (label ^ ": " ^ sql) ref_rows rows)
+        sqls reference;
+      Alcotest.(check bool) (label ^ ": spilled") true
+        ((Spill.counters ()).Spill.c_spills > before);
+      Engine.set_spill e false;
+      List.iter (expect_exhausted ~label:(label ^ ", spill off") e) sqls;
+      Engine.close e)
+    [
+      ("batch", fun _ -> ());
+      ("row", fun e -> Engine.set_vectorized e false);
+      ( "parallel",
+        fun e ->
+          Engine.set_parallel e (Engine.Par_domains domains);
+          Engine.set_parallel_threshold e 1;
+          Engine.set_batch_rows e 7 );
+    ]
+
 let test_spill_dir_honoured () =
   let dir = Filename.temp_file "perm_spill_dir" "" in
   Sys.remove dir;
@@ -201,5 +247,7 @@ let () =
           case "completes where the kill would fire" test_completes_where_kill_would_fire;
           case "non-spillable state keeps the hard ceiling" test_budget_hard_ceiling;
           case "spill dir honoured and cleaned" test_spill_dir_honoured;
+          case "provenance aggregate annotation degrades past the budget"
+            test_group_annotate_budget;
         ] );
     ]

@@ -38,6 +38,11 @@ let corpus =
     "SELECT PROVENANCE mid FROM messages INTERSECT SELECT mid FROM approved";
     "SELECT PROVENANCE mid FROM messages EXCEPT SELECT mid FROM imports";
     "SELECT PROVENANCE mid, text FROM messages ORDER BY mid DESC LIMIT 1";
+    (* GroupAnnotate deparses as the rejoin it fuses *)
+    "SELECT PROVENANCE uid, count(*) FROM messages GROUP BY uid";
+    "SELECT PROVENANCE count(*), max(m.mid) FROM messages m JOIN approved a \
+     ON m.mid = a.mid";
+    "SELECT PROVENANCE count(*) FROM messages WHERE mid > 100";
     "SELECT m.text FROM messages m LEFT JOIN approved a ON m.mid = a.mid WHERE a.uid IS NULL";
     "SELECT CASE WHEN mid > 2 THEN upper(text) ELSE text END FROM messages";
     "SELECT coalesce(cast(mid AS text), '?') || '!' FROM messages";

@@ -73,8 +73,30 @@ let forum_queries =
      WHERE mid > 1";
   ]
 
+(* Single-pass provenance rewrites: DISTINCT and UNION without a rejoin,
+   aggregates fused into GroupAnnotate (over a join, with HAVING, with
+   count(DISTINCT) and float AVG, and a global aggregate over empty
+   input), plus AGG q3, whose union child keeps the aggregate rejoin. *)
+let single_pass_queries =
+  [
+    "SELECT PROVENANCE DISTINCT uid FROM messages";
+    "SELECT PROVENANCE uid FROM messages UNION SELECT uid FROM users";
+    "SELECT PROVENANCE u.name, count(*), avg(m.mid * 0.5) FROM messages m \
+     JOIN users u ON m.uid = u.uid GROUP BY u.name HAVING count(*) > 1";
+    "SELECT PROVENANCE uid, count(DISTINCT mid % 3) FROM messages GROUP BY uid";
+    "SELECT PROVENANCE count(*), sum(mid), avg(mid) FROM messages WHERE mid < 0";
+    "SELECT PROVENANCE " ^ String.sub Perm_workload.Forum.q3 7
+      (String.length Perm_workload.Forum.q3 - 7);
+  ]
+
 let suite_identity =
   [
+    case "single-pass provenance rewrites: row oracle = batch paths"
+      (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
+        List.iter (check_against_oracle e) single_pass_queries;
+        Engine.close e);
     case "forum figure-1 data: row oracle = batch paths at 1/7/default"
       (fun () ->
         let e = forum_engine () in
