@@ -728,10 +728,8 @@ let b11_http ~size =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* B12-vec: vectorized batch-at-a-time executor vs the row-at-a-time    *)
-(* closures, per query class, plus a batch_rows sweep. Serial on both   *)
-(* arms: this isolates the kernel/dispatch win from parallelism (B7-par *)
-(* covers the combination).                                             *)
+(* B12-vec: the batch executor per query class across a batch_rows      *)
+(* sweep, serial (B7-par covers parallelism).                          *)
 (* ------------------------------------------------------------------ *)
 
 let b12_vec_queries =
@@ -748,8 +746,8 @@ let b12_vec_queries =
 
 let b12_vec_sweep = [ 256; 1_024; 4_096 ]
 
-(* [(query, row_ns, [(batch_rows, ns)])] — shared by the table printer and
-   the BENCH_phases.json "vectorized" section. *)
+(* [(query, [(batch_rows, ns)])] — shared by the table printer and the
+   BENCH_phases.json "vectorized" section. *)
 let b12_vec_measure ~size =
   let e = Engine.create () in
   Forum.load_scaled e ~messages:size ~users:(max 10 (size / 20)) ();
@@ -758,9 +756,6 @@ let b12_vec_measure ~size =
   let rows =
     List.map
       (fun (name, sql) ->
-        Engine.set_vectorized e false;
-        let t_row = time_query e sql in
-        Engine.set_vectorized e true;
         let sweep =
           List.map
             (fun bn ->
@@ -769,7 +764,7 @@ let b12_vec_measure ~size =
             b12_vec_sweep
         in
         Engine.set_batch_rows e Perm_executor.Executor.default_batch_rows;
-        (name, t_row, sweep))
+        (name, sweep))
       b12_vec_queries
   in
   Engine.close e;
@@ -779,22 +774,14 @@ let b12_vec ~size =
   let measured = b12_vec_measure ~size in
   let rows =
     List.map
-      (fun (name, t_row, sweep) ->
-        name :: fms t_row
-        :: List.concat_map
-             (fun (_, t) -> [ fms t; ffac (t_row /. t) ])
-             sweep)
+      (fun (name, sweep) ->
+        name :: List.map (fun (_, t) -> fms t) sweep)
       measured
   in
   print_table
-    (Printf.sprintf
-       "B12-vec: batch-at-a-time executor vs row closures (forum %d \
-        messages, serial)"
+    (Printf.sprintf "B12-vec: batch executor by batch_rows (forum %d messages, serial)"
        size)
-    ([ "query"; "row ms" ]
-    @ List.concat_map
-        (fun bn -> [ Printf.sprintf "b%d ms" bn; Printf.sprintf "b%d speedup" bn ])
-        b12_vec_sweep)
+    ("query" :: List.map (fun bn -> Printf.sprintf "b%d ms" bn) b12_vec_sweep)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1107,9 +1094,8 @@ let smoke ~json () =
     quota := 0.15;
     progress "b7_par";
     let par_measured = b7_par_measure ~size:4_000 in
-    (* B12-vec rides along: the row-closure baseline vs the batch path per
-       query class plus the batch_rows sweep — EXPERIMENTS.md quotes the
-       serial speedups from here. *)
+    (* B12-vec rides along: the batch_rows sweep per query class —
+       EXPERIMENTS.md quotes the serial timings from here. *)
     progress "b12_vec_measure";
     let vec_measured = b12_vec_measure ~size:4_000 in
     (* B8-guard rides along too: the regression gate only reads "queries",
@@ -1286,21 +1272,13 @@ let smoke ~json () =
           ( "queries",
             Json.List
               (List.map
-                 (fun (name, t_row, sweep) ->
+                 (fun (name, sweep) ->
                    Json.Obj
-                     ([
-                        ("name", Json.String name);
-                        ("row_ms", Json.Float (ms t_row));
-                      ]
-                     @ List.concat_map
-                         (fun (bn, t) ->
-                           [
-                             ( Printf.sprintf "batch_%d_ms" bn,
-                               Json.Float (ms t) );
-                             ( Printf.sprintf "batch_%d_speedup" bn,
-                               Json.Float (t_row /. t) );
-                           ])
-                         sweep))
+                     (("name", Json.String name)
+                     :: List.map
+                          (fun (bn, t) ->
+                            (Printf.sprintf "batch_%d_ms" bn, Json.Float (ms t)))
+                          sweep))
                  vec_measured) );
         ]
     in

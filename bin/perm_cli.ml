@@ -353,10 +353,9 @@ let help_text =
                            results are bit-identical to serial execution)
   \set parallel_threshold N
                            min driving-table rows before a query fans out
-  \set batch_rows N        rows per executor batch on the vectorized path
-                           (default 1024; PERM_BATCH_ROWS overrides at start)
-  \set vectorized on|off   batch-at-a-time executor (default on; off runs
-                           the row-at-a-time closures)
+  \set batch_rows N        rows per executor batch (default 1024;
+                           PERM_BATCH_ROWS overrides at start); results do
+                           not depend on it
   \set statement_timeout MS
                            kill statements running longer than MS ms (0 = off)
   \set row_limit N         kill statements returning more than N rows (0 = off)
@@ -364,7 +363,8 @@ let help_text =
                            operators (0 = off); with spill on, the budget is
                            a spill threshold instead of a kill
   \set spill on|off        degrade gracefully past the tuple budget (external
-                           sort, chunked join build) instead of erroring
+                           sort, chunked join build, external group
+                           annotation) instead of erroring
                            (default on)
   \set spill_dir DIR       directory for spill temp files (default $TMPDIR)
   \set wal on DIR          write-ahead log in DIR: replay committed state,
@@ -539,16 +539,6 @@ let handle_meta session line =
       Engine.set_batch_rows session.engine n;
       Printf.printf "batch size: %d rows\n" n
     | _ -> print_endline "usage: \\set batch_rows N");
-    `Continue
-  | [ "\\set"; "vectorized"; v ] ->
-    (match v with
-    | "on" ->
-      Engine.set_vectorized session.engine true;
-      print_endline "vectorized execution on"
-    | "off" ->
-      Engine.set_vectorized session.engine false;
-      print_endline "vectorized execution off (row-at-a-time)"
-    | _ -> print_endline "usage: \\set vectorized on|off");
     `Continue
   | [ "\\set"; "statement_timeout"; ms ] ->
     (match float_of_string_opt ms with

@@ -1,17 +1,17 @@
 type t = { id : int; name : string; ty : Perm_value.Dtype.t }
 
-let counter = ref 0
+(* Atomic: analyzers on different domains (one engine each) mint ids
+   concurrently, and a lost increment would hand two attributes one id. *)
+let counter = Atomic.make 0
 
-let fresh name ty =
-  incr counter;
-  { id = !counter; name; ty }
+let fresh name ty = { id = Atomic.fetch_and_add counter 1 + 1; name; ty }
 
 let renamed name t = fresh name t.ty
 let retyped ty t = { t with ty }
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 let pp ppf t = Format.fprintf ppf "%s#%d" t.name t.id
-let reset_counter () = counter := 0
+let reset_counter () = Atomic.set counter 0
 
 module Ord = struct
   type nonrec t = t

@@ -15,7 +15,7 @@ type t = {
 }
 
 val fresh : string -> Perm_value.Dtype.t -> t
-(** Allocates a new unique id. *)
+(** Allocates a new unique id; safe to call from several domains at once. *)
 
 val renamed : string -> t -> t
 (** Fresh attribute with the same type, new name. *)

@@ -118,8 +118,7 @@ type t = {
          stats accumulator attributes rules to the right fingerprint *)
   mutable parallel_domains : int;  (* 0 = parallel execution off *)
   mutable parallel_threshold : int;  (* min driving-table rows to fan out *)
-  mutable batch_rows : int;  (* rows per executor batch (vectorized path) *)
-  mutable vectorized : bool;  (* batch-at-a-time executor on/off *)
+  mutable batch_rows : int;  (* rows per executor batch *)
   mutable pool : Pool.t option;  (* lazily created, reused *)
   mutable statement_timeout_ms : float;  (* governor: 0 = off *)
   mutable row_limit : int;  (* governor: 0 = off *)
@@ -502,10 +501,6 @@ let create () =
           | Some n when n > 0 -> n
           | _ -> Executor.default_batch_rows)
         | None -> Executor.default_batch_rows);
-      vectorized =
-        (match Sys.getenv_opt "PERM_VECTORIZED" with
-        | Some ("0" | "off" | "false") -> false
-        | _ -> true);
       pool = None;
       statement_timeout_ms = 0.;
       row_limit = 0;
@@ -665,14 +660,7 @@ let set_parallel_threshold t n = t.parallel_threshold <- max 0 n
 let parallel_threshold t = t.parallel_threshold
 let set_batch_rows t n = t.batch_rows <- max 1 n
 let batch_rows t = t.batch_rows
-let set_vectorized t b = t.vectorized <- b
-let vectorized t = t.vectorized
 let pool_size t = match t.pool with Some p -> Pool.size p | None -> 0
-
-(* The executor's batch compiler declines Apply/Prov shapes; when it does
-   (or the session switched vectorization off) every call site falls back
-   to the row-at-a-time closures, so [None] here means "row path". *)
-let active_batch_rows t = if t.vectorized then Some t.batch_rows else None
 
 (* ------------------------------------------------------------------ *)
 (* Resource governor settings                                          *)
@@ -758,20 +746,6 @@ let provider t : Executor.provider =
       raise (Executor.Runtime_error (Printf.sprintf "table %S vanished" table))
   in
   {
-    Executor.scan_table =
-      (fun table ->
-        match Store.find t.store table with
-        | Some heap -> Heap.scan heap
-        | None -> (
-          (* virtual system relation: materialize from the engine-owned
-             provider at scan time, so the view reflects the accumulator
-             as of this statement *)
-          match Hashtbl.find_opt t.virtuals (String.lowercase_ascii table) with
-          | Some vp -> List.to_seq (vp.vp_rows ())
-          | None ->
-            raise
-              (Executor.Runtime_error
-                 (Printf.sprintf "table %S vanished" table))));
     Executor.probe_index =
       (fun table col key ->
         let heap = heap_of table in
@@ -785,6 +759,9 @@ let provider t : Executor.provider =
         match Store.find t.store table with
         | Some heap -> Heap.scan_batches heap ~rows
         | None -> (
+          (* virtual system relation: materialize from the engine-owned
+             provider at scan time, so the view reflects the accumulator
+             as of this statement *)
           match Hashtbl.find_opt t.virtuals (String.lowercase_ascii table) with
           | Some vp ->
             let tuples = vp.vp_rows () in
@@ -1056,7 +1033,6 @@ let settings_json t =
       ("parallel", Json.Int t.parallel_domains);
       ("parallel_threshold", Json.Int t.parallel_threshold);
       ("batch_rows", Json.Int t.batch_rows);
-      ("vectorized", Json.Bool t.vectorized);
       ("timeout_ms", Json.Float t.statement_timeout_ms);
       ("row_limit", Json.Int t.row_limit);
       ("tuple_budget", Json.Int t.tuple_budget);
@@ -1373,8 +1349,7 @@ let prepare t (q : Ast.query) =
   Ok (analyzed, rewritten, optimized)
 
 (* Morsel-driven parallel execution is attempted when the session has
-   parallelism on, runs the vectorized executor (the gather is a batch
-   operator), and the executor finds a parallel spine. Every fallback
+   parallelism on and the executor finds a parallel spine. Every fallback
    leaves a reason counter in the metrics so "why didn't this
    parallelize?" is answerable from perm_metrics. *)
 let try_parallel t optimized =
@@ -1383,7 +1358,6 @@ let try_parallel t optimized =
     None
   in
   if t.parallel_domains <= 0 then None
-  else if not t.vectorized then fallback "row_path"
   else
     match
       Executor.parallel_spine ~threshold:t.parallel_threshold
@@ -1399,11 +1373,7 @@ let try_parallel t optimized =
    the same statement shape is a plan change the watchdog should see. *)
 let note_plan t optimized ~parallel =
   if t.stmt_plan_hash = "" then begin
-    let mode =
-      if parallel then "parallel"
-      else if t.vectorized && Executor.batch_eligible optimized then "vector"
-      else "serial"
-    in
+    let mode = if parallel then "parallel" else "serial" in
     t.stmt_plan_hash <- Executor.plan_hash ~mode optimized;
     t.stmt_est_rows <- Planner.estimate_total (stats t) optimized
   end
@@ -1490,7 +1460,7 @@ let attach_worker_lanes psp (r : Executor.Par.report) =
 let exec_plan t optimized =
   let run_serial () =
     Executor.run ~token:t.token ?row_limit:(active_row_limit t)
-      ?progress:(live_progress t) ?batch_rows:(active_batch_rows t)
+      ?progress:(live_progress t) ~batch_rows:t.batch_rows
       ?spill:(active_spill t) ~provider:(provider t) optimized
   in
   match try_parallel t optimized with
@@ -1536,8 +1506,9 @@ let exec_plan t optimized =
              already drained, so re-raise for the boundary — no retry *)
           raise e
         | exception Spill.Fallback_needed _ ->
-          (* a build side or sort blew the spill threshold: the parallel
-             path never spills, the serial row path does *)
+          (* a shared spine join build passed the spill threshold: the
+             morsel tasks cannot spill it, the serial path spills it in
+             place *)
           Spill.note_fallback ();
           Metrics.incr t.metrics "executor.par.fallback.spill";
           dat (run_serial ())
@@ -1571,7 +1542,7 @@ let exec_plan t optimized =
                Executor.run_instrumented ~token:t.token
                  ?row_limit:(active_row_limit t)
                  ?progress:(live_progress t)
-                 ?batch_rows:(active_batch_rows t) ?spill:(active_spill t)
+                 ~batch_rows:t.batch_rows ?spill:(active_spill t)
                  ~provider:(provider t) optimized))
       in
       record_exec_stats t exec_stats;
@@ -1602,7 +1573,7 @@ let run_plan t plan =
     (capture t (fun () ->
          dat
            (Executor.run ~token:t.token ?row_limit:(active_row_limit t)
-              ?batch_rows:(active_batch_rows t) ?spill:(active_spill t)
+              ~batch_rows:t.batch_rows ?spill:(active_spill t)
               ~provider:(provider t) plan)))
 
 let explain_query t sql (q : Ast.query) =
@@ -1636,7 +1607,7 @@ let explain_analyze_query t sql (q : Ast.query) =
       (phase t "execute" (fun () ->
            Executor.run_instrumented ~token:t.token
              ?row_limit:(active_row_limit t) ?progress:(live_progress t)
-             ?batch_rows:(active_batch_rows t) ~provider:(provider t)
+             ~batch_rows:t.batch_rows ~provider:(provider t)
              optimized))
   in
   record_exec_stats t exec_stats;

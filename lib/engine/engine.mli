@@ -327,19 +327,12 @@ val set_parallel_threshold : t -> int -> unit
 val parallel_threshold : t -> int
 
 val set_batch_rows : t -> int -> unit
-(** Rows per executor batch on the vectorized path (clamped to >= 1;
-    default {!Perm_executor.Executor.default_batch_rows}, overridable by
-    the [PERM_BATCH_ROWS] environment variable at {!create}). *)
+(** Rows per executor batch (clamped to >= 1; default
+    {!Perm_executor.Executor.default_batch_rows}, overridable by the
+    [PERM_BATCH_ROWS] environment variable at {!create}). Results, row
+    order included, do not depend on it. *)
 
 val batch_rows : t -> int
-
-val set_vectorized : t -> bool -> unit
-(** Toggle the batch-at-a-time executor (default on; [PERM_VECTORIZED=0]
-    in the environment starts sessions with it off). When off, or for
-    plan shapes the batch compiler declines (Apply/Prov), statements run
-    on the row-at-a-time closures. *)
-
-val vectorized : t -> bool
 
 val pool_size : t -> int
 (** Size of the live worker pool; 0 when no pool has been created yet (no
@@ -383,12 +376,14 @@ val tuple_budget : t -> int
 val set_spill : t -> bool -> unit
 (** Graceful spill-to-disk (default on). When on and a tuple budget is
     armed, the budget becomes a degradation threshold instead of a kill:
-    sorts past the threshold run as external merge sorts and hash-join
-    build sides are chunked onto temp files, with results byte-identical
-    to the in-memory path. The batch and parallel executors never spill
-    themselves — they fall back to the spilling serial row path (counted
-    in [executor.spill.fallbacks]). When off, the tuple budget arms the
-    token and blowing it raises [Resource_exhausted] as before. *)
+    sorts past the threshold run as external merge sorts, hash-join build
+    sides are chunked onto temp files and group annotations sort tagged
+    rows externally, with results byte-identical to the in-memory
+    operators. A parallel statement whose shared join build passes the
+    threshold re-runs once on the serial path, which spills in place
+    (counted in [executor.spill.fallbacks]). When off, the tuple budget
+    arms the token and blowing it raises [Resource_exhausted] as
+    before. *)
 
 val spill_enabled : t -> bool
 

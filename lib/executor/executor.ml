@@ -42,42 +42,23 @@ let fp_sort = Perm_fault.point "sort.materialize"
 (* Graceful spill-to-disk                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Statement-scoped spill configuration, installed by the entry points
-   ([run_rows]/[run]/[run_instrumented]/[run_parallel]) from the engine's
-   governor settings. An atomic module global rather than a parameter
-   because it must reach operator closures across the whole compile
-   recursion and the parallel workers; the engine executes one statement
-   at a time, so statement scoping is enough. When set, the serial row
-   path spills sort materializations and join build sides past the
-   threshold, while the batch and parallel paths raise
-   {!Spill.Fallback_needed} so the engine can retry on the row path. *)
-let current_spill : Spill.config option Atomic.t = Atomic.make None
-
-let spill_config () =
-  match Atomic.get current_spill with
+(* A statement's spill configuration travels in the batch compile context
+   ({!bcx}); [None] there means no spilling. When set, sorts, join builds
+   and group annotations past the threshold degrade to temp files, and
+   state no operator can spill is capped at the threshold. *)
+let spill_of = function
   | Some c when c.Spill.threshold > 0 -> Some c
   | _ -> None
 
-let spill_fallback ~what n threshold =
-  let reason =
-    Printf.sprintf "%s materialized %d rows over the spill threshold %d" what
-      n threshold
-  in
-  (* the flight recorder sees *why* the batch/parallel path bailed, not
-     just that a fallback happened (note_fallback fires later, when the
-     engine catches the exception and re-plans on the row path) *)
-  Spill.observe "fallback-reason" reason;
-  raise (Spill.Fallback_needed reason)
-
-(* Hard ceiling for materialized state no path can spill (hash-aggregate
-   groups, DISTINCT / set-op seen-tables). With spill on the row-path
-   token carries no tuple budget — sorts and join builds degrade to disk
-   instead — so without this check those operators would run unguarded.
-   Call it with the current size of the in-memory table; past the
-   threshold the statement dies with Resource_exhausted rather than
+(* Hard ceiling for materialized state no operator can spill
+   (hash-aggregate groups, DISTINCT / set-op seen-tables). With spill on
+   the token carries no tuple budget — sorts and join builds degrade to
+   disk instead — so without this check those operators would run
+   unguarded. Call it with the current size of the in-memory table; past
+   the threshold the statement dies with Resource_exhausted rather than
    silently ignoring the configured budget. *)
-let budget_materialized ~what n =
-  match spill_config () with
+let budget_materialized spill ~what n =
+  match spill with
   | Some c when n > c.Spill.threshold ->
     raise
       (Perm_err.Cancel
@@ -179,26 +160,167 @@ let external_sort (cfg : Spill.config) cmp (seq : Tuple.t Seq.t) : Tuple.t Seq.t
        persistent Array.to_seq of the in-memory branch. *)
     Seq.memoize emit
 
+(* Grace hash join for a build side past the spill threshold. The build
+   rows ([first], then [rest]) are cut into threshold-sized chunks on temp
+   files and the probe side is materialized to a temp file once. Each
+   chunk is hashed in turn ([hash]) and probed ([probe], which returns a
+   probe row's matches in ascending right-row order with the residual
+   applied) with one sequential pass over the probe file; matches are
+   written as (probe index, row) pairs per chunk, then merged back in
+   probe order, chunk order within a probe row. That order — ascending
+   global right-row index per probe row, pads in stream position, FULL
+   right-pads appended in right order — reproduces the in-memory join
+   byte for byte while holding at most one chunk (plus a probe-side
+   bitmap) in memory. *)
+let grace_join (cfg : Spill.config) ~(kind : Plan.join_kind) ~l_arity ~r_arity
+    ~(hash : Tuple.t array -> 'tbl)
+    ~(probe : 'tbl -> Tuple.t -> (int * Tuple.t) list) first rest
+    (left : Tuple.t Seq.t) : Tuple.t Seq.t =
+ fun () ->
+  let pad n = Array.make n Value.Null in
+  let th = cfg.Spill.threshold in
+  Spill.note_spill ();
+  let chunks = ref [] in
+  let flush rows =
+    let f = Spill.create cfg in
+    List.iter (Spill.push f) rows;
+    Spill.rewind f;
+    Spill.note_chunk ();
+    chunks := f :: !chunks
+  in
+  flush first;
+  let rec consume acc n s =
+    match s () with
+    | Seq.Nil -> if n > 0 then flush (List.rev acc)
+    | Seq.Cons (x, tail) ->
+      let acc = x :: acc and n = n + 1 in
+      if n = th then begin
+        flush (List.rev acc);
+        consume [] 0 tail
+      end
+      else consume acc n tail
+  in
+  consume [] 0 rest;
+  let chunks = Array.of_list (List.rev !chunks) in
+  (* materialize the probe side once: its pipeline must run exactly one
+     pass whatever the chunk count (progress counters, fault schedules and
+     non-reentrant child state all assume one pass) *)
+  let probe_file = Spill.create cfg in
+  Seq.iter (Spill.push probe_file) left;
+  let n_probe = Spill.count probe_file in
+  let matched_left = Bytes.make (max 1 n_probe) '\000' in
+  let outs = Array.map (fun _ -> Spill.create cfg) chunks in
+  let pads = Spill.create cfg in
+  Array.iteri
+    (fun ci chunk ->
+      let buf = ref [] in
+      let rec read_chunk () =
+        match Spill.next chunk with
+        | Some r ->
+          buf := r :: !buf;
+          read_chunk ()
+        | None -> ()
+      in
+      read_chunk ();
+      let rows = Array.of_list (List.rev !buf) in
+      Spill.release chunk;
+      let tbl = hash rows in
+      let matched_chunk = Array.make (Array.length rows) false in
+      Spill.rewind probe_file;
+      let out = outs.(ci) in
+      let p = ref 0 in
+      let rec probe_pass () =
+        match Spill.next probe_file with
+        | None -> ()
+        | Some lrow ->
+          let pi = !p in
+          incr p;
+          (match probe tbl lrow with
+          | [] -> ()
+          | ms ->
+            Bytes.set matched_left pi '\001';
+            List.iter
+              (fun (idx, combined) ->
+                matched_chunk.(idx) <- true;
+                match kind with
+                | Plan.Inner | Plan.Cross | Plan.Left | Plan.Full ->
+                  Spill.push out (pi, combined)
+                | Plan.Semi | Plan.Anti | Plan.Right -> ())
+              ms);
+          probe_pass ()
+      in
+      probe_pass ();
+      Spill.rewind out;
+      match kind with
+      | Plan.Full ->
+        Array.iteri
+          (fun i rrow ->
+            if not matched_chunk.(i) then
+              Spill.push pads (Tuple.concat (pad l_arity) rrow))
+          rows
+      | _ -> ())
+    chunks;
+  Spill.rewind pads;
+  Spill.rewind probe_file;
+  let heads = Array.map Spill.next outs in
+  let release_everything () =
+    Array.iter Spill.release outs;
+    Spill.release probe_file;
+    Spill.release pads
+  in
+  (* matches of one probe row, chunks in order — ascending global
+     right-row index, like the in-memory probe *)
+  let matches_for pi =
+    let acc = ref [] in
+    for ci = 0 to Array.length outs - 1 do
+      let more = ref true in
+      while !more do
+        match heads.(ci) with
+        | Some (p, combined) when p = pi ->
+          acc := combined :: !acc;
+          heads.(ci) <- Spill.next outs.(ci)
+        | _ -> more := false
+      done
+    done;
+    List.rev !acc
+  in
+  let next_probe = ref 0 in
+  let rec main () =
+    match Spill.next probe_file with
+    | None -> (
+      match kind with
+      | Plan.Full -> pads_tail ()
+      | _ ->
+        release_everything ();
+        Seq.Nil)
+    | Some lrow -> (
+      let pi = !next_probe in
+      incr next_probe;
+      let matched = Bytes.get matched_left pi = '\001' in
+      match kind with
+      | Plan.Semi -> if matched then Seq.Cons (lrow, main) else main ()
+      | Plan.Anti -> if not matched then Seq.Cons (lrow, main) else main ()
+      | Plan.Inner | Plan.Cross -> seq_append_list (matches_for pi) main
+      | Plan.Left | Plan.Full ->
+        if not matched then Seq.Cons (Tuple.concat lrow (pad r_arity), main)
+        else seq_append_list (matches_for pi) main
+      | Plan.Right -> assert false)
+  and pads_tail () =
+    match Spill.next pads with
+    | None ->
+      release_everything ();
+      Seq.Nil
+    | Some row -> Seq.Cons (row, pads_tail)
+  in
+  main ()
+
 type provider = {
-  scan_table : string -> Tuple.t Seq.t;
   probe_index : string -> int -> Value.t -> Tuple.t Seq.t;
   scan_batches : string -> int -> Perm_storage.Batch.t array;
-      (* columnar batches of at most [batch_rows] live rows, in scan order:
-         their live tuples must reproduce [scan_table] exactly. Storage
-         backends may serve these from a cached columnar image; callers
-         must never mutate the column arrays. *)
+      (* columnar batches of at most [batch_rows] live rows, in scan order.
+         Storage backends may serve these from a cached columnar image;
+         callers must never mutate the column arrays. *)
 }
-
-(* Default batch slicing for providers without native columnar storage. *)
-let batches_of_list ~arity ~batch_rows rows =
-  let rows = Array.of_list rows in
-  let len = Array.length rows in
-  let size = max 1 batch_rows in
-  Array.init
-    ((len + size - 1) / size)
-    (fun i ->
-      let pos = i * size in
-      Perm_storage.Batch.of_rows ~arity rows ~pos ~len:(min size (len - pos)))
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -215,9 +337,6 @@ let resolver_of_schema (schema : Attr.t list) : resolver =
     match Hashtbl.find_opt table a.Attr.id with
     | Some i -> Some (fun row -> row.(i))
     | None -> None
-
-let combine_resolvers inner outer : resolver =
- fun a -> match inner a with Some f -> Some f | None -> outer a
 
 let no_outer : resolver = fun _ -> None
 
@@ -492,8 +611,8 @@ let agg_result (call : Plan.agg_call) state =
       Value.Float (total /. float_of_int state.sum_count)
   | Plan.Min | Plan.Max | Plan.Bool_and | Plan.Bool_or -> state.extreme
 
-(* Group annotation (Plan.Group_annotate), shared by the row and batch
-   walkers: [assign key r] feeds row [r] to the group of [key] and returns
+(* Group annotation (Plan.Group_annotate): [assign key r] feeds row [r]
+   to the group of [key] and returns
    the group's id — ids in first-seen order, the same state machines as
    hash aggregation. [heads ()], by group id, is each group's output
    prefix: key, then aggregate values. *)
@@ -503,8 +622,8 @@ type 'r annotator = {
   empty_head : unit -> Tuple.t;  (* a global aggregate's row over no input *)
 }
 
-let annotator (aggs : Plan.agg_call list) ~(args : ('r -> Value.t) option list)
-    =
+let annotator ~spill (aggs : Plan.agg_call list)
+    ~(args : ('r -> Value.t) option list) =
   let aggs = Array.of_list aggs and args = Array.of_list args in
   let tbl : (int * agg_state array) Tuple.Hash.t = Tuple.Hash.create 64 in
   let order = ref [] in
@@ -515,7 +634,7 @@ let annotator (aggs : Plan.agg_call list) ~(args : ('r -> Value.t) option list)
       | None ->
         let g = (Tuple.Hash.length tbl, Array.map new_agg_state aggs) in
         Tuple.Hash.replace tbl k g;
-        budget_materialized ~what:"GROUP BY" (Tuple.Hash.length tbl);
+        budget_materialized spill ~what:"GROUP BY" (Tuple.Hash.length tbl);
         order := (k, snd g) :: !order;
         g
     in
@@ -553,727 +672,21 @@ let grouped_order ~groups (gids : int array) =
   order
 
 (* ------------------------------------------------------------------ *)
-(* Operator evaluation                                                 *)
+(* Batch-at-a-time execution                                           *)
 (* ------------------------------------------------------------------ *)
 
-let seq_of_list l = List.to_seq l
-
-(* Per-node instrumentation hook, applied once per plan node at compile
-   time. The uninstrumented path passes [no_wrap] (the identity), so with
-   tracing off the compiled thunks are byte-for-byte the same closures as
-   before — zero per-row cost. *)
-type wrapper = Plan.t -> (unit -> Tuple.t Seq.t) -> unit -> Tuple.t Seq.t
-
-let no_wrap : wrapper = fun _ thunk -> thunk
-
-(* Compilation produces a thunk so Apply can re-evaluate its right side per
-   outer row with fresh operator state. *)
-let rec compile ~(provider : provider) ~(wrap : wrapper) (outer : resolver)
-    (plan : Plan.t) : unit -> Tuple.t Seq.t =
-  wrap plan (compile_node ~provider ~wrap outer plan)
-
-and compile_node ~(provider : provider) ~(wrap : wrapper) (outer : resolver)
-    (plan : Plan.t) : unit -> Tuple.t Seq.t =
-  match plan with
-  | Plan.Scan { table; _ } -> fun () -> provider.scan_table table
-  | Plan.Index_scan { table; key_col; key; _ } ->
-    let fkey = compile_expr outer key in
-    fun () -> provider.probe_index table key_col (fkey [||])
-  | Plan.Values { rows; _ } ->
-    let compiled =
-      List.map (fun row -> List.map (compile_expr no_outer) row) rows
-    in
-    fun () ->
-      seq_of_list
-        (List.map
-           (fun row -> Array.of_list (List.map (fun f -> f [||]) row))
-           compiled)
-  | Plan.Project { child; cols } ->
-    let child_schema = Plan.schema child in
-    let resolve = combine_resolvers (resolver_of_schema child_schema) outer in
-    let fs = List.map (fun (e, _) -> compile_expr resolve e) cols in
-    let fs = Array.of_list fs in
-    let run_child = compile ~provider ~wrap outer child in
-    fun () -> Seq.map (fun row -> Array.map (fun f -> f row) fs) (run_child ())
-  | Plan.Filter { child; pred } ->
-    let resolve =
-      combine_resolvers (resolver_of_schema (Plan.schema child)) outer
-    in
-    let fpred = compile_pred resolve pred in
-    let run_child = compile ~provider ~wrap outer child in
-    fun () -> Seq.filter fpred (run_child ())
-  | Plan.Join { kind; left; right; pred } -> compile_join ~provider ~wrap outer kind left right pred
-  | Plan.Apply { kind; left; right } -> compile_apply ~provider ~wrap outer kind left right
-  | Plan.Aggregate { child; group_by; aggs } ->
-    compile_aggregate ~provider ~wrap outer child group_by aggs
-  | Plan.Group_annotate { child; group_by; aggs } ->
-    compile_group_annotate ~provider ~wrap outer child group_by aggs
-  | Plan.Distinct child ->
-    let run_child = compile ~provider ~wrap outer child in
-    fun () ->
-      Seq.memoize
-        (fun () ->
-          let seen = Tuple.Hash.create 64 in
-          Seq.filter
-            (fun row ->
-              if Tuple.Hash.mem seen row then false
-              else begin
-                Tuple.Hash.replace seen row ();
-                budget_materialized ~what:"DISTINCT" (Tuple.Hash.length seen);
-                true
-              end)
-            (run_child ())
-            ())
-  | Plan.Set_op { kind; all; left; right; _ } ->
-    compile_set_op ~provider ~wrap outer kind all left right
-  | Plan.Sort { child; keys } ->
-    let resolve =
-      combine_resolvers (resolver_of_schema (Plan.schema child)) outer
-    in
-    let keyfs =
-      List.map (fun (e, dir) -> (compile_expr resolve e, dir)) keys
-    in
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | (f, dir) :: rest ->
-          let c = Value.compare (f a) (f b) in
-          let c = match dir with Plan.Asc -> c | Plan.Desc -> -c in
-          if c <> 0 then c else go rest
-      in
-      go keyfs
-    in
-    let run_child = compile ~provider ~wrap outer child in
-    fun () ->
-      (* materialize into an array and sort in place: large sorts avoid the
-         intermediate list and List.stable_sort's allocation. Under a spill
-         configuration the materialization degrades to an external merge
-         sort past the threshold instead of blowing the budget. *)
-      Perm_fault.trip fp_sort;
-      (match spill_config () with
-      | Some cfg -> external_sort cfg cmp (run_child ())
-      | None ->
-        let rows = Array.of_seq (run_child ()) in
-        Array.stable_sort cmp rows;
-        Array.to_seq rows)
-  | Plan.Limit { child; limit; offset } ->
-    let run_child = compile ~provider ~wrap outer child in
-    fun () ->
-      let s = run_child () in
-      let s = Seq.drop offset s in
-      (match limit with Some n -> Seq.take n s | None -> s)
-  | Plan.Prov _ ->
-    err "internal: provenance marker reached the executor (rewriter not run)"
-  | Plan.Baserel { child; _ } | Plan.External { child; _ } ->
-    compile ~provider ~wrap outer child
-
-and compile_join ~provider ~wrap outer kind left right pred =
-  let left_schema = Plan.schema left and right_schema = Plan.schema right in
-  let l_arity = List.length left_schema and r_arity = List.length right_schema in
-  let run_left = compile ~provider ~wrap outer left in
-  let run_right = compile ~provider ~wrap outer right in
-  let l_resolve = combine_resolvers (resolver_of_schema left_schema) outer in
-  let r_resolve = combine_resolvers (resolver_of_schema right_schema) outer in
-  let keys, residual =
-    match pred with
-    | None -> ([], [])
-    | Some p -> split_join_pred left_schema right_schema p
-  in
-  let lkey_fs =
-    Array.of_list (List.map (fun k -> compile_expr l_resolve k.l_expr) keys)
-  in
-  let rkey_fs =
-    Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
-  in
-  let null_safety = Array.of_list (List.map (fun k -> k.null_safe) keys) in
-  let combined_resolve =
-    combine_resolvers (resolver_of_schema (left_schema @ right_schema)) outer
-  in
-  let residual_f =
-    match residual with
-    | [] -> fun _ -> true
-    | preds -> compile_pred combined_resolve (Expr.conjoin preds)
-  in
-  let key_usable = key_usable null_safety in
-  let pad n = Array.make n Value.Null in
-  (* The probe body shared by the in-memory and spilled builds: matches
-     come back in ascending right-row order (within the hash table /
-     chunk), with the residual applied. *)
-  let probe_in tbl lrow =
-    let key = key_of lkey_fs lrow in
-    if not (key_usable key) then []
-    else
-      match Tuple.Hash.find_opt tbl key with
-      | None -> []
-      | Some candidates ->
-        List.filter_map
-          (fun (idx, rrow) ->
-            let combined = Tuple.concat lrow rrow in
-            if residual_f combined then Some (idx, combined) else None)
-          (List.rev candidates)
-  in
-  let hash_rows rows =
-    let tbl = Tuple.Hash.create 256 in
-    Array.iteri
-      (fun idx rrow ->
-        let key = key_of rkey_fs rrow in
-        let prev =
-          match Tuple.Hash.find_opt tbl key with Some l -> l | None -> []
-        in
-        Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-      rows;
-    tbl
-  in
-  match kind with
-  | Plan.Cross | Plan.Inner | Plan.Left | Plan.Full | Plan.Semi | Plan.Anti ->
-    (* The whole build side fits in memory: hash it once and stream the
-       probe side through. *)
-    let in_memory right_rows : Tuple.t Seq.node =
-      let table = hash_rows right_rows in
-      let matched_right = Array.make (Array.length right_rows) false in
-      let left_seq = run_left () in
-      let main =
-        Seq.concat_map
-          (fun lrow ->
-            let matches = probe_in table lrow in
-            match kind with
-            | Plan.Semi ->
-              if matches <> [] then Seq.return lrow else Seq.empty
-            | Plan.Anti ->
-              if matches = [] then Seq.return lrow else Seq.empty
-            | Plan.Inner | Plan.Cross ->
-              seq_of_list (List.map snd matches)
-            | Plan.Left | Plan.Full ->
-              if matches = [] then
-                Seq.return (Tuple.concat lrow (pad r_arity))
-              else begin
-                List.iter (fun (idx, _) -> matched_right.(idx) <- true) matches;
-                seq_of_list (List.map snd matches)
-              end
-            | Plan.Right -> assert false)
-          left_seq
-      in
-      match kind with
-      | Plan.Full ->
-        (* main must be fully consumed before the right-pad tail so the
-           matched_right flags are complete; Seq.append is lazy and
-           ordered, which guarantees that *)
-        Seq.append main
-          (Seq.concat_map
-             (fun i ->
-               if matched_right.(i) then Seq.empty
-               else Seq.return (Tuple.concat (pad l_arity) right_rows.(i)))
-             (Seq.init (Array.length right_rows) (fun i -> i)))
-          ()
-      | _ -> main ()
-    in
-    (* Spilled build: the build side is cut into threshold-sized chunks on
-       temp files and the probe side is materialized to a temp file once.
-       Each chunk is hashed in turn and probed with one sequential pass
-       over the probe file; matches are written as (probe index, row)
-       pairs per chunk, then merged back in probe order, chunk order
-       within a probe row. That order — ascending global right-row index
-       per probe row, pads in stream position, FULL right-pads appended in
-       right order — reproduces the in-memory stream byte for byte while
-       holding at most one chunk (plus a probe-side bitmap) in memory. *)
-    let spilled cfg first rest : Tuple.t Seq.node =
-      let th = cfg.Spill.threshold in
-      Spill.note_spill ();
-      let chunks = ref [] in
-      let flush rows =
-        let f = Spill.create cfg in
-        List.iter (Spill.push f) rows;
-        Spill.rewind f;
-        Spill.note_chunk ();
-        chunks := f :: !chunks
-      in
-      flush first;
-      let rec consume acc n s =
-        match s () with
-        | Seq.Nil -> if n > 0 then flush (List.rev acc)
-        | Seq.Cons (x, tail) ->
-          let acc = x :: acc and n = n + 1 in
-          if n = th then begin
-            flush (List.rev acc);
-            consume [] 0 tail
-          end
-          else consume acc n tail
-      in
-      consume [] 0 rest;
-      let chunks = Array.of_list (List.rev !chunks) in
-      (* materialize the probe side once: its pipeline must run exactly
-         one pass whatever the chunk count (progress counters, fault
-         schedules and non-reentrant child state all assume one pass) *)
-      let probe_file = Spill.create cfg in
-      Seq.iter (Spill.push probe_file) (run_left ());
-      let n_probe = Spill.count probe_file in
-      let matched_left = Bytes.make (max 1 n_probe) '\000' in
-      let outs = Array.map (fun _ -> Spill.create cfg) chunks in
-      let pads = Spill.create cfg in
-      Array.iteri
-        (fun ci chunk ->
-          let buf = ref [] in
-          let rec read_chunk () =
-            match Spill.next chunk with
-            | Some r ->
-              buf := r :: !buf;
-              read_chunk ()
-            | None -> ()
-          in
-          read_chunk ();
-          let rows = Array.of_list (List.rev !buf) in
-          Spill.release chunk;
-          let tbl = hash_rows rows in
-          let matched_chunk = Array.make (Array.length rows) false in
-          Spill.rewind probe_file;
-          let out = outs.(ci) in
-          let p = ref 0 in
-          let rec probe_pass () =
-            match Spill.next probe_file with
-            | None -> ()
-            | Some lrow ->
-              let pi = !p in
-              incr p;
-              (match probe_in tbl lrow with
-              | [] -> ()
-              | ms ->
-                Bytes.set matched_left pi '\001';
-                List.iter
-                  (fun (idx, combined) ->
-                    matched_chunk.(idx) <- true;
-                    match kind with
-                    | Plan.Inner | Plan.Cross | Plan.Left | Plan.Full ->
-                      Spill.push out (pi, combined)
-                    | Plan.Semi | Plan.Anti | Plan.Right -> ())
-                  ms);
-              probe_pass ()
-          in
-          probe_pass ();
-          Spill.rewind out;
-          match kind with
-          | Plan.Full ->
-            Array.iteri
-              (fun i rrow ->
-                if not matched_chunk.(i) then
-                  Spill.push pads (Tuple.concat (pad l_arity) rrow))
-              rows
-          | _ -> ())
-        chunks;
-      Spill.rewind pads;
-      Spill.rewind probe_file;
-      let heads = Array.map Spill.next outs in
-      let release_everything () =
-        Array.iter Spill.release outs;
-        Spill.release probe_file;
-        Spill.release pads
-      in
-      (* matches of one probe row, chunks in order — ascending global
-         right-row index, like the in-memory probe *)
-      let matches_for pi =
-        let acc = ref [] in
-        for ci = 0 to Array.length outs - 1 do
-          let more = ref true in
-          while !more do
-            match heads.(ci) with
-            | Some (p, combined) when p = pi ->
-              acc := combined :: !acc;
-              heads.(ci) <- Spill.next outs.(ci)
-            | _ -> more := false
-          done
-        done;
-        List.rev !acc
-      in
-      let next_probe = ref 0 in
-      let rec main () =
-        match Spill.next probe_file with
-        | None -> (
-          match kind with
-          | Plan.Full -> pads_tail ()
-          | _ ->
-            release_everything ();
-            Seq.Nil)
-        | Some lrow -> (
-          let pi = !next_probe in
-          incr next_probe;
-          let matched = Bytes.get matched_left pi = '\001' in
-          match kind with
-          | Plan.Semi -> if matched then Seq.Cons (lrow, main) else main ()
-          | Plan.Anti ->
-            if not matched then Seq.Cons (lrow, main) else main ()
-          | Plan.Inner | Plan.Cross -> seq_append_list (matches_for pi) main
-          | Plan.Left | Plan.Full ->
-            if not matched then
-              Seq.Cons (Tuple.concat lrow (pad r_arity), main)
-            else seq_append_list (matches_for pi) main
-          | Plan.Right -> assert false)
-      and pads_tail () =
-        match Spill.next pads with
-        | None ->
-          release_everything ();
-          Seq.Nil
-        | Some row -> Seq.Cons (row, pads_tail)
-      in
-      main ()
-    in
-    fun () ->
-      Seq.memoize
-        (fun () ->
-          (* build on the right *)
-          Perm_fault.trip fp_join_build;
-          match spill_config () with
-          | Some cfg -> (
-            let first, rest = take_up_to cfg.Spill.threshold (run_right ()) in
-            match rest () with
-            | Seq.Nil -> in_memory (Array.of_list first)
-            | Seq.Cons (x0, rest') ->
-              spilled cfg first (fun () -> Seq.Cons (x0, rest')))
-          | None -> in_memory (Array.of_seq (run_right ())))
-  | Plan.Right ->
-    (* evaluate as a left join with sides swapped, then reorder columns *)
-    let swapped =
-      Plan.Join { kind = Plan.Left; left = right; right = left; pred }
-    in
-    let run = compile ~provider ~wrap outer swapped in
-    fun () ->
-      Seq.map
-        (fun row ->
-          let l = Array.sub row r_arity l_arity in
-          let r = Array.sub row 0 r_arity in
-          Tuple.concat l r)
-        (run ())
-
-and compile_apply ~provider ~wrap outer kind left right =
-  let left_schema = Plan.schema left in
-  let run_left = compile ~provider ~wrap outer left in
-  (* the right side resolves left attributes against the current outer row *)
-  let current_left : Tuple.t ref = ref [||] in
-  let left_positions = Hashtbl.create 16 in
-  List.iteri
-    (fun i (a : Attr.t) -> Hashtbl.replace left_positions a.Attr.id i)
-    left_schema;
-  let right_outer : resolver =
-   fun a ->
-    match Hashtbl.find_opt left_positions a.Attr.id with
-    | Some i -> Some (fun _ -> !current_left.(i))
-    | None -> outer a
-  in
-  let run_right = compile ~provider ~wrap right_outer right in
-  let r_arity = List.length (Plan.schema right) in
-  fun () ->
-    Seq.concat_map
-      (fun lrow ->
-        current_left := lrow;
-        let rows = List.of_seq (run_right ()) in
-        match kind with
-        | Plan.A_cross ->
-          seq_of_list (List.map (fun r -> Tuple.concat lrow r) rows)
-        | Plan.A_outer ->
-          if rows = [] then
-            Seq.return (Tuple.concat lrow (Array.make r_arity Value.Null))
-          else seq_of_list (List.map (fun r -> Tuple.concat lrow r) rows)
-        | Plan.A_scalar _ -> (
-          match rows with
-          | [] -> Seq.return (Tuple.concat lrow [| Value.Null |])
-          | [ r ] -> Seq.return (Tuple.concat lrow [| r.(0) |])
-          | _ -> err "scalar subquery returned more than one row")
-        | Plan.A_semi -> if rows <> [] then Seq.return lrow else Seq.empty
-        | Plan.A_anti -> if rows = [] then Seq.return lrow else Seq.empty)
-      (run_left ())
-
-and compile_aggregate ~provider ~wrap outer child group_by aggs =
-  let resolve =
-    combine_resolvers (resolver_of_schema (Plan.schema child)) outer
-  in
-  let group_fs = List.map (fun (e, _) -> compile_expr resolve e) group_by in
-  let agg_arg_fs =
-    List.map
-      (fun (c : Plan.agg_call) -> Option.map (compile_expr resolve) c.arg)
-      aggs
-  in
-  let run_child = compile ~provider ~wrap outer child in
-  let global = group_by = [] in
-  fun () ->
-    Seq.memoize
-      (fun () ->
-        Perm_fault.trip fp_agg_merge;
-        let groups : (Tuple.t * agg_state list) Tuple.Hash.t =
-          Tuple.Hash.create 64
-        in
-        let order = ref [] in
-        Seq.iter
-          (fun row ->
-            let key = Array.of_list (List.map (fun f -> f row) group_fs) in
-            let states =
-              match Tuple.Hash.find_opt groups key with
-              | Some (_, states) -> states
-              | None ->
-                let states = List.map new_agg_state aggs in
-                Tuple.Hash.replace groups key (key, states);
-                budget_materialized ~what:"GROUP BY"
-                  (Tuple.Hash.length groups);
-                order := key :: !order;
-                states
-            in
-            List.iter2
-              (fun (call : Plan.agg_call) (state, argf) ->
-                let v =
-                  match argf with None -> None | Some f -> Some (f row)
-                in
-                agg_feed call state v)
-              aggs
-              (List.combine states agg_arg_fs))
-          (run_child ());
-        let emit key states =
-          Array.append key
-            (Array.of_list
-               (List.map2 (fun call st -> agg_result call st) aggs states))
-        in
-        if global && Tuple.Hash.length groups = 0 then
-          (* aggregate over an empty input: one row of defaults *)
-          Seq.return (emit [||] (List.map new_agg_state aggs)) ()
-        else
-          seq_of_list
-            (List.rev_map
-               (fun key ->
-                 let key, states = Tuple.Hash.find groups key in
-                 emit key states)
-               !order)
-            ())
-
-(* In memory the annotation holds every input row and reorders them by
-   group. Under a spill configuration it holds only group states: rows
-   are tagged with (group id, input index) and go through the external
-   merge sort, whose order on those tags is the same. The sort consumes
-   its whole input before yielding, so every group is final by then. *)
-and compile_group_annotate ~provider ~wrap outer child group_by aggs =
-  let child_schema = Plan.schema child in
-  let resolve = combine_resolvers (resolver_of_schema child_schema) outer in
-  let key_fs =
-    Array.of_list (List.map (fun (e, _) -> compile_expr resolve e) group_by)
-  in
-  let args =
-    List.map
-      (fun (c : Plan.agg_call) -> Option.map (compile_expr resolve) c.arg)
-      aggs
-  in
-  let run_child = compile ~provider ~wrap outer child in
-  let global = group_by = [] in
-  fun () ->
-    Seq.memoize (fun () ->
-        Perm_fault.trip fp_agg_merge;
-        let ann = annotator aggs ~args in
-        let assign row = ann.assign (key_of key_fs row) row in
-        let rows =
-          match spill_config () with
-          | None ->
-            let rows = Array.of_seq (run_child ()) in
-            let gids = Array.map assign rows in
-            let heads = ann.heads () in
-            Seq.map
-              (fun k -> Tuple.concat heads.(gids.(k)) rows.(k))
-              (Array.to_seq
-                 (grouped_order ~groups:(Array.length heads) gids))
-          | Some cfg ->
-            let tag = function
-              | Value.Int i -> i
-              | _ -> err "internal: untagged group annotation row"
-            in
-            let cmp a b =
-              let c = Int.compare (tag a.(0)) (tag b.(0)) in
-              if c <> 0 then c else Int.compare (tag a.(1)) (tag b.(1))
-            in
-            let index = ref 0 in
-            let tagged =
-              Seq.map
-                (fun row ->
-                  let g = assign row in
-                  let i = !index in
-                  incr index;
-                  Tuple.concat [| Value.Int g; Value.Int i |] row)
-                (run_child ())
-            in
-            let sorted = external_sort cfg cmp tagged in
-            let heads = ann.heads () in
-            Seq.map
-              (fun row ->
-                Tuple.concat heads.(tag row.(0))
-                  (Array.sub row 2 (Array.length row - 2)))
-              sorted
-        in
-        match rows () with
-        | Seq.Nil when global ->
-          Seq.return
-            (Tuple.concat (ann.empty_head ())
-               (Array.make (List.length child_schema) Value.Null))
-            ()
-        | node -> node)
-
-and compile_set_op ~provider ~wrap outer kind all left right =
-  let run_left = compile ~provider ~wrap outer left in
-  let run_right = compile ~provider ~wrap outer right in
-  match kind, all with
-  | Plan.Union, true -> fun () -> Seq.append (run_left ()) (run_right ())
-  | Plan.Union, false ->
-    fun () ->
-      Seq.memoize
-        (fun () ->
-          let seen = Tuple.Hash.create 64 in
-          Seq.filter
-            (fun row ->
-              if Tuple.Hash.mem seen row then false
-              else begin
-                Tuple.Hash.replace seen row ();
-                budget_materialized ~what:"UNION" (Tuple.Hash.length seen);
-                true
-              end)
-            (Seq.append (run_left ()) (run_right ()))
-            ())
-  | (Plan.Intersect | Plan.Except), _ ->
-    fun () ->
-      Seq.memoize
-        (fun () ->
-          let counts = Tuple.Hash.create 64 in
-          Seq.iter
-            (fun row ->
-              let c =
-                match Tuple.Hash.find_opt counts row with
-                | Some c -> c
-                | None ->
-                  budget_materialized ~what:"INTERSECT/EXCEPT"
-                    (Tuple.Hash.length counts + 1);
-                  0
-              in
-              Tuple.Hash.replace counts row (c + 1))
-            (run_right ());
-          let emitted = Tuple.Hash.create 64 in
-          Seq.filter
-            (fun row ->
-              let rc =
-                match Tuple.Hash.find_opt counts row with
-                | Some c -> c
-                | None -> 0
-              in
-              match kind, all with
-              | Plan.Intersect, true ->
-                if rc > 0 then begin
-                  Tuple.Hash.replace counts row (rc - 1);
-                  true
-                end
-                else false
-              | Plan.Intersect, false ->
-                if rc > 0 && not (Tuple.Hash.mem emitted row) then begin
-                  Tuple.Hash.replace emitted row ();
-                  true
-                end
-                else false
-              | Plan.Except, true ->
-                if rc > 0 then begin
-                  Tuple.Hash.replace counts row (rc - 1);
-                  false
-                end
-                else true
-              | Plan.Except, false ->
-                if rc = 0 && not (Tuple.Hash.mem emitted row) then begin
-                  Tuple.Hash.replace emitted row ();
-                  budget_materialized ~what:"EXCEPT"
-                    (Tuple.Hash.length emitted);
-                  true
-                end
-                else false
-              | Plan.Union, _ -> assert false)
-            (run_left ())
-            ())
-
-(* ------------------------------------------------------------------ *)
-(* Cooperative guardrails                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Rows between two token checks. Checks cost one atomic load plus (for
-   armed deadlines) a clock read, so batching keeps the armed-but-idle
-   overhead in the noise while still bounding kill latency to a few
-   hundred tuples per operator. *)
-let guard_interval = 256
-
-(* The guard only wraps operators that can *create* row multiplicity —
-   sources, joins, aggregations, sorts, set ops. Pass-through nodes
-   (Project/Filter/Limit) emit at most one row per guarded input row, so
-   wrapping them too would only add a Seq.map allocation per row per node
-   (provenance rewrites are projection-heavy: measured >2x on join-bound
-   queries) without tightening the cancellation bound: every stream is
-   charged at its multiplicity source, and every operator (re)invocation
-   — the Apply case — re-checks the deadline at thunk start. *)
-let guard_this_node (node : Plan.t) =
-  match node with
-  | Plan.Project _ | Plan.Filter _ | Plan.Limit _ -> false
-  | _ -> true
-
-(* Per-operator guard, same compile-time hook as instrumentation: counts
-   rows flowing out of each operator and charges the token in batches.
-   Installed only when the token is active — the unguarded path compiles
-   the exact same closures as before. *)
-let guard_wrap (token : Token.t) : wrapper =
- fun node thunk ->
-  if not (guard_this_node node) then thunk
-  else
-    fun () ->
-      Token.check token;
-      let pending = ref 0 in
-      Seq.map
-        (fun row ->
-          incr pending;
-          if !pending >= guard_interval then begin
-            Token.charge token !pending;
-            pending := 0
-          end;
-          row)
-        (thunk ())
-
-let over_row_limit limit =
-  raise
-    (Perm_err.Cancel
-       ( Perm_err.Resource_exhausted,
-         Printf.sprintf "row limit exceeded (limit %d)" limit ))
-
-(* Root materialization: the one place every result passes through, so the
-   row-limit guardrail and the live row-progress counter live here. *)
-let materialize ?row_limit ?progress seq =
-  let seq =
-    match progress with
-    | None -> seq
-    | Some p ->
-      Seq.map
-        (fun row ->
-          Progress.incr_rows p;
-          row)
-        seq
-  in
-  match row_limit with
-  | None -> List.of_seq seq
-  | Some limit ->
-    let count = ref 0 in
-    List.of_seq
-      (Seq.map
-         (fun row ->
-           incr count;
-           if !count > limit then over_row_limit limit;
-           row)
-         seq)
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized batch-at-a-time execution                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The batch path exchanges columnar batches (column arrays + a selection
+(* The executor exchanges columnar batches (column arrays + a selection
    vector, [Perm_storage.Batch]) between operators instead of pulling one
    tuple at a time through per-row closures. Filters narrow the selection
    vector with tight kernels specialized on the constant's constructor;
    projections on dense batches share column pointers (the provenance
    rewrites are projection-heavy, so attribute moves become free); joins
-   expand matches out of line into capped output batches; aggregation feeds
-   group states from column reads. Every kernel applies the exact same
-   [Value] operations in the exact same row order as the row path, so
-   results are byte-identical by construction and the serial/parallel
-   determinism contract carries over unchanged. *)
+   expand matches out of line into capped output batches; aggregation
+   feeds group states from column reads. Every operator emits its rows in
+   a documented order — joins in left order with matches in right order,
+   groups and DISTINCT in first-seen order, stable sorts — whatever the
+   batch size, so results are byte-identical across batch sizes and the
+   serial/parallel determinism contract holds by construction. *)
 
 let default_batch_rows = 1024
 
@@ -1282,43 +695,55 @@ type bwrapper = Plan.t -> bop -> bop
 
 let no_bwrap : bwrapper = fun _ thunk -> thunk
 
-(* Plans containing correlated subplans (Apply) or an unrewritten
-   provenance marker fall back to the row path wholesale. *)
-let rec batch_supported (p : Plan.t) =
+let rec batch_eligible (p : Plan.t) =
   match p with
-  | Plan.Apply _ | Plan.Prov _ -> false
-  | _ -> List.for_all batch_supported (Plan.children p)
+  | Plan.Prov _ -> false
+  | _ -> List.for_all batch_eligible (Plan.children p)
 
-let batch_eligible = batch_supported
-
-(* Attribute -> column position over a schema (no outer resolution: the
-   batch path never sees Apply). *)
+(* Attribute -> column position over a schema. *)
 let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
   let table = Hashtbl.create 16 in
   List.iteri (fun i (a : Attr.t) -> Hashtbl.replace table a.Attr.id i) schema;
   fun a -> Hashtbl.find_opt table a.Attr.id
 
+(* How an operator's expressions read attributes: a column of its input
+   batch, or — for an attribute its input lacks — the [outer] resolver,
+   which reads the current row of an enclosing Apply's left side. The
+   choice is made at compile time, so plans without Apply pay nothing per
+   row for it. *)
+type layout = { pos : Attr.t -> int option; outer : resolver }
+
+(* Row-at-a-time view of a layout (sort keys, join residuals and build
+   keys, which evaluate over materialized tuples). *)
+let row_resolver lay : resolver =
+ fun a ->
+  match lay.pos a with
+  | Some i -> Some (fun row -> row.(i))
+  | None -> lay.outer a
+
 (* Batch expression evaluator: [f b p] evaluates over physical row [p] of
    batch [b]. Plain attributes and constants compile to direct array
-   reads; everything else reuses the row compiler through a current-row
-   cursor, so semantics and error messages are identical by construction.
+   reads; everything else reuses the scalar compiler through a current-row
+   cursor, so semantics and error messages are shared by construction.
    The cursor makes general evaluators stateful: NOT shareable across
    domains — the parallel path instantiates them per morsel. *)
-let bexpr_of (pos : Attr.t -> int option) (e : Expr.t) : Batch.t -> int -> Value.t =
+let bexpr_of lay (e : Expr.t) : Batch.t -> int -> Value.t =
   match e with
   | Expr.Const v -> fun _ _ -> v
   | Expr.Attr a -> (
-    match pos a with
-    | Some i -> fun b p -> (Batch.col b i).(p)
-    | None -> errf "internal: unbound attribute %s#%d" a.Attr.name a.Attr.id)
+    match lay.pos a, lay.outer a with
+    | Some i, _ -> fun b p -> (Batch.col b i).(p)
+    | None, Some f -> fun _ _ -> f [||]
+    | None, None ->
+      errf "internal: unbound attribute %s#%d" a.Attr.name a.Attr.id)
   | e ->
     let cur = ref (Batch.dense [||] 0) in
     let cp = ref 0 in
     let resolve : resolver =
      fun a ->
-      match pos a with
+      match lay.pos a with
       | Some i -> Some (fun _ -> (Batch.col !cur i).(!cp))
-      | None -> None
+      | None -> lay.outer a
     in
     let f = compile_expr resolve e in
     fun b p ->
@@ -1326,13 +751,13 @@ let bexpr_of (pos : Attr.t -> int option) (e : Expr.t) : Batch.t -> int -> Value
       cp := p;
       f [||]
 
-let bpred_of pos e =
-  let f = bexpr_of pos e in
+let bpred_of lay e =
+  let f = bexpr_of lay e in
   fun b p -> Tristate.is_true (unwrap (Tristate.of_value (f b p)))
 
 (* Multi-column key extraction by physical index (join keys, group keys). *)
-let key_filler pos exprs : Batch.t -> int -> Tuple.t =
-  let gets = Array.of_list (List.map (bexpr_of pos) exprs) in
+let key_filler lay exprs : Batch.t -> int -> Tuple.t =
+  let gets = Array.of_list (List.map (bexpr_of lay) exprs) in
   let n = Array.length gets in
   fun b p ->
     let key = Array.make n Value.Null in
@@ -1342,6 +767,21 @@ let key_filler pos exprs : Batch.t -> int -> Tuple.t =
     key
 
 let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
+
+(* Keep the live rows of [b] whose physical index passes [keep], in
+   order, by narrowing the selection vector in place. *)
+let narrow_live (keep : int -> bool) b =
+  let sel = Batch.sel_array b in
+  let n = Batch.live b in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let p = sel.(i) in
+    if keep p then begin
+      sel.(!m) <- p;
+      incr m
+    end
+  done;
+  if !m = 0 then None else Some (Batch.with_sel b sel !m)
 
 (* Chunk a row array into dense batches of at most [batch_rows] rows. *)
 let batches_of_rows ~arity ~batch_rows (rows : Tuple.t array) : Batch.t Seq.t =
@@ -1356,30 +796,31 @@ let batches_of_rows ~arity ~batch_rows (rows : Tuple.t array) : Batch.t Seq.t =
 let batches_of_tuple_list ~arity ~batch_rows rows =
   batches_of_rows ~arity ~batch_rows (Array.of_list rows)
 
-(* A batch stream that raises Fallback_needed as soon as the live-row
-   count passes the spill threshold — for operators that hold their whole
-   input, the fallback must fire before the memory spike it exists to
-   bound, not after full materialization. *)
-let bounded_batches ~what (bs : Batch.t Seq.t) : Batch.t Seq.t =
-  let limit =
-    match spill_config () with
-    | Some c -> c.Spill.threshold
-    | None -> max_int
-  in
-  let n = ref 0 in
-  Seq.map
-    (fun b ->
-      n := !n + Batch.live b;
-      if !n > limit then spill_fallback ~what !n limit;
-      b)
-    bs
+(* Default batch slicing for providers without native columnar storage. *)
+let batches_of_list ~arity ~batch_rows rows =
+  Array.of_seq (batches_of_tuple_list ~arity ~batch_rows rows)
 
-(* Materialize a bounded batch stream into tuples. *)
-let collect_tuples_bounded ~what (bs : Batch.t Seq.t) : Tuple.t array =
+(* Chunk a lazy row stream into dense batches, forcing one batch's worth
+   of rows at a time (spilled sorts and joins stream off disk). *)
+let batches_of_seq ~arity ~batch_rows (rows : Tuple.t Seq.t) : Batch.t Seq.t =
+  let rec go s () =
+    match take_up_to (max 1 batch_rows) s with
+    | [], _ -> Seq.Nil
+    | chunk, rest ->
+      let arr = Array.of_list chunk in
+      Seq.Cons (Batch.of_rows ~arity arr ~pos:0 ~len:(Array.length arr), go rest)
+  in
+  go rows
+
+let tuples_of_batches (bs : Batch.t Seq.t) : Tuple.t Seq.t =
+  Seq.flat_map (fun b -> List.to_seq (Batch.to_tuples b)) bs
+
+(* Materialize a batch stream into tuples. *)
+let collect_tuples (bs : Batch.t Seq.t) : Tuple.t array =
   let acc = ref [] in
   Seq.iter
     (fun b -> List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
-    (bounded_batches ~what bs);
+    bs;
   Array.of_list (List.rev !acc)
 
 (* ---- filter kernels ---------------------------------------------- *)
@@ -1388,7 +829,7 @@ let collect_tuples_bounded ~what (bs : Batch.t Seq.t) : Tuple.t array =
    count. Hot comparison shapes get a [Value.t -> bool] test specialized
    on the constant's constructor; every non-matching arm falls back to the
    generic SQL operator, so numeric promotion, NULL handling and the
-   type-rank total order behave identically to the row path. *)
+   type-rank total order behave exactly as in the scalar compiler. *)
 let generic_keep op v k =
   match op v k with Value.Bool b -> b | _ -> false
 
@@ -1504,10 +945,9 @@ let narrow_generic (keep : Batch.t -> int -> bool) :
 
 (* NOT thread-safe in general (generic fallback kernels carry a row
    cursor): instantiate per worker on the parallel path. *)
-let conjunct_kernel (pos : Attr.t -> int option) (c : Expr.t) :
-    Batch.t -> int array -> int -> int =
-  let col a = pos a in
-  let fallback () = narrow_generic (bpred_of pos c) in
+let conjunct_kernel lay (c : Expr.t) : Batch.t -> int array -> int -> int =
+  let col a = lay.pos a in
+  let fallback () = narrow_generic (bpred_of lay c) in
   match c with
   | Expr.Binop
       ( (Expr.Eq | Expr.Neq | Expr.Lt | Expr.Leq | Expr.Gt | Expr.Geq) as op,
@@ -1568,7 +1008,7 @@ let conjunct_kernel (pos : Attr.t -> int option) (c : Expr.t) :
     | None -> fallback ())
   | _ -> fallback ()
 
-let filter_kernels pos pred = List.map (conjunct_kernel pos) (Expr.conjuncts pred)
+let filter_kernels lay pred = List.map (conjunct_kernel lay) (Expr.conjuncts pred)
 
 (* Conjunct-wise narrowing evaluates exactly the (row, conjunct) pairs a
    short-circuiting AND would: rows failing conjunct i never see conjunct
@@ -1589,16 +1029,16 @@ type col_builder =
   | Share of int  (* plain attribute: share the column pointer when dense *)
   | Compute of (Batch.t -> int -> Value.t)
 
-let project_builders pos cols =
+let project_builders lay cols =
   Array.of_list
     (List.map
        (fun (e, _) ->
          match e with
          | Expr.Attr a -> (
-           match pos a with
+           match lay.pos a with
            | Some i -> Share i
-           | None -> Compute (bexpr_of pos e))
-         | e -> Compute (bexpr_of pos e))
+           | None -> Compute (bexpr_of lay e))
+         | e -> Compute (bexpr_of lay e))
        cols)
 
 let apply_project builders b =
@@ -1645,8 +1085,8 @@ let apply_project builders b =
    of line (left physical index + right row reference) and flush into
    dense output batches capped at [batch_rows], so giant expansions stay
    streamed and the cancel token keeps batch-granular kill latency.
-   Candidate order is [List.rev] of the build list — exactly the row
-   path's probe order, so output rows are byte-identical. *)
+   Candidate order is [List.rev] of the build list: ascending right-row
+   order, the same as the spilled Grace join's. *)
 let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
     ~usable ~(tbl : (int * Tuple.t) list Tuple.Hash.t)
     ~(residual_f : (Tuple.t -> bool) option)
@@ -1661,25 +1101,19 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
   match kind with
   | Plan.Semi | Plan.Anti ->
     let want = kind = Plan.Semi in
-    let sel = Batch.sel_array lb in
-    let n = Batch.live lb in
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      let p = sel.(i) in
-      let cands = find (lkey lb p) in
-      let hit =
-        match residual_f with
-        | None -> cands <> []
-        | Some rf ->
-          let lrow = brow lb p in
-          List.exists (fun (_, rrow) -> rf (Tuple.concat lrow rrow)) cands
-      in
-      if hit = want then begin
-        sel.(!m) <- p;
-        incr m
-      end
-    done;
-    if !m = 0 then [] else [ Batch.with_sel lb sel !m ]
+    Option.to_list
+      (narrow_live
+         (fun p ->
+           let cands = find (lkey lb p) in
+           let hit =
+             match residual_f with
+             | None -> cands <> []
+             | Some rf ->
+               let lrow = brow lb p in
+               List.exists (fun (_, rrow) -> rf (Tuple.concat lrow rrow)) cands
+           in
+           hit = want)
+         lb)
   | Plan.Inner | Plan.Cross | Plan.Left | Plan.Full ->
     let l_arity = Batch.arity lb in
     let cap = max 1 batch_rows in
@@ -1770,17 +1204,49 @@ type join_build = {
   jb_tbl : (int * Tuple.t) list Tuple.Hash.t;
 }
 
-(* Batch compilation context. Both substitution lists are empty on the
-   serial path; {!run_parallel} fills [gather] with the morsel gather
-   standing in for the spine root, and [builds] with the spine joins'
-   prebuilt build sides. Nodes match by physical identity. *)
+(* What running a build side yields: the hashed rows, or — past the spill
+   threshold — what the Grace join needs: the rows collected so far, the
+   unforced rest and the build's hash function. *)
+type build_side =
+  | Built of join_build
+  | Over_budget of {
+      cfg : Spill.config;
+      first : Tuple.t list;
+      rest : Tuple.t Seq.t;
+      hash : Tuple.t array -> (int * Tuple.t) list Tuple.Hash.t;
+    }
+
+(* Hash build rows on their key; each key's list holds (row index, row)
+   newest first. *)
+let hash_build (rkey : Tuple.t -> Tuple.t) rows =
+  let tbl = Tuple.Hash.create 256 in
+  Array.iteri
+    (fun idx rrow ->
+      let key = rkey rrow in
+      let prev =
+        match Tuple.Hash.find_opt tbl key with Some l -> l | None -> []
+      in
+      Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
+    rows;
+  tbl
+
+(* Batch compilation context. [spill] is the statement's spill
+   configuration; [outer] resolves the attributes bound by enclosing
+   Apply operators (none at the root). Both substitution lists are empty
+   on the serial path; {!run_parallel} fills [gather] with the morsel
+   gather standing in for the spine root, and [builds] with the spine
+   joins' prebuilt build sides. Nodes match by physical identity. *)
 type bcx = {
   provider : provider;
   batch_rows : int;
   bwrap : bwrapper;
+  spill : Spill.config option;
+  outer : resolver;
   builds : (Plan.t * join_build) list;
   gather : (Plan.t * bop) option;
 }
+
+let layout cx schema = { pos = positions_of_schema schema; outer = cx.outer }
 
 let join_keys left right pred =
   match pred with
@@ -1799,7 +1265,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     fun () -> Array.to_seq (cx.provider.scan_batches table batch_rows)
   | Plan.Index_scan { table; key_col; key; _ } ->
     let arity = List.length (Plan.schema plan) in
-    let fkey = compile_expr no_outer key in
+    let fkey = compile_expr cx.outer key in
     fun () ->
       batches_of_tuple_list ~arity ~batch_rows
         (List.of_seq (cx.provider.probe_index table key_col (fkey [||])))
@@ -1814,17 +1280,16 @@ and compile_batch_node cx (plan : Plan.t) : bop =
            (fun row -> Array.of_list (List.map (fun f -> f [||]) row))
            compiled)
   | Plan.Project { child; cols } ->
-    let pos = positions_of_schema (Plan.schema child) in
-    let builders = project_builders pos cols in
+    let builders = project_builders (layout cx (Plan.schema child)) cols in
     let run_child = compile_batch cx child in
     fun () -> Seq.map (apply_project builders) (run_child ())
   | Plan.Filter { child; pred } ->
-    let pos = positions_of_schema (Plan.schema child) in
-    let kernels = filter_kernels pos pred in
+    let kernels = filter_kernels (layout cx (Plan.schema child)) pred in
     let run_child = compile_batch cx child in
     fun () -> Seq.filter_map (apply_filter kernels) (run_child ())
   | Plan.Join { kind; left; right; pred } ->
     compile_batch_join cx plan kind left right pred
+  | Plan.Apply { kind; left; right } -> compile_batch_apply cx kind left right
   | Plan.Aggregate { child; group_by; aggs } ->
     compile_batch_aggregate cx child group_by aggs
   | Plan.Group_annotate { child; group_by; aggs } ->
@@ -1837,26 +1302,26 @@ and compile_batch_node cx (plan : Plan.t) : bop =
           let seen = Tuple.Hash.create 64 in
           Seq.filter_map
             (fun b ->
-              let sel = Batch.sel_array b in
-              let n = Batch.live b in
-              let m = ref 0 in
-              for i = 0 to n - 1 do
-                let p = sel.(i) in
-                let row = brow b p in
-                if not (Tuple.Hash.mem seen row) then begin
-                  Tuple.Hash.replace seen row ();
-                  sel.(!m) <- p;
-                  incr m
-                end
-              done;
-              budget_materialized ~what:"DISTINCT" (Tuple.Hash.length seen);
-              if !m = 0 then None else Some (Batch.with_sel b sel !m))
+              let fresh =
+                narrow_live
+                  (fun p ->
+                    let row = brow b p in
+                    if Tuple.Hash.mem seen row then false
+                    else begin
+                      Tuple.Hash.replace seen row ();
+                      true
+                    end)
+                  b
+              in
+              budget_materialized cx.spill ~what:"DISTINCT"
+                (Tuple.Hash.length seen);
+              fresh)
             (run_child ())
             ())
   | Plan.Set_op { kind; all; left; right; _ } ->
     compile_batch_set_op cx kind all left right
   | Plan.Sort { child; keys } ->
-    let resolve = resolver_of_schema (Plan.schema child) in
+    let resolve = row_resolver (layout cx (Plan.schema child)) in
     let keyfs =
       List.map (fun (e, dir) -> (compile_expr resolve e, dir)) keys
     in
@@ -1874,12 +1339,16 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     let run_child = compile_batch cx child in
     fun () ->
       Perm_fault.trip fp_sort;
-      (* the batch path does not spill; hand oversized sorts back to the
-         engine (which retries on the spilling row path) as soon as the
-         threshold is crossed, before the full input is in memory *)
-      let rows = collect_tuples_bounded ~what:"sort" (run_child ()) in
-      Array.stable_sort cmp rows;
-      batches_of_rows ~arity ~batch_rows rows
+      (match cx.spill with
+      | Some cfg ->
+        (* past the threshold: sorted runs on disk, merged as the
+           output is pulled *)
+        batches_of_seq ~arity ~batch_rows
+          (external_sort cfg cmp (tuples_of_batches (run_child ())))
+      | None ->
+        let rows = collect_tuples (run_child ()) in
+        Array.stable_sort cmp rows;
+        batches_of_rows ~arity ~batch_rows rows)
   | Plan.Limit { child; limit; offset } ->
     let run_child = compile_batch cx child in
     fun () ->
@@ -1904,43 +1373,40 @@ and compile_batch_node cx (plan : Plan.t) : bop =
       go offset
         (match limit with Some n -> n | None -> max_int)
         (run_child ())
-  | Plan.Apply _ ->
-    err "internal: Apply reached the batch compiler (not batch-eligible)"
   | Plan.Prov _ ->
     err "internal: provenance marker reached the executor (rewriter not run)"
   | Plan.Baserel { child; _ } | Plan.External { child; _ } ->
     compile_batch cx child
 
 (* The build half of a hash join: run the right input once, collect it and
-   hash every row on its key. *)
-and compile_join_build cx (join : Plan.t) : unit -> join_build =
+   hash every row on its key. Under a spill configuration it stops at the
+   threshold and hands the rest to the Grace join instead. *)
+and compile_join_build cx (join : Plan.t) : unit -> build_side =
   let left, right, pred =
     match join with
     | Plan.Join { left; right; pred; _ } -> (left, right, pred)
     | _ -> err "internal: join build over a non-join node"
   in
   let keys, _ = join_keys left right pred in
-  let r_resolve = resolver_of_schema (Plan.schema right) in
+  let r_resolve = row_resolver (layout cx (Plan.schema right)) in
   let rkey_fs =
     Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
   in
+  let hash = hash_build (key_of rkey_fs) in
+  let built rows = Built { jb_rows = rows; jb_tbl = hash rows } in
   let run_right = compile_batch cx right in
   fun () ->
     Perm_fault.trip fp_join_build;
-    (* the batch path does not spill; hand oversized builds back to the
-       engine (which retries on the spilling row path) as soon as the
-       threshold is crossed, before the full build side is in memory *)
-    let rows = collect_tuples_bounded ~what:"join build" (run_right ()) in
-    let tbl = Tuple.Hash.create 256 in
-    Array.iteri
-      (fun idx rrow ->
-        let key = key_of rkey_fs rrow in
-        let prev =
-          match Tuple.Hash.find_opt tbl key with Some l -> l | None -> []
-        in
-        Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-      rows;
-    { jb_rows = rows; jb_tbl = tbl }
+    match cx.spill with
+    | None -> built (collect_tuples (run_right ()))
+    | Some cfg -> (
+      let first, rest =
+        take_up_to cfg.Spill.threshold (tuples_of_batches (run_right ()))
+      in
+      match rest () with
+      | Seq.Nil -> built (Array.of_list first)
+      | Seq.Cons (x, tail) ->
+        Over_budget { cfg; first; rest = (fun () -> Seq.Cons (x, tail)); hash })
 
 and compile_batch_join cx plan kind left right pred =
   let left_schema = Plan.schema left and right_schema = Plan.schema right in
@@ -1970,14 +1436,12 @@ and compile_batch_join cx plan kind left right pred =
     let run_left = compile_batch cx left in
     let build =
       match List.assq_opt plan cx.builds with
-      | Some built -> fun () -> built
+      | Some built -> fun () -> Built built
       | None -> compile_join_build cx plan
     in
     let keys, residual = join_keys left right pred in
-    let lkey =
-      key_filler (positions_of_schema left_schema)
-        (List.map (fun k -> k.l_expr) keys)
-    in
+    let l_lay = layout cx left_schema in
+    let lkey = key_filler l_lay (List.map (fun k -> k.l_expr) keys) in
     let null_safety = Array.of_list (List.map (fun k -> k.null_safe) keys) in
     let residual_f =
       match residual with
@@ -1985,58 +1449,134 @@ and compile_batch_join cx plan kind left right pred =
       | preds ->
         Some
           (compile_pred
-             (resolver_of_schema (left_schema @ right_schema))
+             (row_resolver (layout cx (left_schema @ right_schema)))
              (Expr.conjoin preds))
     in
     let usable = key_usable null_safety in
+    (* the Grace join probes materialized left rows *)
+    let grace cfg first rest hash =
+      let lkey_fs =
+        Array.of_list
+          (List.map (fun k -> compile_expr (row_resolver l_lay) k.l_expr) keys)
+      in
+      let keep = Option.value residual_f ~default:(fun _ -> true) in
+      let probe tbl lrow =
+        let key = key_of lkey_fs lrow in
+        if not (usable key) then []
+        else
+          match Tuple.Hash.find_opt tbl key with
+          | None -> []
+          | Some candidates ->
+            List.filter_map
+              (fun (idx, rrow) ->
+                let combined = Tuple.concat lrow rrow in
+                if keep combined then Some (idx, combined) else None)
+              (List.rev candidates)
+      in
+      batches_of_seq ~arity:(l_arity + r_arity) ~batch_rows
+        (grace_join cfg ~kind ~l_arity ~r_arity ~hash ~probe first rest
+           (tuples_of_batches (run_left ())))
+    in
     fun () ->
       Seq.memoize
         (fun () ->
-          let { jb_rows = right_rows; jb_tbl = tbl } = build () in
-          let matched_right =
-            match kind with
-            | Plan.Full -> Some (Array.make (Array.length right_rows) false)
-            | _ -> None
-          in
-          let main =
-            Seq.concat_map
-              (fun lb ->
-                List.to_seq
-                  (probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable ~tbl
-                     ~residual_f ~matched_right lb))
-              (run_left ())
-          in
-          match kind with
-          | Plan.Full ->
-            let matched = Option.get matched_right in
-            let tail () =
-              let unmatched = ref [] in
-              Array.iteri
-                (fun i rrow ->
-                  if not matched.(i) then
-                    unmatched :=
-                      Tuple.concat (Array.make l_arity Value.Null) rrow
-                      :: !unmatched)
-                right_rows;
-              batches_of_tuple_list ~arity:(l_arity + r_arity) ~batch_rows
-                (List.rev !unmatched)
-                ()
+          match build () with
+          | Over_budget { cfg; first; rest; hash } -> grace cfg first rest hash ()
+          | Built { jb_rows = right_rows; jb_tbl = tbl } -> (
+            let matched_right =
+              match kind with
+              | Plan.Full -> Some (Array.make (Array.length right_rows) false)
+              | _ -> None
             in
-            (* main must be fully consumed before the tail is forced so the
-               matched flags are complete; Seq.append guarantees that *)
-            Seq.append main tail ()
-          | _ -> main ())
+            let main =
+              Seq.concat_map
+                (fun lb ->
+                  List.to_seq
+                    (probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable ~tbl
+                       ~residual_f ~matched_right lb))
+                (run_left ())
+            in
+            match kind with
+            | Plan.Full ->
+              let matched = Option.get matched_right in
+              let tail () =
+                let unmatched = ref [] in
+                Array.iteri
+                  (fun i rrow ->
+                    if not matched.(i) then
+                      unmatched :=
+                        Tuple.concat (Array.make l_arity Value.Null) rrow
+                        :: !unmatched)
+                  right_rows;
+                batches_of_tuple_list ~arity:(l_arity + r_arity) ~batch_rows
+                  (List.rev !unmatched)
+                  ()
+              in
+              (* main must be fully consumed before the tail is forced so
+                 the matched flags are complete; Seq.append guarantees that *)
+              Seq.append main tail ()
+            | _ -> main ()))
+
+(* Correlated evaluation. The right side is compiled once, with an outer
+   resolver that reads the current left row, and re-run for every live
+   left row in order — one evaluation (one [loops] tick per right-side
+   operator) per left row. Its rows are consumed whole before the next
+   left row is bound. *)
+and compile_batch_apply cx kind left right =
+  let l_pos = positions_of_schema (Plan.schema left) in
+  let current : Tuple.t ref = ref [||] in
+  let outer a =
+    match l_pos a with
+    | Some i -> Some (fun _ -> !current.(i))
+    | None -> cx.outer a
+  in
+  let run_left = compile_batch cx left in
+  let run_right = compile_batch { cx with outer } right in
+  let r_arity = List.length (Plan.schema right) in
+  let arity = List.length (Plan.schema left) + r_arity in
+  let right_rows lrow =
+    current := lrow;
+    List.of_seq (tuples_of_batches (run_right ()))
+  in
+  fun () ->
+    Seq.concat_map
+      (fun lb ->
+        match kind with
+        | Plan.A_semi | Plan.A_anti ->
+          let want = kind = Plan.A_semi in
+          Option.to_seq
+            (narrow_live (fun p -> (right_rows (brow lb p) <> []) = want) lb)
+        | Plan.A_cross | Plan.A_outer | Plan.A_scalar _ ->
+          let out = ref [] in
+          let emit row = out := row :: !out in
+          Batch.iter_live
+            (fun p ->
+              let lrow = brow lb p in
+              match kind, right_rows lrow with
+              | Plan.A_outer, [] ->
+                emit (Tuple.concat lrow (Array.make r_arity Value.Null))
+              | (Plan.A_cross | Plan.A_outer), rows ->
+                List.iter (fun r -> emit (Tuple.concat lrow r)) rows
+              | Plan.A_scalar _, [] -> emit (Tuple.concat lrow [| Value.Null |])
+              | Plan.A_scalar _, [ r ] -> emit (Tuple.concat lrow [| r.(0) |])
+              | Plan.A_scalar _, _ ->
+                err "scalar subquery returned more than one row"
+              | (Plan.A_semi | Plan.A_anti), _ -> assert false)
+            lb;
+          batches_of_tuple_list ~arity ~batch_rows:cx.batch_rows
+            (List.rev !out))
+      (run_left ())
 
 and compile_batch_aggregate cx child group_by aggs =
   let batch_rows = cx.batch_rows in
-  let pos = positions_of_schema (Plan.schema child) in
-  let gkey = key_filler pos (List.map fst group_by) in
+  let lay = layout cx (Plan.schema child) in
+  let gkey = key_filler lay (List.map fst group_by) in
   let aggs_arr = Array.of_list aggs in
   let nagg = Array.length aggs_arr in
   let arg_gets =
     Array.of_list
       (List.map
-         (fun (c : Plan.agg_call) -> Option.map (bexpr_of pos) c.arg)
+         (fun (c : Plan.agg_call) -> Option.map (bexpr_of lay) c.arg)
          aggs)
   in
   let run_child = compile_batch cx child in
@@ -2069,7 +1609,7 @@ and compile_batch_aggregate cx child group_by aggs =
      exactly. *)
   let single_col =
     match group_by with
-    | [ (Expr.Attr a, _) ] -> Option.map (fun i -> (i, a.Attr.ty)) (pos a)
+    | [ (Expr.Attr a, _) ] -> Option.map (fun i -> (i, a.Attr.ty)) (lay.pos a)
     | _ -> None
   in
   fun () ->
@@ -2083,7 +1623,7 @@ and compile_batch_aggregate cx child group_by aggs =
            and holds exactly one state array — never checked) *)
         let note_group () =
           incr ngroups;
-          budget_materialized ~what:"GROUP BY" !ngroups
+          budget_materialized cx.spill ~what:"GROUP BY" !ngroups
         in
         let rows_of_order () =
           if global && !ngroups = 0 then [ emit [||] (fresh_states ()) ]
@@ -2218,22 +1758,25 @@ and compile_batch_aggregate cx child group_by aggs =
         batches_of_tuple_list ~arity:out_arity ~batch_rows (rows_of_order ())
           ())
 
-(* The batch side keeps the input batches (immutable once emitted) and
-   addresses rows as (batch, position), so no row is materialized as a
-   tuple: output columns gather straight from the input columns, in the
-   row path's order. *)
+(* In memory the annotation keeps the input batches (immutable once
+   emitted) and addresses rows as (batch, position), so no row is
+   materialized as a tuple: output columns gather straight from the input
+   columns. Under a spill configuration it holds only group states: rows
+   are tagged with (group id, input index) and go through the external
+   merge sort, whose order on those tags is the same. The sort consumes
+   its whole input before yielding, so every group is final by then. *)
 and compile_batch_group_annotate cx child group_by aggs =
   let batch_rows = cx.batch_rows in
   let child_schema = Plan.schema child in
-  let pos = positions_of_schema child_schema in
-  let gkey = key_filler pos (List.map fst group_by) in
+  let lay = layout cx child_schema in
+  let gkey = key_filler lay (List.map fst group_by) in
   let cur = ref (Batch.dense [||] 0) in
   let args =
     List.map
       (fun (c : Plan.agg_call) ->
         Option.map
           (fun e ->
-            let get = bexpr_of pos e in
+            let get = bexpr_of lay e in
             fun p -> get !cur p)
           c.arg)
       aggs
@@ -2241,73 +1784,99 @@ and compile_batch_group_annotate cx child group_by aggs =
   let run_child = compile_batch cx child in
   let global = group_by = [] in
   let child_arity = List.length child_schema in
+  let head_arity = List.length group_by + List.length aggs in
+  let arity = head_arity + child_arity in
+  let empty_global ann =
+    batches_of_tuple_list ~arity ~batch_rows
+      [ Tuple.concat (ann.empty_head ()) (Array.make child_arity Value.Null) ]
+  in
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
-        (* the batch path does not spill; hand inputs past the threshold
-           back to the engine, which retries on the spilling row path *)
-        let batches =
-          Array.of_seq (bounded_batches ~what:"group annotate" (run_child ()))
-        in
-        let n = Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches in
-        let ann = annotator aggs ~args in
-        let row_batch = Array.make n 0
-        and row_pos = Array.make n 0
-        and gids = Array.make n 0 in
-        let k = ref 0 in
-        Array.iteri
-          (fun bi b ->
-            cur := b;
-            Batch.iter_live
-              (fun p ->
-                row_batch.(!k) <- bi;
-                row_pos.(!k) <- p;
-                gids.(!k) <- ann.assign (gkey b p) p;
-                incr k)
-              b)
-          batches;
-        let heads = ann.heads () in
-        if n = 0 && global then
-          let row =
-            Tuple.concat (ann.empty_head ()) (Array.make child_arity Value.Null)
+        let ann = annotator ~spill:cx.spill aggs ~args in
+        match cx.spill with
+        | Some cfg ->
+          let tag = function
+            | Value.Int i -> i
+            | _ -> err "internal: untagged group annotation row"
           in
-          batches_of_tuple_list ~arity:(Array.length row) ~batch_rows [ row ] ()
-        else
-          let order = grouped_order ~groups:(Array.length heads) gids in
-          let head_arity = List.length group_by + List.length aggs in
-          let size = max 1 batch_rows in
-          Seq.init
-            ((n + size - 1) / size)
-            (fun bi ->
-              let start = bi * size in
-              let len = min size (n - start) in
-              let gather f = Array.init len (fun j -> f order.(start + j)) in
-              Batch.dense
-                (Array.append
-                   (Array.init head_arity (fun c ->
-                        gather (fun r -> heads.(gids.(r)).(c))))
-                   (Array.init child_arity (fun c ->
-                        gather (fun r ->
-                            (Batch.col batches.(row_batch.(r)) c).(row_pos.(r))))))
-                len)
-            ())
+          let cmp a b =
+            let c = Int.compare (tag a.(0)) (tag b.(0)) in
+            if c <> 0 then c else Int.compare (tag a.(1)) (tag b.(1))
+          in
+          let n = ref 0 in
+          let tagged =
+            Seq.flat_map
+              (fun b ->
+                cur := b;
+                let rows = ref [] in
+                Batch.iter_live
+                  (fun p ->
+                    let g = ann.assign (gkey b p) p in
+                    rows :=
+                      Tuple.concat [| Value.Int g; Value.Int !n |] (brow b p)
+                      :: !rows;
+                    incr n)
+                  b;
+                List.to_seq (List.rev !rows))
+              (run_child ())
+          in
+          let sorted = external_sort cfg cmp tagged in
+          if !n = 0 && global then empty_global ann ()
+          else
+            let heads = ann.heads () in
+            batches_of_seq ~arity ~batch_rows
+              (Seq.map
+                 (fun row ->
+                   Tuple.concat heads.(tag row.(0))
+                     (Array.sub row 2 (Array.length row - 2)))
+                 sorted)
+              ()
+        | None ->
+          let batches = Array.of_seq (run_child ()) in
+          let n =
+            Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches
+          in
+          let row_batch = Array.make n 0
+          and row_pos = Array.make n 0
+          and gids = Array.make n 0 in
+          let k = ref 0 in
+          Array.iteri
+            (fun bi b ->
+              cur := b;
+              Batch.iter_live
+                (fun p ->
+                  row_batch.(!k) <- bi;
+                  row_pos.(!k) <- p;
+                  gids.(!k) <- ann.assign (gkey b p) p;
+                  incr k)
+                b)
+            batches;
+          if n = 0 && global then empty_global ann ()
+          else
+            let heads = ann.heads () in
+            let order = grouped_order ~groups:(Array.length heads) gids in
+            let size = max 1 batch_rows in
+            Seq.init
+              ((n + size - 1) / size)
+              (fun bi ->
+                let start = bi * size in
+                let len = min size (n - start) in
+                let gather f = Array.init len (fun j -> f order.(start + j)) in
+                Batch.dense
+                  (Array.append
+                     (Array.init head_arity (fun c ->
+                          gather (fun r -> heads.(gids.(r)).(c))))
+                     (Array.init child_arity (fun c ->
+                          gather (fun r ->
+                              (Batch.col batches.(row_batch.(r)) c).(row_pos.(r))))))
+                  len)
+              ())
 
 and compile_batch_set_op cx kind all left right =
   let run_left = compile_batch cx left in
   let run_right = compile_batch cx right in
-  let narrow_rows keep b =
-    let sel = Batch.sel_array b in
-    let n = Batch.live b in
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      let p = sel.(i) in
-      if keep (brow b p) then begin
-        sel.(!m) <- p;
-        incr m
-      end
-    done;
-    if !m = 0 then None else Some (Batch.with_sel b sel !m)
-  in
+  let narrow_rows keep b = narrow_live (fun p -> keep (brow b p)) b in
   match kind, all with
   | Plan.Union, true -> fun () -> Seq.append (run_left ()) (run_right ())
   | Plan.Union, false ->
@@ -2319,7 +1888,8 @@ and compile_batch_set_op cx kind all left right =
             if Tuple.Hash.mem seen row then false
             else begin
               Tuple.Hash.replace seen row ();
-              budget_materialized ~what:"UNION" (Tuple.Hash.length seen);
+              budget_materialized cx.spill ~what:"UNION"
+                (Tuple.Hash.length seen);
               true
             end
           in
@@ -2340,7 +1910,7 @@ and compile_batch_set_op cx kind all left right =
                     match Tuple.Hash.find_opt counts row with
                     | Some c -> c
                     | None ->
-                      budget_materialized ~what:"INTERSECT/EXCEPT"
+                      budget_materialized cx.spill ~what:"INTERSECT/EXCEPT"
                         (Tuple.Hash.length counts + 1);
                       0
                   in
@@ -2376,7 +1946,8 @@ and compile_batch_set_op cx kind all left right =
             | Plan.Except, false ->
               if rc = 0 && not (Tuple.Hash.mem emitted row) then begin
                 Tuple.Hash.replace emitted row ();
-                budget_materialized ~what:"EXCEPT" (Tuple.Hash.length emitted);
+                budget_materialized cx.spill ~what:"EXCEPT"
+                  (Tuple.Hash.length emitted);
                 true
               end
               else false
@@ -2384,12 +1955,27 @@ and compile_batch_set_op cx kind all left right =
           in
           Seq.filter_map (narrow_rows keep) (run_left ()) ())
 
-(* ---- batch guardrails and root materialization -------------------- *)
+(* ------------------------------------------------------------------ *)
+(* Guardrails and root materialization                                 *)
+(* ------------------------------------------------------------------ *)
 
-(* Cancel-token checks move to batch boundaries: one [Token.charge] per
+(* The guard only wraps operators that can *create* row multiplicity —
+   sources, joins, aggregations, sorts, set ops, applies. Pass-through
+   nodes (Project/Filter/Limit) emit at most one row per guarded input
+   row, so wrapping them too would add a Seq.map per batch per node
+   without tightening the cancellation bound: every stream is charged at
+   its multiplicity source, and every operator (re)invocation — the
+   Apply case — re-checks the deadline at thunk start. *)
+let guard_this_node (node : Plan.t) =
+  match node with
+  | Plan.Project _ | Plan.Filter _ | Plan.Limit _ -> false
+  | _ -> true
+
+(* Cancel-token checks sit at batch boundaries: one [Token.charge] per
    batch (of its live row count) at every multiplicity-source node, plus a
    deadline check at operator start. Kill latency is bounded by one batch
-   per operator instead of [guard_interval] rows. *)
+   per operator. Installed only when the token is active — the unguarded
+   path compiles the exact same closures. *)
 let guard_bwrap (token : Token.t) : bwrapper =
  fun node thunk ->
   if not (guard_this_node node) then thunk
@@ -2402,6 +1988,14 @@ let guard_bwrap (token : Token.t) : bwrapper =
           b)
         (thunk ())
 
+let over_row_limit limit =
+  raise
+    (Perm_err.Cancel
+       ( Perm_err.Resource_exhausted,
+         Printf.sprintf "row limit exceeded (limit %d)" limit ))
+
+(* Root materialization: the one place every result passes through, so the
+   row-limit guardrail and the live row-progress counter live here. *)
 let materialize_batches ?row_limit ?progress (bs : Batch.t Seq.t) =
   let acc = ref [] in
   let count = ref 0 in
@@ -2416,48 +2010,6 @@ let materialize_batches ?row_limit ?progress (bs : Batch.t Seq.t) =
       List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
     bs;
   List.rev !acc
-
-let serial_cx ~provider ~batch_rows bwrap =
-  { provider; batch_rows; bwrap; builds = []; gather = None }
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let run_rows ?(token = Token.none) ?row_limit ?progress ?spill ~provider plan
-    =
-  Atomic.set current_spill spill;
-  let wrap = if Token.active token then guard_wrap token else no_wrap in
-  match
-    (* release any spill files an abandoned lazy consumer left behind
-       (LIMIT over a spilled sort never reaches the sort's own cleanup) *)
-    Fun.protect
-      ~finally:Spill.release_all
-      (fun () ->
-        materialize ?row_limit ?progress
-          ((compile ~provider ~wrap no_outer plan) ()))
-  with
-  | rows -> Ok rows
-  | exception Runtime_error msg -> Error msg
-
-let run ?(token = Token.none) ?row_limit ?progress ?batch_rows ?spill
-    ~provider plan =
-  Atomic.set current_spill spill;
-  match batch_rows with
-  | Some batch_rows when batch_rows > 0 && batch_supported plan -> (
-    let bwrap = if Token.active token then guard_bwrap token else no_bwrap in
-    match
-      materialize_batches ?row_limit ?progress
-        ((compile_batch (serial_cx ~provider ~batch_rows bwrap) plan) ())
-    with
-    | rows -> Ok rows
-    | exception Runtime_error msg -> Error msg
-    | exception Spill.Fallback_needed _ ->
-      (* the batch path refuses to materialize past the spill threshold;
-         the row path spills to disk instead *)
-      Spill.note_fallback ();
-      run_rows ~token ?row_limit ?progress ?spill ~provider plan)
-  | _ -> run_rows ~token ?row_limit ?progress ?spill ~provider plan
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented execution (EXPLAIN ANALYZE, \trace on)                 *)
@@ -2474,10 +2026,8 @@ type node_stats = {
   mutable stat_time_s : float;
   mutable stat_self_s : float;  (* exclusive time, derived by [finalize] *)
   mutable stat_peak_rows : int;  (* max rows out of a single invocation *)
-  mutable stat_peak_bytes : int;  (* peak_rows * estimated row width, or —
-                                     on the batch path — the exact measured
-                                     heap footprint of the largest batch *)
-  mutable stat_exact_bytes : bool;  (* peak_bytes measured, not estimated *)
+  mutable stat_peak_bytes : int;  (* measured heap footprint of the
+                                     largest batch *)
 }
 
 (* Stats are keyed by the physical identity of the plan node: the plan is a
@@ -2508,16 +2058,11 @@ let node_ids plan =
   in
   List.rev (walk [] plan)
 
-(* Coarse per-row width estimate for the peak-memory column: a tuple is an
-   array of boxed values — header + one word per field plus roughly one
-   boxed payload per field. *)
-let row_bytes node = 16 + (16 * List.length (Plan.schema node))
-
-(* Derive the per-node columns that need the whole tree: stable ids, self
-   time (inclusive minus the children's inclusive time — children of an
-   Apply right side re-run per outer row, and their cumulative time is
-   already cumulative across invocations, so the subtraction stays exact),
-   and the peak batch memory estimate. *)
+(* Derive the per-node columns that need the whole tree: stable ids and
+   self time (inclusive minus the children's inclusive time — children of
+   an Apply right side re-run per outer row, and their cumulative time is
+   already cumulative across invocations, so the subtraction stays
+   exact). *)
 let finalize stats plan =
   List.iter
     (fun (node, id) ->
@@ -2533,9 +2078,7 @@ let finalize stats plan =
               | None -> acc)
             0. (Plan.children node)
         in
-        ns.stat_self_s <- Float.max 0. (ns.stat_time_s -. child_s);
-        if not ns.stat_exact_bytes then
-          ns.stat_peak_bytes <- ns.stat_peak_rows * row_bytes node)
+        ns.stat_self_s <- Float.max 0. (ns.stat_time_s -. child_s))
     (node_ids plan)
 
 (* Per-base-relation view of the recorded stats: the leaf scans, labelled
@@ -2552,51 +2095,11 @@ let scan_stats stats =
 
 let now_s () = Perm_obs.Trace.now ()
 
-let instrumenting_wrap stats : wrapper =
- fun node thunk ->
-  let ns =
-    {
-      stat_kind = Plan.operator_kind node;
-      stat_id = -1;
-      stat_invocations = 0;
-      stat_rows = 0;
-      stat_time_s = 0.;
-      stat_self_s = 0.;
-      stat_peak_rows = 0;
-      stat_peak_bytes = 0;
-      stat_exact_bytes = false;
-    }
-  in
-  stats.entries <- (node, ns) :: stats.entries;
-  fun () ->
-    ns.stat_invocations <- ns.stat_invocations + 1;
-    let inv_rows = ref 0 in
-    let t0 = now_s () in
-    let seq = thunk () in
-    ns.stat_time_s <- ns.stat_time_s +. (now_s () -. t0);
-    (* time every pull: the measured interval covers this operator AND its
-       children (inclusive time, as in Postgres EXPLAIN ANALYZE) *)
-    let rec step s () =
-      let t0 = now_s () in
-      let cell = s () in
-      ns.stat_time_s <- ns.stat_time_s +. (now_s () -. t0);
-      match cell with
-      | Seq.Nil -> Seq.Nil
-      | Seq.Cons (x, rest) ->
-        ns.stat_rows <- ns.stat_rows + 1;
-        incr inv_rows;
-        if !inv_rows > ns.stat_peak_rows then ns.stat_peak_rows <- !inv_rows;
-        Seq.Cons (x, step rest)
-    in
-    step seq
-
-let compose_wrap (outer : wrapper) (inner : wrapper) : wrapper =
- fun node thunk -> outer node (inner node thunk)
-
-(* Batch-path instrumentation: rows accumulate by live count per batch, and
+(* Operator counters: rows accumulate by live count per batch, and
    peak_bytes is the exact reachable-heap footprint of the largest batch
-   the node emitted ([Batch.measured_bytes]) instead of the row-width
-   estimate — [finalize] leaves measured values untouched. *)
+   the node emitted ([Batch.measured_bytes]). Every pull is timed, so the
+   measured interval covers the operator AND its children (inclusive
+   time, as in Postgres EXPLAIN ANALYZE). *)
 let instrumenting_bwrap stats : bwrapper =
  fun node thunk ->
   let ns =
@@ -2609,7 +2112,6 @@ let instrumenting_bwrap stats : bwrapper =
       stat_self_s = 0.;
       stat_peak_rows = 0;
       stat_peak_bytes = 0;
-      stat_exact_bytes = true;
     }
   in
   stats.entries <- (node, ns) :: stats.entries;
@@ -2636,52 +2138,53 @@ let instrumenting_bwrap stats : bwrapper =
     in
     step seq
 
-let compose_bwrap (outer : bwrapper) (inner : bwrapper) : bwrapper =
- fun node thunk -> outer node (inner node thunk)
-
 (* The batch wrapper of one compile: operator counters when [stats] is
    given, under the cancel guard when the token is armed. *)
 let batch_wrap token stats =
   let w = match stats with Some s -> instrumenting_bwrap s | None -> no_bwrap in
-  if Token.active token then compose_bwrap (guard_bwrap token) w else w
+  if Token.active token then fun node thunk -> guard_bwrap token node (w node thunk)
+  else w
 
-let run_instrumented ?(token = Token.none) ?row_limit ?progress ?batch_rows
-    ?spill ~provider plan =
-  Atomic.set current_spill spill;
-  let row_path () =
-    let stats = { entries = [] } in
-    let wrap = instrumenting_wrap stats in
-    let wrap =
-      if Token.active token then compose_wrap (guard_wrap token) wrap else wrap
-    in
-    match
-      Fun.protect
-        ~finally:Spill.release_all
-        (fun () ->
-          materialize ?row_limit ?progress
-            ((compile ~provider ~wrap no_outer plan) ()))
-    with
-    | rows ->
-      finalize stats plan;
-      Ok (rows, stats)
-    | exception Runtime_error msg -> Error msg
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let statement_cx ?spill ~provider ~batch_rows bwrap =
+  {
+    provider;
+    batch_rows = max 1 batch_rows;
+    bwrap;
+    spill = spill_of spill;
+    outer = no_outer;
+    builds = [];
+    gather = None;
+  }
+
+(* Compile and drain [plan]. Spill files an abandoned lazy consumer left
+   behind (LIMIT over a spilled sort never reaches the sort's own
+   cleanup) are released when the statement ends, however it ends. *)
+let execute ?row_limit ?progress cx plan =
+  Fun.protect ~finally:Spill.release_all (fun () ->
+      materialize_batches ?row_limit ?progress ((compile_batch cx plan) ()))
+
+let run ?(token = Token.none) ?row_limit ?progress
+    ?(batch_rows = default_batch_rows) ?spill ~provider plan =
+  let cx = statement_cx ?spill ~provider ~batch_rows (batch_wrap token None) in
+  match execute ?row_limit ?progress cx plan with
+  | rows -> Ok rows
+  | exception Runtime_error msg -> Error msg
+
+let run_instrumented ?(token = Token.none) ?row_limit ?progress
+    ?(batch_rows = default_batch_rows) ?spill ~provider plan =
+  let stats = { entries = [] } in
+  let cx =
+    statement_cx ?spill ~provider ~batch_rows (batch_wrap token (Some stats))
   in
-  match batch_rows with
-  | Some batch_rows when batch_rows > 0 && batch_supported plan -> (
-    let stats = { entries = [] } in
-    let bwrap = batch_wrap token (Some stats) in
-    match
-      materialize_batches ?row_limit ?progress
-        ((compile_batch (serial_cx ~provider ~batch_rows bwrap) plan) ())
-    with
-    | rows ->
-      finalize stats plan;
-      Ok (rows, stats)
-    | exception Runtime_error msg -> Error msg
-    | exception Spill.Fallback_needed _ ->
-      Spill.note_fallback ();
-      row_path ())
-  | _ -> row_path ()
+  match execute ?row_limit ?progress cx plan with
+  | rows ->
+    finalize stats plan;
+    Ok (rows, stats)
+  | exception Runtime_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven parallel execution (Leis et al., SIGMOD 2014)         *)
@@ -2754,11 +2257,9 @@ let parallel_spine ~threshold ~table_rows plan =
       match here () with Ok _ as ok -> ok | Error _ -> find child)
     | _ -> here ()
   in
-  if not (batch_supported plan) then Error "apply"
-  else
-    match find plan with
-    | Ok sp when table_rows sp.sp_table < threshold -> Error "small"
-    | r -> r
+  match find plan with
+  | Ok sp when table_rows sp.sp_table < threshold -> Error "small"
+  | r -> r
 
 (* Fold one task's operator counters into the statement's: counts and
    times add up across morsels, peaks take the maximum. *)
@@ -2775,18 +2276,31 @@ let merge_stats into (task : exec_stats) =
         acc.stat_peak_bytes <- max acc.stat_peak_bytes ns.stat_peak_bytes)
     (List.rev task.entries)
 
+(* A spine join's build side is shared read-only by every morsel task, so
+   it cannot take the Grace join: past the spill threshold the gather
+   gives up and the engine re-runs the statement serially, where the
+   build spills in place. The flight recorder sees why. *)
+let shared_build cx join =
+  match compile_join_build cx join () with
+  | Built jb -> jb
+  | Over_budget { cfg; _ } ->
+    let reason =
+      Printf.sprintf
+        "parallel join build passed the spill threshold %d"
+        cfg.Spill.threshold
+    in
+    Spill.observe "fallback-reason" reason;
+    raise (Spill.Fallback_needed reason)
+
 let run_parallel ?(token = Token.none) ?row_limit ?progress ?spill
     ?(instrument = false) ~pool ~batch_rows ~provider spine plan =
-  Atomic.set current_spill spill;
   let stats = if instrument then Some { entries = [] } else None in
-  let cx = serial_cx ~provider ~batch_rows (batch_wrap token stats) in
+  let cx = statement_cx ?spill ~provider ~batch_rows (batch_wrap token stats) in
   let report = ref None in
   let gathered () =
     Token.check token;
-    let builds =
-      List.map (fun j -> (j, compile_join_build cx j ())) spine.sp_joins
-    in
-    let image = provider.scan_batches spine.sp_table batch_rows in
+    let builds = List.map (fun j -> (j, shared_build cx j)) spine.sp_joins in
+    let image = provider.scan_batches spine.sp_table cx.batch_rows in
     let nb = Array.length image in
     (* whole batches per morsel, about four morsels per domain so fast
        workers can steal the tail *)
@@ -2829,9 +2343,7 @@ let run_parallel ?(token = Token.none) ?row_limit ?progress ?spill
     Seq.concat_map List.to_seq (Array.to_seq outs)
   in
   let cx = { cx with gather = Some (spine.sp_root, gathered) } in
-  match
-    materialize_batches ?row_limit ?progress ((compile_batch cx plan) ())
-  with
+  match execute ?row_limit ?progress cx plan with
   | rows ->
     Option.iter (fun s -> finalize s plan) stats;
     (* every operator above the spine pulls its input, so the gather ran *)

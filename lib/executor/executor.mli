@@ -1,11 +1,19 @@
 (** Plan execution (paper Fig. 3, "Executor").
 
-    Interprets logical algebra plans directly over in-memory relations:
-    hash joins for equi- and null-safe-equality predicates (the shape the
-    provenance rewriter emits for its rejoin rules), nested-loop fallback,
-    hash aggregation and duplicate elimination, bag-semantics set
+    One plan walker runs every statement, original or provenance-rewritten:
+    operators exchange columnar batches. It provides hash joins for equi-
+    and null-safe-equality predicates (the shape the provenance rewriter
+    emits for its rejoin rules), with a nested-loop fallback. It also
+    provides hash aggregation and duplicate elimination, bag-semantics set
     operations, stable sorting, and correlated [Apply] evaluation for
-    de-correlated subqueries.
+    subqueries that resist decorrelation.
+
+    Row order is part of the contract, whatever the batch size:
+    - joins emit left rows in order, each with its matches in right
+      order; a FULL join appends its unmatched right rows in right order;
+    - aggregates and DISTINCT emit groups in first-seen order;
+    - sorts are stable;
+    - [Apply] evaluates its right side once per left row, in order.
 
     Plans must be marker-free: [Plan.Prov] nodes are rejected (the engine
     always runs the provenance rewriter first); stray [Baserel]/[External]
@@ -18,18 +26,15 @@
 exception Runtime_error of string
 
 type provider = {
-  scan_table : string -> Perm_storage.Tuple.t Seq.t;
-      (** full scan of a base table *)
   probe_index : string -> int -> Perm_value.Value.t -> Perm_storage.Tuple.t Seq.t;
       (** [probe_index table col key]: rows whose column [col] equals [key]
           — backs [Plan.Index_scan]; only called for indexes the planner
           saw in its statistics *)
   scan_batches : string -> int -> Perm_storage.Batch.t array;
       (** [scan_batches table rows]: the table as columnar batches of at
-          most [rows] rows each, in scan order; their live tuples must
-          reproduce [scan_table]. Storage backends may serve a cached
-          columnar image — callers must never mutate the column arrays.
-          Backs the vectorized path's [Plan.Scan]. *)
+          most [rows] rows each, in scan order. Storage backends may serve
+          a cached columnar image — callers must never mutate the column
+          arrays. Backs [Plan.Scan]. *)
 }
 
 val batches_of_list :
@@ -41,12 +46,11 @@ val batches_of_list :
     [scan_batches] implementation for providers without columnar storage. *)
 
 val default_batch_rows : int
-(** Default batch size for the vectorized path (rows per columnar batch). *)
+(** Default batch size (rows per columnar batch). *)
 
 val batch_eligible : Perm_algebra.Plan.t -> bool
-(** [true] when the whole plan can run on the vectorized batch path: any
-    correlated [Apply] (or stray [Prov] marker) anywhere in the tree forces
-    the row-at-a-time fallback. *)
+(** [true] for every marker-free plan, i.e. every plan the executor can
+    run. Kept for callers that tag plan hashes by execution path. *)
 
 val run :
   ?token:Perm_err.Token.t ->
@@ -61,39 +65,39 @@ val run :
     order. Runtime errors (division by zero, failing casts, scalar
     subqueries returning several rows) are returned as [Error].
 
-    When [spill] is given, materializing operators on the row path degrade
-    gracefully past [spill.threshold] rows: sorts become external merge
-    sorts and hash-join build sides are chunked onto temp files, with
-    results byte-identical to the in-memory path. The batch path instead
-    raises {!Perm_storage.Spill.Fallback_needed} internally and re-runs on
-    the spilling row path (counted by the [executor.spill.*] metrics).
-    Callers that arm a tuple budget on [token] should omit [spill] — and
-    vice versa: the spill threshold replaces the budget's hard kill.
+    Operators exchange columnar batches of at most [batch_rows] rows
+    (default {!default_batch_rows}; column arrays + a selection vector):
+    filters narrow the selection vector with kernels specialized on the
+    compared constant, projections of plain attributes share column
+    pointers, joins expand matches out of line, and aggregation feeds
+    group states from column reads. Results, row order included, are the
+    same for every batch size. A correlated [Apply] compiles its right
+    side once and re-runs it per left row, reading the left row's values
+    through an outer resolver fixed at compile time.
 
-    When [batch_rows] is given (and positive) and the plan is
-    {!batch_eligible}, operators exchange columnar batches of at most
-    [batch_rows] rows (column arrays + a selection vector) instead of
-    pulling tuples one at a time: filters narrow the selection vector with
-    kernels specialized on the compared constant, projections of plain
-    attributes share column pointers, joins expand matches out of line,
-    and aggregation feeds group states from column reads. Every kernel
-    applies the same [Value] operations in the same row order as the row
-    path, so results are byte-identical regardless of batch size. With an
-    active [token], the batch path checks it at operator start and charges
-    it per batch (of its live row count) — cancel latency is bounded by
-    one batch per operator.
+    When [spill] is given, materializing operators degrade gracefully past
+    [spill.threshold] rows: sorts become external merge sorts, hash-join
+    build sides are chunked onto temp files (a Grace join), and group
+    annotation sorts tagged rows externally, with results byte-identical
+    to the in-memory operators (counted by the [executor.spill.*]
+    metrics). State no operator can spill (hash-aggregate groups,
+    DISTINCT and set-op tables) dies with [Resource_exhausted] past the
+    threshold instead. Callers that arm a tuple budget on [token] should
+    omit [spill] — and vice versa: the spill threshold replaces the
+    budget's hard kill. Temp files are released when the statement ends.
 
     When [progress] is given, every row materialized at the plan root
     bumps its lock-free row counter, so another domain can sample live
     progress while the statement runs.
 
-    Guardrails: when [token] is active, every operator charges the token
-    in batches of a few hundred rows, so a deadline/budget/manual cancel
-    surfaces as {!Perm_err.Cancel} within a bounded number of tuples;
-    [row_limit] kills the statement (also via [Cancel], kind
-    [Resource_exhausted]) once the root produces more rows than allowed.
-    [Cancel] and {!Perm_fault.Injected} deliberately escape as exceptions:
-    only the engine boundary maps them into its typed error result. *)
+    Guardrails: when [token] is active, every operator that can create
+    rows checks it at start and charges it once per batch (of its live
+    row count), so a deadline/budget/manual cancel surfaces as
+    {!Perm_err.Cancel} within one batch per operator; [row_limit] kills
+    the statement (also via [Cancel], kind [Resource_exhausted]) once the
+    root produces more rows than allowed. [Cancel] and
+    {!Perm_fault.Injected} deliberately escape as exceptions: only the
+    engine boundary maps them into its typed error result. *)
 
 (** {1 Instrumented execution}
 
@@ -119,15 +123,11 @@ type node_stats = {
       (** exclusive wall-clock seconds: inclusive time minus the
           children's inclusive time, clamped at 0 *)
   mutable stat_peak_rows : int;
-      (** max rows produced by a single invocation — the largest batch
-          this operator streamed *)
+      (** max rows produced by a single invocation *)
   mutable stat_peak_bytes : int;
-      (** peak batch memory: on the row path, [stat_peak_rows] times an
-          estimated row width; on the vectorized path, the exact measured
-          heap footprint of the largest batch the operator emitted *)
-  mutable stat_exact_bytes : bool;
-      (** [true] when [stat_peak_bytes] was measured ([Obj.reachable_words]
-          per batch, vectorized path) rather than estimated *)
+      (** peak batch memory: the measured heap footprint
+          ([Obj.reachable_words]) of the largest batch the operator
+          emitted *)
 }
 
 type exec_stats
@@ -142,8 +142,7 @@ val run_instrumented :
   Perm_algebra.Plan.t ->
   (Perm_storage.Tuple.t list * exec_stats, string) result
 (** Like {!run} with per-operator counters. On success the stats are
-    finalized: node ids assigned, self times and peak-memory estimates
-    derived. *)
+    finalized: node ids assigned and self times derived. *)
 
 val lookup : exec_stats -> Perm_algebra.Plan.t -> node_stats option
 (** Stats for one plan node, matched by physical identity — pass the same
@@ -204,8 +203,9 @@ val parallel_spine :
     joins must be Inner, Cross, Left, Semi or Anti (entered through their
     left input), it must contain a Filter or a Join, and the driving table
     must hold at least [threshold] rows ([table_rows]). [Error] carries
-    the fallback reason: ["apply"] (the plan is not {!batch_eligible}),
-    ["outer-join"], ["index-scan"], ["values"], ["shape"] or ["small"]. *)
+    the fallback reason: ["outer-join"], ["index-scan"], ["values"],
+    ["shape"] (including a correlated [Apply] where the spine would be)
+    or ["small"]. *)
 
 val run_parallel :
   ?token:Perm_err.Token.t ->
@@ -226,9 +226,11 @@ val run_parallel :
     caller. [row_limit] and [progress] rows apply at the root as in
     {!run}; [progress] also counts morsels. With [instrument] each task
     keeps its own operator counters, merged into the returned stats
-    (finalized as by {!run_instrumented}) after the fan-out. The batch
-    path does not spill: past the [spill] threshold a build side or sort
-    raises {!Perm_storage.Spill.Fallback_needed} for a serial retry. *)
+    (finalized as by {!run_instrumented}) after the fan-out. Operators
+    above the gather spill in place as in {!run}, but a spine join's
+    build side, shared by every task, cannot: past the [spill] threshold
+    it raises {!Perm_storage.Spill.Fallback_needed} — the only place the
+    executor raises it — so the engine retries serially. *)
 
 val eval_const : Perm_algebra.Expr.t -> (Perm_value.Value.t, string) result
 (** Evaluates a closed expression (no attribute references) — INSERT rows,

@@ -134,7 +134,6 @@ let check_settings json =
   let* _ = int_field path "parallel" json in
   let* _ = int_field path "parallel_threshold" json in
   let* _ = int_field path "batch_rows" json in
-  let* _ = bool_field path "vectorized" json in
   let* _ = num_field path "timeout_ms" json in
   let* _ = int_field path "row_limit" json in
   let* _ = int_field path "tuple_budget" json in

@@ -1,12 +1,13 @@
 (* Graceful spill-to-disk for memory-hungry operators.
 
    When the governor's tuple budget would otherwise kill a statement, the
-   executor's serial row path degrades instead: sort materializations
-   become external merge sorts and hash-join build sides are split into
-   budget-sized chunks, both backed by temp files created here. The batch
-   and parallel paths do not spill themselves — they raise
-   {!Fallback_needed} and the engine re-runs the statement on the spilling
-   row path (counted by the [fallbacks] counter).
+   executor's batch operators degrade instead: sort materializations
+   become external merge sorts, hash-join build sides are split into
+   budget-sized chunks, and group annotation sorts tagged rows through the
+   same external merge, all backed by temp files created here. Only the
+   parallel gather, whose join builds are shared by every morsel task,
+   does not spill: it raises {!Fallback_needed} and the engine re-runs the
+   statement on the serial path (counted by the [fallbacks] counter).
 
    Files hold marshalled OCaml values, one per [push]; they are private to
    the process and never survive it, so the representation does not need
@@ -19,8 +20,8 @@ type config = {
 }
 
 exception Fallback_needed of string
-(** Raised by the batch/parallel paths when a materialization exceeds
-    [threshold]: the engine catches it and retries on the serial row path,
+(** Raised by the parallel gather when a shared join build exceeds
+    [threshold]: the engine catches it and retries on the serial path,
     which spills instead of raising. *)
 
 (* ---- process-global accounting ----------------------------------- *)
@@ -30,7 +31,7 @@ let n_runs = Atomic.make 0 (* external-sort run files *)
 let n_chunks = Atomic.make 0 (* join build chunks *)
 let n_rows = Atomic.make 0 (* values written to spill files *)
 let n_bytes = Atomic.make 0 (* bytes written to spill files *)
-let n_fallbacks = Atomic.make 0 (* batch/parallel plans re-run on the row path *)
+let n_fallbacks = Atomic.make 0 (* parallel plans re-run serially *)
 
 type counters = {
   c_spills : int;
@@ -82,7 +83,7 @@ let note_fallback () =
 
 (* A file moves through exactly two phases: write-only (push), then
    read-only after [rewind]. Single-domain use only — spilling happens on
-   the engine's serial row path. *)
+   the domain that runs the statement, never in a morsel task. *)
 type 'a file = {
   path : string;
   mutable oc : out_channel option;
@@ -94,8 +95,10 @@ type 'a file = {
 (* Every live file is tracked so an abandoned lazy consumer (e.g. LIMIT
    over a spilled sort) cannot leak temp files past the statement: the
    executor's entry points call [release_all] when the statement
-   finishes. *)
-let live : (unit -> unit) list ref = ref []
+   finishes. The list is per domain, so a statement ending on one domain
+   never releases the files of a statement still running on another. *)
+let live_key : (unit -> unit) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then
@@ -123,6 +126,7 @@ let create cfg =
   let file =
     { path; oc = Some (open_out_bin path); ic = None; count = 0; released = false }
   in
+  let live = Domain.DLS.get live_key in
   live := (fun () -> release file) :: !live;
   file
 
@@ -154,6 +158,7 @@ let next file =
   | Some ic -> ( try Some (Marshal.from_channel ic) with End_of_file -> None)
 
 let release_all () =
+  let live = Domain.DLS.get live_key in
   let fs = !live in
   live := [];
   List.iter (fun f -> f ()) fs

@@ -30,6 +30,18 @@ let attr_tests =
         Alcotest.(check string) "name" "y" b.Attr.name;
         Alcotest.(check bool) "type" true (Dtype.equal b.Attr.ty Dtype.Int);
         Alcotest.(check bool) "id" false (Attr.equal a b));
+    case "fresh ids stay unique across domains" (fun () ->
+        let n = 200_000 in
+        let mint () = Array.init n (fun _ -> (a_int "x").Attr.id) in
+        let other = Domain.spawn mint in
+        let mine = mint () in
+        let ids = Array.append mine (Domain.join other) in
+        Array.sort Int.compare ids;
+        let dups = ref 0 in
+        for k = 1 to Array.length ids - 1 do
+          if ids.(k) = ids.(k - 1) then incr dups
+        done;
+        Alcotest.(check int) "duplicate ids" 0 !dups);
   ]
 
 let expr_tests =

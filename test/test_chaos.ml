@@ -241,12 +241,11 @@ let suite_determinism =
           "replayed schedule matches" a b);
   ]
 
-(* Batch-boundary guarantees of the vectorized path: the cancel token is
+(* Batch-boundary guarantees of the executor: the cancel token is
    checked at operator start and charged once per emitted batch, so a
    governor kill lands within a bounded number of batches; fault points
    trip per operator invocation, so the injection schedule is a function
-   of the seed alone — not of the batch size, and not of whether the
-   statement ran on the row or the batch path. *)
+   of the seed alone — not of the batch size. *)
 let suite_batch =
   let expect_timeout e ~bound_ms sql =
     Engine.set_statement_timeout e bound_ms;
@@ -269,13 +268,12 @@ let suite_batch =
       (elapsed_ms <= 2. *. bound_ms)
   in
   [
-    case "fault schedule identical across batch sizes and vs the row path"
+    case "fault schedule identical across batch sizes 1/7/1024"
       (fun () ->
-        let outcomes ~vectorized ~batch_rows =
+        let outcomes ~batch_rows =
           let e = engine () in
           Perm_workload.Forum.load_scaled e ~messages:100 ~users:5 ();
           Engine.set_parallel e Engine.Par_off;
-          Engine.set_vectorized e vectorized;
           Engine.set_batch_rows e batch_rows;
           Fault.reset ();
           Fault.set_seed seed;
@@ -292,20 +290,18 @@ let suite_batch =
           Fault.reset ();
           (kinds, injected)
         in
-        let row_path = outcomes ~vectorized:false ~batch_rows:1024 in
+        let first = outcomes ~batch_rows:1 in
         List.iter
           (fun n ->
             Alcotest.(check (pair (list string) int))
-              (Printf.sprintf "batch_rows=%d replays the row-path schedule" n)
-              row_path
-              (outcomes ~vectorized:true ~batch_rows:n))
-          [ 1; 7; 1024 ]);
+              (Printf.sprintf "batch_rows=%d replays the batch_rows=1 schedule" n)
+              first (outcomes ~batch_rows:n))
+          [ 7; 1024 ]);
     case "timeout on the serial batch path: killed within 2x at batch bounds"
       (fun () ->
         let e = engine () in
         Perm_workload.Forum.load_scaled e ~messages:400 ~users:3 ();
         Engine.set_parallel e Engine.Par_off;
-        Engine.set_vectorized e true;
         Engine.set_batch_rows e 64;
         expect_timeout e ~bound_ms:250.
           "SELECT m1.mid + m2.mid + m3.mid FROM messages m1, messages m2, \
@@ -317,7 +313,6 @@ let suite_batch =
         let e = engine () in
         Perm_workload.Forum.load_scaled e ~messages:3000 ~users:3 ();
         go_parallel e;
-        Engine.set_vectorized e true;
         Engine.set_batch_rows e 64;
         expect_timeout e ~bound_ms:400.
           "SELECT PROVENANCE m1.text, m2.text FROM messages m1, messages m2 \

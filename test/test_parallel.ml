@@ -162,18 +162,8 @@ let suite_fallback =
         go_parallel e;
         ignore (query_ok e sql);
         Alcotest.(check int) "did not parallelize" before (par_queries e);
-        Alcotest.(check bool) "apply fallback recorded" true
-          (Metrics.counter (Engine.metrics e) "executor.par.fallback.apply" > 0);
-        Engine.close e);
-    case "vectorized off stays serial (row_path fallback)" (fun () ->
-        let e = forum_engine () in
-        go_parallel e;
-        Engine.set_vectorized e false;
-        ignore (query_ok e eligible);
-        Alcotest.(check int) "no parallel queries" 0 (par_queries e);
-        Alcotest.(check bool) "row_path fallback recorded" true
-          (Metrics.counter (Engine.metrics e) "executor.par.fallback.row_path"
-          > 0);
+        Alcotest.(check bool) "shape fallback recorded" true
+          (Metrics.counter (Engine.metrics e) "executor.par.fallback.shape" > 0);
         Engine.close e);
     case "set operations fall back serially" (fun () ->
         let e = forum_engine () in

@@ -8,7 +8,9 @@
          result row reproduces that row (sufficiency);
    (iv)  the optimizer preserves semantics;
    (v)   both aggregation rewrite strategies agree;
-   (vi)  eager (STORE PROVENANCE) equals lazy (SELECT PROVENANCE). *)
+   (vi)  eager (STORE PROVENANCE) equals lazy (SELECT PROVENANCE);
+   (vii) the executor agrees, as a multiset, with the naive reference
+         evaluator of the test kit on q and on q+. *)
 
 module Engine = Perm_engine.Engine
 module Planner = Perm_planner.Planner
@@ -388,6 +390,14 @@ let prop_eager_equals_lazy (db, q) =
   let lazy_ = List.sort compare (rows_of e (provenance_sql q)) in
   eager = lazy_
 
+let prop_reference_evaluator (db, q) =
+  with_db db @@ fun e ->
+  List.for_all
+    (fun sql ->
+      List.sort compare (rows_of e sql)
+      = List.sort compare (Perm_testkit.Reference.rows e sql))
+    [ q.sql; provenance_sql q ]
+
 let t name count prop = qcheck (QCheck.Test.make ~name ~count arb_case prop)
 
 let () =
@@ -401,5 +411,7 @@ let () =
           t "(iv) optimizer preserves provenance semantics" 100 prop_optimizer_equivalence;
           t "(v) aggregation strategies agree" 100 prop_strategies_agree;
           t "(vi) eager equals lazy" 80 prop_eager_equals_lazy;
+          t "(vii) executor agrees with the reference evaluator" 150
+            prop_reference_evaluator;
         ] );
     ]

@@ -33,10 +33,6 @@ let s_rows = [ [ i 2; s "u" ]; [ i 3; s "v" ]; [ i 3; s "w" ]; [ i 9; nl ] ]
 
 let provider : Executor.provider =
   {
-    Executor.scan_table =
-      (fun table ->
-        List.to_seq
-          (List.map row (if table = "r" then r_rows else s_rows)));
     Executor.probe_index = (fun _ _ _ -> Seq.empty);
     Executor.scan_batches =
       (fun table rows ->

@@ -1,9 +1,11 @@
 (* Graceful spill-to-disk: when a statement's working set crosses the
    tuple budget and spill is on (the default), hash-join builds go
-   through chunked disk partitions and sort materializations through an
-   external merge — and the results must be BYTE-IDENTICAL to the
-   in-memory path, across batch sizes and serial/parallel execution
-   (the parallel path falls back to the serial spilling path).
+   through chunked disk partitions (a Grace join), sort materializations
+   and group annotations through an external merge — in place, inside the
+   batch operators — and the results must be BYTE-IDENTICAL to the row
+   oracle (the naive reference evaluator of the test kit), across batch
+   sizes and serial/parallel execution. Only a parallel statement whose
+   shared join build passes the budget re-runs serially.
 
    With spill off the budget reverts to a hard [Resource_exhausted]
    kill — the pre-spill governor contract, still exercised by
@@ -13,9 +15,16 @@ module Engine = Perm_engine.Engine
 module Metrics = Perm_obs.Metrics
 module Spill = Perm_storage.Spill
 module Err = Perm_err
+module Reference = Perm_testkit.Reference
 open Perm_testkit.Kit
 
-let domains = 2
+(* CI reruns this suite under a PERM_BATCH_ROWS x PERM_PARALLEL matrix:
+   the engine reads the batch size, the parallel arms use the domain
+   count. *)
+let domains =
+  match Option.bind (Sys.getenv_opt "PERM_PARALLEL") int_of_string_opt with
+  | Some n when n >= 1 -> n
+  | _ -> 2
 
 let forum_scaled ?(messages = 600) ?(users = 6) () =
   let e = engine () in
@@ -42,14 +51,17 @@ let rows_of e sql =
   let rs = query_ok e sql in
   (rs.Engine.columns, strings_of_rows rs.Engine.rows)
 
-(* In-memory reference results: no budget, no spill pressure. *)
-let reference () =
+(* Reference results, with no budget and no spill pressure: the columns
+   the engine names and the rows of the row oracle. *)
+let reference ?(sqls = battery) () =
   let e = forum_scaled () in
-  let rows = List.map (rows_of e) battery in
+  let rows =
+    List.map (fun sql -> (fst (rows_of e sql), Reference.rows e sql)) sqls
+  in
   Engine.close e;
   rows
 
-let check_identical ~label e =
+let check_identical ?(sqls = battery) ~label e =
   List.iter2
     (fun sql (ref_cols, ref_rows) ->
       let cols, rows = rows_of e sql in
@@ -61,7 +73,7 @@ let check_identical ~label e =
       Alcotest.(check rows_testable)
         (Printf.sprintf "%s: %s" label sql)
         ref_rows rows)
-    battery (reference ())
+    sqls (reference ~sqls ())
 
 (* A budget small enough that every battery query crosses it. *)
 let tiny_budget = 150
@@ -73,12 +85,19 @@ let spill_engine () =
   Alcotest.(check bool) "spill defaults on" true (Engine.spill_enabled e);
   e
 
+let spills () = (Spill.counters ()).Spill.c_spills
+let fallbacks () = (Spill.counters ()).Spill.c_fallbacks
+
+let go_parallel e =
+  Engine.set_parallel e (Engine.Par_domains domains);
+  Engine.set_parallel_threshold e 1
+
 let test_serial_identity () =
   let e = spill_engine () in
+  let before = fallbacks () in
   check_identical ~label:"serial spill" e;
-  Alcotest.(check bool) "statements actually spilled" true
-    (let c = Spill.counters () in
-     c.Spill.c_spills > 0);
+  Alcotest.(check bool) "statements actually spilled" true (spills () > 0);
+  Alcotest.(check int) "serial statements spill in place" before (fallbacks ());
   Engine.close e
 
 let test_batch_sizes () =
@@ -90,18 +109,21 @@ let test_batch_sizes () =
       Engine.close e)
     [ 1; 7 ]
 
-let test_row_path_identity () =
-  let e = spill_engine () in
-  Engine.set_vectorized e false;
-  check_identical ~label:"row path" e;
-  Engine.close e
-
 let test_parallel_identity () =
   let e = spill_engine () in
-  Engine.set_parallel e (Engine.Par_domains domains);
-  Engine.set_parallel_threshold e 1;
+  go_parallel e;
   Engine.set_batch_rows e (min (Engine.batch_rows e) 64);
-  check_identical ~label:"parallel (spill fallback)" e;
+  check_identical ~label:"parallel" e;
+  (* a spine join whose shared build side passes the budget: the one
+     retry runs serially, where the build spills in place *)
+  let before = fallbacks () in
+  check_identical ~label:"parallel retry" e
+    ~sqls:
+      [
+        "SELECT m1.mid, m2.text FROM messages m1 JOIN messages m2 ON \
+         m1.mid = m2.mid WHERE m1.uid > 2";
+      ];
+  Alcotest.(check int) "retried serially once" (before + 1) (fallbacks ());
   Engine.close e
 
 let test_completes_where_kill_would_fire () =
@@ -115,7 +137,7 @@ let test_completes_where_kill_would_fire () =
     Option.value ~default:0. (Metrics.gauge (Engine.metrics e) name)
   in
   Alcotest.(check bool) "spill metric counted" true
-    (gauge "executor.spill.spills" > 0. || gauge "executor.spill.fallbacks" > 0.);
+    (gauge "executor.spill.spills" > 0.);
   Engine.set_spill e false;
   (match Engine.execute_err e sql with
   | Ok _ -> Alcotest.fail "spill off should restore the hard kill"
@@ -127,7 +149,7 @@ let test_completes_where_kill_would_fire () =
   ignore (query_ok e sql);
   Engine.close e
 
-(* With spill on, state no path can spill — hash-aggregate groups,
+(* With spill on, state no operator can spill — hash-aggregate groups,
    DISTINCT and set-op tables — still enforces the budget as a hard
    ceiling at the materialization point: the budget is never silently
    ignored. Spillable shapes and low-cardinality aggregates over inputs
@@ -163,36 +185,21 @@ let non_spillable_ceiling ~label setup =
 
 let test_budget_hard_ceiling () =
   non_spillable_ceiling ~label:"batch" (fun _ -> ());
-  non_spillable_ceiling ~label:"row" (fun e -> Engine.set_vectorized e false);
+  non_spillable_ceiling ~label:"batch 7" (fun e -> Engine.set_batch_rows e 7);
   non_spillable_ceiling ~label:"parallel" (fun e ->
-      Engine.set_parallel e (Engine.Par_domains domains);
-      Engine.set_parallel_threshold e 1;
+      go_parallel e;
       Engine.set_batch_rows e (min (Engine.batch_rows e) 64))
 
-(* A provenance aggregate over a row-preserving input runs as one
-   GroupAnnotate pass that must hold every input row. Past the budget the
-   batch path hands off to the row path, which sorts the rows by (group,
-   input position) through the external merge instead: same rows, same
-   order. With spill off the budget kills it. *)
-let test_group_annotate_budget () =
-  let sqls =
-    [
-      "SELECT PROVENANCE uid, count(*), avg(mid * 0.5) FROM messages GROUP BY uid";
-      "SELECT PROVENANCE m.uid, count(*) FROM messages m JOIN users u ON \
-       m.uid = u.uid GROUP BY m.uid HAVING count(*) > 1";
-    ]
-  in
-  let reference =
-    let e = forum_scaled () in
-    let rows = List.map (rows_of e) sqls in
-    Engine.close e;
-    rows
-  in
+(* Degrades in place at batch rows 1/7/1024, matching the row oracle,
+   without a single serial fallback; parallel runs match too. With spill
+   off the budget kills every statement. *)
+let spills_in_place sqls =
+  let reference = reference ~sqls () in
   List.iter
-    (fun (label, setup) ->
+    (fun (label, setup, serial) ->
       let e = spill_engine () in
       setup e;
-      let before = (Spill.counters ()).Spill.c_spills in
+      let spilled = spills () and fell_back = fallbacks () in
       List.iter2
         (fun sql (ref_cols, ref_rows) ->
           let cols, rows = rows_of e sql in
@@ -200,20 +207,81 @@ let test_group_annotate_budget () =
             ref_cols cols;
           Alcotest.(check rows_testable) (label ^ ": " ^ sql) ref_rows rows)
         sqls reference;
-      Alcotest.(check bool) (label ^ ": spilled") true
-        ((Spill.counters ()).Spill.c_spills > before);
+      Alcotest.(check bool) (label ^ ": spilled") true (spills () > spilled);
+      if serial then
+        Alcotest.(check int) (label ^ ": no serial fallback") fell_back
+          (fallbacks ());
       Engine.set_spill e false;
       List.iter (expect_exhausted ~label:(label ^ ", spill off") e) sqls;
       Engine.close e)
+    (List.map
+       (fun n ->
+         (Printf.sprintf "batch %d" n, (fun e -> Engine.set_batch_rows e n), true))
+       [ 1; 7; 1024 ]
+    @ [
+        ( "parallel",
+          (fun e ->
+            go_parallel e;
+            Engine.set_batch_rows e 7),
+          false );
+      ])
+
+(* A provenance aggregate over a row-preserving input runs as one
+   GroupAnnotate pass that must hold every input row; past the budget it
+   sorts the rows by (group, input position) through the external merge
+   instead: same rows, same order. *)
+let test_group_annotate_budget () =
+  spills_in_place
     [
-      ("batch", fun _ -> ());
-      ("row", fun e -> Engine.set_vectorized e false);
-      ( "parallel",
-        fun e ->
-          Engine.set_parallel e (Engine.Par_domains domains);
-          Engine.set_parallel_threshold e 1;
-          Engine.set_batch_rows e 7 );
+      "SELECT PROVENANCE uid, count(*), avg(mid * 0.5) FROM messages GROUP BY uid";
+      "SELECT PROVENANCE m.uid, count(*) FROM messages m JOIN users u ON \
+       m.uid = u.uid GROUP BY m.uid HAVING count(*) > 1";
     ]
+
+(* A correlated subquery whose right side sorts past the budget: the sort
+   spills once per left row. *)
+let test_apply_sort_budget () =
+  spills_in_place
+    [
+      "SELECT u.name, (SELECT m.mid FROM messages m WHERE m.uid <> u.uid \
+       ORDER BY m.text DESC, m.mid LIMIT 1) FROM users u";
+    ]
+
+(* Spill configuration is per statement, not per process: two engines on
+   two domains run the battery at the same time, one spilling under a
+   tiny budget, the other with spill off under the same budget. Each gets
+   exactly its solo outcomes, and the spill-off engine still dies with
+   Resource_exhausted. *)
+let test_two_engines_two_domains () =
+  let outcomes ~spill () =
+    let e = forum_scaled () in
+    Engine.set_tuple_budget e tiny_budget;
+    Engine.set_spill e spill;
+    let out =
+      List.concat_map
+        (fun _ ->
+          List.map
+            (fun sql ->
+              match Engine.execute_err e sql with
+              | Ok (Engine.Rows rs) -> strings_of_rows rs.Engine.rows
+              | Ok _ -> [ [ "not rows" ] ]
+              | Error err -> [ [ Err.kind_label err.Err.kind ] ])
+            battery)
+        [ 1; 2; 3 ]
+    in
+    Engine.close e;
+    out
+  in
+  let solo_on = outcomes ~spill:true () and solo_off = outcomes ~spill:false () in
+  List.iter
+    (fun o ->
+      Alcotest.(check (list (list string))) "spill off dies" [ [ "resource_exhausted" ] ] o)
+    solo_off;
+  let other = Domain.spawn (outcomes ~spill:false) in
+  let on = outcomes ~spill:true () in
+  let off = Domain.join other in
+  Alcotest.(check (list rows_testable)) "spill-on engine = solo" solo_on on;
+  Alcotest.(check (list rows_testable)) "spill-off engine = solo" solo_off off
 
 let test_spill_dir_honoured () =
   let dir = Filename.temp_file "perm_spill_dir" "" in
@@ -239,7 +307,6 @@ let () =
         [
           case "serial spill = in-memory, byte for byte" test_serial_identity;
           case "batch sizes 1 and 7" test_batch_sizes;
-          case "row-at-a-time path" test_row_path_identity;
           case "parallel falls back and matches" test_parallel_identity;
         ] );
       ( "degradation",
@@ -249,5 +316,9 @@ let () =
           case "spill dir honoured and cleaned" test_spill_dir_honoured;
           case "provenance aggregate annotation degrades past the budget"
             test_group_annotate_budget;
+          case "correlated subquery sorts past the budget in place"
+            test_apply_sort_budget;
+          case "two engines on two domains keep their own spill config"
+            test_two_engines_two_domains;
         ] );
     ]

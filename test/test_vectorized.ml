@@ -1,16 +1,19 @@
-(* Vectorized batch-at-a-time execution.
+(* Batch-at-a-time execution against the row oracle.
 
-   The row-at-a-time closures are the correctness oracle: with
-   vectorization on, every query must return byte-identical rows in
-   identical order — across adversarial batch sizes (1, 7, and the
+   The row oracle is the naive reference evaluator in the test kit
+   ([Reference]): it runs the same optimized plan over plain lists of
+   rows, one row at a time. Every query must return byte-identical rows
+   in identical order — across adversarial batch sizes (1, 7, and the
    default), on the serial path and on the parallel path at the
    PERM_PARALLEL domain count (CI runs 1, 2 and 4), including the
-   provenance rewrites (influence + copy, lazy and eager). *)
+   provenance rewrites (influence + copy, lazy and eager) and correlated
+   subqueries (Apply). *)
 
 module Engine = Perm_engine.Engine
 module Executor = Perm_executor.Executor
 module Metrics = Perm_obs.Metrics
 module Value = Perm_value.Value
+module Reference = Perm_testkit.Reference
 open Perm_testkit.Kit
 
 let domains =
@@ -24,33 +27,33 @@ let batch_sizes = [ 1; 7; Executor.default_batch_rows ]
 
 let ordered_rows e sql = strings_of_rows (query_ok e sql).Engine.rows
 
-(* Oracle: the row path, with parallelism off. *)
-let row_oracle e sql =
-  Engine.set_parallel e Engine.Par_off;
-  Engine.set_vectorized e false;
-  let rows = ordered_rows e sql in
-  Engine.set_vectorized e true;
-  rows
+let row_oracle = Reference.rows
 
-let check_against_oracle e sql =
-  let oracle = row_oracle e sql in
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* Runs [f] at every batch size, serially and with the morsel gather on. *)
+let each_mode e f =
   List.iter
     (fun bn ->
       Engine.set_batch_rows e bn;
-      (* serial batch path *)
       Engine.set_parallel e Engine.Par_off;
-      Alcotest.(check rows_testable)
-        (Printf.sprintf "%s [row = batch, batch_rows=%d]" sql bn)
-        oracle (ordered_rows e sql);
-      (* parallel batch path: one morsel per few batches *)
+      f (Printf.sprintf "serial, batch_rows=%d" bn);
       Engine.set_parallel e (Engine.Par_domains domains);
       Engine.set_parallel_threshold e 1;
-      Alcotest.(check rows_testable)
-        (Printf.sprintf "%s [row = parallel batch, batch_rows=%d]" sql bn)
-        oracle (ordered_rows e sql))
+      f (Printf.sprintf "parallel, batch_rows=%d" bn))
     batch_sizes;
   Engine.set_parallel e Engine.Par_off;
   Engine.set_batch_rows e Executor.default_batch_rows
+
+let check_against_oracle e sql =
+  let oracle = row_oracle e sql in
+  each_mode e (fun mode ->
+      Alcotest.(check rows_testable)
+        (Printf.sprintf "%s [row oracle = %s]" sql mode)
+        oracle (ordered_rows e sql))
 
 let forum_queries =
   [
@@ -62,6 +65,14 @@ let forum_queries =
     "SELECT count(*), min(mid), max(mid) FROM messages";
     "SELECT mid, text FROM messages ORDER BY mid DESC LIMIT 7";
     "SELECT DISTINCT uid FROM messages";
+    (* outer joins that leave rows unmatched on both sides: the FULL pad
+       tail and RIGHT join order show *)
+    "SELECT m.mid, u.name FROM messages m FULL JOIN users u ON m.uid = u.uid \
+     AND m.mid % 7 = 0";
+    "SELECT m.mid, u.name FROM messages m RIGHT JOIN users u ON m.uid = \
+     u.uid AND m.mid % 5 = 0";
+    "SELECT PROVENANCE m.mid, u.name FROM messages m FULL JOIN users u ON \
+     m.uid = u.uid AND m.mid % 7 = 0";
     Perm_workload.Forum.q1;
     Perm_workload.Forum.q3;
     (* provenance rewrites: influence through union/aggregate, and the
@@ -89,6 +100,51 @@ let single_pass_queries =
       (String.length Perm_workload.Forum.q3 - 7);
   ]
 
+(* Correlated subqueries: EXISTS / NOT EXISTS / IN with a correlation
+   the planner cannot turn into a join (non-equality, or under a
+   projection) and scalar subqueries in the SELECT list keep their Apply,
+   which runs on the batch path with the left row bound per evaluation. *)
+let correlated_queries =
+  List.concat_map
+    (fun q -> [ "SELECT " ^ q; "SELECT PROVENANCE " ^ q ])
+    [
+      "u.name FROM users u WHERE EXISTS (SELECT 1 FROM messages m WHERE \
+       m.uid = u.uid)";
+      "u.name FROM users u WHERE NOT EXISTS (SELECT 1 FROM messages m WHERE \
+       m.uid = u.uid)";
+      "u.name FROM users u WHERE EXISTS (SELECT 1 FROM messages m WHERE \
+       m.uid < u.uid)";
+      "u.name FROM users u WHERE NOT EXISTS (SELECT 1 FROM messages m WHERE \
+       m.uid < u.uid AND m.mid % 2 = 0)";
+      "m.mid, m.text FROM messages m WHERE m.uid IN (SELECT a.uid FROM \
+       approved a WHERE a.mid = m.mid)";
+      "m.mid FROM messages m WHERE m.mid IN (SELECT a.mid FROM approved a \
+       WHERE a.uid <> m.uid)";
+      "u.uid, u.name, (SELECT count(*) FROM messages m WHERE m.uid = u.uid) \
+       FROM users u";
+      "u.name, (SELECT max(m.mid) FROM messages m WHERE m.uid <= u.uid) FROM \
+       users u";
+    ]
+  @ [
+      (* the provenance rewrite turns a scalar subquery into an outer
+         Apply: several rows join in, none pads with NULLs *)
+      "SELECT PROVENANCE u.name, (SELECT m.mid FROM messages m WHERE m.uid = \
+       u.uid) FROM users u";
+      "SELECT PROVENANCE u.name, (SELECT m.mid FROM messages m WHERE m.uid = \
+       u.uid AND m.mid % 50 = 0) FROM users u";
+    ]
+
+(* Aggregates whose provenance the lateral strategy computes with an
+   outer Apply per group; the optimizer turns it into a left join unless
+   it is off. *)
+let lateral_queries =
+  [
+    "SELECT PROVENANCE uid, count(*) FROM messages GROUP BY uid";
+    "SELECT PROVENANCE u.name, count(*), max(m.mid) FROM messages m JOIN \
+     users u ON m.uid = u.uid GROUP BY u.name";
+    "SELECT PROVENANCE count(*), sum(mid) FROM messages";
+  ]
+
 let suite_identity =
   [
     case "single-pass provenance rewrites: row oracle = batch paths"
@@ -96,6 +152,45 @@ let suite_identity =
         let e = engine () in
         Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
         List.iter (check_against_oracle e) single_pass_queries;
+        Engine.close e);
+    case "correlated subqueries: row oracle = batch paths" (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
+        List.iter (check_against_oracle e) correlated_queries;
+        Engine.close e);
+    (* the provenance rewrite of a scalar subquery joins the subquery's
+       rows in, so only the plain query can fail *)
+    case "scalar subquery returning several rows fails on every path"
+      (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
+        List.iter
+          (fun sql ->
+            let expected =
+              match Reference.query e sql with
+              | Ok _ -> Alcotest.failf "row oracle accepted %S" sql
+              | Error msg -> msg
+            in
+            each_mode e (fun mode ->
+                let msg = query_err e sql in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s [%s]: %s" sql mode msg)
+                  true
+                  (contains ~needle:expected msg)))
+          [
+            "SELECT u.name, (SELECT m.mid FROM messages m WHERE m.uid = \
+             u.uid) FROM users u";
+            "SELECT u.name FROM users u WHERE u.uid > (SELECT m.mid FROM \
+             messages m WHERE m.uid = u.uid)";
+          ];
+        Engine.close e);
+    case "lateral aggregation strategy: row oracle = batch paths" (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
+        Engine.set_agg_strategy e Engine.Use_lateral;
+        List.iter (check_against_oracle e) lateral_queries;
+        Engine.set_optimizer_config e Perm_planner.Planner.disabled_config;
+        List.iter (check_against_oracle e) lateral_queries;
         Engine.close e);
     case "forum figure-1 data: row oracle = batch paths at 1/7/default"
       (fun () ->
@@ -141,36 +236,49 @@ let suite_identity =
 
 let suite_dispatch =
   [
-    case "batch_eligible declines Apply and Prov shapes" (fun () ->
+    case "correlated Apply runs on the batch path, one loop per left row"
+      (fun () ->
         let e = forum_engine () in
-        (* a surviving correlated Apply must fall back to the row path and
-           still answer correctly *)
+        (* a non-equality correlation keeps the Apply in the optimized
+           plan; every operator of its right side runs once per user *)
         let sql =
           "SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM messages \
            m WHERE m.uid < u.uid)"
         in
         check_against_oracle e sql;
+        let users = List.length (query_ok e "SELECT * FROM users").Engine.rows in
+        let tree =
+          match Engine.explain_analyze e sql with
+          | Ok ea -> ea.Engine.ea_tree
+          | Error msg -> Alcotest.fail msg
+        in
+        Alcotest.(check bool) "plan keeps the Apply" true
+          (contains ~needle:"Apply" tree);
+        Alcotest.(check bool)
+          (Printf.sprintf "right side reports loops=%d:\n%s" users tree)
+          true
+          (contains ~needle:(Printf.sprintf "loops=%d " users) tree);
         Engine.close e);
-    case "\\set vectorized off pins the row path; plan hash sees the mode"
-      (fun () ->
-        let e = forum_engine () in
+    case "plan hash sees the execution mode (serial vs parallel)" (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
         let h = Engine.history e in
         Perm_obs.History.set_capacity h 8;
         Perm_obs.History.set_cadence h 0.;
-        let sql = "SELECT mid FROM messages" in
+        let sql = "SELECT mid FROM messages WHERE mid > 0" in
         let last_hash () =
           match List.rev (Perm_obs.History.executions h) with
           | r :: _ -> r.Perm_obs.History.ex_plan_hash
           | [] -> Alcotest.fail "no execution recorded"
         in
-        Engine.set_vectorized e true;
         ignore (query_ok e sql);
-        let vec_hash = last_hash () in
-        Engine.set_vectorized e false;
+        let serial_hash = last_hash () in
+        Engine.set_parallel e (Engine.Par_domains domains);
+        Engine.set_parallel_threshold e 1;
         ignore (query_ok e sql);
-        let row_hash = last_hash () in
+        let parallel_hash = last_hash () in
         Alcotest.(check bool) "mode is part of the plan hash" true
-          (vec_hash <> row_hash);
+          (serial_hash <> parallel_hash);
         Engine.close e);
     case "batch_rows floor is 1" (fun () ->
         let e = forum_engine () in
