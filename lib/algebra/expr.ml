@@ -69,14 +69,6 @@ let conjoin = function
   | [] -> Const (Value.Bool true)
   | e :: rest -> List.fold_left (fun acc c -> Binop (And, acc, c)) e rest
 
-(* SQL = is three-valued; rejoins need a predicate under which a NULL
-   key matches itself. *)
-let null_safe_eq a b =
-  Binop (Or, Binop (Eq, a, b), Binop (And, Unop (Is_null, a), Unop (Is_null, b)))
-
-let null_safe_eq_all pairs =
-  conjoin (List.map (fun (a, b) -> null_safe_eq a b) pairs)
-
 let rec type_of = function
   | Const v -> Value.type_of v
   | Attr a -> a.Attr.ty
@@ -112,6 +104,21 @@ let rec type_of = function
       | Ok ty -> ty
       | Error _ -> Dtype.Any)
     | None -> Dtype.Any)
+
+(* SQL = is three-valued and never matches NaN; a rejoin needs a
+   predicate under which a key matches itself: [Value.key_equal] spelled
+   in SQL. The NaN arm is only emitted where NaN can occur. *)
+let key_eq a b =
+  let nulls = Binop (And, Unop (Is_null, a), Unop (Is_null, b)) in
+  let same =
+    match type_of a, type_of b with
+    | Dtype.Float, _ | _, Dtype.Float ->
+      Binop (Or, nulls, Binop (And, Binop (Neq, a, a), Binop (Neq, b, b)))
+    | _ -> nulls
+  in
+  Binop (Or, Binop (Eq, a, b), same)
+
+let key_eq_all pairs = conjoin (List.map (fun (a, b) -> key_eq a b) pairs)
 
 let rec equal a b =
   match a, b with

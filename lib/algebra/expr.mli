@@ -45,11 +45,15 @@ val conjuncts : t -> t list
 val conjoin : t list -> t
 (** Inverse of {!conjuncts}; the empty list is [Const (Bool true)]. *)
 
-val null_safe_eq_all : (t * t) list -> t
-(** Conjunction of [(a = b) OR (a IS NULL AND b IS NULL)] per pair — the
-    rejoin predicate under which a NULL key matches itself (the executor's
-    hash join recognizes the shape as a null-safe key). [TRUE] for no
-    pairs. *)
+val key_eq : t -> t -> t
+(** One pair of {!key_eq_all}. *)
+
+val key_eq_all : (t * t) list -> t
+(** Conjunction of [(a = b) OR (a IS NULL AND b IS NULL)] per pair, with
+    [OR (a <> a AND b <> b)] added for float pairs: key identity
+    ({!Perm_value.Value.key_equal}) in SQL, the rejoin predicate under which
+    a NULL or NaN key matches itself. The executor's hash join recognizes
+    the shape as a key-identity hash key. [TRUE] for no pairs. *)
 
 val type_of : t -> Perm_value.Dtype.t
 (** Static result type (assumes the expression is well-typed; the analyzer

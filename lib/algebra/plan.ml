@@ -45,6 +45,13 @@ type t =
       child : t;
       group_by : (Expr.t * Attr.t) list;
       aggs : agg_call list;
+      rep : Expr.t option;
+    }
+  | Mark_first of {
+      child : t;
+      keys : Attr.t list;
+      among : Expr.t option;
+      flag : Attr.t;
     }
   | Distinct of t
   | Set_op of {
@@ -80,8 +87,9 @@ let rec schema = function
     | A_semi | A_anti -> schema left)
   | Aggregate { group_by; aggs; _ } ->
     List.map snd group_by @ List.map (fun c -> c.agg_out) aggs
-  | Group_annotate { child; group_by; aggs } ->
+  | Group_annotate { child; group_by; aggs; _ } ->
     List.map snd group_by @ List.map (fun c -> c.agg_out) aggs @ schema child
+  | Mark_first { child; flag; _ } -> schema child @ [ flag ]
 
 let arity t = List.length (schema t)
 
@@ -102,6 +110,7 @@ let children = function
   | Limit { child; _ }
   | Aggregate { child; _ }
   | Group_annotate { child; _ }
+  | Mark_first { child; _ }
   | Prov { child; _ }
   | Baserel { child; _ }
   | External { child; _ } ->
@@ -119,6 +128,7 @@ let map_children f = function
   | Limit r -> Limit { r with child = f r.child }
   | Aggregate r -> Aggregate { r with child = f r.child }
   | Group_annotate r -> Group_annotate { r with child = f r.child }
+  | Mark_first r -> Mark_first { r with child = f r.child }
   | Join r -> Join { r with left = f r.left; right = f r.right }
   | Apply r -> Apply { r with left = f r.left; right = f r.right }
   | Set_op r -> Set_op { r with left = f r.left; right = f r.right }
@@ -152,6 +162,7 @@ let operator_name = function
   | Apply { kind; _ } -> apply_kind_name kind
   | Aggregate _ -> "Aggregate"
   | Group_annotate _ -> "GroupAnnotate"
+  | Mark_first _ -> "MarkFirst"
   | Distinct _ -> "Distinct"
   | Set_op { kind; all; _ } ->
     let base =
@@ -182,7 +193,7 @@ let operator_kind = function
   | Join _ -> "join"
   | Apply _ -> "apply"
   | Aggregate _ | Group_annotate _ -> "aggregate"
-  | Distinct _ -> "distinct"
+  | Distinct _ | Mark_first _ -> "distinct"
   | Set_op _ -> "set_op"
   | Sort _ -> "sort"
   | Limit _ -> "limit"

@@ -85,15 +85,33 @@ type t =
       child : t;
       group_by : (Expr.t * Attr.t) list;
       aggs : agg_call list;
+      rep : Expr.t option;
     }
       (** every input row annotated with its group's key and aggregate
           values — an [Aggregate] fused with its rejoin to the same input
-          (Niu & Glavic's window-style provenance aggregation). One row out
-          per input row: groups in first-seen order, rows within a group in
-          input order. A global aggregate over empty input yields one row of
-          aggregate defaults with the child columns NULL. Output schema:
-          group-by outs, aggregate outs, then [schema child]. Introduced by
-          the provenance rewriter only. *)
+          (Niu & Glavic's window-style provenance aggregation). [rep] is
+          the representative flag: when set, only the rows where it holds
+          feed the aggregates and give the group its key (one row per row
+          of the aggregate's original input; the others are further
+          witnesses of the same row), while every row is annotated. One
+          row out per input row: groups in first-seen order, rows within a
+          group in input order. A global aggregate over empty input yields
+          one row of aggregate defaults with the child columns NULL.
+          Output schema: group-by outs, aggregate outs, then
+          [schema child]. Introduced by the provenance rewriter only. *)
+  | Mark_first of {
+      child : t;
+      keys : Attr.t list;
+      among : Expr.t option;
+      flag : Attr.t;
+    }
+      (** the representative flag of a duplicate elimination: [flag] is
+          TRUE on the first row of every distinct [keys] value among the
+          rows where [among] holds (every row when [None]) and FALSE on
+          all others. Key identity is the executor's grouping equality, so
+          the flagged rows are exactly the rows DISTINCT over [keys] would
+          keep. Output schema: [schema child @ [flag]]. Introduced by the
+          provenance rewriter only. *)
   | Distinct of t
   | Set_op of { kind : set_kind; all : bool; left : t; right : t; attrs : Attr.t list }
       (** children must agree in arity and (unified) types; [attrs] are the
@@ -137,6 +155,6 @@ val operator_kind : t -> string
 (** Coarse parameter-free operator class for metric names: ["scan"],
     ["join"], ["aggregate"], ... — every join kind maps to ["join"], every
     apply kind to ["apply"], both scan forms to ["scan"], [Group_annotate]
-    to ["aggregate"]. *)
+    to ["aggregate"], [Mark_first] to ["distinct"]. *)
 
 val count_operators : t -> int

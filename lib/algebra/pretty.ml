@@ -58,8 +58,18 @@ let details plan =
           Printf.sprintf "%s -> %s" fn c.agg_out.Attr.name)
         aggs
     in
+    let rep =
+      match plan with
+      | Plan.Group_annotate { rep = Some e; _ } -> "; rep: " ^ Expr.to_string e
+      | _ -> ""
+    in
     "[group: " ^ String.concat ", " gb ^ "; aggs: " ^ String.concat ", " ags
-    ^ "]"
+    ^ rep ^ "]"
+  | Plan.Mark_first { keys; among; flag; _ } ->
+    Printf.sprintf "[%s -> %s%s]"
+      (String.concat ", " (List.map (fun (a : Attr.t) -> a.Attr.name) keys))
+      flag.Attr.name
+      (match among with None -> "" | Some e -> " among " ^ Expr.to_string e)
   | Plan.Distinct _ -> ""
   | Plan.Set_op _ -> ""
   | Plan.Sort { keys; _ } ->

@@ -116,6 +116,49 @@ let agg_sql alias (c : Plan.agg_call) =
 (* Plans                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The original input of an aggregate with a representative flag,
+   recovered from its rewritten input: each duplicate elimination keeps
+   its representatives only (a DISTINCT over its keys), and the columns
+   that read what this drops (its witnesses' provenance, flags) go with
+   it; a UNION ALL drops a position only from both branches at once. The
+   aggregate over the result is the one the fused node replaces. *)
+let rec representatives (plan : Plan.t) : Plan.t =
+  let available (child : Plan.t) (e, _) =
+    Attr.Set.for_all
+      (fun a -> List.exists (Attr.equal a) (Plan.schema child))
+      (Expr.attrs e)
+  in
+  match plan with
+  | Plan.Mark_first { child; keys; _ } ->
+    Plan.Distinct
+      (Plan.Project
+         {
+           child = representatives child;
+           cols = List.map (fun a -> (Expr.Attr a, a)) keys;
+         })
+  | Plan.Project { child; cols } ->
+    let child = representatives child in
+    Plan.Project { child; cols = List.filter (available child) cols }
+  | Plan.Set_op
+      ({ kind = Plan.Union; all = true; left = Plan.Project l;
+         right = Plan.Project r; _ } as u) ->
+    let lc = representatives l.child and rc = representatives r.child in
+    let keep =
+      List.map2 (fun lcol rcol -> available lc lcol && available rc rcol)
+        l.cols r.cols
+    in
+    let pick xs = List.filteri (fun i _ -> List.nth keep i) xs in
+    Plan.Set_op
+      {
+        u with
+        left = Plan.Project { child = lc; cols = pick l.cols };
+        right = Plan.Project { child = rc; cols = pick r.cols };
+        attrs = pick u.attrs;
+      }
+  | Plan.Filter _ | Plan.Sort _ | Plan.Join _ | Plan.Apply _ ->
+    Plan.map_children representatives plan
+  | _ -> plan
+
 let plan_to_sql plan =
   let alias = build_alias_map plan in
   let counter = ref 0 in
@@ -238,23 +281,29 @@ let plan_to_sql plan =
       Printf.sprintf "SELECT %s FROM (%s) AS %s%s"
         (String.concat ", " (gcols @ acols))
         (go child) (fresh_t ()) group_clause
-    | Plan.Group_annotate { child; group_by; aggs } ->
-      (* the rejoin it fuses: the aggregate left-joined back to its input
-         on null-safe group-key equality, which yields the same rows in
-         the same order *)
+    | Plan.Group_annotate { child; group_by; aggs; rep } ->
+      (* the rejoin it fuses: the aggregate (over the original input, if
+         a representative flag picks it out) left-joined back to its
+         input on group-key identity, which yields the same rows *)
+      let input = if rep = None then child else representatives child in
       go
         (Plan.Join
            {
              kind = Plan.Left;
-             left = Plan.Aggregate { child; group_by; aggs };
+             left = Plan.Aggregate { child = input; group_by; aggs };
              right = child;
              pred =
                Some
-                 (Expr.null_safe_eq_all
+                 (Expr.key_eq_all
                     (List.map (fun (e, out) -> (e, Expr.Attr out)) group_by));
            })
     | Plan.Distinct child ->
       Printf.sprintf "SELECT DISTINCT * FROM (%s) AS %s" (go child) (fresh_t ())
+    | Plan.Mark_first { child; flag; _ } ->
+      (* the flag only steers a fused aggregate, which renders as the
+         rejoin it replaces and reads no flag *)
+      Printf.sprintf "SELECT *, CAST(NULL AS bool) AS %s FROM (%s) AS %s"
+        (alias flag) (go child) (fresh_t ())
     | Plan.Set_op { kind; all; left; right; attrs } ->
       let kw =
         match kind with

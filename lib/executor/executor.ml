@@ -458,9 +458,9 @@ let compile_pred resolve pred =
 (* ------------------------------------------------------------------ *)
 
 (* A hashable key pair: [l_expr] over the left schema equals [r_expr] over
-   the right schema, either with SQL semantics (NULL never matches) or
-   null-safe (the provenance rejoin pattern
-   [(a = b) OR (a IS NULL AND b IS NULL)]). *)
+   the right schema, either with SQL semantics (NULL and NaN never match)
+   or under key identity (the provenance rejoin pattern
+   {!Expr.key_eq_all}: NULL matches NULL, NaN matches NaN). *)
 type key_pair = { l_expr : Expr.t; r_expr : Expr.t; null_safe : bool }
 
 let subset_of attrs schema =
@@ -486,15 +486,8 @@ let split_join_pred left_schema right_schema pred =
         match c with
         | Expr.Binop (Expr.Eq, a, b) ->
           orient left_schema right_schema a b ~null_safe:false
-        | Expr.Binop
-            ( Expr.Or,
-              Expr.Binop (Expr.Eq, a, b),
-              Expr.Binop
-                ( Expr.And,
-                  Expr.Unop (Expr.Is_null, a'),
-                  Expr.Unop (Expr.Is_null, b') ) )
-          when (Expr.equal a a' && Expr.equal b b')
-               || (Expr.equal a b' && Expr.equal b a') ->
+        | Expr.Binop (Expr.Or, Expr.Binop (Expr.Eq, a, b), _)
+          when Expr.equal c (Expr.key_eq a b) ->
           orient left_schema right_schema a b ~null_safe:true
         | _ -> None
       in
@@ -515,11 +508,17 @@ let key_of (fs : (Tuple.t -> Value.t) array) row =
   done;
   key
 
-(* a plain (non null-safe) key never matches when NULL *)
+(* a plain SQL = key never matches when NULL or NaN; the hash table
+   itself matches under key identity *)
 let key_usable (null_safety : bool array) (key : Tuple.t) =
   let n = Array.length key in
+  let sql_matchable = function
+    | Value.Null -> false
+    | Value.Float f -> not (Float.is_nan f)
+    | _ -> true
+  in
   let rec go i =
-    i >= n || ((null_safety.(i) || not (Value.is_null key.(i))) && go (i + 1))
+    i >= n || ((null_safety.(i) || sql_matchable key.(i)) && go (i + 1))
   in
   go 0
 
@@ -611,52 +610,9 @@ let agg_result (call : Plan.agg_call) state =
       Value.Float (total /. float_of_int state.sum_count)
   | Plan.Min | Plan.Max | Plan.Bool_and | Plan.Bool_or -> state.extreme
 
-(* Group annotation (Plan.Group_annotate): [assign key r] feeds row [r]
-   to the group of [key] and returns
-   the group's id — ids in first-seen order, the same state machines as
-   hash aggregation. [heads ()], by group id, is each group's output
-   prefix: key, then aggregate values. *)
-type 'r annotator = {
-  assign : Tuple.t -> 'r -> int;
-  heads : unit -> Tuple.t array;
-  empty_head : unit -> Tuple.t;  (* a global aggregate's row over no input *)
-}
-
-let annotator ~spill (aggs : Plan.agg_call list)
-    ~(args : ('r -> Value.t) option list) =
-  let aggs = Array.of_list aggs and args = Array.of_list args in
-  let tbl : (int * agg_state array) Tuple.Hash.t = Tuple.Hash.create 64 in
-  let order = ref [] in
-  let assign k r =
-    let id, states =
-      match Tuple.Hash.find_opt tbl k with
-      | Some g -> g
-      | None ->
-        let g = (Tuple.Hash.length tbl, Array.map new_agg_state aggs) in
-        Tuple.Hash.replace tbl k g;
-        budget_materialized spill ~what:"GROUP BY" (Tuple.Hash.length tbl);
-        order := (k, snd g) :: !order;
-        g
-    in
-    for i = 0 to Array.length aggs - 1 do
-      agg_feed aggs.(i) states.(i)
-        (match args.(i) with None -> None | Some f -> Some (f r))
-    done;
-    id
-  in
-  let head (k, states) =
-    Array.append k (Array.mapi (fun i c -> agg_result c states.(i)) aggs)
-  in
-  {
-    assign;
-    heads = (fun () -> Array.of_list (List.rev_map head !order));
-    empty_head = (fun () -> head ([||], Array.map new_agg_state aggs));
-  }
-
 (* The annotation's output order over rows numbered in input order, given
    each row's group id: groups in id (first-seen) order, rows of a group
-   in input order — the order of the [LeftJoin(Aggregate(x), x')] the
-   node replaces. A stable counting sort. *)
+   in input order. A stable counting sort. *)
 let grouped_order ~groups (gids : int array) =
   let next = Array.make (groups + 1) 0 in
   Array.iter (fun g -> next.(g + 1) <- next.(g + 1) + 1) gids;
@@ -768,6 +724,90 @@ let key_filler lay exprs : Batch.t -> int -> Tuple.t =
 
 let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
 
+(* The grouping kernel. [grouper ~spill ~what lay keys open_group] is a
+   fresh table mapping a row (batch, physical position) to its group
+   under key identity ([Tuple.equal]: NULL matches NULL, NaN matches
+   NaN, -0.0 matches 0.0). The first row of a key opens the group: the
+   table calls [open_group key] with that row's key and keeps the result
+   as the group, in first-seen order. Aggregation, group annotation, the
+   representative flag, DISTINCT and UNION all group through it, so a
+   flag always agrees with the duplicate elimination it stands for. A
+   single plain-attribute key of an immediate dtype hashes the unboxed int
+   (or the raw string): no key tuple per row, no polymorphic hashing.
+   NULL gets its own slot and an off-dtype straggler goes through the
+   tuple table, so grouping never depends on the schema invariant. The
+   table cannot spill: past the budget the statement dies with
+   Resource_exhausted ([what] names the operator). *)
+let grouper ~spill ~what lay (keys : Expr.t list) =
+  let gkey = key_filler lay keys in
+  let single =
+    match keys with
+    | [ Expr.Attr a ] -> Option.map (fun i -> (i, a.Attr.ty)) (lay.pos a)
+    | _ -> None
+  in
+  fun (open_group : Tuple.t -> 'g) ->
+    let groups = ref 0 in
+    let opened k =
+      incr groups;
+      budget_materialized spill ~what !groups;
+      open_group k
+    in
+    let tuples = Tuple.Hash.create 64 in
+    let by_tuple k =
+      match Tuple.Hash.find_opt tuples k with
+      | Some g -> g
+      | None ->
+        let g = opened k in
+        Tuple.Hash.replace tuples k g;
+        g
+    in
+    (* a group of its own: NULL's, or a global aggregate's only one *)
+    let only key =
+      let slot = ref None in
+      fun () ->
+        match !slot with
+        | Some g -> g
+        | None ->
+          let g = opened key in
+          slot := Some g;
+          g
+    in
+    let by_null = only [| Value.Null |] in
+    match keys, single with
+    | [], _ ->
+      let global = only [||] in
+      fun _ _ -> global ()
+    | _, Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) -> (
+      let ints = Int_hash.create 64 in
+      let by_int k v =
+        match Int_hash.find_opt ints k with
+        | Some g -> g
+        | None ->
+          let g = opened [| v |] in
+          Int_hash.replace ints k g;
+          g
+      in
+      fun b p ->
+        match Array.unsafe_get (Batch.col b ci) p with
+        | (Value.Int k | Value.Date k) as v -> by_int k v
+        | Value.Bool k as v -> by_int (Bool.to_int k) v
+        | Value.Null -> by_null ()
+        | v -> by_tuple [| v |])
+    | _, Some (ci, Dtype.Text) -> (
+      let strs = Str_hash.create 64 in
+      fun b p ->
+        match Array.unsafe_get (Batch.col b ci) p with
+        | Value.Text k as v -> (
+          match Str_hash.find_opt strs k with
+          | Some g -> g
+          | None ->
+            let g = opened [| v |] in
+            Str_hash.replace strs k g;
+            g)
+        | Value.Null -> by_null ()
+        | v -> by_tuple [| v |])
+    | _ -> fun b p -> by_tuple (gkey b p)
+
 (* Keep the live rows of [b] whose physical index passes [keep], in
    order, by narrowing the selection vector in place. *)
 let narrow_live (keep : int -> bool) b =
@@ -782,6 +822,79 @@ let narrow_live (keep : int -> bool) b =
     end
   done;
   if !m = 0 then None else Some (Batch.with_sel b sel !m)
+
+(* A group's aggregates over batch rows: [fresh ()] is a group's initial
+   states, [feed states b p] feeds it a row, [results states] reads the
+   aggregate values. *)
+let agg_feeder lay (aggs : Plan.agg_call list) =
+  let calls = Array.of_list aggs in
+  let args =
+    Array.map (fun (c : Plan.agg_call) -> Option.map (bexpr_of lay) c.arg) calls
+  in
+  let fresh () = Array.map new_agg_state calls in
+  let feed states b p =
+    for k = 0 to Array.length calls - 1 do
+      agg_feed calls.(k) states.(k)
+        (match args.(k) with None -> None | Some g -> Some (g b p))
+    done
+  in
+  let results states = Array.mapi (fun k c -> agg_result c states.(k)) calls in
+  (fresh, feed, results)
+
+(* Number the live rows of kept batches in order: row [r] is position
+   [rp.(r)] of batch [rb.(r)]. Operators that see their whole input
+   before emitting (sorts, group annotation) keep the immutable batches
+   and address rows this way instead of materializing tuples. *)
+let number_rows batches =
+  let n = Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches in
+  let rb = Array.make n 0 and rp = Array.make n 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun bi b ->
+      Batch.iter_live
+        (fun p ->
+          rb.(!k) <- bi;
+          rp.(!k) <- p;
+          incr k)
+        b)
+    batches;
+  (rb, rp)
+
+(* Emit numbered rows in [order] as dense batches of at most [batch_rows]
+   rows, gathering each column once per batch. [head] prepends
+   [fst head] columns, [snd head c r] being column [c] of row [r]. *)
+let gather_rows ?(head = (0, fun _ _ -> Value.Null)) ~batch_rows ~arity batches
+    (rb, rp) order =
+  let n = Array.length order in
+  let head_arity, head_col = head in
+  let size = max 1 batch_rows in
+  Seq.init
+    ((n + size - 1) / size)
+    (fun i ->
+      let start = i * size in
+      let len = min size (n - start) in
+      let gather f = Array.init len (fun j -> f order.(start + j)) in
+      Batch.dense
+        (Array.append
+           (Array.init head_arity (fun c -> gather (head_col c)))
+           (Array.init arity (fun c ->
+                gather (fun r -> (Batch.col batches.(rb.(r)) c).(rp.(r))))))
+        len)
+
+(* Whether a row opens a new group of a fresh [grouper] table: TRUE on
+   the first row of every key. *)
+let opens_group grouper =
+  let opened = ref false in
+  let find = grouper (fun _ -> opened := true) in
+  fun b p ->
+    opened := false;
+    find b p;
+    !opened
+
+(* Keep the first row of every key, in order (DISTINCT, UNION). *)
+let first_rows grouper =
+  let opens = opens_group grouper in
+  fun b -> narrow_live (opens b) b
 
 (* Chunk a row array into dense batches of at most [batch_rows] rows. *)
 let batches_of_rows ~arity ~batch_rows (rows : Tuple.t array) : Batch.t Seq.t =
@@ -1292,63 +1405,101 @@ and compile_batch_node cx (plan : Plan.t) : bop =
   | Plan.Apply { kind; left; right } -> compile_batch_apply cx kind left right
   | Plan.Aggregate { child; group_by; aggs } ->
     compile_batch_aggregate cx child group_by aggs
-  | Plan.Group_annotate { child; group_by; aggs } ->
-    compile_batch_group_annotate cx child group_by aggs
-  | Plan.Distinct child ->
+  | Plan.Group_annotate { child; group_by; aggs; rep } ->
+    compile_batch_group_annotate cx child group_by aggs rep
+  | Plan.Mark_first { child; keys; among; _ } ->
+    (* the flag column is the input's with TRUE on the first row of every
+       key among the representative rows *)
+    let lay = layout cx (Plan.schema child) in
+    let group_of =
+      grouper ~spill:cx.spill ~what:"DISTINCT" lay
+        (List.map (fun a -> Expr.Attr a) keys)
+    in
+    let among = Option.map (bpred_of lay) among in
     let run_child = compile_batch cx child in
     fun () ->
-      Seq.memoize
-        (fun () ->
-          let seen = Tuple.Hash.create 64 in
-          Seq.filter_map
+      Seq.memoize (fun () ->
+          let opens = opens_group group_of in
+          Seq.map
             (fun b ->
-              let fresh =
-                narrow_live
-                  (fun p ->
-                    let row = brow b p in
-                    if Tuple.Hash.mem seen row then false
-                    else begin
-                      Tuple.Hash.replace seen row ();
-                      true
-                    end)
-                  b
-              in
-              budget_materialized cx.spill ~what:"DISTINCT"
-                (Tuple.Hash.length seen);
-              fresh)
-            (run_child ())
-            ())
-  | Plan.Set_op { kind; all; left; right; _ } ->
-    compile_batch_set_op cx kind all left right
-  | Plan.Sort { child; keys } ->
-    let resolve = row_resolver (layout cx (Plan.schema child)) in
-    let keyfs =
-      List.map (fun (e, dir) -> (compile_expr resolve e, dir)) keys
+              let flags = Array.make b.Batch.rows (Value.Bool false) in
+              Batch.iter_live
+                (fun p ->
+                  if (match among with None -> true | Some f -> f b p)
+                     && opens b p
+                  then flags.(p) <- Value.Bool true)
+                b;
+              Batch.with_cols b (Array.append b.Batch.cols [| flags |]))
+            (run_child ()) ())
+  | Plan.Distinct child ->
+    let schema = Plan.schema child in
+    let group_of =
+      grouper ~spill:cx.spill ~what:"DISTINCT" (layout cx schema)
+        (List.map (fun a -> Expr.Attr a) schema)
     in
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | (f, dir) :: rest ->
-          let c = Value.compare (f a) (f b) in
-          let c = match dir with Plan.Asc -> c | Plan.Desc -> -c in
-          if c <> 0 then c else go rest
-      in
-      go keyfs
-    in
+    let run_child = compile_batch cx child in
+    fun () ->
+      Seq.memoize (fun () ->
+          Seq.filter_map (first_rows group_of) (run_child ()) ())
+  | Plan.Set_op { kind; all; left; right; attrs } ->
+    compile_batch_set_op cx kind all left right attrs
+  | Plan.Sort { child; keys } -> (
+    let lay = layout cx (Plan.schema child) in
     let arity = List.length (Plan.schema child) in
     let run_child = compile_batch cx child in
-    fun () ->
-      Perm_fault.trip fp_sort;
-      (match cx.spill with
-      | Some cfg ->
-        (* past the threshold: sorted runs on disk, merged as the
-           output is pulled *)
+    match cx.spill with
+    | Some cfg ->
+      (* past the threshold: sorted runs on disk, merged as the output is
+         pulled *)
+      let keyfs =
+        List.map (fun (e, dir) -> (compile_expr (row_resolver lay) e, dir)) keys
+      in
+      let cmp a b =
+        let rec go = function
+          | [] -> 0
+          | (f, dir) :: rest ->
+            let c = Value.compare (f a) (f b) in
+            let c = match dir with Plan.Asc -> c | Plan.Desc -> -c in
+            if c <> 0 then c else go rest
+        in
+        go keyfs
+      in
+      fun () ->
+        Perm_fault.trip fp_sort;
         batches_of_seq ~arity ~batch_rows
           (external_sort cfg cmp (tuples_of_batches (run_child ())))
-      | None ->
-        let rows = collect_tuples (run_child ()) in
-        Array.stable_sort cmp rows;
-        batches_of_rows ~arity ~batch_rows rows)
+    | None ->
+      (* a permutation sort: keys evaluated once per row into columns, a
+         stable sort of row numbers, every column gathered once *)
+      let gets = Array.of_list (List.map (fun (e, _) -> bexpr_of lay e) keys) in
+      let desc = Array.of_list (List.map (fun (_, d) -> d = Plan.Desc) keys) in
+      fun () ->
+        Perm_fault.trip fp_sort;
+        let batches = Array.of_seq (run_child ()) in
+        let ((rb, rp) as refs) = number_rows batches in
+        let n = Array.length rb in
+        let perm = Array.init n Fun.id in
+        (* a lone row is never compared, so its keys are not evaluated
+           (nor are they by the external merge sort) *)
+        if n > 1 then begin
+          let kcols =
+            Array.map
+              (fun get -> Array.init n (fun r -> get batches.(rb.(r)) rp.(r)))
+              gets
+          in
+          let cmp i j =
+            let c = ref 0 and k = ref 0 in
+            while !c = 0 && !k < Array.length kcols do
+              let col = kcols.(!k) in
+              c := Value.compare col.(i) col.(j);
+              if desc.(!k) then c := - !c;
+              incr k
+            done;
+            !c
+          in
+          Array.stable_sort cmp perm
+        end;
+        gather_rows ~batch_rows ~arity batches refs perm)
   | Plan.Limit { child; limit; offset } ->
     let run_child = compile_batch cx child in
     fun () ->
@@ -1568,195 +1719,33 @@ and compile_batch_apply cx kind left right =
       (run_left ())
 
 and compile_batch_aggregate cx child group_by aggs =
-  let batch_rows = cx.batch_rows in
   let lay = layout cx (Plan.schema child) in
-  let gkey = key_filler lay (List.map fst group_by) in
-  let aggs_arr = Array.of_list aggs in
-  let nagg = Array.length aggs_arr in
-  let arg_gets =
-    Array.of_list
-      (List.map
-         (fun (c : Plan.agg_call) -> Option.map (bexpr_of lay) c.arg)
-         aggs)
+  let group_of =
+    grouper ~spill:cx.spill ~what:"GROUP BY" lay (List.map fst group_by)
   in
+  let fresh, feed, results = agg_feeder lay aggs in
   let run_child = compile_batch cx child in
-  let global = group_by = [] in
-  let ngroup = List.length group_by in
-  let out_arity = ngroup + nagg in
-  let emit key states =
-    let row = Array.make out_arity Value.Null in
-    Array.blit key 0 row 0 ngroup;
-    for k = 0 to nagg - 1 do
-      row.(ngroup + k) <- agg_result aggs_arr.(k) states.(k)
-    done;
-    row
-  in
-  let fresh_states () = Array.map (fun c -> new_agg_state c) aggs_arr in
-  let feed_row states b p =
-    for k = 0 to nagg - 1 do
-      let v =
-        match arg_gets.(k) with None -> None | Some g -> Some (g b p)
-      in
-      agg_feed aggs_arr.(k) states.(k) v
-    done
-  in
-  (* Group-key specialization: a single plain-attribute key of an
-     immediate dtype hashes on the unboxed int (or the raw string) — no
-     per-row key-tuple allocation, no polymorphic hashing. An engine-typed
-     column only ever carries its declared constructor or NULL, and NULL
-     (which never equals anything but groups with itself) gets its own
-     slot, so group identity and first-seen order match the generic path
-     exactly. *)
-  let single_col =
-    match group_by with
-    | [ (Expr.Attr a, _) ] -> Option.map (fun i -> (i, a.Attr.ty)) (lay.pos a)
-    | _ -> None
-  in
+  let arity = List.length group_by + List.length aggs in
   fun () ->
-    Seq.memoize
-      (fun () ->
+    Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
         let order = ref [] in
-        let ngroups = ref 0 in
-        (* group state is not spillable: enforce the hard ceiling as
-           groups are created (the global path counts rows, not groups,
-           and holds exactly one state array — never checked) *)
-        let note_group () =
-          incr ngroups;
-          budget_materialized cx.spill ~what:"GROUP BY" !ngroups
-        in
-        let rows_of_order () =
-          if global && !ngroups = 0 then [ emit [||] (fresh_states ()) ]
-          else List.rev_map (fun (key, states) -> emit key states) !order
-        in
-        let generic_groups : agg_state array Tuple.Hash.t =
-          Tuple.Hash.create 64
-        in
-        let generic_feed key b p =
-          let states =
-            match Tuple.Hash.find_opt generic_groups key with
-            | Some states -> states
-            | None ->
-              let states = fresh_states () in
-              Tuple.Hash.replace generic_groups key states;
+        let group_of =
+          group_of (fun key ->
+              let states = fresh () in
               order := (key, states) :: !order;
-              note_group ();
-              states
-          in
-          feed_row states b p
+              states)
         in
-        (if global then begin
-           (* no grouping: one state array, no hash table at all *)
-           let states = fresh_states () in
-           Seq.iter
-             (fun b ->
-               Batch.iter_live
-                 (fun p ->
-                   incr ngroups;
-                   feed_row states b p)
-                 b)
-             (run_child ());
-           if !ngroups > 0 then order := ([||], states) :: !order;
-           ngroups := min !ngroups 1
-         end
-         else
-           match single_col with
-           | Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) ->
-             let igroups : agg_state array Int_hash.t = Int_hash.create 64 in
-             let null_states = ref None in
-             Seq.iter
-               (fun b ->
-                 let col = Batch.col b ci in
-                 Batch.iter_live
-                   (fun p ->
-                     match Array.unsafe_get col p with
-                     | (Value.Int k | Value.Date k) as v ->
-                       let states =
-                         match Int_hash.find_opt igroups k with
-                         | Some states -> states
-                         | None ->
-                           let states = fresh_states () in
-                           Int_hash.replace igroups k states;
-                           order := ([| v |], states) :: !order;
-                           note_group ();
-                           states
-                       in
-                       feed_row states b p
-                     | Value.Bool bv as v ->
-                       let k = if bv then 1 else 0 in
-                       let states =
-                         match Int_hash.find_opt igroups k with
-                         | Some states -> states
-                         | None ->
-                           let states = fresh_states () in
-                           Int_hash.replace igroups k states;
-                           order := ([| v |], states) :: !order;
-                           note_group ();
-                           states
-                       in
-                       feed_row states b p
-                     | Value.Null ->
-                       let states =
-                         match !null_states with
-                         | Some states -> states
-                         | None ->
-                           let states = fresh_states () in
-                           null_states := Some states;
-                           order := ([| Value.Null |], states) :: !order;
-                           note_group ();
-                           states
-                       in
-                       feed_row states b p
-                     | v ->
-                       (* off-dtype straggler: group through the generic
-                          table so semantics never depend on the schema
-                          invariant *)
-                       generic_feed [| v |] b p)
-                   b)
-               (run_child ())
-           | Some (ci, Dtype.Text) ->
-             let sgroups : agg_state array Str_hash.t = Str_hash.create 64 in
-             let null_states = ref None in
-             Seq.iter
-               (fun b ->
-                 let col = Batch.col b ci in
-                 Batch.iter_live
-                   (fun p ->
-                     match Array.unsafe_get col p with
-                     | Value.Text k as v ->
-                       let states =
-                         match Str_hash.find_opt sgroups k with
-                         | Some states -> states
-                         | None ->
-                           let states = fresh_states () in
-                           Str_hash.replace sgroups k states;
-                           order := ([| v |], states) :: !order;
-                           note_group ();
-                           states
-                       in
-                       feed_row states b p
-                     | Value.Null ->
-                       let states =
-                         match !null_states with
-                         | Some states -> states
-                         | None ->
-                           let states = fresh_states () in
-                           null_states := Some states;
-                           order := ([| Value.Null |], states) :: !order;
-                           note_group ();
-                           states
-                       in
-                       feed_row states b p
-                     | v -> generic_feed [| v |] b p)
-                   b)
-               (run_child ())
-           | _ ->
-             Seq.iter
-               (fun b ->
-                 Batch.iter_live (fun p -> generic_feed (gkey b p) b p) b)
-               (run_child ()));
-        batches_of_tuple_list ~arity:out_arity ~batch_rows (rows_of_order ())
-          ())
+        Seq.iter
+          (fun b -> Batch.iter_live (fun p -> feed (group_of b p) b p) b)
+          (run_child ());
+        let rows =
+          if group_by = [] && !order = [] then [ results (fresh ()) ]
+          else
+            List.rev_map (fun (key, states) -> Array.append key (results states))
+              !order
+        in
+        batches_of_tuple_list ~arity ~batch_rows:cx.batch_rows rows ())
 
 (* In memory the annotation keeps the input batches (immutable once
    emitted) and addresses rows as (batch, position), so no row is
@@ -1764,36 +1753,60 @@ and compile_batch_aggregate cx child group_by aggs =
    columns. Under a spill configuration it holds only group states: rows
    are tagged with (group id, input index) and go through the external
    merge sort, whose order on those tags is the same. The sort consumes
-   its whole input before yielding, so every group is final by then. *)
-and compile_batch_group_annotate cx child group_by aggs =
+   its whole input before yielding, so every group is final by then. With
+   a representative flag, only flagged rows feed the aggregates, and a
+   group's first flagged row gives it its key. *)
+and compile_batch_group_annotate cx child group_by aggs rep =
   let batch_rows = cx.batch_rows in
   let child_schema = Plan.schema child in
   let lay = layout cx child_schema in
-  let gkey = key_filler lay (List.map fst group_by) in
-  let cur = ref (Batch.dense [||] 0) in
-  let args =
-    List.map
-      (fun (c : Plan.agg_call) ->
-        Option.map
-          (fun e ->
-            let get = bexpr_of lay e in
-            fun p -> get !cur p)
-          c.arg)
-      aggs
+  let keys = List.map fst group_by in
+  let gkey = key_filler lay keys in
+  let group_of = grouper ~spill:cx.spill ~what:"GROUP BY" lay keys in
+  let fresh, feed, results = agg_feeder lay aggs in
+  let represents =
+    match rep with None -> fun _ _ -> true | Some e -> bpred_of lay e
   in
   let run_child = compile_batch cx child in
-  let global = group_by = [] in
   let child_arity = List.length child_schema in
   let head_arity = List.length group_by + List.length aggs in
   let arity = head_arity + child_arity in
-  let empty_global ann =
-    batches_of_tuple_list ~arity ~batch_rows
-      [ Tuple.concat (ann.empty_head ()) (Array.make child_arity Value.Null) ]
-  in
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
-        let ann = annotator ~spill:cx.spill aggs ~args in
+        let groups = ref [] and count = ref 0 in
+        let group_of =
+          group_of (fun key ->
+              let head = if rep = None then Some key else None in
+              let g = (!count, ref head, fresh ()) in
+              incr count;
+              groups := g :: !groups;
+              g)
+        in
+        let assign b p =
+          let gid, key, states = group_of b p in
+          if represents b p then begin
+            if Option.is_none !key then key := Some (gkey b p);
+            feed states b p
+          end;
+          gid
+        in
+        let heads () =
+          Array.of_list
+            (List.rev_map
+               (fun (_, key, states) ->
+                 match !key with
+                 | Some key -> Array.append key (results states)
+                 | None -> err "internal: a group without a representative row")
+               !groups)
+        in
+        let empty_global () =
+          batches_of_tuple_list ~arity ~batch_rows
+            [
+              Array.append (results (fresh ()))
+                (Array.make child_arity Value.Null);
+            ]
+        in
         match cx.spill with
         | Some cfg ->
           let tag = function
@@ -1808,11 +1821,10 @@ and compile_batch_group_annotate cx child group_by aggs =
           let tagged =
             Seq.flat_map
               (fun b ->
-                cur := b;
                 let rows = ref [] in
                 Batch.iter_live
                   (fun p ->
-                    let g = ann.assign (gkey b p) p in
+                    let g = assign b p in
                     rows :=
                       Tuple.concat [| Value.Int g; Value.Int !n |] (brow b p)
                       :: !rows;
@@ -1822,9 +1834,9 @@ and compile_batch_group_annotate cx child group_by aggs =
               (run_child ())
           in
           let sorted = external_sort cfg cmp tagged in
-          if !n = 0 && global then empty_global ann ()
+          if !n = 0 && group_by = [] then empty_global () ()
           else
-            let heads = ann.heads () in
+            let heads = heads () in
             batches_of_seq ~arity ~batch_rows
               (Seq.map
                  (fun row ->
@@ -1834,66 +1846,33 @@ and compile_batch_group_annotate cx child group_by aggs =
               ()
         | None ->
           let batches = Array.of_seq (run_child ()) in
-          let n =
-            Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches
-          in
-          let row_batch = Array.make n 0
-          and row_pos = Array.make n 0
-          and gids = Array.make n 0 in
-          let k = ref 0 in
-          Array.iteri
-            (fun bi b ->
-              cur := b;
-              Batch.iter_live
-                (fun p ->
-                  row_batch.(!k) <- bi;
-                  row_pos.(!k) <- p;
-                  gids.(!k) <- ann.assign (gkey b p) p;
-                  incr k)
-                b)
-            batches;
-          if n = 0 && global then empty_global ann ()
+          let ((rb, rp) as refs) = number_rows batches in
+          let gids = Array.mapi (fun r bi -> assign batches.(bi) rp.(r)) rb in
+          if gids = [||] && group_by = [] then empty_global () ()
           else
-            let heads = ann.heads () in
-            let order = grouped_order ~groups:(Array.length heads) gids in
-            let size = max 1 batch_rows in
-            Seq.init
-              ((n + size - 1) / size)
-              (fun bi ->
-                let start = bi * size in
-                let len = min size (n - start) in
-                let gather f = Array.init len (fun j -> f order.(start + j)) in
-                Batch.dense
-                  (Array.append
-                     (Array.init head_arity (fun c ->
-                          gather (fun r -> heads.(gids.(r)).(c))))
-                     (Array.init child_arity (fun c ->
-                          gather (fun r ->
-                              (Batch.col batches.(row_batch.(r)) c).(row_pos.(r))))))
-                  len)
+            let heads = heads () in
+            gather_rows
+              ~head:(head_arity, fun c r -> heads.(gids.(r)).(c))
+              ~batch_rows ~arity:child_arity batches refs
+              (grouped_order ~groups:!count gids)
               ())
 
-and compile_batch_set_op cx kind all left right =
+and compile_batch_set_op cx kind all left right attrs =
   let run_left = compile_batch cx left in
   let run_right = compile_batch cx right in
   let narrow_rows keep b = narrow_live (fun p -> keep (brow b p)) b in
   match kind, all with
   | Plan.Union, true -> fun () -> Seq.append (run_left ()) (run_right ())
   | Plan.Union, false ->
+    (* the branches are positional, so one layout over the output
+       attributes (unified types) reads both *)
+    let group_of =
+      grouper ~spill:cx.spill ~what:"UNION" (layout cx attrs)
+        (List.map (fun a -> Expr.Attr a) attrs)
+    in
     fun () ->
-      Seq.memoize
-        (fun () ->
-          let seen = Tuple.Hash.create 64 in
-          let keep row =
-            if Tuple.Hash.mem seen row then false
-            else begin
-              Tuple.Hash.replace seen row ();
-              budget_materialized cx.spill ~what:"UNION"
-                (Tuple.Hash.length seen);
-              true
-            end
-          in
-          Seq.filter_map (narrow_rows keep)
+      Seq.memoize (fun () ->
+          Seq.filter_map (first_rows group_of)
             (Seq.append (run_left ()) (run_right ()))
             ())
   | (Plan.Intersect | Plan.Except), _ ->
@@ -2466,7 +2445,15 @@ let plan_hash ?(mode = "serial") plan =
                    (if c.Plan.distinct then ":distinct" else "")
                    (match c.Plan.arg with None -> "" | Some e -> expr e)
                    (attr c.Plan.agg_out))
-               aggs))
+               aggs)
+        ^ (match p with
+          | Plan.Group_annotate { rep = Some e; _ } -> ":rep:" ^ expr e
+          | _ -> ""))
+    | Plan.Mark_first { keys; among; flag; _ } ->
+      add
+        (Printf.sprintf "markfirst:%s:%s>%s" (attrs keys)
+           (match among with None -> "" | Some e -> expr e)
+           (attr flag))
     | Plan.Distinct _ -> add "distinct"
     | Plan.Set_op { kind; all; attrs = a; _ } ->
       add

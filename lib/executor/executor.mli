@@ -2,16 +2,20 @@
 
     One plan walker runs every statement, original or provenance-rewritten:
     operators exchange columnar batches. It provides hash joins for equi-
-    and null-safe-equality predicates (the shape the provenance rewriter
-    emits for its rejoin rules), with a nested-loop fallback. It also
-    provides hash aggregation and duplicate elimination, bag-semantics set
-    operations, stable sorting, and correlated [Apply] evaluation for
-    subqueries that resist decorrelation.
+    and key-identity predicates (the shape the provenance rewriter emits
+    for its rejoin rules), with a nested-loop fallback. It also provides
+    hash aggregation, group annotation and duplicate elimination (with its
+    representative flag, [Plan.Mark_first]), all grouping through one
+    group-id kernel; bag-semantics set operations; a stable permutation
+    sort; and correlated [Apply] evaluation for subqueries that resist
+    decorrelation.
 
     Row order is part of the contract, whatever the batch size:
     - joins emit left rows in order, each with its matches in right
       order; a FULL join appends its unmatched right rows in right order;
-    - aggregates and DISTINCT emit groups in first-seen order;
+    - aggregates and DISTINCT emit groups in first-seen order; a group
+      annotation emits groups in first-seen order, each group's rows in
+      input order;
     - sorts are stable;
     - [Apply] evaluates its right side once per left row, in order.
 
@@ -20,8 +24,9 @@
     markers execute as identity.
 
     NULL handling follows SQL: predicates use three-valued logic and only
-    [True] passes; grouping, DISTINCT and set operations use null-safe
-    equality; plain join equality never matches NULL keys. *)
+    [True] passes; grouping, DISTINCT, set operations and rejoin keys use
+    key identity ([Perm_value.Value.key_equal]: NULL matches NULL, NaN
+    matches NaN); plain join equality never matches NULL or NaN keys. *)
 
 exception Runtime_error of string
 

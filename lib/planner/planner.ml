@@ -51,6 +51,7 @@ let rec column_origin (plan : Plan.t) (a : Attr.t) : (string * string) option =
     | Some (Expr.Attr src, _) -> column_origin child src
     | Some _ -> None
     | None -> column_origin child a)
+  | Plan.Mark_first { child; _ } -> column_origin child a
   | Plan.Values _ | Plan.Set_op _ | Plan.Prov _ | Plan.Baserel _
   | Plan.External _ ->
     None
@@ -100,7 +101,8 @@ let rec estimate_rows stats (plan : Plan.t) : float =
   | Plan.Values { rows; _ } -> float_of_int (max 1 (List.length rows))
   | Plan.Project { child; _ } | Plan.Sort { child; _ } ->
     estimate_rows stats child
-  | Plan.Group_annotate { child; _ } -> max 1. (estimate_rows stats child)
+  | Plan.Group_annotate { child; _ } | Plan.Mark_first { child; _ } ->
+    max 1. (estimate_rows stats child)
   | Plan.Filter { child; pred } ->
     let rows = estimate_rows stats child in
     max 1. (rows *. selectivity stats child ~rows pred)
@@ -208,7 +210,8 @@ let rec cost stats (plan : Plan.t) : float =
     cost stats left +. (l *. cost stats right) +. out
   | Plan.Aggregate { child; _ } | Plan.Group_annotate { child; _ } ->
     cost stats child +. estimate_rows stats child +. out
-  | Plan.Distinct child -> cost stats child +. estimate_rows stats child
+  | Plan.Distinct child | Plan.Mark_first { child; _ } ->
+    cost stats child +. estimate_rows stats child
   | Plan.Set_op { left; right; _ } ->
     cost stats left +. cost stats right
     +. estimate_rows stats left +. estimate_rows stats right
@@ -320,7 +323,13 @@ let rec map_exprs f (plan : Plan.t) : Plan.t =
       { r with group_by = map_group_by r.group_by; aggs = map_aggs r.aggs }
   | Plan.Group_annotate r ->
     Plan.Group_annotate
-      { r with group_by = map_group_by r.group_by; aggs = map_aggs r.aggs }
+      {
+        r with
+        group_by = map_group_by r.group_by;
+        aggs = map_aggs r.aggs;
+        rep = Option.map f r.rep;
+      }
+  | Plan.Mark_first r -> Plan.Mark_first { r with among = Option.map f r.among }
   | Plan.Set_op _ -> plan
   | Plan.Sort r ->
     Plan.Sort { r with keys = List.map (fun (e, d) -> (f e, d)) r.keys }
@@ -376,8 +385,9 @@ let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
     Some (Plan.Sort { child = with_filter child pred; keys })
   | Plan.Distinct child -> Some (Plan.Distinct (with_filter child pred))
   | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Join _
-  | Plan.Apply _ | Plan.Aggregate _ | Plan.Group_annotate _ | Plan.Set_op _
-  | Plan.Limit _ | Plan.Prov _ | Plan.Baserel _ | Plan.External _ ->
+  | Plan.Apply _ | Plan.Aggregate _ | Plan.Group_annotate _ | Plan.Mark_first _
+  | Plan.Set_op _ | Plan.Limit _ | Plan.Prov _ | Plan.Baserel _
+  | Plan.External _ ->
     None
 
 and with_filter plan pred =
@@ -422,8 +432,12 @@ let free_attrs plan =
     | Plan.Filter { pred; _ } -> ref_expr pred
     | Plan.Join { pred; _ } -> Option.iter ref_expr pred
     | Plan.Apply _ -> ()
+    | Plan.Mark_first { among; _ } -> Option.iter ref_expr among
     | Plan.Aggregate { group_by; aggs; _ }
     | Plan.Group_annotate { group_by; aggs; _ } ->
+      (match p with
+      | Plan.Group_annotate { rep = Some e; _ } -> ref_expr e
+      | _ -> ());
       List.iter (fun (e, _) -> ref_expr e) group_by;
       List.iter
         (fun (c : Plan.agg_call) -> Option.iter ref_expr c.arg)
@@ -568,17 +582,19 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
     in
     Plan.Aggregate
       { child = prune ~needed:(Some child_needed) child; group_by; aggs }
-  | Plan.Group_annotate { child; group_by; aggs } ->
+  | Plan.Group_annotate { child; group_by; aggs; rep } ->
     (* the child's columns pass through: needed ones stay needed, plus
-       everything the grouping and the surviving aggregates read *)
+       everything the grouping, the surviving aggregates and the
+       representative flag read *)
     let aggs = List.filter (fun (c : Plan.agg_call) -> keep c.agg_out) aggs in
     let child_needed =
       Option.map
         (fun s ->
           let s =
             List.fold_left
-              (fun acc (e, _) -> Attr.Set.union acc (Expr.attrs e))
-              s group_by
+              (fun acc e -> Attr.Set.union acc (Expr.attrs e))
+              s
+              (Option.to_list rep @ List.map fst group_by)
           in
           List.fold_left
             (fun acc (c : Plan.agg_call) ->
@@ -589,7 +605,21 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
         needed
     in
     Plan.Group_annotate
-      { child = prune ~needed:child_needed child; group_by; aggs }
+      { child = prune ~needed:child_needed child; group_by; aggs; rep }
+  | Plan.Mark_first { child; flag; _ } when not (keep flag) ->
+    (* nothing reads the flag (the lateral strategy's input) *)
+    prune ~needed child
+  | Plan.Mark_first { child; keys; among; flag } ->
+    let child_needed =
+      Option.map
+        (fun s ->
+          List.fold_left (fun acc a -> Attr.Set.add a acc)
+            (Attr.Set.union s
+               (Option.fold ~none:Attr.Set.empty ~some:Expr.attrs among))
+            keys)
+        needed
+    in
+    Plan.Mark_first { child = prune ~needed:child_needed child; keys; among; flag }
   | Plan.Distinct child -> Plan.Distinct (prune ~needed:None child)
   | Plan.Set_op { kind; all; left; right; attrs } ->
     (* positional: keep every column *)

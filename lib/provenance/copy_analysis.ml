@@ -54,7 +54,8 @@ let rec walk env (plan : Plan.t) =
   | Plan.Filter { child; _ }
   | Plan.Distinct child
   | Plan.Sort { child; _ }
-  | Plan.Limit { child; _ } ->
+  | Plan.Limit { child; _ }
+  | Plan.Mark_first { child; _ } ->
     walk env child
   | Plan.Join { kind = Plan.Anti; left; _ } -> walk env left
   | Plan.Apply { kind = Plan.A_anti; left; _ } -> walk env left
@@ -71,7 +72,7 @@ let rec walk env (plan : Plan.t) =
       | _ -> bind env a Pair_set.empty)
     | Plan.A_cross | Plan.A_outer | Plan.A_semi | Plan.A_anti -> ())
   | Plan.Aggregate { child; group_by; aggs }
-  | Plan.Group_annotate { child; group_by; aggs } ->
+  | Plan.Group_annotate { child; group_by; aggs; _ } ->
     walk env child;
     List.iter (fun (e, out) -> bind env out (copy_of_expr env e)) group_by;
     List.iter

@@ -66,31 +66,47 @@ let rename_for_rejoin orig_attrs plan bindings =
   in
   (Plan.Project { child = plan; cols }, data_copies, prov_attrs)
 
-(* Whether [rw plan] yields exactly one rewritten row per row of [plan],
-   carrying that row's original column values — the precondition for
-   aggregating the rewritten input in place of the original one. Rules
-   that replicate (semi joins and semi/scalar applies expose witnesses),
-   rejoin (aggregation, LIMIT, INTERSECT, EXCEPT) or drop the original's
-   duplicate elimination (DISTINCT, UNION) break it. *)
-let rec preserves_rows (plan : Plan.t) =
+(* Whether an aggregate over [plan] can read [rw plan] in one pass, with
+   no rejoin. A rewrite that keeps one row per row of [plan], carrying its
+   original column values, can be aggregated in place of the original
+   input. Duplicate elimination (DISTINCT, UNION) keeps every witness of a
+   result row instead, and a representative flag ({!rw_rep}) picks one
+   rewritten row per original row. Rules that replicate (semi joins and
+   semi/scalar applies expose witnesses) or rejoin (aggregation, LIMIT,
+   INTERSECT, EXCEPT) break both. *)
+let rec one_pass (plan : Plan.t) =
   match plan with
   | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Baserel _
   | Plan.External _ | Plan.Prov _ ->
     true
   | Plan.Project { child; _ } | Plan.Filter { child; _ } | Plan.Sort { child; _ }
-    ->
-    preserves_rows child
+  | Plan.Distinct child ->
+    one_pass child
   | Plan.Join { kind = Plan.Anti; left; _ }
   | Plan.Apply { kind = Plan.A_anti; left; _ } ->
-    preserves_rows left
+    one_pass left
   | Plan.Join
       { kind = Plan.Inner | Plan.Left | Plan.Right | Plan.Full | Plan.Cross;
         left; right; _ }
-  | Plan.Set_op { kind = Plan.Union; all = true; left; right; _ } ->
-    preserves_rows left && preserves_rows right
+  | Plan.Set_op { kind = Plan.Union; left; right; _ } ->
+    one_pass left && one_pass right
   | Plan.Join { kind = Plan.Semi; _ } | Plan.Apply _ | Plan.Aggregate _
-  | Plan.Group_annotate _ | Plan.Distinct _ | Plan.Set_op _ | Plan.Limit _ ->
+  | Plan.Group_annotate _ | Plan.Mark_first _ | Plan.Set_op _ | Plan.Limit _ ->
     false
+
+(* Representative flags are boolean expressions over a rewritten plan,
+   TRUE on exactly one rewritten row per original row; [None] when every
+   rewritten row is its own representative. The side an outer join pads
+   stands for no row, and its flag reads NULL there. *)
+let both_flags a b =
+  match a, b with
+  | None, f | f, None -> f
+  | Some a, Some b -> Some (Expr.Binop (Expr.And, a, b))
+
+let padded_flag f =
+  Option.map (fun f -> Expr.Binop (Expr.Or, f, Expr.Unop (Expr.Is_null, f))) f
+
+let flag_attr () = Attr.fresh "rep" Perm_value.Dtype.Bool
 
 let rec eliminate ctx (plan : Plan.t) =
   match plan with
@@ -103,64 +119,94 @@ let rec eliminate ctx (plan : Plan.t) =
 (* The influence rewrite: returns the rewritten plan and the provenance
    bindings, one expression per column of Sources.instances, in the same
    order (the structural mirror of Sources.instances). *)
-and rw ctx (plan : Plan.t) : Plan.t * Expr.t list =
+and rw ctx plan =
+  let plan', bindings, _ = rw_rep ctx ~rep:false plan in
+  (plan', bindings)
+
+(* [rw] that also returns the representative flag. Under [~rep] (an
+   aggregate reads the result in one pass, see {!one_pass}) each
+   duplicate elimination flags the first witness of every distinct row
+   among its input's representatives, and joins, UNION ALL, filters,
+   projections and sorts combine their inputs' flags; without it no rule
+   adds a flag. *)
+and rw_rep ctx ~rep (plan : Plan.t) : Plan.t * Expr.t list * Expr.t option =
+  let plain (plan', bindings) = (plan', bindings, None) in
   match plan with
   | Plan.Scan { table; _ } | Plan.Index_scan { table; _ } ->
     fired ctx "base_relation";
-    duplicate_as_provenance table plan
+    plain (duplicate_as_provenance table plan)
   | Plan.Values _ ->
     fired ctx "values";
-    (plan, [])
+    (plan, [], None)
   | Plan.Baserel { child; rel_name } ->
     fired ctx "baserelation";
-    duplicate_as_provenance rel_name (eliminate ctx child)
+    plain (duplicate_as_provenance rel_name (eliminate ctx child))
   | Plan.External { child; ext_attrs } ->
     fired ctx "external_provenance";
-    (eliminate ctx child, List.map (fun a -> Expr.Attr a) ext_attrs)
+    (eliminate ctx child, List.map (fun a -> Expr.Attr a) ext_attrs, None)
   | Plan.Prov { child; semantics; sources } ->
     let rewritten = rewrite_prov ctx ~child ~semantics ~sources in
     ( rewritten,
-      List.map (fun (s : Plan.prov_source) -> Expr.Attr s.prov_attr) sources )
+      List.map (fun (s : Plan.prov_source) -> Expr.Attr s.prov_attr) sources,
+      None )
   | Plan.Project { child; cols } ->
     fired ctx "project";
-    let child', bindings = rw ctx child in
+    let child', bindings, flag = rw_rep ctx ~rep child in
     let prov_attrs =
       List.map (fun b -> Attr.fresh "prov" (Expr.type_of b)) bindings
     in
-    let cols' = cols @ List.map2 (fun b p -> (b, p)) bindings prov_attrs in
+    let flag_col = Option.map (fun f -> (f, flag_attr ())) flag in
+    let cols' =
+      cols
+      @ List.map2 (fun b p -> (b, p)) bindings prov_attrs
+      @ Option.to_list flag_col
+    in
     ( Plan.Project { child = child'; cols = cols' },
-      List.map (fun p -> Expr.Attr p) prov_attrs )
+      List.map (fun p -> Expr.Attr p) prov_attrs,
+      Option.map (fun (_, a) -> Expr.Attr a) flag_col )
   | Plan.Filter { child; pred } ->
     fired ctx "filter";
-    let child', bindings = rw ctx child in
-    (Plan.Filter { child = child'; pred }, bindings)
+    let child', bindings, flag = rw_rep ctx ~rep child in
+    (Plan.Filter { child = child'; pred }, bindings, flag)
   | Plan.Join { kind = Plan.Anti; left; right; pred } ->
     fired ctx "join_anti";
-    let left', bl = rw ctx left in
+    let left', bl, flag = rw_rep ctx ~rep left in
     ( Plan.Join
         { kind = Plan.Anti; left = left'; right = eliminate ctx right; pred },
-      bl )
+      bl,
+      flag )
   | Plan.Join { kind = Plan.Semi; left; right; pred } ->
     (* Witness tuples of the right side become visible: one output row per
        witness, the provenance replication of §2.1. *)
     fired ctx "join_semi";
     let left', bl = rw ctx left in
     let right', br = rw ctx right in
-    (Plan.Join { kind = Plan.Inner; left = left'; right = right'; pred }, bl @ br)
+    plain
+      (Plan.Join { kind = Plan.Inner; left = left'; right = right'; pred }, bl @ br)
   | Plan.Join { kind; left; right; pred } ->
     fired ctx "join";
-    let left', bl = rw ctx left in
-    let right', br = rw ctx right in
-    (Plan.Join { kind; left = left'; right = right'; pred }, bl @ br)
+    let left', bl, lf = rw_rep ctx ~rep left in
+    let right', br, rf = rw_rep ctx ~rep right in
+    let pads_left = kind = Plan.Right || kind = Plan.Full
+    and pads_right = kind = Plan.Left || kind = Plan.Full in
+    ( Plan.Join { kind; left = left'; right = right'; pred },
+      bl @ br,
+      both_flags
+        (if pads_left then padded_flag lf else lf)
+        (if pads_right then padded_flag rf else rf) )
   | Plan.Apply { kind = Plan.A_anti; left; right } ->
     fired ctx "apply_anti";
-    let left', bl = rw ctx left in
-    (Plan.Apply { kind = Plan.A_anti; left = left'; right = eliminate ctx right }, bl)
+    let left', bl, flag = rw_rep ctx ~rep left in
+    ( Plan.Apply
+        { kind = Plan.A_anti; left = left'; right = eliminate ctx right },
+      bl,
+      flag )
   | Plan.Apply { kind = Plan.A_semi; left; right } ->
     fired ctx "apply_semi";
     let left', bl = rw ctx left in
     let right', br = rw ctx right in
-    (Plan.Apply { kind = Plan.A_cross; left = left'; right = right' }, bl @ br)
+    plain
+      (Plan.Apply { kind = Plan.A_cross; left = left'; right = right' }, bl @ br)
   | Plan.Apply { kind = Plan.A_scalar out; left; right } ->
     fired ctx "apply_scalar";
     let left', bl = rw ctx left in
@@ -181,26 +227,29 @@ and rw ctx (plan : Plan.t) : Plan.t * Expr.t list =
             ((Expr.Attr r0, out) :: List.map2 (fun b p -> (b, p)) br prov_attrs);
         }
     in
-    ( Plan.Apply { kind = Plan.A_outer; left = left'; right = right'' },
-      bl @ List.map (fun p -> Expr.Attr p) prov_attrs )
+    plain
+      ( Plan.Apply { kind = Plan.A_outer; left = left'; right = right'' },
+        bl @ List.map (fun p -> Expr.Attr p) prov_attrs )
   | Plan.Apply { kind = (Plan.A_cross | Plan.A_outer) as kind; left; right } ->
     fired ctx "apply";
     let left', bl = rw ctx left in
     let right', br = rw ctx right in
-    (Plan.Apply { kind; left = left'; right = right' }, bl @ br)
+    plain (Plan.Apply { kind; left = left'; right = right' }, bl @ br)
   | Plan.Aggregate { child; group_by; aggs } ->
-    rw_aggregate ctx ~child ~group_by ~aggs
-  | Plan.Group_annotate _ ->
-    raise (Rewrite_error "group annotation under a provenance marker")
+    plain (rw_aggregate ctx ~child ~group_by ~aggs)
+  | Plan.Group_annotate _ | Plan.Mark_first _ ->
+    raise (Rewrite_error "provenance-only operator under a provenance marker")
   | Plan.Distinct child ->
     (* every rewritten input row equals exactly one DISTINCT result row, so
        the rewritten input already is the answer: one row per witness *)
     fired ctx "distinct";
-    rw ctx child
+    let child', bindings, flag = rw_rep ctx ~rep child in
+    if rep then first_witness child' bindings (Plan.schema child) flag
+    else (child', bindings, flag)
   | Plan.Sort { child; keys } ->
     fired ctx "sort";
-    let child', bindings = rw ctx child in
-    (Plan.Sort { child = child'; keys }, bindings)
+    let child', bindings, flag = rw_rep ctx ~rep child in
+    (Plan.Sort { child = child'; keys }, bindings, flag)
   | Plan.Limit { child; limit; offset } ->
     fired ctx "limit_rejoin";
     let child', bindings = rw ctx child in
@@ -209,35 +258,51 @@ and rw ctx (plan : Plan.t) : Plan.t * Expr.t list =
       rename_for_rejoin orig_attrs child' bindings
     in
     let pred =
-      Expr.null_safe_eq_all
+      Expr.key_eq_all
         (List.map2
            (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
            orig_attrs data_copies)
     in
-    ( Plan.Join
-        {
-          kind = Plan.Inner;
-          left = Plan.Limit { child; limit; offset };
-          right = renamed;
-          pred = Some pred;
-        },
-      List.map (fun p -> Expr.Attr p) prov_attrs )
+    plain
+      ( Plan.Join
+          {
+            kind = Plan.Inner;
+            left = Plan.Limit { child; limit; offset };
+            right = renamed;
+            pred = Some pred;
+          },
+        List.map (fun p -> Expr.Attr p) prov_attrs )
   | Plan.Set_op { kind; all; left; right; attrs } ->
-    rw_set_op ctx ~kind ~all ~left ~right ~attrs
+    rw_set_op ctx ~rep ~kind ~all ~left ~right ~attrs
+
+(* The representative flag of a duplicate elimination over [keys]: TRUE on
+   the first witness of every distinct row among the input's
+   representatives. *)
+and first_witness plan' bindings keys among =
+  let flag = flag_attr () in
+  ( Plan.Mark_first { child = plan'; keys; among; flag },
+    bindings,
+    Some (Expr.Attr flag) )
 
 and rw_aggregate ctx ~child ~group_by ~aggs =
-  let child', bindings = rw ctx child in
+  (* one pass: the rewritten input carries the original input's rows (the
+     flagged ones, under a representative flag), so one pass over it
+     computes the aggregate and annotates its rows; otherwise the
+     aggregate runs over the original input and is rejoined *)
+  let fused = one_pass child in
+  let child', bindings, rep =
+    if fused then rw_rep ctx ~rep:true child
+    else
+      let child', bindings = rw ctx child in
+      (child', bindings, None)
+  in
   let original = Plan.Aggregate { child; group_by; aggs } in
   let pred =
-    Expr.null_safe_eq_all
+    Expr.key_eq_all
       (List.map (fun (e, out) -> (e, Expr.Attr out)) group_by)
   in
   let join_candidate () =
-    (* a row-preserving rewrite carries the original input, so one pass
-       over it computes the aggregate and annotates its rows; otherwise
-       the aggregate runs over the original input and is rejoined *)
-    if preserves_rows child then
-      Plan.Group_annotate { child = child'; group_by; aggs }
+    if fused then Plan.Group_annotate { child = child'; group_by; aggs; rep }
     else
       Plan.Join
         { kind = Plan.Left; left = original; right = child'; pred = Some pred }
@@ -270,13 +335,15 @@ and rw_aggregate ctx ~child ~group_by ~aggs =
   in
   (plan, bindings)
 
-and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
-  let left', bl = rw ctx left in
-  let right', br = rw ctx right in
+and rw_set_op ctx ~rep ~kind ~all ~left ~right ~attrs =
+  let left', bl, lf = rw_rep ctx ~rep left in
+  let right', br, rf = rw_rep ctx ~rep right in
   let l_attrs = Plan.schema left and r_attrs = Plan.schema right in
   (* Pad each branch with NULLs for the other branch's provenance columns
      and union-all them positionally (the Figure 2 shape). [data_outs] are
-     the positional result attributes of the union. *)
+     the positional result attributes of the union. A branch without a
+     representative flag represents itself, so it reads TRUE in the flag
+     column. *)
   let union_all ~data_outs =
     let bl_outs = List.map (fun b -> Attr.fresh "prov" (Expr.type_of b)) bl in
     let br_outs = List.map (fun b -> Attr.fresh "prov" (Expr.type_of b)) br in
@@ -294,9 +361,19 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
           bl_outs
       @ List.map2 (fun b p -> (b, p)) br br_outs
     in
-    let lproj = Plan.Project { child = left'; cols = l_cols } in
-    let rproj = Plan.Project { child = right'; cols = r_cols } in
-    let out_attrs = data_outs @ bl_outs @ br_outs in
+    let l_flag, r_flag, flag =
+      match lf, rf with
+      | None, None -> ([], [], None)
+      | _ ->
+        let out = flag_attr () in
+        let side f = Option.value f ~default:(Expr.Const (Value.Bool true)) in
+        ( [ (side lf, out) ],
+          [ (side rf, Attr.renamed out.Attr.name out) ],
+          Some out )
+    in
+    let lproj = Plan.Project { child = left'; cols = l_cols @ l_flag } in
+    let rproj = Plan.Project { child = right'; cols = r_cols @ r_flag } in
+    let out_attrs = data_outs @ bl_outs @ br_outs @ Option.to_list flag in
     ( Plan.Set_op
         {
           kind = Plan.Union;
@@ -305,7 +382,8 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
           right = rproj;
           attrs = out_attrs;
         },
-      bl_outs @ br_outs )
+      bl_outs @ br_outs,
+      Option.map (fun a -> Expr.Attr a) flag )
   in
   match kind, all with
   | Plan.Union, _ ->
@@ -313,15 +391,17 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
        row (for UNION, the one its duplicates collapse into), so the union
        keeps the original output attribute identities *)
     fired ctx (if all then "union_all" else "union_distinct");
-    let u, prov_outs = union_all ~data_outs:attrs in
-    (u, List.map (fun p -> Expr.Attr p) prov_outs)
+    let u, prov_outs, flag = union_all ~data_outs:attrs in
+    let bindings = List.map (fun p -> Expr.Attr p) prov_outs in
+    if rep && not all then first_witness u bindings attrs flag
+    else (u, bindings, flag)
   | Plan.Intersect, _ ->
     fired ctx "intersect";
     let original = Plan.Set_op { kind; all; left; right; attrs } in
     let l_renamed, l_copies, l_prov = rename_for_rejoin l_attrs left' bl in
     let r_renamed, r_copies, r_prov = rename_for_rejoin r_attrs right' br in
     let match_pred copies =
-      Expr.null_safe_eq_all
+      Expr.key_eq_all
         (List.map2
            (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
            attrs copies)
@@ -344,7 +424,7 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
           pred = Some (match_pred r_copies);
         }
     in
-    (with_both, List.map (fun p -> Expr.Attr p) (l_prov @ r_prov))
+    (with_both, List.map (fun p -> Expr.Attr p) (l_prov @ r_prov), None)
   | Plan.Except, _ ->
     fired ctx "except";
     (* Result tuples stem from the left branch only; the right branch has no
@@ -353,7 +433,7 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
     let original = Plan.Set_op { kind; all; left; right; attrs } in
     let l_renamed, l_copies, l_prov = rename_for_rejoin l_attrs left' bl in
     let pred =
-      Expr.null_safe_eq_all
+      Expr.key_eq_all
         (List.map2
            (fun (a : Attr.t) c -> (Expr.Attr a, Expr.Attr c))
            attrs l_copies)
@@ -361,7 +441,8 @@ and rw_set_op ctx ~kind ~all ~left ~right ~attrs =
     ( Plan.Join
         { kind = Plan.Inner; left = original; right = l_renamed; pred = Some pred },
       List.map (fun p -> Expr.Attr p) l_prov
-      @ List.map (fun _ -> Expr.Const Value.Null) br )
+      @ List.map (fun _ -> Expr.Const Value.Null) br,
+      None )
 
 and rewrite_prov ctx ~child ~semantics ~sources =
   ctx.markers <- ctx.markers + 1;

@@ -23,20 +23,27 @@
     - aggregation: two strategies — {e Join} annotates the rewritten input
       in one pass with its group's key and aggregate values
       ([Plan.Group_annotate], the window-style aggregation of Niu & Glavic)
-      when the input's rewrite keeps one row per input row, and otherwise
-      rejoins the original aggregate with the rewritten input on null-safe
-      group-key equality; {e Lateral} re-evaluates the rewritten input per
+      when the input's rewrite keeps one row per input row, or keeps all
+      witnesses of a duplicate elimination (DISTINCT, UNION) below joins,
+      UNION ALL, filters, projections and sorts: each duplicate elimination
+      then flags the first witness of every distinct row
+      ([Plan.Mark_first]), the flags combine upwards into a representative
+      flag, and only flagged rows feed the aggregates. Otherwise (an
+      aggregate, semi join, semi/scalar apply, LIMIT, INTERSECT or EXCEPT
+      below) it rejoins the original aggregate with the rewritten input on
+      group-key identity; {e Lateral} re-evaluates the rewritten input per
       group (an [Apply]). The paper's "heuristic and cost-based solution for
       choosing the best rewrite strategy" is {!strategy_mode};
     - duplicate elimination: [Distinct(T)+ = T+] — every rewritten row
       equals exactly one result row, so one row per witness;
     - LIMIT: rejoin the original operator's output with the (renamed)
-      rewritten input on null-safe equality of all columns;
+      rewritten input on key identity of all columns
+      ({!Perm_algebra.Expr.key_eq_all}: NULL and NaN match themselves);
     - set operations: union (all or distinct) NULL-pads each branch's
       missing provenance columns (Figure 2's shape); intersection rejoins
       the original operator result with each rewritten branch; difference
       propagates only left-branch provenance (the right side contributes no
-      witness tuples);
+      witness tuples); both rejoin on key identity;
     - [BASERELATION]: the subtree is not rewritten — its own output is
       duplicated as its provenance (§2.4);
     - external provenance: declared attributes are passed through untouched

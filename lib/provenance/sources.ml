@@ -66,6 +66,7 @@ let rec instances (plan : Plan.t) =
   | Plan.Filter { child; _ }
   | Plan.Aggregate { child; _ }
   | Plan.Group_annotate { child; _ }
+  | Plan.Mark_first { child; _ }
   | Plan.Distinct child
   | Plan.Sort { child; _ }
   | Plan.Limit { child; _ } ->

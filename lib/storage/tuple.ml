@@ -5,7 +5,7 @@ type t = Value.t array
 let arity = Array.length
 
 let equal a b =
-  Array.length a = Array.length b && Array.for_all2 Value.equal a b
+  Array.length a = Array.length b && Array.for_all2 Value.key_equal a b
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in

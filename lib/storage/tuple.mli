@@ -4,8 +4,9 @@ type t = Perm_value.Value.t array
 
 val arity : t -> int
 val equal : t -> t -> bool
-(** Null-safe positional equality ({!Perm_value.Value.equal}), the notion
-    used for grouping, DISTINCT, set operations and provenance rejoins. *)
+(** Positional key identity ({!Perm_value.Value.key_equal}: NULL matches
+    NULL, NaN matches NaN), the notion used for grouping, DISTINCT, set
+    operations and provenance rejoins. *)
 
 val compare : t -> t -> int
 val hash : t -> int
@@ -17,4 +18,4 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 module Hash : Hashtbl.S with type key = t
-(** Hash table keyed by tuples under null-safe equality. *)
+(** Hash table keyed by tuples under key identity. *)

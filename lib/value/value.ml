@@ -76,6 +76,19 @@ let equal a b =
   | Date a, Date b -> a = b
   | (Null | Int _ | Float _ | Bool _ | Text _ | Date _), _ -> false
 
+(* [equal] with NaN identified with NaN; spelled out in full, as it is on
+   every hash-table probe *)
+let key_equal a b =
+  match a, b with
+  | Null, Null -> true
+  | Int a, Int b -> a = b
+  | Float a, Float b -> a = b || (Float.is_nan a && Float.is_nan b)
+  | Int a, Float b | Float b, Int a -> float_of_int a = b
+  | Bool a, Bool b -> a = b
+  | Text a, Text b -> String.equal a b
+  | Date a, Date b -> a = b
+  | (Null | Int _ | Float _ | Bool _ | Text _ | Date _), _ -> false
+
 (* Type-tag rank for the total order over incomparable types. *)
 let rank = function
   | Null -> 0

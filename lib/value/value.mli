@@ -23,8 +23,13 @@ val is_null : t -> bool
 val equal : t -> t -> bool
 (** Structural equality; [equal Null Null = true]. Int/float cross-type
     numeric equality holds when values coincide ([Int 1 = Float 1.0]).
-    This is the *null-safe* notion used for grouping, set operations and
-    provenance rejoin predicates — not SQL [=], which is {!sql_eq}. *)
+    NaN equals nothing, itself included, as under SQL [=] ({!sql_eq}). *)
+
+val key_equal : t -> t -> bool
+(** Key identity: {!equal}, except that NaN identifies with NaN (as in
+    {!compare}). The one notion of "same key" for grouping, DISTINCT, set
+    operations and provenance rejoins, so a NaN key keeps its group and
+    its witnesses. [-0.0] and [0.0] are one key. *)
 
 val compare : t -> t -> int
 (** Total order used by ORDER BY and sort-based operators. [Null] sorts
@@ -35,8 +40,8 @@ val compare : t -> t -> int
     well-typed plans but keeps the order total. *)
 
 val hash : t -> int
-(** Compatible with {!equal}: equal values hash equally (numeric values
-    hash via their float embedding). *)
+(** Compatible with {!key_equal}: equal values hash equally (numeric
+    values hash via their float embedding, every NaN alike). *)
 
 (** {1 SQL operations — all return [Null] on [Null] input} *)
 

@@ -12,7 +12,8 @@
      FULL join appends its unmatched right rows in right order; a RIGHT
      join runs over the right rows, each with its left matches in order;
    - aggregates, group annotation and DISTINCT: groups in first-seen
-     order (rows of a group in input order);
+     order (rows of a group in input order); a flagged group annotation
+     takes each group's key from its first representative row;
    - sorts: stable;
    - Apply: the right side evaluated once per left row, in order. *)
 
@@ -114,7 +115,7 @@ let aggregate env_of (call : Plan.agg_call) rows =
     let vs =
       List.filter (fun v -> not (Value.is_null v)) (List.map (fun r -> eval (env_of r) arg) rows)
     in
-    if call.Plan.distinct then dedup Value.equal vs else vs
+    if call.Plan.distinct then dedup Value.key_equal vs else vs
   in
   let fold f = List.fold_left f Value.Null (values ()) in
   let sum () = fold (fun acc v -> if Value.is_null acc then v else ok (Value.add acc v)) in
@@ -219,16 +220,36 @@ let rec run ~table (outer : env) (p : Plan.t) : Tuple.t list =
       List.map
         (fun (k, rs) -> Tuple.concat k (head rs))
         (group_rows (fun r -> Array.of_list (List.map (fun (e, _) -> eval (env_of r) e) group_by)) rows)
-  | Plan.Group_annotate { child; group_by; aggs } ->
+  | Plan.Group_annotate { child; group_by; aggs; rep } ->
+    (* groups over every row; the representative rows (all of them
+       without a flag) give each group its key and aggregate values *)
     let rows = run outer child in
     let schema = Plan.schema child in
     let env_of r = bind schema r outer in
-    let head k rs = Tuple.concat k (Array.of_list (List.map (fun c -> aggregate env_of c rs) aggs)) in
-    if group_by = [] && rows = [] then [ Tuple.concat (head [||] []) (nulls (List.length schema)) ]
-    else
-      List.concat_map
-        (fun (k, rs) -> List.map (Tuple.concat (head k rs)) rs)
-        (group_rows (fun r -> Array.of_list (List.map (fun (e, _) -> eval (env_of r) e) group_by)) rows)
+    let key r = Array.of_list (List.map (fun (e, _) -> eval (env_of r) e) group_by) in
+    let represents r = match rep with None -> true | Some e -> holds (env_of r) e in
+    let head rs =
+      let reps = List.filter represents rs in
+      let k = match reps with r :: _ -> key r | [] -> fail "group without a representative row" in
+      Tuple.concat k (Array.of_list (List.map (fun c -> aggregate env_of c reps) aggs))
+    in
+    if group_by = [] && rows = [] then
+      [ Tuple.concat (Array.of_list (List.map (fun c -> aggregate env_of c []) aggs)) (nulls (List.length schema)) ]
+    else List.concat_map (fun (_, rs) -> List.map (Tuple.concat (head rs)) rs) (group_rows key rows)
+  | Plan.Mark_first { child; keys; among; _ } ->
+    (* TRUE on the first row of each key among the rows [among] admits *)
+    let schema = Plan.schema child in
+    let key r = Array.of_list (List.map (fun a -> eval (bind schema r outer) (Expr.Attr a)) keys) in
+    let admits r = match among with None -> true | Some e -> holds (bind schema r outer) e in
+    let _, out =
+      List.fold_left
+        (fun (seen, out) r ->
+          let first = admits r && not (List.exists (Tuple.equal (key r)) seen) in
+          let seen = if first then key r :: seen else seen in
+          (seen, Tuple.concat r [| Value.Bool first |] :: out))
+        ([], []) (run outer child)
+    in
+    List.rev out
   | Plan.Distinct child -> dedup Tuple.equal (run outer child)
   | Plan.Set_op { kind; all; left; right; _ } -> (
     let l = run outer left and r = run outer right in

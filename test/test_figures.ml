@@ -125,8 +125,10 @@ let figure4_tests =
           Alcotest.(check string) "pane 1: input echoed" sql panes.Engine.input_sql;
           Alcotest.(check bool) "pane 3: original tree shows aggregation" true
             (contains ~needle:"Aggregate" panes.Engine.original_tree);
-          Alcotest.(check bool) "pane 4: rewritten tree has the rejoin" true
-            (contains ~needle:"LeftJoin" panes.Engine.rewritten_tree);
+          Alcotest.(check bool) "pane 4: rewritten tree annotates groups" true
+            (contains ~needle:"GroupAnnotate" panes.Engine.rewritten_tree);
+          Alcotest.(check bool) "pane 4: the union's witnesses are flagged" true
+            (contains ~needle:"MarkFirst" panes.Engine.rewritten_tree);
           Alcotest.(check bool) "pane 2: rewritten SQL is provenance-free SQL" false
             (contains ~needle:"PROVENANCE" panes.Engine.rewritten_sql);
           Alcotest.(check bool) "pane 2 mentions provenance columns" true

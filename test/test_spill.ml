@@ -238,6 +238,38 @@ let test_group_annotate_budget () =
        m.uid = u.uid GROUP BY m.uid HAVING count(*) > 1";
     ]
 
+(* An aggregate over a duplicate elimination is one flagged GroupAnnotate
+   pass (the DISTINCT's few keys stay under the budget); past the budget
+   the annotation spills: same rows, same order. *)
+let test_one_pass_budget () =
+  spills_in_place
+    [
+      "SELECT PROVENANCE d.uid, count(*), sum(m.mid), avg(m.mid) FROM (SELECT \
+       DISTINCT uid FROM messages) d JOIN messages m ON d.uid = m.uid GROUP BY \
+       d.uid";
+      "SELECT PROVENANCE u.uid, count(*) FROM (SELECT uid FROM users UNION \
+       SELECT uid FROM messages WHERE mid % 97 = 0) u JOIN messages m ON u.uid \
+       = m.uid GROUP BY u.uid";
+      (* NULL, NaN, 0.0 and -0.0 keys *)
+      "SELECT PROVENANCE d.k, count(*), count(DISTINCT m.uid), sum(m.mid), \
+       min(m.text) FROM (SELECT DISTINCT CASE WHEN mid % 5 = 0 THEN \
+       CAST('nan' AS float) WHEN mid % 5 = 1 THEN 0.0 WHEN mid % 5 = 2 THEN \
+       -0.0 WHEN mid % 5 = 3 THEN NULL ELSE 1.5 END AS k, uid FROM messages) \
+       d JOIN messages m ON d.uid = m.uid GROUP BY d.k";
+    ]
+
+(* The external merge sort past the budget gives the in-memory
+   permutation sort's rows byte for byte: ties, DESC, several and
+   expression keys, NULL and NaN. *)
+let test_sort_budget () =
+  spills_in_place
+    [
+      "SELECT uid, mid, text FROM messages ORDER BY uid DESC, text";
+      "SELECT mid, uid FROM messages ORDER BY CASE WHEN mid % 7 = 0 THEN \
+       CAST('nan' AS float) WHEN mid % 5 = 0 THEN NULL ELSE uid * 0.5 END \
+       DESC, mid % 3";
+    ]
+
 (* A correlated subquery whose right side sorts past the budget: the sort
    spills once per left row. *)
 let test_apply_sort_budget () =
@@ -316,6 +348,10 @@ let () =
           case "spill dir honoured and cleaned" test_spill_dir_honoured;
           case "provenance aggregate annotation degrades past the budget"
             test_group_annotate_budget;
+          case "one-pass aggregate over DISTINCT/UNION degrades past the budget"
+            test_one_pass_budget;
+          case "permutation sort = external merge sort past the budget"
+            test_sort_budget;
           case "correlated subquery sorts past the budget in place"
             test_apply_sort_budget;
           case "two engines on two domains keep their own spill config"

@@ -43,6 +43,14 @@ let corpus =
     "SELECT PROVENANCE count(*), max(m.mid) FROM messages m JOIN approved a \
      ON m.mid = a.mid";
     "SELECT PROVENANCE count(*) FROM messages WHERE mid > 100";
+    (* a representative flag: the aggregate deparses over the original
+       input the flag picks out *)
+    "SELECT PROVENANCE " ^ String.sub Perm_workload.Forum.q3 7
+      (String.length Perm_workload.Forum.q3 - 7);
+    "SELECT PROVENANCE uid, count(*), sum(mid) FROM (SELECT DISTINCT uid, mid \
+     FROM approved) d GROUP BY uid";
+    "SELECT PROVENANCE count(*) FROM (SELECT mid FROM messages UNION SELECT \
+     mid FROM approved) u";
     "SELECT m.text FROM messages m LEFT JOIN approved a ON m.mid = a.mid WHERE a.uid IS NULL";
     "SELECT CASE WHEN mid > 2 THEN upper(text) ELSE text END FROM messages";
     "SELECT coalesce(cast(mid AS text), '?') || '!' FROM messages";
