@@ -861,24 +861,43 @@ let number_rows batches =
   (rb, rp)
 
 (* Emit numbered rows in [order] as dense batches of at most [batch_rows]
-   rows, gathering each column once per batch. [head] prepends
-   [fst head] columns, [snd head c r] being column [c] of row [r]. *)
-let gather_rows ?(head = (0, fun _ _ -> Value.Null)) ~batch_rows ~arity batches
-    (rb, rp) order =
+   rows, gathering each column once per batch in a plain loop. [heads]
+   prepends a group's head to each row: row [r] gets the columns of
+   [fst heads] at index [(snd heads).(r)]. *)
+let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
+    order =
   let n = Array.length order in
-  let head_arity, head_col = head in
+  let head_rows, gids = heads in
+  let head_arity =
+    if Array.length gids = 0 then 0 else Array.length head_rows.(gids.(0))
+  in
   let size = max 1 batch_rows in
+  let srcs =
+    Array.init arity (fun c -> Array.map (fun b -> Batch.col b c) batches)
+  in
   Seq.init
     ((n + size - 1) / size)
     (fun i ->
       let start = i * size in
       let len = min size (n - start) in
-      let gather f = Array.init len (fun j -> f order.(start + j)) in
+      let head c =
+        let out = Array.make len Value.Null in
+        for j = 0 to len - 1 do
+          let r = order.(start + j) in
+          out.(j) <- head_rows.(gids.(r)).(c)
+        done;
+        out
+      in
+      let column src =
+        let out = Array.make len Value.Null in
+        for j = 0 to len - 1 do
+          let r = order.(start + j) in
+          out.(j) <- src.(rb.(r)).(rp.(r))
+        done;
+        out
+      in
       Batch.dense
-        (Array.append
-           (Array.init head_arity (fun c -> gather (head_col c)))
-           (Array.init arity (fun c ->
-                gather (fun r -> (Batch.col batches.(rb.(r)) c).(rp.(r))))))
+        (Array.append (Array.init head_arity head) (Array.map column srcs))
         len)
 
 (* Whether a row opens a new group of a fresh [grouper] table: TRUE on
@@ -1851,9 +1870,8 @@ and compile_batch_group_annotate cx child group_by aggs rep =
           if gids = [||] && group_by = [] then empty_global () ()
           else
             let heads = heads () in
-            gather_rows
-              ~head:(head_arity, fun c r -> heads.(gids.(r)).(c))
-              ~batch_rows ~arity:child_arity batches refs
+            gather_rows ~heads:(heads, gids) ~batch_rows ~arity:child_arity
+              batches refs
               (grouped_order ~groups:!count gids)
               ())
 
