@@ -724,20 +724,15 @@ let key_filler lay exprs : Batch.t -> int -> Tuple.t =
 
 let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
 
-(* The grouping kernel. [grouper ~spill ~what lay keys open_group] is a
-   fresh table mapping a row (batch, physical position) to its group
-   under key identity ([Tuple.equal]: NULL matches NULL, NaN matches
-   NaN, -0.0 matches 0.0). The first row of a key opens the group: the
-   table calls [open_group key] with that row's key and keeps the result
-   as the group, in first-seen order. Aggregation, group annotation, the
-   representative flag, DISTINCT and UNION all group through it, so a
-   flag always agrees with the duplicate elimination it stands for. A
-   single plain-attribute key of an immediate dtype hashes the unboxed int
-   (or the raw string): no key tuple per row, no polymorphic hashing.
-   NULL gets its own slot and an off-dtype straggler goes through the
-   tuple table, so grouping never depends on the schema invariant. The
-   table cannot spill: past the budget the statement dies with
-   Resource_exhausted ([what] names the operator). *)
+(* The grouping kernel: [grouper ~spill ~what lay keys open_group] maps a
+   row (batch, position) to its group under key identity ([Tuple.equal]),
+   calling [open_group key] on a key's first row. Aggregation, group
+   annotation, the representative flag, DISTINCT and UNION all group
+   through it, so a flag always agrees with the DISTINCT it stands for. A
+   single attribute key of an immediate dtype hashes the unboxed int or
+   raw string; NULL has its own slot and off-dtype stragglers use the
+   tuple table. Past the budget the statement dies with Resource_exhausted
+   ([what] names the operator): the table cannot spill. *)
 let grouper ~spill ~what lay (keys : Expr.t list) =
   let gkey = key_filler lay keys in
   let single =
@@ -883,8 +878,7 @@ let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
       let head c =
         let out = Array.make len Value.Null in
         for j = 0 to len - 1 do
-          let r = order.(start + j) in
-          out.(j) <- head_rows.(gids.(r)).(c)
+          out.(j) <- head_rows.(gids.(order.(start + j))).(c)
         done;
         out
       in
@@ -915,18 +909,15 @@ let first_rows grouper =
   let opens = opens_group grouper in
   fun b -> narrow_live (opens b) b
 
-(* Chunk a row array into dense batches of at most [batch_rows] rows. *)
-let batches_of_rows ~arity ~batch_rows (rows : Tuple.t array) : Batch.t Seq.t =
-  let len = Array.length rows in
-  let size = max 1 batch_rows in
+(* Chunk a row list into dense batches of at most [batch_rows] rows. *)
+let batches_of_tuple_list ~arity ~batch_rows rows : Batch.t Seq.t =
+  let rows = Array.of_list rows in
+  let len = Array.length rows and size = max 1 batch_rows in
   Seq.init
     ((len + size - 1) / size)
     (fun i ->
       let pos = i * size in
       Batch.of_rows ~arity rows ~pos ~len:(min size (len - pos)))
-
-let batches_of_tuple_list ~arity ~batch_rows rows =
-  batches_of_rows ~arity ~batch_rows (Array.of_list rows)
 
 (* Default batch slicing for providers without native columnar storage. *)
 let batches_of_list ~arity ~batch_rows rows =
