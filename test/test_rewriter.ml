@@ -272,10 +272,11 @@ let strategy_tests =
   ]
 
 (* Single-pass rewrites: DISTINCT and UNION return the rewritten input
-   as is, and an aggregate over a row-preserving input annotates that
-   input in one pass (GroupAnnotate) instead of rejoining. Neither uses
-   SQL = to find a row's witnesses any more, so NaN and -0.0 keys keep
-   theirs. *)
+   as is, and an aggregate over a row-preserving or duplicate-eliminating
+   input annotates that input in one pass (GroupAnnotate, with MarkFirst
+   flags under DISTINCT/UNION) instead of rejoining. The remaining
+   rejoins match on key identity rather than SQL =, so NaN and -0.0 keys
+   keep their witnesses everywhere. *)
 let float_setup () =
   let e = setup () in
   exec_all e
