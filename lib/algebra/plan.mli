@@ -93,8 +93,10 @@ type t =
           the representative flag: when set, only the rows where it holds
           feed the aggregates and give the group its key (one row per row
           of the aggregate's original input; the others are further
-          witnesses of the same row), while every row is annotated. One
-          row out per input row: groups in first-seen order, rows within a
+          witnesses of the same row), while every row is annotated; a
+          group no flagged row reaches (its witnesses' group-by values
+          differ from the representative's) is no group of the original
+          aggregate and emits no rows. Otherwise one row out per input row: groups in first-seen order, rows within a
           group in input order. A global aggregate over empty input yields
           one row of aggregate defaults with the child columns NULL.
           Output schema: group-by outs, aggregate outs, then

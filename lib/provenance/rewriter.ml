@@ -66,6 +66,56 @@ let rename_for_rejoin orig_attrs plan bindings =
   in
   (Plan.Project { child = plan; cols }, data_copies, prov_attrs)
 
+(* Whether [e] takes key-identical values ([Value.key_equal]) on rows
+   whose columns are key-identical. Comparisons, connectives and IS NULL
+   of such expressions do, and so does any expression over text, bool and
+   date columns, where key identity is equality. Over numbers it is
+   coarser: 0.0 and -0.0 are one key, and so are 1 and 1.0, which
+   CAST(k AS text) or 1 / k tell apart. *)
+let rec key_determined (e : Expr.t) =
+  match e with
+  | Expr.Const _ | Expr.Attr _ -> true
+  | Expr.Binop
+      ((Expr.Eq | Expr.Neq | Expr.Lt | Expr.Leq | Expr.Gt | Expr.Geq | Expr.And
+       | Expr.Or), a, b) ->
+    key_determined a && key_determined b
+  | Expr.Unop ((Expr.Not | Expr.Is_null), a) -> key_determined a
+  | _ ->
+    Attr.Set.for_all
+      (fun (a : Attr.t) ->
+        match a.ty with
+        | Perm_value.Dtype.Text | Perm_value.Dtype.Bool | Perm_value.Dtype.Date
+          ->
+          true
+        | _ -> false)
+      (Expr.attrs e)
+
+let rec dedups (plan : Plan.t) =
+  match plan with
+  | Plan.Distinct _ | Plan.Set_op { kind = Plan.Union; all = false; _ } -> true
+  | _ -> List.exists dedups (Plan.children plan)
+
+(* Whether every projection, filter and join predicate over the output of
+   a duplicate elimination in [plan] is {!key_determined}. The witnesses
+   of one distinct row are key-identical, not equal (0.0 and -0.0 are one
+   key). Over such expressions a witness passes the filters and joins its
+   representative passes, an outer join pads it where it pads its
+   representative, and it falls in its representative's group; so the
+   flagged rows are the rows the original input yields. An expression that
+   tells witnesses apart breaks that: a row matching only a witness loses
+   the padding the original gives it, and a filter the planner pushes
+   below the original DISTINCT, but not below the flag, keeps a witness
+   the flag never marks. *)
+let rec key_determined_over_dedups (plan : Plan.t) =
+  (not (dedups plan))
+  || (match plan with
+     | Plan.Project { cols; _ } ->
+       List.for_all (fun (e, _) -> key_determined e) cols
+     | Plan.Filter { pred; _ } | Plan.Join { pred = Some pred; _ } ->
+       key_determined pred
+     | _ -> true)
+     && List.for_all key_determined_over_dedups (Plan.children plan)
+
 (* Whether an aggregate over [plan] can read [rw plan] in one pass, with
    no rejoin. A rewrite that keeps one row per row of [plan], carrying its
    original column values, can be aggregated in place of the original
@@ -73,7 +123,8 @@ let rename_for_rejoin orig_attrs plan bindings =
    result row instead, and a representative flag ({!rw_rep}) picks one
    rewritten row per original row. Rules that replicate (semi joins and
    semi/scalar applies expose witnesses) or rejoin (aggregation, LIMIT,
-   INTERSECT, EXCEPT) break both. *)
+   INTERSECT, EXCEPT) break both; the flag also needs
+   {!key_determined_over_dedups}. *)
 let rec one_pass (plan : Plan.t) =
   match plan with
   | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Baserel _
@@ -289,7 +340,12 @@ and rw_aggregate ctx ~child ~group_by ~aggs =
      flagged ones, under a representative flag), so one pass over it
      computes the aggregate and annotates its rows; otherwise the
      aggregate runs over the original input and is rejoined *)
-  let fused = one_pass child in
+  let fused =
+    one_pass child
+    && ((not (dedups child))
+       || List.for_all (fun (e, _) -> key_determined e) group_by
+          && key_determined_over_dedups child)
+  in
   let child', bindings, rep =
     if fused then rw_rep ctx ~rep:true child
     else

@@ -30,7 +30,9 @@
       ([Plan.Mark_first]), the flags combine upwards into a representative
       flag, and only flagged rows feed the aggregates. Otherwise (an
       aggregate, semi join, semi/scalar apply, LIMIT, INTERSECT or EXCEPT
-      below) it rejoins the original aggregate with the rewritten input on
+      below, or an expression over a duplicate elimination's output that
+      tells key-identical witnesses apart, such as [CAST(k AS text)] on
+      0.0 and -0.0) it rejoins the original aggregate with the rewritten input on
       group-key identity; {e Lateral} re-evaluates the rewritten input per
       group (an [Apply]). The paper's "heuristic and cost-based solution for
       choosing the best rewrite strategy" is {!strategy_mode};

@@ -13,7 +13,8 @@
      join runs over the right rows, each with its left matches in order;
    - aggregates, group annotation and DISTINCT: groups in first-seen
      order (rows of a group in input order); a flagged group annotation
-     takes each group's key from its first representative row;
+     takes each group's key from its first representative row and emits
+     no rows for a group without one;
    - sorts: stable;
    - Apply: the right side evaluated once per left row, in order. *)
 
@@ -228,14 +229,16 @@ let rec run ~table (outer : env) (p : Plan.t) : Tuple.t list =
     let env_of r = bind schema r outer in
     let key r = Array.of_list (List.map (fun (e, _) -> eval (env_of r) e) group_by) in
     let represents r = match rep with None -> true | Some e -> holds (env_of r) e in
-    let head rs =
-      let reps = List.filter represents rs in
-      let k = match reps with r :: _ -> key r | [] -> fail "group without a representative row" in
-      Tuple.concat k (Array.of_list (List.map (fun c -> aggregate env_of c reps) aggs))
+    let head k reps = Tuple.concat k (Array.of_list (List.map (fun c -> aggregate env_of c reps) aggs)) in
+    (* a group without a representative is no group of the original
+       aggregate (the rejoin finds no partner for its rows): no rows *)
+    let annotate rs =
+      match List.filter represents rs, group_by with
+      | [], _ :: _ -> []
+      | reps, _ -> List.map (Tuple.concat (head (match reps with r :: _ -> key r | [] -> [||]) reps)) rs
     in
-    if group_by = [] && rows = [] then
-      [ Tuple.concat (Array.of_list (List.map (fun c -> aggregate env_of c []) aggs)) (nulls (List.length schema)) ]
-    else List.concat_map (fun (_, rs) -> List.map (Tuple.concat (head rs)) rs) (group_rows key rows)
+    if group_by = [] && rows = [] then [ Tuple.concat (head [||] []) (nulls (List.length schema)) ]
+    else List.concat_map (fun (_, rs) -> annotate rs) (group_rows key rows)
   | Plan.Mark_first { child; keys; among; _ } ->
     (* TRUE on the first row of each key among the rows [among] admits *)
     let schema = Plan.schema child in

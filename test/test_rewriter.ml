@@ -522,6 +522,63 @@ let single_pass_tests =
             [ "0.0"; "1"; "0.0"; "2" ];
           ];
         check_strategies_agree e sql);
+    (* 0.0 and -0.0 are one DISTINCT key, but CAST(f AS text) tells the
+       witnesses apart: over a flag, the -0.0 witness would land in a
+       group, pass a filter or match an outer join the representative
+       0.0 does not. Such shapes keep the rejoin, which agrees with the
+       plain query; the same shapes over SQL comparisons take one pass. *)
+    case "expressions that tell -0.0 from 0.0 over DISTINCT keep the rejoin"
+      (fun () ->
+        let e = float_setup () in
+        let distinct = "(SELECT DISTINCT f FROM ft) d" in
+        let rejoins =
+          [
+            "CAST(f AS text), count(*) FROM " ^ distinct
+            ^ " GROUP BY CAST(f AS text)";
+            "f, count(*) FROM " ^ distinct
+            ^ " WHERE CAST(f AS text) LIKE '-%' GROUP BY f";
+            "count(*), max(f) FROM " ^ distinct
+            ^ " WHERE CAST(f AS text) LIKE '-%'";
+            "x.g, count(d.f) FROM ft x LEFT JOIN " ^ distinct
+            ^ " ON CAST(x.f AS text) = CAST(d.f AS text) GROUP BY x.g";
+            "s, count(*) FROM (SELECT CAST(f AS text) AS s FROM " ^ distinct
+            ^ ") c GROUP BY s";
+          ]
+        and one_pass =
+          [
+            "f, count(*) FROM " ^ distinct ^ " WHERE f <= 0 GROUP BY f";
+            "x.g, count(d.f) FROM ft x LEFT JOIN " ^ distinct
+            ^ " ON x.f = d.f GROUP BY x.g";
+          ]
+        in
+        List.iter
+          (fun (queries, ops) ->
+            List.iter
+              (fun q ->
+                let sql = "SELECT PROVENANCE " ^ q in
+                check_ops e sql ops;
+                check_strategies_agree e sql;
+                check_reference e sql)
+              queries)
+          [
+            (rejoins, [ ("MarkFirst", 0); ("GroupAnnotate", 0); ("Aggregate", 1) ]);
+            (one_pass, [ ("MarkFirst", 1); ("GroupAnnotate", 1); ("Aggregate", 0) ]);
+          ];
+        (* the plain query's group '-0' is absent (DISTINCT keeps 0.0), so
+           the -0.0 witness has no group; x's -0.0 row matches no
+           DISTINCT row, so the original pads it and counts 0, while its
+           witness row matches the -0.0 witness *)
+        check_rows e ("SELECT PROVENANCE " ^ List.hd rejoins)
+          [
+            [ "nan"; "1"; "nan"; "1" ]; [ "0"; "1"; "0.0"; "2" ];
+            [ "1.5"; "1"; "1.5"; "4" ]; [ "1.5"; "1"; "1.5"; "6" ];
+            [ "null"; "1"; "null"; "5" ]; [ "null"; "1"; "null"; "7" ];
+          ];
+        check_rows e
+          ("SELECT PROVENANCE x.g, count(d.f) FROM ft x LEFT JOIN " ^ distinct
+         ^ " ON CAST(x.f AS text) = CAST(d.f AS text) WHERE x.g = 3 GROUP BY x.g"
+          )
+          [ [ "3"; "0"; "-0.0"; "3"; "-0.0"; "3" ] ]);
     case "AGG q3: one pass, no rejoin, each table scanned once" (fun () ->
         let e = forum_engine () in
         let sql =

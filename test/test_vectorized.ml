@@ -326,6 +326,68 @@ let suite_one_pass =
           ("SELECT PROVENANCE " ^ String.sub Perm_workload.Forum.q3 7
              (String.length Perm_workload.Forum.q3 - 7));
         Engine.close e);
+    (* The rewriter flags only inputs whose expressions cannot tell a
+       distinct row's witnesses apart; should a group-by do so anyway, a
+       group no flagged row reaches is no group of the original aggregate
+       and, as in the rejoin, emits no rows. A global aggregate is always
+       one group. *)
+    case "a group without a representative row emits no rows" (fun () ->
+        let module A = Perm_algebra.Attr in
+        let module P = Perm_algebra.Plan in
+        let module X = Perm_algebra.Expr in
+        let module D = Perm_value.Dtype in
+        let e = key_engine () in
+        let k = A.fresh "k" D.Float and flag = A.fresh "rep" D.Bool in
+        let attrs = [ k; A.fresh "g" D.Int; A.fresh "v" D.Int; A.fresh "t" D.Text ] in
+        let marked =
+          P.Mark_first
+            { child = P.Scan { table = "kt"; attrs }; keys = [ k ]; among = None; flag }
+        in
+        let annotate group_by rep =
+          P.Group_annotate
+            {
+              child = marked;
+              group_by;
+              aggs =
+                [ { P.agg = P.Count_star; distinct = false; arg = None;
+                    agg_out = A.fresh "c" D.Int } ];
+              rep = Some rep;
+            }
+        in
+        let run plan =
+          match Engine.run_plan e plan with
+          | Ok rows -> strings_of_rows rows
+          | Error msg -> Alcotest.fail msg
+        in
+        List.iter
+          (fun (name, plan, expected) ->
+            let oracle = strings_of_rows (Reference.eval_plan e plan) in
+            Alcotest.(check (list string)) (name ^ " [reference]") expected
+              (List.map
+                 (fun r -> String.concat "|" (List.filteri (fun i _ -> i < 2) r))
+                 oracle);
+            List.iter
+              (fun bn ->
+                Engine.set_batch_rows e bn;
+                Alcotest.(check rows_testable)
+                  (Printf.sprintf "%s [batch_rows=%d]" name bn) oracle (run plan))
+              batch_sizes;
+            Engine.set_tuple_budget e 7;
+            Alcotest.(check rows_testable) (name ^ " [spilled]") oracle (run plan);
+            Engine.set_tuple_budget e 0;
+            Engine.set_batch_rows e Executor.default_batch_rows)
+          [
+            (* the two -0.0 witnesses form group '-0', which no flagged
+               row reaches *)
+            ( "group by CAST(k AS text)",
+              annotate [ (X.Cast (X.Attr k, D.Text), A.fresh "s" D.Text) ] (X.Attr flag),
+              [ "nan|1"; "nan|1"; "0|1"; "null|1"; "null|1"; "1.5|1"; "1.5|1"; "2.5|1" ] );
+            ( "global, nothing flagged",
+              annotate [] (X.Const (Value.Bool false)),
+              [ "0|nan"; "0|nan"; "0|0.0"; "0|-0.0"; "0|null"; "0|null"; "0|1.5";
+                "0|1.5"; "0|2.5"; "0|-0.0" ] );
+          ];
+        Engine.close e);
     case "permutation sort = row oracle's stable sort" (fun () ->
         let e = key_engine () in
         List.iter (check_against_oracle e) sort_queries;
