@@ -612,18 +612,21 @@ let agg_result (call : Plan.agg_call) state =
 
 (* The annotation's output order over rows numbered in input order, given
    each row's group id: groups in id (first-seen) order, rows of a group
-   in input order. A stable counting sort. *)
-let grouped_order ~groups (gids : int array) =
+   in input order, the rows of groups [keep] rejects left out. A stable
+   counting sort. *)
+let grouped_order ~groups ~keep (gids : int array) =
   let next = Array.make (groups + 1) 0 in
-  Array.iter (fun g -> next.(g + 1) <- next.(g + 1) + 1) gids;
+  Array.iter (fun g -> if keep g then next.(g + 1) <- next.(g + 1) + 1) gids;
   for g = 1 to groups do
     next.(g) <- next.(g) + next.(g - 1)
   done;
-  let order = Array.make (Array.length gids) 0 in
+  let order = Array.make next.(groups) 0 in
   Array.iteri
     (fun k g ->
-      order.(next.(g)) <- k;
-      next.(g) <- next.(g) + 1)
+      if keep g then begin
+        order.(next.(g)) <- k;
+        next.(g) <- next.(g) + 1
+      end)
     gids;
   order
 
@@ -724,9 +727,10 @@ let key_filler lay exprs : Batch.t -> int -> Tuple.t =
 
 let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
 
-(* The grouping kernel: [grouper ~spill ~what lay keys open_group] maps a
-   row (batch, position) to its group under key identity ([Tuple.equal]),
-   calling [open_group key] on a key's first row. Aggregation, group
+(* The grouping kernel: [grouper ~spill ~what lay keys open_group b p]
+   maps row [p] of batch [b] to its group under key identity
+   ([Tuple.equal]), calling [open_group key] on a key's first row; apply
+   it to each batch once, so the fast paths read the key column once. Aggregation, group
    annotation, the representative flag, DISTINCT and UNION all group
    through it, so a flag always agrees with the DISTINCT it stands for. A
    single attribute key of an immediate dtype hashes the unboxed int or
@@ -782,16 +786,20 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
           Int_hash.replace ints k g;
           g
       in
-      fun b p ->
-        match Array.unsafe_get (Batch.col b ci) p with
+      fun b ->
+        let col = Batch.col b ci in
+        fun p ->
+        match Array.unsafe_get col p with
         | (Value.Int k | Value.Date k) as v -> by_int k v
         | Value.Bool k as v -> by_int (Bool.to_int k) v
         | Value.Null -> by_null ()
         | v -> by_tuple [| v |])
     | _, Some (ci, Dtype.Text) -> (
       let strs = Str_hash.create 64 in
-      fun b p ->
-        match Array.unsafe_get (Batch.col b ci) p with
+      fun b ->
+        let col = Batch.col b ci in
+        fun p ->
+        match Array.unsafe_get col p with
         | Value.Text k as v -> (
           match Str_hash.find_opt strs k with
           | Some g -> g
@@ -819,22 +827,22 @@ let narrow_live (keep : int -> bool) b =
   if !m = 0 then None else Some (Batch.with_sel b sel !m)
 
 (* A group's aggregates over batch rows: [fresh ()] is a group's initial
-   states, [feed states b p] feeds it a row, [results states] reads the
-   aggregate values. *)
+   states, [feed feeder states b p] feeds it a row (a direct call: it runs
+   once per row), [results states] reads the aggregate values. *)
 let agg_feeder lay (aggs : Plan.agg_call list) =
   let calls = Array.of_list aggs in
   let args =
     Array.map (fun (c : Plan.agg_call) -> Option.map (bexpr_of lay) c.arg) calls
   in
   let fresh () = Array.map new_agg_state calls in
-  let feed states b p =
-    for k = 0 to Array.length calls - 1 do
-      agg_feed calls.(k) states.(k)
-        (match args.(k) with None -> None | Some g -> Some (g b p))
-    done
-  in
   let results states = Array.mapi (fun k c -> agg_result c states.(k)) calls in
-  (fresh, feed, results)
+  (fresh, (calls, args), results)
+
+let feed (calls, args) states b p =
+  for k = 0 to Array.length calls - 1 do
+    agg_feed calls.(k) states.(k)
+      (match args.(k) with None -> None | Some g -> Some (g b p))
+  done
 
 (* Number the live rows of kept batches in order: row [r] is position
    [rp.(r)] of batch [rb.(r)]. Operators that see their whole input
@@ -842,8 +850,7 @@ let agg_feeder lay (aggs : Plan.agg_call list) =
    and address rows this way instead of materializing tuples. *)
 let number_rows batches =
   let n = Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches in
-  let rb = Array.make n 0 and rp = Array.make n 0 in
-  let k = ref 0 in
+  let rb = Array.make n 0 and rp = Array.make n 0 and k = ref 0 in
   Array.iteri
     (fun bi b ->
       Batch.iter_live
@@ -864,7 +871,8 @@ let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
   let n = Array.length order in
   let head_rows, gids = heads in
   let head_arity =
-    if Array.length gids = 0 then 0 else Array.length head_rows.(gids.(0))
+    if Array.length gids = 0 || n = 0 then 0
+    else Array.length head_rows.(gids.(order.(0)))
   in
   let size = max 1 batch_rows in
   let srcs =
@@ -899,10 +907,12 @@ let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
 let opens_group grouper =
   let opened = ref false in
   let find = grouper (fun _ -> opened := true) in
-  fun b p ->
-    opened := false;
-    find b p;
-    !opened
+  fun b ->
+    let find = find b in
+    fun p ->
+      opened := false;
+      find p;
+      !opened
 
 (* Keep the first row of every key, in order (DISTINCT, UNION). *)
 let first_rows grouper =
@@ -1432,11 +1442,12 @@ and compile_batch_node cx (plan : Plan.t) : bop =
           let opens = opens_group group_of in
           Seq.map
             (fun b ->
+              let opens = opens b in
               let flags = Array.make b.Batch.rows (Value.Bool false) in
               Batch.iter_live
                 (fun p ->
                   if (match among with None -> true | Some f -> f b p)
-                     && opens b p
+                     && opens p
                   then flags.(p) <- Value.Bool true)
                 b;
               Batch.with_cols b (Array.append b.Batch.cols [| flags |]))
@@ -1465,14 +1476,13 @@ and compile_batch_node cx (plan : Plan.t) : bop =
         List.map (fun (e, dir) -> (compile_expr (row_resolver lay) e, dir)) keys
       in
       let cmp a b =
-        let rec go = function
-          | [] -> 0
-          | (f, dir) :: rest ->
-            let c = Value.compare (f a) (f b) in
-            let c = match dir with Plan.Asc -> c | Plan.Desc -> -c in
-            if c <> 0 then c else go rest
-        in
-        go keyfs
+        List.fold_left
+          (fun c (f, dir) ->
+            if c <> 0 then c
+            else
+              let c = Value.compare (f a) (f b) in
+              if dir = Plan.Desc then -c else c)
+          0 keyfs
       in
       fun () ->
         Perm_fault.trip fp_sort;
@@ -1733,7 +1743,7 @@ and compile_batch_aggregate cx child group_by aggs =
   let group_of =
     grouper ~spill:cx.spill ~what:"GROUP BY" lay (List.map fst group_by)
   in
-  let fresh, feed, results = agg_feeder lay aggs in
+  let fresh, feeder, results = agg_feeder lay aggs in
   let run_child = compile_batch cx child in
   let arity = List.length group_by + List.length aggs in
   fun () ->
@@ -1747,7 +1757,9 @@ and compile_batch_aggregate cx child group_by aggs =
               states)
         in
         Seq.iter
-          (fun b -> Batch.iter_live (fun p -> feed (group_of b p) b p) b)
+          (fun b ->
+            let group_of = group_of b in
+            Batch.iter_live (fun p -> feed feeder (group_of p) b p) b)
           (run_child ());
         let rows =
           if group_by = [] && !order = [] then [ results (fresh ()) ]
@@ -1773,7 +1785,7 @@ and compile_batch_group_annotate cx child group_by aggs rep =
   let keys = List.map fst group_by in
   let gkey = key_filler lay keys in
   let group_of = grouper ~spill:cx.spill ~what:"GROUP BY" lay keys in
-  let fresh, feed, results = agg_feeder lay aggs in
+  let fresh, feeder, results = agg_feeder lay aggs in
   let represents =
     match rep with None -> fun _ _ -> true | Some e -> bpred_of lay e
   in
@@ -1787,27 +1799,29 @@ and compile_batch_group_annotate cx child group_by aggs rep =
         let groups = ref [] and count = ref 0 in
         let group_of =
           group_of (fun key ->
-              let head = if rep = None then Some key else None in
+              let head = if rep = None || keys = [] then Some key else None in
               let g = (!count, ref head, fresh ()) in
               incr count;
               groups := g :: !groups;
               g)
         in
-        let assign b p =
-          let gid, key, states = group_of b p in
-          if represents b p then begin
-            if Option.is_none !key then key := Some (gkey b p);
-            feed states b p
-          end;
-          gid
+        let assign b =
+          let group_of = group_of b in
+          fun p ->
+            let gid, key, states = group_of p in
+            if represents b p then begin
+              if Option.is_none !key then key := Some (gkey b p);
+              feed feeder states b p
+            end;
+            gid
         in
+        (* a group no representative reaches is no group of the original
+           aggregate: like the rejoin it stands for, emit none of its rows *)
         let heads () =
           Array.of_list
             (List.rev_map
                (fun (_, key, states) ->
-                 match !key with
-                 | Some key -> Array.append key (results states)
-                 | None -> err "internal: a group without a representative row")
+                 Option.map (fun key -> Array.append key (results states)) !key)
                !groups)
         in
         let empty_global () =
@@ -1831,10 +1845,10 @@ and compile_batch_group_annotate cx child group_by aggs rep =
           let tagged =
             Seq.flat_map
               (fun b ->
-                let rows = ref [] in
+                let rows = ref [] and assign = assign b in
                 Batch.iter_live
                   (fun p ->
-                    let g = assign b p in
+                    let g = assign p in
                     rows :=
                       Tuple.concat [| Value.Int g; Value.Int !n |] (brow b p)
                       :: !rows;
@@ -1848,22 +1862,27 @@ and compile_batch_group_annotate cx child group_by aggs rep =
           else
             let heads = heads () in
             batches_of_seq ~arity ~batch_rows
-              (Seq.map
+              (Seq.filter_map
                  (fun row ->
-                   Tuple.concat heads.(tag row.(0))
-                     (Array.sub row 2 (Array.length row - 2)))
+                   Option.map
+                     (fun head ->
+                       Tuple.concat head (Array.sub row 2 (Array.length row - 2)))
+                     heads.(tag row.(0)))
                  sorted)
               ()
         | None ->
           let batches = Array.of_seq (run_child ()) in
           let ((rb, rp) as refs) = number_rows batches in
-          let gids = Array.mapi (fun r bi -> assign batches.(bi) rp.(r)) rb in
+          let assigners = Array.map assign batches in
+          let gids = Array.mapi (fun r bi -> assigners.(bi) rp.(r)) rb in
           if gids = [||] && group_by = [] then empty_global () ()
           else
             let heads = heads () in
-            gather_rows ~heads:(heads, gids) ~batch_rows ~arity:child_arity
-              batches refs
-              (grouped_order ~groups:!count gids)
+            gather_rows
+              ~heads:(Array.map (Option.value ~default:[||]) heads, gids)
+              ~batch_rows ~arity:child_arity batches refs
+              (grouped_order ~groups:!count
+                 ~keep:(fun g -> Option.is_some heads.(g)) gids)
               ())
 
 and compile_batch_set_op cx kind all left right attrs =
@@ -1885,63 +1904,46 @@ and compile_batch_set_op cx kind all left right attrs =
             (Seq.append (run_left ()) (run_right ()))
             ())
   | (Plan.Intersect | Plan.Except), _ ->
+    (* the set forms keep the first of the surviving left rows of a key *)
+    let group_of =
+      grouper ~spill:cx.spill ~what:"INTERSECT/EXCEPT" (layout cx attrs)
+        (List.map (fun a -> Expr.Attr a) attrs)
+    in
     fun () ->
       Seq.memoize
         (fun () ->
           let counts = Tuple.Hash.create 64 in
+          let matches row =
+            Option.value (Tuple.Hash.find_opt counts row) ~default:0
+          in
           Seq.iter
             (fun b ->
               Batch.iter_live
                 (fun p ->
                   let row = brow b p in
-                  let c =
-                    match Tuple.Hash.find_opt counts row with
-                    | Some c -> c
-                    | None ->
-                      budget_materialized cx.spill ~what:"INTERSECT/EXCEPT"
-                        (Tuple.Hash.length counts + 1);
-                      0
-                  in
+                  let c = matches row in
+                  if c = 0 then
+                    budget_materialized cx.spill ~what:"INTERSECT/EXCEPT"
+                      (Tuple.Hash.length counts + 1);
                   Tuple.Hash.replace counts row (c + 1))
                 b)
             (run_right ());
-          let emitted = Tuple.Hash.create 64 in
-          let keep row =
-            let rc =
-              match Tuple.Hash.find_opt counts row with
-              | Some c -> c
-              | None -> 0
-            in
+          (* under ALL each right row cancels one equal left row *)
+          let cancels row =
+            let rc = matches row in
+            if rc > 0 then Tuple.Hash.replace counts row (rc - 1);
+            rc > 0
+          in
+          let keep =
             match kind, all with
-            | Plan.Intersect, true ->
-              if rc > 0 then begin
-                Tuple.Hash.replace counts row (rc - 1);
-                true
-              end
-              else false
-            | Plan.Intersect, false ->
-              if rc > 0 && not (Tuple.Hash.mem emitted row) then begin
-                Tuple.Hash.replace emitted row ();
-                true
-              end
-              else false
-            | Plan.Except, true ->
-              if rc > 0 then begin
-                Tuple.Hash.replace counts row (rc - 1);
-                false
-              end
-              else true
-            | Plan.Except, false ->
-              if rc = 0 && not (Tuple.Hash.mem emitted row) then begin
-                Tuple.Hash.replace emitted row ();
-                budget_materialized cx.spill ~what:"EXCEPT"
-                  (Tuple.Hash.length emitted);
-                true
-              end
-              else false
+            | Plan.Intersect, true -> cancels
+            | Plan.Except, true -> fun row -> not (cancels row)
+            | Plan.Intersect, false -> fun row -> matches row > 0
+            | Plan.Except, false -> fun row -> matches row = 0
             | Plan.Union, _ -> assert false
           in
-          Seq.filter_map (narrow_rows keep) (run_left ()) ())
+          let left = Seq.filter_map (narrow_rows keep) (run_left ()) in
+          (if all then left else Seq.filter_map (first_rows group_of) left) ())
 
 (* ------------------------------------------------------------------ *)
 (* Guardrails and root materialization                                 *)

@@ -138,6 +138,25 @@ let dml_tests =
           ];
         ignore (exec_ok e "UPDATE t SET a = 0 WHERE a IN (SELECT k FROM keys)");
         check_rows e "SELECT * FROM t" [ [ "0" ]; [ "1" ] ]);
+    (* the rows a DELETE or UPDATE matched are found again by key
+       identity, under which a NaN column matches itself *)
+    case "delete and update rows with a NaN column" (fun () ->
+        let e = engine () in
+        exec_all e
+          [
+            "CREATE TABLE t (f float, g int)";
+            "INSERT INTO t VALUES (CAST('nan' AS float), 1), \
+             (CAST('nan' AS float), 2), (1.5, 3)";
+          ];
+        (match exec_ok e "UPDATE t SET g = g + 10 WHERE g = 1" with
+        | Engine.Affected 1 -> ()
+        | _ -> Alcotest.fail "expected 1 updated");
+        check_rows e "SELECT * FROM t"
+          [ [ "nan"; "11" ]; [ "nan"; "2" ]; [ "1.5"; "3" ] ];
+        (match exec_ok e "DELETE FROM t WHERE g = 2" with
+        | Engine.Affected 1 -> ()
+        | _ -> Alcotest.fail "expected 1 deleted");
+        check_rows e "SELECT * FROM t" [ [ "nan"; "11" ]; [ "1.5"; "3" ] ]);
   ]
 
 let script_tests =
