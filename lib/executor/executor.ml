@@ -727,16 +727,18 @@ let key_filler lay exprs : Batch.t -> int -> Tuple.t =
 
 let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
 
-(* The grouping kernel: [grouper ~spill ~what lay keys open_group b p]
-   maps row [p] of batch [b] to its group under key identity
-   ([Tuple.equal]), calling [open_group key] on a key's first row; apply
-   it to each batch once, so the fast paths read the key column once. Aggregation, group
-   annotation, the representative flag, DISTINCT and UNION all group
-   through it, so a flag always agrees with the DISTINCT it stands for. A
-   single attribute key of an immediate dtype hashes the unboxed int or
-   raw string; NULL has its own slot and off-dtype stragglers use the
-   tuple table. Past the budget the statement dies with Resource_exhausted
-   ([what] names the operator): the table cannot spill. *)
+(* The grouping kernel: [grouper ~spill ~what lay keys open_group b k]
+   calls [k p g] on every live row [p] of batch [b], in order, with its
+   group [g] under key identity ([Tuple.equal]); [open_group key] makes a
+   key's group on its first row. Aggregation, group annotation, the
+   representative flag, DISTINCT, UNION and set-form INTERSECT/EXCEPT all
+   group through it, so a flag always agrees with the DISTINCT it stands
+   for. It runs the row loop itself, so finding a row's group costs no
+   closure call. A single attribute key of an immediate dtype hashes the unboxed
+   int or raw string; NULL has its own slot and off-dtype stragglers use
+   the tuple table. Past the budget the statement dies with
+   Resource_exhausted ([what] names the operator): the table cannot
+   spill. *)
 let grouper ~spill ~what lay (keys : Expr.t list) =
   let gkey = key_filler lay keys in
   let single =
@@ -775,7 +777,13 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
     match keys, single with
     | [], _ ->
       let global = only [||] in
-      fun _ _ -> global ()
+      fun b k ->
+        if Batch.live b > 0 then begin
+          let g = global () in
+          for i = 0 to Batch.live b - 1 do
+            k (Batch.idx b i) g
+          done
+        end
     | _, Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) -> (
       let ints = Int_hash.create 64 in
       let by_int k v =
@@ -786,30 +794,43 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
           Int_hash.replace ints k g;
           g
       in
-      fun b ->
+      fun b k ->
         let col = Batch.col b ci in
-        fun p ->
-        match Array.unsafe_get col p with
-        | (Value.Int k | Value.Date k) as v -> by_int k v
-        | Value.Bool k as v -> by_int (Bool.to_int k) v
-        | Value.Null -> by_null ()
-        | v -> by_tuple [| v |])
+        for i = 0 to Batch.live b - 1 do
+          let p = Batch.idx b i in
+          k p
+            (match Array.unsafe_get col p with
+            | (Value.Int n | Value.Date n) as v -> by_int n v
+            | Value.Bool n as v -> by_int (Bool.to_int n) v
+            | Value.Null -> by_null ()
+            | v -> by_tuple [| v |])
+        done)
     | _, Some (ci, Dtype.Text) -> (
       let strs = Str_hash.create 64 in
-      fun b ->
+      let by_str s v =
+        match Str_hash.find_opt strs s with
+        | Some g -> g
+        | None ->
+          let g = opened [| v |] in
+          Str_hash.replace strs s g;
+          g
+      in
+      fun b k ->
         let col = Batch.col b ci in
-        fun p ->
-        match Array.unsafe_get col p with
-        | Value.Text k as v -> (
-          match Str_hash.find_opt strs k with
-          | Some g -> g
-          | None ->
-            let g = opened [| v |] in
-            Str_hash.replace strs k g;
-            g)
-        | Value.Null -> by_null ()
-        | v -> by_tuple [| v |])
-    | _ -> fun b p -> by_tuple (gkey b p)
+        for i = 0 to Batch.live b - 1 do
+          let p = Batch.idx b i in
+          k p
+            (match Array.unsafe_get col p with
+            | Value.Text s as v -> by_str s v
+            | Value.Null -> by_null ()
+            | v -> by_tuple [| v |])
+        done)
+    | _ ->
+      fun b k ->
+        for i = 0 to Batch.live b - 1 do
+          let p = Batch.idx b i in
+          k p (by_tuple (gkey b p))
+        done
 
 (* Keep the live rows of [b] whose physical index passes [keep], in
    order, by narrowing the selection vector in place. *)
@@ -845,22 +866,25 @@ let feed (calls, args) states b p =
   done
 
 (* Number the live rows of kept batches in order: row [r] is position
-   [rp.(r)] of batch [rb.(r)]. Operators that see their whole input
-   before emitting (sorts, group annotation) keep the immutable batches
-   and address rows this way instead of materializing tuples. *)
-let number_rows batches =
+   [rp.(r)] of batch [rb.(r)], tagged [tags.(r)] by [each] ([each b k]
+   calls [k p tag] on the live rows of [b] in order; a {!grouper} tags
+   them with their groups). Operators that see their whole input before
+   emitting (sorts, group annotation) keep the immutable batches and
+   address rows this way instead of materializing tuples. *)
+let number_rows ?(each = fun b k -> Batch.iter_live (fun p -> k p 0) b) batches
+    =
   let n = Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches in
-  let rb = Array.make n 0 and rp = Array.make n 0 and k = ref 0 in
+  let rb = Array.make n 0 and rp = Array.make n 0 and tags = Array.make n 0 in
+  let k = ref 0 in
   Array.iteri
     (fun bi b ->
-      Batch.iter_live
-        (fun p ->
+      each b (fun p tag ->
           rb.(!k) <- bi;
           rp.(!k) <- p;
-          incr k)
-        b)
+          tags.(!k) <- tag;
+          incr k))
     batches;
-  (rb, rp)
+  (rb, rp, tags)
 
 (* Emit numbered rows in [order] as dense batches of at most [batch_rows]
    rows, gathering each column once per batch in a plain loop. [heads]
@@ -902,22 +926,22 @@ let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
         (Array.append (Array.init head_arity head) (Array.map column srcs))
         len)
 
-(* Whether a row opens a new group of a fresh [grouper] table: TRUE on
-   the first row of every key. *)
-let opens_group grouper =
+(* [firsts grouper b]: by physical index, whether a live row of [b] opens
+   a new group of a fresh [grouper] table: the first row of every key. *)
+let firsts grouper =
   let opened = ref false in
-  let find = grouper (fun _ -> opened := true) in
+  let group = grouper (fun _ -> opened := true) in
   fun b ->
-    let find = find b in
-    fun p ->
-      opened := false;
-      find p;
-      !opened
+    let first = Array.make b.Batch.rows false in
+    group b (fun p () ->
+        first.(p) <- !opened;
+        opened := false);
+    first
 
 (* Keep the first row of every key, in order (DISTINCT, UNION). *)
 let first_rows grouper =
-  let opens = opens_group grouper in
-  fun b -> narrow_live (opens b) b
+  let firsts = firsts grouper in
+  fun b -> narrow_live (Array.get (firsts b)) b
 
 (* Chunk a row list into dense batches of at most [batch_rows] rows. *)
 let batches_of_tuple_list ~arity ~batch_rows rows : Batch.t Seq.t =
@@ -1439,18 +1463,20 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     let run_child = compile_batch cx child in
     fun () ->
       Seq.memoize (fun () ->
-          let opens = opens_group group_of in
+          let firsts = firsts group_of in
           Seq.map
             (fun b ->
-              let opens = opens b in
-              let flags = Array.make b.Batch.rows (Value.Bool false) in
-              Batch.iter_live
-                (fun p ->
-                  if (match among with None -> true | Some f -> f b p)
-                     && opens p
-                  then flags.(p) <- Value.Bool true)
-                b;
-              Batch.with_cols b (Array.append b.Batch.cols [| flags |]))
+              let first =
+                Option.fold ~none:[||] ~some:firsts
+                  (Option.fold among ~none:(Some b) ~some:(fun f ->
+                       narrow_live (f b) b))
+              in
+              let flag p =
+                if p < Array.length first && first.(p) then Value.Bool true
+                else Value.Bool false
+              in
+              Batch.with_cols b
+                (Array.append b.Batch.cols [| Array.init b.Batch.rows flag |]))
             (run_child ()) ())
   | Plan.Distinct child ->
     let schema = Plan.schema child in
@@ -1496,7 +1522,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
       fun () ->
         Perm_fault.trip fp_sort;
         let batches = Array.of_seq (run_child ()) in
-        let ((rb, rp) as refs) = number_rows batches in
+        let rb, rp, _ = number_rows batches in
         let n = Array.length rb in
         let perm = Array.init n Fun.id in
         (* a lone row is never compared, so its keys are not evaluated
@@ -1519,7 +1545,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
           in
           Array.stable_sort cmp perm
         end;
-        gather_rows ~batch_rows ~arity batches refs perm)
+        gather_rows ~batch_rows ~arity batches (rb, rp) perm)
   | Plan.Limit { child; limit; offset } ->
     let run_child = compile_batch cx child in
     fun () ->
@@ -1757,9 +1783,7 @@ and compile_batch_aggregate cx child group_by aggs =
               states)
         in
         Seq.iter
-          (fun b ->
-            let group_of = group_of b in
-            Batch.iter_live (fun p -> feed feeder (group_of p) b p) b)
+          (fun b -> group_of b (fun p states -> feed feeder states b p))
           (run_child ());
         let rows =
           if group_by = [] && !order = [] then [ results (fresh ()) ]
@@ -1805,15 +1829,13 @@ and compile_batch_group_annotate cx child group_by aggs rep =
               groups := g :: !groups;
               g)
         in
-        let assign b =
-          let group_of = group_of b in
-          fun p ->
-            let gid, key, states = group_of p in
-            if represents b p then begin
-              if Option.is_none !key then key := Some (gkey b p);
-              feed feeder states b p
-            end;
-            gid
+        let assign b k =
+          group_of b (fun p (gid, key, states) ->
+              if represents b p then begin
+                if Option.is_none !key then key := Some (gkey b p);
+                feed feeder states b p
+              end;
+              k p gid)
         in
         (* a group no representative reaches is no group of the original
            aggregate: like the rejoin it stands for, emit none of its rows *)
@@ -1838,22 +1860,20 @@ and compile_batch_group_annotate cx child group_by aggs rep =
             | _ -> err "internal: untagged group annotation row"
           in
           let cmp a b =
-            let c = Int.compare (tag a.(0)) (tag b.(0)) in
-            if c <> 0 then c else Int.compare (tag a.(1)) (tag b.(1))
+            match Value.compare a.(0) b.(0) with
+            | 0 -> Value.compare a.(1) b.(1)
+            | c -> c
           in
           let n = ref 0 in
           let tagged =
             Seq.flat_map
               (fun b ->
-                let rows = ref [] and assign = assign b in
-                Batch.iter_live
-                  (fun p ->
-                    let g = assign p in
+                let rows = ref [] in
+                assign b (fun p g ->
                     rows :=
                       Tuple.concat [| Value.Int g; Value.Int !n |] (brow b p)
                       :: !rows;
-                    incr n)
-                  b;
+                    incr n);
                 List.to_seq (List.rev !rows))
               (run_child ())
           in
@@ -1872,15 +1892,13 @@ and compile_batch_group_annotate cx child group_by aggs rep =
               ()
         | None ->
           let batches = Array.of_seq (run_child ()) in
-          let ((rb, rp) as refs) = number_rows batches in
-          let assigners = Array.map assign batches in
-          let gids = Array.mapi (fun r bi -> assigners.(bi) rp.(r)) rb in
+          let rb, rp, gids = number_rows ~each:assign batches in
           if gids = [||] && group_by = [] then empty_global () ()
           else
             let heads = heads () in
             gather_rows
               ~heads:(Array.map (Option.value ~default:[||]) heads, gids)
-              ~batch_rows ~arity:child_arity batches refs
+              ~batch_rows ~arity:child_arity batches (rb, rp)
               (grouped_order ~groups:!count
                  ~keep:(fun g -> Option.is_some heads.(g)) gids)
               ())
