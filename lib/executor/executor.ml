@@ -781,7 +781,7 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
         if Batch.live b > 0 then begin
           let g = global () in
           for i = 0 to Batch.live b - 1 do
-            k (Batch.idx b i) g
+            k (if b.Batch.all then i else b.Batch.sel.(i)) g
           done
         end
     | _, Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) -> (
@@ -797,7 +797,7 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
       fun b k ->
         let col = Batch.col b ci in
         for i = 0 to Batch.live b - 1 do
-          let p = Batch.idx b i in
+          let p = if b.Batch.all then i else b.Batch.sel.(i) in
           k p
             (match Array.unsafe_get col p with
             | (Value.Int n | Value.Date n) as v -> by_int n v
@@ -818,7 +818,7 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
       fun b k ->
         let col = Batch.col b ci in
         for i = 0 to Batch.live b - 1 do
-          let p = Batch.idx b i in
+          let p = if b.Batch.all then i else b.Batch.sel.(i) in
           k p
             (match Array.unsafe_get col p with
             | Value.Text s as v -> by_str s v
@@ -828,7 +828,7 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
     | _ ->
       fun b k ->
         for i = 0 to Batch.live b - 1 do
-          let p = Batch.idx b i in
+          let p = if b.Batch.all then i else b.Batch.sel.(i) in
           k p (by_tuple (gkey b p))
         done
 
