@@ -18,7 +18,12 @@
 
      dune exec bin/wal_harness.exe -- run --dir /tmp/w --seed 3 \
        --point wal.append --prob 0.05
-     dune exec bin/wal_harness.exe -- check --dir /tmp/w --seed 3 --acked 17 *)
+     dune exec bin/wal_harness.exe -- check --dir /tmp/w --seed 3 --acked 17
+
+   [--bulk N] (both arms) adds one unit right after CREATE TABLE that
+   inserts N rows in a single INSERT; the mixed units that follow keep
+   the table near 200 rows, so without it recovery never replays more
+   than one storage chunk. *)
 
 module Engine = Perm_engine.Engine
 module Fault = Perm_fault
@@ -32,10 +37,16 @@ let lcg state =
   state := ((!state * 2685821657736338717) + 1442695040888963) land max_int;
   !state
 
-let workload ~seed ~units =
+let workload ~seed ~units ~bulk =
   let state = ref (seed lxor 0x5deece66d) in
   let rand k = lcg state mod k in
-  List.init units (fun i ->
+  let with_bulk = function
+    | create :: rest when bulk > 0 ->
+      let values = List.init bulk (fun k -> Printf.sprintf "(%d, 'k%d')" k k) in
+      create :: [ "INSERT INTO t VALUES " ^ String.concat ", " values ^ ";" ] :: rest
+    | units -> units
+  in
+  with_bulk @@ List.init units (fun i ->
       if i = 0 then [ "CREATE TABLE t (k INTEGER, v TEXT);" ]
       else
         let x = rand 1000 in
@@ -67,6 +78,8 @@ let opt args name =
   in
   go args
 
+let bulk_of args = Option.fold ~none:0 ~some:int_of_string (opt args "--bulk")
+
 let req args name =
   match opt args name with
   | Some v -> v
@@ -77,6 +90,7 @@ let run args =
   let seed = int_of_string (req args "--seed") in
   let units = Option.value ~default:default_units
       (Option.map int_of_string (opt args "--units")) in
+  let bulk = bulk_of args in
   let point = opt args "--point" in
   let prob = Option.value ~default:0.05
       (Option.map float_of_string (opt args "--prob")) in
@@ -101,13 +115,12 @@ let run args =
             else die "unit %d: %s" i (Err.to_string err))
         unit_stmts;
       Printf.printf "ACK %d\n%!" i)
-    (workload ~seed ~units);
+    (workload ~seed ~units ~bulk);
   print_endline "DONE";
   Engine.close e
 
-let oracle_dump ~seed ~units k =
+let oracle_dump all k =
   let e = Engine.create () in
-  let all = workload ~seed ~units in
   List.iteri
     (fun i unit_stmts ->
       if i < k then
@@ -127,6 +140,7 @@ let check args =
   let seed = int_of_string (req args "--seed") in
   let units = Option.value ~default:default_units
       (Option.map int_of_string (opt args "--units")) in
+  let all = workload ~seed ~units ~bulk:(bulk_of args) in
   let acked = int_of_string (req args "--acked") in
   let e = Engine.create () in
   let replay =
@@ -136,7 +150,7 @@ let check args =
   in
   let recovered = Engine.dump_sql e in
   Engine.close e;
-  let matches k = k <= units && String.equal recovered (oracle_dump ~seed ~units k) in
+  let matches k = k <= List.length all && String.equal recovered (oracle_dump all k) in
   if matches acked then begin
     Printf.printf "OK recovered state = %d committed units (replayed %d records)\n"
       acked replay.Perm_wal.rp_records;
@@ -154,7 +168,7 @@ let check args =
     Printf.printf "MISMATCH: recovered state matches neither %d nor %d units\n"
       acked (acked + 1);
     Printf.printf "--- recovered ---\n%s\n--- oracle(%d) ---\n%s\n" recovered
-      acked (oracle_dump ~seed ~units acked);
+      acked (oracle_dump all acked);
     exit 1
   end
 
@@ -164,6 +178,6 @@ let () =
   | _ :: "check" :: args -> check args
   | _ ->
     prerr_endline
-      "usage: wal_harness run --dir DIR --seed N [--point P] [--prob F] [--units N]\n\
-      \       wal_harness check --dir DIR --seed N --acked K [--units N]";
+      "usage: wal_harness run --dir DIR --seed N [--point P] [--prob F] [--units N] [--bulk N]\n\
+      \       wal_harness check --dir DIR --seed N --acked K [--units N] [--bulk N]";
     exit 2

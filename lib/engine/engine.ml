@@ -2002,25 +2002,26 @@ let dump_sql t =
       match Store.find t.store def.Catalog.table_name with
       | None -> ()
       | Some heap ->
-        let rows = Heap.to_list heap in
-        let rec batches = function
-          | [] -> ()
-          | rows ->
-            let batch = List.filteri (fun i _ -> i < 200) rows in
-            let rest = List.filteri (fun i _ -> i >= 200) rows in
-            Buffer.add_string buf
-              (Printf.sprintf "INSERT INTO %s VALUES %s;\n" def.Catalog.table_name
-                 (String.concat ", "
-                    (List.map
-                       (fun row ->
-                         "("
-                         ^ String.concat ", "
-                             (Array.to_list (Array.map Value.to_sql row))
-                         ^ ")")
-                       batch)));
-            batches rest
+        (* one INSERT per 200 rows *)
+        let n =
+          List.fold_left
+            (fun i row ->
+              Buffer.add_string buf
+                (if i mod 200 = 0 then
+                   (if i > 0 then ";\n" else "")
+                   ^ Printf.sprintf "INSERT INTO %s VALUES " def.Catalog.table_name
+                 else ", ");
+              Buffer.add_char buf '(';
+              Array.iteri
+                (fun c v ->
+                  if c > 0 then Buffer.add_string buf ", ";
+                  Buffer.add_string buf (Value.to_sql v))
+                row;
+              Buffer.add_char buf ')';
+              i + 1)
+            0 (Heap.to_list heap)
         in
-        batches rows)
+        if n > 0 then Buffer.add_string buf ";\n")
     (Catalog.tables t.cat);
   List.iter
     (fun (def : Catalog.table_def) ->

@@ -647,7 +647,7 @@ let grouped_order ~groups ~keep (gids : int array) =
    batch size, so results are byte-identical across batch sizes and the
    serial/parallel determinism contract holds by construction. *)
 
-let default_batch_rows = 1024
+let default_batch_rows = Perm_storage.Heap.chunk_rows
 
 type bop = unit -> Batch.t Seq.t
 type bwrapper = Plan.t -> bop -> bop
@@ -2107,44 +2107,50 @@ let now_s () = Perm_obs.Trace.now ()
    peak_bytes is the exact reachable-heap footprint of the largest batch
    the node emitted ([Batch.measured_bytes]). Every pull is timed, so the
    measured interval covers the operator AND its children (inclusive
-   time, as in Postgres EXPLAIN ANALYZE). *)
+   time, as in Postgres EXPLAIN ANALYZE). A child measures its batch
+   inside its parent's pull, so each interval gives back the measuring
+   time that accrued during it: no node is charged for byte counts. *)
 let instrumenting_bwrap stats : bwrapper =
- fun node thunk ->
-  let ns =
-    {
-      stat_kind = Plan.operator_kind node;
-      stat_id = -1;
-      stat_invocations = 0;
-      stat_rows = 0;
-      stat_time_s = 0.;
-      stat_self_s = 0.;
-      stat_peak_rows = 0;
-      stat_peak_bytes = 0;
-    }
-  in
-  stats.entries <- (node, ns) :: stats.entries;
-  fun () ->
-    ns.stat_invocations <- ns.stat_invocations + 1;
-    let inv_rows = ref 0 in
-    let t0 = now_s () in
-    let seq = thunk () in
-    ns.stat_time_s <- ns.stat_time_s +. (now_s () -. t0);
-    let rec step s () =
-      let t0 = now_s () in
-      let cell = s () in
-      ns.stat_time_s <- ns.stat_time_s +. (now_s () -. t0);
-      match cell with
-      | Seq.Nil -> Seq.Nil
-      | Seq.Cons (b, rest) ->
-        let live = Batch.live b in
-        ns.stat_rows <- ns.stat_rows + live;
-        inv_rows := !inv_rows + live;
-        if !inv_rows > ns.stat_peak_rows then ns.stat_peak_rows <- !inv_rows;
-        let bytes = Batch.measured_bytes b in
-        if bytes > ns.stat_peak_bytes then ns.stat_peak_bytes <- bytes;
-        Seq.Cons (b, step rest)
+  let measuring = ref 0. in
+  fun node thunk ->
+    let ns =
+      {
+        stat_kind = Plan.operator_kind node;
+        stat_id = -1;
+        stat_invocations = 0;
+        stat_rows = 0;
+        stat_time_s = 0.;
+        stat_self_s = 0.;
+        stat_peak_rows = 0;
+        stat_peak_bytes = 0;
+      }
     in
-    step seq
+    stats.entries <- (node, ns) :: stats.entries;
+    let timed f =
+      let t0 = now_s () and m0 = !measuring in
+      let r = f () in
+      ns.stat_time_s <-
+        ns.stat_time_s +. (now_s () -. t0) -. (!measuring -. m0);
+      r
+    in
+    fun () ->
+      ns.stat_invocations <- ns.stat_invocations + 1;
+      let inv_rows = ref 0 in
+      let rec step s () =
+        match timed s with
+        | Seq.Nil -> Seq.Nil
+        | Seq.Cons (b, rest) ->
+          let live = Batch.live b in
+          ns.stat_rows <- ns.stat_rows + live;
+          inv_rows := !inv_rows + live;
+          if !inv_rows > ns.stat_peak_rows then ns.stat_peak_rows <- !inv_rows;
+          let t0 = now_s () in
+          let bytes = Batch.measured_bytes b in
+          measuring := !measuring +. (now_s () -. t0);
+          if bytes > ns.stat_peak_bytes then ns.stat_peak_bytes <- bytes;
+          Seq.Cons (b, step rest)
+      in
+      step (timed thunk)
 
 (* The batch wrapper of one compile: operator counters when [stats] is
    given, under the cancel guard when the token is armed. *)

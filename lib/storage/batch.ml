@@ -40,29 +40,11 @@ let idx b i = if b.all then i else b.sel.(i)
 
 let col b c = b.cols.(c)
 
-(* Materialize the [i]-th live row as a tuple (allocates). *)
-let row b i =
-  let p = idx b i in
-  Array.map (fun col -> col.(p)) b.cols
-
 let of_rows ~arity (rows : Value.t array array) ~pos ~len =
   let cols = Array.init arity (fun c ->
       Array.init len (fun i -> rows.(pos + i).(c)))
   in
   dense cols len
-
-let of_tuple_list ~arity tuples =
-  let n = List.length tuples in
-  let cols = Array.make arity [||] in
-  for c = 0 to arity - 1 do
-    cols.(c) <- Array.make n Value.Null
-  done;
-  List.iteri (fun i t ->
-      for c = 0 to arity - 1 do
-        cols.(c).(i) <- t.(c)
-      done)
-    tuples;
-  dense cols n
 
 (* Fresh array of live physical indices (used by kernels that narrow). *)
 let sel_array b =

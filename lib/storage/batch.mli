@@ -36,13 +36,10 @@ val idx : t -> int -> int
 (** Physical index of the [i]-th live row. *)
 
 val col : t -> int -> Value.t array
-val row : t -> int -> Value.t array
-(** Materialize the [i]-th live row (allocates a tuple). *)
 
 val of_rows : arity:int -> Value.t array array -> pos:int -> len:int -> t
 (** Transpose a row-array slice into a dense batch. *)
 
-val of_tuple_list : arity:int -> Value.t array list -> t
 val sel_array : t -> int array
 (** Fresh array of the live physical indices. *)
 

@@ -3,7 +3,7 @@ module Dtype = Perm_value.Dtype
 module Schema = Perm_catalog.Schema
 module Column = Perm_catalog.Column
 
-(* one hash index: value -> positions in the row vector, newest first *)
+(* one hash index: value -> row positions, newest first *)
 module Value_key = struct
   type t = Value.t
 
@@ -19,45 +19,80 @@ let fp_insert = Perm_fault.point "heap.insert"
 
 type index = int list Value_hash.t
 
+let chunk_rows = 1024
+
+(* The table is its columns: sealed chunks of [chunk_rows] rows, then the
+   tail, one growable column per attribute for the rows inserted since the
+   last seal. Only the last chunk may be short, and then the tail is
+   empty, so row [p] sits at offset [p mod chunk_rows] of chunk
+   [p / chunk_rows], or of the tail. Chunks are never mutated and [chunks]
+   is replaced rather than written, so scans and copies share them. *)
 type t = {
   schema : Schema.t;
-  rows : Tuple.t Vec.t;
+  mutable chunks : Batch.t array;
+  tail : Value.t Vec.t array;
   mutable distinct_cache : int array option;
-  mutable batch_cache : (int * Batch.t array) option;
-      (* (batch_rows, columnar image) — transposed once per table version
-         and shared by every vectorized scan until the next mutation *)
+  mutable resliced : (int * Batch.t array) option;
+      (* batches of another size than [chunk_rows], until the next write *)
   indexes : (int, index) Hashtbl.t;  (* column position -> index *)
 }
 
 let create schema =
   {
     schema;
-    rows = Vec.create ();
+    chunks = [||];
+    tail = Array.init (Schema.arity schema) (fun _ -> Vec.create ());
     distinct_cache = None;
-    batch_cache = None;
+    resliced = None;
     indexes = Hashtbl.create 4;
   }
 
 let copy t =
   let indexes = Hashtbl.create (Hashtbl.length t.indexes) in
   Hashtbl.iter (fun col idx -> Hashtbl.replace indexes col (Value_hash.copy idx)) t.indexes;
-  {
-    schema = t.schema;
-    rows = Vec.copy t.rows;
-    distinct_cache = t.distinct_cache;
-    (* batches are immutable, so the image can be shared; each copy
-       invalidates its own cache on its own mutations *)
-    batch_cache = t.batch_cache;
-    indexes;
-  }
+  { t with tail = Array.map Vec.copy t.tail; indexes }
 
 let schema t = t.schema
-let row_count t = Vec.length t.rows
+let tail_rows t = Vec.length t.tail.(0)
+
+let row_count t =
+  match Array.length t.chunks with
+  | 0 -> tail_rows t
+  | n -> ((n - 1) * chunk_rows) + t.chunks.(n - 1).rows + tail_rows t
+
+let cell t pos k =
+  let c = pos / chunk_rows in
+  if c < Array.length t.chunks then t.chunks.(c).cols.(k).(pos mod chunk_rows)
+  else Vec.get t.tail.(k) (pos mod chunk_rows)
+
+let row_at t pos = Array.init (Array.length t.tail) (cell t pos)
+
+let seal t =
+  let n = tail_rows t in
+  if n > 0 then begin
+    t.chunks <- Array.append t.chunks [| Batch.dense (Array.map (fun v -> Vec.sub v 0 n) t.tail) n |];
+    Array.iter Vec.clear t.tail
+  end
 
 let index_add idx key pos =
   if not (Value.is_null key) then
     let prev = match Value_hash.find_opt idx key with Some l -> l | None -> [] in
     Value_hash.replace idx key (pos :: prev)
+
+(* Append a validated row. A short last chunk goes back into the tail
+   first, so that it stays the only short one; a full tail seals. *)
+let push t row =
+  let n = Array.length t.chunks in
+  if n > 0 && t.chunks.(n - 1).rows < chunk_rows then begin
+    Array.iteri (fun k col -> Array.iter (Vec.push t.tail.(k)) col) t.chunks.(n - 1).cols;
+    t.chunks <- Array.sub t.chunks 0 (n - 1)
+  end;
+  let pos = row_count t in
+  Array.iteri (fun k v -> Vec.push t.tail.(k) v) row;
+  Hashtbl.iter (fun col idx -> index_add idx row.(col) pos) t.indexes;
+  if tail_rows t = chunk_rows then seal t;
+  t.distinct_cache <- None;
+  t.resliced <- None
 
 let coerce_cell (col : Column.t) v =
   match v, col.ty with
@@ -72,9 +107,10 @@ let coerce_cell (col : Column.t) v =
            (Dtype.to_string (Value.type_of v))
            (Value.to_string v))
 
-let insert t row =
-  Perm_fault.trip fp_insert;
-  let cols = Array.of_list (Schema.columns t.schema) in
+let columns t = Array.of_list (Schema.columns t.schema)
+
+(* Arity check and per-cell coercion into a fresh row. *)
+let coerce_row cols row =
   if Array.length row <> Array.length cols then
     Error
       (Printf.sprintf "expected %d values, got %d" (Array.length cols)
@@ -82,14 +118,7 @@ let insert t row =
   else
     let out = Array.make (Array.length row) Value.Null in
     let rec fill i =
-      if i >= Array.length row then begin
-        let pos = Vec.length t.rows in
-        Vec.push t.rows out;
-        Hashtbl.iter (fun col idx -> index_add idx out.(col) pos) t.indexes;
-        t.distinct_cache <- None;
-        t.batch_cache <- None;
-        Ok ()
-      end
+      if i >= Array.length row then Ok out
       else
         match coerce_cell cols.(i) row.(i) with
         | Ok v ->
@@ -99,12 +128,24 @@ let insert t row =
     in
     fill 0
 
+let insert t row =
+  Perm_fault.trip fp_insert;
+  Result.map (push t) (coerce_row (columns t) row)
+
 let insert_all t rows =
   let rec go = function
     | [] -> Ok ()
     | r :: rest -> ( match insert t r with Ok () -> go rest | Error e -> Error e)
   in
   go rows
+
+let truncate t =
+  t.chunks <- [||];
+  Array.iter Vec.clear t.tail;
+  t.distinct_cache <- None;
+  t.resliced <- None;
+  (* keep index definitions, drop their contents *)
+  Hashtbl.iter (fun _ idx -> Value_hash.reset idx) t.indexes
 
 (* All-or-nothing rebuild for DELETE/UPDATE: every row is validated and
    coerced into a staging list before the heap is touched, so a bad row —
@@ -113,102 +154,65 @@ let insert_all t rows =
    fail. *)
 let replace_all t rows =
   Perm_fault.trip fp_insert;
-  let cols = Array.of_list (Schema.columns t.schema) in
-  let stage row =
-    if Array.length row <> Array.length cols then
-      Error
-        (Printf.sprintf "expected %d values, got %d" (Array.length cols)
-           (Array.length row))
-    else
-      let out = Array.make (Array.length row) Value.Null in
-      let rec fill i =
-        if i >= Array.length row then Ok out
-        else
-          match coerce_cell cols.(i) row.(i) with
-          | Ok v ->
-            out.(i) <- v;
-            fill (i + 1)
-          | Error e -> Error e
-      in
-      fill 0
-  in
+  let cols = columns t in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | r :: rest -> ( match stage r with Ok o -> go (o :: acc) rest | Error e -> Error e)
+    | r :: rest -> (
+      match coerce_row cols r with Ok o -> go (o :: acc) rest | Error e -> Error e)
   in
   match go [] rows with
   | Error e -> Error e
   | Ok staged ->
-    Vec.clear t.rows;
-    Hashtbl.iter (fun _ idx -> Value_hash.reset idx) t.indexes;
-    List.iter
-      (fun out ->
-        let pos = Vec.length t.rows in
-        Vec.push t.rows out;
-        Hashtbl.iter (fun col idx -> index_add idx out.(col) pos) t.indexes)
-      staged;
-    t.distinct_cache <- None;
-    t.batch_cache <- None;
+    truncate t;
+    List.iter (push t) staged;
     Ok ()
-
-let truncate t =
-  Vec.clear t.rows;
-  t.distinct_cache <- None;
-  t.batch_cache <- None;
-  (* keep index definitions, drop their contents *)
-  Hashtbl.iter (fun _ idx -> Value_hash.reset idx) t.indexes
 
 let scan t =
   Perm_fault.trip fp_scan;
-  Vec.to_seq t.rows
+  Seq.init (row_count t) (row_at t)
 
-let to_list t = Vec.to_list t.rows
+let to_list t = List.init (row_count t) (row_at t)
 
-(* Contiguous row slice in insertion order. *)
-let scan_chunk t ~pos ~len = Vec.sub t.rows pos len
+let scan_chunk t ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > row_count t then
+    invalid_arg "Heap.scan_chunk: range out of bounds";
+  Array.init len (fun i -> row_at t (pos + i))
 
-(* Columnar scan for the vectorized executor. The transpose runs once per
-   (table version, batch size) and the resulting image — column arrays
-   shared by every batch — is reused by all later scans; any mutation
-   drops it. The fault point trips per scan, like [scan], so
-   chaos schedules are unchanged by caching. *)
+(* The fault point trips per scan, like [scan], so chaos schedules do not
+   depend on what is sealed or cached. *)
 let scan_batches t ~rows =
   Perm_fault.trip fp_scan;
+  seal t;
   let size = max 1 rows in
-  match t.batch_cache with
-  | Some (sz, batches) when sz = size -> batches
-  | _ ->
-    let n = Vec.length t.rows in
-    let arity = Schema.arity t.schema in
-    let batches =
-      Array.init
-        ((n + size - 1) / size)
-        (fun bi ->
-          let pos = bi * size in
-          let len = min size (n - pos) in
-          let cols =
-            Array.init arity (fun c ->
-                Array.init len (fun i -> (Vec.get t.rows (pos + i)).(c)))
-          in
-          Batch.dense cols len)
-    in
-    t.batch_cache <- Some (size, batches);
-    batches
+  if size = chunk_rows then t.chunks
+  else
+    match t.resliced with
+    | Some (sz, batches) when sz = size -> batches
+    | _ ->
+      let n = row_count t in
+      let batch pos =
+        let len = min size (n - pos) in
+        let col k = Array.init len (fun i -> cell t (pos + i) k) in
+        Batch.dense (Array.init (Array.length t.tail) col) len
+      in
+      let batches = Array.init ((n + size - 1) / size) (fun b -> batch (b * size)) in
+      t.resliced <- Some (size, batches);
+      batches
 
 let distinct_estimate t col =
   let counts =
     match t.distinct_cache with
     | Some c -> c
     | None ->
-      let arity = Schema.arity t.schema in
-      let sets = Array.init arity (fun _ -> Hashtbl.create 64) in
-      Vec.iter
-        (fun row ->
-          Array.iteri
-            (fun i v -> Hashtbl.replace sets.(i) (Value.hash v, v) ())
-            row)
-        t.rows;
-      let c = Array.map Hashtbl.length sets in
+      let count k =
+        let set = Hashtbl.create 64 in
+        for pos = 0 to row_count t - 1 do
+          let v = cell t pos k in
+          Hashtbl.replace set (Value.hash v, v) ()
+        done;
+        Hashtbl.length set
+      in
+      let c = Array.init (Array.length t.tail) count in
       t.distinct_cache <- Some c;
       c
   in
@@ -221,7 +225,9 @@ let create_index t col =
     invalid_arg "Heap.create_index: column out of range";
   if not (Hashtbl.mem t.indexes col) then begin
     let idx = Value_hash.create 256 in
-    Vec.iteri (fun pos row -> index_add idx row.(col) pos) t.rows;
+    for pos = 0 to row_count t - 1 do
+      index_add idx (cell t pos col) pos
+    done;
     Hashtbl.replace t.indexes col idx
   end
 
@@ -236,5 +242,4 @@ let index_probe t col key =
     else (
       match Value_hash.find_opt idx key with
       | None -> Seq.empty
-      | Some positions ->
-        List.to_seq (List.rev_map (fun pos -> Vec.get t.rows pos) positions))
+      | Some positions -> List.to_seq (List.rev_map (row_at t) positions))

@@ -1,15 +1,23 @@
-(** An in-memory heap relation: the rows of one base table.
+(** An in-memory heap relation: the rows of one base table, stored by
+    column as immutable chunks of {!chunk_rows} rows plus the rows
+    inserted since the last seal.
 
     Insertion validates arity and types against the table schema (with
     implicit int→float widening, as PostgreSQL does on assignment). *)
 
 type t
 
+val chunk_rows : int
+(** Rows per sealed chunk (1,024), also the executor's default batch
+    size, so that a default scan hands out the chunks themselves. *)
+
 val create : Perm_catalog.Schema.t -> t
 
 val copy : t -> t
-(** Snapshot for transactions: rows are shared (tuples are never mutated in
-    place — DML rebuilds), index structures are duplicated. *)
+(** Snapshot for transactions: the sealed chunks are shared (they are
+    never mutated); the unsealed tail (under {!chunk_rows} rows) and the
+    indexes are duplicated. Without indexes the cost is O(chunks), not
+    O(rows). *)
 
 val schema : t -> Perm_catalog.Schema.t
 val row_count : t -> int
@@ -34,16 +42,18 @@ val scan_chunk : t -> pos:int -> len:int -> Tuple.t array
 
 val scan_batches : t -> rows:int -> Batch.t array
 (** The heap as columnar batches of at most [rows] rows each, in
-    insertion order: their live tuples reproduce {!scan}. The transpose
-    runs once per (table version, batch size) and is cached until the
-    next write, so repeated vectorized scans share one immutable columnar
-    image. Callers must not mutate the column arrays. *)
+    insertion order: their live tuples reproduce {!scan}. The call first
+    seals the unsealed rows, so at most the last chunk is short. At
+    [rows = chunk_rows] the batches are the chunks themselves; other
+    sizes are cut from the chunks once and cached until the next write.
+    Callers must not mutate the column arrays. *)
 
 val distinct_estimate : t -> int -> int
 (** [distinct_estimate h col] is the exact number of distinct values in
-    column [col], computed on demand and cached until the next write. Used
-    by the planner's cardinality model (paper: "cost-based solution for
-    choosing the best rewrite strategy"). *)
+    column [col], counted over the column arrays on demand and cached
+    until the next write, which drops it. Used by the planner's
+    cardinality model (paper: "cost-based solution for choosing the best
+    rewrite strategy"). *)
 
 (** {1 Hash indexes}
 

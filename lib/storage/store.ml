@@ -27,7 +27,6 @@ let drop_table t name =
   else Error (Printf.sprintf "table %S does not exist in store" name)
 
 let find t name = Hashtbl.find_opt t.heaps (norm name)
-let find_exn t name = Hashtbl.find t.heaps (norm name)
 
 let table_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.heaps [] |> List.sort String.compare

@@ -11,8 +11,5 @@ val copy : t -> t
 val create_table : t -> string -> Perm_catalog.Schema.t -> (Heap.t, string) result
 val drop_table : t -> string -> (unit, string) result
 val find : t -> string -> Heap.t option
-val find_exn : t -> string -> Heap.t
-(** @raise Not_found on a missing table — only used after catalog lookup
-    succeeded, so a miss is an engine invariant violation. *)
 
 val table_names : t -> string list

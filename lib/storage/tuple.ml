@@ -2,8 +2,6 @@ module Value = Perm_value.Value
 
 type t = Value.t array
 
-let arity = Array.length
-
 let equal a b =
   Array.length a = Array.length b && Array.for_all2 Value.key_equal a b
 
@@ -27,8 +25,6 @@ let to_string t =
   "("
   ^ String.concat ", " (Array.to_list (Array.map Value.to_string t))
   ^ ")"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Hash = Hashtbl.Make (struct
   type nonrec t = t

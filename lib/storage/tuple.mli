@@ -2,7 +2,6 @@
 
 type t = Perm_value.Value.t array
 
-val arity : t -> int
 val equal : t -> t -> bool
 (** Positional key identity ({!Perm_value.Value.key_equal}: NULL matches
     NULL, NaN matches NaN), the notion used for grouping, DISTINCT, set
@@ -14,8 +13,6 @@ val concat : t -> t -> t
 val project : int list -> t -> t
 val to_string : t -> string
 (** Comma-separated, parenthesised, e.g. [(1, lorem, null)]. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Hash : Hashtbl.S with type key = t
 (** Hash table keyed by tuples under key identity. *)

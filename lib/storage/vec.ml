@@ -24,11 +24,6 @@ let clear t =
   t.data <- [||];
   t.len <- 0
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)

@@ -257,6 +257,48 @@ let engine_tests =
             (List.map fst ea.Engine.ea_phases);
           Alcotest.(check bool) "total covers the execute phase" true
             (ea.Engine.ea_total_ms >= List.assoc "execute" ea.Engine.ea_phases));
+    case "EXPLAIN ANALYZE charges no node for measuring batch bytes" (fun () ->
+        (* every node measures the batches it emits inside its parent's
+           pull; left in the parent's timer, the byte counts of a
+           10-chunk scan came to 5-6x the uninstrumented query *)
+        let e = engine () in
+        exec_all e [ "CREATE TABLE big (a int, b text)" ];
+        for k = 0 to 19 do
+          exec_all e
+            [
+              "INSERT INTO big VALUES "
+              ^ String.concat ", "
+                  (List.init 500 (fun j ->
+                       Printf.sprintf "(%d, 'row %d')" ((k * 500) + j) j));
+            ]
+        done;
+        let sql = "SELECT count(*) FROM big WHERE a >= 0" in
+        let execute_ms () =
+          ignore (query_ok e sql);
+          match Engine.last_trace e with
+          | Some root ->
+            List.fold_left
+              (fun acc sp ->
+                if Trace.name sp = "execute" then Trace.duration_ms sp else acc)
+              Float.infinity (Trace.children root)
+          | None -> Alcotest.fail "no trace"
+        in
+        let plain_ms = List.fold_left Float.min Float.infinity (List.init 7 (fun _ -> execute_ms ())) in
+        let root_ms () =
+          match Engine.explain_analyze e sql with
+          | Error msg -> Alcotest.fail msg
+          | Ok ea ->
+            let tree = ea.Engine.ea_tree in
+            let rec find i = if String.sub tree i 5 = "time=" then i + 5 else find (i + 1) in
+            let start = find 0 in
+            float_of_string (String.sub tree start (String.index_from tree start ' ' - start))
+        in
+        let analyzed_ms = List.fold_left Float.min Float.infinity (List.init 3 (fun _ -> root_ms ())) in
+        Alcotest.(check bool)
+          (Printf.sprintf "root %.3f ms within 3x of %.3f ms uninstrumented" analyzed_ms plain_ms)
+          true
+          (analyzed_ms <= 3. *. plain_ms);
+        Engine.close e);
     case "EXPLAIN ANALYZE as a statement yields the Analyzed outcome" (fun () ->
         let e = three_table_engine () in
         match exec_ok e ("EXPLAIN ANALYZE " ^ join3) with

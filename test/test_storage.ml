@@ -1,9 +1,11 @@
-(* Unit tests for storage: growable vectors, tuples, heaps, the store. *)
+(* Unit tests for storage: growable vectors, tuples, heaps (columnar
+   chunks against a list model), the store. *)
 
 module Vec = Perm_storage.Vec
 module Tuple = Perm_storage.Tuple
 module Heap = Perm_storage.Heap
 module Store = Perm_storage.Store
+module Batch = Perm_storage.Batch
 module Schema = Perm_catalog.Schema
 module Column = Perm_catalog.Column
 module Dtype = Perm_value.Dtype
@@ -118,6 +120,177 @@ let heap_tests =
         Alcotest.(check int) "invalidated" 3 (Heap.distinct_estimate h 1));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Columnar chunks against a list model                                *)
+(* ------------------------------------------------------------------ *)
+
+(* row [k]: key, text, and a uid that is NULL on every seventh row *)
+let mrow k = row [ i k; s (Printf.sprintf "t%d" (k mod 13)); (if k mod 7 = 0 then nl else i (k mod 10)) ]
+let strs rows = List.map Tuple.to_string rows
+let ok r = Result.get_ok r
+
+(* Everything a heap reads back must reproduce the model: row-shaped reads,
+   columnar scans at several sizes (only the last batch may be short), and
+   an index probe. *)
+let check_model label h model =
+  let expect = strs model in
+  let n = List.length model in
+  Alcotest.(check int) (label ^ ": row_count") n (Heap.row_count h);
+  Alcotest.(check (list string)) (label ^ ": scan") expect (strs (List.of_seq (Heap.scan h)));
+  Alcotest.(check (list string)) (label ^ ": to_list") expect (strs (Heap.to_list h));
+  Alcotest.(check (list string)) (label ^ ": scan_chunk") expect
+    (strs (Array.to_list (Heap.scan_chunk h ~pos:0 ~len:n)));
+  List.iter
+    (fun size ->
+      let bs = Heap.scan_batches h ~rows:size in
+      let what = Printf.sprintf "%s: scan_batches %d" label size in
+      Alcotest.(check (list string)) what expect
+        (strs (List.concat_map Batch.to_tuples (Array.to_list bs)));
+      Array.iteri
+        (fun j (b : Batch.t) ->
+          if b.rows < 1 || (b.rows < size && j < Array.length bs - 1) then
+            Alcotest.failf "%s: batch %d of %d holds %d rows" what j (Array.length bs) b.rows)
+        bs)
+    (* 7 both first and last: the next check reads the cached batches *)
+    [ 7; 1; Heap.chunk_rows; 1500; 7 ];
+  List.iter
+    (fun key ->
+      Alcotest.(check (list string)) (Printf.sprintf "%s: probe uid=%d" label key)
+        (strs (List.filter (fun r -> r.(2) = i key) model))
+        (strs (List.of_seq (Heap.index_probe h 2 (i key)))))
+    [ 0; 3 ]
+
+type op = Insert | Insert_all of int | Replace | Truncate | Copy | Check
+
+let op_gen =
+  QCheck.Gen.(
+    pair (int_bound 1)
+      (frequency
+         [
+           (3, return Insert);
+           (4, map (fun n -> Insert_all n) (int_bound 1300));
+           (2, return Replace);
+           (1, return Truncate);
+           (2, return Copy);
+           (3, return Check);
+         ]))
+
+let op_print (slot, op) =
+  Printf.sprintf "%d:%s" slot
+    (match op with
+    | Insert -> "insert"
+    | Insert_all n -> Printf.sprintf "insert_all %d" n
+    | Replace -> "replace"
+    | Truncate -> "truncate"
+    | Copy -> "copy"
+    | Check -> "check")
+
+(* Two slots of (heap, model). [Copy] overwrites the other slot with a
+   copy of this one; later writes to either must not show in the other. *)
+let run_model ops =
+  let fresh () =
+    let h = Heap.create forum_schema in
+    Heap.create_index h 2;
+    (h, [])
+  in
+  let slots = [| fresh (); fresh () |] in
+  let next = ref 0 in
+  let rows n = List.init n (fun _ -> incr next; mrow !next) in
+  List.iter
+    (fun (slot, op) ->
+      let h, model = slots.(slot) in
+      match op with
+      | Insert ->
+        let r = mrow (incr next; !next) in
+        ok (Heap.insert h r);
+        slots.(slot) <- (h, model @ [ r ])
+      | Insert_all n ->
+        let rs = rows n in
+        ok (Heap.insert_all h rs);
+        slots.(slot) <- (h, model @ rs)
+      | Replace ->
+        (* DELETE-style rebuild: drop every third row, append a few *)
+        let keep = List.filteri (fun j _ -> j mod 3 <> 0) model @ rows 5 in
+        ok (Heap.replace_all h keep);
+        slots.(slot) <- (h, keep)
+      | Truncate ->
+        Heap.truncate h;
+        slots.(slot) <- (h, [])
+      | Copy -> slots.(1 - slot) <- (Heap.copy h, model)
+      | Check -> check_model (op_print (slot, op)) h model)
+    ops;
+  Array.iteri (fun j (h, model) -> check_model (Printf.sprintf "final slot %d" j) h model) slots;
+  true
+
+let boundary n =
+  let h = Heap.create forum_schema in
+  let model = List.init n (fun k -> mrow (k + 1)) in
+  ok (Heap.insert_all h model);
+  Heap.create_index h 2;
+  let sizes () =
+    Array.to_list (Array.map (fun (b : Batch.t) -> b.rows) (Heap.scan_batches h ~rows:Heap.chunk_rows))
+  in
+  (h, model, sizes)
+
+let chunk_tests =
+  [
+    qcheck
+      (QCheck.Test.make ~name:"heap matches a list model under random writes" ~count:40
+         (QCheck.make ~print:QCheck.Print.(list op_print) QCheck.Gen.(list_size (int_range 1 10) op_gen))
+         run_model);
+    case "1023, 1024 and 1025 rows, then one more" (fun () ->
+        List.iter
+          (fun (n, before, after) ->
+            let h, model, sizes = boundary n in
+            Alcotest.(check (list int)) (Printf.sprintf "%d rows" n) before (sizes ());
+            check_model (Printf.sprintf "%d rows" n) h model;
+            let extra = mrow (n + 1) in
+            ok (Heap.insert h extra);
+            Alcotest.(check (list int)) (Printf.sprintf "%d+1 rows" n) after (sizes ());
+            check_model (Printf.sprintf "%d+1 rows" n) h (model @ [ extra ]))
+          [ (1023, [ 1023 ], [ 1024 ]); (1024, [ 1024 ], [ 1024; 1 ]); (1025, [ 1024; 1 ], [ 1024; 2 ]) ]);
+    case "full chunks are handed out without copying" (fun () ->
+        let h, _, _ = boundary 2500 in
+        let a = Heap.scan_batches h ~rows:Heap.chunk_rows in
+        let b = Heap.scan_batches h ~rows:Heap.chunk_rows in
+        Alcotest.(check bool) "same chunks" true (Array.for_all2 ( == ) a b);
+        let c = Heap.copy h in
+        ok (Heap.insert c (mrow 9999));
+        let a' = Heap.scan_batches c ~rows:Heap.chunk_rows in
+        Alcotest.(check bool) "the copy shares the full chunks" true (a.(0) == a'.(0) && a.(1) == a'.(1));
+        Alcotest.(check int) "the original keeps its short chunk" 452 a.(2).rows);
+    case "index probe across a chunk boundary" (fun () ->
+        let h, model, _ = boundary 1030 in
+        ok (Heap.insert h (mrow 1031));
+        (* matches in chunk 0, chunk 1 and the unsealed tail, in order *)
+        let got = List.of_seq (Heap.index_probe h 2 (i 1)) in
+        Alcotest.(check (list string)) "insertion order"
+          (strs (List.filter (fun r -> r.(2) = i 1) (model @ [ mrow 1031 ])))
+          (strs got);
+        Alcotest.(check bool) "spans the boundary" true
+          (List.exists (fun r -> r.(0) = i 1021) got && List.exists (fun r -> r.(0) = i 1031) got));
+    case "BEGIN/ROLLBACK across a chunk boundary" (fun () ->
+        let e = engine () in
+        exec_all e [ "CREATE TABLE t (a int, b text)" ];
+        let values lo hi =
+          String.concat ", " (List.init (hi - lo) (fun k -> Printf.sprintf "(%d, 'v%d')" (lo + k) (lo + k)))
+        in
+        exec_all e [ "INSERT INTO t VALUES " ^ values 0 1000 ];
+        let all () = strings_of_rows (query_ok e "SELECT * FROM t").Engine.rows in
+        let before = all () in
+        exec_all e [ "BEGIN"; "INSERT INTO t VALUES " ^ values 1000 1100 ];
+        check_count e "SELECT * FROM t" 1100;
+        exec_all e [ "ROLLBACK" ];
+        Alcotest.(check rows_testable) "insert rolled back" before (all ());
+        exec_all e [ "INSERT INTO t VALUES " ^ values 1000 1030 ];
+        let before = all () in
+        exec_all e [ "BEGIN"; "DELETE FROM t WHERE a % 2 = 0"; "INSERT INTO t VALUES (5000, 'x')" ];
+        check_count e "SELECT * FROM t" 516;
+        exec_all e [ "ROLLBACK" ];
+        Alcotest.(check rows_testable) "delete rolled back" before (all ());
+        check_count e "SELECT * FROM t WHERE a >= 1020" 10);
+  ]
+
 let store_tests =
   [
     case "create and find" (fun () ->
@@ -146,5 +319,6 @@ let () =
       ("vec", vec_tests);
       ("tuple", tuple_tests);
       ("heap", heap_tests);
+      ("chunks", chunk_tests);
       ("store", store_tests);
     ]
