@@ -8,7 +8,6 @@ module Render = Perm_engine.Render
 module Trace = Perm_obs.Trace
 module Metrics = Perm_obs.Metrics
 module History = Perm_obs.History
-module Eventlog = Perm_obs.Eventlog
 module Err = Perm_err
 module Fault = Perm_fault
 
@@ -319,7 +318,8 @@ let help_text =
   \trace on|off            per-operator instrumentation + span tree per statement
   \trace export FILE       write all statement spans as Chrome trace-event JSON
                            (load in about://tracing or ui.perfetto.dev)
-  \log FILE                log statements as JSON lines to FILE (slow-query log)
+  \log FILE                slow-query log: each statement's stmt_finish event
+                           as one JSON line in FILE
   \log min MS              only log statements at least MS milliseconds slow
   \log off                 close the statement log
   \metrics                 session metrics (counters, gauges, latency histograms)
@@ -343,7 +343,7 @@ let help_text =
                            7133, 0 = ephemeral; also via PERM_HTTP_PORT):
                            /metrics (Prometheus), /stats/<relation> (JSON),
                            /healthz, /readyz, /trace (Chrome trace),
-                           /events (SSE: eventlog + progress + anomalies),
+                           /events (SSE: statements + progress + anomalies),
                            /debug/bundles[/<id>] (forensics bundles)
   \strategy join|lateral|heuristic|cost
                            aggregation rewrite strategy (paper 2.2)
@@ -378,7 +378,6 @@ let help_text =
   \set watchdog FACTOR     flag executions over FACTOR x the fingerprint's
                            baseline (default 3)
   \set history_cadence S   seconds between metric-history samples (default 1)
-  \set eventlog N          in-memory event-log ring capacity (default 256)
   \fault POINT PROB        deterministic fault injection: make the named point
                            (e.g. heap.scan, join.build, pool.dispatch,
                            engine.commit) fail with probability PROB
@@ -461,22 +460,19 @@ let handle_meta session line =
   | [ "\\log"; "min"; ms ] ->
     (match float_of_string_opt ms with
     | Some v ->
-      Engine.locked session.engine (fun () ->
-          Perm_obs.Eventlog.set_min_ms (Engine.event_log session.engine) v);
+      Engine.set_slow_log_min_ms session.engine v;
       Printf.printf "logging statements taking at least %g ms\n" v
     | None -> print_endline "usage: \\log min MS");
     `Continue
   | [ "\\log"; "off" ] ->
-    Engine.locked session.engine (fun () ->
-        Perm_obs.Eventlog.close (Engine.event_log session.engine));
+    Engine.slow_log_close session.engine;
     print_endline "statement log closed";
     `Continue
   | [ "\\log"; path ] ->
     (try
-       Engine.locked session.engine (fun () ->
-           Perm_obs.Eventlog.open_file (Engine.event_log session.engine) path);
+       Engine.slow_log_open session.engine path;
        Printf.printf "logging statements to %s (min %g ms)\n" path
-         (Perm_obs.Eventlog.min_ms (Engine.event_log session.engine))
+         (Engine.slow_log_min_ms session.engine)
      with Sys_error msg -> Printf.printf "ERROR: %s\n" msg);
     `Continue
   | [ "\\metrics" ] ->
@@ -772,14 +768,6 @@ let handle_meta session line =
           History.set_cadence (Engine.history session.engine) v);
       Printf.printf "metric sampling cadence: %g s\n" v
     | _ -> print_endline "usage: \\set history_cadence SECONDS");
-    `Continue
-  | [ "\\set"; "eventlog"; n ] ->
-    (match int_of_string_opt n with
-    | Some n when n >= 1 ->
-      Engine.locked session.engine (fun () ->
-          Eventlog.set_capacity (Engine.event_log session.engine) n);
-      Printf.printf "event log ring: %d events\n" n
-    | _ -> print_endline "usage: \\set eventlog N (ring capacity, >= 1)");
     `Continue
   | [ "\\fault"; "list" ] ->
     List.iter

@@ -24,7 +24,6 @@ module Err = Perm_err
 module Token = Perm_err.Token
 module Trace = Perm_obs.Trace
 module Stats = Perm_obs.Stats
-module Eventlog = Perm_obs.Eventlog
 module Json = Perm_obs.Json
 module Profile = Perm_obs.Profile
 module History = Perm_obs.History
@@ -78,7 +77,10 @@ type bundle = {
   bu_fingerprint : string;
   bu_sql : string;
   bu_detail : string;
-  bu_doc : Perm_obs.Json.t;
+  bu_doc : Perm_obs.Json.t Lazy.t;
+      (* rendered on first read (under [obs_lock]): until then a retained
+         bundle holds the recorder tail as typed events, which share their
+         SQL strings and phase lists with the ring, not as JSON *)
 }
 
 (* What the GC alarm last saw. A cell of its own, so the alarm closure —
@@ -109,9 +111,9 @@ type t = {
   stats_acc : Stats.t;  (* perm_stat_statements / perm_stat_relations *)
   virtuals : (string, virtual_provider) Hashtbl.t;
   mutable trace_log : Trace.span list;  (* finished roots, reverse order *)
-  mutable trace_cap : int;  (* retained roots bound; oldest are shed *)
   mutable trace_len : int;
-  event_log : Eventlog.t;
+  mutable slow_log : (string * out_channel) option;  (* \log sink *)
+  mutable slow_log_min_ms : float;  (* sink threshold; also /events' *)
   history : History.t;  (* perm_stat_history / _regressions / _metrics_history *)
   mutable stmt_rules : (string * int) list;
       (* rewrite-rule firings of the statement currently running, so the
@@ -143,7 +145,7 @@ type t = {
   mutable spill_dir : string;  (* where spill temp files go *)
   obs_lock : Mutex.t;
       (* Serializes engine-side telemetry-store *writes* (Stats, Profile,
-         History, Eventlog, trace_log) against observability-plane *reads*
+         History, trace_log) against observability-plane *reads*
          from other domains ([locked], [virtual_relation], ...). The
          engine domain is the only writer and never needs the lock to read
          its own stores, so query execution itself stays lock-free; the
@@ -387,17 +389,17 @@ let virtual_schemas =
   ]
 
 (* Telemetry-loss accounting as gauges, so /metrics (and perm_metrics) can
-   alert on the observability plane itself shedding data: eventlog ring
-   drops, history ring wrap-around, and LRU/byte-budget fingerprint
+   alert on the observability plane itself shedding data: flight-recorder
+   ring drops, history ring wrap-around, and LRU/byte-budget fingerprint
    eviction. Unlocked: called either from the engine domain (vp_rows
    during a scan) or from an observability reader already holding
    [obs_lock] — both contexts where taking the lock again would be wrong
    (it is not reentrant). *)
 let refresh_loss_gauges_unlocked t =
-  Metrics.set_gauge t.metrics "eventlog.logged"
-    (float_of_int (Eventlog.logged t.event_log));
-  Metrics.set_gauge t.metrics "eventlog.dropped"
-    (float_of_int (Eventlog.dropped t.event_log));
+  Metrics.set_gauge t.metrics "recorder.recorded"
+    (float_of_int (Recorder.recorded t.recorder));
+  Metrics.set_gauge t.metrics "recorder.dropped"
+    (float_of_int (Recorder.dropped t.recorder));
   Metrics.set_gauge t.metrics "history.dropped"
     (float_of_int (History.dropped t.history));
   Metrics.set_gauge t.metrics "history.evicted"
@@ -487,9 +489,9 @@ let create () =
       stats_acc = Stats.create ();
       virtuals = Hashtbl.create 8;
       trace_log = [];
-      trace_cap = 512;
       trace_len = 0;
-      event_log = Eventlog.create ();
+      slow_log = None;
+      slow_log_min_ms = 0.;
       history = History.create ();
       stmt_rules = [];
       parallel_domains = 0;
@@ -808,7 +810,6 @@ let set_instrumentation t on = t.instrument <- on
 let instrumentation t = t.instrument
 let last_trace t = t.last_trace
 let statement_stats t = Stats.statements t.stats_acc
-let relation_stats t = Stats.relations t.stats_acc
 
 let reset_statement_stats t =
   obs_locked t (fun () ->
@@ -857,13 +858,22 @@ let live_progress t =
   | _ -> None
 let trace_log t = List.rev t.trace_log
 
-let clear_trace_log t =
-  obs_locked t (fun () ->
-      t.trace_log <- [];
-      t.trace_len <- 0)
+(* Retained trace roots; beyond twice this the oldest are shed in a batch. *)
+let trace_cap = 512
 
-let set_trace_capacity t n = t.trace_cap <- max 1 n
-let event_log t = t.event_log
+(* The slow-query log: an engine-owned sink for the recorder's
+   [stmt_finish] events. Touched only from the engine's own domain (the
+   statement finalize and the CLI's \log), so it needs no lock. *)
+let slow_log_close t =
+  Option.iter (fun (_, oc) -> close_out oc) t.slow_log;
+  t.slow_log <- None
+
+let slow_log_open t path =
+  slow_log_close t;
+  t.slow_log <- Some (path, open_out path)
+
+let set_slow_log_min_ms t ms = t.slow_log_min_ms <- Float.max 0. ms
+let slow_log_min_ms t = t.slow_log_min_ms
 let history t = t.history
 let recorder t = t.recorder
 
@@ -1102,27 +1112,36 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
     let id = t.bundle_seq in
     t.bundle_seq <- id + 1;
     let events = Recorder.recent ~limit:bundle_events_limit t.recorder in
+    (* the state snapshots are taken now, at capture *)
+    let plan = plan_json t ~fingerprint ~plan_hash ~est_rows in
+    let delta = forensics_delta t in
+    let wal = wal_status_json t in
+    let spill = spill_json () in
+    let settings = settings_json t in
+    let gc = gc_json () in
     let doc =
-      Json.Obj
-        [
-          ("schema", Json.String Bundle_schema.schema_tag);
-          ("id", Json.Int id);
-          ("ts", Json.Float ts);
-          ("class", Json.String cls);
-          ("detail", Json.String detail);
-          ("sql", Json.String sql);
-          ("fingerprint", Json.String fingerprint);
-          ("ms", Json.Float ms);
-          ("rows", Json.Int rows);
-          ("plan", plan_json t ~fingerprint ~plan_hash ~est_rows);
-          ("phases", Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases));
-          ("metrics_delta", Json.Obj (forensics_delta t));
-          ("events", Json.List (List.map Recorder.event_to_json events));
-          ("wal", wal_status_json t);
-          ("spill", spill_json ());
-          ("settings", settings_json t);
-          ("gc", gc_json ());
-        ]
+      lazy
+        (Json.Obj
+           [
+             ("schema", Json.String Bundle_schema.schema_tag);
+             ("id", Json.Int id);
+             ("ts", Json.Float ts);
+             ("class", Json.String cls);
+             ("detail", Json.String detail);
+             ("sql", Json.String sql);
+             ("fingerprint", Json.String fingerprint);
+             ("ms", Json.Float ms);
+             ("rows", Json.Int rows);
+             ("plan", plan);
+             ( "phases",
+               Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases) );
+             ("metrics_delta", Json.Obj delta);
+             ("events", Json.List (List.map Recorder.event_to_json events));
+             ("wal", wal);
+             ("spill", spill);
+             ("settings", settings);
+             ("gc", gc);
+           ])
     in
     let b =
       {
@@ -1148,7 +1167,8 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
         mkdir_p dir;
         let path = Filename.concat dir (Printf.sprintf "bundle-%06d.json" id) in
         Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Json.to_pretty_string doc));
+            Out_channel.output_string oc
+              (Json.to_pretty_string (Lazy.force doc)));
         let victim = id - t.bundle_cap in
         if victim >= 1 then
           try
@@ -1157,19 +1177,10 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
           with Sys_error _ -> ()
       with _ -> Metrics.incr t.metrics "forensics.write.errors")
     | None -> ());
-    (* the SSE plane tails the event log; an "anomaly" event there becomes
-       an `event: anomaly` frame on /events *)
-    Eventlog.log t.event_log
-      (Json.Obj
-         [
-           ("ts", Json.Float ts);
-           ("event", Json.String "anomaly");
-           ("id", Json.Int id);
-           ("class", Json.String cls);
-           ("fingerprint", Json.String fingerprint);
-           ("detail", Json.String detail);
-           ("sql", Json.String sql);
-         ])
+    (* the SSE plane tails the recorder; this event becomes an
+       `event: anomaly` frame on /events *)
+    Recorder.record t.recorder
+      (Recorder.Anomaly { id; cls; fingerprint; detail; sql })
   end
 
 (* Map a finished top-level statement to its anomaly class, if any. Typed
@@ -1230,8 +1241,7 @@ let virtual_relation t name =
     in
     Some (columns, obs_locked t (fun () -> vp.vp_rows ()))
 
-let recent_events t ~since =
-  obs_locked t (fun () -> Eventlog.since t.event_log since)
+let events_since t cursor = Recorder.since t.recorder cursor
 
 (* Runs [f] as a named phase under the current statement span, so its
    duration shows up in the trace tree and in the per-phase histograms. *)
@@ -2394,27 +2404,17 @@ let outcome_rows = function
   | Ok (Message _ | Explained _) | Error _ -> 0
 
 (* One finished top-level statement folds into the statistics accumulator
-   and, past the slow-query threshold, the structured event log. Returns
-   the watchdog's verdict so the caller can fold a flagged regression into
-   the statement's anomaly classification. *)
-let record_statement_stats t sql (st : Ast.statement) root result =
-  let ms = Trace.duration_ms root in
-  let phases =
-    List.map
-      (fun sp -> (Trace.name sp, Trace.duration_ms sp))
-      (Trace.children root)
-  in
-  let fingerprint = Fingerprint.of_sql sql in
+   and the history. Returns the watchdog's verdict so the caller can fold a
+   flagged regression into the statement's anomaly classification. *)
+let record_statement_stats t sql ~provenance ~ms ~phases ~rows root result =
+  let fingerprint = t.stmt_fp in
   Stats.record_statement t.stats_acc ~fingerprint ~sql ~ms ~phases
-    ~rules:(List.rev t.stmt_rules)
-    ~provenance:(statement_uses_provenance st)
-    ~rows:(outcome_rows result)
+    ~rules:(List.rev t.stmt_rules) ~provenance ~rows
     ~error:(Result.is_error result);
   let rg_opt =
     History.record t.history ~fingerprint ~ts:(Trace.start_s root)
-      ~plan_hash:t.stmt_plan_hash ~ms ~rows:(outcome_rows result)
-      ~est_rows:t.stmt_est_rows ~skew:t.stmt_skew
-      ~error:(Result.is_error result) ~phases
+      ~plan_hash:t.stmt_plan_hash ~ms ~rows ~est_rows:t.stmt_est_rows
+      ~skew:t.stmt_skew ~error:(Result.is_error result) ~phases
   in
   (match rg_opt with
   | Some rg ->
@@ -2439,34 +2439,22 @@ let record_statement_stats t sql (st : Ast.statement) root result =
     refresh_loss_gauges_unlocked t;
     History.sample t.history t.metrics ~now
   end;
-  (* the in-memory ring always records past the threshold (bounded, so a
-     chatty session just forgets old events); the sink write inside [log]
-     additionally needs a file open *)
-  if ms >= Eventlog.min_ms t.event_log then
-    Eventlog.log t.event_log
-      (Json.Obj
-         ([
-            ("ts", Json.Float (Trace.start_s root));
-            ("event", Json.String "statement");
-            ("sql", Json.String sql);
-            ("fingerprint", Json.String fingerprint);
-            ("ms", Json.Float ms);
-            ("rows", Json.Int (outcome_rows result));
-            ("provenance", Json.Bool (statement_uses_provenance st));
-            ( "phases",
-              Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases) );
-          ]
-         @ match result with
-           | Error e ->
-             [
-               ("error", Json.String (Err.to_string e));
-               ("error_kind", Json.String (Err.kind_label e.Err.kind));
-             ]
-           | Ok _ -> []));
-  if Eventlog.dropped t.event_log > 0 then
-    Metrics.set_gauge t.metrics "eventlog.dropped"
-      (float_of_int (Eventlog.dropped t.event_log));
   rg_opt
+
+(* The statement's one [stmt_finish] event goes into the flight recorder
+   and, when a slow-query sink is open and the statement took at least its
+   threshold, out to the sink as one JSON line. A failed write (disk full)
+   is counted, never raised: the statement's outcome stands. *)
+let record_finish t finish ~ms =
+  match t.slow_log with
+  | Some (_, oc) when ms >= t.slow_log_min_ms -> (
+    let ev = Recorder.record_event t.recorder finish in
+    try
+      output_string oc (Json.to_string (Recorder.event_to_json ev));
+      output_char oc '\n';
+      flush oc
+    with Sys_error _ -> Metrics.incr t.metrics "engine.slow_log.errors")
+  | _ -> Recorder.record t.recorder finish
 
 (* Every top-level statement runs under a root span; pipeline phases attach
    to it via [phase]. The finished trace feeds [last_trace], the trace log,
@@ -2606,7 +2594,7 @@ let execute_statement t sql (st : Ast.statement) =
       lv.lv_end_s <- Some (Trace.now ())
     | None -> ());
     (* single critical section for the whole finalize: trace log, stats
-       accumulator, history/watchdog, event log — an observability-plane
+       accumulator, history/watchdog, recorder — an observability-plane
        reader sees the statement either fully recorded or not at all *)
     obs_locked t (fun () ->
         t.last_trace <- Some root;
@@ -2615,22 +2603,36 @@ let execute_statement t sql (st : Ast.statement) =
         (* bound the retained trace roots like every other telemetry
            store: trim in batches (amortized O(1) per statement),
            counting drops *)
-        if t.trace_len > 2 * t.trace_cap then begin
-          let dropped = t.trace_len - t.trace_cap in
-          t.trace_log <- List.filteri (fun i _ -> i < t.trace_cap) t.trace_log;
-          t.trace_len <- t.trace_cap;
+        if t.trace_len > 2 * trace_cap then begin
+          let dropped = t.trace_len - trace_cap in
+          t.trace_log <- List.filteri (fun i _ -> i < trace_cap) t.trace_log;
+          t.trace_len <- trace_cap;
           Metrics.incr t.metrics ~by:dropped "engine.trace.dropped"
         end;
-        let rg_opt = record_statement_stats t sql st root result in
-        Recorder.record t.recorder
+        let ms = Trace.duration_ms root in
+        let rows = outcome_rows result in
+        let provenance = statement_uses_provenance st in
+        let phases =
+          List.map
+            (fun sp -> (Trace.name sp, Trace.duration_ms sp))
+            (Trace.children root)
+        in
+        let rg_opt =
+          record_statement_stats t sql ~provenance ~ms ~phases ~rows root
+            result
+        in
+        record_finish t ~ms
           (Recorder.Stmt_finish
              {
+               sql;
                fingerprint = t.stmt_fp;
-               ms = Trace.duration_ms root;
-               rows = outcome_rows result;
+               ms;
+               rows;
+               provenance;
+               phases;
                error =
                  (match result with
-                 | Error e -> Some (Err.kind_label e.Err.kind)
+                 | Error e -> Some (Err.kind_label e.Err.kind, Err.to_string e)
                  | Ok _ -> None);
              });
         (* anomaly? snapshot the forensics bundle while every input is
@@ -2639,12 +2641,8 @@ let execute_statement t sql (st : Ast.statement) =
         match statement_anomaly t result rg_opt with
         | Some (cls, detail) ->
           capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint:t.stmt_fp
-            ~plan_hash:t.stmt_plan_hash ~est_rows:t.stmt_est_rows
-            ~ms:(Trace.duration_ms root) ~rows:(outcome_rows result)
-            ~phases:
-              (List.map
-                 (fun sp -> (Trace.name sp, Trace.duration_ms sp))
-                 (Trace.children root))
+            ~plan_hash:t.stmt_plan_hash ~est_rows:t.stmt_est_rows ~ms ~rows
+            ~phases
         | None -> ())
   end;
   result
@@ -2752,10 +2750,12 @@ module Forensics = struct
   let get t id =
     obs_locked t (fun () ->
         match List.find_opt (fun b -> b.bu_id = id) t.bundles with
-        | Some b -> Some b.bu_doc
+        | Some b -> Some (Lazy.force b.bu_doc)
         | None -> None)
 
   let last t =
     obs_locked t (fun () ->
-        match t.bundles with b :: _ -> Some b.bu_doc | [] -> None)
+        match t.bundles with
+        | b :: _ -> Some (Lazy.force b.bu_doc)
+        | [] -> None)
 end

@@ -165,8 +165,6 @@ val statement_stats : t -> Perm_obs.Stats.statement_stat list
 (** Sorted by total time descending (the rows behind
     [perm_stat_statements]). *)
 
-val relation_stats : t -> Perm_obs.Stats.relation_stat list
-
 val plan_profile : t -> Perm_obs.Profile.plan_node list
 (** The retained per-fingerprint plan-node profile (the rows behind
     [perm_stat_plans]), sorted by fingerprint then node id. *)
@@ -208,21 +206,35 @@ val progress : t -> progress option
 (** {2 Trace log and exporters} *)
 
 val trace_log : t -> Perm_obs.Trace.span list
-(** Finished root spans of all top-level statements this session, oldest
-    first — the input to {!Perm_obs.Trace.to_chrome_json}. *)
+(** Finished root spans of the recent top-level statements, oldest first
+    — the input to {!Perm_obs.Trace.to_chrome_json}. At most 1,024 roots
+    are retained; past that all but the newest 512 are shed, counted by
+    the [engine.trace.dropped] metric. *)
 
-val clear_trace_log : t -> unit
+(** {2 Slow-query log}
 
-val set_trace_capacity : t -> int -> unit
-(** Bound on retained trace roots (default 512, clamped at 1); beyond it
-    the oldest spans are shed in batches, counted by the
-    [engine.trace.dropped] metric. *)
+    Every finished top-level statement records one
+    {!Perm_obs.Recorder.Stmt_finish} event in the flight recorder. While a
+    sink file is open, a statement that took at least the threshold also
+    writes that event to the sink as one line of
+    {!Perm_obs.Recorder.event_to_json}, flushed at once so the file can be
+    tailed; a failed write is counted by [engine.slow_log.errors], never
+    raised. The sink works whatever the recorder's capacity. It belongs to
+    the engine's own domain: call these from the domain that executes
+    statements. *)
 
-val event_log : t -> Perm_obs.Eventlog.t
-(** The session's event log. Every top-level statement at least as slow as
-    the {!Perm_obs.Eventlog} threshold is recorded into a bounded
-    in-memory ring (drops surface as the [eventlog.dropped] gauge), and
-    also written as one JSON line when a sink file is open. *)
+val slow_log_open : t -> string -> unit
+(** Open (truncate) [path] as the sink, closing any previous one. Raises
+    [Sys_error] when the file cannot be opened. *)
+
+val slow_log_close : t -> unit
+(** Close the sink; idempotent. *)
+
+val set_slow_log_min_ms : t -> float -> unit
+(** The threshold in milliseconds (default 0, clamped at 0). The
+    [/events] SSE endpoint applies it too. *)
+
+val slow_log_min_ms : t -> float
 
 val history : t -> Perm_obs.History.t
 (** The session's telemetry history and regression watchdog (the store
@@ -241,7 +253,7 @@ val history : t -> Perm_obs.History.t
 (** {2 Cross-domain observability reads}
 
     The engine domain is the only writer of the telemetry stores (Stats,
-    Profile, History, Eventlog, the trace log) and takes an internal lock
+    Profile, History, the trace log) and takes an internal lock
     only at statement-finalize/record points; readers on other domains —
     the HTTP observability plane — use the accessors below, which take the
     same lock, so they see each statement either fully recorded or not at
@@ -251,10 +263,9 @@ val history : t -> Perm_obs.History.t
 val locked : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the engine's observability lock — required when
     reading telemetry stores ({!statement_stats}, {!trace_log},
-    {!event_log}, {!history}, ...) from a domain other than the engine's.
+    {!history}, ...) from a domain other than the engine's.
     Not reentrant; [f] must not execute statements or call other [locked]
-    accessors ({!virtual_relation}, {!recent_events},
-    {!refresh_loss_gauges}). *)
+    accessors ({!virtual_relation}, {!refresh_loss_gauges}). *)
 
 val virtual_names : t -> string list
 (** The registered [perm_stat_*] virtual relation names, sorted. *)
@@ -265,13 +276,14 @@ val virtual_relation :
     the same provider closure a table scan uses, under the observability
     lock — the /stats JSON endpoints. [None] for unknown names. *)
 
-val recent_events : t -> since:int -> int * Perm_obs.Json.t list
-(** Tail the event log from a cursor (see {!Perm_obs.Eventlog.since}),
-    under the observability lock — the /events SSE endpoint. *)
+val events_since : t -> int -> int * Perm_obs.Recorder.event list
+(** Tail the flight recorder from a cursor (see
+    {!Perm_obs.Recorder.since}) — the /events SSE endpoint. The recorder
+    is wait-free, so this takes no lock. *)
 
 val refresh_loss_gauges : t -> unit
-(** Refresh the telemetry-loss gauges ([eventlog.logged],
-    [eventlog.dropped], [history.dropped], [history.evicted],
+(** Refresh the telemetry-loss gauges ([recorder.recorded],
+    [recorder.dropped], [history.dropped], [history.evicted],
     [history.bytes]) from the live stores, under the observability lock.
     Called before rendering /metrics so scrapes can alert on the
     telemetry plane shedding data. *)

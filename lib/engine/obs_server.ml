@@ -5,7 +5,7 @@ module Json = Perm_obs.Json
 module Trace = Perm_obs.Trace
 module Stats = Perm_obs.Stats
 module History = Perm_obs.History
-module Eventlog = Perm_obs.Eventlog
+module Recorder = Perm_obs.Recorder
 module Value = Perm_value.Value
 
 type t = {
@@ -220,14 +220,10 @@ let healthz engine server_ref start_s =
 
 let readyz engine =
   let history = Engine.history engine in
-  let event_log = Engine.event_log engine in
-  let watchdog_factor, regressions, ev_logged, ev_dropped, ev_capacity =
+  let recorder = Engine.recorder engine in
+  let watchdog_factor, regressions =
     Engine.locked engine (fun () ->
-        ( History.factor history,
-          List.length (History.regressions history),
-          Eventlog.logged event_log,
-          Eventlog.dropped event_log,
-          Eventlog.capacity event_log ))
+        (History.factor history, List.length (History.regressions history)))
   in
   json_response
     (Json.Obj
@@ -248,12 +244,12 @@ let readyz engine =
                ("factor", Json.Float watchdog_factor);
                ("regressions", Json.Int regressions);
              ] );
-         ( "eventlog",
+         ( "recorder",
            Json.Obj
              [
-               ("capacity", Json.Int ev_capacity);
-               ("logged", Json.Int ev_logged);
-               ("dropped", Json.Int ev_dropped);
+               ("capacity", Json.Int (Recorder.capacity recorder));
+               ("recorded", Json.Int (Recorder.recorded recorder));
+               ("dropped", Json.Int (Recorder.dropped recorder));
              ] );
        ])
 
@@ -284,10 +280,10 @@ let progress_json (pr : Engine.progress) =
       ("morsels_total", Json.Int pr.Engine.pr_morsels_total);
     ]
 
-(* Replay the retained eventlog ring, then tail it and the live progress
-   atomics at ~150 ms cadence. Every poll reads only the eventlog cursor
-   (under the engine lock, microseconds) and the lock-free progress
-   snapshot, so a slow SSE consumer costs the query path nothing. *)
+(* Replay the retained flight-recorder ring, then tail it and the live
+   progress atomics at ~150 ms cadence. Every poll reads only the
+   wait-free recorder and the lock-free progress snapshot, so a slow SSE
+   consumer costs the query path nothing. *)
 let events_stream engine query push =
   let deadline =
     match List.assoc_opt "max_ms" query with
@@ -299,19 +295,27 @@ let events_stream engine query push =
   in
   let cursor = ref 0 in
   let last_progress = ref "" in
-  (* the eventlog ring carries two record kinds: slow/finished statements
-     and anomaly notifications from the forensics plane — dispatch each to
-     its own SSE frame name so consumers can listen selectively *)
-  let frame_name ev =
-    match Json.member "event" ev with
-    | Some (Json.String "anomaly") -> "anomaly"
-    | _ -> "statement"
+  (* two recorder kinds are streamed, each under its own SSE frame name so
+     consumers can listen selectively: finished statements at or past the
+     slow-query threshold, and anomaly notifications from the forensics
+     plane *)
+  let frame_name (ev : Recorder.event) =
+    match ev.Recorder.ev_payload with
+    | Recorder.Stmt_finish { ms; _ } when ms >= Engine.slow_log_min_ms engine
+      ->
+      Some "statement"
+    | Recorder.Anomaly _ -> Some "anomaly"
+    | _ -> None
   in
   let push_events () =
-    let next, events = Engine.recent_events engine ~since:!cursor in
+    let next, events = Engine.events_since engine !cursor in
     cursor := next;
     List.for_all
-      (fun ev -> push (sse_frame (frame_name ev) (Json.to_string ev)))
+      (fun ev ->
+        match frame_name ev with
+        | Some name ->
+          push (sse_frame name (Json.to_string (Recorder.event_to_json ev)))
+        | None -> true)
       events
   in
   let push_progress () =
@@ -401,9 +405,9 @@ let index_body =
    GET /metrics            Prometheus text exposition\n\
    GET /stats/<relation>   perm_stat_* virtual relation as JSON\n\
    GET /healthz            engine liveness\n\
-   GET /readyz             governor and watchdog state\n\
+   GET /readyz             governor, watchdog and recorder state\n\
    GET /trace              Chrome trace export (ui.perfetto.dev)\n\
-   GET /events             server-sent events (eventlog + live progress +\n\
+   GET /events             server-sent events (statements + live progress +\n\
   \                        anomaly notifications)\n\
    GET /debug/bundles      forensics bundle index (newest first)\n\
    GET /debug/bundles/<id> one full forensics bundle as JSON\n"

@@ -6,14 +6,15 @@
       the (escaped) fingerprint and query text
     - [GET /stats/<relation>] — any [perm_stat_*] virtual relation as
       JSON, via the engine's own provider closures
-    - [GET /healthz], [GET /readyz] — liveness, governor and watchdog
-      state
+    - [GET /healthz], [GET /readyz] — liveness, governor, watchdog and
+      flight-recorder state
     - [GET /trace] — the Chrome trace export of the retained trace log
-    - [GET /events] — server-sent events: the eventlog ring replayed and
+    - [GET /events] — server-sent events: the flight recorder replayed and
       tailed, interleaved with live [Progress] snapshots of the running
       statement ([?max_ms=N] bounds the stream, for tests and CI).
-      Statement records arrive as [event: statement] frames; forensics
-      notifications as [event: anomaly] frames
+      Finished statements at or past the slow-query threshold arrive as
+      [event: statement] frames; forensics notifications as
+      [event: anomaly] frames
     - [GET /debug/bundles] — the forensics bundle index (newest first:
       id, timestamp, class, fingerprint, detail, SQL), and
       [GET /debug/bundles/<id>] — one full bundle document (404 for

@@ -146,10 +146,7 @@ type t = {
   mutable max_bytes : int;  (* approximate budget over all rings *)
   mutable factor : float;  (* watchdog slowdown threshold *)
   mutable min_samples : int;  (* baseline warm-up before flagging *)
-  mutable card_factor : float;  (* "cardinality grew" threshold *)
-  mutable skew_threshold : float;
   mutable cadence_s : float;  (* metric sampling cadence; 0 = every call *)
-  mutable tracked : string list;
   mutable last_sample_s : float;
   mutable seq : int;
   mutable evicted : int;  (* records lost to fingerprint/byte eviction *)
@@ -159,8 +156,15 @@ type t = {
   series : (string, metric_sample ring) Hashtbl.t;
 }
 
-let default_tracked =
+(* The metric series sampled into history rings. *)
+let tracked =
   [ "engine.statements"; "engine.errors"; "engine.statement.ms"; "gc.heap_words" ]
+
+(* Watchdog cause attribution: estimated or actual rows past [card_factor]
+   times their baseline EWMA mean cardinality changed; worker skew at or
+   past [skew_threshold] means parallel imbalance. *)
+let card_factor = 2.0
+let skew_threshold = 1.5
 
 let create () =
   {
@@ -169,10 +173,7 @@ let create () =
     max_bytes = 8 * 1024 * 1024;
     factor = 3.0;
     min_samples = 3;
-    card_factor = 2.0;
-    skew_threshold = 1.5;
     cadence_s = 1.0;
-    tracked = default_tracked;
     last_sample_s = Float.neg_infinity;
     seq = 0;
     evicted = 0;
@@ -277,12 +278,8 @@ let set_max_fingerprints t n = t.max_fingerprints <- max 1 n
 let factor t = t.factor
 let set_factor t f = t.factor <- Float.max 0. f
 let set_min_samples t n = t.min_samples <- max 1 n
-let set_card_factor t f = t.card_factor <- Float.max 1. f
-let set_skew_threshold t f = t.skew_threshold <- Float.max 1. f
 let cadence t = t.cadence_s
 let set_cadence t s = t.cadence_s <- Float.max 0. s
-let tracked t = t.tracked
-let set_tracked t names = t.tracked <- names
 
 (* ------------------------------------------------------------------ *)
 (* Memory accounting                                                   *)
@@ -430,14 +427,14 @@ let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~skew ~error
       then begin
         let cause, detail =
           if
-            est_rows > t.card_factor *. Float.max 1. en.en_ewma_est
-            || float_of_int rows > t.card_factor *. Float.max 1. en.en_ewma_rows
+            est_rows > card_factor *. Float.max 1. en.en_ewma_est
+            || float_of_int rows > card_factor *. Float.max 1. en.en_ewma_rows
           then
             ( Cardinality,
               Printf.sprintf
                 "est rows %.0f vs baseline %.0f; rows out %d vs %.0f" est_rows
                 en.en_ewma_est rows en.en_ewma_rows )
-          else if skew >= t.skew_threshold then
+          else if skew >= skew_threshold then
             (Skew, Printf.sprintf "worker skew %.2f" skew)
           else (Unknown, "no plan, cardinality or skew change")
         in
@@ -507,7 +504,7 @@ let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~skew ~error
 (* ------------------------------------------------------------------ *)
 
 let sample_due t ~now =
-  enabled t && t.tracked <> [] && now -. t.last_sample_s >= t.cadence_s
+  enabled t && now -. t.last_sample_s >= t.cadence_s
 
 let metric_value = function
   | Metrics.Counter r -> Some (float_of_int r.c)
@@ -523,7 +520,7 @@ let sample t metrics ~now =
     let values =
       Metrics.fold metrics
         (fun acc name m ->
-          if List.mem name t.tracked then
+          if List.mem name tracked then
             match metric_value m with
             | Some v -> (name, v) :: acc
             | None -> acc

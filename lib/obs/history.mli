@@ -56,10 +56,12 @@ type metric_sample = {
 
 val create : unit -> t
 (** Defaults: 128 records per fingerprint, at most 256 fingerprints, an
-    8 MiB byte budget, watchdog factor 3.0 after 3 baseline samples,
-    cardinality factor 2.0, skew threshold 1.5, 1 s metric cadence over
-    [engine.statements], [engine.errors], [engine.statement.ms] and
-    [gc.heap_words]. *)
+    8 MiB byte budget, watchdog factor 3.0 after 3 baseline samples, 1 s
+    metric cadence. Fixed: a flagged execution is attributed to
+    cardinality when its estimated or actual rows grew past 2.0x the
+    baseline EWMA, and to skew when its worker skew is at least 1.5; the
+    sampled metric series are [engine.statements], [engine.errors],
+    [engine.statement.ms] and [gc.heap_words]. *)
 
 val reset : t -> unit
 
@@ -90,21 +92,10 @@ val set_factor : t -> float -> unit
 val set_min_samples : t -> int -> unit
 (** Baseline executions required before the watchdog may flag (>= 1). *)
 
-val set_card_factor : t -> float -> unit
-(** Growth factor of est/actual rows over the baseline EWMA that
-    attributes a flagged execution to cardinality. *)
-
-val set_skew_threshold : t -> float -> unit
-(** Worker skew at or above which a flagged execution is attributed to
-    parallel imbalance. *)
-
 val cadence : t -> float
 
 val set_cadence : t -> float -> unit
 (** Seconds between metric samples; [0.] samples on every opportunity. *)
-
-val tracked : t -> string list
-val set_tracked : t -> string list -> unit
 
 (** {1 Recording} *)
 

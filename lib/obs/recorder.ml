@@ -1,10 +1,13 @@
 type payload =
   | Stmt_start of { sql : string; fingerprint : string }
   | Stmt_finish of {
+      sql : string;
       fingerprint : string;
       ms : float;
       rows : int;
-      error : string option;
+      provenance : bool;
+      phases : (string * float) list;
+      error : (string * string) option;
     }
   | Plan_node of {
       fingerprint : string;
@@ -30,14 +33,23 @@ type payload =
   | Watchdog of { fingerprint : string; factor : float; cause : string }
   | Degraded of { reason : string }
   | Note of { tag : string; detail : string }
+  | Anomaly of {
+      id : int;
+      cls : string;
+      fingerprint : string;
+      detail : string;
+      sql : string;
+    }
 
 type event = { ev_seq : int; ev_ts : float; ev_payload : payload }
 
 (* The slot array and its capacity swap together (set_capacity publishes a
    whole new ring), so they live in one atomically-replaced record. A
    writer that raced the swap lands its event in the retiring array and
-   the event is lost — equivalent to an immediate wrap-around drop. *)
-type ring = { r_slots : event option array; r_cap : int }
+   the event is lost — equivalent to an immediate wrap-around drop.
+   [r_base] is the lowest sequence number the ring can hold: events older
+   than it were shed when the ring was swapped in. *)
+type ring = { r_slots : event option array; r_cap : int; r_base : int }
 
 type t = {
   ring : ring Atomic.t;
@@ -47,11 +59,12 @@ type t = {
 
 let default_capacity = 512
 
-let make_ring cap = { r_slots = Array.make (max cap 1) None; r_cap = cap }
+let make_ring cap base =
+  { r_slots = Array.make (max cap 1) None; r_cap = cap; r_base = base }
 
 let create ?(capacity = default_capacity) () =
   {
-    ring = Atomic.make (make_ring (max capacity 0));
+    ring = Atomic.make (make_ring (max capacity 0) 0);
     seq = Atomic.make 0;
     lost = Atomic.make 0;
   }
@@ -60,45 +73,66 @@ let enabled t = (Atomic.get t.ring).r_cap > 0
 let capacity t = (Atomic.get t.ring).r_cap
 let recorded t = Atomic.get t.seq
 
-let record t payload =
+let record_event t payload =
   let ring = Atomic.get t.ring in
-  if ring.r_cap > 0 then begin
+  let ts = Unix.gettimeofday () in
+  if ring.r_cap = 0 then { ev_seq = -1; ev_ts = ts; ev_payload = payload }
+  else begin
     let seq = Atomic.fetch_and_add t.seq 1 in
-    ring.r_slots.(seq mod ring.r_cap) <-
-      Some { ev_seq = seq; ev_ts = Unix.gettimeofday (); ev_payload = payload }
+    let ev = { ev_seq = seq; ev_ts = ts; ev_payload = payload } in
+    ring.r_slots.(seq mod ring.r_cap) <- Some ev;
+    ev
   end
 
-(* Retained events in sequence order. Slot index is [seq mod cap], so the
-   physical order is scrambled once the ring has wrapped; events carry
-   their own sequence number, and the ring is small, so sorting is fine at
-   read frequency (anomaly capture, \debug, /debug/bundles). *)
-let snapshot ring =
-  Array.to_seq ring.r_slots
-  |> Seq.filter_map Fun.id
-  |> List.of_seq
-  |> List.sort (fun a b -> compare a.ev_seq b.ev_seq)
+let record t payload = if enabled t then ignore (record_event t payload)
+
+(* The retained events from a cursor, oldest first, and the cursor to
+   resume from; [from total] picks the starting sequence number. Slot index
+   is [seq mod cap], so the walk reads each slot once, in order, and never
+   sorts. A slot that holds a newer event was overwritten (the event is
+   gone); one that holds an older event or nothing belongs to a writer that
+   has taken its sequence number but not yet stored the event, so the walk
+   stops there and the next call resumes at it rather than skipping it. *)
+let walk t from =
+  let ring = Atomic.get t.ring in
+  let total = Atomic.get t.seq in
+  let rec go s acc =
+    if s >= total then (total, List.rev acc)
+    else
+      match ring.r_slots.(s mod ring.r_cap) with
+      | Some ev when ev.ev_seq = s -> go (s + 1) (ev :: acc)
+      | Some ev when ev.ev_seq > s -> go (s + 1) acc
+      | _ -> (s, List.rev acc)
+  in
+  if ring.r_cap = 0 then (total, [])
+  else go (max (from total) (max ring.r_base (total - ring.r_cap))) []
+
+let since t cursor = walk t (fun _ -> cursor)
 
 let recent ?limit t =
-  let events = snapshot (Atomic.get t.ring) in
-  match limit with
-  | None -> events
-  | Some n ->
-    let drop = List.length events - n in
-    if drop <= 0 then events else List.filteri (fun i _ -> i >= drop) events
+  snd
+    (walk t (fun total ->
+         match limit with Some n -> total - n | None -> 0))
 
 let dropped t =
-  let retained = List.length (snapshot (Atomic.get t.ring)) in
-  Atomic.get t.lost + max 0 (Atomic.get t.seq - Atomic.get t.lost - retained)
+  let filled =
+    Array.fold_left
+      (fun n slot -> if Option.is_some slot then n + 1 else n)
+      0 (Atomic.get t.ring).r_slots
+  in
+  Atomic.get t.lost + max 0 (Atomic.get t.seq - Atomic.get t.lost - filled)
 
 let set_capacity t cap =
   let cap = max cap 0 in
-  let old = Atomic.get t.ring in
-  let kept = snapshot old in
+  let kept = recent t in
   let keep =
     let drop = List.length kept - cap in
     if drop <= 0 then kept else List.filteri (fun i _ -> i >= drop) kept
   in
-  let ring = make_ring cap in
+  let base =
+    match keep with ev :: _ -> ev.ev_seq | [] -> Atomic.get t.seq
+  in
+  let ring = make_ring cap base in
   (* each event keeps its canonical slot [ev_seq mod cap], so the next
      write (at the live sequence counter) naturally lands after the
      preserved tail and wrap-around overwrites oldest-first *)
@@ -123,16 +157,26 @@ let payload_kind = function
   | Watchdog _ -> "watchdog"
   | Degraded _ -> "degraded"
   | Note _ -> "note"
+  | Anomaly _ -> "anomaly"
 
 let payload_fields = function
   | Stmt_start { sql; fingerprint } ->
     [ ("sql", Json.String sql); ("fingerprint", Json.String fingerprint) ]
-  | Stmt_finish { fingerprint; ms; rows; error } ->
+  | Stmt_finish { sql; fingerprint; ms; rows; provenance; phases; error } ->
+    let kind, message =
+      match error with
+      | Some (kind, msg) -> (Json.String kind, Json.String msg)
+      | None -> (Json.Null, Json.Null)
+    in
     [
+      ("sql", Json.String sql);
       ("fingerprint", Json.String fingerprint);
       ("ms", Json.Float ms);
       ("rows", Json.Int rows);
-      ("error", match error with Some e -> Json.String e | None -> Json.Null);
+      ("provenance", Json.Bool provenance);
+      ("phases", Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases));
+      ("error", kind);
+      ("message", message);
     ]
   | Plan_node { fingerprint; node; operator; est_rows; act_rows } ->
     [
@@ -173,6 +217,14 @@ let payload_fields = function
   | Degraded { reason } -> [ ("reason", Json.String reason) ]
   | Note { tag; detail } ->
     [ ("tag", Json.String tag); ("detail", Json.String detail) ]
+  | Anomaly { id; cls; fingerprint; detail; sql } ->
+    [
+      ("id", Json.Int id);
+      ("class", Json.String cls);
+      ("fingerprint", Json.String fingerprint);
+      ("detail", Json.String detail);
+      ("sql", Json.String sql);
+    ]
 
 let event_to_json ev =
   Json.Obj

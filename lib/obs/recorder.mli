@@ -4,18 +4,20 @@
     plan-node cardinalities, WAL appends/fsyncs/checkpoints/replays, spill
     runs and fallbacks, GC major slices, fault firings, governor verdicts,
     watchdog flags, parallel degradations — lands here as a structured
-    payload, not a formatted string. When the engine detects an anomaly it
-    snapshots the tail of this ring into the forensics bundle, so the
-    bundle shows what the whole system was doing in the run-up, not just
-    the failing statement.
+    payload, not a formatted string. It is the session's only event
+    stream: the [/events] SSE endpoint tails it ({!since}), and the
+    slow-query log writes its [stmt_finish] events. When the engine
+    detects an anomaly it snapshots the tail of this ring into the
+    forensics bundle, so the bundle shows what the whole system was doing
+    in the run-up, not just the failing statement.
 
     Recording is wait-free for writers: one atomic fetch-and-add plus an
     array store, no mutex. That makes it safe to call from any domain and
     from reentrant contexts (a [Gc.alarm] firing mid-record takes the next
     slot instead of deadlocking), and cheap enough to leave on by default
     — the B14 bench gates the on-vs-off overhead. Readers ([recent],
-    [snapshot]) may race a concurrent writer and see a ring that is one
-    event ahead or behind; every event they see is complete and typed.
+    [since]) may race a concurrent writer and see a ring that is one
+    event behind; every event they see is complete and typed.
 
     Capacity [0] disables the recorder entirely (and, in the engine,
     forensics-bundle capture with it) — the bench's off-arm knob, mirror
@@ -24,10 +26,14 @@
 type payload =
   | Stmt_start of { sql : string; fingerprint : string }
   | Stmt_finish of {
+      sql : string;
       fingerprint : string;
       ms : float;
       rows : int;
-      error : string option;  (** the error kind label, [None] on success *)
+      provenance : bool;  (** the statement used SQL-PLE provenance *)
+      phases : (string * float) list;  (** per-phase milliseconds *)
+      error : (string * string) option;
+          (** the error kind label and message, [None] on success *)
     }
   | Plan_node of {
       fingerprint : string;
@@ -57,6 +63,13 @@ type payload =
   | Watchdog of { fingerprint : string; factor : float; cause : string }
   | Degraded of { reason : string }  (** parallel plan re-run serially *)
   | Note of { tag : string; detail : string }  (** escape hatch *)
+  | Anomaly of {
+      id : int;
+      cls : string;
+      fingerprint : string;
+      detail : string;
+      sql : string;
+    }  (** a forensics bundle was captured; [id] is its bundle id *)
 
 type event = {
   ev_seq : int;  (** global, monotone; total order over the session *)
@@ -81,6 +94,10 @@ val record : t -> payload -> unit
 (** Stamp and append one event; a no-op while disabled. Wait-free, safe
     from any domain. *)
 
+val record_event : t -> payload -> event
+(** {!record}, returning the stamped event. While disabled the event is
+    stamped but not retained, and its [ev_seq] is [-1]. *)
+
 val recorded : t -> int
 (** Total events ever recorded (including those the ring has forgotten). *)
 
@@ -91,6 +108,15 @@ val dropped : t -> int
 val recent : ?limit:int -> t -> event list
 (** The retained tail in sequence order, oldest first; [limit] keeps only
     the newest that many. *)
+
+val since : t -> int -> int * event list
+(** [since t cursor] returns [(next, events)]: the retained events with
+    [ev_seq >= cursor], oldest first, and the cursor to pass next time to
+    tail the ring incrementally (the [/events] SSE endpoint does).
+    Events evicted before they are read are simply absent. An event whose
+    writer has claimed its sequence number but not yet stored it ends the
+    batch, and [next] points at it, so it is not skipped. A disabled
+    recorder returns [(recorded t, [])]. *)
 
 val payload_kind : payload -> string
 (** Stable slug: ["stmt_start"], ["wal_append"], ["gc_major"], … — the

@@ -141,7 +141,15 @@ let suite_recorder =
         let r = Recorder.create ~capacity:4 () in
         Recorder.record r
           (Recorder.Stmt_finish
-             { fingerprint = "fp"; ms = 1.5; rows = 3; error = Some "timeout" });
+             {
+               sql = "SELECT 1";
+               fingerprint = "fp";
+               ms = 1.5;
+               rows = 3;
+               provenance = false;
+               phases = [ ("parse", 0.1) ];
+               error = Some ("timeout", "statement timeout");
+             });
         match Recorder.recent r with
         | [ ev ] ->
           let j = Recorder.event_to_json ev in

@@ -1,14 +1,14 @@
 (* The HTTP observability plane: Prometheus exposition correctness (label
    escaping, histogram bucket invariants, the round-trip parser CI uses),
    the embedded server end to end over real sockets, SSE streaming of the
-   eventlog and live progress, graceful shutdown, and the connection cap. *)
+   flight-recorder tail and live progress, graceful shutdown, and the connection cap. *)
 
 open Perm_testkit.Kit
 module Metrics = Perm_obs.Metrics
 module Prometheus = Perm_obs.Prometheus
 module Httpd = Perm_obs.Httpd
 module Json = Perm_obs.Json
-module Eventlog = Perm_obs.Eventlog
+module Recorder = Perm_obs.Recorder
 module History = Perm_obs.History
 module Obs_server = Perm_engine.Obs_server
 
@@ -184,7 +184,7 @@ let test_metrics_handler () =
   Alcotest.(check bool) "per-fingerprint family"
     true (contains ~needle:"perm_stat_statements_calls_total{fingerprint=" body);
   Alcotest.(check bool) "loss gauges exported"
-    true (contains ~needle:"perm_eventlog_dropped" body);
+    true (contains ~needle:"perm_recorder_dropped" body);
   Alcotest.(check bool) "history eviction gauge exported"
     true (contains ~needle:"perm_history_evicted" body);
   Engine.close e
@@ -238,6 +238,9 @@ let test_server_endpoints () =
       (match Json.member "governor" ready with
       | Some (Json.Obj _) -> ()
       | _ -> Alcotest.fail "readyz has no governor object");
+      (match Option.bind (Json.member "recorder" ready) (Json.member "recorded") with
+      | Some (Json.Int n) -> Alcotest.(check bool) "recorder block" true (n >= 2)
+      | _ -> Alcotest.fail "readyz has no recorder block");
       let stats =
         ok_or_fail "stats json" (Json.parse (get_ok port "/stats/perm_metrics"))
       in
@@ -449,28 +452,42 @@ let test_connection_cap () =
       wait_free 20)
 
 (* ------------------------------------------------------------------ *)
-(* Satellites: eventlog cursors, streaming export, loss gauges         *)
+(* Recorder cursors, streaming export, loss gauges                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_eventlog_since () =
-  let l = Eventlog.create () in
-  Eventlog.set_capacity l 3;
+let test_recorder_since () =
+  let r = Recorder.create ~capacity:3 () in
+  let note i = Recorder.Note { tag = "n"; detail = string_of_int i } in
+  let details =
+    List.map (fun ev ->
+        match ev.Recorder.ev_payload with
+        | Recorder.Note { detail; _ } -> int_of_string detail
+        | _ -> -1)
+  in
   for i = 1 to 5 do
-    Eventlog.log l (Json.Int i)
+    Recorder.record r (note i)
   done;
-  Alcotest.(check int) "total logged" 5 (Eventlog.logged l);
-  let cursor, events = Eventlog.since l 0 in
+  Alcotest.(check int) "total recorded" 5 (Recorder.recorded r);
+  let cursor, events = Recorder.since r 0 in
   Alcotest.(check int) "cursor at total" 5 cursor;
   (* ring holds the newest 3; the two evicted before reading are absent *)
-  Alcotest.(check int) "retained tail" 3 (List.length events);
-  Alcotest.(check bool) "oldest retained is 3"
-    true (List.hd events = Json.Int 3);
-  let cursor2, fresh = Eventlog.since l cursor in
+  Alcotest.(check (list int)) "retained tail" [ 3; 4; 5 ] (details events);
+  let cursor2, fresh = Recorder.since r cursor in
   Alcotest.(check int) "no new events" 0 (List.length fresh);
   Alcotest.(check int) "cursor stable" 5 cursor2;
-  Eventlog.log l (Json.Int 6);
-  let _, one = Eventlog.since l cursor2 in
-  Alcotest.(check bool) "incremental tail" true (one = [ Json.Int 6 ])
+  Recorder.record r (note 6);
+  let cursor3, one = Recorder.since r cursor2 in
+  Alcotest.(check (list int)) "incremental tail" [ 6 ] (details one);
+  Alcotest.(check int) "cursor advanced" 6 cursor3;
+  (* growing the ring keeps the retained tail readable from the start *)
+  Recorder.set_capacity r 8;
+  Alcotest.(check (list int)) "tail after growing" [ 4; 5; 6 ]
+    (details (snd (Recorder.since r 0)));
+  (* a disabled recorder yields nothing, and its cursor stays put *)
+  let off = Recorder.create ~capacity:0 () in
+  Recorder.record off (note 1);
+  Alcotest.(check bool) "capacity 0 yields nothing" true
+    (Recorder.since off 0 = (0, []))
 
 let test_iter_export_matches_list () =
   let e = forum_engine () in
@@ -492,25 +509,25 @@ let test_iter_export_matches_list () =
 
 let test_loss_gauges () =
   let e = forum_engine () in
-  Eventlog.set_capacity (Engine.event_log e) 2;
+  Recorder.set_capacity (Engine.recorder e) 2;
   for _ = 1 to 5 do
     ignore (exec_ok e "SELECT mid FROM messages")
   done;
   Engine.refresh_loss_gauges e;
   let m = Engine.metrics e in
-  (match Metrics.gauge m "eventlog.dropped" with
+  (match Metrics.gauge m "recorder.dropped" with
   | Some d -> Alcotest.(check bool) "ring drops surfaced" true (d >= 1.)
-  | None -> Alcotest.fail "eventlog.dropped gauge missing");
-  (match Metrics.gauge m "eventlog.logged" with
-  | Some d -> Alcotest.(check bool) "total logged surfaced" true (d >= 5.)
-  | None -> Alcotest.fail "eventlog.logged gauge missing");
+  | None -> Alcotest.fail "recorder.dropped gauge missing");
+  (match Metrics.gauge m "recorder.recorded" with
+  | Some d -> Alcotest.(check bool) "total recorded surfaced" true (d >= 5.)
+  | None -> Alcotest.fail "recorder.recorded gauge missing");
   (match Metrics.gauge m "history.evicted" with
   | Some _ -> ()
   | None -> Alcotest.fail "history.evicted gauge missing");
   (* and they ride along into the exposition *)
   let _, body = handler_body e "/metrics" in
   Alcotest.(check bool) "dropped gauge in exposition"
-    true (contains ~needle:"perm_eventlog_dropped" body);
+    true (contains ~needle:"perm_recorder_dropped" body);
   Engine.close e
 
 let () =
@@ -542,7 +559,7 @@ let () =
         ] );
       ( "satellites",
         [
-          case "eventlog since cursors" test_eventlog_since;
+          case "recorder since cursors" test_recorder_since;
           case "iter_export matches export_jsonl" test_iter_export_matches_list;
           case "telemetry loss gauges" test_loss_gauges;
         ] );

@@ -1,7 +1,7 @@
 (* Queryable telemetry: statement fingerprints, the perm_stat_statements /
    perm_stat_relations / perm_metrics system views through the ordinary
    query pipeline, Chrome trace export (with nesting invariants), the
-   JSON-lines event log, and the JSON parser behind bench --compare. *)
+   JSON-lines slow-query log, and the JSON parser behind bench --compare. *)
 
 module Engine = Perm_engine.Engine
 module Fingerprint = Perm_sql.Fingerprint
@@ -9,7 +9,7 @@ module Metrics = Perm_obs.Metrics
 module Trace = Perm_obs.Trace
 module Json = Perm_obs.Json
 module Stats = Perm_obs.Stats
-module Eventlog = Perm_obs.Eventlog
+module Recorder = Perm_obs.Recorder
 module History = Perm_obs.History
 open Perm_testkit.Kit
 
@@ -854,71 +854,83 @@ let trace_export_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Event log                                                           *)
+(* Event log: the slow-query sink and the recorder's stmt_finish events *)
 (* ------------------------------------------------------------------ *)
+
+(* Run [f] with a slow-query sink open on a fresh file; return the
+   non-empty lines it wrote. *)
+let with_slow_log e f =
+  let path = Filename.temp_file "perm_events" ".jsonl" in
+  Engine.slow_log_open e path;
+  f ();
+  Engine.slow_log_close e;
+  let lines =
+    In_channel.with_open_text path In_channel.input_lines
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  Sys.remove path;
+  lines
+
+let str_member key doc = Option.bind (Json.member key doc) Json.to_string_opt
+
+let parse_line line =
+  match Json.parse line with
+  | Ok doc -> doc
+  | Error msg -> Alcotest.failf "line does not parse: %s" msg
 
 let eventlog_tests =
   [
     case "slow-query log writes parseable JSON lines past the threshold"
       (fun () ->
         let e = forum_engine () in
-        let path = Filename.temp_file "perm_events" ".jsonl" in
-        Eventlog.open_file (Engine.event_log e) path;
-        Eventlog.set_min_ms (Engine.event_log e) 0.;
-        ignore (query_ok e "SELECT text FROM messages WHERE mid = 1");
-        (* a threshold far above any statement: nothing more is logged *)
-        Eventlog.set_min_ms (Engine.event_log e) 1e9;
-        ignore (query_ok e "SELECT text FROM messages WHERE mid = 2");
-        Eventlog.close (Engine.event_log e);
         let lines =
-          In_channel.with_open_text path In_channel.input_lines
-          |> List.filter (fun l -> String.trim l <> "")
+          with_slow_log e (fun () ->
+              Engine.set_slow_log_min_ms e 0.;
+              ignore (query_ok e "SELECT text FROM messages WHERE mid = 1");
+              (* a threshold far above any statement: nothing more is
+                 logged *)
+              Engine.set_slow_log_min_ms e 1e9;
+              ignore (query_ok e "SELECT text FROM messages WHERE mid = 2"))
         in
-        Sys.remove path;
         Alcotest.(check int) "exactly one event" 1 (List.length lines);
-        let doc =
-          match Json.parse (List.hd lines) with
-          | Ok doc -> doc
-          | Error msg -> Alcotest.failf "line does not parse: %s" msg
-        in
+        let doc = parse_line (List.hd lines) in
+        Alcotest.(check (option string)) "kind field" (Some "stmt_finish")
+          (str_member "kind" doc);
         Alcotest.(check (option string)) "sql field"
           (Some "SELECT text FROM messages WHERE mid = 1")
-          (Option.bind (Json.member "sql" doc) Json.to_string_opt);
+          (str_member "sql" doc);
         Alcotest.(check bool) "phases object present" true
-          (Json.member "phases" doc <> None));
-    case "in-memory ring records without a sink, bounded with drops"
-      (fun () ->
-        let l = Eventlog.create () in
-        Eventlog.set_capacity l 3;
-        for i = 1 to 5 do
-          Eventlog.log l (Json.Obj [ ("n", Json.Int i) ])
-        done;
-        let nth_n evs k =
-          Option.bind (Json.member "n" (List.nth evs k)) Json.to_float_opt
-          |> Option.map int_of_float
+          (match Json.member "phases" doc with
+          | Some (Json.Obj _) -> true
+          | _ -> false));
+    case "slow-query log still writes with the recorder off" (fun () ->
+        let e = forum_engine () in
+        Recorder.set_capacity (Engine.recorder e) 0;
+        let before = Recorder.recorded (Engine.recorder e) in
+        let lines =
+          with_slow_log e (fun () ->
+              ignore (query_ok e "SELECT mid FROM messages WHERE mid = 3"))
         in
-        let evs = Eventlog.recent l in
-        Alcotest.(check int) "ring holds capacity events" 3 (List.length evs);
-        Alcotest.(check (option int)) "oldest first" (Some 3) (nth_n evs 0);
-        Alcotest.(check (option int)) "newest last" (Some 5) (nth_n evs 2);
-        Alcotest.(check int) "two dropped" 2 (Eventlog.dropped l);
-        (* shrinking keeps the newest and counts the shed events *)
-        Eventlog.set_capacity l 2;
-        let evs = Eventlog.recent l in
-        Alcotest.(check int) "shrunk" 2 (List.length evs);
-        Alcotest.(check (option int)) "newest survive" (Some 4) (nth_n evs 0);
-        Alcotest.(check int) "shed counted" 3 (Eventlog.dropped l));
+        Alcotest.(check int) "one line" 1 (List.length lines);
+        let doc = parse_line (List.hd lines) in
+        Alcotest.(check (option string)) "sql field"
+          (Some "SELECT mid FROM messages WHERE mid = 3")
+          (str_member "sql" doc);
+        Alcotest.(check int) "nothing recorded" before
+          (Recorder.recorded (Engine.recorder e)));
     case "the engine feeds the ring even with no sink open" (fun () ->
         let e = forum_engine () in
-        let before = List.length (Eventlog.recent (Engine.event_log e)) in
         ignore (query_ok e "SELECT mid FROM messages");
-        let evs = Eventlog.recent (Engine.event_log e) in
-        Alcotest.(check bool) "statement event recorded" true
-          (List.length evs > before);
-        let last = List.nth evs (List.length evs - 1) in
-        Alcotest.(check (option string)) "sql field"
-          (Some "SELECT mid FROM messages")
-          (Option.bind (Json.member "sql" last) Json.to_string_opt));
+        let finished_sql =
+          List.filter_map
+            (fun ev ->
+              match ev.Recorder.ev_payload with
+              | Recorder.Stmt_finish { sql; _ } -> Some sql
+              | _ -> None)
+            (Recorder.recent (Engine.recorder e))
+        in
+        Alcotest.(check bool) "stmt_finish with the statement's sql" true
+          (List.mem "SELECT mid FROM messages" finished_sql));
   ]
 
 (* ------------------------------------------------------------------ *)
