@@ -128,11 +128,11 @@ let watch_window = 24  (* samples retained in the throughput sparkline *)
    runs. The history summary prints once, from the REPL domain, when the
    dashboard is toggled on.
 
-   The WAL and spill panes follow the same discipline: the spill counters
-   are process-global atomics, and the WAL status reads word-sized int
-   fields (a concurrent commit can make them momentarily stale, never
-   torn). Each pane reprints only when its numbers change, so an idle
-   session stays quiet. *)
+   The WAL and spill panes follow the same discipline: the engine's spill
+   counts are an immutable snapshot it replaces whole, and the WAL status
+   reads word-sized int fields (a concurrent commit can make them
+   momentarily stale, never torn). Each pane reprints only when its
+   numbers change, so an idle session stays quiet. *)
 let watch_wal_pane session =
   match Engine.wal_status session.engine with
   | None -> ""
@@ -142,16 +142,14 @@ let watch_wal_pane session =
       ws.Engine.ws_fsyncs
       (if ws.Engine.ws_dirty then " [DIRTY]" else "")
 
-let watch_spill_pane () =
-  let sc = Perm_storage.Spill.counters () in
-  if sc.Perm_storage.Spill.c_spills = 0 && sc.Perm_storage.Spill.c_fallbacks = 0
-  then ""
+let watch_spill_pane session =
+  let sc = Engine.spill_counts session.engine in
+  if sc.Engine.sc_spills = 0 && sc.Engine.sc_fallbacks = 0 then ""
   else
     Printf.sprintf
       "watch: spill spills=%d runs=%d chunks=%d rows=%d bytes=%d fallbacks=%d\n"
-      sc.Perm_storage.Spill.c_spills sc.Perm_storage.Spill.c_runs
-      sc.Perm_storage.Spill.c_chunks sc.Perm_storage.Spill.c_rows
-      sc.Perm_storage.Spill.c_bytes sc.Perm_storage.Spill.c_fallbacks
+      sc.Engine.sc_spills sc.Engine.sc_runs sc.Engine.sc_chunks
+      sc.Engine.sc_rows sc.Engine.sc_bytes sc.Engine.sc_fallbacks
 
 let start_watch session =
   match session.watch with
@@ -178,7 +176,7 @@ let start_watch session =
               last_wal := wal;
               Printf.eprintf "%s%!" wal
             end;
-            let spill = watch_spill_pane () in
+            let spill = watch_spill_pane session in
             if spill <> "" && spill <> !last_spill then begin
               last_spill := spill;
               Printf.eprintf "%s%!" spill

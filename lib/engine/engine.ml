@@ -96,6 +96,25 @@ type gc_cell = {
   mutable gc_major_collections : int;  (* major count at that cycle *)
 }
 
+type spill_counts = {
+  sc_spills : int;
+  sc_runs : int;
+  sc_chunks : int;
+  sc_rows : int;
+  sc_bytes : int;
+  sc_fallbacks : int;
+}
+
+let no_spills =
+  {
+    sc_spills = 0;
+    sc_runs = 0;
+    sc_chunks = 0;
+    sc_rows = 0;
+    sc_bytes = 0;
+    sc_fallbacks = 0;
+  }
+
 type t = {
   mutable cat : Catalog.t;
   mutable store : Store.t;
@@ -143,6 +162,9 @@ type t = {
   mutable wal_begun : bool;  (* a Begin frame is open in the log *)
   mutable spill_on : bool;  (* graceful spill instead of budget kills *)
   mutable spill_dir : string;  (* where spill temp files go *)
+  mutable spill_counts : spill_counts;
+      (* replaced whole by [note_spill], the one writer, so another
+         domain always reads a consistent snapshot *)
   obs_lock : Mutex.t;
       (* Serializes engine-side telemetry-store *writes* (Stats, Profile,
          History, trace_log) against observability-plane *reads*
@@ -472,6 +494,52 @@ let register_virtuals t =
       vp_estimate = (fun () -> List.length t.bundles);
     }
 
+(* The executor.spill.* gauges mirror the engine's own spill counts.
+   They are published (zeros included) at create, so dashboards and the
+   prom_lint-validated /metrics scrape can alert on them without waiting
+   for a first spill, and then once per spill event. *)
+let spill_fields c =
+  [
+    ("spills", c.sc_spills);
+    ("runs", c.sc_runs);
+    ("chunks", c.sc_chunks);
+    ("rows", c.sc_rows);
+    ("bytes", c.sc_bytes);
+    ("fallbacks", c.sc_fallbacks);
+  ]
+
+let publish_spill_counts t c =
+  t.spill_counts <- c;
+  List.iter
+    (fun (name, v) ->
+      Metrics.set_gauge t.metrics ("executor.spill." ^ name) (float_of_int v))
+    (spill_fields c)
+
+(* Every spill event of the engine's statements lands here, on the domain
+   that runs the statement: it is counted, and its milestones go to the
+   engine's own flight recorder as they happen. *)
+let note_spill t (ev : Spill.event) =
+  let c = t.spill_counts in
+  let milestone kind detail =
+    Recorder.record t.recorder (Recorder.Spill { kind; detail })
+  in
+  publish_spill_counts t
+    (match ev with
+    | Spill.Spilled ->
+      milestone "spill" "";
+      { c with sc_spills = c.sc_spills + 1 }
+    | Spill.Run ->
+      milestone "run" "";
+      { c with sc_runs = c.sc_runs + 1 }
+    | Spill.Chunk ->
+      milestone "chunk" "";
+      { c with sc_chunks = c.sc_chunks + 1 }
+    | Spill.Fallback reason ->
+      milestone "fallback" reason;
+      { c with sc_fallbacks = c.sc_fallbacks + 1 }
+    | Spill.Written { rows; bytes } ->
+      { c with sc_rows = c.sc_rows + rows; sc_bytes = c.sc_bytes + bytes })
+
 let create () =
   let t =
     {
@@ -520,6 +588,7 @@ let create () =
       wal_begun = false;
       spill_on = true;
       spill_dir = Filename.get_temp_dir_name ();
+      spill_counts = no_spills;
       obs_lock = Mutex.create ();
       recorder = Recorder.create ();
       bundles = [];
@@ -551,17 +620,7 @@ let create () =
         cell.gc_pending <- true)
   in
   t.on_close <- (fun () -> Gc.delete_alarm alarm) :: t.on_close;
-  (* Spill milestones (runs, chunks, batch-path fallback reasons) fire
-     from inside the executor on whatever domain spilled; the recorder is
-     domain-safe. The tap is process-global, so the engine created last
-     owns it — the right semantics for the one-engine-per-process CLI and
-     harmless in multi-engine tests. It captures only the recorder, so it
-     does not pin the engine either. *)
-  let recorder = t.recorder in
-  Spill.set_observer
-    (Some
-       (fun kind detail ->
-         Recorder.record recorder (Recorder.Spill { kind; detail })));
+  publish_spill_counts t no_spills;
   t
 
 type result_set = { columns : string list; rows : Tuple.t list }
@@ -679,6 +738,7 @@ let set_spill t b = t.spill_on <- b
 let spill_enabled t = t.spill_on
 let set_spill_dir t dir = t.spill_dir <- dir
 let spill_dir t = t.spill_dir
+let spill_counts t = t.spill_counts
 
 let active_row_limit t = if t.row_limit > 0 then Some t.row_limit else None
 
@@ -691,7 +751,8 @@ let active_row_limit t = if t.row_limit > 0 then Some t.row_limit else None
    spill off] restores the hard error everywhere. *)
 let active_spill t =
   if t.spill_on && t.tuple_budget > 0 then
-    Some { Spill.dir = t.spill_dir; threshold = t.tuple_budget }
+    Some
+      { Spill.dir = t.spill_dir; threshold = t.tuple_budget; note = note_spill t }
   else None
 
 (* A fresh token per top-level statement, armed from the session's governor
@@ -939,24 +1000,6 @@ let refresh_wal_gauges t =
   Metrics.set_gauge t.metrics "wal.replay.truncated_bytes"
     (float_of_int rp.Wal.rp_truncated_bytes)
 
-(* The spill gauges are always published (zeros included), so dashboards
-   and the prom_lint-validated /metrics scrape can alert on them without
-   waiting for a first spill to make the series appear. *)
-let refresh_spill_gauges t =
-  let sc = Spill.counters () in
-  Metrics.set_gauge t.metrics "executor.spill.spills"
-    (float_of_int sc.Spill.c_spills);
-  Metrics.set_gauge t.metrics "executor.spill.runs"
-    (float_of_int sc.Spill.c_runs);
-  Metrics.set_gauge t.metrics "executor.spill.chunks"
-    (float_of_int sc.Spill.c_chunks);
-  Metrics.set_gauge t.metrics "executor.spill.rows"
-    (float_of_int sc.Spill.c_rows);
-  Metrics.set_gauge t.metrics "executor.spill.bytes"
-    (float_of_int sc.Spill.c_bytes);
-  Metrics.set_gauge t.metrics "executor.spill.fallbacks"
-    (float_of_int sc.Spill.c_fallbacks)
-
 (* ------------------------------------------------------------------ *)
 (* Forensics bundles                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1025,17 +1068,9 @@ let wal_status_json t =
         ("replay", replay_json ws.ws_replay);
       ]
 
-let spill_json () =
-  let sc = Spill.counters () in
+let spill_json t =
   Json.Obj
-    [
-      ("spills", Json.Int sc.Spill.c_spills);
-      ("runs", Json.Int sc.Spill.c_runs);
-      ("chunks", Json.Int sc.Spill.c_chunks);
-      ("rows", Json.Int sc.Spill.c_rows);
-      ("bytes", Json.Int sc.Spill.c_bytes);
-      ("fallbacks", Json.Int sc.Spill.c_fallbacks);
-    ]
+    (List.map (fun (name, v) -> (name, Json.Int v)) (spill_fields t.spill_counts))
 
 let settings_json t =
   Json.Obj
@@ -1116,7 +1151,7 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
     let plan = plan_json t ~fingerprint ~plan_hash ~est_rows in
     let delta = forensics_delta t in
     let wal = wal_status_json t in
-    let spill = spill_json () in
+    let spill = spill_json t in
     let settings = settings_json t in
     let gc = gc_json () in
     let doc =
@@ -1515,11 +1550,11 @@ let exec_plan t optimized =
           (* a governor kill is not a worker failure: the generation has
              already drained, so re-raise for the boundary — no retry *)
           raise e
-        | exception Spill.Fallback_needed _ ->
+        | exception Spill.Fallback_needed reason ->
           (* a shared spine join build passed the spill threshold: the
              morsel tasks cannot spill it, the serial path spills it in
              place *)
-          Spill.note_fallback ();
+          note_spill t (Spill.Fallback reason);
           Metrics.incr t.metrics "executor.par.fallback.spill";
           dat (run_serial ())
         | exception e ->
@@ -2579,11 +2614,8 @@ let execute_statement t sql (st : Ast.statement) =
         ("engine.phase." ^ Trace.name sp ^ ".ms")
         (Trace.duration_ms sp))
     (Trace.children root);
-  (* graceful-degradation telemetry: the process-global spill counters
-     mirrored as always-present gauges (zeros included, so dashboards can
-     alert on them without existence checks), plus the WAL's size and
-     replay history so /metrics tracks log growth between checkpoints *)
-  refresh_spill_gauges t;
+  (* the WAL's size and replay history, so /metrics tracks log growth
+     between checkpoints *)
   refresh_wal_gauges t;
   (* counters above are already bumped, so a metric sample taken while
      recording statement stats sees this statement too *)

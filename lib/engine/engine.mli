@@ -388,10 +388,10 @@ val tuple_budget : t -> int
 val set_spill : t -> bool -> unit
 (** Graceful spill-to-disk (default on). When on and a tuple budget is
     armed, the budget becomes a degradation threshold instead of a kill:
-    sorts past the threshold run as external merge sorts, hash-join build
-    sides are chunked onto temp files and group annotations sort tagged
-    rows externally, with results byte-identical to the in-memory
-    operators. A parallel statement whose shared join build passes the
+    a sort, group annotation or hash-join build whose input passes it
+    runs its in-memory algorithm on threshold-sized pieces parked on temp
+    files (sorted runs merged back, or Grace join chunks), with results
+    byte-identical to the in-memory operators. A parallel statement whose shared join build passes the
     threshold re-runs once on the serial path, which spills in place
     (counted in [executor.spill.fallbacks]). When off, the tuple budget
     arms the token and blowing it raises [Resource_exhausted] as
@@ -405,6 +405,20 @@ val set_spill_dir : t -> string -> unit
     finishes. *)
 
 val spill_dir : t -> string
+
+type spill_counts = {
+  sc_spills : int;  (** operator instances that spilled *)
+  sc_runs : int;  (** sorted runs written *)
+  sc_chunks : int;  (** join build chunks written *)
+  sc_rows : int;  (** rows written to spill files *)
+  sc_bytes : int;  (** bytes written to spill files *)
+  sc_fallbacks : int;  (** parallel plans re-run on the serial path *)
+}
+
+val spill_counts : t -> spill_counts
+(** This engine's spill accounting since {!create}, the numbers behind
+    its [executor.spill.*] gauges. Safe to read from another domain: a
+    consistent snapshot, replaced as a whole on every spill event. *)
 
 val cancel : t -> string -> unit
 (** Cooperatively cancel the running statement from another domain; it
@@ -519,7 +533,7 @@ val wal_status : t -> wal_status option
 
 val recorder : t -> Perm_obs.Recorder.t
 (** The session's flight recorder. Recording is wait-free and safe from
-    any domain (the spill tap and GC alarm feed it concurrently); use
+    any domain (the GC alarm feeds it concurrently); use
     {!Perm_obs.Recorder.set_capacity} to resize or disable it. *)
 
 module Forensics : sig

@@ -69,251 +69,6 @@ let budget_materialized spill ~what n =
              what n c.Spill.threshold ))
   | _ -> ()
 
-(* Pull at most [n] elements (in order); return them with the unforced
-   tail, so callers can detect "fits in memory" without materializing
-   everything. *)
-let take_up_to n seq =
-  let rec go acc k s =
-    if k = 0 then (List.rev acc, s)
-    else
-      match s () with
-      | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons (x, rest) -> go (x :: acc) (k - 1) rest
-  in
-  go [] n seq
-
-let rec seq_append_list xs tail =
-  match xs with
-  | [] -> tail ()
-  | x :: rest -> Seq.Cons (x, fun () -> seq_append_list rest tail)
-
-(* External merge sort: inputs within the threshold take the exact
-   in-memory path; larger inputs are cut into threshold-sized runs, each
-   stable-sorted and spilled, then k-way merged. Ties pick the
-   lowest-numbered run — runs hold earlier input rows — so the merged
-   stream is byte-identical to [Array.stable_sort] over the whole input. *)
-let external_sort (cfg : Spill.config) cmp (seq : Tuple.t Seq.t) : Tuple.t Seq.t
-    =
-  let th = cfg.Spill.threshold in
-  let first, rest = take_up_to th seq in
-  match rest () with
-  | Seq.Nil ->
-    let rows = Array.of_list first in
-    Array.stable_sort cmp rows;
-    Array.to_seq rows
-  | Seq.Cons (x0, rest') ->
-    Spill.note_spill ();
-    let runs = ref [] in
-    let flush chunk =
-      let arr = Array.of_list chunk in
-      Array.stable_sort cmp arr;
-      let f = Spill.create cfg in
-      Array.iter (Spill.push f) arr;
-      Spill.rewind f;
-      Spill.note_run ();
-      runs := f :: !runs
-    in
-    flush first;
-    let rec consume acc n s =
-      match s () with
-      | Seq.Nil -> if n > 0 then flush (List.rev acc)
-      | Seq.Cons (x, tail) ->
-        let acc = x :: acc and n = n + 1 in
-        if n = th then begin
-          flush (List.rev acc);
-          consume [] 0 tail
-        end
-        else consume acc n tail
-    in
-    consume [ x0 ] 1 rest';
-    let runs = Array.of_list (List.rev !runs) in
-    let n_runs = Array.length runs in
-    let heads = Array.map Spill.next runs in
-    let next_row () =
-      let best = ref (-1) in
-      for i = 0 to n_runs - 1 do
-        match heads.(i) with
-        | None -> ()
-        | Some x -> (
-          if !best = -1 then best := i
-          else
-            match heads.(!best) with
-            | Some y -> if cmp x y < 0 then best := i
-            | None -> assert false)
-      done;
-      if !best = -1 then None
-      else begin
-        let row = Option.get heads.(!best) in
-        heads.(!best) <- Spill.next runs.(!best);
-        Some row
-      end
-    in
-    let rec emit () =
-      match next_row () with
-      | None ->
-        Array.iter Spill.release runs;
-        Seq.Nil
-      | Some row -> Seq.Cons (row, emit)
-    in
-    (* The k-way merge mutates run heads and releases the spill files at
-       exhaustion — memoize so re-forcing the result behaves like the
-       persistent Array.to_seq of the in-memory branch. *)
-    Seq.memoize emit
-
-(* Grace hash join for a build side past the spill threshold. The build
-   rows ([first], then [rest]) are cut into threshold-sized chunks on temp
-   files and the probe side is materialized to a temp file once. Each
-   chunk is hashed in turn ([hash]) and probed ([probe], which returns a
-   probe row's matches in ascending right-row order with the residual
-   applied) with one sequential pass over the probe file; matches are
-   written as (probe index, row) pairs per chunk, then merged back in
-   probe order, chunk order within a probe row. That order — ascending
-   global right-row index per probe row, pads in stream position, FULL
-   right-pads appended in right order — reproduces the in-memory join
-   byte for byte while holding at most one chunk (plus a probe-side
-   bitmap) in memory. *)
-let grace_join (cfg : Spill.config) ~(kind : Plan.join_kind) ~l_arity ~r_arity
-    ~(hash : Tuple.t array -> 'tbl)
-    ~(probe : 'tbl -> Tuple.t -> (int * Tuple.t) list) first rest
-    (left : Tuple.t Seq.t) : Tuple.t Seq.t =
- fun () ->
-  let pad n = Array.make n Value.Null in
-  let th = cfg.Spill.threshold in
-  Spill.note_spill ();
-  let chunks = ref [] in
-  let flush rows =
-    let f = Spill.create cfg in
-    List.iter (Spill.push f) rows;
-    Spill.rewind f;
-    Spill.note_chunk ();
-    chunks := f :: !chunks
-  in
-  flush first;
-  let rec consume acc n s =
-    match s () with
-    | Seq.Nil -> if n > 0 then flush (List.rev acc)
-    | Seq.Cons (x, tail) ->
-      let acc = x :: acc and n = n + 1 in
-      if n = th then begin
-        flush (List.rev acc);
-        consume [] 0 tail
-      end
-      else consume acc n tail
-  in
-  consume [] 0 rest;
-  let chunks = Array.of_list (List.rev !chunks) in
-  (* materialize the probe side once: its pipeline must run exactly one
-     pass whatever the chunk count (progress counters, fault schedules and
-     non-reentrant child state all assume one pass) *)
-  let probe_file = Spill.create cfg in
-  Seq.iter (Spill.push probe_file) left;
-  let n_probe = Spill.count probe_file in
-  let matched_left = Bytes.make (max 1 n_probe) '\000' in
-  let outs = Array.map (fun _ -> Spill.create cfg) chunks in
-  let pads = Spill.create cfg in
-  Array.iteri
-    (fun ci chunk ->
-      let buf = ref [] in
-      let rec read_chunk () =
-        match Spill.next chunk with
-        | Some r ->
-          buf := r :: !buf;
-          read_chunk ()
-        | None -> ()
-      in
-      read_chunk ();
-      let rows = Array.of_list (List.rev !buf) in
-      Spill.release chunk;
-      let tbl = hash rows in
-      let matched_chunk = Array.make (Array.length rows) false in
-      Spill.rewind probe_file;
-      let out = outs.(ci) in
-      let p = ref 0 in
-      let rec probe_pass () =
-        match Spill.next probe_file with
-        | None -> ()
-        | Some lrow ->
-          let pi = !p in
-          incr p;
-          (match probe tbl lrow with
-          | [] -> ()
-          | ms ->
-            Bytes.set matched_left pi '\001';
-            List.iter
-              (fun (idx, combined) ->
-                matched_chunk.(idx) <- true;
-                match kind with
-                | Plan.Inner | Plan.Cross | Plan.Left | Plan.Full ->
-                  Spill.push out (pi, combined)
-                | Plan.Semi | Plan.Anti | Plan.Right -> ())
-              ms);
-          probe_pass ()
-      in
-      probe_pass ();
-      Spill.rewind out;
-      match kind with
-      | Plan.Full ->
-        Array.iteri
-          (fun i rrow ->
-            if not matched_chunk.(i) then
-              Spill.push pads (Tuple.concat (pad l_arity) rrow))
-          rows
-      | _ -> ())
-    chunks;
-  Spill.rewind pads;
-  Spill.rewind probe_file;
-  let heads = Array.map Spill.next outs in
-  let release_everything () =
-    Array.iter Spill.release outs;
-    Spill.release probe_file;
-    Spill.release pads
-  in
-  (* matches of one probe row, chunks in order — ascending global
-     right-row index, like the in-memory probe *)
-  let matches_for pi =
-    let acc = ref [] in
-    for ci = 0 to Array.length outs - 1 do
-      let more = ref true in
-      while !more do
-        match heads.(ci) with
-        | Some (p, combined) when p = pi ->
-          acc := combined :: !acc;
-          heads.(ci) <- Spill.next outs.(ci)
-        | _ -> more := false
-      done
-    done;
-    List.rev !acc
-  in
-  let next_probe = ref 0 in
-  let rec main () =
-    match Spill.next probe_file with
-    | None -> (
-      match kind with
-      | Plan.Full -> pads_tail ()
-      | _ ->
-        release_everything ();
-        Seq.Nil)
-    | Some lrow -> (
-      let pi = !next_probe in
-      incr next_probe;
-      let matched = Bytes.get matched_left pi = '\001' in
-      match kind with
-      | Plan.Semi -> if matched then Seq.Cons (lrow, main) else main ()
-      | Plan.Anti -> if not matched then Seq.Cons (lrow, main) else main ()
-      | Plan.Inner | Plan.Cross -> seq_append_list (matches_for pi) main
-      | Plan.Left | Plan.Full ->
-        if not matched then Seq.Cons (Tuple.concat lrow (pad r_arity), main)
-        else seq_append_list (matches_for pi) main
-      | Plan.Right -> assert false)
-  and pads_tail () =
-    match Spill.next pads with
-    | None ->
-      release_everything ();
-      Seq.Nil
-    | Some row -> Seq.Cons (row, pads_tail)
-  in
-  main ()
-
 type provider = {
   probe_index : string -> int -> Value.t -> Tuple.t Seq.t;
   scan_batches : string -> int -> Perm_storage.Batch.t array;
@@ -672,8 +427,8 @@ let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
    row for it. *)
 type layout = { pos : Attr.t -> int option; outer : resolver }
 
-(* Row-at-a-time view of a layout (sort keys, join residuals and build
-   keys, which evaluate over materialized tuples). *)
+(* Row-at-a-time view of a layout (join residuals and build keys, which
+   evaluate over materialized tuples). *)
 let row_resolver lay : resolver =
  fun a ->
   match lay.pos a with
@@ -957,21 +712,6 @@ let batches_of_tuple_list ~arity ~batch_rows rows : Batch.t Seq.t =
 let batches_of_list ~arity ~batch_rows rows =
   Array.of_seq (batches_of_tuple_list ~arity ~batch_rows rows)
 
-(* Chunk a lazy row stream into dense batches, forcing one batch's worth
-   of rows at a time (spilled sorts and joins stream off disk). *)
-let batches_of_seq ~arity ~batch_rows (rows : Tuple.t Seq.t) : Batch.t Seq.t =
-  let rec go s () =
-    match take_up_to (max 1 batch_rows) s with
-    | [], _ -> Seq.Nil
-    | chunk, rest ->
-      let arr = Array.of_list chunk in
-      Seq.Cons (Batch.of_rows ~arity arr ~pos:0 ~len:(Array.length arr), go rest)
-  in
-  go rows
-
-let tuples_of_batches (bs : Batch.t Seq.t) : Tuple.t Seq.t =
-  Seq.flat_map (fun b -> List.to_seq (Batch.to_tuples b)) bs
-
 (* Materialize a batch stream into tuples. *)
 let collect_tuples (bs : Batch.t Seq.t) : Tuple.t array =
   let acc = ref [] in
@@ -979,6 +719,143 @@ let collect_tuples (bs : Batch.t Seq.t) : Tuple.t array =
     (fun b -> List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
     bs;
   Array.of_list (List.rev !acc)
+
+(* Stream the rows [next] yields as dense batches of at most [batch_rows]
+   rows, pulling one batch's worth at a time (rows read back from spill
+   files). *)
+let batches_of_rows ~arity ~batch_rows (next : unit -> Tuple.t option) :
+    Batch.t Seq.t =
+  let size = max 1 batch_rows in
+  let rec go () =
+    let rows = Array.make size [||] in
+    let rec fill n =
+      if n = size then n
+      else
+        match next () with
+        | None -> n
+        | Some row ->
+          rows.(n) <- row;
+          fill (n + 1)
+    in
+    match fill 0 with
+    | 0 -> Seq.Nil
+    | n ->
+      (* a short batch means [next] is exhausted: never call it again *)
+      Seq.Cons
+        (Batch.of_rows ~arity rows ~pos:0 ~len:n, if n < size then Seq.empty else go)
+  in
+  (* [next] consumes files: memoize so a re-forced stream replays *)
+  Seq.memoize go
+
+(* ---- spilling ----------------------------------------------------- *)
+
+(* The input of a materializing operator (sort, group annotation, join
+   build). It [Fits] when there is no spill configuration (the operator's
+   child stream as is) or it holds at most [threshold] live rows: the
+   operator runs its in-memory algorithm on it, so a budget that is never
+   reached changes nothing. Past the threshold it [Spills] as pieces of
+   at most [threshold] rows, each pulled only after the operator has
+   written the previous one to disk: the operator runs the same algorithm
+   on every piece. *)
+type input = Fits of Batch.t Seq.t | Spills of Spill.config * Batch.t array Seq.t
+
+(* Pull [s] until its batches hold [th] live rows: those batches and, if
+   rows remain, the rest of the stream. A batch straddling the threshold
+   is split through its selection vector. *)
+let take_rows th (s : Batch.t Seq.t) =
+  let rec go acc room s =
+    match s () with
+    | Seq.Nil -> (Array.of_list (List.rev acc), None)
+    | Seq.Cons (b, rest) ->
+      let n = Batch.live b in
+      if n = 0 then go acc room rest
+      else if n <= room then go (b :: acc) (room - n) rest
+      else
+        let sel = Batch.sel_array b in
+        let part i len = Batch.with_sel b (Array.sub sel i len) len in
+        let acc = if room > 0 then part 0 room :: acc else acc in
+        (Array.of_list (List.rev acc), Some (Seq.cons (part room (n - room)) rest))
+  in
+  go [] th s
+
+let input_of spill (s : Batch.t Seq.t) =
+  match spill with
+  | None -> Fits s
+  | Some cfg -> (
+    let th = cfg.Spill.threshold in
+    match take_rows th s with
+    | first, None -> Fits (Array.to_seq first)
+    | first, Some rest ->
+      let rec pieces s () =
+        match take_rows th s with
+        | [||], _ -> Seq.Nil
+        | piece, None -> Seq.Cons (piece, Seq.empty)
+        | piece, Some rest -> Seq.Cons (piece, pieces rest)
+      in
+      Spills (cfg, Seq.cons first (pieces rest)))
+
+(* Compare rows [i] and [j] of the key columns [kcols], [desc] flagging
+   the descending keys: the one ORDER BY comparison, of the in-memory
+   permutation sort and of the merge of spilled runs alike. *)
+let[@inline] compare_keys desc (kcols : Value.t array array) i j =
+  let c = ref 0 and k = ref 0 in
+  while !c = 0 && !k < Array.length kcols do
+    let col = kcols.(!k) in
+    c := Value.compare col.(i) col.(j);
+    if desc.(!k) then c := - !c;
+    incr k
+  done;
+  !c
+
+(* A sorted run on disk: each row with its key values, in key order. *)
+type run = (Tuple.t * Tuple.t) Spill.file
+
+(* Write the numbered rows of [batches] in [order] as a run, each with its
+   values of the key columns [kcols]. *)
+let write_run cfg batches (rb, rp) kcols order : run =
+  let f = Spill.create cfg in
+  Array.iter
+    (fun r ->
+      Spill.push f
+        (Array.map (fun col -> col.(r)) kcols, brow batches.(rb.(r)) rp.(r)))
+    order;
+  Spill.rewind f;
+  cfg.Spill.note Spill.Run;
+  f
+
+(* Merge sorted runs into one row stream, each row mapped by [emit key
+   row] (rows it maps to [None] are dropped): the smallest key first,
+   ties to the lowest-numbered run. Runs hold consecutive pieces of the
+   input, so the merge is as stable as one sort of all of it. The run
+   heads' keys sit in key columns indexed by run, compared with
+   {!compare_keys}. A run is released once exhausted. *)
+let merge_runs ~desc (runs : run array) ~emit : unit -> Tuple.t option =
+  let k = Array.length runs in
+  let heads = Array.make k None in
+  let hkeys = Array.map (fun _ -> Array.make k Value.Null) desc in
+  let advance i =
+    heads.(i) <- Spill.next runs.(i);
+    match heads.(i) with
+    | Some (key, _) -> Array.iteri (fun c v -> hkeys.(c).(i) <- v) key
+    | None -> Spill.release runs.(i)
+  in
+  for i = 0 to k - 1 do
+    advance i
+  done;
+  let rec next () =
+    let best = ref (-1) in
+    for i = 0 to k - 1 do
+      if Option.is_some heads.(i)
+         && (!best < 0 || compare_keys desc hkeys i !best < 0)
+      then best := i
+    done;
+    if !best < 0 then None
+    else
+      let key, row = Option.get heads.(!best) in
+      advance !best;
+      match emit key row with None -> next () | some -> some
+  in
+  next
 
 (* ---- filter kernels ---------------------------------------------- *)
 
@@ -1243,11 +1120,14 @@ let apply_project builders b =
    dense output batches capped at [batch_rows], so giant expansions stay
    streamed and the cancel token keeps batch-granular kill latency.
    Candidate order is [List.rev] of the build list: ascending right-row
-   order, the same as the spilled Grace join's. *)
+   order. Without [pads], a LEFT/FULL probe emits only matches (the Grace
+   join pads once every chunk has probed). [tap] is handed each output
+   batch of the expanding kinds with its rows' positions in [lb]. *)
 let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
     ~usable ~(tbl : (int * Tuple.t) list Tuple.Hash.t)
     ~(residual_f : (Tuple.t -> bool) option)
-    ~(matched_right : bool array option) (lb : Batch.t) : Batch.t list =
+    ~(matched_right : bool array option) ?(pads = true) ?tap (lb : Batch.t) :
+    Batch.t list =
   let find key =
     if not (usable key) then []
     else
@@ -1298,7 +1178,9 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
           done;
           cols.(l_arity + c) <- dst
         done;
-        out := Batch.dense cols n :: !out;
+        let b = Batch.dense cols n in
+        Option.iter (fun f -> f b (Array.sub lidx 0 n)) tap;
+        out := b :: !out;
         cnt := 0
       end
     in
@@ -1344,12 +1226,146 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
                   push p rrow
                 end)
               cands);
-          if not !any then push p pad_row
+          if pads && not !any then push p pad_row
         | Plan.Semi | Plan.Anti | Plan.Right -> assert false)
       lb;
     flush ();
     List.rev !out
   | Plan.Right -> assert false
+
+(* Grace hash join for a build side past the spill threshold. The build
+   pieces become chunks on a temp file and the probe side is written once,
+   as batches: its pipeline runs exactly one pass whatever the chunk count
+   (progress counters, fault schedules and non-reentrant child state all
+   assume one pass). Each chunk in turn is hashed and every probe batch
+   probed against it with [probe] ({!probe_batch}), which tracks the
+   probe-side positions that matched. Semi and anti joins then narrow
+   the probe batches' selection vectors by those positions. The
+   expanding kinds write each chunk's matches as a run keyed by probe
+   position, plus a run of padded unmatched probe rows for LEFT/FULL;
+   merging the runs (ties to the lower chunk) gives every probe row its
+   matches in ascending right-row order at its place in the stream, as
+   the in-memory join does, and FULL appends the right rows no chunk
+   matched, in right order. At most one chunk is in memory. *)
+let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~hash ~probe pieces
+    (left : Batch.t Seq.t) : Batch.t Seq.t =
+  let note = cfg.Spill.note in
+  note Spill.Spilled;
+  let chunks = Spill.create cfg in
+  Seq.iter
+    (fun piece ->
+      let rows = collect_tuples (Array.to_seq piece) in
+      Spill.push ~rows:(Array.length rows) chunks rows;
+      note Spill.Chunk)
+    pieces;
+  Spill.rewind chunks;
+  let probe_file = Spill.create cfg in
+  let n_probe = ref 0 in
+  Seq.iter
+    (fun b ->
+      let b = Batch.compact b in
+      if b.Batch.rows > 0 then begin
+        Spill.push ~rows:b.Batch.rows probe_file b;
+        n_probe := !n_probe + b.Batch.rows
+      end)
+    left;
+  let matched = Bytes.make !n_probe '\000' in
+  let is_matched pos = Bytes.get matched pos = '\001' in
+  (* [f base b] on each probe batch in order, [base] its first position *)
+  let each_probe f =
+    Spill.rewind probe_file;
+    let rec go base =
+      match Spill.next probe_file with
+      | None -> ()
+      | Some b ->
+        f base b;
+        go (base + b.Batch.rows)
+    in
+    go 0
+  in
+  let runs = ref [] and right_pads = Spill.create cfg in
+  let new_run fill =
+    let run = Spill.create cfg in
+    fill (fun pos row -> Spill.push run ([| Value.Int pos |], row));
+    Spill.rewind run;
+    runs := run :: !runs
+  in
+  let rec each_chunk () =
+    match Spill.next chunks with
+    | None -> Spill.release chunks
+    | Some rows ->
+      let tbl = hash rows in
+      let matched_right =
+        if kind = Plan.Full then Some (Array.make (Array.length rows) false)
+        else None
+      in
+      (match kind with
+      | Plan.Semi | Plan.Anti ->
+        each_probe (fun base lb ->
+            List.iter
+              (Batch.iter_live (fun p -> Bytes.set matched (base + p) '\001'))
+              (probe ~kind:Plan.Semi ~matched_right ~tap:None tbl lb))
+      | _ ->
+        new_run (fun push ->
+            each_probe (fun base lb ->
+                let tap out lidx =
+                  Array.iteri
+                    (fun j p ->
+                      Bytes.set matched (base + p) '\001';
+                      push (base + p) (brow out j))
+                    lidx
+                in
+                ignore (probe ~kind ~matched_right ~tap:(Some tap) tbl lb))));
+      Option.iter
+        (Array.iteri (fun i m ->
+             if not m then
+               Spill.push right_pads
+                 (Tuple.concat (Array.make l_arity Value.Null) rows.(i))))
+        matched_right;
+      each_chunk ()
+  in
+  each_chunk ();
+  Spill.rewind right_pads;
+  match kind with
+  | Plan.Semi | Plan.Anti ->
+    let want = kind = Plan.Semi in
+    Spill.release right_pads;
+    Spill.rewind probe_file;
+    let rec out base () =
+      match Spill.next probe_file with
+      | None ->
+        Spill.release probe_file;
+        Seq.Nil
+      | Some b -> (
+        let next = out (base + b.Batch.rows) in
+        match narrow_live (fun p -> is_matched (base + p) = want) b with
+        | Some b -> Seq.Cons (b, next)
+        | None -> next ())
+    in
+    out 0
+  | _ ->
+    if kind = Plan.Left || kind = Plan.Full then
+      new_run (fun push ->
+          each_probe (fun base lb ->
+              Batch.iter_live
+                (fun p ->
+                  if not (is_matched (base + p)) then
+                    push (base + p)
+                      (Tuple.concat (brow lb p) (Array.make r_arity Value.Null)))
+                lb));
+    Spill.release probe_file;
+    let merged =
+      merge_runs ~desc:[| false |]
+        (Array.of_list (List.rev !runs))
+        ~emit:(fun _ row -> Some row)
+    in
+    batches_of_rows ~arity:(l_arity + r_arity) ~batch_rows (fun () ->
+        match merged () with
+        | Some _ as row -> row
+        | None ->
+          let pad = Spill.next right_pads in
+          if Option.is_none pad then Spill.release right_pads;
+          pad)
 
 (* ---- batch operator compilation ---------------------------------- *)
 
@@ -1362,14 +1378,13 @@ type join_build = {
 }
 
 (* What running a build side yields: the hashed rows, or — past the spill
-   threshold — what the Grace join needs: the rows collected so far, the
-   unforced rest and the build's hash function. *)
+   threshold — what the Grace join needs: the build input in pieces and
+   the build's hash function. *)
 type build_side =
   | Built of join_build
   | Over_budget of {
       cfg : Spill.config;
-      first : Tuple.t list;
-      rest : Tuple.t Seq.t;
+      pieces : Batch.t array Seq.t;
       hash : Tuple.t array -> (int * Tuple.t) list Tuple.Hash.t;
     }
 
@@ -1490,62 +1505,50 @@ and compile_batch_node cx (plan : Plan.t) : bop =
           Seq.filter_map (first_rows group_of) (run_child ()) ())
   | Plan.Set_op { kind; all; left; right; attrs } ->
     compile_batch_set_op cx kind all left right attrs
-  | Plan.Sort { child; keys } -> (
+  | Plan.Sort { child; keys } ->
     let lay = layout cx (Plan.schema child) in
     let arity = List.length (Plan.schema child) in
+    let gets = Array.of_list (List.map (fun (e, _) -> bexpr_of lay e) keys) in
+    let desc = Array.of_list (List.map (fun (_, d) -> d = Plan.Desc) keys) in
     let run_child = compile_batch cx child in
-    match cx.spill with
-    | Some cfg ->
-      (* past the threshold: sorted runs on disk, merged as the output is
-         pulled *)
-      let keyfs =
-        List.map (fun (e, dir) -> (compile_expr (row_resolver lay) e, dir)) keys
+    (* a permutation sort: keys evaluated once per row into columns, a
+       stable sort of row numbers; in memory every column is then gathered
+       once, past the threshold each sorted piece is a run to merge. A
+       lone row in memory is never compared, so its keys are not
+       evaluated. *)
+    let sort ~runs batches =
+      let rb, rp, _ = number_rows batches in
+      let n = Array.length rb in
+      let perm = Array.init n Fun.id in
+      let kcols =
+        if n > 1 || runs then
+          Array.map
+            (fun get -> Array.init n (fun r -> get batches.(rb.(r)) rp.(r)))
+            gets
+        else [||]
       in
-      let cmp a b =
-        List.fold_left
-          (fun c (f, dir) ->
-            if c <> 0 then c
-            else
-              let c = Value.compare (f a) (f b) in
-              if dir = Plan.Desc then -c else c)
-          0 keyfs
-      in
-      fun () ->
-        Perm_fault.trip fp_sort;
-        batches_of_seq ~arity ~batch_rows
-          (external_sort cfg cmp (tuples_of_batches (run_child ())))
-    | None ->
-      (* a permutation sort: keys evaluated once per row into columns, a
-         stable sort of row numbers, every column gathered once *)
-      let gets = Array.of_list (List.map (fun (e, _) -> bexpr_of lay e) keys) in
-      let desc = Array.of_list (List.map (fun (_, d) -> d = Plan.Desc) keys) in
-      fun () ->
-        Perm_fault.trip fp_sort;
-        let batches = Array.of_seq (run_child ()) in
-        let rb, rp, _ = number_rows batches in
-        let n = Array.length rb in
-        let perm = Array.init n Fun.id in
-        (* a lone row is never compared, so its keys are not evaluated
-           (nor are they by the external merge sort) *)
-        if n > 1 then begin
-          let kcols =
-            Array.map
-              (fun get -> Array.init n (fun r -> get batches.(rb.(r)) rp.(r)))
-              gets
-          in
-          let cmp i j =
-            let c = ref 0 and k = ref 0 in
-            while !c = 0 && !k < Array.length kcols do
-              let col = kcols.(!k) in
-              c := Value.compare col.(i) col.(j);
-              if desc.(!k) then c := - !c;
-              incr k
-            done;
-            !c
-          in
-          Array.stable_sort cmp perm
-        end;
-        gather_rows ~batch_rows ~arity batches (rb, rp) perm)
+      if n > 1 then Array.stable_sort (fun i j -> compare_keys desc kcols i j) perm;
+      ((rb, rp), kcols, perm)
+    in
+    fun () ->
+      Perm_fault.trip fp_sort;
+      (match input_of cx.spill (run_child ()) with
+      | Fits s ->
+        let batches = Array.of_seq s in
+        let rows, _, perm = sort ~runs:false batches in
+        gather_rows ~batch_rows ~arity batches rows perm
+      | Spills (cfg, pieces) ->
+        cfg.Spill.note Spill.Spilled;
+        let runs =
+          Array.of_seq
+            (Seq.map
+               (fun piece ->
+                 let rows, kcols, perm = sort ~runs:true piece in
+                 write_run cfg piece rows kcols perm)
+               pieces)
+        in
+        batches_of_rows ~arity ~batch_rows
+          (merge_runs ~desc runs ~emit:(fun _ row -> Some row)))
   | Plan.Limit { child; limit; offset } ->
     let run_child = compile_batch cx child in
     fun () ->
@@ -1590,20 +1593,14 @@ and compile_join_build cx (join : Plan.t) : unit -> build_side =
     Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
   in
   let hash = hash_build (key_of rkey_fs) in
-  let built rows = Built { jb_rows = rows; jb_tbl = hash rows } in
   let run_right = compile_batch cx right in
   fun () ->
     Perm_fault.trip fp_join_build;
-    match cx.spill with
-    | None -> built (collect_tuples (run_right ()))
-    | Some cfg -> (
-      let first, rest =
-        take_up_to cfg.Spill.threshold (tuples_of_batches (run_right ()))
-      in
-      match rest () with
-      | Seq.Nil -> built (Array.of_list first)
-      | Seq.Cons (x, tail) ->
-        Over_budget { cfg; first; rest = (fun () -> Seq.Cons (x, tail)); hash })
+    match input_of cx.spill (run_right ()) with
+    | Fits s ->
+      let rows = collect_tuples s in
+      Built { jb_rows = rows; jb_tbl = hash rows }
+    | Spills (cfg, pieces) -> Over_budget { cfg; pieces; hash }
 
 and compile_batch_join cx plan kind left right pred =
   let left_schema = Plan.schema left and right_schema = Plan.schema right in
@@ -1650,35 +1647,17 @@ and compile_batch_join cx plan kind left right pred =
              (Expr.conjoin preds))
     in
     let usable = key_usable null_safety in
-    (* the Grace join probes materialized left rows *)
-    let grace cfg first rest hash =
-      let lkey_fs =
-        Array.of_list
-          (List.map (fun k -> compile_expr (row_resolver l_lay) k.l_expr) keys)
-      in
-      let keep = Option.value residual_f ~default:(fun _ -> true) in
-      let probe tbl lrow =
-        let key = key_of lkey_fs lrow in
-        if not (usable key) then []
-        else
-          match Tuple.Hash.find_opt tbl key with
-          | None -> []
-          | Some candidates ->
-            List.filter_map
-              (fun (idx, rrow) ->
-                let combined = Tuple.concat lrow rrow in
-                if keep combined then Some (idx, combined) else None)
-              (List.rev candidates)
-      in
-      batches_of_seq ~arity:(l_arity + r_arity) ~batch_rows
-        (grace_join cfg ~kind ~l_arity ~r_arity ~hash ~probe first rest
-           (tuples_of_batches (run_left ())))
+    let probe ~kind ~matched_right ~tap tbl lb =
+      probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable ~tbl ~residual_f
+        ~matched_right ~pads:false ?tap lb
     in
     fun () ->
       Seq.memoize
         (fun () ->
           match build () with
-          | Over_budget { cfg; first; rest; hash } -> grace cfg first rest hash ()
+          | Over_budget { cfg; pieces; hash } ->
+            grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~hash ~probe
+              pieces (run_left ()) ()
           | Built { jb_rows = right_rows; jb_tbl = tbl } -> (
             let matched_right =
               match kind with
@@ -1733,7 +1712,7 @@ and compile_batch_apply cx kind left right =
   let arity = List.length (Plan.schema left) + r_arity in
   let right_rows lrow =
     current := lrow;
-    List.of_seq (tuples_of_batches (run_right ()))
+    List.concat_map Batch.to_tuples (List.of_seq (run_right ()))
   in
   fun () ->
     Seq.concat_map
@@ -1796,12 +1775,13 @@ and compile_batch_aggregate cx child group_by aggs =
 (* In memory the annotation keeps the input batches (immutable once
    emitted) and addresses rows as (batch, position), so no row is
    materialized as a tuple: output columns gather straight from the input
-   columns. Under a spill configuration it holds only group states: rows
-   are tagged with (group id, input index) and go through the external
-   merge sort, whose order on those tags is the same. The sort consumes
-   its whole input before yielding, so every group is final by then. With
-   a representative flag, only flagged rows feed the aggregates, and a
-   group's first flagged row gives it its key. *)
+   columns, in group order ({!grouped_order}). Past the threshold each
+   piece of the input is put in group order the same way and written as
+   a run keyed by group id; the merge (ties to the earlier piece) gives
+   the same order while only group states stay in memory. Every run is
+   written before the merge starts, so every group is final by then.
+   With a representative flag, only flagged rows feed the aggregates, and
+   a group's first flagged row gives it its key. *)
 and compile_batch_group_annotate cx child group_by aggs rep =
   let batch_rows = cx.batch_rows in
   let child_schema = Plan.schema child in
@@ -1853,45 +1833,9 @@ and compile_batch_group_annotate cx child group_by aggs rep =
                 (Array.make child_arity Value.Null);
             ]
         in
-        match cx.spill with
-        | Some cfg ->
-          let tag = function
-            | Value.Int i -> i
-            | _ -> err "internal: untagged group annotation row"
-          in
-          let cmp a b =
-            match Value.compare a.(0) b.(0) with
-            | 0 -> Value.compare a.(1) b.(1)
-            | c -> c
-          in
-          let n = ref 0 in
-          let tagged =
-            Seq.flat_map
-              (fun b ->
-                let rows = ref [] in
-                assign b (fun p g ->
-                    rows :=
-                      Tuple.concat [| Value.Int g; Value.Int !n |] (brow b p)
-                      :: !rows;
-                    incr n);
-                List.to_seq (List.rev !rows))
-              (run_child ())
-          in
-          let sorted = external_sort cfg cmp tagged in
-          if !n = 0 && group_by = [] then empty_global () ()
-          else
-            let heads = heads () in
-            batches_of_seq ~arity ~batch_rows
-              (Seq.filter_map
-                 (fun row ->
-                   Option.map
-                     (fun head ->
-                       Tuple.concat head (Array.sub row 2 (Array.length row - 2)))
-                     heads.(tag row.(0)))
-                 sorted)
-              ()
-        | None ->
-          let batches = Array.of_seq (run_child ()) in
+        match input_of cx.spill (run_child ()) with
+        | Fits s ->
+          let batches = Array.of_seq s in
           let rb, rp, gids = number_rows ~each:assign batches in
           if gids = [||] && group_by = [] then empty_global () ()
           else
@@ -1901,7 +1845,28 @@ and compile_batch_group_annotate cx child group_by aggs rep =
               ~batch_rows ~arity:child_arity batches (rb, rp)
               (grouped_order ~groups:!count
                  ~keep:(fun g -> Option.is_some heads.(g)) gids)
-              ())
+              ()
+        | Spills (cfg, pieces) ->
+          cfg.Spill.note Spill.Spilled;
+          let runs =
+            Array.of_seq
+              (Seq.map
+                 (fun piece ->
+                   let rb, rp, gids = number_rows ~each:assign piece in
+                   write_run cfg piece (rb, rp)
+                     [| Array.map (fun g -> Value.Int g) gids |]
+                     (grouped_order ~groups:!count ~keep:(fun _ -> true) gids))
+                 pieces)
+          in
+          let heads = heads () in
+          let head = function
+            | Value.Int g -> heads.(g)
+            | _ -> err "internal: untagged group annotation row"
+          in
+          batches_of_rows ~arity ~batch_rows
+            (merge_runs ~desc:[| false |] runs ~emit:(fun key row ->
+                 Option.map (fun h -> Tuple.concat h row) (head key.(0))))
+            ())
 
 and compile_batch_set_op cx kind all left right attrs =
   let run_left = compile_batch cx left in
@@ -2293,18 +2258,16 @@ let merge_stats into (task : exec_stats) =
 (* A spine join's build side is shared read-only by every morsel task, so
    it cannot take the Grace join: past the spill threshold the gather
    gives up and the engine re-runs the statement serially, where the
-   build spills in place. The flight recorder sees why. *)
+   build spills in place. The exception carries the reason to the
+   engine's recorder. *)
 let shared_build cx join =
   match compile_join_build cx join () with
   | Built jb -> jb
   | Over_budget { cfg; _ } ->
-    let reason =
-      Printf.sprintf
-        "parallel join build passed the spill threshold %d"
-        cfg.Spill.threshold
-    in
-    Spill.observe "fallback-reason" reason;
-    raise (Spill.Fallback_needed reason)
+    raise
+      (Spill.Fallback_needed
+         (Printf.sprintf "parallel join build passed the spill threshold %d"
+            cfg.Spill.threshold))
 
 let run_parallel ?(token = Token.none) ?row_limit ?progress ?spill
     ?(instrument = false) ~pool ~batch_rows ~provider spine plan =

@@ -80,12 +80,15 @@ val run :
     side once and re-runs it per left row, reading the left row's values
     through an outer resolver fixed at compile time.
 
-    When [spill] is given, materializing operators degrade gracefully past
-    [spill.threshold] rows: sorts become external merge sorts, hash-join
-    build sides are chunked onto temp files (a Grace join), and group
-    annotation sorts tagged rows externally, with results byte-identical
-    to the in-memory operators (counted by the [executor.spill.*]
-    metrics). State no operator can spill (hash-aggregate groups,
+    When [spill] is given, a sort, group annotation or hash-join build
+    whose input passes [spill.threshold] live rows runs its one
+    in-memory algorithm on pieces of at most that many rows parked on
+    temp files: sorted runs merged back, or a Grace join's build chunks
+    each probed with the in-memory probe. At or under the threshold the
+    operator runs exactly as without [spill]. Results are byte-identical
+    to the in-memory operators, and spill events go to [spill.note] (the
+    engine's [executor.spill.*] metrics). State no operator can spill
+    (hash-aggregate groups,
     DISTINCT and set-op tables) dies with [Resource_exhausted] past the
     threshold instead. Callers that arm a tuple budget on [token] should
     omit [spill] — and vice versa: the spill threshold replaces the

@@ -386,9 +386,12 @@ let ewma_alpha = 0.3
 
 let ring_p95 = hist_p95
 
-(* Floor under the baseline so a sub-clock-tick baseline (0 ms) does not
-   make every measurable execution look infinitely slower. *)
-let baseline_floor = 0.01
+(* Floor under the baseline: a slowdown is flagged only when it reaches
+   [factor] times at least this much. Sub-millisecond statements swing by
+   several times on scheduler jitter alone, and each flag captures a
+   forensics bundle, so the floor sits where jitter does not reach. Plan
+   changes are flagged whatever the timing. *)
+let baseline_floor = 1.0
 
 let baseline_ms en =
   if en.en_samples = 0 then 0. else Float.max en.en_ewma_ms (ring_p95 en)

@@ -87,7 +87,8 @@ val factor : t -> float
 
 val set_factor : t -> float -> unit
 (** Watchdog slowdown threshold: flag when
-    [ms >= factor * max baseline 0.01]. *)
+    [ms >= factor * max baseline 1.0] (milliseconds; the floor keeps
+    scheduler jitter on sub-millisecond statements from being flagged). *)
 
 val set_min_samples : t -> int -> unit
 (** Baseline executions required before the watchdog may flag (>= 1). *)

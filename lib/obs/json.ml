@@ -23,11 +23,20 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as
+   [f], kept a float when parsed ([.0] added to a bare integer). JSON has
+   no NaN or infinities: those print [null]. *)
 let float_repr f =
-  if Float.is_nan f then "null"
+  if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    let s = shortest 15 in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"

@@ -1,48 +1,42 @@
 (** Graceful spill-to-disk for memory-hungry operators.
 
-    When the governor's tuple budget would otherwise kill a statement, the
-    executor's batch operators degrade gracefully: sorts become external
-    merge sorts, hash-join build sides are chunked, and group annotation
-    sorts tagged rows externally, all backed by temp files created here.
-    Only the parallel gather raises {!Fallback_needed} instead; the engine
-    re-runs the plan on the serial path, which spills in place. *)
+    A sort, a group annotation and a hash-join build each have one
+    in-memory algorithm. When a statement carries a spill configuration
+    and the operator's observed input passes [threshold] live rows, the
+    operator cuts the input into pieces of at most [threshold] rows and
+    runs that same algorithm on each piece. A sort or group annotation
+    writes each piece to a temp file as a sorted run and merges the runs;
+    a join writes each piece as a build chunk and probes every chunk with
+    the in-memory probe over one probe-side file (a Grace join). Inputs
+    at or under the threshold never touch this module. Only the parallel
+    gather raises {!Fallback_needed} instead; the engine re-runs the plan
+    on the serial path, which spills in place.
+
+    Spill activity is reported through the configuration's [note]
+    callback, so each engine keeps its own accounting: this module holds
+    no process-global counters. *)
+
+(** What an operator reports as it spills. *)
+type event =
+  | Spilled  (** an operator instance passed the threshold *)
+  | Run  (** a sorted run was written *)
+  | Chunk  (** a join build chunk was written *)
+  | Written of { rows : int; bytes : int }
+      (** a spill file ended its write phase holding [rows] rows *)
+  | Fallback of string
+      (** a parallel plan re-runs serially, for the given reason (the
+          engine reports this one when it catches {!Fallback_needed}) *)
 
 type config = {
   dir : string;  (** temp-file directory; created on first use *)
   threshold : int;  (** max rows an operator may hold in memory *)
+  note : event -> unit;
+      (** called on the domain that runs the statement, once per event *)
 }
 
 exception Fallback_needed of string
 (** Raised by the parallel gather when a shared join build exceeds
     [threshold]; the engine catches it and retries serially. *)
-
-(** {1 Process-global accounting} — the [executor.spill.*] metric family *)
-
-type counters = {
-  c_spills : int;  (** operator instances that spilled *)
-  c_runs : int;  (** external-sort run files written *)
-  c_chunks : int;  (** join build chunks *)
-  c_rows : int;  (** values written to spill files *)
-  c_bytes : int;  (** bytes written to spill files *)
-  c_fallbacks : int;  (** parallel plans re-run on the serial path *)
-}
-
-val counters : unit -> counters
-val note_spill : unit -> unit
-val note_run : unit -> unit
-val note_chunk : unit -> unit
-val note_fallback : unit -> unit
-
-val set_observer : (string -> string -> unit) option -> unit
-(** Install (or clear) the process-global spill event tap. Every
-    [note_*] call invokes it as [f kind detail] with [kind] one of
-    ["spill"], ["run"], ["chunk"], ["fallback"]; the parallel gather
-    additionally reports the fallback reason via {!observe}. The
-    callback runs on whichever domain spilled — it must be cheap and
-    domain-safe. The engine points this at its flight recorder. *)
-
-val observe : string -> string -> unit
-(** Feed one event to the installed observer (a no-op without one). *)
 
 (** {1 Spill files}
 
@@ -53,11 +47,13 @@ val observe : string -> string -> unit
 type 'a file
 
 val create : config -> 'a file
-val push : 'a file -> 'a -> unit
-val count : 'a file -> int
+
+val push : ?rows:int -> 'a file -> 'a -> unit
+(** Append a value holding [rows] rows (default 1), for the accounting. *)
 
 val rewind : 'a file -> unit
-(** End the write phase and start reading from the beginning. *)
+(** End the write phase (reporting {!Written} the first time) and start
+    reading from the beginning; rewinding again rereads the file. *)
 
 val next : 'a file -> 'a option
 val release : 'a file -> unit

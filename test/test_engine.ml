@@ -286,7 +286,6 @@ let pipeline_tests =
           Weak.set first 0 (Some e)
         in
         make ();
-        (* the second engine takes over the process-wide spill observer *)
         let second = engine () in
         Gc.full_major ();
         Alcotest.(check bool) "first engine collected" false

@@ -154,6 +154,27 @@ let json_tests =
         match Json.parse {|{"s": "\ud83d!"}|} with
         | Ok _ -> ()
         | Error _ -> () (* rejecting is acceptable too — just no crash *));
+    case "floats round-trip exactly; infinities render null" (fun () ->
+        let ts = 1792301234.567891 in
+        let doc = Json.Obj [ ("ts", Json.Float ts); ("third", Json.Float (1. /. 3.)) ] in
+        Alcotest.(check string) "shortest exact digits"
+          "{\"ts\": 1792301234.567891, \"third\": 0.3333333333333333}"
+          (Json.to_string doc);
+        (match Json.parse (Json.to_string doc) with
+        | Ok back ->
+          Alcotest.(check (option (float 0.))) "timestamp read back" (Some ts)
+            (Option.bind (Json.member "ts" back) Json.to_float_opt);
+          Alcotest.(check (option (float 0.))) "1/3 read back" (Some (1. /. 3.))
+            (Option.bind (Json.member "third" back) Json.to_float_opt)
+        | Error msg -> Alcotest.failf "re-parse failed: %s" msg);
+        Alcotest.(check string) "non-finite floats are null"
+          "[null, null, null, 1e+300, 1.0]"
+          (Json.to_string
+             (Json.List
+                [
+                  Json.Float infinity; Json.Float neg_infinity; Json.Float nan;
+                  Json.Float 1e300; Json.Float 1.;
+                ])));
     case "pretty rendering is valid-shaped and newline-terminated" (fun () ->
         let s = Json.to_pretty_string (Json.Obj [ ("k", Json.Int 1) ]) in
         Alcotest.(check bool) "ends with newline" true

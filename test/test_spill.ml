@@ -1,10 +1,10 @@
-(* Graceful spill-to-disk: when a statement's working set crosses the
-   tuple budget and spill is on (the default), hash-join builds go
-   through chunked disk partitions (a Grace join), sort materializations
-   and group annotations through an external merge — in place, inside the
-   batch operators — and the results must be BYTE-IDENTICAL to the row
-   oracle (the naive reference evaluator of the test kit), across batch
-   sizes and serial/parallel execution. Only a parallel statement whose
+(* Graceful spill-to-disk: when a materializing operator's input crosses
+   the tuple budget and spill is on (the default), it runs its in-memory
+   algorithm on budget-sized pieces on disk — sorted runs merged back for
+   sorts and group annotations, build chunks of a Grace join for hash
+   joins — in place, inside the batch operators, and the results must be
+   BYTE-IDENTICAL to the row oracle (the naive reference evaluator of the
+   test kit), across batch sizes and serial/parallel execution. Only a parallel statement whose
    shared join build passes the budget re-runs serially.
 
    With spill off the budget reverts to a hard [Resource_exhausted]
@@ -13,7 +13,7 @@
 
 module Engine = Perm_engine.Engine
 module Metrics = Perm_obs.Metrics
-module Spill = Perm_storage.Spill
+module Recorder = Perm_obs.Recorder
 module Err = Perm_err
 module Reference = Perm_testkit.Reference
 open Perm_testkit.Kit
@@ -85,8 +85,9 @@ let spill_engine () =
   Alcotest.(check bool) "spill defaults on" true (Engine.spill_enabled e);
   e
 
-let spills () = (Spill.counters ()).Spill.c_spills
-let fallbacks () = (Spill.counters ()).Spill.c_fallbacks
+let spills e = (Engine.spill_counts e).Engine.sc_spills
+let fallbacks e = (Engine.spill_counts e).Engine.sc_fallbacks
+let chunks e = (Engine.spill_counts e).Engine.sc_chunks
 
 let go_parallel e =
   Engine.set_parallel e (Engine.Par_domains domains);
@@ -94,10 +95,10 @@ let go_parallel e =
 
 let test_serial_identity () =
   let e = spill_engine () in
-  let before = fallbacks () in
+  let before = fallbacks e in
   check_identical ~label:"serial spill" e;
-  Alcotest.(check bool) "statements actually spilled" true (spills () > 0);
-  Alcotest.(check int) "serial statements spill in place" before (fallbacks ());
+  Alcotest.(check bool) "statements actually spilled" true (spills e > 0);
+  Alcotest.(check int) "serial statements spill in place" before (fallbacks e);
   Engine.close e
 
 let test_batch_sizes () =
@@ -116,14 +117,14 @@ let test_parallel_identity () =
   check_identical ~label:"parallel" e;
   (* a spine join whose shared build side passes the budget: the one
      retry runs serially, where the build spills in place *)
-  let before = fallbacks () in
+  let before = fallbacks e in
   check_identical ~label:"parallel retry" e
     ~sqls:
       [
         "SELECT m1.mid, m2.text FROM messages m1 JOIN messages m2 ON \
          m1.mid = m2.mid WHERE m1.uid > 2";
       ];
-  Alcotest.(check int) "retried serially once" (before + 1) (fallbacks ());
+  Alcotest.(check int) "retried serially once" (before + 1) (fallbacks e);
   Engine.close e
 
 let test_completes_where_kill_would_fire () =
@@ -138,6 +139,13 @@ let test_completes_where_kill_would_fire () =
   in
   Alcotest.(check bool) "spill metric counted" true
     (gauge "executor.spill.spills" > 0.);
+  Alcotest.(check bool) "spill milestones in the engine's recorder" true
+    (List.exists
+       (fun ev ->
+         match ev.Recorder.ev_payload with
+         | Recorder.Spill { kind = "run"; _ } -> true
+         | _ -> false)
+       (Recorder.recent (Engine.recorder e)));
   Engine.set_spill e false;
   (match Engine.execute_err e sql with
   | Ok _ -> Alcotest.fail "spill off should restore the hard kill"
@@ -193,24 +201,29 @@ let test_budget_hard_ceiling () =
 (* Degrades in place at batch rows 1/7/1024, matching the row oracle,
    without a single serial fallback; parallel runs match too. With spill
    off the budget kills every statement. *)
-let spills_in_place sqls =
+let spills_in_place ?(grace = false) sqls =
   let reference = reference ~sqls () in
   List.iter
     (fun (label, setup, serial) ->
       let e = spill_engine () in
       setup e;
-      let spilled = spills () and fell_back = fallbacks () in
+      let spilled = spills e and fell_back = fallbacks e in
       List.iter2
         (fun sql (ref_cols, ref_rows) ->
+          let chunked = chunks e in
           let cols, rows = rows_of e sql in
           Alcotest.(check (list string)) (label ^ ": " ^ sql ^ " [columns]")
             ref_cols cols;
-          Alcotest.(check rows_testable) (label ^ ": " ^ sql) ref_rows rows)
+          Alcotest.(check rows_testable) (label ^ ": " ^ sql) ref_rows rows;
+          (* [grace]: every statement reaches the Grace join *)
+          if grace then
+            Alcotest.(check bool) (label ^ ": " ^ sql ^ " [chunked]") true
+              (chunks e > chunked))
         sqls reference;
-      Alcotest.(check bool) (label ^ ": spilled") true (spills () > spilled);
+      Alcotest.(check bool) (label ^ ": spilled") true (spills e > spilled);
       if serial then
         Alcotest.(check int) (label ^ ": no serial fallback") fell_back
-          (fallbacks ());
+          (fallbacks e);
       Engine.set_spill e false;
       List.iter (expect_exhausted ~label:(label ^ ", spill off") e) sqls;
       Engine.close e)
@@ -228,8 +241,8 @@ let spills_in_place sqls =
 
 (* A provenance aggregate over a row-preserving input runs as one
    GroupAnnotate pass that must hold every input row; past the budget it
-   sorts the rows by (group, input position) through the external merge
-   instead: same rows, same order. *)
+   writes each piece of its input in group order as a run and merges the
+   runs by group id instead: same rows, same order. *)
 let test_group_annotate_budget () =
   spills_in_place
     [
@@ -258,9 +271,9 @@ let test_one_pass_budget () =
        d JOIN messages m ON d.uid = m.uid GROUP BY d.k";
     ]
 
-(* The external merge sort past the budget gives the in-memory
-   permutation sort's rows byte for byte: ties, DESC, several and
-   expression keys, NULL and NaN. *)
+(* Sorted runs merged past the budget give the in-memory permutation
+   sort's rows byte for byte: ties, DESC, several and expression keys,
+   NULL and NaN. *)
 let test_sort_budget () =
   spills_in_place
     [
@@ -269,6 +282,38 @@ let test_sort_budget () =
        CAST('nan' AS float) WHEN mid % 5 = 0 THEN NULL ELSE uid * 0.5 END \
        DESC, mid % 3";
     ]
+
+(* Semi and anti joins whose build side (600 messages) passes the budget:
+   the Grace join narrows the probe side's selection vectors, so its
+   output keeps the probe side's arity. *)
+let test_semi_anti_budget () =
+  spills_in_place ~grace:true
+    [
+      "SELECT u.name FROM users u WHERE u.uid IN (SELECT uid FROM messages)";
+      "SELECT m1.mid FROM messages m1 WHERE m1.mid IN (SELECT mid + 1 FROM \
+       messages)";
+      "SELECT m1.mid FROM messages m1 WHERE m1.mid NOT IN (SELECT mid + 1 \
+       FROM messages)";
+    ]
+
+(* Every expanding join kind through the Grace join: self-joins on
+   messages build 600 rows, past the budget. Outer joins pad probe rows
+   no chunk matched at their position and, for FULL, append the build
+   rows no probe row matched; the inner join filters matches through a
+   residual. *)
+let test_grace_join_kinds () =
+  spills_in_place ~grace:true
+    (List.map
+       (fun kind ->
+         Printf.sprintf
+           "SELECT m1.mid, m1.uid, m2.mid, m2.text FROM messages m1 %s JOIN \
+            messages m2 ON m1.mid = m2.mid + 3 AND m2.uid <> 2"
+           kind)
+       [ "LEFT"; "FULL"; "RIGHT" ]
+    @ [
+        "SELECT m1.mid, m2.mid FROM messages m1 JOIN messages m2 ON m1.uid = \
+         m2.uid AND m1.mid < m2.mid";
+      ])
 
 (* A correlated subquery whose right side sorts past the budget: the sort
    spills once per left row. *)
@@ -279,11 +324,11 @@ let test_apply_sort_budget () =
        ORDER BY m.text DESC, m.mid LIMIT 1) FROM users u";
     ]
 
-(* Spill configuration is per statement, not per process: two engines on
-   two domains run the battery at the same time, one spilling under a
-   tiny budget, the other with spill off under the same budget. Each gets
-   exactly its solo outcomes, and the spill-off engine still dies with
-   Resource_exhausted. *)
+(* Spill configuration and accounting are per engine, not per process:
+   two engines on two domains run the battery at the same time, one
+   spilling under a tiny budget, the other with spill off under the same
+   budget. Each gets exactly its solo outcomes and its solo spill counts,
+   and the spill-off engine still dies with Resource_exhausted. *)
 let test_two_engines_two_domains () =
   let outcomes ~spill () =
     let e = forum_scaled () in
@@ -301,19 +346,32 @@ let test_two_engines_two_domains () =
             battery)
         [ 1; 2; 3 ]
     in
+    let c = Engine.spill_counts e in
     Engine.close e;
-    out
+    ( out,
+      Engine.
+        [
+          c.sc_spills; c.sc_runs; c.sc_chunks; c.sc_rows; c.sc_bytes;
+          c.sc_fallbacks;
+        ] )
   in
-  let solo_on = outcomes ~spill:true () and solo_off = outcomes ~spill:false () in
+  let solo_on, on_counts = outcomes ~spill:true () in
+  let solo_off, off_counts = outcomes ~spill:false () in
   List.iter
     (fun o ->
       Alcotest.(check (list (list string))) "spill off dies" [ [ "resource_exhausted" ] ] o)
     solo_off;
+  Alcotest.(check bool) "the spill-on engine spilled" true
+    (List.hd on_counts > 0);
+  Alcotest.(check (list int)) "the spill-off engine never spilled"
+    [ 0; 0; 0; 0; 0; 0 ] off_counts;
   let other = Domain.spawn (outcomes ~spill:false) in
-  let on = outcomes ~spill:true () in
-  let off = Domain.join other in
+  let on, on_counts' = outcomes ~spill:true () in
+  let off, off_counts' = Domain.join other in
   Alcotest.(check (list rows_testable)) "spill-on engine = solo" solo_on on;
-  Alcotest.(check (list rows_testable)) "spill-off engine = solo" solo_off off
+  Alcotest.(check (list rows_testable)) "spill-off engine = solo" solo_off off;
+  Alcotest.(check (list int)) "spill-on counts = solo" on_counts on_counts';
+  Alcotest.(check (list int)) "spill-off counts = solo" off_counts off_counts'
 
 let test_spill_dir_honoured () =
   let dir = Filename.temp_file "perm_spill_dir" "" in
@@ -352,6 +410,8 @@ let () =
             test_one_pass_budget;
           case "permutation sort = external merge sort past the budget"
             test_sort_budget;
+          case "semi and anti joins past the budget" test_semi_anti_budget;
+          case "every join kind through the Grace join" test_grace_join_kinds;
           case "correlated subquery sorts past the budget in place"
             test_apply_sort_budget;
           case "two engines on two domains keep their own spill config"

@@ -445,6 +445,28 @@ let history_tests =
         Alcotest.(check int) "error retained in ring" 2 (List.length recs);
         Alcotest.(check bool) "error bit set" true
           (List.exists (fun r -> r.History.ex_error) recs));
+    case "watchdog floor: sub-millisecond jitter is not a regression"
+      (fun () ->
+        (* default factor 3 and three baseline samples *)
+        let h = History.create () in
+        let go ?(plan = "abc") fp ms =
+          History.record h ~fingerprint:fp ~ts:0. ~plan_hash:plan ~ms ~rows:1
+            ~est_rows:1. ~skew:1. ~error:false ~phases:[]
+        in
+        let baseline fp ms = List.iter (fun _ -> ignore (go fp ms)) [ 1; 2; 3 ] in
+        baseline "fast" 0.02;
+        Alcotest.(check bool) "0.02 ms then 0.08 ms: not flagged" true
+          (go "fast" 0.08 = None);
+        baseline "slow" 10.;
+        Alcotest.(check bool) "10 ms then 40 ms: flagged" true
+          (go "slow" 40. <> None);
+        baseline "replanned" 0.02;
+        match go ~plan:"def" "replanned" 0.02 with
+        | Some rg ->
+          Alcotest.(check string) "a plan change is flagged at any speed"
+            "plan-change"
+            (History.cause_label rg.History.rg_cause)
+        | None -> Alcotest.fail "plan change on a 0.02 ms statement not flagged");
     case "watchdog waits for min_samples before flagging" (fun () ->
         let h = History.create () in
         History.set_factor h 0.;
