@@ -314,8 +314,9 @@ let help_text =
   \panes on|off            show algebra trees + rewritten SQL per query
   \timing on|off           print wall-clock time + phase breakdown per statement
   \trace on|off            per-operator instrumentation + span tree per statement
-  \trace export FILE       write all statement spans as Chrome trace-event JSON
-                           (load in about://tracing or ui.perfetto.dev)
+  \trace export FILE       write the statement spans the flight recorder
+                           retains as Chrome trace-event JSON (load in
+                           about://tracing or ui.perfetto.dev)
   \log FILE                slow-query log: each statement's stmt_finish event
                            as one JSON line in FILE
   \log min MS              only log statements at least MS milliseconds slow
@@ -371,8 +372,9 @@ let help_text =
   \set wal_fsync on|off    fsync the log on every commit (default on)
   \wal status              log size, record count, last LSN, replay summary
   \checkpoint              compact: snapshot.sql + truncate the log
-  \set history N           history ring capacity per fingerprint (0 = off;
-                           default 128)
+  \set history N           history ring capacity per fingerprint (default
+                           128; 0 = off: no per-fingerprint telemetry,
+                           perm_stat_statements included)
   \set watchdog FACTOR     flag executions over FACTOR x the fingerprint's
                            baseline (default 3)
   \set history_cadence S   seconds between metric-history samples (default 1)
@@ -434,10 +436,7 @@ let handle_meta session line =
     session.timing <- (v = "on");
     `Continue
   | [ "\\trace"; "export"; path ] ->
-    (match
-       Engine.locked session.engine (fun () ->
-           Engine.trace_log session.engine)
-     with
+    (match Engine.trace_log session.engine with
     | [] -> print_endline "no statement traces recorded yet"
     | roots -> (
       let json = Trace.to_chrome_json roots in
@@ -747,7 +746,10 @@ let handle_meta session line =
     | Some n when n >= 0 ->
       Engine.locked session.engine (fun () ->
           History.set_capacity (Engine.history session.engine) n);
-      if n = 0 then print_endline "history recording off (retained records discarded)"
+      if n = 0 then
+        print_endline
+          "history recording off (retained records and statement totals \
+           discarded)"
       else Printf.printf "history: %d records per fingerprint\n" n
     | _ -> print_endline "usage: \\set history N (records per fingerprint, 0 = off)");
     `Continue

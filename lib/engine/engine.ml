@@ -23,7 +23,6 @@ module Metrics = Perm_obs.Metrics
 module Err = Perm_err
 module Token = Perm_err.Token
 module Trace = Perm_obs.Trace
-module Stats = Perm_obs.Stats
 module Json = Perm_obs.Json
 module Profile = Perm_obs.Profile
 module History = Perm_obs.History
@@ -77,10 +76,9 @@ type bundle = {
   bu_fingerprint : string;
   bu_sql : string;
   bu_detail : string;
-  bu_doc : Perm_obs.Json.t Lazy.t;
-      (* rendered on first read (under [obs_lock]): until then a retained
-         bundle holds the recorder tail as typed events, which share their
-         SQL strings and phase lists with the ring, not as JSON *)
+  bu_doc : Perm_obs.Json.t;
+      (* rendered at capture, recorder tail included, so a bundle never
+         keeps a statement's span tree alive *)
 }
 
 (* What the GC alarm last saw. A cell of its own, so the alarm closure —
@@ -127,16 +125,14 @@ type t = {
   mutable instrument : bool;  (* per-operator executor stats (costly) *)
   mutable current_span : Trace.span option;  (* root of the running statement *)
   mutable last_trace : Trace.span option;
-  stats_acc : Stats.t;  (* perm_stat_statements / perm_stat_relations *)
   virtuals : (string, virtual_provider) Hashtbl.t;
-  mutable trace_log : Trace.span list;  (* finished roots, reverse order *)
-  mutable trace_len : int;
   mutable slow_log : (string * out_channel) option;  (* \log sink *)
   mutable slow_log_min_ms : float;  (* sink threshold; also /events' *)
-  history : History.t;  (* perm_stat_history / _regressions / _metrics_history *)
+  history : History.t;
+      (* perm_stat_statements / _history / _regressions / _metrics_history *)
   mutable stmt_rules : (string * int) list;
       (* rewrite-rule firings of the statement currently running, so the
-         stats accumulator attributes rules to the right fingerprint *)
+         history attributes rules to the right fingerprint *)
   mutable parallel_domains : int;  (* 0 = parallel execution off *)
   mutable parallel_threshold : int;  (* min driving-table rows to fan out *)
   mutable batch_rows : int;  (* rows per executor batch *)
@@ -145,7 +141,7 @@ type t = {
   mutable row_limit : int;  (* governor: 0 = off *)
   mutable tuple_budget : int;  (* governor: 0 = off *)
   mutable token : Token.t;  (* cancellation token of the running statement *)
-  profile : Profile.t;  (* perm_stat_plans / perm_stat_workers accumulator *)
+  profile : Profile.t;  (* perm_stat_plans / _relations / _workers *)
   mutable stmt_fp : string;  (* fingerprint of the running top-level stmt *)
   mutable stmt_plan_hash : string;
       (* structural hash of the top-level statement's first executed plan;
@@ -166,8 +162,8 @@ type t = {
       (* replaced whole by [note_spill], the one writer, so another
          domain always reads a consistent snapshot *)
   obs_lock : Mutex.t;
-      (* Serializes engine-side telemetry-store *writes* (Stats, Profile,
-         History, trace_log) against observability-plane *reads*
+      (* Serializes engine-side telemetry-store *writes* (Profile,
+         History, bundles) against observability-plane *reads*
          from other domains ([locked], [virtual_relation], ...). The
          engine domain is the only writer and never needs the lock to read
          its own stores, so query execution itself stays lock-free; the
@@ -201,34 +197,34 @@ let obs_locked t f =
 let fnum f = Value.Float f
 let fnum_opt f = if Float.is_nan f then Value.Null else Value.Float f
 
-let statement_row (st : Stats.statement_stat) =
+let statement_row (st : History.statement) =
   [|
-    Value.Text st.Stats.st_fingerprint;
-    Value.Text st.Stats.st_query;
-    Value.Int st.Stats.st_calls;
-    Value.Int st.Stats.st_errors;
-    Value.Int st.Stats.st_rows;
-    fnum st.Stats.st_total_ms;
-    fnum (Stats.mean_ms st);
-    fnum st.Stats.st_max_ms;
-    fnum (Stats.phase_ms st "analyze");
-    fnum (Stats.phase_ms st "rewrite");
-    fnum (Stats.phase_ms st "optimize");
-    fnum (Stats.phase_ms st "execute");
-    Value.Int (Stats.rule_firings st);
+    Value.Text st.History.st_fingerprint;
+    Value.Text st.History.st_query;
+    Value.Int st.History.st_calls;
+    Value.Int st.History.st_errors;
+    Value.Int st.History.st_rows;
+    fnum st.History.st_total_ms;
+    fnum (History.mean_ms st);
+    fnum st.History.st_max_ms;
+    fnum (History.phase_ms st "analyze");
+    fnum (History.phase_ms st "rewrite");
+    fnum (History.phase_ms st "optimize");
+    fnum (History.phase_ms st "execute");
+    Value.Int (History.rule_firings st);
     Value.Text
       (String.concat ","
          (List.map
             (fun (rule, n) -> Printf.sprintf "%s=%d" rule n)
-            (List.sort compare st.Stats.st_rule_counts)));
-    Value.Bool st.Stats.st_provenance;
+            (List.sort compare st.History.st_rule_counts)));
+    Value.Bool st.History.st_provenance;
   |]
 
-let relation_row (rel : Stats.relation_stat) =
+let relation_row (rel : Profile.relation) =
   [|
-    Value.Text rel.Stats.rel_name;
-    Value.Int rel.Stats.rel_scans;
-    Value.Int rel.Stats.rel_rows;
+    Value.Text rel.Profile.rel_name;
+    Value.Int rel.Profile.rel_scans;
+    Value.Int rel.Profile.rel_rows;
   |]
 
 let plan_row (pn : Profile.plan_node) =
@@ -439,13 +435,14 @@ let register_virtuals t =
   let add name provider = Hashtbl.replace t.virtuals name provider in
   add "perm_stat_statements"
     {
-      vp_rows = (fun () -> List.map statement_row (Stats.statements t.stats_acc));
-      vp_estimate = (fun () -> List.length (Stats.statements t.stats_acc));
+      vp_rows =
+        (fun () -> List.map statement_row (History.statements t.history));
+      vp_estimate = (fun () -> List.length (History.fingerprints t.history));
     };
   add "perm_stat_relations"
     {
-      vp_rows = (fun () -> List.map relation_row (Stats.relations t.stats_acc));
-      vp_estimate = (fun () -> List.length (Stats.relations t.stats_acc));
+      vp_rows = (fun () -> List.map relation_row (Profile.relations t.profile));
+      vp_estimate = (fun () -> List.length (Profile.relations t.profile));
     };
   add "perm_metrics"
     {
@@ -554,10 +551,7 @@ let create () =
       instrument = false;
       current_span = None;
       last_trace = None;
-      stats_acc = Stats.create ();
       virtuals = Hashtbl.create 8;
-      trace_log = [];
-      trace_len = 0;
       slow_log = None;
       slow_log_min_ms = 0.;
       history = History.create ();
@@ -870,11 +864,10 @@ let metrics t = t.metrics
 let set_instrumentation t on = t.instrument <- on
 let instrumentation t = t.instrument
 let last_trace t = t.last_trace
-let statement_stats t = Stats.statements t.stats_acc
+let statement_stats t = History.statements t.history
 
 let reset_statement_stats t =
   obs_locked t (fun () ->
-      Stats.reset t.stats_acc;
       Profile.reset t.profile;
       History.reset t.history)
 
@@ -917,10 +910,16 @@ let live_progress t =
   match t.live with
   | Some lv when lv.lv_running -> Some lv.lv_progress
   | _ -> None
-let trace_log t = List.rev t.trace_log
 
-(* Retained trace roots; beyond twice this the oldest are shed in a batch. *)
-let trace_cap = 512
+(* The root spans of the [stmt_finish] events the recorder still holds.
+   Each was frozen before it was recorded, so no lock is needed. *)
+let trace_log t =
+  List.filter_map
+    (fun ev ->
+      match ev.Recorder.ev_payload with
+      | Recorder.Stmt_finish { span; _ } -> Some span
+      | _ -> None)
+    (Recorder.recent t.recorder)
 
 (* The slow-query log: an engine-owned sink for the recorder's
    [stmt_finish] events. Touched only from the engine's own domain (the
@@ -1147,36 +1146,28 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
     let id = t.bundle_seq in
     t.bundle_seq <- id + 1;
     let events = Recorder.recent ~limit:bundle_events_limit t.recorder in
-    (* the state snapshots are taken now, at capture *)
-    let plan = plan_json t ~fingerprint ~plan_hash ~est_rows in
-    let delta = forensics_delta t in
-    let wal = wal_status_json t in
-    let spill = spill_json t in
-    let settings = settings_json t in
-    let gc = gc_json () in
     let doc =
-      lazy
-        (Json.Obj
-           [
-             ("schema", Json.String Bundle_schema.schema_tag);
-             ("id", Json.Int id);
-             ("ts", Json.Float ts);
-             ("class", Json.String cls);
-             ("detail", Json.String detail);
-             ("sql", Json.String sql);
-             ("fingerprint", Json.String fingerprint);
-             ("ms", Json.Float ms);
-             ("rows", Json.Int rows);
-             ("plan", plan);
-             ( "phases",
-               Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases) );
-             ("metrics_delta", Json.Obj delta);
-             ("events", Json.List (List.map Recorder.event_to_json events));
-             ("wal", wal);
-             ("spill", spill);
-             ("settings", settings);
-             ("gc", gc);
-           ])
+      Json.Obj
+        [
+          ("schema", Json.String Bundle_schema.schema_tag);
+          ("id", Json.Int id);
+          ("ts", Json.Float ts);
+          ("class", Json.String cls);
+          ("detail", Json.String detail);
+          ("sql", Json.String sql);
+          ("fingerprint", Json.String fingerprint);
+          ("ms", Json.Float ms);
+          ("rows", Json.Int rows);
+          ("plan", plan_json t ~fingerprint ~plan_hash ~est_rows);
+          ( "phases",
+            Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases) );
+          ("metrics_delta", Json.Obj (forensics_delta t));
+          ("events", Json.List (List.map Recorder.event_to_json events));
+          ("wal", wal_status_json t);
+          ("spill", spill_json t);
+          ("settings", settings_json t);
+          ("gc", gc_json ());
+        ]
     in
     let b =
       {
@@ -1202,8 +1193,7 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
         mkdir_p dir;
         let path = Filename.concat dir (Printf.sprintf "bundle-%06d.json" id) in
         Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc
-              (Json.to_pretty_string (Lazy.force doc)));
+            Out_channel.output_string oc (Json.to_pretty_string doc));
         let victim = id - t.bundle_cap in
         if victim >= 1 then
           try
@@ -1325,7 +1315,7 @@ let record_exec_stats t stats =
   obs_locked t (fun () ->
       List.iter
         (fun (table, (ns : Executor.node_stats)) ->
-          Stats.record_scan t.stats_acc ~relation:table
+          Profile.record_scan t.profile ~relation:table
             ~rows:ns.Executor.stat_rows)
         (Executor.scan_stats stats))
 
@@ -2438,18 +2428,16 @@ let outcome_rows = function
   | Ok (Analyzed ea) -> ea.ea_rows
   | Ok (Message _ | Explained _) | Error _ -> 0
 
-(* One finished top-level statement folds into the statistics accumulator
-   and the history. Returns the watchdog's verdict so the caller can fold a
-   flagged regression into the statement's anomaly classification. *)
+(* One finished top-level statement folds into the history. Returns the
+   watchdog's verdict so the caller can fold a flagged regression into the
+   statement's anomaly classification. *)
 let record_statement_stats t sql ~provenance ~ms ~phases ~rows root result =
   let fingerprint = t.stmt_fp in
-  Stats.record_statement t.stats_acc ~fingerprint ~sql ~ms ~phases
-    ~rules:(List.rev t.stmt_rules) ~provenance ~rows
-    ~error:(Result.is_error result);
   let rg_opt =
-    History.record t.history ~fingerprint ~ts:(Trace.start_s root)
-      ~plan_hash:t.stmt_plan_hash ~ms ~rows ~est_rows:t.stmt_est_rows
-      ~skew:t.stmt_skew ~error:(Result.is_error result) ~phases
+    History.record t.history ~fingerprint ~sql ~provenance
+      ~ts:(Trace.start_s root) ~plan_hash:t.stmt_plan_hash ~ms ~rows
+      ~est_rows:t.stmt_est_rows ~skew:t.stmt_skew
+      ~error:(Result.is_error result) ~phases ~rules:(List.rev t.stmt_rules)
   in
   (match rg_opt with
   | Some rg ->
@@ -2492,11 +2480,12 @@ let record_finish t finish ~ms =
   | _ -> Recorder.record t.recorder finish
 
 (* Every top-level statement runs under a root span; pipeline phases attach
-   to it via [phase]. The finished trace feeds [last_trace], the trace log,
-   the statement-statistics accumulator, the per-phase latency histograms
-   and the statement/error counters. Nested statement executions (DML
-   helpers re-entering through [run_query]) attach as children instead of
-   clobbering the root, and fold into the enclosing statement's stats. *)
+   to it via [phase]. The finished trace feeds [last_trace], the history,
+   the recorder's [stmt_finish] event (and so the trace export), the
+   per-phase latency histograms and the statement/error counters. Nested
+   statement executions (DML helpers re-entering through [run_query])
+   attach as children instead of clobbering the root, and fold into the
+   enclosing statement's stats. *)
 let execute_statement t sql (st : Ast.statement) =
   let saved = t.current_span in
   let root =
@@ -2625,22 +2614,11 @@ let execute_statement t sql (st : Ast.statement) =
       lv.lv_running <- false;
       lv.lv_end_s <- Some (Trace.now ())
     | None -> ());
-    (* single critical section for the whole finalize: trace log, stats
-       accumulator, history/watchdog, recorder — an observability-plane
-       reader sees the statement either fully recorded or not at all *)
+    (* single critical section for the whole finalize: history/watchdog,
+       recorder, bundle — an observability-plane reader sees the statement
+       either fully recorded or not at all *)
     obs_locked t (fun () ->
         t.last_trace <- Some root;
-        t.trace_log <- root :: t.trace_log;
-        t.trace_len <- t.trace_len + 1;
-        (* bound the retained trace roots like every other telemetry
-           store: trim in batches (amortized O(1) per statement),
-           counting drops *)
-        if t.trace_len > 2 * trace_cap then begin
-          let dropped = t.trace_len - trace_cap in
-          t.trace_log <- List.filteri (fun i _ -> i < trace_cap) t.trace_log;
-          t.trace_len <- trace_cap;
-          Metrics.incr t.metrics ~by:dropped "engine.trace.dropped"
-        end;
         let ms = Trace.duration_ms root in
         let rows = outcome_rows result in
         let provenance = statement_uses_provenance st in
@@ -2658,10 +2636,9 @@ let execute_statement t sql (st : Ast.statement) =
              {
                sql;
                fingerprint = t.stmt_fp;
-               ms;
+               span = root;
                rows;
                provenance;
-               phases;
                error =
                  (match result with
                  | Error e -> Some (Err.kind_label e.Err.kind, Err.to_string e)
@@ -2781,13 +2758,10 @@ module Forensics = struct
 
   let get t id =
     obs_locked t (fun () ->
-        match List.find_opt (fun b -> b.bu_id = id) t.bundles with
-        | Some b -> Some (Lazy.force b.bu_doc)
-        | None -> None)
+        List.find_opt (fun b -> b.bu_id = id) t.bundles
+        |> Option.map (fun b -> b.bu_doc))
 
   let last t =
     obs_locked t (fun () ->
-        match t.bundles with
-        | b :: _ -> Some (Lazy.force b.bu_doc)
-        | [] -> None)
+        match t.bundles with b :: _ -> Some b.bu_doc | [] -> None)
 end

@@ -123,14 +123,16 @@ val last_trace : t -> Perm_obs.Trace.span option
 (** {2 Statement statistics and system views}
 
     Every session aggregates finished top-level statements by fingerprint
-    (lexer-normalized SQL, {!Perm_sql.Fingerprint}) into a
-    {!Perm_obs.Stats} accumulator, and registers nine {e virtual system
-    relations} queryable through the ordinary pipeline — joinable,
-    filterable, orderable like any table:
+    (lexer-normalized SQL, {!Perm_sql.Fingerprint}) into one bounded
+    per-fingerprint store, {!Perm_obs.History} (see {!history}), and
+    registers nine {e virtual system relations} queryable through the
+    ordinary pipeline — joinable, filterable, orderable like any table:
 
     - [perm_stat_statements] — per-fingerprint calls, errors, rows,
       total/mean/max and per-phase milliseconds, rewrite-rule firings and
-      the provenance flag;
+      the provenance flag (History's totals: at most the history's
+      fingerprint bound, least-recently-executed shed first, and empty
+      while history capacity is 0);
     - [perm_stat_relations] — per-base-relation scan and row counters
       (populated when instrumentation is on or under [EXPLAIN ANALYZE]);
     - [perm_stat_plans] — the retained plan-node profile: per
@@ -161,7 +163,7 @@ val last_trace : t -> Perm_obs.Trace.span option
     Virtual relations are engine-owned: not droppable, not DML targets,
     and invisible to {!dump_sql}. *)
 
-val statement_stats : t -> Perm_obs.Stats.statement_stat list
+val statement_stats : t -> Perm_obs.History.statement list
 (** Sorted by total time descending (the rows behind
     [perm_stat_statements]). *)
 
@@ -207,9 +209,11 @@ val progress : t -> progress option
 
 val trace_log : t -> Perm_obs.Trace.span list
 (** Finished root spans of the recent top-level statements, oldest first
-    — the input to {!Perm_obs.Trace.to_chrome_json}. At most 1,024 roots
-    are retained; past that all but the newest 512 are shed, counted by
-    the [engine.trace.dropped] metric. *)
+    — the input to {!Perm_obs.Trace.to_chrome_json}. These are the spans
+    of the [stmt_finish] events the flight recorder still retains, so the
+    ring's capacity bounds them and capacity 0 makes the list empty
+    ({!last_trace} is unaffected). Needs no lock: a span is recorded only
+    once finished and is never mutated afterwards. *)
 
 (** {2 Slow-query log}
 
@@ -252,8 +256,8 @@ val history : t -> Perm_obs.History.t
 
 (** {2 Cross-domain observability reads}
 
-    The engine domain is the only writer of the telemetry stores (Stats,
-    Profile, History, the trace log) and takes an internal lock
+    The engine domain is the only writer of the telemetry stores
+    (Profile, History, the forensics bundles) and takes an internal lock
     only at statement-finalize/record points; readers on other domains —
     the HTTP observability plane — use the accessors below, which take the
     same lock, so they see each statement either fully recorded or not at
@@ -262,8 +266,8 @@ val history : t -> Perm_obs.History.t
 
 val locked : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the engine's observability lock — required when
-    reading telemetry stores ({!statement_stats}, {!trace_log},
-    {!history}, ...) from a domain other than the engine's.
+    reading telemetry stores ({!statement_stats}, {!history}, ...) from a
+    domain other than the engine's.
     Not reentrant; [f] must not execute statements or call other [locked]
     accessors ({!virtual_relation}, {!refresh_loss_gauges}). *)
 

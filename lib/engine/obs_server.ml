@@ -3,7 +3,6 @@ module Metrics = Perm_obs.Metrics
 module Prometheus = Perm_obs.Prometheus
 module Json = Perm_obs.Json
 module Trace = Perm_obs.Trace
-module Stats = Perm_obs.Stats
 module History = Perm_obs.History
 module Recorder = Perm_obs.Recorder
 module Value = Perm_value.Value
@@ -71,10 +70,10 @@ let statement_families engine =
   let stmts = Engine.locked engine (fun () -> Engine.statement_stats engine) in
   if stmts = [] then []
   else
-    let labels (st : Stats.statement_stat) =
+    let labels (st : History.statement) =
       [
-        ("fingerprint", st.Stats.st_fingerprint);
-        ("query", st.Stats.st_query);
+        ("fingerprint", st.History.st_fingerprint);
+        ("query", st.History.st_query);
       ]
     in
     let counter_family ~name ~help value =
@@ -96,13 +95,13 @@ let statement_families engine =
     [
       counter_family ~name:"perm_stat_statements_calls"
         ~help:"Calls per statement fingerprint"
-        (fun st -> float_of_int st.Stats.st_calls);
+        (fun st -> float_of_int st.History.st_calls);
       counter_family ~name:"perm_stat_statements_errors"
         ~help:"Errors per statement fingerprint"
-        (fun st -> float_of_int st.Stats.st_errors);
+        (fun st -> float_of_int st.History.st_errors);
       counter_family ~name:"perm_stat_statements_ms"
         ~help:"Accumulated wall milliseconds per statement fingerprint"
-        (fun st -> st.Stats.st_total_ms);
+        (fun st -> st.History.st_total_ms);
     ]
 
 let metrics_endpoint engine server_ref =
@@ -257,11 +256,9 @@ let readyz engine =
 (* /trace                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The roots the recorder retains are frozen spans, read without the lock. *)
 let trace_endpoint engine =
-  (* roots in the trace log are finished spans: grab the list under the
-     lock, serialize outside it *)
-  let spans = Engine.locked engine (fun () -> Engine.trace_log engine) in
-  json_response (Trace.to_chrome_json spans)
+  json_response (Trace.to_chrome_json (Engine.trace_log engine))
 
 (* ------------------------------------------------------------------ *)
 (* /events: server-sent events                                         *)
@@ -301,8 +298,8 @@ let events_stream engine query push =
      plane *)
   let frame_name (ev : Recorder.event) =
     match ev.Recorder.ev_payload with
-    | Recorder.Stmt_finish { ms; _ } when ms >= Engine.slow_log_min_ms engine
-      ->
+    | Recorder.Stmt_finish { span; _ }
+      when Trace.duration_ms span >= Engine.slow_log_min_ms engine ->
       Some "statement"
     | Recorder.Anomaly _ -> Some "anomaly"
     | _ -> None

@@ -8,7 +8,8 @@
       JSON, via the engine's own provider closures
     - [GET /healthz], [GET /readyz] — liveness, governor, watchdog and
       flight-recorder state
-    - [GET /trace] — the Chrome trace export of the retained trace log
+    - [GET /trace] — the Chrome trace export of the statement spans the
+      flight recorder retains ({!Engine.trace_log})
     - [GET /events] — server-sent events: the flight recorder replayed and
       tailed, interleaved with live [Progress] snapshots of the running
       statement ([?max_ms=N] bounds the stream, for tests and CI).
@@ -22,7 +23,8 @@
     - [GET /] — a plain-text index of the above
 
     All handlers read snapshot/atomic state under {!Engine.locked} (or
-    from lock-free atomics) and never execute SQL, so a scrape cannot
+    from the wait-free recorder and lock-free atomics) and never execute
+    SQL, so a scrape cannot
     block or skew the query path. The server accounts for itself in the
     engine's registry: [http.requests] (counter), [http.responses.NNN]
     (per-status counters), [http.bytes.out], [http.rejected] (gauge) and

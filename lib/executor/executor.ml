@@ -1999,8 +1999,8 @@ type node_stats = {
   mutable stat_time_s : float;
   mutable stat_self_s : float;  (* exclusive time, derived by [finalize] *)
   mutable stat_peak_rows : int;  (* max rows out of a single invocation *)
-  mutable stat_peak_bytes : int;  (* measured heap footprint of the
-                                     largest batch *)
+  mutable stat_peak_bytes : int;  (* largest measured heap footprint
+                                     of one batch *)
 }
 
 (* Stats are keyed by the physical identity of the plan node: the plan is a
@@ -2069,12 +2069,16 @@ let scan_stats stats =
 let now_s () = Perm_obs.Trace.now ()
 
 (* Operator counters: rows accumulate by live count per batch, and
-   peak_bytes is the exact reachable-heap footprint of the largest batch
-   the node emitted ([Batch.measured_bytes]). Every pull is timed, so the
-   measured interval covers the operator AND its children (inclusive
-   time, as in Postgres EXPLAIN ANALYZE). A child measures its batch
-   inside its parent's pull, so each interval gives back the measuring
-   time that accrued during it: no node is charged for byte counts. *)
+   peak_bytes is the largest reachable-heap footprint
+   ([Batch.measured_bytes]) among the batches the node measured. Measuring
+   walks the whole batch, so a node measures its first batch and then only
+   a batch with more live rows than any it measured before: a stream of
+   equal batches costs one walk, not one per batch. Every pull is timed,
+   so the measured interval covers the operator AND its children
+   (inclusive time, as in Postgres EXPLAIN ANALYZE). A child measures its
+   batch inside its parent's pull, so each interval gives back the
+   measuring time that accrued during it: no node is charged for byte
+   counts. *)
 let instrumenting_bwrap stats : bwrapper =
   let measuring = ref 0. in
   fun node thunk ->
@@ -2091,6 +2095,7 @@ let instrumenting_bwrap stats : bwrapper =
       }
     in
     stats.entries <- (node, ns) :: stats.entries;
+    let widest = ref 0 in
     let timed f =
       let t0 = now_s () and m0 = !measuring in
       let r = f () in
@@ -2109,10 +2114,13 @@ let instrumenting_bwrap stats : bwrapper =
           ns.stat_rows <- ns.stat_rows + live;
           inv_rows := !inv_rows + live;
           if !inv_rows > ns.stat_peak_rows then ns.stat_peak_rows <- !inv_rows;
-          let t0 = now_s () in
-          let bytes = Batch.measured_bytes b in
-          measuring := !measuring +. (now_s () -. t0);
-          if bytes > ns.stat_peak_bytes then ns.stat_peak_bytes <- bytes;
+          if live > !widest || ns.stat_peak_bytes = 0 then begin
+            widest := max live !widest;
+            let t0 = now_s () in
+            let bytes = Batch.measured_bytes b in
+            measuring := !measuring +. (now_s () -. t0);
+            if bytes > ns.stat_peak_bytes then ns.stat_peak_bytes <- bytes
+          end;
           Seq.Cons (b, step rest)
       in
       step (timed thunk)

@@ -133,9 +133,12 @@ type node_stats = {
   mutable stat_peak_rows : int;
       (** max rows produced by a single invocation *)
   mutable stat_peak_bytes : int;
-      (** peak batch memory: the measured heap footprint
-          ([Obj.reachable_words]) of the largest batch the operator
-          emitted *)
+      (** peak batch memory: the largest measured heap footprint
+          ([Obj.reachable_words]) among the operator's batches. Only the
+          first batch and each batch with more live rows than every one
+          measured before are measured, so a batch no wider than an
+          earlier one but heavier (longer strings, a sparser selection)
+          goes unseen *)
 }
 
 type exec_stats

@@ -1,13 +1,16 @@
-(* Bounded telemetry history and the regression watchdog.
+(* Bounded per-fingerprint telemetry and the regression watchdog.
 
-   Point-in-time accumulators (Stats, Profile, Metrics) answer "what has
-   this session done so far"; this module answers "how has it changed".
-   It keeps, per statement fingerprint, a ring buffer of execution
-   records — wall and phase milliseconds, rows out, the planner's total
-   row estimate, worker skew, and a structural plan hash — plus
-   cadence-sampled rings for selected Metrics series. Everything is a
-   fixed-capacity ring with an eviction counter: a long session can never
-   OOM on its own telemetry, it just forgets the oldest records.
+   This is the session's one per-fingerprint store. Each statement
+   fingerprint has an entry holding running totals (calls, errors, rows,
+   total and max milliseconds, phase sums, rewrite-rule counts — the
+   perm_stat_statements view) and a ring buffer of execution records —
+   wall and phase milliseconds, rows out, the planner's total row
+   estimate, worker skew, and a structural plan hash. It also keeps
+   cadence-sampled rings for selected Metrics series. Everything is
+   bounded: rings have fixed capacities and eviction counters, and whole
+   entries are shed least-recently-executed first past a fingerprint cap
+   or a byte budget, so a long session can never OOM on its own
+   telemetry; it just forgets.
 
    The watchdog folds every successful execution into an EWMA baseline
    (and consults the retained ring for a p95) and flags executions that
@@ -127,8 +130,24 @@ type metric_sample = {
   sm_value : float;
 }
 
+type statement = {
+  st_fingerprint : string;
+  st_query : string;
+  st_calls : int;
+  st_errors : int;
+  st_rows : int;
+  st_total_ms : float;
+  st_max_ms : float;
+  st_phase_ms : (string * float) list;
+  st_rule_counts : (string * int) list;
+  st_provenance : bool;
+}
+
 type entry = {
   en_fingerprint : string;
+  mutable en_totals : statement;
+      (* running totals, replaced whole per execution so a reader holds a
+         consistent snapshot *)
   en_ring : exec_record ring;
   en_hist : int array;  (* windowed wall-time histogram over the ring *)
   mutable en_hist_n : int;  (* non-error records counted in en_hist *)
@@ -288,16 +307,24 @@ let set_cadence t s = t.cadence_s <- Float.max 0. s
 (* Coarse per-record cost model, in bytes: a boxed record, its strings,
    and a handful of list cells for the phase breakdown. The goal is a
    stable order-of-magnitude figure the governor can bound, not an exact
-   heap measurement. *)
+   heap measurement. An entry's fixed part counts its totals: the record,
+   the first query text and one list cell per phase or rule sum. *)
 let exec_record_bytes fp_len = 160 + fp_len + 16 + (5 * 48)
 let regression_bytes = 240
 let metric_sample_bytes = 64
+
+let entry_bytes en =
+  let st = en.en_totals in
+  96 + 120 + String.length st.st_query
+  + (48 * (List.length st.st_phase_ms + List.length st.st_rule_counts))
 
 let approx_bytes t =
   let b = ref (t.regressions.rlen * regression_bytes) in
   Hashtbl.iter
     (fun fp en ->
-      b := !b + (en.en_ring.rlen * exec_record_bytes (String.length fp)) + 96)
+      b :=
+        !b + (en.en_ring.rlen * exec_record_bytes (String.length fp))
+        + entry_bytes en)
     t.entries;
   Hashtbl.iter
     (fun _ r -> b := !b + (r.rlen * metric_sample_bytes) + 48)
@@ -361,13 +388,26 @@ let set_max_bytes t n =
 (* Recording and the watchdog                                          *)
 (* ------------------------------------------------------------------ *)
 
-let find_or_create t fingerprint =
+let find_or_create t fingerprint ~sql ~provenance =
   match Hashtbl.find_opt t.entries fingerprint with
   | Some en -> en
   | None ->
     let en =
       {
         en_fingerprint = fingerprint;
+        en_totals =
+          {
+            st_fingerprint = fingerprint;
+            st_query = sql;
+            st_calls = 0;
+            st_errors = 0;
+            st_rows = 0;
+            st_total_ms = 0.;
+            st_max_ms = 0.;
+            st_phase_ms = [];
+            st_rule_counts = [];
+            st_provenance = provenance;
+          };
         en_ring = ring_make t.capacity;
         en_hist = Array.make hist_buckets 0;
         en_hist_n = 0;
@@ -396,13 +436,38 @@ let baseline_floor = 1.0
 let baseline_ms en =
   if en.en_samples = 0 then 0. else Float.max en.en_ewma_ms (ring_p95 en)
 
-let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~skew ~error
-    ~phases =
+let bump add assoc key by =
+  let rec go = function
+    | [] -> [ (key, by) ]
+    | (k, v) :: rest when String.equal k key -> (k, add v by) :: rest
+    | kv :: rest -> kv :: go rest
+  in
+  go assoc
+
+let add_totals st ~ms ~rows ~error ~phases ~rules =
+  {
+    st with
+    st_calls = st.st_calls + 1;
+    st_errors = (if error then st.st_errors + 1 else st.st_errors);
+    st_rows = st.st_rows + rows;
+    st_total_ms = st.st_total_ms +. ms;
+    st_max_ms = Float.max st.st_max_ms ms;
+    st_phase_ms =
+      List.fold_left (fun acc (p, d) -> bump ( +. ) acc p d) st.st_phase_ms
+        phases;
+    st_rule_counts =
+      List.fold_left (fun acc (r, n) -> bump ( + ) acc r n) st.st_rule_counts
+        rules;
+  }
+
+let record t ~fingerprint ~sql ~provenance ~ts ~plan_hash ~ms ~rows ~est_rows
+    ~skew ~error ~phases ~rules =
   if t.capacity <= 0 then None
   else begin
     t.seq <- t.seq + 1;
     let seq = t.seq in
-    let en = find_or_create t fingerprint in
+    let en = find_or_create t fingerprint ~sql ~provenance in
+    en.en_totals <- add_totals en.en_totals ~ms ~rows ~error ~phases ~rules;
     let plan_changed =
       (not error) && en.en_last_hash <> "" && plan_hash <> ""
       && plan_hash <> en.en_last_hash
@@ -569,6 +634,23 @@ let metric_samples t =
          match compare a.sm_name b.sm_name with
          | 0 -> compare a.sm_seq b.sm_seq
          | c -> c)
+
+(* Costliest first; ties broken by fingerprint for deterministic output. *)
+let statements t =
+  Hashtbl.fold (fun _ en acc -> en.en_totals :: acc) t.entries []
+  |> List.sort (fun a b ->
+         match compare b.st_total_ms a.st_total_ms with
+         | 0 -> compare a.st_fingerprint b.st_fingerprint
+         | c -> c)
+
+let phase_ms st name =
+  match List.assoc_opt name st.st_phase_ms with Some v -> v | None -> 0.
+
+let rule_firings st =
+  List.fold_left (fun acc (_, n) -> acc + n) 0 st.st_rule_counts
+
+let mean_ms st =
+  if st.st_calls = 0 then 0. else st.st_total_ms /. float_of_int st.st_calls
 
 let baseline t fingerprint =
   match Hashtbl.find_opt t.entries fingerprint with

@@ -1,12 +1,15 @@
-(** Bounded telemetry history and the regression watchdog.
+(** Bounded per-fingerprint telemetry and the regression watchdog.
 
-    Per-fingerprint ring buffers of execution records (wall/phase
-    milliseconds, rows out, planner estimate, worker skew, structural plan
-    hash), a global ring of watchdog regression reports, and
-    cadence-sampled rings for selected {!Metrics} series. Every store is a
-    fixed-capacity ring with an eviction counter, and the whole subsystem
-    is bounded by an approximate byte budget: a long session cannot OOM on
-    its own telemetry.
+    The session's one per-fingerprint store. Each statement fingerprint
+    has an entry with running totals (the [perm_stat_statements] view) and
+    a ring buffer of execution records (wall/phase milliseconds, rows out,
+    planner estimate, worker skew, structural plan hash); the store also
+    keeps a global ring of watchdog regression reports and
+    cadence-sampled rings for selected {!Metrics} series. Every ring has a
+    fixed capacity and an eviction counter, and whole entries (totals
+    included) are shed least-recently-executed first past the fingerprint
+    cap or an approximate byte budget: a long session cannot OOM on its
+    own telemetry.
 
     The watchdog keeps an EWMA baseline per fingerprint (combined with the
     p95 of the retained ring) and flags executions that exceed it by a
@@ -54,6 +57,21 @@ type metric_sample = {
   sm_value : float;
 }
 
+(** A snapshot of one fingerprint's running totals — a row of
+    [perm_stat_statements]. *)
+type statement = {
+  st_fingerprint : string;
+  st_query : string;  (** first raw SQL text seen for this fingerprint *)
+  st_calls : int;
+  st_errors : int;
+  st_rows : int;
+  st_total_ms : float;
+  st_max_ms : float;
+  st_phase_ms : (string * float) list;  (** per-phase sums *)
+  st_rule_counts : (string * int) list;  (** rewrite-rule firing sums *)
+  st_provenance : bool;  (** the first execution used SQL-PLE provenance *)
+}
+
 val create : unit -> t
 (** Defaults: 128 records per fingerprint, at most 256 fingerprints, an
     8 MiB byte budget, watchdog factor 3.0 after 3 baseline samples, 1 s
@@ -72,12 +90,13 @@ val capacity : t -> int
 
 val set_capacity : t -> int -> unit
 (** Per-fingerprint ring capacity. [0] disables recording entirely and
-    discards retained history; shrinking drops the oldest records (counted
-    in {!dropped}). *)
+    discards every entry, statement totals included — one switch for all
+    per-fingerprint telemetry; shrinking drops the oldest records (counted
+    in {!dropped}) and keeps the totals. *)
 
 val set_max_fingerprints : t -> int -> unit
-(** Bound on distinct fingerprints; the least-recently-executed entry is
-    evicted beyond it (clamped at 1). *)
+(** Bound on distinct fingerprints; the least-recently-executed entry,
+    totals included, is evicted beyond it (clamped at 1). *)
 
 val set_max_bytes : t -> int -> unit
 (** Approximate byte budget over all rings; LRU fingerprints are evicted
@@ -103,6 +122,8 @@ val set_cadence : t -> float -> unit
 val record :
   t ->
   fingerprint:string ->
+  sql:string ->
+  provenance:bool ->
   ts:float ->
   plan_hash:string ->
   ms:float ->
@@ -111,12 +132,16 @@ val record :
   skew:float ->
   error:bool ->
   phases:(string * float) list ->
+  rules:(string * int) list ->
   regression option
-(** Append one execution record, run the watchdog against the baseline as
-    it stood {e before} this execution, then fold the execution into the
-    baseline. Returns the regression report if one was raised (it is also
-    retained in the regressions ring). No-op returning [None] while
-    disabled. Errors are retained in the ring but never flagged and never
+(** Fold one finished statement into its fingerprint's totals ([sql] and
+    [provenance] are kept from the first execution; [phases] are
+    per-phase milliseconds, [rules] this execution's rewrite-rule
+    firings), append its execution record, run the watchdog against the
+    baseline as it stood {e before} this execution, then fold the
+    execution into the baseline. Returns the regression report if one was
+    raised (it is also retained in the regressions ring). No-op returning
+    [None] while disabled. Errors are retained in the ring but never flagged and never
     fold into the baseline. A plan-hash change resets the timing baseline
     to the new execution. *)
 
@@ -134,6 +159,20 @@ val executions : t -> exec_record list
 (** All retained executions, oldest first (global sequence order). *)
 
 val executions_for : t -> string -> exec_record list
+
+val statements : t -> statement list
+(** Every retained fingerprint's totals, by total time descending, then
+    fingerprint. The records are immutable snapshots: safe to read after
+    releasing the lock that guarded the call. *)
+
+val phase_ms : statement -> string -> float
+(** Summed milliseconds of a named phase; [0.] when never seen. *)
+
+val rule_firings : statement -> int
+(** Total rewrite-rule firings across all rules. *)
+
+val mean_ms : statement -> float
+
 val fingerprints : t -> string list
 val regressions : t -> regression list
 val metric_samples : t -> metric_sample list
@@ -142,7 +181,8 @@ val baseline : t -> string -> (float * int) option
 (** [(baseline_ms, samples)] for a fingerprint, once it has a baseline. *)
 
 val approx_bytes : t -> int
-(** Estimated heap footprint of all retained telemetry. *)
+(** Estimated heap footprint of all retained telemetry, statement totals
+    included. *)
 
 val dropped : t -> int
 (** Total records lost to ring wrap-around, capacity changes and LRU /

@@ -1,8 +1,9 @@
-(** Retained plan-node and worker-domain profiles.
+(** Retained plan-node, relation and worker-domain profiles.
 
-    The accumulator behind the [perm_stat_plans] and [perm_stat_workers]
-    system views: per-(fingerprint, node id) operator cardinality/time
-    profiles fed by the executor's plan-node profiler, and per-domain
+    The accumulator behind the [perm_stat_plans], [perm_stat_relations]
+    and [perm_stat_workers] system views: per-(fingerprint, node id)
+    operator cardinality/time profiles and per-base-relation scan counters,
+    both fed by the executor's instrumented executions, and per-domain
     morsel/busy/idle/skew counters fed by the worker pool. Keys are plain
     strings and ints so the module has no dependency on the algebra. *)
 
@@ -17,8 +18,10 @@ type plan_node = {
           0 for rows profiled on the parallel path) *)
   mutable pn_loops : int;  (** operator (re)invocations *)
   mutable pn_peak_bytes : int;
-      (** peak batch memory estimate: max rows streamed through one
-          invocation times an estimated row width *)
+      (** peak batch memory: the largest measured heap footprint of one
+          of the operator's batches, max over executions (see
+          [Executor.node_stats.stat_peak_bytes] for which batches are
+          measured) *)
 }
 
 type worker = {
@@ -30,6 +33,12 @@ type worker = {
   mutable wk_max_skew : float;
       (** max over batches of this worker's busy time over the batch's
           mean busy time; 1.0 = perfectly balanced *)
+}
+
+type relation = {
+  rel_name : string;
+  mutable rel_scans : int;  (** instrumented scans of the relation *)
+  mutable rel_rows : int;  (** rows those scans produced *)
 }
 
 type t
@@ -49,6 +58,9 @@ val record_plan_node :
   peak_bytes:int ->
   unit
 
+val record_scan : t -> relation:string -> rows:int -> unit
+(** Fold one base-relation scan (from executor instrumentation). *)
+
 val record_worker :
   t ->
   domain:int ->
@@ -61,6 +73,9 @@ val record_worker :
 
 val plan_nodes : t -> plan_node list
 (** Sorted by fingerprint, then node id (tree pre-order). *)
+
+val relations : t -> relation list
+(** Sorted by relation name. *)
 
 val workers : t -> worker list
 (** Sorted by domain index. *)

@@ -3,10 +3,9 @@ type payload =
   | Stmt_finish of {
       sql : string;
       fingerprint : string;
-      ms : float;
+      span : Trace.span;
       rows : int;
       provenance : bool;
-      phases : (string * float) list;
       error : (string * string) option;
     }
   | Plan_node of {
@@ -162,7 +161,7 @@ let payload_kind = function
 let payload_fields = function
   | Stmt_start { sql; fingerprint } ->
     [ ("sql", Json.String sql); ("fingerprint", Json.String fingerprint) ]
-  | Stmt_finish { sql; fingerprint; ms; rows; provenance; phases; error } ->
+  | Stmt_finish { sql; fingerprint; span; rows; provenance; error } ->
     let kind, message =
       match error with
       | Some (kind, msg) -> (Json.String kind, Json.String msg)
@@ -171,10 +170,14 @@ let payload_fields = function
     [
       ("sql", Json.String sql);
       ("fingerprint", Json.String fingerprint);
-      ("ms", Json.Float ms);
+      ("ms", Json.Float (Trace.duration_ms span));
       ("rows", Json.Int rows);
       ("provenance", Json.Bool provenance);
-      ("phases", Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases));
+      ( "phases",
+        Json.Obj
+          (List.map
+             (fun sp -> (Trace.name sp, Json.Float (Trace.duration_ms sp)))
+             (Trace.children span)) );
       ("error", kind);
       ("message", message);
     ]

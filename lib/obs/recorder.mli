@@ -5,8 +5,9 @@
     runs and fallbacks, GC major slices, fault firings, governor verdicts,
     watchdog flags, parallel degradations — lands here as a structured
     payload, not a formatted string. It is the session's only event
-    stream: the [/events] SSE endpoint tails it ({!since}), and the
-    slow-query log writes its [stmt_finish] events. When the engine
+    stream: the [/events] SSE endpoint tails it ({!since}), the
+    slow-query log writes its [stmt_finish] events, and the Chrome trace
+    export is the root spans those events carry. When the engine
     detects an anomaly it snapshots the tail of this ring into the
     forensics bundle, so the bundle shows what the whole system was doing
     in the run-up, not just the failing statement.
@@ -20,18 +21,21 @@
     event behind; every event they see is complete and typed.
 
     Capacity [0] disables the recorder entirely (and, in the engine,
-    forensics-bundle capture with it) — the bench's off-arm knob, mirror
-    of [History.set_capacity h 0]. *)
+    forensics-bundle capture and the trace export with it) — the bench's
+    off-arm knob, mirror of [History.set_capacity h 0]. *)
 
 type payload =
   | Stmt_start of { sql : string; fingerprint : string }
   | Stmt_finish of {
       sql : string;
       fingerprint : string;
-      ms : float;
+      span : Trace.span;
+          (** the statement's finished root span: its duration is the
+              statement's milliseconds, its children the phases. Recorded
+              only after {!Trace.finish} and never mutated afterwards, so
+              any domain may read it. *)
       rows : int;
       provenance : bool;  (** the statement used SQL-PLE provenance *)
-      phases : (string * float) list;  (** per-phase milliseconds *)
       error : (string * string) option;
           (** the error kind label and message, [None] on success *)
     }
@@ -123,4 +127,6 @@ val payload_kind : payload -> string
     ["kind"] field of the JSON rendering. *)
 
 val event_to_json : event -> Json.t
-(** One flat object: [seq], [ts], [kind], then the payload's fields. *)
+(** One flat object: [seq], [ts], [kind], then the payload's fields. A
+    [stmt_finish] renders its span as [ms] and a [phases] object (phase
+    name to milliseconds), never the tree itself. *)

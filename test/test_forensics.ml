@@ -13,6 +13,7 @@ module Recorder = Perm_obs.Recorder
 module Bundle_schema = Perm_obs.Bundle_schema
 module Json = Perm_obs.Json
 module Metrics = Perm_obs.Metrics
+module Trace = Perm_obs.Trace
 module Err = Perm_err
 module Fault = Perm_fault
 open Perm_testkit.Kit
@@ -139,15 +140,17 @@ let suite_recorder =
         Alcotest.(check int) "all events counted" 2000 (Recorder.recorded r));
     case "event_to_json carries kind and payload fields" (fun () ->
         let r = Recorder.create ~capacity:4 () in
+        let span = Trace.start "statement" in
+        Trace.timed span "parse" ignore;
+        Trace.finish span;
         Recorder.record r
           (Recorder.Stmt_finish
              {
                sql = "SELECT 1";
                fingerprint = "fp";
-               ms = 1.5;
+               span;
                rows = 3;
                provenance = false;
-               phases = [ ("parse", 0.1) ];
                error = Some ("timeout", "statement timeout");
              });
         match Recorder.recent r with
@@ -277,6 +280,16 @@ let suite_classes =
 (* ------------------------------------------------------------------ *)
 (* Bundle content and store behavior                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* A weak pointer to the last statement's root span, built in a function
+   of its own so no strong reference outlives the call. *)
+let weak_last_trace e =
+  let w = Weak.create 1 in
+  (match Engine.last_trace e with
+  | Some root -> Weak.set w 0 (Some root)
+  | None -> Alcotest.fail "no trace");
+  w
+[@@inline never]
 
 let suite_store =
   [
@@ -433,6 +446,35 @@ let suite_store =
           (Metrics.counter m "forensics.bundles");
         Alcotest.(check int) "per-class counter" 2
           (Metrics.counter m "forensics.class.error");
+        Engine.close e);
+    case "a retained bundle keeps no span alive" (fun () ->
+        let e = forum_engine () in
+        Recorder.set_capacity (Engine.recorder e) 8;
+        ignore (query_err e "SELECT broken FROM nowhere");
+        (* the failing statement's root span, weakly: its stmt_finish is
+           in the tail the bundle captured *)
+        let w = weak_last_trace e in
+        (* push its event out of the ring and replace [last_trace] *)
+        for _ = 1 to 8 do
+          ignore (query_ok e "SELECT mid FROM messages")
+        done;
+        Gc.full_major ();
+        Alcotest.(check bool) "the span was collected" false (Weak.check w 0);
+        (match Engine.Forensics.last e with
+        | Some doc -> (
+          match Json.member "events" doc with
+          | Some (Json.List evs) ->
+            Alcotest.(check bool) "its stmt_finish still renders, with ms" true
+              (List.exists
+                 (fun ev ->
+                   Json.member "kind" ev = Some (Json.String "stmt_finish")
+                   && Json.member "sql" ev
+                      = Some (Json.String "SELECT broken FROM nowhere")
+                   && Option.is_some
+                        (Option.bind (Json.member "ms" ev) Json.to_float_opt))
+                 evs)
+          | _ -> Alcotest.fail "events missing")
+        | None -> Alcotest.fail "no bundle");
         Engine.close e);
   ]
 

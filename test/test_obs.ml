@@ -255,6 +255,35 @@ let three_table_engine () =
 let join3 =
   "SELECT t1.a FROM t1 JOIN t2 ON t1.a = t2.a JOIN t3 ON t2.a = t3.a"
 
+(* 10,000 rows in ten 1,024-row chunks, and a query that streams them all
+   through a scan and a filter. *)
+let big_engine () =
+  let e = engine () in
+  exec_all e [ "CREATE TABLE big (a int, b text)" ];
+  for k = 0 to 19 do
+    exec_all e
+      [
+        "INSERT INTO big VALUES "
+        ^ String.concat ", "
+            (List.init 500 (fun j ->
+                 Printf.sprintf "(%d, 'row %d')" ((k * 500) + j) j));
+      ]
+  done;
+  e
+
+let big_count = "SELECT count(*) FROM big WHERE a >= 0"
+
+(* The execute phase of one run of [sql], in milliseconds. *)
+let execute_ms e sql =
+  ignore (query_ok e sql);
+  match Engine.last_trace e with
+  | Some root ->
+    List.fold_left
+      (fun acc sp ->
+        if Trace.name sp = "execute" then Trace.duration_ms sp else acc)
+      Float.infinity (Trace.children root)
+  | None -> Alcotest.fail "no trace"
+
 let engine_tests =
   [
     case "EXPLAIN ANALYZE reports actual rows on a 3-table join" (fun () ->
@@ -282,31 +311,13 @@ let engine_tests =
         (* every node measures the batches it emits inside its parent's
            pull; left in the parent's timer, the byte counts of a
            10-chunk scan came to 5-6x the uninstrumented query *)
-        let e = engine () in
-        exec_all e [ "CREATE TABLE big (a int, b text)" ];
-        for k = 0 to 19 do
-          exec_all e
-            [
-              "INSERT INTO big VALUES "
-              ^ String.concat ", "
-                  (List.init 500 (fun j ->
-                       Printf.sprintf "(%d, 'row %d')" ((k * 500) + j) j));
-            ]
-        done;
-        let sql = "SELECT count(*) FROM big WHERE a >= 0" in
-        let execute_ms () =
-          ignore (query_ok e sql);
-          match Engine.last_trace e with
-          | Some root ->
-            List.fold_left
-              (fun acc sp ->
-                if Trace.name sp = "execute" then Trace.duration_ms sp else acc)
-              Float.infinity (Trace.children root)
-          | None -> Alcotest.fail "no trace"
+        let e = big_engine () in
+        let plain_ms =
+          List.fold_left Float.min Float.infinity
+            (List.init 7 (fun _ -> execute_ms e big_count))
         in
-        let plain_ms = List.fold_left Float.min Float.infinity (List.init 7 (fun _ -> execute_ms ())) in
         let root_ms () =
-          match Engine.explain_analyze e sql with
+          match Engine.explain_analyze e big_count with
           | Error msg -> Alcotest.fail msg
           | Ok ea ->
             let tree = ea.Engine.ea_tree in
@@ -319,6 +330,31 @@ let engine_tests =
           (Printf.sprintf "root %.3f ms within 3x of %.3f ms uninstrumented" analyzed_ms plain_ms)
           true
           (analyzed_ms <= 3. *. plain_ms);
+        Engine.close e);
+    case "instrumented execution stays within 2x of the plain one" (fun () ->
+        (* a node measures a batch's bytes only when it is wider than every
+           batch it measured before, so ten equal chunks cost one walk per
+           node; measuring each batch took the instrumented run to ~5x *)
+        let e = big_engine () in
+        (* whole chunks per batch whatever PERM_BATCH_ROWS says: at a few
+           rows per batch the per-pull timing, not byte measurement, is
+           what the instrumented run pays *)
+        Engine.set_batch_rows e 1024;
+        let min_of_runs instrument =
+          Engine.set_instrumentation e instrument;
+          List.fold_left Float.min Float.infinity
+            (List.init 15 (fun _ -> execute_ms e big_count))
+        in
+        let plain_ms = ref Float.infinity and instr_ms = ref Float.infinity in
+        for _ = 1 to 2 do
+          plain_ms := Float.min !plain_ms (min_of_runs false);
+          instr_ms := Float.min !instr_ms (min_of_runs true)
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "instrumented %.3f ms within 2x of %.3f ms plain"
+             !instr_ms !plain_ms)
+          true
+          (!instr_ms <= 2. *. !plain_ms);
         Engine.close e);
     case "EXPLAIN ANALYZE as a statement yields the Analyzed outcome" (fun () ->
         let e = three_table_engine () in

@@ -8,7 +8,6 @@ module Fingerprint = Perm_sql.Fingerprint
 module Metrics = Perm_obs.Metrics
 module Trace = Perm_obs.Trace
 module Json = Perm_obs.Json
-module Stats = Perm_obs.Stats
 module Recorder = Perm_obs.Recorder
 module History = Perm_obs.History
 open Perm_testkit.Kit
@@ -197,6 +196,82 @@ let stat_statements_tests =
     case "reset_statement_stats empties the view" (fun () ->
         let e = engine () in
         ignore (Engine.execute e "CREATE TABLE t (a int)");
+        Engine.reset_statement_stats e;
+        check_count e "SELECT * FROM perm_stat_statements" 0);
+  ]
+
+(* perm_stat_statements reads History's per-fingerprint totals, so the
+   history's bounds and its off switch apply to it. *)
+let bounded_stats_tests =
+  [
+    case "the view holds at most max_fingerprints rows, evictions counted"
+      (fun () ->
+        let e = engine () in
+        let h = Engine.history e in
+        History.set_max_fingerprints h 4;
+        ignore (exec_ok e "CREATE TABLE t (a int)");
+        (* distinct aliases, distinct fingerprints: 11 with the CREATE *)
+        for i = 1 to 10 do
+          ignore (query_ok e (Printf.sprintf "SELECT a AS c%d FROM t" i))
+        done;
+        Alcotest.(check int) "statement_stats bounded" 4
+          (List.length (Engine.statement_stats e));
+        (* one execution each, so one record per shed fingerprint *)
+        Alcotest.(check int) "shed fingerprints counted" 7 (History.evicted h);
+        let fps =
+          List.map (fun st -> st.History.st_fingerprint) (Engine.statement_stats e)
+        in
+        Alcotest.(check bool) "the newest fingerprints stay" true
+          (List.mem "select a as c10 from t" fps);
+        check_count e "SELECT * FROM perm_stat_statements" 4);
+    case "totals equal the sums over the fingerprint's executions" (fun () ->
+        let e = forum_engine () in
+        let rows_out =
+          List.fold_left
+            (fun acc k ->
+              let sql = Printf.sprintf "SELECT mid FROM messages WHERE mid <= %d" k in
+              acc + List.length (query_ok e sql).Engine.rows)
+            0 [ 0; 1; 2; 1 ]
+        in
+        let fp = "select mid from messages where mid <= ?" in
+        let st =
+          match
+            List.find_opt
+              (fun st -> st.History.st_fingerprint = fp)
+              (Engine.statement_stats e)
+          with
+          | Some st -> st
+          | None -> Alcotest.fail "fingerprint missing"
+        in
+        let execs = History.executions_for (Engine.history e) fp in
+        Alcotest.(check int) "calls" (List.length execs) st.History.st_calls;
+        Alcotest.(check int) "calls = executions" 4 st.History.st_calls;
+        Alcotest.(check int) "rows"
+          (List.fold_left (fun acc r -> acc + r.History.ex_rows) 0 execs)
+          st.History.st_rows;
+        Alcotest.(check int) "rows = the results' rows" rows_out
+          st.History.st_rows;
+        Alcotest.(check (float 1e-9)) "total_ms"
+          (List.fold_left (fun acc r -> acc +. r.History.ex_ms) 0. execs)
+          st.History.st_total_ms;
+        Alcotest.(check (float 1e-9)) "max_ms"
+          (List.fold_left (fun acc r -> Float.max acc r.History.ex_ms) 0. execs)
+          st.History.st_max_ms;
+        Alcotest.(check string) "first query text kept"
+          "SELECT mid FROM messages WHERE mid <= 0" st.History.st_query);
+    case "history capacity 0 empties the view; reset still clears it"
+      (fun () ->
+        let e = forum_engine () in
+        let h = Engine.history e in
+        ignore (query_ok e "SELECT mid FROM messages");
+        History.set_capacity h 0;
+        Alcotest.(check int) "no totals kept" 0
+          (List.length (Engine.statement_stats e));
+        ignore (query_ok e "SELECT uid FROM users");
+        check_count e "SELECT * FROM perm_stat_statements" 0;
+        History.set_capacity h 128;
+        ignore (query_ok e "SELECT uid FROM users");
+        check_count e "SELECT * FROM perm_stat_statements" 1;
         Engine.reset_statement_stats e;
         check_count e "SELECT * FROM perm_stat_statements" 0);
   ]
@@ -430,11 +505,13 @@ let history_tests =
         let rec_ok ms =
           History.record h ~fingerprint:"q" ~ts:0. ~plan_hash:"abc" ~ms
             ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]
+            ~sql:"" ~provenance:false ~rules:[]
         in
         ignore (rec_ok 1.);
         let flagged =
           History.record h ~fingerprint:"q" ~ts:1. ~plan_hash:"abc" ~ms:100.
             ~rows:10 ~est_rows:10. ~skew:1. ~error:true ~phases:[]
+            ~sql:"" ~provenance:false ~rules:[]
         in
         Alcotest.(check bool) "error not flagged" true (flagged = None);
         (match History.baseline h "q" with
@@ -452,6 +529,7 @@ let history_tests =
         let go ?(plan = "abc") fp ms =
           History.record h ~fingerprint:fp ~ts:0. ~plan_hash:plan ~ms ~rows:1
             ~est_rows:1. ~skew:1. ~error:false ~phases:[]
+            ~sql:"" ~provenance:false ~rules:[]
         in
         let baseline fp ms = List.iter (fun _ -> ignore (go fp ms)) [ 1; 2; 3 ] in
         baseline "fast" 0.02;
@@ -475,6 +553,7 @@ let history_tests =
         let go ts =
           History.record h ~fingerprint:"q" ~ts ~plan_hash:"abc" ~ms:1.
             ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]
+            ~sql:"" ~provenance:false ~rules:[]
         in
         Alcotest.(check bool) "1st: no baseline yet" true (go 0. = None);
         Alcotest.(check bool) "2nd: 1 sample < 3" true (go 1. = None);
@@ -490,10 +569,12 @@ let history_tests =
         History.set_min_samples h 1;
         ignore
           (History.record h ~fingerprint:"q" ~ts:0. ~plan_hash:"abc" ~ms:1.
-             ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]);
+             ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]
+             ~sql:"" ~provenance:false ~rules:[]);
         (match
            History.record h ~fingerprint:"q" ~ts:1. ~plan_hash:"abc" ~ms:1.
              ~rows:10 ~est_rows:10. ~skew:3. ~error:false ~phases:[]
+             ~sql:"" ~provenance:false ~rules:[]
          with
         | Some rg ->
           Alcotest.(check string) "cause" "skew"
@@ -507,7 +588,8 @@ let history_tests =
         let go fp =
           ignore
             (History.record h ~fingerprint:fp ~ts:0. ~plan_hash:"" ~ms:1.
-               ~rows:1 ~est_rows:1. ~skew:1. ~error:false ~phases:[])
+               ~rows:1 ~est_rows:1. ~skew:1. ~error:false ~phases:[]
+               ~sql:"" ~provenance:false ~rules:[])
         in
         go "a";
         go "b";
@@ -525,7 +607,8 @@ let history_tests =
                ~fingerprint:(Printf.sprintf "q%d" i)
                ~ts:0. ~plan_hash:"abcdef012345" ~ms:1. ~rows:1 ~est_rows:1.
                ~skew:1. ~error:false
-               ~phases:[ ("execute", 1.) ])
+               ~phases:[ ("execute", 1.) ]
+               ~sql:"" ~provenance:false ~rules:[])
         done;
         let mid = History.approx_bytes h in
         Alcotest.(check bool) "footprint grows" true (mid > before);
@@ -533,7 +616,8 @@ let history_tests =
         (* an impossible budget: everything evictable is evicted *)
         ignore
           (History.record h ~fingerprint:"last" ~ts:0. ~plan_hash:"" ~ms:1.
-             ~rows:1 ~est_rows:1. ~skew:1. ~error:false ~phases:[]);
+             ~rows:1 ~est_rows:1. ~skew:1. ~error:false ~phases:[]
+             ~sql:"" ~provenance:false ~rules:[]);
         Alcotest.(check bool) "budget shrank retention" true
           (History.approx_bytes h < mid));
   ]
@@ -873,6 +957,47 @@ let trace_export_tests =
                  (s +. (Trace.duration_ms sp /. 1000.) <= root_end +. 1e-6);
                s)
              root_start kids));
+    case "trace_log is the recorder's retained stmt_finish roots, in order"
+      (fun () ->
+        let e = engine () in
+        Recorder.set_capacity (Engine.recorder e) 16;
+        ignore (exec_ok e "CREATE TABLE t (a int)");
+        for i = 1 to 20 do
+          ignore (exec_ok e (Printf.sprintf "INSERT INTO t VALUES (%d)" i))
+        done;
+        let retained =
+          List.filter_map
+            (fun ev ->
+              match ev.Recorder.ev_payload with
+              | Recorder.Stmt_finish { span; _ } -> Some (ev.Recorder.ev_seq, span)
+              | _ -> None)
+            (Recorder.recent (Engine.recorder e))
+        in
+        let roots = Engine.trace_log e in
+        Alcotest.(check int) "one root per retained stmt_finish"
+          (List.length retained) (List.length roots);
+        Alcotest.(check bool) "the ring bounds the export" true
+          (List.length roots > 0 && List.length roots <= 8);
+        Alcotest.(check bool) "exactly those spans" true
+          (List.for_all2 (fun (_, sp) root -> sp == root) retained roots);
+        let seqs = List.map fst retained in
+        Alcotest.(check (list int)) "sequence order" (List.sort compare seqs) seqs;
+        Alcotest.(check bool) "the newest root is the last statement's" true
+          (match Engine.last_trace e with
+          | Some last -> List.nth roots (List.length roots - 1) == last
+          | None -> false));
+    case "recorder capacity 0: empty export, last_trace unaffected"
+      (fun () ->
+        let e = forum_engine () in
+        Recorder.set_capacity (Engine.recorder e) 0;
+        ignore (query_ok e "SELECT mid FROM messages");
+        Alcotest.(check int) "no roots" 0 (List.length (Engine.trace_log e));
+        match Engine.last_trace e with
+        | Some root ->
+          Alcotest.(check (option string)) "last statement's span"
+            (Some "SELECT mid FROM messages")
+            (List.assoc_opt "sql" (Trace.attrs root))
+        | None -> Alcotest.fail "last_trace missing");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1043,6 +1168,7 @@ let () =
     [
       ("fingerprint", fingerprint_tests);
       ("stat_statements", stat_statements_tests);
+      ("bounded_stats", bounded_stats_tests);
       ("system_views", other_views_tests);
       ("profiler_views", profiler_views_tests);
       ("history", history_tests);
