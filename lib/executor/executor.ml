@@ -85,13 +85,15 @@ type provider = {
    installed by an enclosing Apply. *)
 type resolver = Attr.t -> (Tuple.t -> Value.t) option
 
-let resolver_of_schema (schema : Attr.t list) : resolver =
+(* Attribute -> column position over a schema. *)
+let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
   let table = Hashtbl.create 16 in
   List.iteri (fun i (a : Attr.t) -> Hashtbl.replace table a.Attr.id i) schema;
-  fun a ->
-    match Hashtbl.find_opt table a.Attr.id with
-    | Some i -> Some (fun row -> row.(i))
-    | None -> None
+  fun a -> Hashtbl.find_opt table a.Attr.id
+
+let resolver_of_schema schema : resolver =
+  let pos = positions_of_schema schema in
+  fun a -> Option.map (fun i row -> row.(i)) (pos a)
 
 let no_outer : resolver = fun _ -> None
 
@@ -252,17 +254,6 @@ let split_join_pred left_schema right_schema pred =
     conjuncts;
   (List.rev !keys, List.rev !residual)
 
-(* The join hot path: the per-side key extractors are compiled once into an
-   array, and each row fills a preallocated key array directly — no
-   List.map + Array.of_list churn per probed tuple. *)
-let key_of (fs : (Tuple.t -> Value.t) array) row =
-  let n = Array.length fs in
-  let key = Array.make n Value.Null in
-  for i = 0 to n - 1 do
-    key.(i) <- (Array.unsafe_get fs i) row
-  done;
-  key
-
 (* a plain SQL = key never matches when NULL or NaN; the hash table
    itself matches under key identity *)
 let key_usable (null_safety : bool array) (key : Tuple.t) =
@@ -366,21 +357,25 @@ let agg_result (call : Plan.agg_call) state =
   | Plan.Min | Plan.Max | Plan.Bool_and | Plan.Bool_or -> state.extreme
 
 (* The annotation's output order over rows numbered in input order, given
-   each row's group id: groups in id (first-seen) order, rows of a group
-   in input order, the rows of groups [keep] rejects left out. A stable
-   counting sort. *)
-let grouped_order ~groups ~keep (gids : int array) =
+   each row's group id: groups by [rank] (a group's position in the
+   output, -1 to leave its rows out), rows of a group in input order. A
+   stable counting sort. *)
+let grouped_order (rank : int array) (gids : int array) =
+  let groups = Array.fold_left max (-1) rank + 1 in
   let next = Array.make (groups + 1) 0 in
-  Array.iter (fun g -> if keep g then next.(g + 1) <- next.(g + 1) + 1) gids;
-  for g = 1 to groups do
-    next.(g) <- next.(g) + next.(g - 1)
+  Array.iter
+    (fun g -> if rank.(g) >= 0 then next.(rank.(g) + 1) <- next.(rank.(g) + 1) + 1)
+    gids;
+  for r = 1 to groups do
+    next.(r) <- next.(r) + next.(r - 1)
   done;
   let order = Array.make next.(groups) 0 in
   Array.iteri
     (fun k g ->
-      if keep g then begin
-        order.(next.(g)) <- k;
-        next.(g) <- next.(g) + 1
+      let r = rank.(g) in
+      if r >= 0 then begin
+        order.(next.(r)) <- k;
+        next.(r) <- next.(r) + 1
       end)
     gids;
   order
@@ -414,26 +409,12 @@ let rec batch_eligible (p : Plan.t) =
   | Plan.Prov _ -> false
   | _ -> List.for_all batch_eligible (Plan.children p)
 
-(* Attribute -> column position over a schema. *)
-let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
-  let table = Hashtbl.create 16 in
-  List.iteri (fun i (a : Attr.t) -> Hashtbl.replace table a.Attr.id i) schema;
-  fun a -> Hashtbl.find_opt table a.Attr.id
-
 (* How an operator's expressions read attributes: a column of its input
    batch, or — for an attribute its input lacks — the [outer] resolver,
    which reads the current row of an enclosing Apply's left side. The
    choice is made at compile time, so plans without Apply pay nothing per
    row for it. *)
 type layout = { pos : Attr.t -> int option; outer : resolver }
-
-(* Row-at-a-time view of a layout (join residuals and build keys, which
-   evaluate over materialized tuples). *)
-let row_resolver lay : resolver =
- fun a ->
-  match lay.pos a with
-  | Some i -> Some (fun row -> row.(i))
-  | None -> lay.outer a
 
 (* Batch expression evaluator: [f b p] evaluates over physical row [p] of
    batch [b]. Plain attributes and constants compile to direct array
@@ -712,13 +693,19 @@ let batches_of_tuple_list ~arity ~batch_rows rows : Batch.t Seq.t =
 let batches_of_list ~arity ~batch_rows rows =
   Array.of_seq (batches_of_tuple_list ~arity ~batch_rows rows)
 
-(* Materialize a batch stream into tuples. *)
-let collect_tuples (bs : Batch.t Seq.t) : Tuple.t array =
-  let acc = ref [] in
-  Seq.iter
-    (fun b -> List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
-    bs;
-  Array.of_list (List.rev !acc)
+(* The live rows of [batches] as one dense batch of [arity] columns. *)
+let concat_live ~arity (batches : Batch.t array) =
+  match batches with
+  | [| b |] when Batch.is_dense b -> b
+  | _ -> (
+    let rb, rp, _ = number_rows batches in
+    let n = Array.length rb in
+    match gather_rows ~batch_rows:n ~arity batches (rb, rp) (Array.init n Fun.id) () with
+    | Seq.Cons (b, _) -> b
+    | Seq.Nil -> Batch.dense (Array.make arity [||]) 0)
+
+(* The indices [0 .. n-1] where [f] holds, ascending. *)
+let indices n f = Array.of_seq (Seq.filter f (Seq.init n Fun.id))
 
 (* Stream the rows [next] yields as dense batches of at most [batch_rows]
    rows, pulling one batch's worth at a time (rows read back from spill
@@ -1112,122 +1099,175 @@ let apply_project builders b =
     in
     Batch.dense cols n
 
-(* ---- join probe kernel ------------------------------------------- *)
+(* ---- hash join build and probe ----------------------------------- *)
 
-(* Probe one left batch against a built join hash table. Semi/Anti narrow
-   the selection vector in place; the expanding kinds gather matches out
-   of line (left physical index + right row reference) and flush into
-   dense output batches capped at [batch_rows], so giant expansions stay
-   streamed and the cancel token keeps batch-granular kill latency.
-   Candidate order is [List.rev] of the build list: ascending right-row
-   order. Without [pads], a LEFT/FULL probe emits only matches (the Grace
-   join pads once every chunk has probed). [tap] is handed each output
-   batch of the expanding kinds with its rows' positions in [lb]. *)
-let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
-    ~usable ~(tbl : (int * Tuple.t) list Tuple.Hash.t)
-    ~(residual_f : (Tuple.t -> bool) option)
-    ~(matched_right : bool array option) ?(pads = true) ?tap (lb : Batch.t) :
-    Batch.t list =
-  let find key =
-    if not (usable key) then []
-    else
-      match Tuple.Hash.find_opt tbl key with
-      | None -> []
-      | Some l -> List.rev l
+(* A hash-join build: the build input as dense columns, its rows chained
+   by key in ascending row order ([next.(i)] is the next row with row
+   [i]'s key, -1 ends a chain), and [head (lay, keys)], which compiles
+   the chain-head lookup for the probe-side key expressions over [lay]:
+   the first build row whose key matches probe row [p] of batch [b], or
+   -1. Read-only once built, so the parallel gather shares one build
+   across its morsel tasks, each compiling its own lookup (key
+   evaluators carry row cursors). *)
+type join_build = {
+  jb_cols : Value.t array array;
+  jb_next : int array;
+  jb_head : layout * Expr.t list -> Batch.t -> int -> int;
+}
+
+exception Off_dtype
+
+(* A join build over keys hashed in [H]: [build key side bb] links the
+   rows of the dense build input [bb] by [key side] last to first, so
+   every chain runs in ascending row order; a probe side's lookup reads
+   [key] over its own layout. [key] raises [Exit] for a row whose key
+   never matches; [Off_dtype] from the build leaves the table to the
+   caller, from a probe it matches nothing. *)
+module Chains (H : Hashtbl.S) = struct
+  let build key side (bb : Batch.t) =
+    let n = bb.Batch.rows in
+    let next = Array.make n (-1) and tbl = H.create 256 and bkey = key side in
+    for i = n - 1 downto 0 do
+      match bkey bb i with
+      | k ->
+        next.(i) <- (try H.find tbl k with Not_found -> -1);
+        H.replace tbl k i
+      | exception Exit -> ()
+    done;
+    let head side =
+      let key = key side in
+      fun b p -> try H.find tbl (key b p) with Not_found | Exit | Off_dtype -> -1
+    in
+    { jb_cols = bb.Batch.cols; jb_next = next; jb_head = head }
+end
+
+module Int_chains = Chains (Int_hash)
+module Str_chains = Chains (Str_hash)
+module Tuple_chains = Chains (Tuple.Hash)
+
+(* The unboxed key of a value of a one-column key of dtype [dt]: the raw
+   int of an int, date or bool, the string of a text. NULL never matches
+   ([Exit]); a value off the dtype raises [Off_dtype]. *)
+let int_key dt (v : Value.t) =
+  match dt, v with
+  | Dtype.Int, Value.Int n | Dtype.Date, Value.Date n -> n
+  | Dtype.Bool, Value.Bool b -> Bool.to_int b
+  | _, Value.Null -> raise Exit
+  | _ -> raise Off_dtype
+
+let str_key (v : Value.t) =
+  match v with
+  | Value.Text s -> s
+  | Value.Null -> raise Exit
+  | _ -> raise Off_dtype
+
+(* Build over the dense build input [bb], its key expressions [side]. A
+   plain [=] key that is one column of the same immediate dtype [single]
+   on both sides goes through the grouping kernel's unboxed tables. Every
+   other key, and a build holding a value off the dtype, goes through the
+   tuple table under key identity ({!Tuple.equal}): a key with NULL or
+   NaN in a plain [=] column never matches. *)
+let build_join ~single ~null_safety side bb =
+  let unboxed of_value (lay, keys) =
+    let get = bexpr_of lay (List.hd keys) in
+    fun b p -> of_value (get b p)
   in
+  let tuples () =
+    let usable = key_usable null_safety in
+    Tuple_chains.build
+      (fun (lay, keys) ->
+        let fill = key_filler lay keys in
+        fun b p -> match fill b p with k when usable k -> k | _ -> raise Exit)
+      side bb
+  in
+  try
+    match single with
+    | Some Dtype.Text -> Str_chains.build (unboxed str_key) side bb
+    | Some dt -> Int_chains.build (unboxed (int_key dt)) side bb
+    | None -> tuples ()
+  with Off_dtype -> tuples ()
+
+(* [n] (left, build) row pairs as a dense batch: [lcols] gathered at
+   [lidx], [rcols] at [ridx], NULL where an index is -1 (a pad). *)
+let pairs_batch lcols lidx rcols ridx n =
+  let gather idx (src : Value.t array) =
+    let dst = Array.make n Value.Null in
+    for j = 0 to n - 1 do
+      let i = Array.unsafe_get idx j in
+      if i >= 0 then Array.unsafe_set dst j src.(i)
+    done;
+    dst
+  in
+  Batch.dense
+    (Array.append
+       (Array.map (gather lidx) lcols)
+       (Array.map (gather ridx) rcols))
+    n
+
+(* The build rows a FULL join matched nowhere, in build order, padded on
+   the left with NULLs. *)
+let unmatched_build ~l_arity ~batch_rows jb (matched : bool array) =
+  let idx = indices (Array.length matched) (fun i -> not matched.(i)) in
+  let n = Array.length idx and size = max 1 batch_rows in
+  Seq.init
+    ((n + size - 1) / size)
+    (fun i ->
+      let len = min size (n - (i * size)) in
+      pairs_batch (Array.make l_arity [||]) (Array.make len (-1)) jb.jb_cols
+        (Array.sub idx (i * size) len) len)
+
+(* Probe one left batch against a join build, [head] its compiled chain
+   lookup and [residual] the non-key conjuncts over (left row, build
+   row). Semi/Anti narrow the selection vector in place; the expanding
+   kinds collect (left physical index, build row) pairs and flush them
+   into dense output batches capped at [batch_rows], so giant expansions
+   stay streamed and the cancel token keeps batch-granular kill latency.
+   A left row's matches come in chain order: ascending build-row order.
+   Without [pads], a LEFT/FULL probe emits only matches (the Grace join
+   pads once every chunk has probed). [tap] is handed each output batch
+   of the expanding kinds with its rows' positions in [lb]. *)
+let probe_batch ~kind ~batch_rows ~(jb : join_build) ~head
+    ~(residual : (Batch.t -> int -> int -> bool) option)
+    ~(matched_right : bool array option) ~pads ?tap (lb : Batch.t) :
+    Batch.t list =
+  let next = jb.jb_next in
+  let ok p r = match residual with None -> true | Some f -> f lb p r in
   match kind with
   | Plan.Semi | Plan.Anti ->
     let want = kind = Plan.Semi in
-    Option.to_list
-      (narrow_live
-         (fun p ->
-           let cands = find (lkey lb p) in
-           let hit =
-             match residual_f with
-             | None -> cands <> []
-             | Some rf ->
-               let lrow = brow lb p in
-               List.exists (fun (_, rrow) -> rf (Tuple.concat lrow rrow)) cands
-           in
-           hit = want)
-         lb)
+    let rec hit p r = r >= 0 && (ok p r || hit p next.(r)) in
+    Option.to_list (narrow_live (fun p -> hit p (head lb p) = want) lb)
   | Plan.Inner | Plan.Cross | Plan.Left | Plan.Full ->
-    let l_arity = Batch.arity lb in
     let cap = max 1 batch_rows in
-    let lidx = Array.make cap 0 in
-    let pad_row = Array.make r_arity Value.Null in
-    let rref = Array.make cap pad_row in
-    let cnt = ref 0 in
-    let out = ref [] in
+    let lidx = Array.make cap 0 and ridx = Array.make cap 0 in
+    let cnt = ref 0 and out = ref [] in
     let flush () =
       if !cnt > 0 then begin
-        let n = !cnt in
-        let cols = Array.make (l_arity + r_arity) [||] in
-        for c = 0 to l_arity - 1 do
-          let src = lb.Batch.cols.(c) in
-          let dst = Array.make n Value.Null in
-          for j = 0 to n - 1 do
-            dst.(j) <- src.(lidx.(j))
-          done;
-          cols.(c) <- dst
-        done;
-        for c = 0 to r_arity - 1 do
-          let dst = Array.make n Value.Null in
-          for j = 0 to n - 1 do
-            dst.(j) <- (rref.(j)).(c)
-          done;
-          cols.(l_arity + c) <- dst
-        done;
-        let b = Batch.dense cols n in
-        Option.iter (fun f -> f b (Array.sub lidx 0 n)) tap;
+        let b = pairs_batch lb.Batch.cols lidx jb.jb_cols ridx !cnt in
+        Option.iter (fun f -> f b (Array.sub lidx 0 !cnt)) tap;
         out := b :: !out;
         cnt := 0
       end
     in
-    let push p rrow =
+    let push p r =
       lidx.(!cnt) <- p;
-      rref.(!cnt) <- rrow;
+      ridx.(!cnt) <- r;
       incr cnt;
       if !cnt = cap then flush ()
     in
-    let mark idx =
-      match matched_right with Some m -> m.(idx) <- true | None -> ()
-    in
+    let pad = pads && (kind = Plan.Left || kind = Plan.Full) in
     Batch.iter_live
       (fun p ->
-        let cands = find (lkey lb p) in
-        match kind with
-        | Plan.Inner | Plan.Cross -> (
-          match residual_f with
-          | None -> List.iter (fun (_, rrow) -> push p rrow) cands
-          | Some rf ->
-            let lrow = brow lb p in
-            List.iter
-              (fun (_, rrow) ->
-                if rf (Tuple.concat lrow rrow) then push p rrow)
-              cands)
-        | Plan.Left | Plan.Full ->
-          let any = ref false in
-          (match residual_f with
-          | None ->
-            List.iter
-              (fun (idx, rrow) ->
-                any := true;
-                mark idx;
-                push p rrow)
-              cands
-          | Some rf ->
-            let lrow = brow lb p in
-            List.iter
-              (fun (idx, rrow) ->
-                if rf (Tuple.concat lrow rrow) then begin
-                  any := true;
-                  mark idx;
-                  push p rrow
-                end)
-              cands);
-          if pads && not !any then push p pad_row
-        | Plan.Semi | Plan.Anti | Plan.Right -> assert false)
+        let any = ref false and r = ref (head lb p) in
+        while !r >= 0 do
+          if ok p !r then begin
+            any := true;
+            (match matched_right with Some m -> m.(!r) <- true | None -> ());
+            push p !r
+          end;
+          r := next.(!r)
+        done;
+        if pad && not !any then push p (-1))
       lb;
     flush ();
     List.rev !out
@@ -1237,8 +1277,9 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
    pieces become chunks on a temp file and the probe side is written once,
    as batches: its pipeline runs exactly one pass whatever the chunk count
    (progress counters, fault schedules and non-reentrant child state all
-   assume one pass). Each chunk in turn is hashed and every probe batch
-   probed against it with [probe] ({!probe_batch}), which tracks the
+   assume one pass). Each chunk in turn is built ({!build_join}) and
+   every probe batch probed against it with [probe] ({!probe_batch}),
+   which tracks the
    probe-side positions that matched. Semi and anti joins then narrow
    the probe batches' selection vectors by those positions. The
    expanding kinds write each chunk's matches as a run keyed by probe
@@ -1247,15 +1288,15 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
    matches in ascending right-row order at its place in the stream, as
    the in-memory join does, and FULL appends the right rows no chunk
    matched, in right order. At most one chunk is in memory. *)
-let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~hash ~probe pieces
+let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~build ~probe pieces
     (left : Batch.t Seq.t) : Batch.t Seq.t =
   let note = cfg.Spill.note in
   note Spill.Spilled;
   let chunks = Spill.create cfg in
   Seq.iter
     (fun piece ->
-      let rows = collect_tuples (Array.to_seq piece) in
-      Spill.push ~rows:(Array.length rows) chunks rows;
+      let chunk = concat_live ~arity:r_arity piece in
+      Spill.push ~rows:chunk.Batch.rows chunks chunk;
       note Spill.Chunk)
     pieces;
   Spill.rewind chunks;
@@ -1293,34 +1334,36 @@ let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~hash ~probe pieces
   let rec each_chunk () =
     match Spill.next chunks with
     | None -> Spill.release chunks
-    | Some rows ->
-      let tbl = hash rows in
+    | Some chunk ->
+      let jb = build chunk in
       let matched_right =
-        if kind = Plan.Full then Some (Array.make (Array.length rows) false)
+        if kind = Plan.Full then Some (Array.make chunk.Batch.rows false)
         else None
       in
       (match kind with
       | Plan.Semi | Plan.Anti ->
+        let probe = probe ~kind:Plan.Semi ~matched_right ~tap:None jb in
         each_probe (fun base lb ->
             List.iter
               (Batch.iter_live (fun p -> Bytes.set matched (base + p) '\001'))
-              (probe ~kind:Plan.Semi ~matched_right ~tap:None tbl lb))
+              (probe lb))
       | _ ->
         new_run (fun push ->
+            let tap base out lidx =
+              Array.iteri
+                (fun j p ->
+                  Bytes.set matched (base + p) '\001';
+                  push (base + p) (brow out j))
+                lidx
+            in
             each_probe (fun base lb ->
-                let tap out lidx =
-                  Array.iteri
-                    (fun j p ->
-                      Bytes.set matched (base + p) '\001';
-                      push (base + p) (brow out j))
-                    lidx
-                in
-                ignore (probe ~kind ~matched_right ~tap:(Some tap) tbl lb))));
+                ignore
+                  (probe ~kind ~matched_right ~tap:(Some (tap base)) jb lb))));
       Option.iter
         (Array.iteri (fun i m ->
              if not m then
                Spill.push right_pads
-                 (Tuple.concat (Array.make l_arity Value.Null) rows.(i))))
+                 (Tuple.concat (Array.make l_arity Value.Null) (brow chunk i))))
         matched_right;
       each_chunk ()
   in
@@ -1369,38 +1412,16 @@ let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~hash ~probe pieces
 
 (* ---- batch operator compilation ---------------------------------- *)
 
-(* A hash-join build side: the right input's rows, hashed on the join key.
-   Read-only once built, so the parallel gather builds each spine join
-   once per statement and shares it across morsel tasks. *)
-type join_build = {
-  jb_rows : Tuple.t array;
-  jb_tbl : (int * Tuple.t) list Tuple.Hash.t;
-}
-
-(* What running a build side yields: the hashed rows, or — past the spill
+(* What running a build side yields: the build, or — past the spill
    threshold — what the Grace join needs: the build input in pieces and
-   the build's hash function. *)
+   the function that builds one. *)
 type build_side =
   | Built of join_build
   | Over_budget of {
       cfg : Spill.config;
       pieces : Batch.t array Seq.t;
-      hash : Tuple.t array -> (int * Tuple.t) list Tuple.Hash.t;
+      build : Batch.t -> join_build;
     }
-
-(* Hash build rows on their key; each key's list holds (row index, row)
-   newest first. *)
-let hash_build (rkey : Tuple.t -> Tuple.t) rows =
-  let tbl = Tuple.Hash.create 256 in
-  Array.iteri
-    (fun idx rrow ->
-      let key = rkey rrow in
-      let prev =
-        match Tuple.Hash.find_opt tbl key with Some l -> l | None -> []
-      in
-      Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-    rows;
-  tbl
 
 (* Batch compilation context. [spill] is the statement's spill
    configuration; [outer] resolves the attributes bound by enclosing
@@ -1425,10 +1446,91 @@ let join_keys left right pred =
   | None -> ([], [])
   | Some p -> split_join_pred (Plan.schema left) (Plan.schema right) p
 
+(* The dtype of a plain [=] key that is one column of the same immediate
+   dtype on both sides: the key the unboxed tables hold. *)
+let single_key = function
+  | [ { l_expr = Expr.Attr a; r_expr = Expr.Attr b; null_safe = false } ]
+    when a.Attr.ty = b.Attr.ty
+         && List.mem a.Attr.ty Dtype.[ Int; Date; Bool; Text ] ->
+    Some a.Attr.ty
+  | _ -> None
+
+(* A join's residual conjuncts over row [p] of a left batch and row [r]
+   of the build columns [cols], read through cursors: NOT shareable
+   across domains. *)
+let residual_of cx left_schema right_schema = function
+  | [] -> None
+  | preds ->
+    let lpos = positions_of_schema left_schema
+    and rpos = positions_of_schema right_schema in
+    let lb = ref (Batch.dense [||] 0) and lp = ref 0 in
+    let rcols = ref [||] and rr = ref 0 in
+    let resolve a =
+      match lpos a, rpos a with
+      | Some i, _ -> Some (fun _ -> (Batch.col !lb i).(!lp))
+      | None, Some j -> Some (fun _ -> !rcols.(j).(!rr))
+      | None, None -> cx.outer a
+    in
+    let f = compile_pred resolve (Expr.conjoin preds) in
+    Some
+      (fun cols b p r ->
+        rcols := cols;
+        lb := b;
+        lp := p;
+        rr := r;
+        f [||])
+
+(* ORDER BY keys over [lay]: their evaluators and descending flags. *)
+let sort_keys lay keys =
+  ( Array.of_list (List.map (fun (e, _) -> bexpr_of lay e) keys),
+    Array.of_list (List.map (fun (_, d) -> d = Plan.Desc) keys) )
+
+(* A permutation sort of the numbered rows of [batches]: keys evaluated
+   once per row into columns, a stable sort of row numbers. Returns the
+   numbering, the key columns and the permutation. A lone row is never
+   compared, so its keys are evaluated only for a run ([runs]). *)
+let sort_rows (gets, desc) ~runs batches =
+  let rb, rp, _ = number_rows batches in
+  let n = Array.length rb in
+  let perm = Array.init n Fun.id in
+  let kcols =
+    if n > 1 || runs then
+      Array.map
+        (fun get -> Array.init n (fun r -> get batches.(rb.(r)) rp.(r)))
+        gets
+    else [||]
+  in
+  if n > 1 then Array.stable_sort (fun i j -> compare_keys desc kcols i j) perm;
+  ((rb, rp), kcols, perm)
+
+(* The group annotation under a sort (and the filter between them, if
+   any) when every sort key and the filter read only the annotation's
+   head columns: its group-by outputs and aggregates. *)
+let sorted_groups (child : Plan.t) keys =
+  let over_heads (ga : Plan.t) exprs =
+    match ga with
+    | Plan.Group_annotate { group_by; aggs; _ } ->
+      let heads =
+        List.map snd group_by
+        @ List.map (fun (c : Plan.agg_call) -> c.agg_out) aggs
+      in
+      List.for_all (fun e -> subset_of (Expr.attrs e) heads) exprs
+    | _ -> false
+  in
+  let keys = List.map fst keys in
+  match child with
+  | Plan.Group_annotate _ when over_heads child keys -> Some (child, None)
+  | Plan.Filter { child = ga; pred } when over_heads ga (pred :: keys) ->
+    Some (ga, Some (child, pred))
+  | _ -> None
+
 let rec compile_batch cx (plan : Plan.t) : bop =
   match cx.gather with
   | Some (root, gathered) when root == plan -> gathered
-  | _ -> cx.bwrap plan (compile_batch_node cx plan)
+  | _ ->
+    (* children compile, and so wrap, before their parent *)
+    let op = compile_batch_node cx plan in
+    cx.bwrap plan op
 
 and compile_batch_node cx (plan : Plan.t) : bop =
   let batch_rows = cx.batch_rows in
@@ -1505,50 +1607,21 @@ and compile_batch_node cx (plan : Plan.t) : bop =
           Seq.filter_map (first_rows group_of) (run_child ()) ())
   | Plan.Set_op { kind; all; left; right; attrs } ->
     compile_batch_set_op cx kind all left right attrs
-  | Plan.Sort { child; keys } ->
-    let lay = layout cx (Plan.schema child) in
-    let arity = List.length (Plan.schema child) in
-    let gets = Array.of_list (List.map (fun (e, _) -> bexpr_of lay e) keys) in
-    let desc = Array.of_list (List.map (fun (_, d) -> d = Plan.Desc) keys) in
-    let run_child = compile_batch cx child in
-    (* a permutation sort: keys evaluated once per row into columns, a
-       stable sort of row numbers; in memory every column is then gathered
-       once, past the threshold each sorted piece is a run to merge. A
-       lone row in memory is never compared, so its keys are not
-       evaluated. *)
-    let sort ~runs batches =
-      let rb, rp, _ = number_rows batches in
-      let n = Array.length rb in
-      let perm = Array.init n Fun.id in
-      let kcols =
-        if n > 1 || runs then
-          Array.map
-            (fun get -> Array.init n (fun r -> get batches.(rb.(r)) rp.(r)))
-            gets
-        else [||]
+  | Plan.Sort { child; keys } -> (
+    let sort = compile_sort cx (Plan.schema child) keys in
+    match sorted_groups child keys with
+    | Some (Plan.Group_annotate { child; group_by; aggs; rep } as ga, filter) ->
+      (* the annotation sorts its groups, and the filter between them is
+         its group-level keep: both nodes still count their rows *)
+      let op =
+        compile_batch_group_annotate cx child group_by aggs rep
+          ~sorted:(keys, Option.map snd filter, sort)
       in
-      if n > 1 then Array.stable_sort (fun i j -> compare_keys desc kcols i j) perm;
-      ((rb, rp), kcols, perm)
-    in
-    fun () ->
-      Perm_fault.trip fp_sort;
-      (match input_of cx.spill (run_child ()) with
-      | Fits s ->
-        let batches = Array.of_seq s in
-        let rows, _, perm = sort ~runs:false batches in
-        gather_rows ~batch_rows ~arity batches rows perm
-      | Spills (cfg, pieces) ->
-        cfg.Spill.note Spill.Spilled;
-        let runs =
-          Array.of_seq
-            (Seq.map
-               (fun piece ->
-                 let rows, kcols, perm = sort ~runs:true piece in
-                 write_run cfg piece rows kcols perm)
-               pieces)
-        in
-        batches_of_rows ~arity ~batch_rows
-          (merge_runs ~desc runs ~emit:(fun _ row -> Some row)))
+      let run = cx.bwrap ga op in
+      Option.fold filter ~none:run ~some:(fun (node, _) -> cx.bwrap node run)
+    | _ ->
+      let run_child = compile_batch cx child in
+      fun () -> sort run_child)
   | Plan.Limit { child; limit; offset } ->
     let run_child = compile_batch cx child in
     fun () ->
@@ -1578,9 +1651,38 @@ and compile_batch_node cx (plan : Plan.t) : bop =
   | Plan.Baserel { child; _ } | Plan.External { child; _ } ->
     compile_batch cx child
 
-(* The build half of a hash join: run the right input once, collect it and
-   hash every row on its key. Under a spill configuration it stops at the
-   threshold and hands the rest to the Grace join instead. *)
+(* A permutation sort of the stream [run_child ()] yields
+   ({!sort_rows}): in memory every column is then gathered once, past
+   the threshold each sorted piece is a run to merge. *)
+and compile_sort cx schema keys =
+  let batch_rows = cx.batch_rows in
+  let arity = List.length schema in
+  let keys = sort_keys (layout cx schema) keys in
+  let sort = sort_rows keys in
+  fun run_child ->
+    Perm_fault.trip fp_sort;
+    match input_of cx.spill (run_child ()) with
+    | Fits s ->
+      let batches = Array.of_seq s in
+      let rows, _, perm = sort ~runs:false batches in
+      gather_rows ~batch_rows ~arity batches rows perm
+    | Spills (cfg, pieces) ->
+      cfg.Spill.note Spill.Spilled;
+      let runs =
+        Array.of_seq
+          (Seq.map
+             (fun piece ->
+               let rows, kcols, perm = sort ~runs:true piece in
+               write_run cfg piece rows kcols perm)
+             pieces)
+      in
+      batches_of_rows ~arity ~batch_rows
+        (merge_runs ~desc:(snd keys) runs ~emit:(fun _ row -> Some row))
+
+(* The build half of a hash join: run the right input once, as one dense
+   batch, and chain its rows by key ({!build_join}). Under a spill
+   configuration it stops at the threshold and hands the rest to the
+   Grace join instead. *)
 and compile_join_build cx (join : Plan.t) : unit -> build_side =
   let left, right, pred =
     match join with
@@ -1588,19 +1690,19 @@ and compile_join_build cx (join : Plan.t) : unit -> build_side =
     | _ -> err "internal: join build over a non-join node"
   in
   let keys, _ = join_keys left right pred in
-  let r_resolve = row_resolver (layout cx (Plan.schema right)) in
-  let rkey_fs =
-    Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
+  let r_lay = layout cx (Plan.schema right) in
+  let build =
+    build_join ~single:(single_key keys)
+      ~null_safety:(Array.of_list (List.map (fun k -> k.null_safe) keys))
+      (r_lay, List.map (fun k -> k.r_expr) keys)
   in
-  let hash = hash_build (key_of rkey_fs) in
+  let arity = List.length (Plan.schema right) in
   let run_right = compile_batch cx right in
   fun () ->
     Perm_fault.trip fp_join_build;
     match input_of cx.spill (run_right ()) with
-    | Fits s ->
-      let rows = collect_tuples s in
-      Built { jb_rows = rows; jb_tbl = hash rows }
-    | Spills (cfg, pieces) -> Over_budget { cfg; pieces; hash }
+    | Fits s -> Built (build (concat_live ~arity (Array.of_seq s)))
+    | Spills (cfg, pieces) -> Over_budget { cfg; pieces; build }
 
 and compile_batch_join cx plan kind left right pred =
   let left_schema = Plan.schema left and right_schema = Plan.schema right in
@@ -1635,63 +1737,35 @@ and compile_batch_join cx plan kind left right pred =
     in
     let keys, residual = join_keys left right pred in
     let l_lay = layout cx left_schema in
-    let lkey = key_filler l_lay (List.map (fun k -> k.l_expr) keys) in
-    let null_safety = Array.of_list (List.map (fun k -> k.null_safe) keys) in
-    let residual_f =
-      match residual with
-      | [] -> None
-      | preds ->
-        Some
-          (compile_pred
-             (row_resolver (layout cx (left_schema @ right_schema)))
-             (Expr.conjoin preds))
-    in
-    let usable = key_usable null_safety in
-    let probe ~kind ~matched_right ~tap tbl lb =
-      probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable ~tbl ~residual_f
-        ~matched_right ~pads:false ?tap lb
+    let lkeys = (l_lay, List.map (fun k -> k.l_expr) keys) in
+    let residual = residual_of cx left_schema right_schema residual in
+    let probe ~kind ~matched_right ~tap jb =
+      probe_batch ~kind ~batch_rows ~jb ~head:(jb.jb_head lkeys)
+        ~residual:(Option.map (fun f -> f jb.jb_cols) residual)
+        ~matched_right ~pads:(Option.is_none tap) ?tap
     in
     fun () ->
       Seq.memoize
         (fun () ->
           match build () with
-          | Over_budget { cfg; pieces; hash } ->
-            grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~hash ~probe
+          | Over_budget { cfg; pieces; build } ->
+            grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~build ~probe
               pieces (run_left ()) ()
-          | Built { jb_rows = right_rows; jb_tbl = tbl } -> (
+          | Built jb ->
             let matched_right =
-              match kind with
-              | Plan.Full -> Some (Array.make (Array.length right_rows) false)
-              | _ -> None
+              if kind = Plan.Full then
+                Some (Array.make (Array.length jb.jb_next) false)
+              else None
             in
+            let probe = probe ~kind ~matched_right ~tap:None jb in
             let main =
-              Seq.concat_map
-                (fun lb ->
-                  List.to_seq
-                    (probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable ~tbl
-                       ~residual_f ~matched_right lb))
-                (run_left ())
+              Seq.concat_map (fun lb -> List.to_seq (probe lb)) (run_left ())
             in
-            match kind with
-            | Plan.Full ->
-              let matched = Option.get matched_right in
-              let tail () =
-                let unmatched = ref [] in
-                Array.iteri
-                  (fun i rrow ->
-                    if not matched.(i) then
-                      unmatched :=
-                        Tuple.concat (Array.make l_arity Value.Null) rrow
-                        :: !unmatched)
-                  right_rows;
-                batches_of_tuple_list ~arity:(l_arity + r_arity) ~batch_rows
-                  (List.rev !unmatched)
-                  ()
-              in
-              (* main must be fully consumed before the tail is forced so
-                 the matched flags are complete; Seq.append guarantees that *)
-              Seq.append main tail ()
-            | _ -> main ()))
+            (* main must be fully consumed before the tail is forced so the
+               matched flags are complete; Seq.append guarantees that *)
+            Option.fold matched_right ~none:main ~some:(fun matched () ->
+                Seq.append main (fun () ->
+                    unmatched_build ~l_arity ~batch_rows jb matched ()) ()) ())
 
 (* Correlated evaluation. The right side is compiled once, with an outer
    resolver that reads the current left row, and re-run for every live
@@ -1781,8 +1855,15 @@ and compile_batch_aggregate cx child group_by aggs =
    the same order while only group states stay in memory. Every run is
    written before the merge starts, so every group is final by then.
    With a representative flag, only flagged rows feed the aggregates, and
-   a group's first flagged row gives it its key. *)
-and compile_batch_group_annotate cx child group_by aggs rep =
+   a group's first flagged row gives it its key.
+
+   [sorted] is an ORDER BY over the head columns, with the filter under
+   it ({!sorted_groups}), and the sort it replaces. In memory the filter
+   keeps groups and the keys order the k groups stably; each group's rows
+   follow in input order. Groups are contiguous in first-seen order, so
+   this is the stable row sort's order. Past the threshold the merged
+   stream is filtered and sorted as rows. *)
+and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
   let batch_rows = cx.batch_rows in
   let child_schema = Plan.schema child in
   let lay = layout cx child_schema in
@@ -1795,8 +1876,39 @@ and compile_batch_group_annotate cx child group_by aggs rep =
   in
   let run_child = compile_batch cx child in
   let child_arity = List.length child_schema in
-  let head_arity = List.length group_by + List.length aggs in
+  let head_schema =
+    List.map snd group_by @ List.map (fun (c : Plan.agg_call) -> c.agg_out) aggs
+  in
+  let head_arity = List.length head_schema in
   let arity = head_arity + child_arity in
+  let head_lay = layout cx head_schema in
+  let keep =
+    match sorted with
+    | Some (_, Some pred, _) -> filter_kernels head_lay pred
+    | _ -> []
+  in
+  (* each group's output position, -1 for the groups left out *)
+  let rank_groups heads =
+    let rank = Array.make (Array.length heads) (-1) in
+    (match sorted with
+    | None ->
+      Array.iteri (fun g h -> if Option.is_some h then rank.(g) <- g) heads
+    | Some (skeys, _, _) -> (
+      Perm_fault.trip fp_sort;
+      let skeys = sort_keys head_lay skeys in
+      let ids = indices (Array.length heads) (fun g -> heads.(g) <> None) in
+      let hb =
+        Batch.of_rows ~arity:head_arity
+          (Array.map (fun g -> Option.get heads.(g)) ids)
+          ~pos:0 ~len:(Array.length ids)
+      in
+      match apply_filter keep hb with
+      | None -> ()
+      | Some hb ->
+        let (_, rp), _, perm = sort_rows skeys ~runs:false [| hb |] in
+        Array.iteri (fun r j -> rank.(ids.(rp.(j))) <- r) perm));
+    rank
+  in
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
@@ -1826,25 +1938,24 @@ and compile_batch_group_annotate cx child group_by aggs rep =
                  Option.map (fun key -> Array.append key (results states)) !key)
                !groups)
         in
-        let empty_global () =
-          batches_of_tuple_list ~arity ~batch_rows
-            [
-              Array.append (results (fresh ()))
-                (Array.make child_arity Value.Null);
-            ]
-        in
         match input_of cx.spill (run_child ()) with
         | Fits s ->
           let batches = Array.of_seq s in
           let rb, rp, gids = number_rows ~each:assign batches in
-          if gids = [||] && group_by = [] then empty_global () ()
+          if gids = [||] && group_by = [] then
+            Seq.filter_map (apply_filter keep)
+              (batches_of_tuple_list ~arity ~batch_rows
+                 [
+                   Array.append (results (fresh ()))
+                     (Array.make child_arity Value.Null);
+                 ])
+              ()
           else
             let heads = heads () in
             gather_rows
               ~heads:(Array.map (Option.value ~default:[||]) heads, gids)
               ~batch_rows ~arity:child_arity batches (rb, rp)
-              (grouped_order ~groups:!count
-                 ~keep:(fun g -> Option.is_some heads.(g)) gids)
+              (grouped_order (rank_groups heads) gids)
               ()
         | Spills (cfg, pieces) ->
           cfg.Spill.note Spill.Spilled;
@@ -1855,7 +1966,7 @@ and compile_batch_group_annotate cx child group_by aggs rep =
                    let rb, rp, gids = number_rows ~each:assign piece in
                    write_run cfg piece (rb, rp)
                      [| Array.map (fun g -> Value.Int g) gids |]
-                     (grouped_order ~groups:!count ~keep:(fun _ -> true) gids))
+                     (grouped_order (Array.init !count Fun.id) gids))
                  pieces)
           in
           let heads = heads () in
@@ -1863,10 +1974,15 @@ and compile_batch_group_annotate cx child group_by aggs rep =
             | Value.Int g -> heads.(g)
             | _ -> err "internal: untagged group annotation row"
           in
-          batches_of_rows ~arity ~batch_rows
-            (merge_runs ~desc:[| false |] runs ~emit:(fun key row ->
-                 Option.map (fun h -> Tuple.concat h row) (head key.(0))))
-            ())
+          let merged =
+            batches_of_rows ~arity ~batch_rows
+              (merge_runs ~desc:[| false |] runs ~emit:(fun key row ->
+                   Option.map (fun h -> Tuple.concat h row) (head key.(0))))
+          in
+          match sorted with
+          | None -> merged ()
+          | Some (_, _, sort) ->
+            sort (fun () -> Seq.filter_map (apply_filter keep) merged) ())
 
 and compile_batch_set_op cx kind all left right attrs =
   let run_left = compile_batch cx left in
@@ -2008,12 +2124,7 @@ type node_stats = {
    and survives the trip through [Pretty.plan_to_string ~annotate]. *)
 type exec_stats = { mutable entries : (Plan.t * node_stats) list }
 
-let lookup stats node =
-  let rec go = function
-    | [] -> None
-    | (p, ns) :: rest -> if p == node then Some ns else go rest
-  in
-  go stats.entries
+let lookup stats node = List.assq_opt node stats.entries
 
 let stats_entries stats = List.rev_map snd stats.entries
 let stats_nodes stats = List.rev stats.entries
@@ -2070,10 +2181,13 @@ let now_s () = Perm_obs.Trace.now ()
 
 (* Operator counters: rows accumulate by live count per batch, and
    peak_bytes is the largest reachable-heap footprint
-   ([Batch.measured_bytes]) among the batches the node measured. Measuring
-   walks the whole batch, so a node measures its first batch and then only
-   a batch with more live rows than any it measured before: a stream of
-   equal batches costs one walk, not one per batch. Every pull is timed,
+   ([Batch.measured_bytes]) among the batches the node measured, less the
+   column arrays it shares with its children's latest batches: a filter
+   or a projection passes its input's columns on, and those belong to
+   the input. Measuring walks the batch, so a node measures its first
+   batch and then only a batch with more live rows than any it measured
+   before: a stream of equal batches costs one walk, not one per batch.
+   Every pull is timed,
    so the measured interval covers the operator AND its children
    (inclusive time, as in Postgres EXPLAIN ANALYZE). A child measures its
    batch inside its parent's pull, so each interval gives back the
@@ -2081,7 +2195,14 @@ let now_s () = Perm_obs.Trace.now ()
    counts. *)
 let instrumenting_bwrap stats : bwrapper =
   let measuring = ref 0. in
+  (* each wrapped node's latest batch columns; children wrap first *)
+  let latest = ref [] in
   fun node thunk ->
+    let inputs =
+      List.filter_map (fun c -> List.assq_opt c !latest) (Plan.children node)
+    in
+    let last = ref [||] in
+    latest := (node, last) :: !latest;
     let ns =
       {
         stat_kind = Plan.operator_kind node;
@@ -2111,13 +2232,14 @@ let instrumenting_bwrap stats : bwrapper =
         | Seq.Nil -> Seq.Nil
         | Seq.Cons (b, rest) ->
           let live = Batch.live b in
+          last := b.Batch.cols;
           ns.stat_rows <- ns.stat_rows + live;
           inv_rows := !inv_rows + live;
           if !inv_rows > ns.stat_peak_rows then ns.stat_peak_rows <- !inv_rows;
           if live > !widest || ns.stat_peak_bytes = 0 then begin
             widest := max live !widest;
             let t0 = now_s () in
-            let bytes = Batch.measured_bytes b in
+            let bytes = Batch.measured_bytes (List.map ( ! ) inputs) b in
             measuring := !measuring +. (now_s () -. t0);
             if bytes > ns.stat_peak_bytes then ns.stat_peak_bytes <- bytes
           end;

@@ -134,11 +134,13 @@ type node_stats = {
       (** max rows produced by a single invocation *)
   mutable stat_peak_bytes : int;
       (** peak batch memory: the largest measured heap footprint
-          ([Obj.reachable_words]) among the operator's batches. Only the
-          first batch and each batch with more live rows than every one
-          measured before are measured, so a batch no wider than an
-          earlier one but heavier (longer strings, a sparser selection)
-          goes unseen *)
+          ([Obj.reachable_words]) among the operator's batches, less the
+          column arrays a batch shares with the latest batch of one of
+          the node's children (a filter's batch counts its selection
+          vector, not its input's columns again). Only the first batch
+          and each batch with more live rows than every one measured
+          before are measured, so a batch no wider than an earlier one
+          but heavier (longer strings, a sparser selection) goes unseen *)
 }
 
 type exec_stats

@@ -56,6 +56,11 @@ let rec column_origin (plan : Plan.t) (a : Attr.t) : (string * string) option =
   | Plan.External _ ->
     None
 
+let attrs_subset set (schema : Attr.t list) =
+  Attr.Set.for_all
+    (fun (a : Attr.t) -> List.exists (fun (x : Attr.t) -> Attr.equal x a) schema)
+    set
+
 let distinct_of stats plan (e : Expr.t) ~rows =
   match e with
   | Expr.Attr a -> (
@@ -64,20 +69,25 @@ let distinct_of stats plan (e : Expr.t) ~rows =
     | None -> max 1. (rows /. 10.))
   | _ -> max 1. (rows /. 10.)
 
-let rec selectivity stats plan ~rows (pred : Expr.t) =
+(* [distinct e] estimates the distinct values of [e] among the rows the
+   predicate filters. *)
+let rec selectivity ~distinct (pred : Expr.t) =
   match pred with
   | Expr.Binop (Expr.And, a, b) ->
-    selectivity stats plan ~rows a *. selectivity stats plan ~rows b
+    selectivity ~distinct a *. selectivity ~distinct b
   | Expr.Binop (Expr.Or, a, b) ->
-    let sa = selectivity stats plan ~rows a
-    and sb = selectivity stats plan ~rows b in
+    let sa = selectivity ~distinct a and sb = selectivity ~distinct b in
     min 1. (sa +. sb -. (sa *. sb))
-  | Expr.Unop (Expr.Not, a) -> 1. -. selectivity stats plan ~rows a
+  | Expr.Unop (Expr.Not, a) -> 1. -. selectivity ~distinct a
   | Expr.Binop (Expr.Eq, (Expr.Attr _ as a), Expr.Const _)
   | Expr.Binop (Expr.Eq, Expr.Const _, (Expr.Attr _ as a)) ->
-    1. /. distinct_of stats plan a ~rows
-  | Expr.Binop (Expr.Eq, a, b) ->
-    1. /. max (distinct_of stats plan a ~rows) (distinct_of stats plan b ~rows)
+    1. /. distinct a
+  (* a computed value against a constant ([m.mid % 7 = 0]): no statistics
+     describe it *)
+  | Expr.Binop (Expr.Eq, _, Expr.Const _)
+  | Expr.Binop (Expr.Eq, Expr.Const _, _) ->
+    0.1
+  | Expr.Binop (Expr.Eq, a, b) -> 1. /. max (distinct a) (distinct b)
   | Expr.Binop (Expr.Neq, _, _) -> 0.9
   | Expr.Binop ((Expr.Lt | Expr.Leq | Expr.Gt | Expr.Geq), _, _) -> 0.33
   | Expr.Binop (Expr.Like, _, _) -> 0.1
@@ -105,14 +115,23 @@ let rec estimate_rows stats (plan : Plan.t) : float =
     max 1. (estimate_rows stats child)
   | Plan.Filter { child; pred } ->
     let rows = estimate_rows stats child in
-    max 1. (rows *. selectivity stats child ~rows pred)
+    max 1. (rows *. selectivity ~distinct:(distinct_of stats child ~rows) pred)
   | Plan.Join { kind; left; right; pred } -> (
     let l = estimate_rows stats left and r = estimate_rows stats right in
     let cross = l *. r in
+    (* a join key counts its distinct values on its own side: one with no
+       base-column origin guesses from that side's rows, not the cross
+       product's *)
+    let distinct e =
+      let on side = attrs_subset (Expr.attrs e) (Plan.schema side) in
+      if on left then distinct_of stats left e ~rows:l
+      else if on right then distinct_of stats right e ~rows:r
+      else distinct_of stats plan e ~rows:cross
+    in
     let matched =
       match pred with
       | None -> cross
-      | Some p -> max 1. (cross *. selectivity stats plan ~rows:cross p)
+      | Some p -> max 1. (cross *. selectivity ~distinct p)
     in
     match kind with
     | Plan.Inner | Plan.Cross -> matched
@@ -339,11 +358,6 @@ let rec map_exprs f (plan : Plan.t) : Plan.t =
 (* Predicate pushdown                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let attrs_subset set (schema : Attr.t list) =
-  Attr.Set.for_all
-    (fun (a : Attr.t) -> List.exists (fun (x : Attr.t) -> Attr.equal x a) schema)
-    set
-
 (* Push one conjunct as far down as it goes; returns None if it was absorbed
    into the plan, or Some pred if it must stay above. *)
 let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
@@ -374,6 +388,13 @@ let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
       Some (Plan.Join { kind; left = with_filter left pred; right; pred = jp })
     else if attrs_subset pa (Plan.schema right) then
       Some (Plan.Join { kind; left; right = with_filter right pred; pred = jp })
+    else if attrs_subset pa (Plan.schema plan) then
+      (* over both sides: a join predicate, so a comma join hashes *)
+      let pred =
+        Option.fold jp ~none:pred ~some:(fun p ->
+            Expr.Binop (Expr.And, p, pred))
+      in
+      Some (Plan.Join { kind = Plan.Inner; left; right; pred = Some pred })
     else None
   | Plan.Join { kind = Plan.Semi | Plan.Anti; left; right; pred = jp } ->
     let pa = Expr.attrs pred in
@@ -716,6 +737,40 @@ let rec select_indexes stats (plan : Plan.t) : Plan.t =
       else Plan.Filter { child = scan; pred = Expr.conjoin residual })
   | p -> p
 
+(* The hash join builds its right input. An inner equi-join whose left
+   input is estimated smaller swaps its inputs, under an identity
+   projection that restores the column order (folded into a projection
+   above it); the join then emits in the order of its new probe side,
+   the old right input. *)
+let rec build_smaller stats (plan : Plan.t) : Plan.t =
+  let plan = Plan.map_children (build_smaller stats) plan in
+  match plan with
+  | Plan.Project
+      { child = Plan.Project { child = Plan.Join _ as join; cols = id }; cols }
+    when List.for_all
+           (function Expr.Attr a, out -> Attr.equal a out | _ -> false)
+           id ->
+    Plan.Project { child = join; cols }
+  | Plan.Join { kind = Plan.Inner; left; right; pred = Some p }
+    when estimate_rows stats left < estimate_rows stats right
+         && List.exists
+              (function
+                | Expr.Binop (Expr.Eq, a, b) ->
+                  let on side e =
+                    attrs_subset (Expr.attrs e) (Plan.schema side)
+                  in
+                  (on left a && on right b) || (on left b && on right a)
+                | _ -> false)
+              (Expr.conjuncts p) ->
+    Plan.Project
+      {
+        child =
+          Plan.Join
+            { kind = Plan.Inner; left = right; right = left; pred = Some p };
+        cols = Plan.identity_project plan;
+      }
+  | p -> p
+
 let optimize ?(config = default_config) stats plan =
   let plan = if config.fold_constants then map_exprs fold_expr plan else plan in
   let plan =
@@ -737,4 +792,5 @@ let optimize ?(config = default_config) stats plan =
     else plan
   in
   let plan = if config.use_indexes then select_indexes stats plan else plan in
-  plan
+  (* with pushdown, the pass that turns WHERE equi-joins into hash joins *)
+  if config.push_predicates then build_smaller stats plan else plan

@@ -84,7 +84,10 @@ let to_tuples b =
     b;
   List.rev !acc
 
-(* Exact heap footprint in bytes of everything reachable from the batch —
-   the profiler's peak_bytes measurement on the vectorized path. *)
-let measured_bytes b =
-  Obj.reachable_words (Obj.repr b) * (Sys.word_size / 8)
+(* Exact heap footprint in bytes of everything reachable from the batch
+   but its columns shared with [inputs] — the profiler's peak_bytes
+   measurement on the vectorized path. *)
+let measured_bytes inputs b =
+  let owned col = not (List.exists (Array.exists (fun c -> c == col)) inputs) in
+  let cols = Array.of_list (List.filter owned (Array.to_list b.cols)) in
+  Obj.reachable_words (Obj.repr (with_cols b cols)) * (Sys.word_size / 8)

@@ -50,5 +50,8 @@ val iter_live : (int -> unit) -> t -> unit
 (** Iterate physical indices of live rows in order. *)
 
 val to_tuples : t -> Value.t array list
-val measured_bytes : t -> int
-(** Exact reachable-heap bytes of the batch (profiler peak_bytes). *)
+val measured_bytes : Value.t array array list -> t -> int
+(** [measured_bytes inputs b]: exact reachable-heap bytes of [b]
+    (profiler peak_bytes), but for its columns that are physically one
+    of the [inputs] columns (an operator's input batches): a shared
+    column belongs to the input. *)

@@ -69,3 +69,74 @@ let check_same e sql_a sql_b =
 
 let case name fn = Alcotest.test_case name `Quick fn
 let qcheck t = QCheck_alcotest.to_alcotest t
+
+(* ---- hash-join key identity ---------------------------------------- *)
+
+(* Tables [ki] (int key), [kf] (float key), [kt] (text key) and [kd]
+   (date key), each [(key, b text, v int)] over [rows] rows with
+   repeated keys and NULLs: 1 = 1.0, 0.0 = -0.0 and NaN keys in [kf],
+   the empty string in [kt], NULLs in [b] for two-column keys. *)
+let load_join_keys ?(rows = 40) e =
+  let table name ty key =
+    exec_ok e (Printf.sprintf "CREATE TABLE %s (k %s, b text, v int)" name ty)
+    |> ignore;
+    exec_ok e
+      (Printf.sprintf "INSERT INTO %s VALUES %s" name
+         (String.concat ", "
+            (List.init rows (fun i ->
+                 Printf.sprintf "(%s, %s, %d)" (key i)
+                   (if i mod 13 = 0 then "NULL"
+                    else Printf.sprintf "'b%d'" (i mod 3))
+                   i))))
+    |> ignore
+  in
+  table "ki" "int" (fun i ->
+      if i mod 11 = 0 then "NULL" else string_of_int (i mod 7));
+  table "kf" "float" (fun i ->
+      match i mod 9 with
+      | 0 -> "NULL"
+      | 1 -> "CAST('nan' AS float)"
+      | 2 -> "0.0"
+      | 3 -> "-0.0"
+      | _ -> Printf.sprintf "%d.%d" (i mod 7) (if i mod 4 = 0 then 5 else 0));
+  table "kt" "text" (fun i ->
+      match i mod 10 with
+      | 0 -> "NULL"
+      | 1 -> "''"
+      | _ -> Printf.sprintf "'t%d'" (i mod 6));
+  table "kd" "date" (fun i ->
+      if i mod 8 = 0 then "NULL"
+      else Printf.sprintf "DATE '2020-01-0%d'" (1 + (i mod 5)))
+
+(* Every join kind over every key pair of [load_join_keys]: same-dtype
+   keys, int against float both ways, two-column keys, the comma
+   spelling, and semi/anti joins. *)
+let join_key_queries =
+  List.concat_map
+    (fun (l, r) ->
+      let sel = Printf.sprintf "SELECT l.v, l.k, r.v, r.k FROM %s l " l in
+      [
+        sel ^ Printf.sprintf "JOIN %s r ON l.k = r.k" r;
+        sel ^ Printf.sprintf ", %s r WHERE l.k = r.k" r;
+        sel ^ Printf.sprintf "LEFT JOIN %s r ON l.k = r.k" r;
+        sel ^ Printf.sprintf "RIGHT JOIN %s r ON l.k = r.k" r;
+        sel ^ Printf.sprintf "FULL JOIN %s r ON l.k = r.k" r;
+        sel ^ Printf.sprintf "JOIN %s r ON l.k = r.k AND l.b = r.b" r;
+        sel ^ Printf.sprintf "JOIN %s r ON l.k = r.k AND l.v < r.v" r;
+        Printf.sprintf "SELECT l.v FROM %s l WHERE l.k IN (SELECT r.k FROM %s r)"
+          l r;
+        Printf.sprintf
+          "SELECT l.v FROM %s l WHERE l.k NOT IN (SELECT r.k FROM %s r)" l r;
+      ])
+    [ ("ki", "ki"); ("ki", "kf"); ("kf", "ki"); ("kf", "kf"); ("kt", "kt");
+      ("kd", "kd") ]
+
+(* Null-safe keys: the provenance rewrite of a LIMIT subquery rejoins
+   its input on every column under key identity (NULL matches NULL, NaN
+   matches NaN). *)
+let null_safe_join_queries =
+  List.map
+    (fun (cols, t) ->
+      Printf.sprintf "SELECT PROVENANCE %s FROM (SELECT %s FROM %s LIMIT 30) x"
+        cols cols t)
+    [ ("k", "ki"); ("k, b", "kf"); ("k", "kt"); ("k", "kd") ]

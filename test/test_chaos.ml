@@ -157,6 +157,18 @@ let suite_sweep =
            >= 1);
         check_recovered e;
         Engine.close e);
+    (* the group annotation runs this sort itself, in memory and spilled *)
+    case "sort.materialize fires for an ORDER BY over a provenance aggregate"
+      (fun () ->
+        let e = chaos_engine () in
+        Fault.set "sort.materialize" 1.0;
+        Alcotest.(check bool) "the sort faulted" true
+          (run_stmt e
+             "SELECT PROVENANCE uid, count(*) FROM messages GROUP BY uid \
+              ORDER BY count(*) DESC"
+           = `Error);
+        check_recovered e;
+        Engine.close e);
   ]
 
 let suite_integrity =
@@ -314,9 +326,11 @@ let suite_batch =
         Perm_workload.Forum.load_scaled e ~messages:3000 ~users:3 ();
         go_parallel e;
         Engine.set_batch_rows e 64;
+        (* no equi-keys: nested loops over cross products, the second
+           testing each of 3M pairs against every message *)
         expect_timeout e ~bound_ms:400.
-          "SELECT PROVENANCE m1.text, m2.text FROM messages m1, messages m2 \
-           WHERE m1.uid = m2.uid";
+          "SELECT PROVENANCE m1.text, m3.text FROM messages m1, messages m2, \
+           messages m3 WHERE m1.uid - m2.uid = 0 AND m2.mid - m3.mid = 0";
         ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
         Alcotest.(check int) "pool reused after the kill" domains
           (Engine.pool_size e);

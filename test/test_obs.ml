@@ -331,6 +331,66 @@ let engine_tests =
           true
           (analyzed_ms <= 3. *. plain_ms);
         Engine.close e);
+    case "EXPLAIN ANALYZE counts the nodes a group sort and a swap fold"
+      (fun () ->
+        (* the annotation runs the HAVING and the ORDER BY over its groups,
+           and the join builds its smaller input; every node still
+           reports its own execution *)
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:1000 ~users:50 ();
+        match
+          Engine.explain_analyze e
+            "SELECT PROVENANCE m.uid, count(*) AS c FROM messages m JOIN \
+             approved a ON m.mid = a.mid WHERE m.mid % 7 = 0 GROUP BY m.uid \
+             HAVING count(*) > 1 ORDER BY c DESC"
+        with
+        | Error msg -> Alcotest.fail msg
+        | Ok ea ->
+          let tree = ea.Engine.ea_tree in
+          Alcotest.(check bool) "no node left unexecuted" false
+            (contains tree "never executed");
+          List.iter
+            (fun node ->
+              Alcotest.(check bool) (node ^ " executed once") true
+                (List.exists
+                   (fun l -> contains l node && contains l "loops=1")
+                   (String.split_on_char '\n' tree)))
+            [ "Sort ["; "Select [(count"; "GroupAnnotate ["; "Join [" ];
+          (* the filtered messages are built: the join's first input is
+             the approvals scan *)
+          let lines = String.split_on_char '\n' tree in
+          let rec after_join = function
+            | l :: next :: _ when contains l "Join [" -> next
+            | _ :: rest -> after_join rest
+            | [] -> ""
+          in
+          Alcotest.(check bool) "approved probes" true
+            (contains (after_join lines) "approved"));
+    case "a filter's peak bytes leave out the scan's columns" (fun () ->
+        (* the filter passes the scan chunk's column arrays on and only
+           allocates its selection vector: the columns count once, at the
+           scan *)
+        let e = big_engine () in
+        Engine.set_batch_rows e 1024;
+        Engine.set_instrumentation e true;
+        ignore (query_ok e "SELECT a FROM big WHERE a % 2 = 0");
+        let bytes prefix =
+          match
+            List.find_opt
+              (fun pn ->
+                String.starts_with ~prefix pn.Perm_obs.Profile.pn_operator)
+              (Engine.plan_profile e)
+          with
+          | Some pn -> pn.Perm_obs.Profile.pn_peak_bytes
+          | None -> Alcotest.failf "no %s node profiled" prefix
+        in
+        let filter = bytes "Select" and scan = bytes "Scan" in
+        Alcotest.(check bool)
+          (Printf.sprintf "filter %d bytes under a quarter of the scan's %d"
+             filter scan)
+          true
+          (filter > 0 && 4 * filter < scan);
+        Engine.close e);
     case "instrumented execution stays within 2x of the plain one" (fun () ->
         (* a node measures a batch's bytes only when it is wider than every
            batch it measured before, so ten equal chunks cost one walk per

@@ -80,6 +80,11 @@ let suite_equality =
         List.iter (check_identical e) forum_queries;
         Alcotest.(check bool)
           "at least one query ran in parallel" true (par_queries e > 0);
+        (* the comma join hashes, and its probe side is a gathered spine *)
+        let before = par_queries e in
+        check_identical e (List.nth forum_queries 2);
+        Alcotest.(check bool) "the comma join ran in parallel" true
+          (par_queries e > before);
         Engine.close e);
     case "star workload: serial = parallel incl. provenance variants"
       (fun () ->

@@ -47,12 +47,14 @@ let forum_scaled ?(messages = 300) ?(users = 3) () =
   Perm_workload.Forum.load_scaled e ~messages ~users ();
   e
 
-(* Expensive equality self-join: with few users every message matches a
-   third of the table, so the probe side grows quadratically — morsel
-   eligible, and far slower than any timeout bound used below. *)
+(* Expensive self-joins: their predicates are no equi-keys (each side of
+   an [=] reads both inputs), so each runs as a nested loop over a cross
+   product — morsel eligible; with few users every message matches a
+   third of the table, and each of those 3M pairs is then tested against
+   every message: far slower than any timeout bound used below. *)
 let heavy_join =
-  "SELECT PROVENANCE m1.text, m2.text FROM messages m1, messages m2 WHERE \
-   m1.uid = m2.uid"
+  "SELECT PROVENANCE m1.text, m3.text FROM messages m1, messages m2, \
+   messages m3 WHERE m1.uid - m2.uid = 0 AND m2.mid - m3.mid = 0"
 
 (* Cross product for the serial-only tests (nested loop, not morsel
    eligible, runs for seconds if never killed). *)

@@ -53,8 +53,9 @@ let rows_of e sql =
 
 (* Reference results, with no budget and no spill pressure: the columns
    the engine names and the rows of the row oracle. *)
-let reference ?(sqls = battery) () =
+let reference ?(sqls = battery) ?(load = ignore) () =
   let e = forum_scaled () in
+  load e;
   let rows =
     List.map (fun sql -> (fst (rows_of e sql), Reference.rows e sql)) sqls
   in
@@ -78,9 +79,10 @@ let check_identical ?(sqls = battery) ~label e =
 (* A budget small enough that every battery query crosses it. *)
 let tiny_budget = 150
 
-let spill_engine () =
+let spill_engine ?(budget = tiny_budget) ?(load = ignore) () =
   let e = forum_scaled () in
-  Engine.set_tuple_budget e tiny_budget;
+  load e;
+  Engine.set_tuple_budget e budget;
   (* spill defaults on; assert rather than assume *)
   Alcotest.(check bool) "spill defaults on" true (Engine.spill_enabled e);
   e
@@ -98,6 +100,11 @@ let test_serial_identity () =
   let before = fallbacks e in
   check_identical ~label:"serial spill" e;
   Alcotest.(check bool) "statements actually spilled" true (spills e > 0);
+  (* the comma join is a hash join now: its 600 rows still reach the
+     sort past the budget *)
+  let spilled = spills e in
+  ignore (rows_of e (List.nth battery 4));
+  Alcotest.(check bool) "the comma join's sort spills" true (spills e > spilled);
   Alcotest.(check int) "serial statements spill in place" before (fallbacks e);
   Engine.close e
 
@@ -201,11 +208,11 @@ let test_budget_hard_ceiling () =
 (* Degrades in place at batch rows 1/7/1024, matching the row oracle,
    without a single serial fallback; parallel runs match too. With spill
    off the budget kills every statement. *)
-let spills_in_place ?(grace = false) sqls =
-  let reference = reference ~sqls () in
+let spills_in_place ?(grace = false) ?budget ?load sqls =
+  let reference = reference ~sqls ?load () in
   List.iter
     (fun (label, setup, serial) ->
-      let e = spill_engine () in
+      let e = spill_engine ?budget ?load () in
       setup e;
       let spilled = spills e and fell_back = fallbacks e in
       List.iter2
@@ -315,6 +322,29 @@ let test_grace_join_kinds () =
          m2.uid AND m1.mid < m2.mid";
       ])
 
+(* Join key identity through the Grace join: every join kind over int,
+   float, text and date keys (int against float both ways, two-column
+   and null-safe keys) of 40-row tables, whose builds pass a 16-row
+   budget. *)
+let test_grace_join_keys () =
+  spills_in_place ~grace:true ~budget:16 ~load:(fun e -> load_join_keys e)
+    (join_key_queries @ null_safe_join_queries)
+
+(* An ORDER BY over a provenance aggregate's head columns sorts groups in
+   memory; past the budget the annotation's merged stream is filtered and
+   sorted as rows: the same rows in the same order, ties between groups,
+   a HAVING in between and LIMIT above included. *)
+let test_sorted_groups_budget () =
+  spills_in_place
+    [
+      "SELECT PROVENANCE uid, count(*) AS c FROM messages GROUP BY uid ORDER \
+       BY c DESC";
+      "SELECT PROVENANCE uid, count(*) AS c FROM messages GROUP BY uid HAVING \
+       count(*) > 95 ORDER BY c, uid DESC";
+      "SELECT PROVENANCE uid, count(*) AS c FROM messages GROUP BY uid ORDER \
+       BY c DESC LIMIT 10";
+    ]
+
 (* A correlated subquery whose right side sorts past the budget: the sort
    spills once per left row. *)
 let test_apply_sort_budget () =
@@ -412,6 +442,9 @@ let () =
             test_sort_budget;
           case "semi and anti joins past the budget" test_semi_anti_budget;
           case "every join kind through the Grace join" test_grace_join_kinds;
+          case "join key identity through the Grace join" test_grace_join_keys;
+          case "ORDER BY over a group annotation past the budget"
+            test_sorted_groups_budget;
           case "correlated subquery sorts past the budget in place"
             test_apply_sort_budget;
           case "two engines on two domains keep their own spill config"

@@ -460,6 +460,57 @@ let suite_dispatch =
         Engine.close e);
   ]
 
+(* Hash-join key identity ({!Perm_testkit.Kit.load_join_keys}): every
+   join kind over int, float, text and date keys, int against float both
+   ways, two-column and null-safe keys, at every batch size, serially and
+   in parallel. The oracle matches with nested loops, so the unboxed
+   tables and ascending chains must give its rows in its order. *)
+let suite_join_keys =
+  [
+    case "join key identity: row oracle = batch paths" (fun () ->
+        let e = engine () in
+        load_join_keys e;
+        List.iter (check_against_oracle e)
+          (join_key_queries @ null_safe_join_queries
+          @ [
+              "SELECT PROVENANCE k FROM ki INTERSECT SELECT k FROM kf";
+              "SELECT PROVENANCE k, b FROM ki INTERSECT SELECT k, b FROM ki";
+            ]);
+        Engine.close e);
+  ]
+
+(* An ORDER BY over a group annotation's head columns sorts the groups
+   and emits each group's rows in input order: exactly the stable row
+   sort's order, ties between groups, a HAVING in between, LIMIT above,
+   DESC over NULL keys and an empty global aggregate included. *)
+let sorted_group_queries =
+  [
+    "SELECT PROVENANCE uid, count(*) AS c FROM messages GROUP BY uid ORDER BY \
+     c DESC";
+    "SELECT PROVENANCE uid, count(*) AS c FROM messages GROUP BY uid HAVING \
+     count(*) > 7 ORDER BY c, uid DESC";
+    "SELECT PROVENANCE uid, count(*) AS c FROM messages GROUP BY uid ORDER BY \
+     c DESC LIMIT 10";
+    "SELECT PROVENANCE k, count(*) FROM ki GROUP BY k ORDER BY k DESC";
+    "SELECT PROVENANCE k, sum(v) AS s FROM ki GROUP BY k ORDER BY k";
+    "SELECT PROVENANCE b, k, max(v) AS m FROM ki GROUP BY b, k ORDER BY b \
+     DESC, m";
+    "SELECT PROVENANCE count(*) AS c FROM ki WHERE v < 0 ORDER BY c";
+    "SELECT PROVENANCE count(*) AS c FROM ki WHERE v < 0 HAVING count(*) > 0 \
+     ORDER BY c";
+  ]
+
+let suite_sorted_groups =
+  [
+    case "ORDER BY over a group annotation: row oracle = batch paths"
+      (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
+        load_join_keys e;
+        List.iter (check_against_oracle e) sorted_group_queries;
+        Engine.close e);
+  ]
+
 let suite_profiler =
   [
     case "instrumented batch run reports exact peak bytes" (fun () ->
@@ -527,5 +578,7 @@ let () =
       ("one-pass", suite_one_pass);
       ("dispatch", suite_dispatch);
       ("profiler", suite_profiler);
+      ("join-keys", suite_join_keys);
+      ("sorted-groups", suite_sorted_groups);
       ("morsel-sizing", suite_morsel_sizing);
     ]
