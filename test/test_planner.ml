@@ -306,6 +306,94 @@ let cost_tests =
         Alcotest.(check bool) "" true (Planner.estimate_rows stats lim <= 5.));
   ]
 
+(* Golden plan hashes: [Executor.plan_hash] of every optimized plan of a
+   fixed corpus, pinned to recorded values. The corpus is B1's fourteen
+   statements (each query class plain and with provenance) over the forum
+   at 1,000 messages and the star schema at scale 250, and the hash-join
+   key corpus ({!Perm_testkit.Kit.join_key_queries}). A refactor of the
+   executor or the planner that leaves plans alone keeps every hash; one
+   that changes a plan shape must update this table on purpose. *)
+module Executor = Perm_executor.Executor
+module Forum = Perm_workload.Forum
+module Star = Perm_workload.Star
+
+let provenance_of sql =
+  "SELECT PROVENANCE " ^ String.sub sql 7 (String.length sql - 7)
+
+let b1_statements =
+  List.concat_map
+    (fun q -> [ q; provenance_of q ])
+    [
+      "SELECT m.text, a.uid FROM messages m JOIN approved a ON m.mid = a.mid \
+       WHERE m.mid % 7 = 0";
+      Forum.q3;
+      Forum.q1;
+      "SELECT text FROM messages WHERE mid IN (SELECT mid FROM approved)";
+    ]
+  @ List.concat_map (fun (_, plain, prov) -> [ plain; prov ]) Star.queries
+
+let b1_hashes =
+  [
+    "affdcd4fb621"; "f316b4f58fb7"; "ab720a92c6de"; "bba444437112";
+    "9a9bdc4bd399"; "c09bc070ed43"; "a449a26ec183"; "bef82cece183";
+    "ea2fa019b3d4"; "21d88dc5f304"; "ca0356771319"; "9d13e7d0eb83";
+    "3811b7841aa4"; "f9c6e8b0301c";
+  ]
+
+let join_key_hashes =
+  [
+    "8c38b5491bf9"; "8c38b5491bf9"; "a698b096405f"; "a52e5a441643";
+    "77d224a6f3f5"; "fd65693a2d27"; "35273fc2deb5"; "ce246a37f0ff";
+    "bb77adc1a280"; "6ce14c26a35b"; "6ce14c26a35b"; "1f0475d47a98";
+    "b48782252526"; "020965ab872b"; "3718dd20e58e"; "f6b64cd2a2d9";
+    "2332dee98963"; "41e8170693a4"; "f1ed8bb53409"; "f1ed8bb53409";
+    "2d0ff2fa2d37"; "5f01ed8a83d4"; "76f7d8bd0586"; "ba42d73bd16a";
+    "6e146580ea5a"; "249c92650ada"; "eecec458a740"; "aaa2eeba1a32";
+    "aaa2eeba1a32"; "11e8cdd086a0"; "1c683222a01d"; "f75b557563f5";
+    "07a2a99cbc4b"; "0d94b77e148a"; "790f9451d9e5"; "57fa045b0af5";
+    "be7d1a940320"; "be7d1a940320"; "f4b7b2066be4"; "e1cd36fb3754";
+    "fc6a6702bbe7"; "b9c829a54d36"; "901bb73b22f8"; "5998d237a3bb";
+    "d241a18fff4b"; "9c936fdd2f06"; "9c936fdd2f06"; "b4b44ae31791";
+    "09a4b1dee325"; "da1a95c56366"; "354262e44402"; "69c817c0460d";
+    "a80bc557577e"; "baadc769bf8f"; "bd262bdd9298"; "54d4a8e3fbd5";
+    "afe438b69c75"; "3312297e3868";
+  ]
+
+let plan_hashes e sqls =
+  List.map
+    (fun sql ->
+      match Engine.plan_query e sql with
+      | Ok (_, optimized) -> Executor.plan_hash optimized
+      | Error msg -> Alcotest.failf "plan_query %S: %s" sql msg)
+    sqls
+
+let check_golden name e sqls expected =
+  let actual = plan_hashes e sqls in
+  Alcotest.(check int) (name ^ ": corpus size") (List.length expected)
+    (List.length actual);
+  List.iter2
+    (fun sql (want, got) ->
+      Alcotest.(check string) (Printf.sprintf "plan hash of %s" sql) want got)
+    sqls
+    (List.combine expected actual)
+
+let golden_tests =
+  [
+    case "B1 plan hashes are pinned" (fun () ->
+        let e = engine () in
+        Forum.load_scaled e ~messages:1_000 ~users:50 ();
+        Star.load e ~scale:250 ();
+        check_golden "B1" e b1_statements b1_hashes;
+        Engine.close e);
+    case "join-key plan hashes are pinned" (fun () ->
+        let e = engine () in
+        load_join_keys e;
+        check_golden "join keys" e
+          (join_key_queries @ null_safe_join_queries)
+          join_key_hashes;
+        Engine.close e);
+  ]
+
 let () =
   Alcotest.run "planner"
     [
@@ -314,4 +402,5 @@ let () =
       ("structure", structure_tests);
       ("joins", join_tests);
       ("cost", cost_tests);
+      ("golden", golden_tests);
     ]

@@ -479,6 +479,103 @@ let suite_join_keys =
         Engine.close e);
   ]
 
+(* INTERSECT and EXCEPT, set and ALL forms, over keys with duplicates,
+   NULL, NaN, 0.0 / -0.0, the empty string and int against float
+   ({!Perm_testkit.Kit.load_join_keys}): row oracle = batch paths at every
+   batch size, serially and in parallel. *)
+let set_op_queries =
+  List.concat_map
+    (fun op ->
+      List.map
+        (fun (l, r) -> Printf.sprintf "%s %s %s" l op r)
+        [
+          ("SELECT k FROM ki", "SELECT k FROM kf");
+          ("SELECT k FROM kf", "SELECT k FROM ki");
+          ("SELECT k FROM kf", "SELECT k FROM kf WHERE v % 3 = 0");
+          ("SELECT k, b FROM kf", "SELECT k, b FROM kf WHERE v < 20");
+          ("SELECT k, b FROM ki", "SELECT k, b FROM ki WHERE v % 2 = 0");
+          ("SELECT k FROM kt", "SELECT k FROM kt WHERE v > 10");
+          ("SELECT k FROM kd", "SELECT k FROM kd WHERE v < 0");
+          ("SELECT v, k FROM ki WHERE v < 30", "SELECT v, k FROM kf");
+        ])
+    [ "INTERSECT"; "EXCEPT"; "INTERSECT ALL"; "EXCEPT ALL" ]
+  @ [
+      "SELECT PROVENANCE k FROM kf INTERSECT SELECT k FROM ki";
+      "SELECT PROVENANCE k, b FROM kf EXCEPT SELECT k, b FROM kf WHERE v < 20";
+    ]
+
+(* The Apply kinds in an optimized plan. *)
+let rec apply_kinds (p : Perm_algebra.Plan.t) =
+  (match p with
+  | Perm_algebra.Plan.Apply { kind; _ } ->
+    [ Perm_algebra.Plan.apply_kind_name kind ]
+  | _ -> [])
+  @ List.concat_map apply_kinds (Perm_algebra.Plan.children p)
+
+let suite_set_ops =
+  [
+    case "INTERSECT/EXCEPT [ALL]: row oracle = batch paths" (fun () ->
+        let e = engine () in
+        load_join_keys e;
+        List.iter (check_against_oracle e) set_op_queries;
+        Engine.close e);
+    case "INTERSECT/EXCEPT past the tuple budget" (fun () ->
+        let e = engine () in
+        load_join_keys e;
+        let kill sql =
+          match Engine.execute_err e sql with
+          | Ok _ -> Alcotest.failf "%S ran within a budget of 5" sql
+          | Error err ->
+            Alcotest.(check string) (sql ^ " [kind]") "resource_exhausted"
+              (Perm_err.kind_label err.Perm_err.kind);
+            (* drop the progress note, which carries a time *)
+            List.hd (String.split_on_char '[' err.Perm_err.msg)
+        in
+        (* one batch per scan: the token counts whole batches *)
+        Engine.set_batch_rows e Executor.default_batch_rows;
+        Engine.set_tuple_budget e 5;
+        Engine.set_spill e false;
+        Alcotest.(check string) "spill off: the token's kill"
+          "tuple budget exceeded (40 tuples, budget 5) "
+          (kill "SELECT k FROM ki INTERSECT SELECT k FROM kf");
+        Engine.set_spill e true;
+        List.iter
+          (fun sql ->
+            Alcotest.(check string) "spill on: the group table's kill"
+              "tuple budget exceeded: INTERSECT/EXCEPT holds 6 rows (budget \
+               5, not spillable) "
+              (kill sql))
+          [
+            "SELECT k FROM ki INTERSECT SELECT k FROM kf";
+            "SELECT k FROM ki EXCEPT ALL SELECT k FROM kf";
+          ];
+        Engine.close e);
+    (* a right side that emits more rows per left row than a batch holds:
+       an outer Apply of the provenance of a correlated aggregate, and a
+       cross Apply of the provenance of a correlated EXISTS *)
+    case "correlated Apply with wide right sides: row oracle = batch paths"
+      (fun () ->
+        let e = engine () in
+        Perm_workload.Forum.load_scaled e ~messages:2_000 ~users:40 ();
+        List.iter
+          (fun (kind, sql) ->
+            (match Engine.plan_query e sql with
+            | Ok (_, plan) ->
+              Alcotest.(check bool) (sql ^ " keeps its " ^ kind) true
+                (List.mem kind (apply_kinds plan))
+            | Error msg -> Alcotest.failf "plan_query %S: %s" sql msg);
+            check_against_oracle e sql)
+          [
+            ( "ApplyCross",
+              "SELECT PROVENANCE u.name FROM users u WHERE EXISTS (SELECT 1 \
+               FROM messages m WHERE m.uid < u.uid)" );
+            ( "ApplyOuter",
+              "SELECT PROVENANCE u.name, (SELECT max(m.mid) FROM messages m \
+               WHERE m.uid <= u.uid) FROM users u" );
+          ];
+        Engine.close e);
+  ]
+
 (* An ORDER BY over a group annotation's head columns sorts the groups
    and emits each group's rows in input order: exactly the stable row
    sort's order, ties between groups, a HAVING in between, LIMIT above,
@@ -579,6 +676,7 @@ let () =
       ("dispatch", suite_dispatch);
       ("profiler", suite_profiler);
       ("join-keys", suite_join_keys);
+      ("set-ops", suite_set_ops);
       ("sorted-groups", suite_sorted_groups);
       ("morsel-sizing", suite_morsel_sizing);
     ]
