@@ -66,12 +66,17 @@ let release file =
 
 let create cfg =
   ensure_dir cfg.dir;
-  let path = Filename.temp_file ~temp_dir:cfg.dir "perm_spill_" ".bin" in
+  (* created and opened in one call: reopening a fresh file with O_TRUNC
+     makes some filesystems flush it at close *)
+  let path, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:cfg.dir
+      "perm_spill_" ".bin"
+  in
   let file =
     {
       path;
       note = cfg.note;
-      oc = Some (open_out_bin path);
+      oc = Some oc;
       ic = None;
       rows = 0;
       released = false;
