@@ -91,10 +91,6 @@ let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
   List.iteri (fun i (a : Attr.t) -> Hashtbl.replace table a.Attr.id i) schema;
   fun a -> Hashtbl.find_opt table a.Attr.id
 
-let resolver_of_schema schema : resolver =
-  let pos = positions_of_schema schema in
-  fun a -> Option.map (fun i row -> row.(i)) (pos a)
-
 let no_outer : resolver = fun _ -> None
 
 let unwrap = function Ok v -> v | Error msg -> err msg
@@ -461,6 +457,7 @@ let key_filler lay exprs : Batch.t -> int -> Tuple.t =
     done;
     key
 
+(* Row [p] of [b] as a tuple: what a run on disk holds. *)
 let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
 
 (* The grouping kernel: [grouper ~spill ~what lay keys open_group b k]
@@ -567,6 +564,10 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
           let p = if b.Batch.all then i else b.Batch.sel.(i) in
           k p (by_tuple (gkey b p))
         done
+
+(* An INTERSECT/EXCEPT group: its right rows not yet cancelled, and
+   whether a left row reached it. *)
+type set_group = { mutable right : int; mutable left_seen : bool }
 
 (* Keep the live rows of [b] whose physical index passes [keep], in
    order, by narrowing the selection vector in place. *)
@@ -679,19 +680,26 @@ let first_rows grouper =
   let firsts = firsts grouper in
   fun b -> narrow_live (Array.get (firsts b)) b
 
-(* Chunk a row list into dense batches of at most [batch_rows] rows. *)
-let batches_of_tuple_list ~arity ~batch_rows rows : Batch.t Seq.t =
-  let rows = Array.of_list rows in
-  let len = Array.length rows and size = max 1 batch_rows in
+(* Columns of [n] rows as dense batches of at most [batch_rows] rows. *)
+let slice_columns ~batch_rows (cols : Value.t array array) n : Batch.t Seq.t =
+  let size = max 1 batch_rows in
   Seq.init
-    ((len + size - 1) / size)
+    ((n + size - 1) / size)
     (fun i ->
       let pos = i * size in
-      Batch.of_rows ~arity rows ~pos ~len:(min size (len - pos)))
+      let len = min size (n - pos) in
+      if len = n then Batch.dense cols n
+      else Batch.dense (Array.map (fun col -> Array.sub col pos len) cols) len)
+
+(* The [arity] columns of a row array. *)
+let columns_of_rows ~arity (rows : Tuple.t array) =
+  Array.init arity (fun c -> Array.map (fun row -> row.(c)) rows)
 
 (* Default batch slicing for providers without native columnar storage. *)
 let batches_of_list ~arity ~batch_rows rows =
-  Array.of_seq (batches_of_tuple_list ~arity ~batch_rows rows)
+  let rows = Array.of_list rows in
+  Array.of_seq
+    (slice_columns ~batch_rows (columns_of_rows ~arity rows) (Array.length rows))
 
 (* The live rows of [batches] as one dense batch of [arity] columns. *)
 let concat_live ~arity (batches : Batch.t array) =
@@ -1204,17 +1212,25 @@ let pairs_batch lcols lidx rcols ridx n =
        (Array.map (gather ridx) rcols))
     n
 
+(* The row pairs [(lidx.(j), ridx.(j))] as dense batches of at most
+   [batch_rows] rows ({!pairs_batch}). *)
+let pairs_batches ~batch_rows lcols lidx rcols ridx =
+  let n = Array.length lidx and size = max 1 batch_rows in
+  Seq.init
+    ((n + size - 1) / size)
+    (fun i ->
+      let pos = i * size in
+      let len = min size (n - pos) in
+      pairs_batch lcols (Array.sub lidx pos len) rcols (Array.sub ridx pos len)
+        len)
+
 (* The build rows a FULL join matched nowhere, in build order, padded on
    the left with NULLs. *)
 let unmatched_build ~l_arity ~batch_rows jb (matched : bool array) =
   let idx = indices (Array.length matched) (fun i -> not matched.(i)) in
-  let n = Array.length idx and size = max 1 batch_rows in
-  Seq.init
-    ((n + size - 1) / size)
-    (fun i ->
-      let len = min size (n - (i * size)) in
-      pairs_batch (Array.make l_arity [||]) (Array.make len (-1)) jb.jb_cols
-        (Array.sub idx (i * size) len) len)
+  pairs_batches ~batch_rows (Array.make l_arity [||])
+    (Array.make (Array.length idx) (-1))
+    jb.jb_cols idx
 
 (* Probe one left batch against a join build, [head] its compiled chain
    lookup and [residual] the non-key conjuncts over (left row, build
@@ -1287,7 +1303,8 @@ let probe_batch ~kind ~batch_rows ~(jb : join_build) ~head
    merging the runs (ties to the lower chunk) gives every probe row its
    matches in ascending right-row order at its place in the stream, as
    the in-memory join does, and FULL appends the right rows no chunk
-   matched, in right order. At most one chunk is in memory. *)
+   matched, in right order ({!unmatched_build} per chunk, parked as
+   batches). At most one chunk is in memory. *)
 let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~build ~probe pieces
     (left : Batch.t Seq.t) : Batch.t Seq.t =
   let note = cfg.Spill.note in
@@ -1360,10 +1377,10 @@ let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~build ~probe pieces
                 ignore
                   (probe ~kind ~matched_right ~tap:(Some (tap base)) jb lb))));
       Option.iter
-        (Array.iteri (fun i m ->
-             if not m then
-               Spill.push right_pads
-                 (Tuple.concat (Array.make l_arity Value.Null) (brow chunk i))))
+        (fun matched ->
+          Seq.iter
+            (fun b -> Spill.push ~rows:b.Batch.rows right_pads b)
+            (unmatched_build ~l_arity ~batch_rows jb matched))
         matched_right;
       each_chunk ()
   in
@@ -1397,18 +1414,19 @@ let grace_join cfg ~kind ~l_arity ~r_arity ~batch_rows ~build ~probe pieces
                       (Tuple.concat (brow lb p) (Array.make r_arity Value.Null)))
                 lb));
     Spill.release probe_file;
-    let merged =
-      merge_runs ~desc:[| false |]
-        (Array.of_list (List.rev !runs))
-        ~emit:(fun _ row -> Some row)
+    let rec pads () =
+      match Spill.next right_pads with
+      | Some b -> Seq.Cons (b, pads)
+      | None ->
+        Spill.release right_pads;
+        Seq.Nil
     in
-    batches_of_rows ~arity:(l_arity + r_arity) ~batch_rows (fun () ->
-        match merged () with
-        | Some _ as row -> row
-        | None ->
-          let pad = Spill.next right_pads in
-          if Option.is_none pad then Spill.release right_pads;
-          pad)
+    Seq.append
+      (batches_of_rows ~arity:(l_arity + r_arity) ~batch_rows
+         (merge_runs ~desc:[| false |]
+            (Array.of_list (List.rev !runs))
+            ~emit:(fun _ row -> Some row)))
+      pads
 
 (* ---- batch operator compilation ---------------------------------- *)
 
@@ -1541,18 +1559,27 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     let arity = List.length (Plan.schema plan) in
     let fkey = compile_expr cx.outer key in
     fun () ->
-      batches_of_tuple_list ~arity ~batch_rows
-        (List.of_seq (cx.provider.probe_index table key_col (fkey [||])))
+      let rows =
+        Array.of_seq (cx.provider.probe_index table key_col (fkey [||]))
+      in
+      slice_columns ~batch_rows (columns_of_rows ~arity rows)
+        (Array.length rows)
   | Plan.Values { rows; _ } ->
     let arity = List.length (Plan.schema plan) in
     let compiled =
-      List.map (fun row -> List.map (compile_expr no_outer) row) rows
+      Array.of_list
+        (List.map
+           (fun row -> Array.of_list (List.map (compile_expr no_outer) row))
+           rows)
     in
     fun () ->
-      batches_of_tuple_list ~arity ~batch_rows
-        (List.map
-           (fun row -> Array.of_list (List.map (fun f -> f [||]) row))
-           compiled)
+      (* evaluated row by row, so the first failing row reports *)
+      let n = Array.length compiled in
+      let cols = Array.init arity (fun _ -> Array.make n Value.Null) in
+      Array.iteri
+        (fun r row -> Array.iteri (fun c f -> cols.(c).(r) <- f [||]) row)
+        compiled;
+      slice_columns ~batch_rows cols n
   | Plan.Project { child; cols } ->
     let builders = project_builders (layout cx (Plan.schema child)) cols in
     let run_child = compile_batch cx child in
@@ -1768,54 +1795,70 @@ and compile_batch_join cx plan kind left right pred =
                     unmatched_build ~l_arity ~batch_rows jb matched ()) ()) ())
 
 (* Correlated evaluation. The right side is compiled once, with an outer
-   resolver that reads the current left row, and re-run for every live
-   left row in order — one evaluation (one [loops] tick per right-side
-   operator) per left row. Its rows are consumed whole before the next
-   left row is bound. *)
+   resolver that reads the current left row (row [!lp] of batch [!lb]),
+   and re-run for every live left row in order — one evaluation (one
+   [loops] tick per right-side operator) per left row. Its batches are
+   consumed whole before the next left row is bound. The output of a
+   left batch is gathered by index: each output row is a left row and a
+   row of the right batches that left row produced, or -1 for the NULL
+   pad of an outer or scalar Apply ({!pairs_batches}). *)
 and compile_batch_apply cx kind left right =
   let l_pos = positions_of_schema (Plan.schema left) in
-  let current : Tuple.t ref = ref [||] in
+  let lb = ref (Batch.dense [||] 0) and lp = ref 0 in
   let outer a =
     match l_pos a with
-    | Some i -> Some (fun _ -> !current.(i))
+    | Some i -> Some (fun _ -> (Batch.col !lb i).(!lp))
     | None -> cx.outer a
   in
   let run_left = compile_batch cx left in
   let run_right = compile_batch { cx with outer } right in
-  let r_arity = List.length (Plan.schema right) in
-  let arity = List.length (Plan.schema left) + r_arity in
-  let right_rows lrow =
-    current := lrow;
-    List.concat_map Batch.to_tuples (List.of_seq (run_right ()))
+  (* a scalar subquery contributes its first column *)
+  let r_arity =
+    match kind with
+    | Plan.A_scalar _ -> 1
+    | _ -> List.length (Plan.schema right)
   in
-  fun () ->
-    Seq.concat_map
-      (fun lb ->
-        match kind with
-        | Plan.A_semi | Plan.A_anti ->
-          let want = kind = Plan.A_semi in
-          Option.to_seq
-            (narrow_live (fun p -> (right_rows (brow lb p) <> []) = want) lb)
-        | Plan.A_cross | Plan.A_outer | Plan.A_scalar _ ->
-          let out = ref [] in
-          let emit row = out := row :: !out in
-          Batch.iter_live
-            (fun p ->
-              let lrow = brow lb p in
-              match kind, right_rows lrow with
-              | Plan.A_outer, [] ->
-                emit (Tuple.concat lrow (Array.make r_arity Value.Null))
-              | (Plan.A_cross | Plan.A_outer), rows ->
-                List.iter (fun r -> emit (Tuple.concat lrow r)) rows
-              | Plan.A_scalar _, [] -> emit (Tuple.concat lrow [| Value.Null |])
-              | Plan.A_scalar _, [ r ] -> emit (Tuple.concat lrow [| r.(0) |])
-              | Plan.A_scalar _, _ ->
-                err "scalar subquery returned more than one row"
-              | (Plan.A_semi | Plan.A_anti), _ -> assert false)
-            lb;
-          batches_of_tuple_list ~arity ~batch_rows:cx.batch_rows
-            (List.rev !out))
-      (run_left ())
+  let right_of b p =
+    lb := b;
+    lp := p;
+    List.filter (fun rb -> Batch.live rb > 0) (List.of_seq (run_right ()))
+  in
+  match kind with
+  | Plan.A_semi | Plan.A_anti ->
+    let want = kind = Plan.A_semi in
+    fun () ->
+      Seq.filter_map
+        (fun b -> narrow_live (fun p -> (right_of b p <> []) = want) b)
+        (run_left ())
+  | Plan.A_cross | Plan.A_outer | Plan.A_scalar _ ->
+    let apply b =
+      let lidx = ref [] and ridx = ref [] and rights = ref [] and base = ref 0 in
+      let pair p r =
+        lidx := p :: !lidx;
+        ridx := r :: !ridx
+      in
+      Batch.iter_live
+        (fun p ->
+          let rs = right_of b p in
+          let n = List.fold_left (fun n rb -> n + Batch.live rb) 0 rs in
+          (match kind with
+          | Plan.A_scalar _ when n > 1 ->
+            err "scalar subquery returned more than one row"
+          | (Plan.A_outer | Plan.A_scalar _) when n = 0 -> pair p (-1)
+          | _ ->
+            for r = !base to !base + n - 1 do
+              pair p r
+            done);
+          rights := List.rev_append rs !rights;
+          base := !base + n)
+        b;
+      let rb = concat_live ~arity:r_arity (Array.of_list (List.rev !rights)) in
+      pairs_batches ~batch_rows:cx.batch_rows b.Batch.cols
+        (Array.of_list (List.rev !lidx))
+        (Array.sub rb.Batch.cols 0 r_arity)
+        (Array.of_list (List.rev !ridx))
+    in
+    fun () -> Seq.concat_map apply (run_left ())
 
 and compile_batch_aggregate cx child group_by aggs =
   let lay = layout cx (Plan.schema child) in
@@ -1838,13 +1881,19 @@ and compile_batch_aggregate cx child group_by aggs =
         Seq.iter
           (fun b -> group_of b (fun p states -> feed feeder states b p))
           (run_child ());
-        let rows =
-          if group_by = [] && !order = [] then [ results (fresh ()) ]
+        let groups =
+          if group_by = [] && !order = [] then [| ([||], results (fresh ())) |]
           else
-            List.rev_map (fun (key, states) -> Array.append key (results states))
-              !order
+            Array.of_list
+              (List.rev_map (fun (key, states) -> (key, results states)) !order)
         in
-        batches_of_tuple_list ~arity ~batch_rows:cx.batch_rows rows ())
+        let keys = List.length group_by in
+        slice_columns ~batch_rows:cx.batch_rows
+          (Array.init arity (fun c ->
+               Array.map
+                 (fun (key, res) -> if c < keys then key.(c) else res.(c - keys))
+                 groups))
+          (Array.length groups) ())
 
 (* In memory the annotation keeps the input batches (immutable once
    emitted) and addresses rows as (batch, position), so no row is
@@ -1944,11 +1993,12 @@ and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
           let rb, rp, gids = number_rows ~each:assign batches in
           if gids = [||] && group_by = [] then
             Seq.filter_map (apply_filter keep)
-              (batches_of_tuple_list ~arity ~batch_rows
-                 [
-                   Array.append (results (fresh ()))
-                     (Array.make child_arity Value.Null);
-                 ])
+              (Seq.return
+                 (Batch.dense
+                    (Array.append
+                       (Array.map (fun v -> [| v |]) (results (fresh ())))
+                       (Array.make child_arity [| Value.Null |]))
+                    1))
               ()
           else
             let heads = heads () in
@@ -1987,62 +2037,51 @@ and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
 and compile_batch_set_op cx kind all left right attrs =
   let run_left = compile_batch cx left in
   let run_right = compile_batch cx right in
-  let narrow_rows keep b = narrow_live (fun p -> keep (brow b p)) b in
+  (* the branches are positional, so one layout over the output
+     attributes (unified types) reads both *)
+  let grouper what =
+    grouper ~spill:cx.spill ~what (layout cx attrs)
+      (List.map (fun a -> Expr.Attr a) attrs)
+  in
   match kind, all with
   | Plan.Union, true -> fun () -> Seq.append (run_left ()) (run_right ())
   | Plan.Union, false ->
-    (* the branches are positional, so one layout over the output
-       attributes (unified types) reads both *)
-    let group_of =
-      grouper ~spill:cx.spill ~what:"UNION" (layout cx attrs)
-        (List.map (fun a -> Expr.Attr a) attrs)
-    in
+    let group_of = grouper "UNION" in
     fun () ->
       Seq.memoize (fun () ->
           Seq.filter_map (first_rows group_of)
             (Seq.append (run_left ()) (run_right ()))
             ())
   | (Plan.Intersect | Plan.Except), _ ->
-    (* the set forms keep the first of the surviving left rows of a key *)
-    let group_of =
-      grouper ~spill:cx.spill ~what:"INTERSECT/EXCEPT" (layout cx attrs)
-        (List.map (fun a -> Expr.Attr a) attrs)
+    (* the right rows count per group of one table, and the left rows
+       group through the same table. Under ALL each right row cancels one
+       left row of its group; the set forms keep the first left row of a
+       group when it has right rows (INTERSECT) or none (EXCEPT). *)
+    let group_of = grouper "INTERSECT/EXCEPT" in
+    let cancels g = g.right > 0 && (g.right <- g.right - 1; true) in
+    let survives =
+      match kind, all with
+      | Plan.Intersect, true -> cancels
+      | Plan.Except, true -> fun g -> not (cancels g)
+      | _ ->
+        let want = kind = Plan.Intersect in
+        fun g ->
+          let first = not g.left_seen in
+          g.left_seen <- true;
+          first && g.right > 0 = want
     in
     fun () ->
-      Seq.memoize
-        (fun () ->
-          let counts = Tuple.Hash.create 64 in
-          let matches row =
-            Option.value (Tuple.Hash.find_opt counts row) ~default:0
-          in
+      Seq.memoize (fun () ->
+          let group_of = group_of (fun _ -> { right = 0; left_seen = false }) in
           Seq.iter
-            (fun b ->
-              Batch.iter_live
-                (fun p ->
-                  let row = brow b p in
-                  let c = matches row in
-                  if c = 0 then
-                    budget_materialized cx.spill ~what:"INTERSECT/EXCEPT"
-                      (Tuple.Hash.length counts + 1);
-                  Tuple.Hash.replace counts row (c + 1))
-                b)
+            (fun b -> group_of b (fun _ g -> g.right <- g.right + 1))
             (run_right ());
-          (* under ALL each right row cancels one equal left row *)
-          let cancels row =
-            let rc = matches row in
-            if rc > 0 then Tuple.Hash.replace counts row (rc - 1);
-            rc > 0
-          in
-          let keep =
-            match kind, all with
-            | Plan.Intersect, true -> cancels
-            | Plan.Except, true -> fun row -> not (cancels row)
-            | Plan.Intersect, false -> fun row -> matches row > 0
-            | Plan.Except, false -> fun row -> matches row = 0
-            | Plan.Union, _ -> assert false
-          in
-          let left = Seq.filter_map (narrow_rows keep) (run_left ()) in
-          (if all then left else Seq.filter_map (first_rows group_of) left) ())
+          Seq.filter_map
+            (fun b ->
+              let keep = Array.make b.Batch.rows false in
+              group_of b (fun p g -> keep.(p) <- survives g);
+              narrow_live (Array.get keep) b)
+            (run_left ()) ())
 
 (* ------------------------------------------------------------------ *)
 (* Guardrails and root materialization                                 *)
@@ -2461,13 +2500,6 @@ let eval_const e =
   match (compile_expr no_outer e) [||] with
   | v -> Ok v
   | exception Runtime_error msg -> Error msg
-
-let compile_row_predicate ~schema pred =
-  let resolve = resolver_of_schema schema in
-  fun row ->
-    match (compile_pred resolve pred) row with
-    | b -> Ok b
-    | exception Runtime_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Structural plan hashing                                             *)

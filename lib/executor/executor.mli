@@ -249,14 +249,6 @@ val eval_const : Perm_algebra.Expr.t -> (Perm_value.Value.t, string) result
 (** Evaluates a closed expression (no attribute references) — INSERT rows,
     DEFAULT-style constants. *)
 
-val compile_row_predicate :
-  schema:Perm_algebra.Attr.t list ->
-  Perm_algebra.Expr.t ->
-  Perm_storage.Tuple.t ->
-  (bool, string) result
-(** Row-at-a-time predicate evaluation against a fixed schema (DELETE /
-    UPDATE row selection); [true] iff the predicate is SQL-[TRUE]. *)
-
 val plan_hash : ?mode:string -> Perm_algebra.Plan.t -> string
 (** A short stable digest of the plan's structure: operator tree, table
     names, expression shapes, attribute names/types. Attribute ids are
