@@ -1208,6 +1208,12 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
       (Recorder.Anomaly { id; cls; fingerprint; detail; sql })
   end
 
+(* A kill by the governor: timeout, cancel or resource exhaustion. *)
+let governor_kill (e : Err.t) =
+  match e.Err.kind with
+  | Err.Timeout | Err.Cancelled | Err.Resource_exhausted -> true
+  | _ -> false
+
 (* Map a finished top-level statement to its anomaly class, if any. Typed
    failures win over a watchdog flag (errors never fold into the baseline
    anyway), which wins over a successful-but-degraded execution. *)
@@ -1215,12 +1221,9 @@ let statement_anomaly t result rg_opt =
   match result with
   | Error (e : Err.t) ->
     let cls =
-      match e.Err.kind with
-      | Err.Timeout -> "timeout"
-      | Err.Cancelled -> "cancelled"
-      | Err.Resource_exhausted -> "resource_exhausted"
-      | Err.Faulted -> "fault"
-      | Err.Parse | Err.Analyze | Err.Runtime | Err.Internal -> "error"
+      if governor_kill e then Err.kind_label e.Err.kind
+      else if e.Err.kind = Err.Faulted then "fault"
+      else "error"
     in
     Some (cls, Err.to_string e)
   | Ok _ -> (
@@ -1492,12 +1495,28 @@ let attach_worker_lanes psp (r : Executor.Par.report) =
            [ ("rows", string_of_int s.Pool.ts_rows) ]))
     rp.Pool.rp_slices
 
-let exec_plan t optimized =
-  let run_serial () =
-    Executor.run ~token:t.token ?row_limit:(active_row_limit t)
-      ?progress:(live_progress t) ~batch_rows:t.batch_rows
-      ?spill:(active_spill t) ~provider:(provider t) optimized
+let run_serial t plan =
+  Executor.run ~token:t.token ?row_limit:(active_row_limit t)
+    ?progress:(live_progress t) ~batch_rows:t.batch_rows ?spill:(active_spill t)
+    ~provider:(provider t) plan
+
+(* The serial run with per-operator counters, recorded: every statement's
+   while instrumentation is on, and EXPLAIN ANALYZE's. *)
+let run_instrumented t plan =
+  let* rows, exec_stats =
+    dat
+      (phase t "execute" (fun () ->
+           Executor.run_instrumented ~token:t.token
+             ?row_limit:(active_row_limit t) ?progress:(live_progress t)
+             ~batch_rows:t.batch_rows ?spill:(active_spill t)
+             ~provider:(provider t) plan))
   in
+  record_exec_stats t exec_stats;
+  record_plan_profile t plan exec_stats;
+  Ok (rows, exec_stats)
+
+let exec_plan t optimized =
+  let run_serial () = run_serial t optimized in
   match try_parallel t optimized with
   | Some spine ->
     note_plan t optimized ~parallel:true;
@@ -1570,19 +1589,7 @@ let exec_plan t optimized =
           dat (run_serial ()))
   | None ->
     note_plan t optimized ~parallel:false;
-    if t.instrument then
-      let* rows, exec_stats =
-        dat
-          (phase t "execute" (fun () ->
-               Executor.run_instrumented ~token:t.token
-                 ?row_limit:(active_row_limit t)
-                 ?progress:(live_progress t)
-                 ~batch_rows:t.batch_rows ?spill:(active_spill t)
-                 ~provider:(provider t) optimized))
-      in
-      record_exec_stats t exec_stats;
-      record_plan_profile t optimized exec_stats;
-      Ok rows
+    if t.instrument then Result.map fst (run_instrumented t optimized)
     else dat (phase t "execute" run_serial)
 
 let run_query t (q : Ast.query) =
@@ -1604,12 +1611,7 @@ let plan_query t sql =
 
 let run_plan t plan =
   t.token <- fresh_token t;
-  Result.map_error Err.to_string
-    (capture t (fun () ->
-         dat
-           (Executor.run ~token:t.token ?row_limit:(active_row_limit t)
-              ~batch_rows:t.batch_rows ?spill:(active_spill t)
-              ~provider:(provider t) plan)))
+  Result.map_error Err.to_string (capture t (fun () -> dat (run_serial t plan)))
 
 let explain_query t sql (q : Ast.query) =
   let* analyzed, rewritten, optimized = prepare t q in
@@ -1637,16 +1639,7 @@ let explain_analyze_query t sql (q : Ast.query) =
   (* EXPLAIN ANALYZE always instruments, whatever the session setting; it
      stays on the serial path because per-node self times need the
      pull-based profiler *)
-  let* rows, exec_stats =
-    dat
-      (phase t "execute" (fun () ->
-           Executor.run_instrumented ~token:t.token
-             ?row_limit:(active_row_limit t) ?progress:(live_progress t)
-             ~batch_rows:t.batch_rows ~provider:(provider t)
-             optimized))
-  in
-  record_exec_stats t exec_stats;
-  record_plan_profile t optimized exec_stats;
+  let* rows, exec_stats = run_instrumented t optimized in
   let ests = plan_estimates t optimized in
   let annotate plan =
     match Executor.lookup exec_stats plan with
@@ -1837,10 +1830,12 @@ let insert_select t name q =
   let* () = dat (logged_insert t name heap rows) in
   Ok (List.length rows)
 
-(* DELETE/UPDATE row selection reuses the analyzer+executor through a
-   synthesized [SELECT * FROM name WHERE pred] plan so predicate semantics
-   (3VL, subqueries as WHERE conjuncts) match queries exactly. *)
-let matching_rows t name where =
+(* The rows of [heap] that [where] does not select: DELETE's survivors,
+   and the rows UPDATE leaves alone. The selection reuses the
+   analyzer+executor through a synthesized [SELECT * FROM name WHERE
+   pred] plan so predicate semantics (3VL, subqueries as WHERE
+   conjuncts) match queries exactly. *)
+let rows_outside t name heap where =
   let select =
     {
       Ast.empty_select with
@@ -1850,7 +1845,9 @@ let matching_rows t name where =
     }
   in
   let* rs = run_query t (Ast.select_query select) in
-  Ok rs.rows
+  let victims = Tuple.Hash.create 64 in
+  List.iter (fun r -> Tuple.Hash.replace victims r ()) rs.rows;
+  Ok (List.filter (fun r -> not (Tuple.Hash.mem victims r)) (Heap.to_list heap))
 
 let delete_rows t name where =
   let* _def, heap = find_heap t name in
@@ -1860,12 +1857,7 @@ let delete_rows t name where =
     logged_truncate t name heap;
     Ok n
   | Some _ ->
-    let* matched = matching_rows t name where in
-    let victims = Tuple.Hash.create 64 in
-    List.iter (fun r -> Tuple.Hash.replace victims r ()) matched;
-    let keep =
-      List.filter (fun r -> not (Tuple.Hash.mem victims r)) (Heap.to_list heap)
-    in
+    let* keep = rows_outside t name heap where in
     let deleted = Heap.row_count heap - List.length keep in
     let* () = dat (logged_replace t name heap keep) in
     Ok deleted
@@ -1901,12 +1893,7 @@ let update_rows t name assigns where =
     }
   in
   let* updated = run_query t (Ast.select_query select) in
-  let* matched = matching_rows t name where in
-  let victims = Tuple.Hash.create 64 in
-  List.iter (fun r -> Tuple.Hash.replace victims r ()) matched;
-  let keep =
-    List.filter (fun r -> not (Tuple.Hash.mem victims r)) (Heap.to_list heap)
-  in
+  let* keep = rows_outside t name heap where in
   let* () = dat (logged_replace t name heap (keep @ updated.rows)) in
   Ok (List.length updated.rows)
 
@@ -1963,45 +1950,38 @@ let copy_from t name path =
   in
   let* rows = dat (Csv.parse text) in
   let cols = Array.of_list (Schema.columns def.Catalog.table_schema) in
-  let rec load n = function
-    | [] -> Ok n
-    | fields :: rest ->
-      if List.length fields <> Array.length cols then
-        Error
-          (Err.runtime
-             (Printf.sprintf "CSV row %d has %d fields, table %S has %d columns"
-                (n + 1) (List.length fields) name (Array.length cols)))
-      else
-        let rec build i acc = function
-          | [] -> Ok (Array.of_list (List.rev acc))
-          | field :: fields -> (
-            match field with
-            | None -> build (i + 1) (Value.Null :: acc) fields
-            | Some text -> (
-              match Value.cast cols.(i).Column.ty (Value.Text text) with
-              | Ok v -> build (i + 1) (v :: acc) fields
-              | Error msg ->
-                Error
-                  (Err.runtime
-                     (Printf.sprintf "CSV row %d, column %S: %s" (n + 1)
-                        cols.(i).Column.name msg))))
-        in
-        let* row = build 0 [] fields in
-        let* () = dat (Heap.insert heap row) in
-        load (n + 1) rest
+  let row_of n fields =
+    if List.length fields <> Array.length cols then
+      Error
+        (Err.runtime
+           (Printf.sprintf "CSV row %d has %d fields, table %S has %d columns"
+              (n + 1) (List.length fields) name (Array.length cols)))
+    else
+      let rec build i acc = function
+        | [] -> Ok (Array.of_list (List.rev acc))
+        | None :: fields -> build (i + 1) (Value.Null :: acc) fields
+        | Some text :: fields -> (
+          match Value.cast cols.(i).Column.ty (Value.Text text) with
+          | Ok v -> build (i + 1) (v :: acc) fields
+          | Error msg ->
+            Error
+              (Err.runtime
+                 (Printf.sprintf "CSV row %d, column %S: %s" (n + 1)
+                    cols.(i).Column.name msg)))
+      in
+      build 0 [] fields
   in
-  (* rows land one at a time (an invalid CSV row keeps the loaded prefix);
-     the WAL gets the applied prefix as a single Insert frame either way *)
-  let before = Heap.row_count heap in
-  let result = load 0 rows in
-  let after = Heap.row_count heap in
-  if after > before then
-    wal_append t
-      (Wal.Insert
-         ( name,
-           Array.to_list (Heap.scan_chunk heap ~pos:before ~len:(after - before))
-         ));
-  let* n = result in
+  (* the rows before an invalid one land (the loaded prefix is kept) *)
+  let rec convert n acc = function
+    | [] -> (List.rev acc, Ok n)
+    | fields :: rest -> (
+      match row_of n fields with
+      | Ok row -> convert (n + 1) (row :: acc) rest
+      | Error e -> (List.rev acc, Error e))
+  in
+  let loaded, verdict = convert 0 [] rows in
+  let* () = dat (logged_insert t name heap loaded) in
+  let* n = verdict in
   Ok (Affected n)
 
 let copy_to t name path =
@@ -2308,7 +2288,6 @@ let replay_sql t sql =
 
 let wal_enabled t = t.wal <> None
 let set_wal_fsync t b = t.wal_fsync <- b
-let wal_fsync_enabled t = t.wal_fsync
 
 let enable_wal t dir =
   if t.wal <> None then Error (Err.runtime "WAL is already enabled")
@@ -2544,11 +2523,7 @@ let execute_statement t sql (st : Ast.statement) =
      counters the sampler would have seen, appended to the message. *)
   let result =
     match result with
-    | Error e
-      when saved = None
-           && (match e.Err.kind with
-              | Err.Timeout | Err.Cancelled | Err.Resource_exhausted -> true
-              | _ -> false) -> (
+    | Error e when saved = None && governor_kill e -> (
       match progress t with
       | Some pr ->
         let where =
@@ -2580,21 +2555,11 @@ let execute_statement t sql (st : Ast.statement) =
   (match result with
   | Error e ->
     Metrics.incr t.metrics "engine.errors";
-    (match e.Err.kind with
-    | Err.Timeout ->
-      Metrics.incr t.metrics "engine.timeout";
-      Recorder.record t.recorder
-        (Recorder.Governor { verdict = "timeout"; detail = e.Err.msg })
-    | Err.Cancelled ->
-      Metrics.incr t.metrics "engine.cancelled";
-      Recorder.record t.recorder
-        (Recorder.Governor { verdict = "cancelled"; detail = e.Err.msg })
-    | Err.Resource_exhausted ->
-      Metrics.incr t.metrics "engine.resource_exhausted";
-      Recorder.record t.recorder
-        (Recorder.Governor
-           { verdict = "resource_exhausted"; detail = e.Err.msg })
-    | _ -> ())
+    if governor_kill e then begin
+      let verdict = Err.kind_label e.Err.kind in
+      Metrics.incr t.metrics ("engine." ^ verdict);
+      Recorder.record t.recorder (Recorder.Governor { verdict; detail = e.Err.msg })
+    end
   | Ok _ -> ());
   Metrics.observe t.metrics "engine.statement.ms" (Trace.duration_ms root);
   List.iter

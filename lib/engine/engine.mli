@@ -484,8 +484,6 @@ val set_wal_fsync : t -> bool -> unit
     crash-durability guarantee for speed — for benchmarks measuring the
     append overhead alone. *)
 
-val wal_fsync_enabled : t -> bool
-
 val checkpoint : t -> (unit, Perm_err.t) result
 (** Compact the log: dump the whole session as SQL into the snapshot
     file, truncate the log, re-log provenance-column metadata. Replay
