@@ -44,15 +44,6 @@ type snapshot = {
   snap_prov : (string, string list) Hashtbl.t;
 }
 
-(* A virtual system relation's row source: the catalog holds the schema,
-   the engine holds the closure that materializes rows at scan time. The
-   estimate backs the planner's cardinality statistics without paying for
-   materialization during optimization. *)
-type virtual_provider = {
-  vp_rows : unit -> Tuple.t list;
-  vp_estimate : unit -> int;
-}
-
 (* Live progress of the most recent top-level statement. The record is
    created when the statement starts and kept after it finishes (with
    [lv_running] flipped off), so a sampler can still see where a killed
@@ -64,21 +55,6 @@ type live = {
   lv_progress : Progress.t;
   mutable lv_running : bool;
   mutable lv_end_s : float option;
-}
-
-(* One captured anomaly: the self-contained forensics document plus the
-   identity fields the perm_stat_anomalies view and the \debug listing
-   surface without rendering the whole JSON. *)
-type bundle = {
-  bu_id : int;
-  bu_ts : float;
-  bu_class : string;
-  bu_fingerprint : string;
-  bu_sql : string;
-  bu_detail : string;
-  bu_doc : Perm_obs.Json.t;
-      (* rendered at capture, recorder tail included, so a bundle never
-         keeps a statement's span tree alive *)
 }
 
 (* What the GC alarm last saw. A cell of its own, so the alarm closure —
@@ -125,7 +101,7 @@ type t = {
   mutable instrument : bool;  (* per-operator executor stats (costly) *)
   mutable current_span : Trace.span option;  (* root of the running statement *)
   mutable last_trace : Trace.span option;
-  virtuals : (string, virtual_provider) Hashtbl.t;
+  views : Views.t;  (* the perm_stat_* relations *)
   mutable slow_log : (string * out_channel) option;  (* \log sink *)
   mutable slow_log_min_ms : float;  (* sink threshold; also /events' *)
   history : History.t;
@@ -170,10 +146,7 @@ type t = {
          engine takes the lock only at statement-finalize/record points,
          for microseconds per statement. Not reentrant. *)
   recorder : Recorder.t;  (* the always-on flight recorder ring *)
-  mutable bundles : bundle list;  (* forensics bundles, newest first *)
-  mutable bundle_cap : int;  (* retained bundle bound *)
-  mutable bundle_seq : int;  (* next bundle id (session-monotone) *)
-  mutable bundle_dir : string option;  (* optional on-disk mirror *)
+  forensics : Bundles.t;  (* the anomaly bundle store *)
   mutable stmt_degraded : string option;
       (* the running top-level statement fell from the parallel to the
          serial path on a worker error — an anomaly even when the serial
@@ -190,222 +163,6 @@ let obs_locked t f =
   Mutex.lock t.obs_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_lock) f
 
-(* ------------------------------------------------------------------ *)
-(* Virtual system relations                                            *)
-(* ------------------------------------------------------------------ *)
-
-let fnum f = Value.Float f
-let fnum_opt f = if Float.is_nan f then Value.Null else Value.Float f
-
-let statement_row (st : History.statement) =
-  [|
-    Value.Text st.History.st_fingerprint;
-    Value.Text st.History.st_query;
-    Value.Int st.History.st_calls;
-    Value.Int st.History.st_errors;
-    Value.Int st.History.st_rows;
-    fnum st.History.st_total_ms;
-    fnum (History.mean_ms st);
-    fnum st.History.st_max_ms;
-    fnum (History.phase_ms st "analyze");
-    fnum (History.phase_ms st "rewrite");
-    fnum (History.phase_ms st "optimize");
-    fnum (History.phase_ms st "execute");
-    Value.Int (History.rule_firings st);
-    Value.Text
-      (String.concat ","
-         (List.map
-            (fun (rule, n) -> Printf.sprintf "%s=%d" rule n)
-            (List.sort compare st.History.st_rule_counts)));
-    Value.Bool st.History.st_provenance;
-  |]
-
-let relation_row (rel : Profile.relation) =
-  [|
-    Value.Text rel.Profile.rel_name;
-    Value.Int rel.Profile.rel_scans;
-    Value.Int rel.Profile.rel_rows;
-  |]
-
-let plan_row (pn : Profile.plan_node) =
-  [|
-    Value.Text pn.Profile.pn_fingerprint;
-    Value.Int pn.Profile.pn_node;
-    Value.Text pn.Profile.pn_operator;
-    fnum pn.Profile.pn_est_rows;
-    Value.Int pn.Profile.pn_act_rows;
-    fnum pn.Profile.pn_self_ms;
-    Value.Int pn.Profile.pn_loops;
-    Value.Int pn.Profile.pn_peak_bytes;
-  |]
-
-let worker_row (wk : Profile.worker) =
-  [|
-    Value.Int wk.Profile.wk_domain;
-    Value.Int wk.Profile.wk_morsels;
-    fnum wk.Profile.wk_busy_ms;
-    fnum wk.Profile.wk_idle_ms;
-    Value.Int wk.Profile.wk_rows;
-    fnum wk.Profile.wk_max_skew;
-  |]
-
-let metric_rows metrics =
-  Metrics.fold metrics
-    (fun acc name m ->
-      let row =
-        match m with
-        | Metrics.Counter { c } ->
-          [|
-            Value.Text name; Value.Text "counter"; fnum (float_of_int c);
-            Value.Null; Value.Null; Value.Null; Value.Null; Value.Null;
-            Value.Null; Value.Null;
-          |]
-        | Metrics.Gauge { g } ->
-          [|
-            Value.Text name; Value.Text "gauge"; fnum g; Value.Null;
-            Value.Null; Value.Null; Value.Null; Value.Null; Value.Null;
-            Value.Null;
-          |]
-        | Metrics.Histogram h ->
-          if h.Metrics.h_count = 0 then
-            [|
-              Value.Text name; Value.Text "histogram"; Value.Null;
-              Value.Int 0; Value.Null; Value.Null; Value.Null; Value.Null;
-              Value.Null; Value.Null;
-            |]
-          else
-            [|
-              Value.Text name; Value.Text "histogram"; Value.Null;
-              Value.Int h.Metrics.h_count; fnum h.Metrics.h_sum;
-              fnum h.Metrics.h_min; fnum h.Metrics.h_max;
-              fnum_opt (Metrics.quantile h 0.50);
-              fnum_opt (Metrics.quantile h 0.95);
-              fnum_opt (Metrics.quantile h 0.99);
-            |]
-      in
-      row :: acc)
-    []
-  |> List.rev
-
-let history_row (r : History.exec_record) =
-  let ph name =
-    match List.assoc_opt name r.History.ex_phase_ms with
-    | Some v -> fnum v
-    | None -> Value.Null
-  in
-  [|
-    Value.Text r.History.ex_fingerprint;
-    Value.Int r.History.ex_seq;
-    fnum r.History.ex_ts;
-    Value.Text r.History.ex_plan_hash;
-    fnum r.History.ex_ms;
-    Value.Int r.History.ex_rows;
-    fnum r.History.ex_est_rows;
-    fnum r.History.ex_skew;
-    Value.Bool r.History.ex_error;
-    ph "analyze";
-    ph "rewrite";
-    ph "optimize";
-    ph "execute";
-  |]
-
-let regression_row (r : History.regression) =
-  [|
-    Value.Text r.History.rg_fingerprint;
-    Value.Int r.History.rg_seq;
-    fnum r.History.rg_ts;
-    fnum r.History.rg_ms;
-    fnum r.History.rg_baseline_ms;
-    fnum r.History.rg_factor;
-    Value.Text (History.cause_label r.History.rg_cause);
-    Value.Text r.History.rg_detail;
-    Value.Text r.History.rg_plan_hash;
-  |]
-
-let metric_sample_row (s : History.metric_sample) =
-  [|
-    Value.Text s.History.sm_name;
-    Value.Int s.History.sm_seq;
-    fnum s.History.sm_ts;
-    fnum s.History.sm_value;
-  |]
-
-let anomaly_row (b : bundle) =
-  [|
-    Value.Int b.bu_id;
-    fnum b.bu_ts;
-    Value.Text b.bu_class;
-    Value.Text b.bu_fingerprint;
-    Value.Text b.bu_detail;
-    Value.Text b.bu_sql;
-  |]
-
-let virtual_schemas =
-  let col = Column.make in
-  [
-    ( "perm_stat_statements",
-      [
-        col "fingerprint" Dtype.Text; col "query" Dtype.Text;
-        col "calls" Dtype.Int; col "errors" Dtype.Int; col "rows" Dtype.Int;
-        col "total_ms" Dtype.Float; col "mean_ms" Dtype.Float;
-        col "max_ms" Dtype.Float; col "analyze_ms" Dtype.Float;
-        col "rewrite_ms" Dtype.Float; col "optimize_ms" Dtype.Float;
-        col "execute_ms" Dtype.Float; col "rule_firings" Dtype.Int;
-        col "rules" Dtype.Text; col "provenance" Dtype.Bool;
-      ] );
-    ( "perm_stat_relations",
-      [ col "relation" Dtype.Text; col "scans" Dtype.Int; col "rows" Dtype.Int ] );
-    ( "perm_metrics",
-      [
-        col "name" Dtype.Text; col "kind" Dtype.Text; col "value" Dtype.Float;
-        col "count" Dtype.Int; col "sum" Dtype.Float; col "min" Dtype.Float;
-        col "max" Dtype.Float; col "p50" Dtype.Float; col "p95" Dtype.Float;
-        col "p99" Dtype.Float;
-      ] );
-    ( "perm_stat_plans",
-      [
-        col "fingerprint" Dtype.Text; col "node_id" Dtype.Int;
-        col "operator" Dtype.Text; col "est_rows" Dtype.Float;
-        col "act_rows" Dtype.Int; col "self_ms" Dtype.Float;
-        col "loops" Dtype.Int; col "peak_bytes" Dtype.Int;
-      ] );
-    ( "perm_stat_workers",
-      [
-        col "domain" Dtype.Int; col "morsels" Dtype.Int;
-        col "busy_ms" Dtype.Float; col "idle_ms" Dtype.Float;
-        col "rows" Dtype.Int; col "max_skew" Dtype.Float;
-      ] );
-    ( "perm_stat_history",
-      [
-        col "fingerprint" Dtype.Text; col "seq" Dtype.Int;
-        col "ts" Dtype.Float; col "plan_hash" Dtype.Text;
-        col "total_ms" Dtype.Float; col "rows" Dtype.Int;
-        col "est_rows" Dtype.Float; col "skew" Dtype.Float;
-        col "error" Dtype.Bool; col "analyze_ms" Dtype.Float;
-        col "rewrite_ms" Dtype.Float; col "optimize_ms" Dtype.Float;
-        col "execute_ms" Dtype.Float;
-      ] );
-    ( "perm_stat_regressions",
-      [
-        col "fingerprint" Dtype.Text; col "seq" Dtype.Int;
-        col "ts" Dtype.Float; col "total_ms" Dtype.Float;
-        col "baseline_ms" Dtype.Float; col "factor" Dtype.Float;
-        col "cause" Dtype.Text; col "detail" Dtype.Text;
-        col "plan_hash" Dtype.Text;
-      ] );
-    ( "perm_metrics_history",
-      [
-        col "name" Dtype.Text; col "seq" Dtype.Int; col "ts" Dtype.Float;
-        col "value" Dtype.Float;
-      ] );
-    ( "perm_stat_anomalies",
-      [
-        col "id" Dtype.Int; col "ts" Dtype.Float; col "class" Dtype.Text;
-        col "fingerprint" Dtype.Text; col "detail" Dtype.Text;
-        col "sql" Dtype.Text;
-      ] );
-  ]
-
 (* Telemetry-loss accounting as gauges, so /metrics (and perm_metrics) can
    alert on the observability plane itself shedding data: flight-recorder
    ring drops, history ring wrap-around, and LRU/byte-budget fingerprint
@@ -413,83 +170,18 @@ let virtual_schemas =
    during a scan) or from an observability reader already holding
    [obs_lock] — both contexts where taking the lock again would be wrong
    (it is not reentrant). *)
-let refresh_loss_gauges_unlocked t =
-  Metrics.set_gauge t.metrics "recorder.recorded"
-    (float_of_int (Recorder.recorded t.recorder));
-  Metrics.set_gauge t.metrics "recorder.dropped"
-    (float_of_int (Recorder.dropped t.recorder));
-  Metrics.set_gauge t.metrics "history.dropped"
-    (float_of_int (History.dropped t.history));
-  Metrics.set_gauge t.metrics "history.evicted"
-    (float_of_int (History.evicted t.history));
-  Metrics.set_gauge t.metrics "history.bytes"
-    (float_of_int (History.approx_bytes t.history))
-
-let register_virtuals t =
+let loss_gauges metrics recorder history =
   List.iter
-    (fun (name, cols) ->
-      match Catalog.add_virtual t.cat name (Schema.make_exn cols) with
-      | Ok _ -> ()
-      | Error msg -> invalid_arg ("registering virtual relation: " ^ msg))
-    virtual_schemas;
-  let add name provider = Hashtbl.replace t.virtuals name provider in
-  add "perm_stat_statements"
-    {
-      vp_rows =
-        (fun () -> List.map statement_row (History.statements t.history));
-      vp_estimate = (fun () -> List.length (History.fingerprints t.history));
-    };
-  add "perm_stat_relations"
-    {
-      vp_rows = (fun () -> List.map relation_row (Profile.relations t.profile));
-      vp_estimate = (fun () -> List.length (Profile.relations t.profile));
-    };
-  add "perm_metrics"
-    {
-      vp_rows =
-        (fun () ->
-          (* GC and telemetry-loss gauges refresh lazily, when somebody
-             actually looks *)
-          Metrics.set_gc_gauges t.metrics;
-          refresh_loss_gauges_unlocked t;
-          metric_rows t.metrics);
-      vp_estimate = (fun () -> List.length (Metrics.names t.metrics));
-    };
-  add "perm_stat_plans"
-    {
-      vp_rows = (fun () -> List.map plan_row (Profile.plan_nodes t.profile));
-      vp_estimate = (fun () -> List.length (Profile.plan_nodes t.profile));
-    };
-  add "perm_stat_workers"
-    {
-      vp_rows = (fun () -> List.map worker_row (Profile.workers t.profile));
-      vp_estimate = (fun () -> List.length (Profile.workers t.profile));
-    };
-  add "perm_stat_history"
-    {
-      vp_rows = (fun () -> List.map history_row (History.executions t.history));
-      vp_estimate =
-        (fun () -> List.length (History.executions t.history));
-    };
-  add "perm_stat_regressions"
-    {
-      vp_rows =
-        (fun () -> List.map regression_row (History.regressions t.history));
-      vp_estimate = (fun () -> List.length (History.regressions t.history));
-    };
-  add "perm_metrics_history"
-    {
-      vp_rows =
-        (fun () ->
-          List.map metric_sample_row (History.metric_samples t.history));
-      vp_estimate = (fun () -> List.length (History.metric_samples t.history));
-    };
-  add "perm_stat_anomalies"
-    {
-      (* oldest first, like the other telemetry views *)
-      vp_rows = (fun () -> List.rev_map anomaly_row t.bundles);
-      vp_estimate = (fun () -> List.length t.bundles);
-    }
+    (fun (name, v) -> Metrics.set_gauge metrics name (float_of_int v))
+    [
+      ("recorder.recorded", Recorder.recorded recorder);
+      ("recorder.dropped", Recorder.dropped recorder);
+      ("history.dropped", History.dropped history);
+      ("history.evicted", History.evicted history);
+      ("history.bytes", History.approx_bytes history);
+    ]
+
+let refresh_loss_gauges_unlocked t = loss_gauges t.metrics t.recorder t.history
 
 (* The executor.spill.* gauges mirror the engine's own spill counts.
    They are published (zeros included) at create, so dashboards and the
@@ -538,6 +230,18 @@ let note_spill t (ev : Spill.event) =
       { c with sc_rows = c.sc_rows + rows; sc_bytes = c.sc_bytes + bytes })
 
 let create () =
+  let metrics = Metrics.create () and history = History.create () in
+  let profile = Profile.create () and recorder = Recorder.create () in
+  let forensics = Bundles.create ~metrics ~recorder in
+  let views =
+    Views.create ~history ~profile ~metrics
+      ~refresh_metrics:(fun () ->
+        (* GC and telemetry-loss gauges refresh lazily, when somebody
+           actually looks *)
+        Metrics.set_gc_gauges metrics;
+        loss_gauges metrics recorder history)
+      ~anomalies:(fun () -> List.rev (Bundles.list forensics))
+  in
   let t =
     {
       cat = Catalog.create ();
@@ -547,14 +251,14 @@ let create () =
       planner_config = Planner.default_config;
       report = None;
       snapshot = None;
-      metrics = Metrics.create ();
+      metrics;
       instrument = false;
       current_span = None;
       last_trace = None;
-      virtuals = Hashtbl.create 8;
+      views;
       slow_log = None;
       slow_log_min_ms = 0.;
-      history = History.create ();
+      history;
       stmt_rules = [];
       parallel_domains = 0;
       parallel_threshold = Executor.default_parallel_threshold;
@@ -570,7 +274,7 @@ let create () =
       row_limit = 0;
       tuple_budget = 0;
       token = Token.none;
-      profile = Profile.create ();
+      profile;
       stmt_fp = "";
       stmt_plan_hash = "";
       stmt_est_rows = 0.;
@@ -584,11 +288,8 @@ let create () =
       spill_dir = Filename.get_temp_dir_name ();
       spill_counts = no_spills;
       obs_lock = Mutex.create ();
-      recorder = Recorder.create ();
-      bundles = [];
-      bundle_cap = 32;
-      bundle_seq = 1;
-      bundle_dir = None;
+      recorder;
+      forensics;
       stmt_degraded = None;
       stmt_metrics0 = [];
       gc_seen =
@@ -597,7 +298,7 @@ let create () =
     }
   in
   Perm_fault.init_from_env ();
-  register_virtuals t;
+  Views.register views t.cat;
   (* GC major slices land in the flight recorder. The alarm fires at the
      end of major cycles on this domain, but it must not touch the ring
      itself: evicting a ring slot from inside the alarm changes the live
@@ -653,8 +354,8 @@ let stats t : Planner.stats =
         match Store.find t.store name with
         | Some heap -> Heap.row_count heap
         | None -> (
-          match Hashtbl.find_opt t.virtuals (String.lowercase_ascii name) with
-          | Some vp -> vp.vp_estimate ()
+          match Views.find t.views name with
+          | Some v -> Views.estimate v
           | None -> 0));
     Planner.table_distinct =
       (fun name col ->
@@ -819,13 +520,8 @@ let provider t : Executor.provider =
           (* virtual system relation: materialize from the engine-owned
              provider at scan time, so the view reflects the accumulator
              as of this statement *)
-          match Hashtbl.find_opt t.virtuals (String.lowercase_ascii table) with
-          | Some vp ->
-            let tuples = vp.vp_rows () in
-            let arity =
-              match tuples with t0 :: _ -> Array.length t0 | [] -> 0
-            in
-            Executor.batches_of_list ~arity ~batch_rows:rows tuples
+          match Views.find t.views table with
+          | Some v -> Views.batches v ~rows
           | None ->
             raise
               (Executor.Runtime_error
@@ -1122,91 +818,30 @@ let plan_json t ~fingerprint ~plan_hash ~est_rows =
              nodes) );
     ]
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let bundle_events_limit = 64
-
-let rec list_take n = function
-  | [] -> []
-  | x :: xs -> if n <= 0 then [] else x :: list_take (n - 1) xs
 
 (* Snapshot one forensics bundle. Called with [obs_lock] held (statement
    finalize) or from the engine domain before any server starts (startup
    WAL replay) — both contexts where mutating the bundle store and the
-   event log is safe. Disabled recorder (capacity 0) disables bundle
-   capture with it: that is the bench's off-arm. *)
+   event log is safe. *)
 let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
     ~est_rows ~ms ~rows ~phases =
-  if Recorder.enabled t.recorder then begin
-    let ts = Trace.now () in
-    let id = t.bundle_seq in
-    t.bundle_seq <- id + 1;
-    let events = Recorder.recent ~limit:bundle_events_limit t.recorder in
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.String Bundle_schema.schema_tag);
-          ("id", Json.Int id);
-          ("ts", Json.Float ts);
-          ("class", Json.String cls);
-          ("detail", Json.String detail);
-          ("sql", Json.String sql);
-          ("fingerprint", Json.String fingerprint);
-          ("ms", Json.Float ms);
-          ("rows", Json.Int rows);
-          ("plan", plan_json t ~fingerprint ~plan_hash ~est_rows);
-          ( "phases",
-            Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases) );
-          ("metrics_delta", Json.Obj (forensics_delta t));
-          ("events", Json.List (List.map Recorder.event_to_json events));
-          ("wal", wal_status_json t);
-          ("spill", spill_json t);
-          ("settings", settings_json t);
-          ("gc", gc_json ());
-        ]
-    in
-    let b =
-      {
-        bu_id = id;
-        bu_ts = ts;
-        bu_class = cls;
-        bu_fingerprint = fingerprint;
-        bu_sql = sql;
-        bu_detail = detail;
-        bu_doc = doc;
-      }
-    in
-    t.bundles <- b :: t.bundles;
-    if List.length t.bundles > t.bundle_cap then
-      t.bundles <- list_take t.bundle_cap t.bundles;
-    Metrics.incr t.metrics "forensics.bundles";
-    Metrics.incr t.metrics ("forensics.class." ^ cls);
-    (* optional on-disk mirror, bounded like the in-memory store: each new
-       bundle evicts the file that just fell off the retention window *)
-    (match t.bundle_dir with
-    | Some dir -> (
-      try
-        mkdir_p dir;
-        let path = Filename.concat dir (Printf.sprintf "bundle-%06d.json" id) in
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Json.to_pretty_string doc));
-        let victim = id - t.bundle_cap in
-        if victim >= 1 then
-          try
-            Sys.remove
-              (Filename.concat dir (Printf.sprintf "bundle-%06d.json" victim))
-          with Sys_error _ -> ()
-      with _ -> Metrics.incr t.metrics "forensics.write.errors")
-    | None -> ());
-    (* the SSE plane tails the recorder; this event becomes an
-       `event: anomaly` frame on /events *)
-    Recorder.record t.recorder
-      (Recorder.Anomaly { id; cls; fingerprint; detail; sql })
-  end
+  Bundles.capture t.forensics ~cls ~detail ~sql ~fingerprint ~ms ~rows
+    (fun () ->
+      [
+        ("plan", plan_json t ~fingerprint ~plan_hash ~est_rows);
+        ("phases", Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases));
+        ("metrics_delta", Json.Obj (forensics_delta t));
+        ( "events",
+          Json.List
+            (List.map Recorder.event_to_json
+               (Recorder.recent ~limit:bundle_events_limit t.recorder))
+        );
+        ("wal", wal_status_json t);
+        ("spill", spill_json t);
+        ("settings", settings_json t);
+        ("gc", gc_json ());
+      ])
 
 (* A kill by the governor: timeout, cancel or resource exhaustion. *)
 let governor_kill (e : Err.t) =
@@ -1249,25 +884,16 @@ let locked t f = obs_locked t f
 let refresh_loss_gauges t =
   obs_locked t (fun () -> refresh_loss_gauges_unlocked t)
 
-let virtual_names t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.virtuals [])
+let virtual_names t = Views.names t.views
 
 (* Materialize a perm_stat_* view outside a query, for the /stats JSON
-   endpoints: same provider closure a scan uses, but under [obs_lock] so
+   endpoints: the same declaration a scan reads, but under [obs_lock] so
    it can run on a server domain while the engine executes statements.
-   [t.virtuals] itself is only written at engine creation, so the lookup
-   needs no lock. *)
+   [t.views] itself never changes, so the lookup needs no lock. *)
 let virtual_relation t name =
-  let name = String.lowercase_ascii name in
-  match Hashtbl.find_opt t.virtuals name with
-  | None -> None
-  | Some vp ->
-    let columns =
-      match List.assoc_opt name virtual_schemas with
-      | Some cols -> List.map (fun (c : Column.t) -> c.Column.name) cols
-      | None -> []
-    in
-    Some (columns, obs_locked t (fun () -> vp.vp_rows ()))
+  Option.map
+    (fun v -> (Views.columns v, obs_locked t (fun () -> Views.rows v)))
+    (Views.find t.views name)
 
 let events_since t cursor = Recorder.since t.recorder cursor
 
@@ -2690,7 +2316,7 @@ let explain_analyze t sql =
 (* ------------------------------------------------------------------ *)
 
 module Forensics = struct
-  type summary = {
+  type summary = Bundles.summary = {
     fs_id : int;
     fs_ts : float;
     fs_class : string;
@@ -2699,34 +2325,10 @@ module Forensics = struct
     fs_sql : string;
   }
 
-  let capacity t = t.bundle_cap
-
-  let set_capacity t n =
-    obs_locked t (fun () ->
-        t.bundle_cap <- max 0 n;
-        t.bundles <- list_take t.bundle_cap t.bundles)
-
-  let set_dir t dir = obs_locked t (fun () -> t.bundle_dir <- dir)
-
-  let summary_of b =
-    {
-      fs_id = b.bu_id;
-      fs_ts = b.bu_ts;
-      fs_class = b.bu_class;
-      fs_fingerprint = b.bu_fingerprint;
-      fs_detail = b.bu_detail;
-      fs_sql = b.bu_sql;
-    }
-
-  (* newest first, like the underlying store *)
-  let list t = obs_locked t (fun () -> List.map summary_of t.bundles)
-
-  let get t id =
-    obs_locked t (fun () ->
-        List.find_opt (fun b -> b.bu_id = id) t.bundles
-        |> Option.map (fun b -> b.bu_doc))
-
-  let last t =
-    obs_locked t (fun () ->
-        match t.bundles with b :: _ -> Some b.bu_doc | [] -> None)
+  let capacity t = Bundles.capacity t.forensics
+  let set_capacity t n = obs_locked t (fun () -> Bundles.set_capacity t.forensics n)
+  let set_dir t dir = obs_locked t (fun () -> Bundles.set_dir t.forensics dir)
+  let list t = obs_locked t (fun () -> Bundles.list t.forensics)
+  let get t id = obs_locked t (fun () -> Bundles.get t.forensics id)
+  let last t = obs_locked t (fun () -> Bundles.last t.forensics)
 end

@@ -696,10 +696,12 @@ let columns_of_rows ~arity (rows : Tuple.t array) =
   Array.init arity (fun c -> Array.map (fun row -> row.(c)) rows)
 
 (* Default batch slicing for providers without native columnar storage. *)
+let batches_of_columns ~batch_rows cols n =
+  Array.of_seq (slice_columns ~batch_rows cols n)
+
 let batches_of_list ~arity ~batch_rows rows =
   let rows = Array.of_list rows in
-  Array.of_seq
-    (slice_columns ~batch_rows (columns_of_rows ~arity rows) (Array.length rows))
+  batches_of_columns ~batch_rows (columns_of_rows ~arity rows) (Array.length rows)
 
 (* The live rows of [batches] as one dense batch of [arity] columns. *)
 let concat_live ~arity (batches : Batch.t array) =

@@ -50,6 +50,15 @@ val batches_of_list :
 (** Transpose a materialized row list into dense batches — the
     [scan_batches] implementation for providers without columnar storage. *)
 
+val batches_of_columns :
+  batch_rows:int ->
+  Perm_value.Value.t array array ->
+  int ->
+  Perm_storage.Batch.t array
+(** [batches_of_columns ~batch_rows cols n]: [n]-row columns sliced into
+    dense batches — {!batches_of_list} for a provider that builds its
+    columns directly. *)
+
 val default_batch_rows : int
 (** Default batch size (rows per columnar batch). *)
 
