@@ -125,13 +125,7 @@ type t = {
   mutable stmt_est_rows : float;  (* planner total estimate of that plan *)
   mutable stmt_skew : float;  (* max worker skew seen by the statement *)
   mutable live : live option;  (* progress of the last top-level statement *)
-  mutable wal : Wal.t option;  (* durability log; None = in-memory only *)
-  mutable wal_fsync : bool;  (* fsync on commit (default); off for benches *)
-  mutable wal_dirty : bool;
-      (* an append/fsync failed: the log trails the heaps. Logging stops
-         and the next top-level statement rebuilds the log from a
-         checkpoint before running. *)
-  mutable wal_begun : bool;  (* a Begin frame is open in the log *)
+  wal : Wal_log.t;  (* the durability log, if enabled *)
   mutable spill_on : bool;  (* graceful spill instead of budget kills *)
   mutable spill_dir : string;  (* where spill temp files go *)
   mutable spill_counts : spill_counts;
@@ -280,10 +274,7 @@ let create () =
       stmt_est_rows = 0.;
       stmt_skew = 1.;
       live = None;
-      wal = None;
-      wal_fsync = true;
-      wal_dirty = false;
-      wal_begun = false;
+      wal = Wal_log.create ~metrics ~recorder;
       spill_on = true;
       spill_dir = Filename.get_temp_dir_name ();
       spill_counts = no_spills;
@@ -486,11 +477,7 @@ let close t =
   let hooks = t.on_close in
   t.on_close <- [];
   List.iter (fun f -> try f () with _ -> ()) hooks;
-  (match t.wal with
-  | Some w ->
-    Wal.close w;
-    t.wal <- None
-  | None -> ());
+  Wal_log.close t.wal;
   shutdown_pool t
 let last_report t = t.report
 let provenance_columns t name =
@@ -633,7 +620,7 @@ let slow_log_min_ms t = t.slow_log_min_ms
 let history t = t.history
 let recorder t = t.recorder
 
-type wal_status = {
+type wal_status = Wal_log.status = {
   ws_dir : string;
   ws_bytes : int;
   ws_records : int;
@@ -645,55 +632,8 @@ type wal_status = {
   ws_replay : Wal.replay;
 }
 
-let wal_status t =
-  Option.map
-    (fun w ->
-      let s = Wal.status w in
-      {
-        ws_dir = s.Wal.st_dir;
-        ws_bytes = s.Wal.st_bytes;
-        ws_records = s.Wal.st_records;
-        ws_last_lsn = s.Wal.st_last_lsn;
-        ws_fsyncs = s.Wal.st_fsyncs;
-        ws_fsync_on = t.wal_fsync;
-        ws_dirty = t.wal_dirty;
-        ws_epoch = s.Wal.st_epoch;
-        ws_replay = s.Wal.st_replay;
-      })
-    t.wal
-
-(* WAL health as gauges: size/records/fsyncs track log growth between
-   checkpoints, the epoch shows checkpoint progression, and the replay
-   family preserves what crash recovery found when the log was opened —
-   rp_skipped and truncated bytes are the evidence of a mid-checkpoint or
-   mid-commit crash, previously visible only in \wal status. *)
-let refresh_wal_gauges t =
-  (* always published, zeros included: a dashboard alerting on
-     wal_replay_truncated_bytes > 0 must see the series exist before the
-     first crash, and a WAL-less session reports a flat zero family *)
-  let bytes, records, fsyncs, epoch, rp =
-    match t.wal with
-    | None -> (0, 0, 0, 0, Wal.no_replay)
-    | Some w ->
-      let s = Wal.status w in
-      ( s.Wal.st_bytes,
-        s.Wal.st_records,
-        s.Wal.st_fsyncs,
-        s.Wal.st_epoch,
-        s.Wal.st_replay )
-  in
-  Metrics.set_gauge t.metrics "wal.bytes" (float_of_int bytes);
-  Metrics.set_gauge t.metrics "wal.records" (float_of_int records);
-  Metrics.set_gauge t.metrics "wal.fsyncs" (float_of_int fsyncs);
-  Metrics.set_gauge t.metrics "wal.epoch" (float_of_int epoch);
-  Metrics.set_gauge t.metrics "wal.replay.records"
-    (float_of_int rp.Wal.rp_records);
-  Metrics.set_gauge t.metrics "wal.replay.committed"
-    (float_of_int rp.Wal.rp_committed);
-  Metrics.set_gauge t.metrics "wal.replay.skipped"
-    (float_of_int rp.Wal.rp_skipped);
-  Metrics.set_gauge t.metrics "wal.replay.truncated_bytes"
-    (float_of_int rp.Wal.rp_truncated_bytes)
+let wal_status t = Wal_log.status t.wal
+let wal_status_json t = Wal_log.status_json t.wal
 
 (* ------------------------------------------------------------------ *)
 (* Forensics bundles                                                   *)
@@ -735,34 +675,6 @@ let forensics_delta t =
       (n, Json.Float (v -. v0)))
     (forensics_snapshot t)
 
-let replay_json (rp : Wal.replay) =
-  Json.Obj
-    [
-      ("snapshot", Json.Bool rp.Wal.rp_snapshot);
-      ("records", Json.Int rp.Wal.rp_records);
-      ("committed", Json.Int rp.Wal.rp_committed);
-      ("discarded", Json.Int rp.Wal.rp_discarded);
-      ("skipped", Json.Int rp.Wal.rp_skipped);
-      ("truncated_bytes", Json.Int rp.Wal.rp_truncated_bytes);
-    ]
-
-let wal_status_json t =
-  match wal_status t with
-  | None -> Json.Null
-  | Some ws ->
-    Json.Obj
-      [
-        ("dir", Json.String ws.ws_dir);
-        ("bytes", Json.Int ws.ws_bytes);
-        ("records", Json.Int ws.ws_records);
-        ("last_lsn", Json.Int ws.ws_last_lsn);
-        ("fsyncs", Json.Int ws.ws_fsyncs);
-        ("fsync_on", Json.Bool ws.ws_fsync_on);
-        ("dirty", Json.Bool ws.ws_dirty);
-        ("epoch", Json.Int ws.ws_epoch);
-        ("replay", replay_json ws.ws_replay);
-      ]
-
 let spill_json t =
   Json.Obj
     (List.map (fun (name, v) -> (name, Json.Int v)) (spill_fields t.spill_counts))
@@ -777,7 +689,7 @@ let settings_json t =
       ("row_limit", Json.Int t.row_limit);
       ("tuple_budget", Json.Int t.tuple_budget);
       ("spill", Json.Bool t.spill_on);
-      ("wal_fsync", Json.Bool t.wal_fsync);
+      ("wal_fsync", Json.Bool t.wal.Wal_log.fsync);
     ]
 
 let gc_json () =
@@ -1354,31 +1266,7 @@ let create_index_sql (d : Catalog.index_def) =
 let create_view_sql (v : Catalog.view_def) =
   Printf.sprintf "CREATE VIEW %s AS %s;" v.Catalog.view_name v.Catalog.view_sql
 
-(* Append one frame, opening the statement's transaction lazily (read-only
-   statements never touch the log). Mutations are logged *after* they hit
-   the heap, so the frame records what actually happened — including a
-   partially applied insert. On an append failure the log is marked dirty:
-   logging stops (the heaps are ahead of the log) and the next top-level
-   statement rebuilds the log from a checkpoint before running. *)
-let wal_append t frame =
-  match t.wal with
-  | None -> ()
-  | Some w ->
-    if not t.wal_dirty then begin
-      try
-        if not t.wal_begun then begin
-          t.wal_begun <- true;
-          Wal.append w Wal.Begin;
-          Recorder.record t.recorder (Recorder.Wal_append { frame = "begin" })
-        end;
-        Wal.append w frame;
-        Recorder.record t.recorder
-          (Recorder.Wal_append { frame = Wal.frame_label frame })
-      with e ->
-        t.wal_dirty <- true;
-        Metrics.incr t.metrics "wal.append.errors";
-        raise e
-    end
+let wal_append t frame = Wal_log.append t.wal frame
 
 (* The single logged entry points every DML/DDL path goes through, so the
    WAL and the heaps can never disagree on the applied row set. *)
@@ -1683,100 +1571,12 @@ let dump_sql t =
 (* WAL commit protocol                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let wal_error t = function
-  | Perm_fault.Injected p ->
-    Metrics.incr t.metrics ("fault.injected." ^ p);
-    Recorder.record t.recorder (Recorder.Fault { point = p });
-    Error (Err.faulted (Printf.sprintf "fault injected at %s" p))
-  | Unix.Unix_error (err, fn, _) ->
-    Error (Err.runtime (Printf.sprintf "WAL %s: %s" fn (Unix.error_message err)))
-  | Sys_error msg -> Error (Err.runtime ("WAL: " ^ msg))
-  | e -> raise e
-
 let prov_list t =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.prov_tables [])
 
-(* Compact the log into a snapshot of the current heaps. Also the repair
-   path for a dirty log: the snapshot is taken from the heaps, which are
-   authoritative, so afterwards log and heaps agree again. *)
-let wal_rebuild t w =
-  match Wal.checkpoint w ~snapshot_sql:(dump_sql t) ~prov:(prov_list t) with
-  | () ->
-    t.wal_dirty <- false;
-    t.wal_begun <- false;
-    Metrics.incr t.metrics "wal.checkpoints";
-    Recorder.record t.recorder
-      (Recorder.Wal_checkpoint { epoch = (Wal.status w).Wal.st_epoch; ok = true });
-    Ok ()
-  | exception e ->
-    Metrics.incr t.metrics "wal.checkpoint.errors";
-    Recorder.record t.recorder
-      (Recorder.Wal_checkpoint { epoch = (Wal.status w).Wal.st_epoch; ok = false });
-    wal_error t e
-
-(* Dirty-log repair, run before each top-level statement (never inside a
-   transaction: the heaps hold uncommitted state there). Deliberately not
-   run at statement end — a crash right after the fault must leave the
-   torn log for recovery to discard, not a freshly repaired one. *)
-let wal_repair t =
-  match t.wal with
-  | Some w when t.wal_dirty && t.snapshot = None -> (
-    match wal_rebuild t w with
-    | Ok () -> Metrics.incr t.metrics "wal.repairs"
-    | Error _ -> (* still dirty; logging stays off, retried next statement *) ())
-  | _ -> ()
-
-(* Append Commit and make it durable (fsync unless [\set wal_fsync off]).
-   On failure the log is dirty: the Commit may or may not have hit the
-   platter, and the next repair rebuilds from the heaps either way. *)
-let wal_commit_frames t w =
-  match
-    Wal.append w Wal.Commit;
-    if t.wal_fsync then Wal.fsync w
-  with
-  | () ->
-    t.wal_begun <- false;
-    Recorder.record t.recorder (Recorder.Wal_append { frame = "commit" });
-    if t.wal_fsync then
-      Recorder.record t.recorder
-        (Recorder.Wal_fsync { fsyncs = (Wal.status w).Wal.st_fsyncs });
-    Ok ()
-  | exception e ->
-    t.wal_dirty <- true;
-    t.wal_begun <- false;
-    Metrics.incr t.metrics "wal.append.errors";
-    wal_error t e
-
-(* Statement-boundary commit, outside explicit transactions. A dirty log
-   is left for the next statement's repair (see [wal_repair]). *)
-let wal_seal_statement t =
-  match t.wal with
-  | None -> Ok ()
-  | Some w ->
-    if t.wal_dirty || not t.wal_begun then Ok () else wal_commit_frames t w
-
-(* COMMIT of an explicit transaction: the heaps hold exactly the committed
-   state here, so a dirty log is rebuilt from them on the spot. *)
-let wal_txn_seal t =
-  match t.wal with
-  | None -> Ok ()
-  | Some w ->
-    if t.wal_dirty then wal_rebuild t w
-    else if not t.wal_begun then Ok ()
-    else wal_commit_frames t w
-
-(* ROLLBACK: the Abort frame is advisory (replay discards unsealed frames
-   anyway), so failures here only mark the log dirty. *)
-let wal_abort t =
-  match t.wal with
-  | Some w when t.wal_begun ->
-    t.wal_begun <- false;
-    if not t.wal_dirty then (
-      try Wal.append w Wal.Abort
-      with _ ->
-        t.wal_dirty <- true;
-        Metrics.incr t.metrics "wal.append.errors")
-  | _ -> ()
+(* What a checkpoint writes: the heaps as a script, and the provenance
+   columns of eagerly stored tables. *)
+let wal_snapshot t () = (dump_sql t, prov_list t)
 
 let run_statement t sql (st : Ast.statement) =
   match st with
@@ -1876,7 +1676,7 @@ let run_statement t sql (st : Ast.statement) =
       Perm_fault.trip fp_commit;
       (* seal the transaction's frames (fsynced) before dropping the
          rollback snapshot; on failure the transaction stays open *)
-      let* () = wal_txn_seal t in
+      let* () = Wal_log.seal_transaction t.wal ~snapshot:(wal_snapshot t) in
       t.snapshot <- None;
       Ok (Message "transaction committed"))
   | Ast.St_rollback -> (
@@ -1887,7 +1687,7 @@ let run_statement t sql (st : Ast.statement) =
       t.store <- snap.snap_store;
       t.prov_tables <- snap.snap_prov;
       t.snapshot <- None;
-      wal_abort t;
+      Wal_log.abort t.wal;
       Ok (Message "transaction rolled back"))
 
 (* ------------------------------------------------------------------ *)
@@ -1912,11 +1712,11 @@ let replay_sql t sql =
     in
     go statements
 
-let wal_enabled t = t.wal <> None
-let set_wal_fsync t b = t.wal_fsync <- b
+let wal_enabled t = t.wal.Wal_log.log <> None
+let set_wal_fsync t b = t.wal.Wal_log.fsync <- b
 
 let enable_wal t dir =
-  if t.wal <> None then Error (Err.runtime "WAL is already enabled")
+  if wal_enabled t then Error (Err.runtime "WAL is already enabled")
   else if t.snapshot <> None then
     Error (Err.runtime "cannot enable WAL inside a transaction")
   else begin
@@ -1956,14 +1756,12 @@ let enable_wal t dir =
     match (try Ok (Wal.open_ ~dir ~apply) with e -> Error e) with
     | Error e ->
       restore ();
-      wal_error t e
+      Wal_log.error t.wal e
     | Ok (Error msg) ->
       restore ();
       Error (Err.runtime msg)
     | Ok (Ok (w, replay)) ->
-      t.wal <- Some w;
-      t.wal_dirty <- false;
-      t.wal_begun <- false;
+      Wal_log.install t.wal w;
       Metrics.incr t.metrics "wal.opens";
       Recorder.record t.recorder
         (Recorder.Wal_replay
@@ -1976,8 +1774,9 @@ let enable_wal t dir =
            });
       (* state created before WAL was switched on is not in the log:
          capture it in a checkpoint right away *)
-      if had_state then (match wal_rebuild t w with Ok () | Error _ -> ());
-      refresh_wal_gauges t;
+      if had_state then
+        ignore (Wal_log.rebuild t.wal w ~snapshot:(wal_snapshot t));
+      Wal_log.refresh_gauges t.wal;
       (* recovering prior state at startup is itself an anomaly worth a
          bundle: it is the only trace a crash leaves behind, and the
          replay counters (skipped records, truncated bytes) are the
@@ -1999,22 +1798,12 @@ let enable_wal t dir =
       Ok replay
   end
 
-let disable_wal t =
-  match t.wal with
-  | None -> ()
-  | Some w ->
-    Wal.close w;
-    t.wal <- None;
-    t.wal_dirty <- false;
-    t.wal_begun <- false
+let disable_wal t = Wal_log.close t.wal
 
 let checkpoint t =
-  match t.wal with
-  | None -> Error (Err.runtime "WAL is not enabled")
-  | Some w ->
-    if t.snapshot <> None then
-      Error (Err.runtime "cannot checkpoint inside a transaction")
-    else wal_rebuild t w
+  if wal_enabled t && t.snapshot <> None then
+    Error (Err.runtime "cannot checkpoint inside a transaction")
+  else Wal_log.checkpoint t.wal ~snapshot:(wal_snapshot t)
 
 let statement_uses_provenance (st : Ast.statement) =
   match st with
@@ -2136,7 +1925,7 @@ let execute_statement t sql (st : Ast.statement) =
     (* a dirty log (failed append/fsync) is rebuilt from a checkpoint
        before anything else runs, closing the window where the log
        trailed the heaps *)
-    wal_repair t
+    if t.snapshot = None then Wal_log.repair t.wal ~snapshot:(wal_snapshot t)
   end;
   let result =
     Fun.protect
@@ -2172,7 +1961,7 @@ let execute_statement t sql (st : Ast.statement) =
      [Ok] outcome: the caller must not believe the work is durable. *)
   let result =
     if saved = None && t.snapshot = None then
-      match wal_seal_statement t with
+      match Wal_log.seal_statement t.wal with
       | Ok () -> result
       | Error e -> ( match result with Error _ -> result | Ok _ -> Error e)
     else result
@@ -2196,7 +1985,7 @@ let execute_statement t sql (st : Ast.statement) =
     (Trace.children root);
   (* the WAL's size and replay history, so /metrics tracks log growth
      between checkpoints *)
-  refresh_wal_gauges t;
+  Wal_log.refresh_gauges t.wal;
   (* counters above are already bumped, so a metric sample taken while
      recording statement stats sees this statement too *)
   if saved = None then begin

@@ -505,6 +505,10 @@ type wal_status = {
 val wal_status : t -> wal_status option
 (** [None] when no WAL is enabled. *)
 
+val wal_status_json : t -> Perm_obs.Json.t
+(** {!wal_status} as a JSON object, one member per field ([Null] without
+    a WAL) — what forensics bundles and [/healthz] report. *)
+
 (** {1 Flight recorder and anomaly forensics}
 
     Every session carries an always-on, bounded, wait-free flight

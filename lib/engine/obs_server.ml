@@ -183,38 +183,9 @@ let healthz engine server_ref start_s =
          ("pool_size", Json.Int (Engine.pool_size engine));
          ("regressions", Json.Int (Metrics.counter m "history.regressions"));
          ( "wal",
-           match Engine.wal_status engine with
-           | None -> Json.Obj [ ("enabled", Json.Bool false) ]
-           | Some ws ->
-             Json.Obj
-               [
-                 ("enabled", Json.Bool true);
-                 ("dir", Json.String ws.Engine.ws_dir);
-                 ("bytes", Json.Int ws.Engine.ws_bytes);
-                 ("records", Json.Int ws.Engine.ws_records);
-                 ("last_lsn", Json.Int ws.Engine.ws_last_lsn);
-                 ("fsyncs", Json.Int ws.Engine.ws_fsyncs);
-                 ("fsync", Json.Bool ws.Engine.ws_fsync_on);
-                 ("dirty", Json.Bool ws.Engine.ws_dirty);
-                 ("epoch", Json.Int ws.Engine.ws_epoch);
-                 ( "replay",
-                   Json.Obj
-                     [
-                       ( "snapshot",
-                         Json.Bool ws.Engine.ws_replay.Perm_wal.rp_snapshot );
-                       ( "records",
-                         Json.Int ws.Engine.ws_replay.Perm_wal.rp_records );
-                       ( "committed",
-                         Json.Int ws.Engine.ws_replay.Perm_wal.rp_committed );
-                       ( "discarded",
-                         Json.Int ws.Engine.ws_replay.Perm_wal.rp_discarded );
-                       ( "skipped",
-                         Json.Int ws.Engine.ws_replay.Perm_wal.rp_skipped );
-                       ( "truncated_bytes",
-                         Json.Int ws.Engine.ws_replay.Perm_wal.rp_truncated_bytes
-                       );
-                     ] );
-               ] );
+           match Engine.wal_status_json engine with
+           | Json.Obj fields -> Json.Obj (("enabled", Json.Bool true) :: fields)
+           | _ -> Json.Obj [ ("enabled", Json.Bool false) ] );
        ])
 
 let readyz engine =
