@@ -127,19 +127,9 @@ let run_statement t sql (st : Ast.statement) =
    against the live state. [t.wal] is not installed while replay runs, so
    nothing is re-logged. *)
 let replay_sql t sql =
-  match Parser.parse_script sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
-  | Ok statements ->
-    let rec go = function
-      | [] -> Ok ()
-      | st :: rest -> (
-        match
-          capture t (fun () -> run_statement t (Printer.statement_to_string st) st)
-        with
-        | Ok _ -> go rest
-        | Error e -> Error (Err.to_string e))
-    in
-    go statements
+  Result.map ignore
+    (each_statement sql (fun text st ->
+         capture t (fun () -> run_statement t text st)))
 
 let wal_enabled t = t.wal.Wal_log.log <> None
 let set_wal_fsync t b = t.wal.Wal_log.fsync <- b
@@ -413,18 +403,7 @@ let execute_err t sql =
 (* The legacy stringly surface: same pipeline, message-only errors. *)
 let execute t sql = Result.map_error Err.to_string (execute_err t sql)
 
-let execute_script t sql =
-  match Parser.parse_script sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
-  | Ok statements ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | st :: rest -> (
-        match execute_statement t (Printer.statement_to_string st) st with
-        | Ok outcome -> go (outcome :: acc) rest
-        | Error e -> Error (Err.to_string e))
-    in
-    go [] statements
+let execute_script t sql = each_statement sql (execute_statement t)
 
 let query t sql =
   let* outcome = execute t sql in
@@ -434,25 +413,19 @@ let query t sql =
     Error "statement did not return rows"
 
 let query_params t sql values =
-  match Parser.parse_query sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
-  | Ok q ->
-    t.token <- fresh_token t;
-    Result.map_error Err.to_string
-      (capture t (fun () ->
-           let* bound = sem (Ast.bind_params values q) in
-           run_query t bound))
+  with_query sql (fun q ->
+      t.token <- fresh_token t;
+      Result.map_error Err.to_string
+        (capture t (fun () ->
+             let* bound = sem (Ast.bind_params values q) in
+             run_query t bound)))
 
 let explain t sql =
-  match Parser.parse_query sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
-  | Ok q ->
-    Result.map_error Err.to_string (capture t (fun () -> explain_query t sql q))
+  with_query sql (fun q ->
+      Result.map_error Err.to_string (capture t (fun () -> explain_query t sql q)))
 
 let explain_analyze t sql =
-  match Parser.parse_query sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
-  | Ok q -> (
+  with_query sql (fun q ->
     (* route through execute_statement so a root span exists and the phase
        breakdown is populated *)
     match execute_statement t sql (Ast.St_explain_analyze q) with

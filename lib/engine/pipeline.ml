@@ -84,14 +84,7 @@ let exec_plan t optimized =
                   ~provider:(provider t) spine optimized
               in
               (match par_sp, result with
-              | Some psp, Ok (_, r, _) ->
-                Trace.annotate psp "domains"
-                  (string_of_int r.Executor.Par.par_domains);
-                Trace.annotate psp "morsels"
-                  (string_of_int r.Executor.Par.par_morsels);
-                Trace.annotate psp "participants"
-                  (string_of_int r.Executor.Par.par_participants);
-                attach_worker_lanes psp r
+              | Some psp, Ok (_, r, _) -> attach_worker_lanes psp r
               | _ -> ());
               result)
         in
@@ -121,11 +114,7 @@ let exec_plan t optimized =
              fault, poisoned generation): degrade to the serial path once.
              If the failure is deterministic it will surface again there,
              typed, through the boundary. *)
-          (match e with
-          | Perm_fault.Injected p ->
-            Metrics.incr t.metrics ("fault.injected." ^ p);
-            Recorder.record t.recorder (Recorder.Fault { point = p })
-          | _ -> ());
+          (match e with Perm_fault.Injected p -> note_fault t p | _ -> ());
           Metrics.incr t.metrics "executor.par.fallback.error";
           Metrics.incr t.metrics "executor.par.degraded";
           (* an anomaly even when the serial retry succeeds: the bundle
@@ -151,13 +140,11 @@ let run_query t (q : Ast.query) =
   Ok { columns; rows }
 
 let plan_query t sql =
-  match Parser.parse_query sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
-  | Ok q ->
-    Result.map_error Err.to_string
-      (capture t (fun () ->
-           let* analyzed, _rewritten, optimized = prepare t q in
-           Ok (analyzed, optimized)))
+  with_query sql (fun q ->
+      Result.map_error Err.to_string
+        (capture t (fun () ->
+             let* analyzed, _rewritten, optimized = prepare t q in
+             Ok (analyzed, optimized))))
 
 let run_plan t plan =
   t.token <- fresh_token t;

@@ -37,7 +37,6 @@ module History = Perm_obs.History
 module Progress = Perm_executor.Progress
 module Fingerprint = Perm_sql.Fingerprint
 module Recorder = Perm_obs.Recorder
-module Bundle_schema = Perm_obs.Bundle_schema
 
 type agg_strategy_setting = Use_join | Use_lateral | Use_heuristic | Use_cost_based
 
@@ -525,6 +524,27 @@ let provider t : Executor.provider =
 
 let ( let* ) = Result.bind
 
+(* [f] over [sql] parsed as a query; a parse error as its message. *)
+let with_query sql f =
+  match Parser.parse_query sql with
+  | Error e -> Error (Parser.error_to_string ~input:sql e)
+  | Ok q -> f q
+
+(* Each statement of the script [sql] through [run] (with its canonical
+   text), in order, up to the first error. *)
+let each_statement sql run =
+  match Parser.parse_script sql with
+  | Error e -> Error (Parser.error_to_string ~input:sql e)
+  | Ok statements ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | st :: rest -> (
+        match run (Printer.statement_to_string st) st with
+        | Ok x -> go (x :: acc) rest
+        | Error e -> Error (Err.to_string e))
+    in
+    go [] statements
+
 (* Kind-tagging shims for subsystem helpers that report plain strings:
    [sem] for semantic/catalog preconditions, [dat] for data-dependent
    storage and evaluation errors. *)
@@ -535,13 +555,16 @@ let dat r = Result.map_error Err.runtime r
    executor runtime errors, cooperative-cancellation kills, injected
    faults, resource blowups — is mapped into the typed taxonomy here, so
    [execute] keeps its result contract and never raises. *)
+let note_fault t p =
+  Metrics.incr t.metrics ("fault.injected." ^ p);
+  Recorder.record t.recorder (Recorder.Fault { point = p })
+
 let capture t f =
   try f () with
   | Executor.Runtime_error msg -> Error (Err.runtime msg)
   | Err.Cancel (kind, msg) -> Error (Err.make kind msg)
   | Perm_fault.Injected p ->
-    Metrics.incr t.metrics ("fault.injected." ^ p);
-    Recorder.record t.recorder (Recorder.Fault { point = p });
+    note_fault t p;
     Error (Err.faulted (Printf.sprintf "fault injected at %s" p))
   | Stack_overflow -> Error (Err.resource "stack overflow")
   | Out_of_memory -> Error (Err.resource "out of memory")

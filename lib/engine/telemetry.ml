@@ -294,13 +294,19 @@ let record_par_report t (r : Executor.Par.report) =
            /. float_of_int (max 1 r.Executor.Par.par_domains)))
   end
 
-(* Execute a prepared plan, collecting per-operator stats when the session
-   has instrumentation switched on. *)
-(* Per-morsel slices and per-worker summaries attach under the "parallel"
-   span on each worker's lane, so the Chrome trace export renders one
-   swimlane per domain. The summary slice spans the whole batch even for
-   idle workers, guaranteeing every domain's lane exists in the export. *)
+(* The fan-out's shape annotates the "parallel" span, and per-morsel
+   slices and per-worker summaries attach under it on each worker's lane,
+   so the Chrome trace export renders one swimlane per domain. The
+   summary slice spans the whole batch even for idle workers, guaranteeing
+   every domain's lane exists in the export. *)
 let attach_worker_lanes psp (r : Executor.Par.report) =
+  List.iter
+    (fun (k, v) -> Trace.annotate psp k (string_of_int v))
+    [
+      ("domains", r.Executor.Par.par_domains);
+      ("morsels", r.Executor.Par.par_morsels);
+      ("participants", r.Executor.Par.par_participants);
+    ];
   let rp = r.Executor.Par.par_pool in
   Array.iteri
     (fun i (w : Pool.worker_stat) ->

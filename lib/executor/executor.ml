@@ -1,5 +1,4 @@
 module Plan = Perm_algebra.Plan
-module Attr = Perm_algebra.Attr
 module Value = Perm_value.Value
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
@@ -253,31 +252,33 @@ let statement_cx ?spill ~provider ~batch_rows bwrap =
     gather = None;
   }
 
-(* Compile and drain [plan]. Spill files an abandoned lazy consumer left
-   behind (LIMIT over a spilled sort never reaches the sort's own
-   cleanup) are released when the statement ends, however it ends. *)
-let execute ?row_limit ?progress cx plan =
-  Fun.protect ~finally:Spill.release_all (fun () ->
-      materialize_batches ?row_limit ?progress ((compile_batch cx plan) ()))
+(* Compile and drain [plan], finalizing [stats] on success. Spill files
+   an abandoned lazy consumer left behind (LIMIT over a spilled sort never
+   reaches the sort's own cleanup) are released when the statement ends,
+   however it ends. *)
+let execute ?row_limit ?progress ?stats cx plan =
+  match
+    Fun.protect ~finally:Spill.release_all (fun () ->
+        materialize_batches ?row_limit ?progress ((compile_batch cx plan) ()))
+  with
+  | rows ->
+    Option.iter (fun s -> finalize s plan) stats;
+    Ok rows
+  | exception Runtime_error msg -> Error msg
 
 let run ?(token = Token.none) ?row_limit ?progress
     ?(batch_rows = default_batch_rows) ?spill ~provider plan =
-  let cx = statement_cx ?spill ~provider ~batch_rows (batch_wrap token None) in
-  match execute ?row_limit ?progress cx plan with
-  | rows -> Ok rows
-  | exception Runtime_error msg -> Error msg
+  execute ?row_limit ?progress
+    (statement_cx ?spill ~provider ~batch_rows (batch_wrap token None))
+    plan
 
 let run_instrumented ?(token = Token.none) ?row_limit ?progress
     ?(batch_rows = default_batch_rows) ?spill ~provider plan =
   let stats = { entries = [] } in
-  let cx =
-    statement_cx ?spill ~provider ~batch_rows (batch_wrap token (Some stats))
-  in
-  match execute ?row_limit ?progress cx plan with
-  | rows ->
-    finalize stats plan;
-    Ok (rows, stats)
-  | exception Runtime_error msg -> Error msg
+  execute ?row_limit ?progress ~stats
+    (statement_cx ?spill ~provider ~batch_rows (batch_wrap token (Some stats)))
+    plan
+  |> Result.map (fun rows -> (rows, stats))
 
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven parallel execution (Leis et al., SIGMOD 2014)         *)
@@ -434,12 +435,9 @@ let run_parallel ?(token = Token.none) ?row_limit ?progress ?spill
     Seq.concat_map List.to_seq (Array.to_seq outs)
   in
   let cx = { cx with gather = Some (spine.sp_root, gathered) } in
-  match execute ?row_limit ?progress cx plan with
-  | rows ->
-    Option.iter (fun s -> finalize s plan) stats;
-    (* every operator above the spine pulls its input, so the gather ran *)
-    Ok (rows, Option.get !report, stats)
-  | exception Runtime_error msg -> Error msg
+  execute ?row_limit ?progress ?stats cx plan
+  (* every operator above the spine pulls its input, so the gather ran *)
+  |> Result.map (fun rows -> (rows, Option.get !report, stats))
 
 let eval_const e =
   match (compile_expr no_outer e) [||] with

@@ -40,24 +40,18 @@ let orient left_schema right_schema a b ~null_safe =
 (* Recognize hashable conjuncts of a join predicate; remaining conjuncts
    become a residual filter. *)
 let split_join_pred left_schema right_schema pred =
-  let conjuncts = Expr.conjuncts pred in
-  let keys = ref [] and residual = ref [] in
-  List.iter
-    (fun c ->
-      let recognized =
-        match c with
-        | Expr.Binop (Expr.Eq, a, b) ->
-          orient left_schema right_schema a b ~null_safe:false
-        | Expr.Binop (Expr.Or, Expr.Binop (Expr.Eq, a, b), _)
-          when Expr.equal c (Expr.key_eq a b) ->
-          orient left_schema right_schema a b ~null_safe:true
-        | _ -> None
-      in
-      match recognized with
-      | Some k -> keys := k :: !keys
-      | None -> residual := c :: !residual)
-    conjuncts;
-  (List.rev !keys, List.rev !residual)
+  let key c =
+    match c with
+    | Expr.Binop (Expr.Eq, a, b) ->
+      orient left_schema right_schema a b ~null_safe:false
+    | Expr.Binop (Expr.Or, Expr.Binop (Expr.Eq, a, b), _)
+      when Expr.equal c (Expr.key_eq a b) ->
+      orient left_schema right_schema a b ~null_safe:true
+    | _ -> None
+  in
+  List.partition_map
+    (fun c -> match key c with Some k -> Either.Left k | None -> Either.Right c)
+    (Expr.conjuncts pred)
 
 (* a plain SQL = key never matches when NULL or NaN; the hash table
    itself matches under key identity *)
