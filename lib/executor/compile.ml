@@ -101,29 +101,26 @@ let single_key = function
   | _ -> None
 
 (* A join's residual conjuncts over row [p] of a left batch and row [r]
-   of the build columns [cols], read through cursors: NOT shareable
+   of the build columns [cols]: the batch evaluator reads the left row,
+   and its outer resolver the build row, through a cursor: NOT shareable
    across domains. *)
 let residual_of cx left_schema right_schema = function
   | [] -> None
   | preds ->
-    let lpos = positions_of_schema left_schema
-    and rpos = positions_of_schema right_schema in
-    let lb = ref (Batch.dense [||] 0) and lp = ref 0 in
+    let rpos = positions_of_schema right_schema in
     let rcols = ref [||] and rr = ref 0 in
-    let resolve a =
-      match lpos a, rpos a with
-      | Some i, _ -> Some (fun _ -> (Batch.col !lb i).(!lp))
-      | None, Some j -> Some (fun _ -> !rcols.(j).(!rr))
-      | None, None -> cx.outer a
+    let outer a =
+      match rpos a with
+      | Some j -> Some (fun _ -> !rcols.(j).(!rr))
+      | None -> cx.outer a
     in
-    let f = compile_pred resolve (Expr.conjoin preds) in
+    let lay = { pos = positions_of_schema left_schema; outer } in
+    let f = bpred_of lay (Expr.conjoin preds) in
     Some
       (fun cols b p r ->
         rcols := cols;
-        lb := b;
-        lp := p;
         rr := r;
-        f [||])
+        f b p)
 
 (* The group annotation under a sort (and the filter between them, if
    any) when every sort key and the filter read only the annotation's

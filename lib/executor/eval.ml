@@ -144,9 +144,6 @@ and compile_binop resolve op a b =
   | Expr.Concat -> fun row -> unwrap (Value.concat (fa row) (fb row))
   | Expr.Like -> fun row -> Value.like (fa row) (fb row)
 
-let compile_pred resolve pred =
-  let f = compile_expr resolve pred in
-  fun row -> Tristate.is_true (unwrap (Tristate.of_value (f row)))
 
 (* How an operator's expressions read attributes: a column of its input
    batch, or — for an attribute its input lacks — the [outer] resolver,
