@@ -25,43 +25,42 @@ type view =
 
 type t = (string * view) list
 
-let int f x = Value.Int (f x)
-let float f x = Value.Float (f x)
-let text f x = Value.Text (f x)
-let bool f x = Value.Bool (f x)
+(* A column of a dtype: its name and the getter of its value. *)
+let int name f = (name, Dtype.Int, fun x -> Value.Int (f x))
+let float name f = (name, Dtype.Float, fun x -> Value.Float (f x))
+let text name f = (name, Dtype.Text, fun x -> Value.Text (f x))
+let bool name f = (name, Dtype.Bool, fun x -> Value.Bool (f x))
 
 (* A view whose estimate counts its items. *)
 let view cols items = View { cols; items; count = (fun () -> List.length (items ())) }
 
 let statements history =
-  let phase name st = Value.Float (History.phase_ms st name) in
+  let phase name = float (name ^ "_ms") (fun st -> History.phase_ms st name) in
   View
     {
       items = (fun () -> History.statements history);
       count = (fun () -> List.length (History.fingerprints history));
       cols =
         [
-          ("fingerprint", Dtype.Text, text (fun st -> st.History.st_fingerprint));
-          ("query", Dtype.Text, text (fun st -> st.History.st_query));
-          ("calls", Dtype.Int, int (fun st -> st.History.st_calls));
-          ("errors", Dtype.Int, int (fun st -> st.History.st_errors));
-          ("rows", Dtype.Int, int (fun st -> st.History.st_rows));
-          ("total_ms", Dtype.Float, float (fun st -> st.History.st_total_ms));
-          ("mean_ms", Dtype.Float, float History.mean_ms);
-          ("max_ms", Dtype.Float, float (fun st -> st.History.st_max_ms));
-          ("analyze_ms", Dtype.Float, phase "analyze");
-          ("rewrite_ms", Dtype.Float, phase "rewrite");
-          ("optimize_ms", Dtype.Float, phase "optimize");
-          ("execute_ms", Dtype.Float, phase "execute");
-          ("rule_firings", Dtype.Int, int History.rule_firings);
-          ( "rules",
-            Dtype.Text,
-            text (fun st ->
-                String.concat ","
-                  (List.map
-                     (fun (rule, n) -> Printf.sprintf "%s=%d" rule n)
-                     (List.sort compare st.History.st_rule_counts))) );
-          ("provenance", Dtype.Bool, bool (fun st -> st.History.st_provenance));
+          text "fingerprint" (fun st -> st.History.st_fingerprint);
+          text "query" (fun st -> st.History.st_query);
+          int "calls" (fun st -> st.History.st_calls);
+          int "errors" (fun st -> st.History.st_errors);
+          int "rows" (fun st -> st.History.st_rows);
+          float "total_ms" (fun st -> st.History.st_total_ms);
+          float "mean_ms" History.mean_ms;
+          float "max_ms" (fun st -> st.History.st_max_ms);
+          phase "analyze";
+          phase "rewrite";
+          phase "optimize";
+          phase "execute";
+          int "rule_firings" History.rule_firings;
+          text "rules" (fun st ->
+              String.concat ","
+                (List.map
+                   (fun (rule, n) -> Printf.sprintf "%s=%d" rule n)
+                   (List.sort compare st.History.st_rule_counts)));
+          bool "provenance" (fun st -> st.History.st_provenance);
         ];
     }
 
@@ -88,13 +87,11 @@ let metric_rows metrics ~refresh =
       count = (fun () -> List.length (Metrics.names metrics));
       cols =
         [
-          ("name", Dtype.Text, text fst);
-          ( "kind",
-            Dtype.Text,
-            text (function
+          text "name" fst;
+          text "kind" (function
               | _, Metrics.Counter _ -> "counter"
               | _, Metrics.Gauge _ -> "gauge"
-              | _, Metrics.Histogram _ -> "histogram") );
+              | _, Metrics.Histogram _ -> "histogram");
           ( "value",
             Dtype.Float,
             function
@@ -116,26 +113,29 @@ let metric_rows metrics ~refresh =
     }
 
 let history_rows history =
-  let phase name r =
-    match List.assoc_opt name r.History.ex_phase_ms with
-    | Some v -> Value.Float v
-    | None -> Value.Null
+  let phase name =
+    ( name ^ "_ms",
+      Dtype.Float,
+      fun r ->
+        match List.assoc_opt name r.History.ex_phase_ms with
+        | Some v -> Value.Float v
+        | None -> Value.Null )
   in
   view
     [
-      ("fingerprint", Dtype.Text, text (fun r -> r.History.ex_fingerprint));
-      ("seq", Dtype.Int, int (fun r -> r.History.ex_seq));
-      ("ts", Dtype.Float, float (fun r -> r.History.ex_ts));
-      ("plan_hash", Dtype.Text, text (fun r -> r.History.ex_plan_hash));
-      ("total_ms", Dtype.Float, float (fun r -> r.History.ex_ms));
-      ("rows", Dtype.Int, int (fun r -> r.History.ex_rows));
-      ("est_rows", Dtype.Float, float (fun r -> r.History.ex_est_rows));
-      ("skew", Dtype.Float, float (fun r -> r.History.ex_skew));
-      ("error", Dtype.Bool, bool (fun r -> r.History.ex_error));
-      ("analyze_ms", Dtype.Float, phase "analyze");
-      ("rewrite_ms", Dtype.Float, phase "rewrite");
-      ("optimize_ms", Dtype.Float, phase "optimize");
-      ("execute_ms", Dtype.Float, phase "execute");
+      text "fingerprint" (fun r -> r.History.ex_fingerprint);
+      int "seq" (fun r -> r.History.ex_seq);
+      float "ts" (fun r -> r.History.ex_ts);
+      text "plan_hash" (fun r -> r.History.ex_plan_hash);
+      float "total_ms" (fun r -> r.History.ex_ms);
+      int "rows" (fun r -> r.History.ex_rows);
+      float "est_rows" (fun r -> r.History.ex_est_rows);
+      float "skew" (fun r -> r.History.ex_skew);
+      bool "error" (fun r -> r.History.ex_error);
+      phase "analyze";
+      phase "rewrite";
+      phase "optimize";
+      phase "execute";
     ]
     (fun () -> History.executions history)
 
@@ -147,71 +147,69 @@ let create ~history ~profile ~metrics ~refresh_metrics ~anomalies : t =
     ( "perm_stat_relations",
       view
         [
-          ("relation", Dtype.Text, text (fun r -> r.Profile.rel_name));
-          ("scans", Dtype.Int, int (fun r -> r.Profile.rel_scans));
-          ("rows", Dtype.Int, int (fun r -> r.Profile.rel_rows));
+          text "relation" (fun r -> r.Profile.rel_name);
+          int "scans" (fun r -> r.Profile.rel_scans);
+          int "rows" (fun r -> r.Profile.rel_rows);
         ]
         (fun () -> Profile.relations profile) );
     ("perm_metrics", metric_rows metrics ~refresh:refresh_metrics);
     ( "perm_stat_plans",
       view
         [
-          ("fingerprint", Dtype.Text, text (fun n -> n.Profile.pn_fingerprint));
-          ("node_id", Dtype.Int, int (fun n -> n.Profile.pn_node));
-          ("operator", Dtype.Text, text (fun n -> n.Profile.pn_operator));
-          ("est_rows", Dtype.Float, float (fun n -> n.Profile.pn_est_rows));
-          ("act_rows", Dtype.Int, int (fun n -> n.Profile.pn_act_rows));
-          ("self_ms", Dtype.Float, float (fun n -> n.Profile.pn_self_ms));
-          ("loops", Dtype.Int, int (fun n -> n.Profile.pn_loops));
-          ("peak_bytes", Dtype.Int, int (fun n -> n.Profile.pn_peak_bytes));
+          text "fingerprint" (fun n -> n.Profile.pn_fingerprint);
+          int "node_id" (fun n -> n.Profile.pn_node);
+          text "operator" (fun n -> n.Profile.pn_operator);
+          float "est_rows" (fun n -> n.Profile.pn_est_rows);
+          int "act_rows" (fun n -> n.Profile.pn_act_rows);
+          float "self_ms" (fun n -> n.Profile.pn_self_ms);
+          int "loops" (fun n -> n.Profile.pn_loops);
+          int "peak_bytes" (fun n -> n.Profile.pn_peak_bytes);
         ]
         (fun () -> Profile.plan_nodes profile) );
     ( "perm_stat_workers",
       view
         [
-          ("domain", Dtype.Int, int (fun w -> w.Profile.wk_domain));
-          ("morsels", Dtype.Int, int (fun w -> w.Profile.wk_morsels));
-          ("busy_ms", Dtype.Float, float (fun w -> w.Profile.wk_busy_ms));
-          ("idle_ms", Dtype.Float, float (fun w -> w.Profile.wk_idle_ms));
-          ("rows", Dtype.Int, int (fun w -> w.Profile.wk_rows));
-          ("max_skew", Dtype.Float, float (fun w -> w.Profile.wk_max_skew));
+          int "domain" (fun w -> w.Profile.wk_domain);
+          int "morsels" (fun w -> w.Profile.wk_morsels);
+          float "busy_ms" (fun w -> w.Profile.wk_busy_ms);
+          float "idle_ms" (fun w -> w.Profile.wk_idle_ms);
+          int "rows" (fun w -> w.Profile.wk_rows);
+          float "max_skew" (fun w -> w.Profile.wk_max_skew);
         ]
         (fun () -> Profile.workers profile) );
     ("perm_stat_history", history_rows history);
     ( "perm_stat_regressions",
       view
         [
-          ("fingerprint", Dtype.Text, text (fun r -> r.History.rg_fingerprint));
-          ("seq", Dtype.Int, int (fun r -> r.History.rg_seq));
-          ("ts", Dtype.Float, float (fun r -> r.History.rg_ts));
-          ("total_ms", Dtype.Float, float (fun r -> r.History.rg_ms));
-          ("baseline_ms", Dtype.Float, float (fun r -> r.History.rg_baseline_ms));
-          ("factor", Dtype.Float, float (fun r -> r.History.rg_factor));
-          ( "cause",
-            Dtype.Text,
-            text (fun r -> History.cause_label r.History.rg_cause) );
-          ("detail", Dtype.Text, text (fun r -> r.History.rg_detail));
-          ("plan_hash", Dtype.Text, text (fun r -> r.History.rg_plan_hash));
+          text "fingerprint" (fun r -> r.History.rg_fingerprint);
+          int "seq" (fun r -> r.History.rg_seq);
+          float "ts" (fun r -> r.History.rg_ts);
+          float "total_ms" (fun r -> r.History.rg_ms);
+          float "baseline_ms" (fun r -> r.History.rg_baseline_ms);
+          float "factor" (fun r -> r.History.rg_factor);
+          text "cause" (fun r -> History.cause_label r.History.rg_cause);
+          text "detail" (fun r -> r.History.rg_detail);
+          text "plan_hash" (fun r -> r.History.rg_plan_hash);
         ]
         (fun () -> History.regressions history) );
     ( "perm_metrics_history",
       view
         [
-          ("name", Dtype.Text, text (fun s -> s.History.sm_name));
-          ("seq", Dtype.Int, int (fun s -> s.History.sm_seq));
-          ("ts", Dtype.Float, float (fun s -> s.History.sm_ts));
-          ("value", Dtype.Float, float (fun s -> s.History.sm_value));
+          text "name" (fun s -> s.History.sm_name);
+          int "seq" (fun s -> s.History.sm_seq);
+          float "ts" (fun s -> s.History.sm_ts);
+          float "value" (fun s -> s.History.sm_value);
         ]
         (fun () -> History.metric_samples history) );
     ( "perm_stat_anomalies",
       view
         [
-          ("id", Dtype.Int, int (fun b -> b.Bundles.fs_id));
-          ("ts", Dtype.Float, float (fun b -> b.Bundles.fs_ts));
-          ("class", Dtype.Text, text (fun b -> b.Bundles.fs_class));
-          ("fingerprint", Dtype.Text, text (fun b -> b.Bundles.fs_fingerprint));
-          ("detail", Dtype.Text, text (fun b -> b.Bundles.fs_detail));
-          ("sql", Dtype.Text, text (fun b -> b.Bundles.fs_sql));
+          int "id" (fun b -> b.Bundles.fs_id);
+          float "ts" (fun b -> b.Bundles.fs_ts);
+          text "class" (fun b -> b.Bundles.fs_class);
+          text "fingerprint" (fun b -> b.Bundles.fs_fingerprint);
+          text "detail" (fun b -> b.Bundles.fs_detail);
+          text "sql" (fun b -> b.Bundles.fs_sql);
         ]
         anomalies );
   ]
