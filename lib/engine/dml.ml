@@ -108,20 +108,13 @@ let find_heap t name =
 
 let insert_values t name rows =
   let* _def, heap = find_heap t name in
-  let rec eval_rows acc = function
-    | [] -> Ok (List.rev acc)
-    | row :: rest ->
-      let rec eval_row acc_v = function
-        | [] -> Ok (Array.of_list (List.rev acc_v))
-        | e :: es ->
-          let* e' = sem (Analyzer.const_expr e) in
-          let* v = dat (Executor.eval_const e') in
-          eval_row (v :: acc_v) es
-      in
-      let* r = eval_row [] row in
-      eval_rows (r :: acc) rest
+  let eval e =
+    let* e' = sem (Analyzer.const_expr e) in
+    dat (Executor.eval_const e')
   in
-  let* rows = eval_rows [] rows in
+  let* rows =
+    map_ok (fun row -> Result.map Array.of_list (map_ok eval row)) rows
+  in
   let* () = dat (logged_insert t name heap rows) in
   Ok (List.length rows)
 
@@ -167,14 +160,13 @@ let update_rows t name assigns where =
   let* def, heap = find_heap t name in
   let schema = def.Catalog.table_schema in
   (* validate the assigned columns exist *)
-  let* () =
-    List.fold_left
-      (fun acc (col, _) ->
-        let* () = acc in
+  let* _ =
+    map_ok
+      (fun (col, _) ->
         match Schema.find schema col with
         | Some _ -> Ok ()
         | None -> Error (Err.analyze (Printf.sprintf "column %S does not exist" col)))
-      (Ok ()) assigns
+      assigns
   in
   (* one synthesized query yields the updated images of matching rows *)
   let items =

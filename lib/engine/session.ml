@@ -524,6 +524,14 @@ let provider t : Executor.provider =
 
 let ( let* ) = Result.bind
 
+(* [f] over every element, in order, up to the first error. *)
+let map_ok f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: xs -> ( match f x with Ok y -> go (y :: acc) xs | Error e -> Error e)
+  in
+  go [] l
+
 (* [f] over [sql] parsed as a query; a parse error as its message. *)
 let with_query sql f =
   match Parser.parse_query sql with
