@@ -51,10 +51,6 @@ type bwrapper = Plan.t -> bop -> bop
 
 let no_bwrap : bwrapper = fun _ thunk -> thunk
 
-(* An INTERSECT/EXCEPT group: its right rows not yet cancelled, and
-   whether a left row reached it. *)
-type set_group = { mutable right : int; mutable left_seen : bool }
-
 (* ---- batch operator compilation ---------------------------------- *)
 
 (* What running a build side yields: the build, or — past the spill
@@ -654,32 +650,32 @@ and compile_batch_set_op cx kind all left right attrs =
             (Seq.append (run_left ()) (run_right ()))
             ())
   | (Plan.Intersect | Plan.Except), _ ->
-    (* the right rows count per group of one table, and the left rows
-       group through the same table. Under ALL each right row cancels one
-       left row of its group; the set forms keep the first left row of a
-       group when it has right rows (INTERSECT) or none (EXCEPT). *)
-    let group_of = grouper "INTERSECT/EXCEPT" in
-    let cancels g = g.right > 0 && (g.right <- g.right - 1; true) in
-    let survives =
+    (* the right rows count per group of one table, which the left rows
+       only look up: under ALL each right row cancels one left row of its
+       group, and the set forms keep the first of the surviving left rows
+       of a key *)
+    let counts = grouper "INTERSECT/EXCEPT" in
+    let survivors = grouper "INTERSECT/EXCEPT" in
+    let keeps =
+      let cancels c = !c > 0 && (decr c; true) in
       match kind, all with
       | Plan.Intersect, true -> cancels
-      | Plan.Except, true -> fun g -> not (cancels g)
+      | Plan.Except, true -> fun c -> not (cancels c)
       | _ ->
         let want = kind = Plan.Intersect in
-        fun g ->
-          let first = not g.left_seen in
-          g.left_seen <- true;
-          first && g.right > 0 = want
+        fun c -> !c > 0 = want
     in
     fun () ->
       Seq.memoize (fun () ->
-          let group_of = group_of (fun _ -> { right = 0; left_seen = false }) in
-          Seq.iter
-            (fun b -> group_of b (fun _ g -> g.right <- g.right + 1))
-            (run_right ());
-          Seq.filter_map
-            (fun b ->
-              let keep = Array.make b.Batch.rows false in
-              group_of b (fun p g -> keep.(p) <- survives g);
-              narrow_live (Array.get keep) b)
-            (run_left ()) ())
+          let count_of = counts (fun _ -> ref 0) in
+          Seq.iter (fun b -> count_of b (fun _ c -> incr c)) (run_right ());
+          let none = ref 0 in
+          let left =
+            Seq.filter_map
+              (fun b ->
+                let keep = Array.make b.Batch.rows false in
+                count_of ~absent:none b (fun p c -> keep.(p) <- keeps c);
+                narrow_live (Array.get keep) b)
+              (run_left ())
+          in
+          (if all then left else Seq.filter_map (first_rows survivors) left) ())

@@ -171,7 +171,8 @@ let grouped_order (rank : int array) (gids : int array) =
    int or raw string; NULL has its own slot and off-dtype stragglers use
    the tuple table. Past the budget the statement dies with
    Resource_exhausted ([what] names the operator): the table cannot
-   spill. *)
+   spill. Called with [~absent:g], it only looks keys up: an unseen key
+   opens no group and gets [g]. *)
 let grouper ~spill ~what lay (keys : Expr.t list) =
   let gkey = key_filler lay keys in
   let single =
@@ -181,19 +182,23 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
   in
   fun (open_group : Tuple.t -> 'g) ->
     let groups = ref 0 in
-    let opened k =
-      incr groups;
-      budget_materialized spill ~what !groups;
-      open_group k
+    let absent = ref None in
+    (* an unseen key's group, which [add] files under the key *)
+    let opened k add =
+      match !absent with
+      | Some g -> g
+      | None ->
+        incr groups;
+        budget_materialized spill ~what !groups;
+        let g = open_group k in
+        add g;
+        g
     in
     let tuples = Tuple.Hash.create 64 in
     let by_tuple k =
       match Tuple.Hash.find_opt tuples k with
       | Some g -> g
-      | None ->
-        let g = opened k in
-        Tuple.Hash.replace tuples k g;
-        g
+      | None -> opened k (Tuple.Hash.replace tuples k)
     in
     (* a group of its own: NULL's, or a global aggregate's only one *)
     let only key =
@@ -201,69 +206,65 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
       fun () ->
         match !slot with
         | Some g -> g
-        | None ->
-          let g = opened key in
-          slot := Some g;
-          g
+        | None -> opened key (fun g -> slot := Some g)
     in
     let by_null = only [| Value.Null |] in
-    match keys, single with
-    | [], _ ->
-      let global = only [||] in
-      fun b k ->
-        if Batch.live b > 0 then begin
-          let g = global () in
+    let run =
+      match keys, single with
+      | [], _ ->
+        let global = only [||] in
+        fun b k ->
+          if Batch.live b > 0 then begin
+            let g = global () in
+            for i = 0 to Batch.live b - 1 do
+              k (if b.Batch.all then i else b.Batch.sel.(i)) g
+            done
+          end
+      | _, Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) -> (
+        let ints = Int_hash.create 64 in
+        let by_int k v =
+          match Int_hash.find_opt ints k with
+          | Some g -> g
+          | None -> opened [| v |] (Int_hash.replace ints k)
+        in
+        fun b k ->
+          let col = Batch.col b ci in
           for i = 0 to Batch.live b - 1 do
-            k (if b.Batch.all then i else b.Batch.sel.(i)) g
+            let p = if b.Batch.all then i else b.Batch.sel.(i) in
+            k p
+              (match Array.unsafe_get col p with
+              | (Value.Int n | Value.Date n) as v -> by_int n v
+              | Value.Bool n as v -> by_int (Bool.to_int n) v
+              | Value.Null -> by_null ()
+              | v -> by_tuple [| v |])
+          done)
+      | _, Some (ci, Dtype.Text) -> (
+        let strs = Str_hash.create 64 in
+        let by_str s v =
+          match Str_hash.find_opt strs s with
+          | Some g -> g
+          | None -> opened [| v |] (Str_hash.replace strs s)
+        in
+        fun b k ->
+          let col = Batch.col b ci in
+          for i = 0 to Batch.live b - 1 do
+            let p = if b.Batch.all then i else b.Batch.sel.(i) in
+            k p
+              (match Array.unsafe_get col p with
+              | Value.Text s as v -> by_str s v
+              | Value.Null -> by_null ()
+              | v -> by_tuple [| v |])
+          done)
+      | _ ->
+        fun b k ->
+          for i = 0 to Batch.live b - 1 do
+            let p = if b.Batch.all then i else b.Batch.sel.(i) in
+            k p (by_tuple (gkey b p))
           done
-        end
-    | _, Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) -> (
-      let ints = Int_hash.create 64 in
-      let by_int k v =
-        match Int_hash.find_opt ints k with
-        | Some g -> g
-        | None ->
-          let g = opened [| v |] in
-          Int_hash.replace ints k g;
-          g
-      in
-      fun b k ->
-        let col = Batch.col b ci in
-        for i = 0 to Batch.live b - 1 do
-          let p = if b.Batch.all then i else b.Batch.sel.(i) in
-          k p
-            (match Array.unsafe_get col p with
-            | (Value.Int n | Value.Date n) as v -> by_int n v
-            | Value.Bool n as v -> by_int (Bool.to_int n) v
-            | Value.Null -> by_null ()
-            | v -> by_tuple [| v |])
-        done)
-    | _, Some (ci, Dtype.Text) -> (
-      let strs = Str_hash.create 64 in
-      let by_str s v =
-        match Str_hash.find_opt strs s with
-        | Some g -> g
-        | None ->
-          let g = opened [| v |] in
-          Str_hash.replace strs s g;
-          g
-      in
-      fun b k ->
-        let col = Batch.col b ci in
-        for i = 0 to Batch.live b - 1 do
-          let p = if b.Batch.all then i else b.Batch.sel.(i) in
-          k p
-            (match Array.unsafe_get col p with
-            | Value.Text s as v -> by_str s v
-            | Value.Null -> by_null ()
-            | v -> by_tuple [| v |])
-        done)
-    | _ ->
-      fun b k ->
-        for i = 0 to Batch.live b - 1 do
-          let p = if b.Batch.all then i else b.Batch.sel.(i) in
-          k p (by_tuple (gkey b p))
-        done
+    in
+    fun ?absent:g b k ->
+      absent := g;
+      run b k
 
 (* A group's aggregates over batch rows: [fresh ()] is a group's initial
    states, [feed feeder states b p] feeds it a row (a direct call: it runs
@@ -290,7 +291,7 @@ let firsts grouper =
   let group = grouper (fun _ -> opened := true) in
   fun b ->
     let first = Array.make b.Batch.rows false in
-    group b (fun p () ->
+    group ?absent:None b (fun p () ->
         first.(p) <- !opened;
         opened := false);
     first

@@ -550,6 +550,46 @@ let suite_set_ops =
             "SELECT k FROM ki EXCEPT ALL SELECT k FROM kf";
           ];
         Engine.close e);
+    (* only the right side's keys and the surviving left keys count
+       against the budget: 150 left keys (each twice) against 80 right
+       keys stay within a budget of 100 *)
+    case "INTERSECT/EXCEPT: many left keys within the tuple budget" (fun () ->
+        let e = engine () in
+        let values n f =
+          String.concat ", " (List.init n (fun i -> f i))
+        in
+        exec_all e
+          [
+            "CREATE TABLE lk (k int, t text)";
+            "INSERT INTO lk VALUES "
+            ^ values 300 (fun i -> Printf.sprintf "(%d, 't%d')" (i / 2) (i / 2));
+            "CREATE TABLE rk (k int, t text)";
+            "INSERT INTO rk VALUES "
+            ^ values 80 (fun i -> Printf.sprintf "(%d, 't%d')" i i);
+          ];
+        Engine.set_spill e true;
+        Engine.set_tuple_budget e 100;
+        List.iter
+          (fun (op, n) ->
+            List.iter
+              (fun cols ->
+                let sql =
+                  Printf.sprintf "SELECT %s FROM lk %s SELECT %s FROM rk" cols
+                    op cols
+                in
+                each_mode e (fun mode ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s [%s]" sql mode)
+                      n
+                      (List.length (query_ok e sql).Engine.rows)))
+              [ "k"; "k, t" ])
+          [
+            ("INTERSECT", 80);
+            ("EXCEPT", 70);
+            ("INTERSECT ALL", 80);
+            ("EXCEPT ALL", 220);
+          ];
+        Engine.close e);
     (* a right side that emits more rows per left row than a batch holds:
        an outer Apply of the provenance of a correlated aggregate, and a
        cross Apply of the provenance of a correlated EXISTS *)
