@@ -184,7 +184,10 @@ let healthz engine server_ref start_s =
          ("regressions", Json.Int (Metrics.counter m "history.regressions"));
          ( "wal",
            match Engine.wal_status_json engine with
-           | Json.Obj fields -> Json.Obj (("enabled", Json.Bool true) :: fields)
+           | Json.Obj fields ->
+             (* /healthz names the fsync flag [fsync] *)
+             let rename = function "fsync_on", v -> ("fsync", v) | f -> f in
+             Json.Obj (("enabled", Json.Bool true) :: List.map rename fields)
            | _ -> Json.Obj [ ("enabled", Json.Bool false) ] );
        ])
 

@@ -385,6 +385,31 @@ let test_wal_and_spill_gauges_always_present () =
     ];
   Engine.close e
 
+let test_healthz_wal_member () =
+  (* /healthz's WAL member keeps its key names: the flag is "fsync" *)
+  let dir = Filename.temp_file "perm_healthz_wal" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let e = engine () in
+  (match Engine.enable_wal e dir with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "enable_wal: %s" (Perm_err.to_string err));
+  ignore (exec_ok e "CREATE TABLE w (a int)");
+  let _, body = handler_body e "/healthz" in
+  let wal =
+    Option.bind
+      (Result.to_option (Json.parse body))
+      (Json.member "wal")
+  in
+  List.iter
+    (fun (key, present) ->
+      Alcotest.(check bool) ("wal." ^ key) present
+        (Option.is_some (Option.bind wal (Json.member key))))
+    [ ("enabled", true); ("fsync", true); ("fsync_on", false);
+      ("last_lsn", true); ("replay", true) ];
+  Engine.close e;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
 let test_graceful_stop_and_restart () =
   let e = forum_engine () in
   let srv = ok_or_fail "start" (Obs_server.start ~port:0 e) in
@@ -554,6 +579,7 @@ let () =
           case "/debug/bundles index, fetch, 404s" test_debug_bundles_endpoints;
           case "WAL + spill gauges always in /metrics"
             test_wal_and_spill_gauges_always_present;
+          case "/healthz WAL member key names" test_healthz_wal_member;
           case "graceful stop, restart, engine close" test_graceful_stop_and_restart;
           case "connection cap 503" test_connection_cap;
         ] );
