@@ -107,7 +107,7 @@ let residual_of cx left_schema right_schema = function
     let rcols = ref [||] and rr = ref 0 in
     let outer a =
       match rpos a with
-      | Some j -> Some (fun _ -> !rcols.(j).(!rr))
+      | Some j -> Some (fun () -> !rcols.(j).(!rr))
       | None -> cx.outer a
     in
     let lay = { pos = positions_of_schema left_schema; outer } in
@@ -154,11 +154,9 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     fun () -> Array.to_seq (cx.provider.scan_batches table batch_rows)
   | Plan.Index_scan { table; key_col; key; _ } ->
     let arity = List.length (Plan.schema plan) in
-    let fkey = compile_expr cx.outer key in
+    let fkey = row_free cx.outer key in
     fun () ->
-      let rows =
-        Array.of_seq (cx.provider.probe_index table key_col (fkey [||]))
-      in
+      let rows = Array.of_seq (cx.provider.probe_index table key_col (fkey ())) in
       slice_columns ~batch_rows (columns_of_rows ~arity rows)
         (Array.length rows)
   | Plan.Values { rows; _ } ->
@@ -166,7 +164,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
     let compiled =
       Array.of_list
         (List.map
-           (fun row -> Array.of_list (List.map (compile_expr no_outer) row))
+           (fun row -> Array.of_list (List.map (row_free no_outer) row))
            rows)
     in
     fun () ->
@@ -174,7 +172,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
       let n = Array.length compiled in
       let cols = Array.init arity (fun _ -> Array.make n Value.Null) in
       Array.iteri
-        (fun r row -> Array.iteri (fun c f -> cols.(c).(r) <- f [||]) row)
+        (fun r row -> Array.iteri (fun c f -> cols.(c).(r) <- f ()) row)
         compiled;
       slice_columns ~batch_rows cols n
   | Plan.Project { child; cols } ->
@@ -404,7 +402,7 @@ and compile_batch_apply cx kind left right =
   let lb = ref (Batch.dense [||] 0) and lp = ref 0 in
   let outer a =
     match l_pos a with
-    | Some i -> Some (fun _ -> (Batch.col !lb i).(!lp))
+    | Some i -> Some (fun () -> (Batch.col !lb i).(!lp))
     | None -> cx.outer a
   in
   let run_left = compile_batch cx left in

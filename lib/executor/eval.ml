@@ -1,10 +1,10 @@
-(* Expression compilation. [compile_expr] turns an expression into a
-   closure over a row, resolving attributes at compile time: a position
-   in the row, or an outer accessor an enclosing Apply installs. The
-   batch evaluators ([bexpr_of], [bpred_of], [key_filler]) read a column
-   of a batch directly for a plain attribute or a constant and reuse the
-   row compiler through a current-row cursor for everything else, so
-   semantics and error messages are shared by construction. *)
+(* Expression compilation. [bexpr_of] turns an expression into a closure
+   over physical row [p] of batch [b], resolving attributes at compile
+   time: a column of the operator's input batch, or an outer accessor an
+   enclosing Apply (or a join residual) installs for a row that is not in
+   that batch. The filter, projection, key and aggregate paths all
+   compile through it, so semantics and error messages are shared by
+   construction. *)
 
 module Expr = Perm_algebra.Expr
 module Attr = Perm_algebra.Attr
@@ -23,9 +23,13 @@ let errf fmt = Printf.ksprintf err fmt
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Attribute resolution: position in the current row, or an outer accessor
-   installed by an enclosing Apply. *)
-type resolver = Attr.t -> (Tuple.t -> Value.t) option
+(* How an operator's expressions read attributes: a column of its input
+   batch, or — for an attribute its input lacks — the [outer] resolver,
+   which reads the current row of an enclosing Apply's left side. The
+   choice is made at compile time, so plans without Apply pay nothing per
+   row for it. *)
+type resolver = Attr.t -> (unit -> Value.t) option
+type layout = { pos : Attr.t -> int option; outer : resolver }
 
 (* Attribute -> column position over a schema. *)
 let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
@@ -47,145 +51,117 @@ let rec is_const_subtree (e : Expr.t) =
   | Expr.Unop (_, a) | Expr.Cast (a, _) -> is_const_subtree a
   | Expr.Attr _ | Expr.Case _ | Expr.Func _ -> false
 
+(* The batch a row-free evaluation reads nothing from. *)
+let no_rows = Batch.dense [||] 0
+
 (* Pre-evaluate a compiled closure whose source expression is constant, so
    predicates like [x > 1 + 1] pay for the constant once per statement, not
-   per tuple. Evaluation errors (e.g. division by zero) keep the dynamic
+   per row. Evaluation errors (e.g. division by zero) keep the dynamic
    closure so they still surface per-row, exactly as before. *)
-let constantize (e : Expr.t) (f : Tuple.t -> Value.t) =
+let constantize (e : Expr.t) (f : Batch.t -> int -> Value.t) =
   if is_const_subtree e then
-    match f [||] with
-    | v -> fun _ -> v
+    match f no_rows 0 with
+    | v -> fun _ _ -> v
     | exception Runtime_error _ -> f
   else f
 
-let rec compile_expr (resolve : resolver) (e : Expr.t) : Tuple.t -> Value.t =
+(* The batch expression evaluator: [bexpr_of lay e b p] evaluates [e] over
+   physical row [p] of batch [b]. *)
+let rec bexpr_of lay (e : Expr.t) : Batch.t -> int -> Value.t =
   match e with
-  | Expr.Const v -> fun _ -> v
+  | Expr.Const v -> fun _ _ -> v
   | Expr.Attr a -> (
-    match resolve a with
-    | Some f -> f
-    | None -> errf "internal: unbound attribute %s#%d" a.Attr.name a.Attr.id)
-  | Expr.Binop (op, a, b) -> constantize e (compile_binop resolve op a b)
+    match lay.pos a, lay.outer a with
+    | Some i, _ -> fun b p -> (Batch.col b i).(p)
+    | None, Some f -> fun _ _ -> f ()
+    | None, None ->
+      errf "internal: unbound attribute %s#%d" a.Attr.name a.Attr.id)
+  | Expr.Binop (op, a, b) -> constantize e (compile_binop lay op a b)
   | Expr.Unop (Expr.Not, a) ->
-    let fa = compile_expr resolve a in
-    constantize e (fun row ->
-        Tristate.to_value (Tristate.not_ (unwrap (Tristate.of_value (fa row)))))
+    let fa = bexpr_of lay a in
+    constantize e (fun b p ->
+        Tristate.to_value (Tristate.not_ (unwrap (Tristate.of_value (fa b p)))))
   | Expr.Unop (Expr.Neg, a) ->
-    let fa = compile_expr resolve a in
-    constantize e (fun row -> unwrap (Value.neg (fa row)))
+    let fa = bexpr_of lay a in
+    constantize e (fun b p -> unwrap (Value.neg (fa b p)))
   | Expr.Unop (Expr.Is_null, a) ->
-    let fa = compile_expr resolve a in
-    constantize e (fun row -> Value.Bool (Value.is_null (fa row)))
+    let fa = bexpr_of lay a in
+    constantize e (fun b p -> Value.Bool (Value.is_null (fa b p)))
   | Expr.Case { branches; else_ } ->
     let branches =
-      List.map
-        (fun (c, r) -> (compile_expr resolve c, compile_expr resolve r))
-        branches
+      List.map (fun (c, r) -> (bexpr_of lay c, bexpr_of lay r)) branches
     in
     let felse =
       match else_ with
-      | Some e -> compile_expr resolve e
-      | None -> fun _ -> Value.Null
+      | Some e -> bexpr_of lay e
+      | None -> fun _ _ -> Value.Null
     in
-    fun row ->
+    fun b p ->
       let rec go = function
-        | [] -> felse row
+        | [] -> felse b p
         | (fc, fr) :: rest ->
-          if Tristate.is_true (unwrap (Tristate.of_value (fc row))) then fr row
+          if Tristate.is_true (unwrap (Tristate.of_value (fc b p))) then fr b p
           else go rest
       in
       go branches
   | Expr.Cast (inner, ty) ->
-    let fe = compile_expr resolve inner in
-    constantize e (fun row -> unwrap (Value.cast ty (fe row)))
+    let fe = bexpr_of lay inner in
+    constantize e (fun b p -> unwrap (Value.cast ty (fe b p)))
   | Expr.Func (name, args) -> (
     match Builtins.find name with
     | None -> errf "unknown function %S" name
     | Some s ->
-      let fargs = List.map (compile_expr resolve) args in
-      fun row -> unwrap (s.Builtins.eval (List.map (fun f -> f row) fargs)))
+      let fargs = List.map (bexpr_of lay) args in
+      fun b p -> unwrap (s.Builtins.eval (List.map (fun f -> f b p) fargs)))
 
-and compile_binop resolve op a b =
-  let fa = compile_expr resolve a and fb = compile_expr resolve b in
+and compile_binop lay op a b =
+  let fa = bexpr_of lay a and fb = bexpr_of lay b in
   match op with
   | Expr.And ->
-    fun row ->
-      let va = unwrap (Tristate.of_value (fa row)) in
+    fun b p ->
+      let va = unwrap (Tristate.of_value (fa b p)) in
       if va = Tristate.False then Value.Bool false
       else
         Tristate.to_value
-          Tristate.(va &&& unwrap (Tristate.of_value (fb row)))
+          Tristate.(va &&& unwrap (Tristate.of_value (fb b p)))
   | Expr.Or ->
-    fun row ->
-      let va = unwrap (Tristate.of_value (fa row)) in
+    fun b p ->
+      let va = unwrap (Tristate.of_value (fa b p)) in
       if va = Tristate.True then Value.Bool true
       else
         Tristate.to_value
-          Tristate.(va ||| unwrap (Tristate.of_value (fb row)))
-  | Expr.Add -> fun row -> unwrap (Value.add (fa row) (fb row))
-  | Expr.Sub -> fun row -> unwrap (Value.sub (fa row) (fb row))
-  | Expr.Mul -> fun row -> unwrap (Value.mul (fa row) (fb row))
-  | Expr.Div -> fun row -> unwrap (Value.div (fa row) (fb row))
+          Tristate.(va ||| unwrap (Tristate.of_value (fb b p)))
+  | Expr.Add -> fun b p -> unwrap (Value.add (fa b p) (fb b p))
+  | Expr.Sub -> fun b p -> unwrap (Value.sub (fa b p) (fb b p))
+  | Expr.Mul -> fun b p -> unwrap (Value.mul (fa b p) (fb b p))
+  | Expr.Div -> fun b p -> unwrap (Value.div (fa b p) (fb b p))
   | Expr.Mod -> (
-    fun row ->
-      match fa row, fb row with
+    fun b p ->
+      match fa b p, fb b p with
       | Value.Null, _ | _, Value.Null -> Value.Null
       | Value.Int _, Value.Int 0 -> err "division by zero"
       | Value.Int x, Value.Int y -> Value.Int (x mod y)
       | x, y ->
         errf "%% expects integers, got %s and %s" (Value.to_string x)
           (Value.to_string y))
-  | Expr.Eq -> fun row -> Value.sql_eq (fa row) (fb row)
-  | Expr.Neq -> fun row -> Value.sql_neq (fa row) (fb row)
-  | Expr.Lt -> fun row -> Value.sql_lt (fa row) (fb row)
-  | Expr.Leq -> fun row -> Value.sql_leq (fa row) (fb row)
-  | Expr.Gt -> fun row -> Value.sql_gt (fa row) (fb row)
-  | Expr.Geq -> fun row -> Value.sql_geq (fa row) (fb row)
-  | Expr.Concat -> fun row -> unwrap (Value.concat (fa row) (fb row))
-  | Expr.Like -> fun row -> Value.like (fa row) (fb row)
+  | Expr.Eq -> fun b p -> Value.sql_eq (fa b p) (fb b p)
+  | Expr.Neq -> fun b p -> Value.sql_neq (fa b p) (fb b p)
+  | Expr.Lt -> fun b p -> Value.sql_lt (fa b p) (fb b p)
+  | Expr.Leq -> fun b p -> Value.sql_leq (fa b p) (fb b p)
+  | Expr.Gt -> fun b p -> Value.sql_gt (fa b p) (fb b p)
+  | Expr.Geq -> fun b p -> Value.sql_geq (fa b p) (fb b p)
+  | Expr.Concat -> fun b p -> unwrap (Value.concat (fa b p) (fb b p))
+  | Expr.Like -> fun b p -> Value.like (fa b p) (fb b p)
 
-
-(* How an operator's expressions read attributes: a column of its input
-   batch, or — for an attribute its input lacks — the [outer] resolver,
-   which reads the current row of an enclosing Apply's left side. The
-   choice is made at compile time, so plans without Apply pay nothing per
-   row for it. *)
-type layout = { pos : Attr.t -> int option; outer : resolver }
-
-(* Batch expression evaluator: [f b p] evaluates over physical row [p] of
-   batch [b]. Plain attributes and constants compile to direct array
-   reads; everything else reuses the scalar compiler through a current-row
-   cursor, so semantics and error messages are shared by construction.
-   The cursor makes general evaluators stateful: NOT shareable across
-   domains — the parallel path instantiates them per morsel. *)
-let bexpr_of lay (e : Expr.t) : Batch.t -> int -> Value.t =
-  match e with
-  | Expr.Const v -> fun _ _ -> v
-  | Expr.Attr a -> (
-    match lay.pos a, lay.outer a with
-    | Some i, _ -> fun b p -> (Batch.col b i).(p)
-    | None, Some f -> fun _ _ -> f [||]
-    | None, None ->
-      errf "internal: unbound attribute %s#%d" a.Attr.name a.Attr.id)
-  | e ->
-    let cur = ref (Batch.dense [||] 0) in
-    let cp = ref 0 in
-    let resolve : resolver =
-     fun a ->
-      match lay.pos a with
-      | Some i -> Some (fun _ -> (Batch.col !cur i).(!cp))
-      | None -> lay.outer a
-    in
-    let f = compile_expr resolve e in
-    fun b p ->
-      cur := b;
-      cp := p;
-      f [||]
+(* An expression that reads no input row (a VALUES cell, an index key,
+   a constant), evaluated on each call of the thunk. *)
+let row_free outer e =
+  let f = bexpr_of { pos = (fun _ -> None); outer } e in
+  fun () -> f no_rows 0
 
 let bpred_of lay e =
   let f = bexpr_of lay e in
   fun b p -> Tristate.is_true (unwrap (Tristate.of_value (f b p)))
-
 (* Multi-column key extraction by physical index (join keys, group keys). *)
 let key_filler lay exprs : Batch.t -> int -> Tuple.t =
   let gets = Array.of_list (List.map (bexpr_of lay) exprs) in

@@ -440,6 +440,6 @@ let run_parallel ?(token = Token.none) ?row_limit ?progress ?spill
   |> Result.map (fun rows -> (rows, Option.get !report, stats))
 
 let eval_const e =
-  match (compile_expr no_outer e) [||] with
+  match row_free no_outer e () with
   | v -> Ok v
   | exception Runtime_error msg -> Error msg

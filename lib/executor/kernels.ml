@@ -13,7 +13,7 @@ open Eval
    count. Hot comparison shapes get a [Value.t -> bool] test specialized
    on the constant's constructor; every non-matching arm falls back to the
    generic SQL operator, so numeric promotion, NULL handling and the
-   type-rank total order behave exactly as in the scalar compiler. *)
+   type-rank total order behave exactly as in the expression evaluator. *)
 let generic_keep op v k =
   match op v k with Value.Bool b -> b | _ -> false
 
