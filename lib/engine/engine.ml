@@ -239,16 +239,13 @@ let execute_statement t sql (st : Ast.statement) =
   Trace.annotate root "sql" sql;
   t.current_span <- Some root;
   if saved = None then begin
-    t.stmt_rules <- [];
-    t.stmt_fp <- Fingerprint.of_sql sql;
-    t.stmt_plan_hash <- "";
-    t.stmt_est_rows <- 0.;
-    t.stmt_skew <- 1.;
-    t.stmt_degraded <- None;
     (* the metric snapshot for the bundle's delta; skipped entirely when
        the recorder is off so the disabled path stays at its baseline *)
-    if Recorder.enabled t.recorder then
-      t.stmt_metrics0 <- forensics_snapshot t;
+    t.stmt <-
+      fresh_stmt (Fingerprint.of_sql sql)
+        ?metrics0:
+          (if Recorder.enabled t.recorder then Some (forensics_snapshot t)
+           else None);
     (* flush the major-cycle note the GC alarm stashed (see [create]) *)
     if t.gc_seen.gc_pending then begin
       t.gc_seen.gc_pending <- false;
@@ -260,7 +257,7 @@ let execute_statement t sql (st : Ast.statement) =
            })
     end;
     Recorder.record t.recorder
-      (Recorder.Stmt_start { sql; fingerprint = t.stmt_fp });
+      (Recorder.Stmt_start { sql; fingerprint = t.stmt.fp });
     t.live <-
       Some
         {
@@ -366,7 +363,7 @@ let execute_statement t sql (st : Ast.statement) =
           (Recorder.Stmt_finish
              {
                sql;
-               fingerprint = t.stmt_fp;
+               fingerprint = t.stmt.fp;
                span = root;
                rows;
                provenance;
@@ -380,8 +377,8 @@ let execute_statement t sql (st : Ast.statement) =
            verdict and the recorder tail all describe *this* statement *)
         match statement_anomaly t result rg_opt with
         | Some (cls, detail) ->
-          capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint:t.stmt_fp
-            ~plan_hash:t.stmt_plan_hash ~est_rows:t.stmt_est_rows ~ms ~rows
+          capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint:t.stmt.fp
+            ~plan_hash:t.stmt.plan_hash ~est_rows:t.stmt.est_rows ~ms ~rows
             ~phases
         | None -> ())
   end;

@@ -123,7 +123,7 @@ let exec_plan t optimized =
             Printf.sprintf "parallel execution degraded to serial: %s"
               (Printexc.to_string e)
           in
-          if t.stmt_degraded = None then t.stmt_degraded <- Some reason;
+          if t.stmt.degraded = None then t.stmt.degraded <- Some reason;
           Recorder.record t.recorder (Recorder.Degraded { reason });
           dat (run_serial ()))
   | None ->

@@ -96,6 +96,32 @@ let no_spills =
     sc_fallbacks = 0;
   }
 
+(* What the running top-level statement gathers for its finalize (the
+   history record and the forensics bundle). Nested statements (DML
+   helpers re-entering the pipeline) add to the enclosing one's; the next
+   top-level statement starts a fresh record. *)
+type stmt = {
+  fp : string;  (* fingerprint *)
+  mutable rules : (string * int) list;
+      (* rewrite-rule firings, so the history attributes rules to the
+         right fingerprint *)
+  mutable plan_hash : string;
+      (* structural hash of the first executed plan; "" until a plan runs
+         (DDL, utility statements) *)
+  mutable est_rows : float;  (* planner total estimate of that plan *)
+  mutable skew : float;  (* max worker skew seen *)
+  mutable degraded : string option;
+      (* fell from the parallel to the serial path on a worker error — an
+         anomaly even when the serial retry then succeeds *)
+  metrics0 : (string * float) list;
+      (* forensics-tracked metric values at the start, so a bundle can
+         report the delta the statement caused *)
+}
+
+let fresh_stmt ?(metrics0 = []) fp =
+  { fp; rules = []; plan_hash = ""; est_rows = 0.; skew = 1.; degraded = None;
+    metrics0 }
+
 type t = {
   mutable cat : Catalog.t;
   mutable store : Store.t;
@@ -113,9 +139,7 @@ type t = {
   mutable slow_log_min_ms : float;  (* sink threshold; also /events' *)
   history : History.t;
       (* perm_stat_statements / _history / _regressions / _metrics_history *)
-  mutable stmt_rules : (string * int) list;
-      (* rewrite-rule firings of the statement currently running, so the
-         history attributes rules to the right fingerprint *)
+  mutable stmt : stmt;  (* the running top-level statement's findings *)
   mutable parallel_domains : int;  (* 0 = parallel execution off *)
   mutable parallel_threshold : int;  (* min driving-table rows to fan out *)
   mutable batch_rows : int;  (* rows per executor batch *)
@@ -125,12 +149,6 @@ type t = {
   mutable tuple_budget : int;  (* governor: 0 = off *)
   mutable token : Token.t;  (* cancellation token of the running statement *)
   profile : Profile.t;  (* perm_stat_plans / _relations / _workers *)
-  mutable stmt_fp : string;  (* fingerprint of the running top-level stmt *)
-  mutable stmt_plan_hash : string;
-      (* structural hash of the top-level statement's first executed plan;
-         "" until a plan runs (DDL, utility statements) *)
-  mutable stmt_est_rows : float;  (* planner total estimate of that plan *)
-  mutable stmt_skew : float;  (* max worker skew seen by the statement *)
   mutable live : live option;  (* progress of the last top-level statement *)
   wal : Wal_log.t;  (* the durability log, if enabled *)
   mutable spill_on : bool;  (* graceful spill instead of budget kills *)
@@ -148,13 +166,6 @@ type t = {
          for microseconds per statement. Not reentrant. *)
   recorder : Recorder.t;  (* the always-on flight recorder ring *)
   forensics : Bundles.t;  (* the anomaly bundle store *)
-  mutable stmt_degraded : string option;
-      (* the running top-level statement fell from the parallel to the
-         serial path on a worker error — an anomaly even when the serial
-         retry then succeeds *)
-  mutable stmt_metrics0 : (string * float) list;
-      (* forensics-tracked metric values at top-level statement start, so
-         a bundle can report the delta the statement caused *)
   gc_seen : gc_cell;  (* written by the GC alarm, read per statement *)
   mutable on_close : (unit -> unit) list;  (* run (LIFO) by [close] *)
 }
@@ -260,7 +271,7 @@ let create () =
       slow_log = None;
       slow_log_min_ms = 0.;
       history;
-      stmt_rules = [];
+      stmt = fresh_stmt "";
       parallel_domains = 0;
       parallel_threshold = Executor.default_parallel_threshold;
       batch_rows =
@@ -276,10 +287,6 @@ let create () =
       tuple_budget = 0;
       token = Token.none;
       profile;
-      stmt_fp = "";
-      stmt_plan_hash = "";
-      stmt_est_rows = 0.;
-      stmt_skew = 1.;
       live = None;
       wal = Wal_log.create ~metrics ~recorder;
       spill_on = true;
@@ -288,8 +295,6 @@ let create () =
       obs_lock = Mutex.create ();
       recorder;
       forensics;
-      stmt_degraded = None;
-      stmt_metrics0 = [];
       gc_seen =
         { gc_pending = false; gc_heap_words = 0; gc_major_collections = 0 };
       on_close = [];

@@ -41,7 +41,7 @@ let forensics_delta t =
   List.map
     (fun (n, v) ->
       let v0 =
-        match List.assoc_opt n t.stmt_metrics0 with Some v0 -> v0 | None -> 0.
+        match List.assoc_opt n t.stmt.metrics0 with Some v0 -> v0 | None -> 0.
       in
       (n, Json.Float (v -. v0)))
     (forensics_snapshot t)
@@ -154,7 +154,7 @@ let statement_anomaly t result rg_opt =
             (History.cause_label rg.History.rg_cause)
             rg.History.rg_detail )
     | None -> (
-      match t.stmt_degraded with
+      match t.stmt.degraded with
       | Some reason -> Some ("degraded", reason)
       | None -> None))
 
@@ -175,7 +175,7 @@ let record_rewrite_metrics t (report : Rewriter.report) =
       (* also accumulate per-statement so perm_stat_statements attributes
          firings to the fingerprint of the statement that triggered them
          (including rewrites of statements nested under DML helpers) *)
-      t.stmt_rules <- (rule, n) :: t.stmt_rules)
+      t.stmt.rules <- (rule, n) :: t.stmt.rules)
     report.Rewriter.rule_counts
 
 let record_exec_stats t stats =
@@ -207,13 +207,13 @@ let estimate_of ests node =
    the executor synthesized (stat_id < 0) are skipped: they are not part
    of the optimized plan the ids describe. *)
 let record_plan_profile t plan exec_stats =
-  if t.stmt_fp <> "" then begin
+  if t.stmt.fp <> "" then begin
     let ests = plan_estimates t plan in
     obs_locked t @@ fun () ->
     List.iter
       (fun (node, (ns : Executor.node_stats)) ->
         if ns.Executor.stat_id >= 0 then begin
-          Profile.record_plan_node t.profile ~fingerprint:t.stmt_fp
+          Profile.record_plan_node t.profile ~fingerprint:t.stmt.fp
             ~node:ns.Executor.stat_id
             ~operator:(Plan.operator_name node)
             ~est_rows:(estimate_of ests node)
@@ -224,7 +224,7 @@ let record_plan_profile t plan exec_stats =
           Recorder.record t.recorder
             (Recorder.Plan_node
                {
-                 fingerprint = t.stmt_fp;
+                 fingerprint = t.stmt.fp;
                  node = ns.Executor.stat_id;
                  operator = Plan.operator_name node;
                  est_rows = estimate_of ests node;
@@ -240,10 +240,10 @@ let record_plan_profile t plan exec_stats =
    execution mode is part of the hash: the parallel verdict flipping for
    the same statement shape is a plan change the watchdog should see. *)
 let note_plan t optimized ~parallel =
-  if t.stmt_plan_hash = "" then begin
+  if t.stmt.plan_hash = "" then begin
     let mode = if parallel then "parallel" else "serial" in
-    t.stmt_plan_hash <- Executor.plan_hash ~mode optimized;
-    t.stmt_est_rows <- Planner.estimate_total (stats t) optimized
+    t.stmt.plan_hash <- Executor.plan_hash ~mode optimized;
+    t.stmt.est_rows <- Planner.estimate_total (stats t) optimized
   end
 
 let record_par_report t (r : Executor.Par.report) =
@@ -280,7 +280,7 @@ let record_par_report t (r : Executor.Par.report) =
           ~rows:w.Pool.ws_rows ~skew)
       workers;
     Metrics.set_gauge t.metrics "executor.par.skew" !max_skew;
-    if !max_skew > t.stmt_skew then t.stmt_skew <- !max_skew;
+    if !max_skew > t.stmt.skew then t.stmt.skew <- !max_skew;
     (* the statement root carries skew/utilization so the trace export
        shows imbalance without drilling into lanes *)
     match t.current_span with
@@ -352,12 +352,12 @@ let outcome_rows = function
    watchdog's verdict so the caller can fold a flagged regression into the
    statement's anomaly classification. *)
 let record_statement_stats t sql ~provenance ~ms ~phases ~rows root result =
-  let fingerprint = t.stmt_fp in
+  let fingerprint = t.stmt.fp in
   let rg_opt =
     History.record t.history ~fingerprint ~sql ~provenance
-      ~ts:(Trace.start_s root) ~plan_hash:t.stmt_plan_hash ~ms ~rows
-      ~est_rows:t.stmt_est_rows ~skew:t.stmt_skew
-      ~error:(Result.is_error result) ~phases ~rules:(List.rev t.stmt_rules)
+      ~ts:(Trace.start_s root) ~plan_hash:t.stmt.plan_hash ~ms ~rows
+      ~est_rows:t.stmt.est_rows ~skew:t.stmt.skew
+      ~error:(Result.is_error result) ~phases ~rules:(List.rev t.stmt.rules)
   in
   (match rg_opt with
   | Some rg ->
