@@ -293,7 +293,7 @@ let run_instrumented ?(token = Token.none) ?row_limit ?progress
    consume the gathered batches. A morsel is a run of whole batches of the
    driving table's cached columnar image, sliced without copying; each
    task compiles the spine against a provider that serves only its
-   morsel, so the stateful expression cursors stay domain-local. Morsel
+   morsel, so the cursors of join residuals stay domain-local. Morsel
    outputs concatenate in morsel order, which is scan order, so the
    operators above the gather see exactly the serial batch stream and
    results are byte-identical by construction. *)
