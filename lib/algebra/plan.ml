@@ -11,6 +11,15 @@ type apply_kind =
 
 type agg_func = Count_star | Count | Sum | Avg | Min | Max | Bool_and | Bool_or
 
+let agg_name = function
+  | Count_star | Count -> "count"
+  | Sum -> "sum"
+  | Avg -> "avg"
+  | Min -> "min"
+  | Max -> "max"
+  | Bool_and -> "bool_and"
+  | Bool_or -> "bool_or"
+
 type agg_call = {
   agg : agg_func;
   distinct : bool;

@@ -30,6 +30,9 @@ type apply_kind =
 
 type agg_func = Count_star | Count | Sum | Avg | Min | Max | Bool_and | Bool_or
 
+(** The SQL name of an aggregate function ("count" for both counts). *)
+val agg_name : agg_func -> string
+
 type agg_call = {
   agg : agg_func;
   distinct : bool;

@@ -35,23 +35,8 @@ let details plan =
           let fn =
             match c.agg with
             | Plan.Count_star -> "count(*)"
-            | Plan.Count ->
-              Printf.sprintf "count(%s%s)"
-                (if c.distinct then "distinct " else "")
-                (match c.arg with Some e -> Expr.to_string e | None -> "?")
-            | Plan.Sum | Plan.Avg | Plan.Min | Plan.Max | Plan.Bool_and
-            | Plan.Bool_or ->
-              let name =
-                match c.agg with
-                | Plan.Sum -> "sum"
-                | Plan.Avg -> "avg"
-                | Plan.Min -> "min"
-                | Plan.Max -> "max"
-                | Plan.Bool_and -> "bool_and"
-                | Plan.Bool_or -> "bool_or"
-                | Plan.Count | Plan.Count_star -> assert false
-              in
-              Printf.sprintf "%s(%s%s)" name
+            | agg ->
+              Printf.sprintf "%s(%s%s)" (Plan.agg_name agg)
                 (if c.distinct then "distinct " else "")
                 (match c.arg with Some e -> Expr.to_string e | None -> "?")
           in

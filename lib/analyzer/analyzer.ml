@@ -151,15 +151,6 @@ let agg_result_type func (arg : Expr.t option) =
     | Some e -> Expr.type_of e
     | None -> Dtype.Any)
 
-let agg_display_name = function
-  | Plan.Count_star | Plan.Count -> "count"
-  | Plan.Sum -> "sum"
-  | Plan.Avg -> "avg"
-  | Plan.Min -> "min"
-  | Plan.Max -> "max"
-  | Plan.Bool_and -> "bool_and"
-  | Plan.Bool_or -> "bool_or"
-
 (* Reuse an existing structurally-equal call so e.g. a count-star in the
    select list and in HAVING share one aggregate column. *)
 let collect_agg collector func distinct arg =
@@ -173,7 +164,7 @@ let collect_agg collector func distinct arg =
   match existing with
   | Some c -> c.agg_out
   | None ->
-    let out = Attr.fresh (agg_display_name func) (agg_result_type func arg) in
+    let out = Attr.fresh (Plan.agg_name func) (agg_result_type func arg) in
     collector.calls <- { agg = func; distinct; arg; agg_out = out } :: collector.calls;
     out
 

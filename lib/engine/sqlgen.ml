@@ -100,17 +100,7 @@ let agg_sql alias (c : Plan.agg_call) =
     | Some e -> (if c.distinct then "DISTINCT " else "") ^ expr_sql alias e
     | None -> "*"
   in
-  let name =
-    match c.agg with
-    | Plan.Count_star | Plan.Count -> "count"
-    | Plan.Sum -> "sum"
-    | Plan.Avg -> "avg"
-    | Plan.Min -> "min"
-    | Plan.Max -> "max"
-    | Plan.Bool_and -> "bool_and"
-    | Plan.Bool_or -> "bool_or"
-  in
-  Printf.sprintf "%s(%s)" name arg
+  Printf.sprintf "%s(%s)" (Plan.agg_name c.agg) arg
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                               *)

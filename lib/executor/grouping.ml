@@ -108,9 +108,9 @@ let agg_feed (call : Plan.agg_call) state (v : Value.t option) =
         let b =
           match v with
           | Value.Bool b -> b
-          | v -> errf "%s expects booleans, got %s"
-                   (if agg = Plan.Bool_and then "bool_and" else "bool_or")
-                   (Value.to_string v)
+          | v ->
+            errf "%s expects booleans, got %s" (Plan.agg_name agg)
+              (Value.to_string v)
         in
         match state.extreme with
         | Value.Null -> state.extreme <- Value.Bool b

@@ -59,13 +59,7 @@ let plan_hash ?(mode = "serial") plan =
   in
   let agg_name = function
     | Plan.Count_star -> "count*"
-    | Plan.Count -> "count"
-    | Plan.Sum -> "sum"
-    | Plan.Avg -> "avg"
-    | Plan.Min -> "min"
-    | Plan.Max -> "max"
-    | Plan.Bool_and -> "bool_and"
-    | Plan.Bool_or -> "bool_or"
+    | agg -> Plan.agg_name agg
   in
   let rec go (p : Plan.t) =
     (match p with
