@@ -40,10 +40,6 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let rec list_take n = function
-  | [] -> []
-  | x :: xs -> if n <= 0 then [] else x :: list_take (n - 1) xs
-
 let file dir id = Filename.concat dir (Printf.sprintf "bundle-%06d.json" id)
 
 (* Snapshot one bundle: its identity fields, then [sections ()], the
@@ -80,7 +76,8 @@ let capture t ~cls ~detail ~sql ~fingerprint ~ms ~rows sections =
         fs_sql = sql;
       }
     in
-    t.bundles <- list_take t.cap ((summary, doc) :: t.bundles);
+    t.bundles <-
+      List.filteri (fun i _ -> i < t.cap) ((summary, doc) :: t.bundles);
     Metrics.incr t.metrics "forensics.bundles";
     Metrics.incr t.metrics ("forensics.class." ^ cls);
     (* optional on-disk mirror, bounded like the in-memory store: each new
@@ -105,7 +102,7 @@ let capacity t = t.cap
 
 let set_capacity t n =
   t.cap <- max 0 n;
-  t.bundles <- list_take t.cap t.bundles
+  t.bundles <- List.filteri (fun i _ -> i < t.cap) t.bundles
 
 let set_dir t dir = t.dir <- dir
 
