@@ -383,10 +383,6 @@ let index_body =
    GET /debug/bundles      forensics bundle index (newest first)\n\
    GET /debug/bundles/<id> one full forensics bundle as JSON\n"
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let route engine server_ref start_s (req : Httpd.request) =
   match req.Httpd.rq_path with
   | "/" -> text_response index_body
@@ -401,9 +397,9 @@ let route engine server_ref start_s (req : Httpd.request) =
         write = events_stream engine req.Httpd.rq_query;
       }
   | "/debug/bundles" -> bundles_index engine
-  | p when starts_with ~prefix:"/debug/bundles/" p ->
+  | p when String.starts_with ~prefix:"/debug/bundles/" p ->
     bundle_endpoint engine (String.sub p 15 (String.length p - 15))
-  | p when starts_with ~prefix:"/stats/" p ->
+  | p when String.starts_with ~prefix:"/stats/" p ->
     stats_endpoint engine (String.sub p 7 (String.length p - 7))
   | _ -> text_response ~status:404 "not found\n"
 
