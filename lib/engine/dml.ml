@@ -124,11 +124,28 @@ let insert_select t name q =
   let* () = dat (logged_insert t name heap rows) in
   Ok (List.length rows)
 
+(* Stored rows under exact identity: floats compare bitwise, so 0.0 and
+   -0.0 are two rows here, though one key under [Tuple.equal]. The
+   tuple hash is compatible: it hashes both zeros alike. *)
+module Exact_rows = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let cell_equal a b =
+    match a, b with
+    | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | a, b -> Value.key_equal a b
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 cell_equal a b
+  let hash = Tuple.hash
+end)
+
 (* The rows of [heap] that [where] does not select: DELETE's survivors,
    and the rows UPDATE leaves alone. The selection reuses the
    analyzer+executor through a synthesized [SELECT * FROM name WHERE
    pred] plan so predicate semantics (3VL, subqueries as WHERE
-   conjuncts) match queries exactly. *)
+   conjuncts) match queries exactly. Each selected row takes out one
+   stored copy of itself, so as many rows leave as the SELECT returned. *)
 let rows_outside t name heap where =
   let select =
     {
@@ -139,9 +156,15 @@ let rows_outside t name heap where =
     }
   in
   let* rs = run_query t (Ast.select_query select) in
-  let victims = Tuple.Hash.create 64 in
-  List.iter (fun r -> Tuple.Hash.replace victims r ()) rs.rows;
-  Ok (List.filter (fun r -> not (Tuple.Hash.mem victims r)) (Heap.to_list heap))
+  let victims = Exact_rows.create 64 in
+  let copies r = Option.value ~default:0 (Exact_rows.find_opt victims r) in
+  List.iter (fun r -> Exact_rows.replace victims r (copies r + 1)) rs.rows;
+  let outside r =
+    let n = copies r in
+    if n > 0 then Exact_rows.replace victims r (n - 1);
+    n = 0
+  in
+  Ok (List.filter outside (Heap.to_list heap))
 
 let delete_rows t name where =
   let* _def, heap = find_heap t name in

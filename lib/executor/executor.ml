@@ -79,7 +79,7 @@ let materialize_batches ?row_limit ?progress (bs : Batch.t Seq.t) =
       | Some limit when !count + n > limit -> over_row_limit limit
       | _ -> ());
       count := !count + n;
-      List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
+      Batch.iter_live (fun p -> acc := Gather.brow b p :: !acc) b)
     bs;
   List.rev !acc
 

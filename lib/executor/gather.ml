@@ -7,8 +7,15 @@ module Value = Perm_value.Value
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
 
-(* Row [p] of [b] as a tuple: what a run on disk holds. *)
-let brow (b : Batch.t) p = Array.map (fun col -> col.(p)) b.Batch.cols
+(* Row [p] of [b] as a tuple: what a run on disk holds, and each row of
+   a result. A loop, not [Array.map], so no closure is made per row. *)
+let brow (b : Batch.t) p =
+  let cols = b.Batch.cols in
+  let row = Array.make (Array.length cols) Value.Null in
+  for c = 0 to Array.length cols - 1 do
+    row.(c) <- cols.(c).(p)
+  done;
+  row
 
 (* Keep the live rows of [b] whose physical index passes [keep], in
    order, by narrowing the selection vector in place. *)

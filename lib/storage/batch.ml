@@ -73,17 +73,6 @@ let iter_live f b =
   else
     for i = 0 to b.nsel - 1 do f b.sel.(i) done
 
-let to_tuples b =
-  let acc = ref [] in
-  let a = arity b in
-  iter_live
-    (fun p ->
-      let t = Array.make a Value.Null in
-      for c = 0 to a - 1 do t.(c) <- b.cols.(c).(p) done;
-      acc := t :: !acc)
-    b;
-  List.rev !acc
-
 (* Exact heap footprint in bytes of everything reachable from the batch
    but its columns shared with [inputs] — the profiler's peak_bytes
    measurement on the vectorized path. *)

@@ -49,7 +49,6 @@ val compact : t -> t
 val iter_live : (int -> unit) -> t -> unit
 (** Iterate physical indices of live rows in order. *)
 
-val to_tuples : t -> Value.t array list
 val measured_bytes : Value.t array array list -> t -> int
 (** [measured_bytes inputs b]: exact reachable-heap bytes of [b]
     (profiler peak_bytes), but for its columns that are physically one

@@ -13,6 +13,15 @@ end
 
 module Value_hash = Hashtbl.Make (Value_key)
 
+(* the distinct-value count's set: one entry per key under key identity,
+   so NULL, NaN and 0.0/-0.0 each count once *)
+module Key_set = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.key_equal
+  let hash = Value.hash
+end)
+
 (* Chaos-harness injection points (no-ops unless armed via Perm_fault). *)
 let fp_scan = Perm_fault.point "heap.scan"
 let fp_insert = Perm_fault.point "heap.insert"
@@ -31,7 +40,9 @@ type t = {
   schema : Schema.t;
   mutable chunks : Batch.t array;
   tail : Value.t Vec.t array;
-  mutable distinct_cache : int array option;
+  distinct : int array;
+      (* per column: its distinct-value count, or -1 until it is counted
+         after the last write *)
   mutable resliced : (int * Batch.t array) option;
       (* batches of another size than [chunk_rows], until the next write *)
   indexes : (int, index) Hashtbl.t;  (* column position -> index *)
@@ -42,7 +53,7 @@ let create schema =
     schema;
     chunks = [||];
     tail = Array.init (Schema.arity schema) (fun _ -> Vec.create ());
-    distinct_cache = None;
+    distinct = Array.make (Schema.arity schema) (-1);
     resliced = None;
     indexes = Hashtbl.create 4;
   }
@@ -50,7 +61,7 @@ let create schema =
 let copy t =
   let indexes = Hashtbl.create (Hashtbl.length t.indexes) in
   Hashtbl.iter (fun col idx -> Hashtbl.replace indexes col (Value_hash.copy idx)) t.indexes;
-  { t with tail = Array.map Vec.copy t.tail; indexes }
+  { t with tail = Array.map Vec.copy t.tail; distinct = Array.copy t.distinct; indexes }
 
 let schema t = t.schema
 let tail_rows t = Vec.length t.tail.(0)
@@ -74,6 +85,11 @@ let seal t =
     Array.iter Vec.clear t.tail
   end
 
+(* Every write drops what was derived from the rows. *)
+let invalidate t =
+  Array.fill t.distinct 0 (Array.length t.distinct) (-1);
+  t.resliced <- None
+
 let index_add idx key pos =
   if not (Value.is_null key) then
     let prev = match Value_hash.find_opt idx key with Some l -> l | None -> [] in
@@ -91,8 +107,7 @@ let push t row =
   Array.iteri (fun k v -> Vec.push t.tail.(k) v) row;
   Hashtbl.iter (fun col idx -> index_add idx row.(col) pos) t.indexes;
   if tail_rows t = chunk_rows then seal t;
-  t.distinct_cache <- None;
-  t.resliced <- None
+  invalidate t
 
 let coerce_cell (col : Column.t) v =
   match v, col.ty with
@@ -142,8 +157,7 @@ let insert_all t rows =
 let truncate t =
   t.chunks <- [||];
   Array.iter Vec.clear t.tail;
-  t.distinct_cache <- None;
-  t.resliced <- None;
+  invalidate t;
   (* keep index definitions, drop their contents *)
   Hashtbl.iter (fun _ idx -> Value_hash.reset idx) t.indexes
 
@@ -200,25 +214,16 @@ let scan_batches t ~rows =
       batches
 
 let distinct_estimate t col =
-  let counts =
-    match t.distinct_cache with
-    | Some c -> c
-    | None ->
-      let count k =
-        let set = Hashtbl.create 64 in
-        for pos = 0 to row_count t - 1 do
-          let v = cell t pos k in
-          Hashtbl.replace set (Value.hash v, v) ()
-        done;
-        Hashtbl.length set
-      in
-      let c = Array.init (Array.length t.tail) count in
-      t.distinct_cache <- Some c;
-      c
-  in
-  if col < 0 || col >= Array.length counts then
-    invalid_arg "Heap.distinct_estimate: column out of range"
-  else counts.(col)
+  if col < 0 || col >= Array.length t.distinct then
+    invalid_arg "Heap.distinct_estimate: column out of range";
+  if t.distinct.(col) < 0 then begin
+    let set = Key_set.create 64 in
+    let add v = Key_set.replace set v () in
+    Array.iter (fun (b : Batch.t) -> Array.iter add b.cols.(col)) t.chunks;
+    Vec.iteri (fun _ v -> add v) t.tail.(col);
+    t.distinct.(col) <- Key_set.length set
+  end;
+  t.distinct.(col)
 
 let create_index t col =
   if col < 0 || col >= Schema.arity t.schema then

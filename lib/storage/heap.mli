@@ -15,9 +15,9 @@ val create : Perm_catalog.Schema.t -> t
 
 val copy : t -> t
 (** Snapshot for transactions: the sealed chunks are shared (they are
-    never mutated); the unsealed tail (under {!chunk_rows} rows) and the
-    indexes are duplicated. Without indexes the cost is O(chunks), not
-    O(rows). *)
+    never mutated); the unsealed tail (under {!chunk_rows} rows), the
+    indexes and the distinct-value counts are duplicated. Without
+    indexes the cost is O(chunks), not O(rows). *)
 
 val schema : t -> Perm_catalog.Schema.t
 val row_count : t -> int
@@ -50,10 +50,13 @@ val scan_batches : t -> rows:int -> Batch.t array
 
 val distinct_estimate : t -> int -> int
 (** [distinct_estimate h col] is the exact number of distinct values in
-    column [col], counted over the column arrays on demand and cached
-    until the next write, which drops it. Used by the planner's
+    column [col] under key identity ({!Perm_value.Value.key_equal}: NULL,
+    NaN and 0.0/-0.0 each count once). Each column is counted on its own,
+    over its column arrays, the first time it is asked for after a write;
+    a write marks every column's count stale. Used by the planner's
     cardinality model (paper: "cost-based solution for choosing the best
-    rewrite strategy"). *)
+    rewrite strategy").
+    @raise Invalid_argument when [col] is out of range. *)
 
 (** {1 Hash indexes}
 

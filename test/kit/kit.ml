@@ -67,6 +67,26 @@ let check_same e sql_a sql_b =
     (Printf.sprintf "%s == %s" sql_a sql_b)
     (List.sort compare a) (List.sort compare b)
 
+(* The planner's distinct-value count of every column of [table]
+   ([Heap.distinct_estimate], read through [Engine.stats]) must equal a
+   fresh count of the table's rows under key identity. *)
+let check_distinct e table =
+  let rs = query_ok e ("SELECT * FROM " ^ table) in
+  let stats = Engine.stats e in
+  List.iteri
+    (fun k col ->
+      let fresh =
+        List.fold_left
+          (fun seen r ->
+            if List.exists (Value.key_equal r.(k)) seen then seen else r.(k) :: seen)
+          [] rs.Engine.rows
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "distinct %s.%s" table col)
+        (max 1 (List.length fresh))
+        (stats.Perm_planner.Planner.table_distinct table col))
+    rs.Engine.columns
+
 let case name fn = Alcotest.test_case name `Quick fn
 let qcheck t = QCheck_alcotest.to_alcotest t
 

@@ -48,6 +48,16 @@ let basic_tests =
         ignore (exec_ok e "ROLLBACK");
         ignore (exec_ok e "START TRANSACTION");
         ignore (exec_ok e "COMMIT"));
+    (* a BEGIN snapshot keeps its own counts: the ones the transaction
+       fills in must not survive its rollback *)
+    case "rollback restores the distinct counts" (fun () ->
+        let e = setup () in
+        check_distinct e "t";
+        exec_all e [ "BEGIN"; "INSERT INTO t VALUES (3), (4), (null)" ];
+        check_distinct e "t";
+        ignore (exec_ok e "ROLLBACK");
+        check_rows e "SELECT * FROM t" [ [ "1" ]; [ "2" ] ];
+        check_distinct e "t");
   ]
 
 let error_tests =

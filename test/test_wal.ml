@@ -393,6 +393,75 @@ let test_enable_on_existing_state () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
+(* What a write leaves, before and after replay                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [stmt] over [rows] of [t (k float, v int)] reports [affected] and
+   leaves [expect], live and after replay. The predicate tells 0.0 from
+   -0.0, which are one key but two stored rows: a DELETE or UPDATE must
+   take out exactly the rows it matched. *)
+let check_exact_dml ~rows ~stmt ~affected ~expect () =
+  let dir = temp_dir "perm_wal_dml" in
+  let e = engine () in
+  ignore (enable_ok e dir);
+  exec_all e [ "CREATE TABLE t (k float, v int)"; "INSERT INTO t VALUES " ^ rows ];
+  (match exec_ok e stmt with
+  | Engine.Affected n -> Alcotest.(check int) (stmt ^ " [affected]") affected n
+  | _ -> Alcotest.failf "%s: expected an affected count" stmt);
+  check_rows e "SELECT * FROM t" expect;
+  Engine.close e;
+  let r = engine () in
+  ignore (enable_ok r dir);
+  check_rows r "SELECT * FROM t" expect;
+  Engine.close r;
+  rm_rf dir
+
+let test_delete_exact =
+  check_exact_dml ~rows:"(0.0, 1), (-0.0, 1), (1.0, 3)"
+    ~stmt:"DELETE FROM t WHERE CAST(k AS text) = '-0'" ~affected:1
+    ~expect:[ [ "0.0"; "1" ]; [ "1.0"; "3" ] ]
+
+let test_update_exact =
+  check_exact_dml ~rows:"(0.0, 1), (-0.0, 1)"
+    ~stmt:"UPDATE t SET v = 9 WHERE CAST(k AS text) = '-0'" ~affected:1
+    ~expect:[ [ "0.0"; "1" ]; [ "-0.0"; "9" ] ]
+
+(* Every write leaves each column's distinct count equal to a fresh count
+   of the rows, and so does replay. The data holds NULL, NaN, 0.0/-0.0
+   and the empty string. *)
+let test_distinct_after_writes () =
+  let dir = temp_dir "perm_wal_stats" in
+  let csv = Filename.temp_file "perm_wal_stats" ".csv" in
+  Out_channel.with_open_text csv (fun oc ->
+      output_string oc "nan,,7\n-0,\"\",8\n,x,\n0,y,9\n");
+  let e = engine () in
+  ignore (enable_ok e dir);
+  let after sql =
+    ignore (exec_ok e sql);
+    check_distinct e "t"
+  in
+  exec_all e [ "CREATE TABLE t (f float, s text, k int)" ];
+  after "INSERT INTO t VALUES (-0.0, '', 1)";
+  after
+    "INSERT INTO t VALUES (CAST('nan' AS float), NULL, 2), (0.0, 'a', NULL), \
+     (NULL, '', 3), (CAST('nan' AS float), 'a', 3)";
+  after (Printf.sprintf "COPY t FROM '%s'" csv);
+  after "DELETE FROM t WHERE k = 2 OR k = 8";
+  after "UPDATE t SET s = '', f = -0.0 WHERE k = 3";
+  exec_all e [ "BEGIN" ];
+  after "INSERT INTO t VALUES (2.5, 'new', 40), (-2.5, 'newer', 41)";
+  after "ROLLBACK";
+  let expect = strings_of_rows (query_ok e "SELECT * FROM t").Engine.rows in
+  Engine.close e;
+  let r = engine () in
+  ignore (enable_ok r dir);
+  check_rows r "SELECT * FROM t" expect;
+  check_distinct r "t";
+  Engine.close r;
+  Sys.remove csv;
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 (* Kill and recover                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -529,6 +598,15 @@ let () =
           Alcotest.test_case "duplicate commit is idempotent" `Quick
             test_duplicate_commit;
           Alcotest.test_case "fault during replay" `Quick test_replay_fault;
+        ] );
+      ( "writes",
+        [
+          Alcotest.test_case "delete takes out only the rows it matched" `Quick
+            test_delete_exact;
+          Alcotest.test_case "update takes out only the rows it matched" `Quick
+            test_update_exact;
+          Alcotest.test_case "distinct counts after every write" `Quick
+            test_distinct_after_writes;
         ] );
       ( "checkpoint",
         [
