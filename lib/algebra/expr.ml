@@ -29,37 +29,50 @@ type t =
   | Cast of t * Dtype.t
   | Func of string * t list
 
-let rec attrs = function
-  | Const _ -> Attr.Set.empty
-  | Attr a -> Attr.Set.singleton a
-  | Binop (_, a, b) -> Attr.Set.union (attrs a) (attrs b)
-  | Unop (_, a) -> attrs a
+let rec add_attrs e acc =
+  match e with
+  | Const _ -> acc
+  | Attr a -> Attr.Set.add a acc
+  | Binop (_, a, b) -> add_attrs b (add_attrs a acc)
+  | Unop (_, a) | Cast (a, _) -> add_attrs a acc
   | Case { branches; else_ } ->
     let acc =
-      List.fold_left
-        (fun acc (c, r) -> Attr.Set.union acc (Attr.Set.union (attrs c) (attrs r)))
-        Attr.Set.empty branches
+      List.fold_left (fun acc (c, r) -> add_attrs r (add_attrs c acc)) acc branches
     in
-    (match else_ with Some e -> Attr.Set.union acc (attrs e) | None -> acc)
-  | Cast (e, _) -> attrs e
-  | Func (_, args) ->
-    List.fold_left (fun acc e -> Attr.Set.union acc (attrs e)) Attr.Set.empty args
+    (match else_ with Some e -> add_attrs e acc | None -> acc)
+  | Func (_, args) -> List.fold_left (fun acc e -> add_attrs e acc) acc args
 
-let rec substitute map e =
+let attrs e = add_attrs e Attr.Set.empty
+
+(* The expression of the last column in [cols] that outputs [a]. *)
+let column_def cols (a : Attr.t) =
+  List.fold_left
+    (fun found (e, (out : Attr.t)) -> if out.Attr.id = a.Attr.id then Some e else found)
+    None cols
+
+(* [e] itself where no attribute of it is a column's output. *)
+let rec substitute cols e =
   match e with
   | Const _ -> e
-  | Attr a -> ( match Attr.Map.find_opt a map with Some e' -> e' | None -> e)
-  | Binop (op, a, b) -> Binop (op, substitute map a, substitute map b)
-  | Unop (op, a) -> Unop (op, substitute map a)
+  | Attr a -> ( match column_def cols a with Some e' -> e' | None -> e)
+  | Binop (op, a, b) ->
+    let b' = substitute cols b in
+    let a' = substitute cols a in
+    if a' == a && b' == b then e else Binop (op, a', b')
+  | Unop (op, a) ->
+    let a' = substitute cols a in
+    if a' == a then e else Unop (op, a')
   | Case { branches; else_ } ->
     Case
       {
         branches =
-          List.map (fun (c, r) -> (substitute map c, substitute map r)) branches;
-        else_ = Option.map (substitute map) else_;
+          List.map
+            (fun (c, r) -> (substitute cols c, substitute cols r))
+            branches;
+        else_ = Option.map (substitute cols) else_;
       }
-  | Cast (e, ty) -> Cast (substitute map e, ty)
-  | Func (name, args) -> Func (name, List.map (substitute map) args)
+  | Cast (a, ty) -> Cast (substitute cols a, ty)
+  | Func (name, args) -> Func (name, List.map (substitute cols) args)
 
 let rec conjuncts = function
   | Binop (And, a, b) -> conjuncts a @ conjuncts b

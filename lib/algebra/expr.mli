@@ -35,9 +35,15 @@ type t =
 val attrs : t -> Attr.Set.t
 (** All attributes referenced by the expression. *)
 
-val substitute : t Attr.Map.t -> t -> t
-(** Replaces attribute references according to the map (used by projection
-    inlining and rewrite rules). *)
+val add_attrs : t -> Attr.Set.t -> Attr.Set.t
+(** [add_attrs e s] is [Attr.Set.union (attrs e) s], built without the
+    intermediate sets. *)
+
+val substitute : (t * Attr.t) list -> t -> t
+(** Inlines a projection's columns: a reference to a column's output
+    attribute becomes the column's expression (the last column's, if
+    several output it). Returns the expression itself when it references
+    no column's output. *)
 
 val conjuncts : t -> t list
 (** Splits a top-level AND chain. *)

@@ -128,22 +128,59 @@ let children = function
     ->
     [ left; right ]
 
-let map_children f = function
-  | (Scan _ | Index_scan _ | Values _) as t -> t
-  | Project r -> Project { r with child = f r.child }
-  | Filter r -> Filter { r with child = f r.child }
-  | Distinct child -> Distinct (f child)
-  | Sort r -> Sort { r with child = f r.child }
-  | Limit r -> Limit { r with child = f r.child }
-  | Aggregate r -> Aggregate { r with child = f r.child }
-  | Group_annotate r -> Group_annotate { r with child = f r.child }
-  | Mark_first r -> Mark_first { r with child = f r.child }
-  | Join r -> Join { r with left = f r.left; right = f r.right }
-  | Apply r -> Apply { r with left = f r.left; right = f r.right }
-  | Set_op r -> Set_op { r with left = f r.left; right = f r.right }
-  | Prov r -> Prov { r with child = f r.child }
-  | Baserel r -> Baserel { r with child = f r.child }
-  | External r -> External { r with child = f r.child }
+(* The node itself when [f] returns every child physically unchanged, so
+   a pass that rewrites nothing allocates nothing. A binary node maps its
+   right child first, the order the record update this replaced evaluated
+   them in: the rewriter's [f] mints attribute ids and records its
+   choices as it goes. *)
+let map_children f t =
+  match t with
+  | Scan _ | Index_scan _ | Values _ -> t
+  | Project r ->
+    let c = f r.child in
+    if c == r.child then t else Project { r with child = c }
+  | Filter r ->
+    let c = f r.child in
+    if c == r.child then t else Filter { r with child = c }
+  | Distinct child ->
+    let c = f child in
+    if c == child then t else Distinct c
+  | Sort r ->
+    let c = f r.child in
+    if c == r.child then t else Sort { r with child = c }
+  | Limit r ->
+    let c = f r.child in
+    if c == r.child then t else Limit { r with child = c }
+  | Aggregate r ->
+    let c = f r.child in
+    if c == r.child then t else Aggregate { r with child = c }
+  | Group_annotate r ->
+    let c = f r.child in
+    if c == r.child then t else Group_annotate { r with child = c }
+  | Mark_first r ->
+    let c = f r.child in
+    if c == r.child then t else Mark_first { r with child = c }
+  | Join r ->
+    let rt = f r.right in
+    let l = f r.left in
+    if l == r.left && rt == r.right then t else Join { r with left = l; right = rt }
+  | Apply r ->
+    let rt = f r.right in
+    let l = f r.left in
+    if l == r.left && rt == r.right then t else Apply { r with left = l; right = rt }
+  | Set_op r ->
+    let rt = f r.right in
+    let l = f r.left in
+    if l == r.left && rt == r.right then t else Set_op { r with left = l; right = rt }
+  | Prov r ->
+    let c = f r.child in
+    if c == r.child then t else Prov { r with child = c }
+  | Baserel r ->
+    let c = f r.child in
+    if c == r.child then t else Baserel { r with child = c }
+  | External r ->
+    let c = f r.child in
+    if c == r.child then t else External { r with child = c }
 
 let join_kind_name = function
   | Inner -> "Join"

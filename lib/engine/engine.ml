@@ -217,12 +217,18 @@ let enable_wal t dir =
       Ok replay
   end
 
-let disable_wal t = Wal_log.close t.wal
+let disable_wal t =
+  Wal_log.close t.wal;
+  Wal_log.refresh_gauges t.wal
 
 let checkpoint t =
   if wal_enabled t && t.snapshot <> None then
     Error (Err.runtime "cannot checkpoint inside a transaction")
-  else Wal_log.checkpoint t.wal ~snapshot:(wal_snapshot t)
+  else begin
+    let r = Wal_log.checkpoint t.wal ~snapshot:(wal_snapshot t) in
+    Wal_log.refresh_gauges t.wal;
+    r
+  end
 
 (* Every top-level statement runs under a root span; pipeline phases attach
    to it via [phase]. The finished trace feeds [last_trace], the history,
@@ -231,7 +237,13 @@ let checkpoint t =
    statement executions (DML helpers re-entering through [run_query])
    attach as children instead of clobbering the root, and fold into the
    enclosing statement's stats. *)
-let execute_statement t sql (st : Ast.statement) =
+let phase_metric name = "engine.phase." ^ name ^ ".ms"
+
+(* [parsed] is the statement, or the error that stopped it being lexed or
+   parsed: a statement the parser rejects is finalized like any failed
+   statement, under its fingerprint [fp] (computed from [sql] when not
+   given). *)
+let execute_parsed ?fp t sql (parsed : (Ast.statement, Err.t) result) =
   let saved = t.current_span in
   let root =
     match saved with Some parent -> Trace.child parent "statement" | None -> Trace.start "statement"
@@ -239,10 +251,11 @@ let execute_statement t sql (st : Ast.statement) =
   Trace.annotate root "sql" sql;
   t.current_span <- Some root;
   if saved = None then begin
+    let fp = match fp with Some fp -> fp | None -> Fingerprint.of_sql sql in
     (* the metric snapshot for the bundle's delta; skipped entirely when
        the recorder is off so the disabled path stays at its baseline *)
     t.stmt <-
-      fresh_stmt (Fingerprint.of_sql sql)
+      fresh_stmt fp
         ?metrics0:
           (if Recorder.enabled t.recorder then Some (forensics_snapshot t)
            else None);
@@ -280,7 +293,10 @@ let execute_statement t sql (st : Ast.statement) =
       ~finally:(fun () ->
         Trace.finish root;
         t.current_span <- saved)
-      (fun () -> capture t (fun () -> run_statement t sql st))
+      (fun () ->
+        match parsed with
+        | Ok st -> capture t (fun () -> run_statement t sql st)
+        | Error _ as e -> e)
   in
   (* A governor kill reports where the statement died: the progress
      counters the sampler would have seen, appended to the message. *)
@@ -325,12 +341,15 @@ let execute_statement t sql (st : Ast.statement) =
     end
   | Ok _ -> ());
   Metrics.observe t.metrics "engine.statement.ms" (Trace.duration_ms root);
+  let phases =
+    List.map
+      (fun sp -> (Trace.name sp, Trace.duration_ms sp))
+      (Trace.children root)
+  in
   List.iter
-    (fun sp ->
-      Metrics.observe t.metrics
-        ("engine.phase." ^ Trace.name sp ^ ".ms")
-        (Trace.duration_ms sp))
-    (Trace.children root);
+    (fun (name, ms) ->
+      Metrics.observe t.metrics (derived_name t.phase_names name phase_metric) ms)
+    phases;
   (* the WAL's size and replay history, so /metrics tracks log growth
      between checkpoints *)
   Wal_log.refresh_gauges t.wal;
@@ -349,11 +368,10 @@ let execute_statement t sql (st : Ast.statement) =
         t.last_trace <- Some root;
         let ms = Trace.duration_ms root in
         let rows = outcome_rows result in
-        let provenance = statement_uses_provenance st in
-        let phases =
-          List.map
-            (fun sp -> (Trace.name sp, Trace.duration_ms sp))
-            (Trace.children root)
+        let provenance =
+          match parsed with
+          | Ok st -> statement_uses_provenance st
+          | Error _ -> false
         in
         let rg_opt =
           record_statement_stats t sql ~provenance ~ms ~phases ~rows root
@@ -384,18 +402,30 @@ let execute_statement t sql (st : Ast.statement) =
   end;
   result
 
-(* The typed entry point. Lexer/parser failures are caught here too (the
-   lexer may raise on pathological input), so arbitrary bytes can never
-   crash a session. *)
+let execute_statement t sql (st : Ast.statement) = execute_parsed t sql (Ok st)
+
+(* The typed entry point. The statement is lexed once: the parser and the
+   fingerprint read the same tokens. A statement the lexer or the parser
+   rejects still runs the finalize, so it is counted and recorded under
+   its fingerprint (the raw-text fallback when lexing failed).
+   Exceptions out of the lexer or parser (pathological input) are caught
+   too, so arbitrary bytes can never crash a session. *)
 let execute_err t sql =
+  let syntax_error e = Error (Err.parse (Parser.error_to_string ~input:sql e)) in
   match
-    capture t (fun () ->
-        Result.map_error
-          (fun e -> Err.parse (Parser.error_to_string ~input:sql e))
-          (Parser.parse_statement sql))
+    match Lexer.tokenize sql with
+    | Ok tokens ->
+      ( Fingerprint.of_tokens tokens,
+        match Parser.statement_of_tokens tokens with
+        | Ok st -> Ok st
+        | Error e -> syntax_error e )
+    | Error { Lexer.message; pos } ->
+      (Fingerprint.fallback sql, syntax_error { Parser.message; pos })
   with
-  | Error e -> Error e
-  | Ok st -> execute_statement t sql st
+  | fp, parsed -> execute_parsed ~fp t sql parsed
+  | exception e ->
+    execute_parsed ~fp:(Fingerprint.fallback sql) t sql
+      (capture t (fun () -> raise e))
 
 (* The legacy stringly surface: same pipeline, message-only errors. *)
 let execute t sql = Result.map_error Err.to_string (execute_err t sql)

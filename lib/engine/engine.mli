@@ -72,7 +72,9 @@ val execute_err : t -> string -> (outcome, Perm_err.t) result
     runtime errors, governor kills ([Timeout] / [Resource_exhausted] /
     [Cancelled]), injected faults ([Faulted]) and any escaped exception
     ([Internal]) are all mapped into the {!Perm_err.kind} taxonomy at the
-    engine boundary. *)
+    engine boundary. The text is lexed once, for the parser and the
+    fingerprint; a statement that does not lex or parse is still counted
+    and recorded, as a failed statement under its fingerprint. *)
 
 val execute_script : t -> string -> (outcome list, string) result
 (** Runs statements in order; stops at the first error (prior effects are
@@ -475,7 +477,7 @@ val enable_wal : t -> string -> (Perm_wal.replay, Perm_err.t) result
 
 val disable_wal : t -> unit
 (** Close the log (no implicit checkpoint); the session continues
-    in-memory only. Idempotent. *)
+    in-memory only, and the [wal.*] gauges read zero. Idempotent. *)
 
 val wal_enabled : t -> bool
 

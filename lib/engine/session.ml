@@ -7,6 +7,7 @@
    {!Views}). *)
 
 module Ast = Perm_sql.Ast
+module Lexer = Perm_sql.Lexer
 module Parser = Perm_sql.Parser
 module Printer = Perm_sql.Printer
 module Plan = Perm_algebra.Plan
@@ -113,14 +114,38 @@ type stmt = {
   mutable degraded : string option;
       (* fell from the parallel to the serial path on a worker error — an
          anomaly even when the serial retry then succeeds *)
-  metrics0 : (string * float) list;
-      (* forensics-tracked metric values at the start, so a bundle can
-         report the delta the statement caused *)
+  metrics0 : forensics0 option;
+      (* forensics-tracked values at the start, so a bundle can report the
+         delta the statement caused; [None] counts from zero *)
 }
 
-let fresh_stmt ?(metrics0 = []) fp =
+(* The values behind a bundle's metrics delta: the tracked counters, and
+   the engine's own spill counts and WAL status, which the
+   executor.spill.* and wal.* gauges mirror. *)
+and forensics0 = {
+  f_counters : int array;
+  f_spill : spill_counts;
+  f_wal : Wal.status;
+}
+
+let fresh_stmt ?metrics0 fp =
   { fp; rules = []; plan_hash = ""; est_rows = 0.; skew = 1.; degraded = None;
     metrics0 }
+
+(* Metric names derived from a small fixed vocabulary (pipeline phases,
+   rewrite rules), each built once per engine instead of once per
+   statement. *)
+type names = { mutable derived : (string * string) list }
+
+let derived_name names name make =
+  let rec find = function
+    | (k, full) :: rest -> if String.equal k name then full else find rest
+    | [] ->
+      let full = make name in
+      names.derived <- (name, full) :: names.derived;
+      full
+  in
+  find names.derived
 
 type t = {
   mutable cat : Catalog.t;
@@ -168,6 +193,8 @@ type t = {
   forensics : Bundles.t;  (* the anomaly bundle store *)
   gc_seen : gc_cell;  (* written by the GC alarm, read per statement *)
   mutable on_close : (unit -> unit) list;  (* run (LIFO) by [close] *)
+  phase_names : names;  (* "execute" -> "engine.phase.execute.ms" *)
+  rule_names : names;  (* "project" -> "rewriter.rule.project" *)
 }
 
 (* OCaml's [Mutex] is not reentrant and 5.1 has no [Mutex.protect]. *)
@@ -298,6 +325,8 @@ let create () =
       gc_seen =
         { gc_pending = false; gc_heap_words = 0; gc_major_collections = 0 };
       on_close = [];
+      phase_names = { derived = [] };
+      rule_names = { derived = [] };
     }
   in
   Perm_fault.init_from_env ();

@@ -10,41 +10,55 @@ open Session
 (* Forensics bundles                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The metric series a bundle reports as a delta over the statement.
-   Lookups by name are a few mutex-guarded hashtable probes — cheap
-   enough to baseline at every statement start while the recorder is on,
-   unlike a full Metrics.snapshot. *)
+(* The metric series a bundle reports as a delta over the statement. The
+   counters are read from the registry under one lock; the gauges mirror
+   the engine's spill counts and WAL status, so those are read at the
+   source. Cheap enough to baseline at every statement start while the
+   recorder is on, unlike a full Metrics.snapshot. *)
 let forensics_counters =
-  [
+  [|
     "engine.statements"; "engine.errors"; "engine.timeout";
     "engine.cancelled"; "engine.resource_exhausted"; "executor.par.degraded";
     "history.regressions"; "wal.checkpoints"; "wal.repairs";
-  ]
-
-let forensics_gauges =
-  [
-    "wal.bytes"; "wal.records"; "wal.fsyncs"; "wal.epoch";
-    "executor.spill.spills"; "executor.spill.runs"; "executor.spill.chunks";
-    "executor.spill.rows"; "executor.spill.bytes";
-    "executor.spill.fallbacks";
-  ]
+  |]
 
 let forensics_snapshot t =
-  List.map
-    (fun n -> (n, float_of_int (Metrics.counter t.metrics n)))
-    forensics_counters
+  {
+    f_counters = Metrics.counters t.metrics forensics_counters;
+    f_spill = t.spill_counts;
+    f_wal = Wal_log.current t.wal;
+  }
+
+let no_forensics0 =
+  {
+    f_counters = Array.make (Array.length forensics_counters) 0;
+    f_spill = no_spills;
+    f_wal = Wal_log.zeros;
+  }
+
+(* name, value pairs in the order a bundle lists them *)
+let forensics_values f =
+  let w = f.f_wal in
+  Array.to_list
+    (Array.mapi (fun i n -> (n, float_of_int f.f_counters.(i))) forensics_counters)
   @ List.map
-      (fun n -> (n, Option.value ~default:0. (Metrics.gauge t.metrics n)))
-      forensics_gauges
+      (fun (n, v) -> (n, float_of_int v))
+      ([
+         ("wal.bytes", w.Wal.st_bytes);
+         ("wal.records", w.Wal.st_records);
+         ("wal.fsyncs", w.Wal.st_fsyncs);
+         ("wal.epoch", w.Wal.st_epoch);
+       ]
+      @ List.map (fun (n, v) -> ("executor.spill." ^ n, v)) (spill_fields f.f_spill))
 
 let forensics_delta t =
-  List.map
-    (fun (n, v) ->
-      let v0 =
-        match List.assoc_opt n t.stmt.metrics0 with Some v0 -> v0 | None -> 0.
-      in
-      (n, Json.Float (v -. v0)))
-    (forensics_snapshot t)
+  let start =
+    forensics_values (Option.value ~default:no_forensics0 t.stmt.metrics0)
+  in
+  List.map2
+    (fun (n, v) (_, v0) -> (n, Json.Float (v -. v0)))
+    (forensics_values (forensics_snapshot t))
+    start
 
 let spill_json t =
   Json.Obj
@@ -165,13 +179,15 @@ let strategy_names (report : Rewriter.report) =
       | Rewriter.Agg_lateral -> "lateral")
     report.Rewriter.agg_choices
 
+let rule_metric rule = "rewriter.rule." ^ rule
+
 let record_rewrite_metrics t (report : Rewriter.report) =
   List.iter
     (fun name -> Metrics.incr t.metrics ("rewriter.strategy." ^ name))
     (strategy_names report);
   List.iter
     (fun (rule, n) ->
-      Metrics.incr t.metrics ~by:n ("rewriter.rule." ^ rule);
+      Metrics.incr t.metrics ~by:n (derived_name t.rule_names rule rule_metric);
       (* also accumulate per-statement so perm_stat_statements attributes
          firings to the fingerprint of the statement that triggered them
          (including rewrites of statements nested under DML helpers) *)

@@ -21,10 +21,21 @@ type t = {
   mutable begun : bool;  (* a Begin frame is open in the log *)
   metrics : Metrics.t;
   recorder : Recorder.t;
+  mutable published : (int * Wal.status) option;
+      (* the registry generation and the status the wal.* gauges were last
+         set from; [refresh_gauges] skips a status that matches it *)
 }
 
 let create ~metrics ~recorder =
-  { log = None; fsync = true; dirty = false; begun = false; metrics; recorder }
+  {
+    log = None;
+    fsync = true;
+    dirty = false;
+    begun = false;
+    metrics;
+    recorder;
+    published = None;
+  }
 
 (* Install a freshly opened (and replayed) log. *)
 let install t w =
@@ -93,6 +104,26 @@ let fields s =
 let status_json t =
   match status t with None -> Json.Null | Some s -> Json.Obj (fields s)
 
+let zeros =
+  {
+    Wal.st_dir = "";
+    st_bytes = 0;
+    st_records = 0;
+    st_last_lsn = 0;
+    st_fsyncs = 0;
+    st_epoch = 0;
+    st_replay = Wal.no_replay;
+  }
+
+(* Equal in every number the gauges publish. *)
+let same_numbers (a : Wal.status) (b : Wal.status) =
+  a.Wal.st_bytes = b.Wal.st_bytes
+  && a.Wal.st_records = b.Wal.st_records
+  && a.Wal.st_last_lsn = b.Wal.st_last_lsn
+  && a.Wal.st_fsyncs = b.Wal.st_fsyncs
+  && a.Wal.st_epoch = b.Wal.st_epoch
+  && (a.Wal.st_replay == b.Wal.st_replay || a.Wal.st_replay = b.Wal.st_replay)
+
 (* WAL health as gauges: size/records/fsyncs track log growth between
    checkpoints, the epoch shows checkpoint progression, and the replay
    family preserves what crash recovery found when the log was opened —
@@ -100,27 +131,25 @@ let status_json t =
    mid-commit crash. Always published, zeros included: a dashboard
    alerting on wal_replay_truncated_bytes > 0 must see the series exist
    before the first crash, and a WAL-less session reports a flat zero
-   family. *)
+   family. Called after every statement, so the gauges are set only when
+   a number moved or the registry was reset since they were last set. *)
+(* The log's status, zeros when there is no log. *)
+let current t = match t.log with None -> zeros | Some w -> Wal.status w
+
 let refresh_gauges t =
-  let zeros =
-    {
-      Wal.st_dir = "";
-      st_bytes = 0;
-      st_records = 0;
-      st_last_lsn = 0;
-      st_fsyncs = 0;
-      st_epoch = 0;
-      st_replay = Wal.no_replay;
-    }
-  in
-  let rec publish prefix = function
-    | name, Json.Int n ->
-      Metrics.set_gauge t.metrics (prefix ^ name) (float_of_int n)
-    | name, Json.Obj fs -> List.iter (publish (prefix ^ name ^ ".")) fs
-    | _ -> ()
-  in
-  let s = Option.fold t.log ~none:zeros ~some:Wal.status in
-  List.iter (publish "wal.") (fields (status_of t s))
+  let s = current t in
+  let gen = Metrics.generation t.metrics in
+  match t.published with
+  | Some (g, p) when g = gen && same_numbers s p -> ()
+  | _ ->
+    let rec publish prefix = function
+      | name, Json.Int n ->
+        Metrics.set_gauge t.metrics (prefix ^ name) (float_of_int n)
+      | name, Json.Obj fs -> List.iter (publish (prefix ^ name ^ ".")) fs
+      | _ -> ()
+    in
+    List.iter (publish "wal.") (fields (status_of t s));
+    t.published <- Some (gen, s)
 
 let error t = function
   | Perm_fault.Injected p ->

@@ -143,11 +143,24 @@ type statement = {
   st_provenance : bool;
 }
 
+(* One fingerprint's running totals, updated in place per execution:
+   readers take a [statement] copy ([snapshot]) under the same lock the
+   recording statement holds. Phase and rule sums keep first-seen order. *)
+type totals = {
+  t_query : string;
+  t_provenance : bool;
+  mutable t_calls : int;
+  mutable t_errors : int;
+  mutable t_rows : int;
+  mutable t_total_ms : float;
+  mutable t_max_ms : float;
+  mutable t_phase_ms : (string * float ref) list;
+  mutable t_rule_counts : (string * int ref) list;
+}
+
 type entry = {
   en_fingerprint : string;
-  mutable en_totals : statement;
-      (* running totals, replaced whole per execution so a reader holds a
-         consistent snapshot *)
+  en_totals : totals;
   en_ring : exec_record ring;
   en_hist : int array;  (* windowed wall-time histogram over the ring *)
   mutable en_hist_n : int;  (* non-error records counted in en_hist *)
@@ -315,8 +328,8 @@ let metric_sample_bytes = 64
 
 let entry_bytes en =
   let st = en.en_totals in
-  96 + 120 + String.length st.st_query
-  + (48 * (List.length st.st_phase_ms + List.length st.st_rule_counts))
+  96 + 120 + String.length st.t_query
+  + (48 * (List.length st.t_phase_ms + List.length st.t_rule_counts))
 
 let approx_bytes t =
   let b = ref (t.regressions.rlen * regression_bytes) in
@@ -397,16 +410,15 @@ let find_or_create t fingerprint ~sql ~provenance =
         en_fingerprint = fingerprint;
         en_totals =
           {
-            st_fingerprint = fingerprint;
-            st_query = sql;
-            st_calls = 0;
-            st_errors = 0;
-            st_rows = 0;
-            st_total_ms = 0.;
-            st_max_ms = 0.;
-            st_phase_ms = [];
-            st_rule_counts = [];
-            st_provenance = provenance;
+            t_query = sql;
+            t_provenance = provenance;
+            t_calls = 0;
+            t_errors = 0;
+            t_rows = 0;
+            t_total_ms = 0.;
+            t_max_ms = 0.;
+            t_phase_ms = [];
+            t_rule_counts = [];
           };
         en_ring = ring_make t.capacity;
         en_hist = Array.make hist_buckets 0;
@@ -436,29 +448,24 @@ let baseline_floor = 1.0
 let baseline_ms en =
   if en.en_samples = 0 then 0. else Float.max en.en_ewma_ms (ring_p95 en)
 
-let bump add assoc key by =
-  let rec go = function
-    | [] -> [ (key, by) ]
-    | (k, v) :: rest when String.equal k key -> (k, add v by) :: rest
-    | kv :: rest -> kv :: go rest
-  in
-  go assoc
+(* Add [by] to [key]'s sum, appending a new key at the end. *)
+let bump add sums key by =
+  match List.find_opt (fun (k, _) -> String.equal k key) sums with
+  | Some (_, r) ->
+    r := add !r by;
+    sums
+  | None -> sums @ [ (key, ref by) ]
 
 let add_totals st ~ms ~rows ~error ~phases ~rules =
-  {
-    st with
-    st_calls = st.st_calls + 1;
-    st_errors = (if error then st.st_errors + 1 else st.st_errors);
-    st_rows = st.st_rows + rows;
-    st_total_ms = st.st_total_ms +. ms;
-    st_max_ms = Float.max st.st_max_ms ms;
-    st_phase_ms =
-      List.fold_left (fun acc (p, d) -> bump ( +. ) acc p d) st.st_phase_ms
-        phases;
-    st_rule_counts =
-      List.fold_left (fun acc (r, n) -> bump ( + ) acc r n) st.st_rule_counts
-        rules;
-  }
+  st.t_calls <- st.t_calls + 1;
+  if error then st.t_errors <- st.t_errors + 1;
+  st.t_rows <- st.t_rows + rows;
+  st.t_total_ms <- st.t_total_ms +. ms;
+  st.t_max_ms <- Float.max st.t_max_ms ms;
+  st.t_phase_ms <-
+    List.fold_left (fun acc (p, d) -> bump ( +. ) acc p d) st.t_phase_ms phases;
+  st.t_rule_counts <-
+    List.fold_left (fun acc (r, n) -> bump ( + ) acc r n) st.t_rule_counts rules
 
 let record t ~fingerprint ~sql ~provenance ~ts ~plan_hash ~ms ~rows ~est_rows
     ~skew ~error ~phases ~rules =
@@ -467,7 +474,7 @@ let record t ~fingerprint ~sql ~provenance ~ts ~plan_hash ~ms ~rows ~est_rows
     t.seq <- t.seq + 1;
     let seq = t.seq in
     let en = find_or_create t fingerprint ~sql ~provenance in
-    en.en_totals <- add_totals en.en_totals ~ms ~rows ~error ~phases ~rules;
+    add_totals en.en_totals ~ms ~rows ~error ~phases ~rules;
     let plan_changed =
       (not error) && en.en_last_hash <> "" && plan_hash <> ""
       && plan_hash <> en.en_last_hash
@@ -636,8 +643,23 @@ let metric_samples t =
          | c -> c)
 
 (* Costliest first; ties broken by fingerprint for deterministic output. *)
+let snapshot en =
+  let st = en.en_totals in
+  {
+    st_fingerprint = en.en_fingerprint;
+    st_query = st.t_query;
+    st_calls = st.t_calls;
+    st_errors = st.t_errors;
+    st_rows = st.t_rows;
+    st_total_ms = st.t_total_ms;
+    st_max_ms = st.t_max_ms;
+    st_phase_ms = List.map (fun (p, r) -> (p, !r)) st.t_phase_ms;
+    st_rule_counts = List.map (fun (p, r) -> (p, !r)) st.t_rule_counts;
+    st_provenance = st.t_provenance;
+  }
+
 let statements t =
-  Hashtbl.fold (fun _ en acc -> en.en_totals :: acc) t.entries []
+  Hashtbl.fold (fun _ en acc -> snapshot en :: acc) t.entries []
   |> List.sort (fun a b ->
          match compare b.st_total_ms a.st_total_ms with
          | 0 -> compare a.st_fingerprint b.st_fingerprint

@@ -29,15 +29,36 @@ type metric =
    non-monotone exposition; locking everything keeps the invariants
    simple. The critical sections are a few dozen instructions, far below
    contention concern at statement granularity. *)
-type t = { tbl : (string, metric) Hashtbl.t; mu : Mutex.t }
+type t = {
+  tbl : (string, metric) Hashtbl.t;
+  mu : Mutex.t;
+  mutable generation : int;  (* bumped by [reset] *)
+}
 
-(* OCaml's [Mutex] is not reentrant and 5.1 has no [Mutex.protect]. *)
-let with_lock t f =
+(* OCaml's [Mutex] is not reentrant and 5.1 has no [Mutex.protect].
+   [f t a b] runs under the lock, which is released however it returns.
+   The per-statement operations below pass a top-level [f] and its
+   arguments, so taking the lock allocates no closure. *)
+let with_lock t f a b =
   Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+  match f t a b with
+  | x ->
+    Mutex.unlock t.mu;
+    x
+  | exception e ->
+    Mutex.unlock t.mu;
+    raise e
 
-let create () = { tbl = Hashtbl.create 64; mu = Mutex.create () }
-let reset t = with_lock t (fun () -> Hashtbl.reset t.tbl)
+let create () = { tbl = Hashtbl.create 64; mu = Mutex.create (); generation = 0 }
+
+let reset t =
+  with_lock t
+    (fun t () () ->
+      Hashtbl.reset t.tbl;
+      t.generation <- t.generation + 1)
+    () ()
+
+let generation t = t.generation
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -56,17 +77,22 @@ let mismatch name m expected =
   invalid_arg
     (Printf.sprintf "metric %S is a %s, not a %s" name (kind_name m) expected)
 
-let incr ?(by = 1) t name =
-  with_lock t (fun () ->
-      match find_or_add t name (fun () -> Counter { c = 0 }) with
-      | Counter r -> r.c <- r.c + by
-      | m -> mismatch name m "counter")
+let new_counter () = Counter { c = 0 }
+let new_gauge () = Gauge { g = 0. }
 
-let set_gauge t name v =
-  with_lock t (fun () ->
-      match find_or_add t name (fun () -> Gauge { g = 0. }) with
-      | Gauge r -> r.g <- v
-      | m -> mismatch name m "gauge")
+let incr_unlocked t name by =
+  match find_or_add t name new_counter with
+  | Counter r -> r.c <- r.c + by
+  | m -> mismatch name m "counter"
+
+let incr ?(by = 1) t name = with_lock t incr_unlocked name by
+
+let set_gauge_unlocked t name v =
+  match find_or_add t name new_gauge with
+  | Gauge r -> r.g <- v
+  | m -> mismatch name m "gauge"
+
+let set_gauge t name v = with_lock t set_gauge_unlocked name v
 
 let new_histogram bounds =
   {
@@ -84,37 +110,55 @@ let bucket_index bounds v =
   let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
   go 0
 
+let find_or_add_histogram t name bounds =
+  match Hashtbl.find_opt t.tbl name with
+  | Some m -> m
+  | None ->
+    let m = Histogram (new_histogram bounds) in
+    Hashtbl.replace t.tbl name m;
+    m
+
+let declare_histogram_unlocked t name bounds =
+  match find_or_add_histogram t name bounds with
+  | Histogram _ -> ()
+  | m -> mismatch name m "histogram"
+
 let declare_histogram ?(bounds = default_bounds) t name =
-  with_lock t (fun () ->
-      match find_or_add t name (fun () -> Histogram (new_histogram bounds)) with
-      | Histogram _ -> ()
-      | m -> mismatch name m "histogram")
+  with_lock t declare_histogram_unlocked name bounds
+
+let observe_unlocked t (name, bounds) v =
+  match find_or_add_histogram t name bounds with
+  | Histogram h ->
+    let i = bucket_index h.bounds v in
+    h.buckets.(i) <- h.buckets.(i) + 1;
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum +. v;
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v
+  | m -> mismatch name m "histogram"
 
 let observe ?(bounds = default_bounds) t name v =
-  with_lock t (fun () ->
-      match find_or_add t name (fun () -> Histogram (new_histogram bounds)) with
-      | Histogram h ->
-        let i = bucket_index h.bounds v in
-        h.buckets.(i) <- h.buckets.(i) + 1;
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v
-      | m -> mismatch name m "histogram")
+  with_lock t observe_unlocked (name, bounds) v
 
-let counter t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some (Counter r) -> r.c
-      | Some m -> mismatch name m "counter"
-      | None -> 0)
+let counter_unlocked t name () =
+  match Hashtbl.find_opt t.tbl name with
+  | Some (Counter r) -> r.c
+  | Some m -> mismatch name m "counter"
+  | None -> 0
+
+let counter t name = with_lock t counter_unlocked name ()
+
+let counters t names =
+  with_lock t (fun t names () -> Array.map (fun n -> counter_unlocked t n ()) names) names ()
 
 let gauge t name =
-  with_lock t (fun () ->
+  with_lock t
+    (fun t name () ->
       match Hashtbl.find_opt t.tbl name with
       | Some (Gauge r) -> Some r.g
       | Some m -> mismatch name m "gauge"
       | None -> None)
+    name ()
 
 (* Deep copy, so callers can inspect a histogram outside the lock without
    seeing torn updates from a concurrently-observing domain. *)
@@ -129,11 +173,13 @@ let copy_histogram h =
   }
 
 let histogram t name =
-  with_lock t (fun () ->
+  with_lock t
+    (fun t name () ->
       match Hashtbl.find_opt t.tbl name with
       | Some (Histogram h) -> Some (copy_histogram h)
       | Some m -> mismatch name m "histogram"
       | None -> None)
+    name ()
 
 (* Upper bound of the bucket where the cumulative count first reaches
    [q * count] — a coarse but monotone quantile estimate. *)
@@ -175,13 +221,14 @@ let set_gc_gauges t =
 let names_unlocked t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
 
-let names t = with_lock t (fun () -> names_unlocked t)
+let names t = with_lock t (fun t () () -> names_unlocked t) () ()
 
 (* Consistent point-in-time copy of the whole registry, in sorted name
    order. Histograms are deep-copied; this is what cross-domain readers
    (the Prometheus renderer, JSON dumps) iterate. *)
 let snapshot t =
-  with_lock t (fun () ->
+  with_lock t
+    (fun t () () ->
       List.map
         (fun name ->
           let m =
@@ -192,6 +239,7 @@ let snapshot t =
           in
           (name, m))
         (names_unlocked t))
+    () ()
 
 let fold t f init =
   List.fold_left (fun acc (name, m) -> f acc name m) init (snapshot t)

@@ -32,7 +32,13 @@ type metric =
   | Histogram of histogram
 
 val create : unit -> t
+
 val reset : t -> unit
+(** Drop every metric. *)
+
+val generation : t -> int
+(** How many times the registry was {!reset}: a writer that publishes a
+    series only when its value changes republishes it when this moves. *)
 
 val incr : ?by:int -> t -> string -> unit
 val set_gauge : t -> string -> float -> unit
@@ -49,6 +55,9 @@ val declare_histogram : ?bounds:float array -> t -> string -> unit
 
 val counter : t -> string -> int
 (** Current counter value; [0] when the counter was never incremented. *)
+
+val counters : t -> string array -> int array
+(** {!counter} of each name, read under one acquisition of the lock. *)
 
 val gauge : t -> string -> float option
 

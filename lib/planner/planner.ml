@@ -268,6 +268,18 @@ let try_fold_binop op (a : Value.t) (b : Value.t) : Value.t option =
   | Expr.Like -> Some (Value.like a b)
   | Expr.And | Expr.Or -> None (* handled with Kleene shortcuts below *)
 
+(* [e] rebuilt over operands [a'] and [b'], or [e] itself when they are
+   its own: folding a plan without constants allocates nothing. *)
+let binop e op a' b' =
+  match e with
+  | Expr.Binop (_, a, b) when a == a' && b == b' -> e
+  | _ -> Expr.Binop (op, a', b')
+
+let unop e op a' =
+  match e with
+  | Expr.Unop (_, a) when a == a' -> e
+  | _ -> Expr.Unop (op, a')
+
 let rec fold_expr (e : Expr.t) : Expr.t =
   match e with
   | Expr.Const _ | Expr.Attr _ -> e
@@ -276,37 +288,37 @@ let rec fold_expr (e : Expr.t) : Expr.t =
     | Expr.Const (Value.Bool false), _ | _, Expr.Const (Value.Bool false) ->
       Expr.Const (Value.Bool false)
     | Expr.Const (Value.Bool true), x | x, Expr.Const (Value.Bool true) -> x
-    | a, b -> Expr.Binop (Expr.And, a, b))
+    | a, b -> binop e Expr.And a b)
   | Expr.Binop (Expr.Or, a, b) -> (
     match fold_expr a, fold_expr b with
     | Expr.Const (Value.Bool true), _ | _, Expr.Const (Value.Bool true) ->
       Expr.Const (Value.Bool true)
     | Expr.Const (Value.Bool false), x | x, Expr.Const (Value.Bool false) -> x
-    | a, b -> Expr.Binop (Expr.Or, a, b))
+    | a, b -> binop e Expr.Or a b)
   | Expr.Binop (op, a, b) -> (
     let a = fold_expr a and b = fold_expr b in
     match a, b with
     | Expr.Const va, Expr.Const vb -> (
       match try_fold_binop op va vb with
       | Some v -> Expr.Const v
-      | None -> Expr.Binop (op, a, b))
-    | _ -> Expr.Binop (op, a, b))
+      | None -> binop e op a b)
+    | _ -> binop e op a b)
   | Expr.Unop (Expr.Not, a) -> (
     match fold_expr a with
     | Expr.Const (Value.Bool b) -> Expr.Const (Value.Bool (not b))
     | Expr.Const Value.Null -> Expr.Const Value.Null
-    | a -> Expr.Unop (Expr.Not, a))
+    | a -> unop e Expr.Not a)
   | Expr.Unop (Expr.Neg, a) -> (
     match fold_expr a with
     | Expr.Const v -> (
       match Value.neg v with
       | Ok v' -> Expr.Const v'
-      | Error _ -> Expr.Unop (Expr.Neg, Expr.Const v))
-    | a -> Expr.Unop (Expr.Neg, a))
+      | Error _ -> unop e Expr.Neg (Expr.Const v))
+    | a -> unop e Expr.Neg a)
   | Expr.Unop (Expr.Is_null, a) -> (
     match fold_expr a with
     | Expr.Const v -> Expr.Const (Value.Bool (Value.is_null v))
-    | a -> Expr.Unop (Expr.Is_null, a))
+    | a -> unop e Expr.Is_null a)
   | Expr.Case { branches; else_ } ->
     Expr.Case
       {
@@ -319,40 +331,76 @@ let rec fold_expr (e : Expr.t) : Expr.t =
       match Value.cast ty v with
       | Ok v' -> Expr.Const v'
       | Error _ -> Expr.Cast (Expr.Const v, ty))
-    | a -> Expr.Cast (a, ty))
+    | a' -> if a' == a then e else Expr.Cast (a', ty))
   | Expr.Func (name, args) -> Expr.Func (name, List.map fold_expr args)
+
+(* [l] itself when [f] maps every element to itself. *)
+let rec map_same f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    let rest' = map_same f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
+let map_cols f cols =
+  map_same
+    (fun ((e, a) as col) ->
+      let e' = f e in
+      if e' == e then col else (e', a))
+    cols
+
+let map_opt f o =
+  match o with
+  | Some e ->
+    let e' = f e in
+    if e' == e then o else Some e'
+  | None -> o
 
 let rec map_exprs f (plan : Plan.t) : Plan.t =
   let plan = Plan.map_children (map_exprs f) plan in
-  let map_group_by = List.map (fun (e, a) -> (f e, a)) in
   let map_aggs =
-    List.map (fun (c : Plan.agg_call) -> { c with arg = Option.map f c.arg })
+    map_same (fun (c : Plan.agg_call) ->
+        let arg = map_opt f c.arg in
+        if arg == c.arg then c else { c with arg })
   in
   match plan with
   | Plan.Scan _ | Plan.Index_scan _ | Plan.Values _ | Plan.Distinct _
-  | Plan.Prov _ | Plan.Baserel _ | Plan.External _ ->
+  | Plan.Prov _ | Plan.Baserel _ | Plan.External _ | Plan.Apply _
+  | Plan.Set_op _ | Plan.Limit _ ->
     plan
   | Plan.Project r ->
-    Plan.Project { r with cols = List.map (fun (e, a) -> (f e, a)) r.cols }
-  | Plan.Filter r -> Plan.Filter { r with pred = f r.pred }
-  | Plan.Join r -> Plan.Join { r with pred = Option.map f r.pred }
-  | Plan.Apply _ -> plan
+    let cols = map_cols f r.cols in
+    if cols == r.cols then plan else Plan.Project { r with cols }
+  | Plan.Filter r ->
+    let pred = f r.pred in
+    if pred == r.pred then plan else Plan.Filter { r with pred }
+  | Plan.Join r ->
+    let pred = map_opt f r.pred in
+    if pred == r.pred then plan else Plan.Join { r with pred }
   | Plan.Aggregate r ->
-    Plan.Aggregate
-      { r with group_by = map_group_by r.group_by; aggs = map_aggs r.aggs }
+    let aggs = map_aggs r.aggs in
+    let group_by = map_cols f r.group_by in
+    if group_by == r.group_by && aggs == r.aggs then plan
+    else Plan.Aggregate { r with group_by; aggs }
   | Plan.Group_annotate r ->
-    Plan.Group_annotate
-      {
-        r with
-        group_by = map_group_by r.group_by;
-        aggs = map_aggs r.aggs;
-        rep = Option.map f r.rep;
-      }
-  | Plan.Mark_first r -> Plan.Mark_first { r with among = Option.map f r.among }
-  | Plan.Set_op _ -> plan
+    let rep = map_opt f r.rep in
+    let aggs = map_aggs r.aggs in
+    let group_by = map_cols f r.group_by in
+    if group_by == r.group_by && aggs == r.aggs && rep == r.rep then plan
+    else Plan.Group_annotate { r with group_by; aggs; rep }
+  | Plan.Mark_first r ->
+    let among = map_opt f r.among in
+    if among == r.among then plan else Plan.Mark_first { r with among }
   | Plan.Sort r ->
-    Plan.Sort { r with keys = List.map (fun (e, d) -> (f e, d)) r.keys }
-  | Plan.Limit _ -> plan
+    let keys =
+      map_same
+        (fun ((e, d) as key) ->
+          let e' = f e in
+          if e' == e then key else (e', d))
+        r.keys
+    in
+    if keys == r.keys then plan else Plan.Sort { r with keys }
 
 (* ------------------------------------------------------------------ *)
 (* Predicate pushdown                                                  *)
@@ -368,12 +416,7 @@ let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
     | None -> None)
   | Plan.Project { child; cols } ->
     (* substitute projection definitions into the predicate *)
-    let mapping =
-      List.fold_left
-        (fun acc (e, out) -> Attr.Map.add out e acc)
-        Attr.Map.empty cols
-    in
-    let pred' = Expr.substitute mapping pred in
+    let pred' = Expr.substitute cols pred in
     (* only push when the rewritten predicate is strictly over child attrs
        (it always is, since projections define all their outputs) *)
     if attrs_subset (Expr.attrs pred') (Plan.schema child) then
@@ -508,16 +551,12 @@ let rec merge_projects (plan : Plan.t) : Plan.t =
   let plan = Plan.map_children merge_projects plan in
   match plan with
   | Plan.Project { child = Plan.Project { child; cols = inner }; cols = outer } ->
-    let mapping =
-      List.fold_left
-        (fun acc (e, out) -> Attr.Map.add out e acc)
-        Attr.Map.empty inner
-    in
     merge_projects
       (Plan.Project
          {
            child;
-           cols = List.map (fun (e, out) -> (Expr.substitute mapping e, out)) outer;
+           cols =
+             List.map (fun (e, out) -> (Expr.substitute inner e, out)) outer;
          })
   | p -> p
 
@@ -537,24 +576,25 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
     in
     let child_needed =
       List.fold_left
-        (fun acc (e, _) -> Attr.Set.union acc (Expr.attrs e))
+        (fun acc (e, _) -> Expr.add_attrs e acc)
         Attr.Set.empty cols
     in
     let child' = prune ~needed:(Some child_needed) child in
     (* drop identity projections *)
     let identity =
-      List.length cols = List.length (Plan.schema child')
+      let schema = Plan.schema child' in
+      List.compare_lengths cols schema = 0
       && List.for_all2
            (fun (e, out) (src : Attr.t) ->
              match e with
              | Expr.Attr a -> Attr.equal a src && Attr.equal out src
              | _ -> false)
-           cols (Plan.schema child')
+           cols schema
     in
     if identity then child' else Plan.Project { child = child'; cols }
   | Plan.Filter { child; pred } ->
     let child_needed =
-      Option.map (fun s -> Attr.Set.union s (Expr.attrs pred)) needed
+      Option.map (Expr.add_attrs pred) needed
     in
     Plan.Filter { child = prune ~needed:child_needed child; pred }
   | Plan.Join { kind; left; right; pred } ->
@@ -590,14 +630,14 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
     let aggs = List.filter (fun (c : Plan.agg_call) -> keep c.agg_out) aggs in
     let child_needed =
       List.fold_left
-        (fun acc (e, _) -> Attr.Set.union acc (Expr.attrs e))
+        (fun acc (e, _) -> Expr.add_attrs e acc)
         Attr.Set.empty group_by
     in
     let child_needed =
       List.fold_left
         (fun acc (c : Plan.agg_call) ->
           match c.arg with
-          | Some e -> Attr.Set.union acc (Expr.attrs e)
+          | Some e -> Expr.add_attrs e acc
           | None -> acc)
         child_needed aggs
     in
@@ -613,14 +653,14 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
         (fun s ->
           let s =
             List.fold_left
-              (fun acc e -> Attr.Set.union acc (Expr.attrs e))
+              (fun acc e -> Expr.add_attrs e acc)
               s
               (Option.to_list rep @ List.map fst group_by)
           in
           List.fold_left
             (fun acc (c : Plan.agg_call) ->
               match c.arg with
-              | Some e -> Attr.Set.union acc (Expr.attrs e)
+              | Some e -> Expr.add_attrs e acc
               | None -> acc)
             s aggs)
         needed
@@ -657,7 +697,7 @@ let rec prune ~(needed : Attr.Set.t option) (plan : Plan.t) : Plan.t =
       Option.map
         (fun s ->
           List.fold_left
-            (fun acc (e, _) -> Attr.Set.union acc (Expr.attrs e))
+            (fun acc (e, _) -> Expr.add_attrs e acc)
             s keys)
         needed
     in

@@ -26,22 +26,23 @@ type ctx = {
   config : config;
   mutable choices : agg_strategy list;  (* reverse order *)
   mutable markers : int;
-  rules : (string, int) Hashtbl.t;  (* rewrite rule name -> times fired *)
+  mutable rules : (string * int ref) list;  (* rule name -> times fired *)
 }
 
+(* A handful of rules fire per statement: an association list, bumped in
+   place, beats hashing the rule name. *)
 let fired ctx rule =
-  let n = Option.value ~default:0 (Hashtbl.find_opt ctx.rules rule) in
-  Hashtbl.replace ctx.rules rule (n + 1)
+  match List.find_opt (fun (r, _) -> String.equal r rule) ctx.rules with
+  | Some (_, n) -> incr n
+  | None -> ctx.rules <- (rule, ref 1) :: ctx.rules
 
 (* Duplicate a plan's output columns as provenance copies, named after the
    given relation display name. Returns the projection and the bindings. *)
 let duplicate_as_provenance rel_name plan =
   let attrs = Plan.schema plan in
+  let prefix = "prov_" ^ rel_name ^ "_" in
   let copies =
-    List.map
-      (fun (a : Attr.t) ->
-        Attr.fresh (Printf.sprintf "prov_%s_%s" rel_name a.Attr.name) a.Attr.ty)
-      attrs
+    List.map (fun (a : Attr.t) -> Attr.fresh (prefix ^ a.Attr.name) a.Attr.ty) attrs
   in
   let cols =
     List.map (fun a -> (Expr.Attr a, a)) attrs
@@ -510,32 +511,47 @@ and rewrite_prov ctx ~child ~semantics ~sources =
          (Printf.sprintf
             "provenance binding mismatch: %d sources but %d bindings"
             (List.length sources) (List.length bindings)));
-  (* Copy semantics: NULL the provenance of instances whose values are not
-     copied to the result. *)
-  let instance_quals = Copy_analysis.qualifying semantics child in
-  let col_quals =
-    List.concat
-      (List.map2
-         (fun inst q -> List.map (fun _ -> q) inst.Sources.inst_cols)
-         (Sources.instances child) instance_quals)
-  in
   let prov_cols =
-    List.map2
-      (fun (s : Plan.prov_source) (b, qual) ->
-        ((if qual then b else Expr.Const Value.Null), s.prov_attr))
-      sources
-      (List.combine bindings col_quals)
+    match semantics with
+    | Plan.Influence ->
+      List.map2 (fun (s : Plan.prov_source) b -> (b, s.prov_attr)) sources bindings
+    | Plan.Copy_partial | Plan.Copy_complete ->
+      (* Copy semantics: NULL the provenance of instances whose values are
+         not copied to the result. *)
+      let instance_quals = Copy_analysis.qualifying semantics child in
+      let col_quals =
+        List.concat
+          (List.map2
+             (fun inst q -> List.map (fun _ -> q) inst.Sources.inst_cols)
+             (Sources.instances child) instance_quals)
+      in
+      List.map2
+        (fun (s : Plan.prov_source) (b, qual) ->
+          ((if qual then b else Expr.Const Value.Null), s.prov_attr))
+        sources
+        (List.combine bindings col_quals)
   in
   let cols =
     List.map (fun a -> (Expr.Attr a, a)) (Plan.schema child) @ prov_cols
   in
-  Plan.Project { child = child'; cols }
+  match child' with
+  | Plan.Project { child = below; cols = inner } ->
+    (* fold into the rewritten projection, as the planner's merge would:
+       the statement's plan gets one projection fewer to walk *)
+    Plan.Project
+      {
+        child = below;
+        cols = List.map (fun (e, out) -> (Expr.substitute inner e, out)) cols;
+      }
+  | _ -> Plan.Project { child = child'; cols }
 
 let rewrite ?(config = default_config) plan =
-  let ctx = { config; choices = []; markers = 0; rules = Hashtbl.create 16 } in
+  let ctx = { config; choices = []; markers = 0; rules = [] } in
   let plan' = eliminate ctx plan in
   let rule_counts =
-    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) ctx.rules [])
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.map (fun (r, n) -> (r, !n)) ctx.rules)
   in
   ( plan',
     {

@@ -75,7 +75,7 @@ let rec instances (plan : Plan.t) =
 let prov_sources plan =
   let insts = instances plan in
   (* Count relation-name occurrences to disambiguate self-joins. *)
-  let seen = Hashtbl.create 8 in
+  let seen = ref [] in
   List.concat_map
     (fun inst ->
       match inst.inst_origin with
@@ -91,22 +91,23 @@ let prov_sources plan =
           inst.inst_cols
       | From_scan _ | From_baserel ->
         let occurrence =
-          match Hashtbl.find_opt seen inst.inst_rel with
+          match List.assoc_opt inst.inst_rel !seen with
           | Some n ->
-            Hashtbl.replace seen inst.inst_rel (n + 1);
-            n + 1
+            incr n;
+            !n
           | None ->
-            Hashtbl.replace seen inst.inst_rel 0;
+            seen := (inst.inst_rel, ref 0) :: !seen;
             0
         in
         let prefix =
-          if occurrence = 0 then Printf.sprintf "prov_%s" inst.inst_rel
-          else Printf.sprintf "prov_%s_%d" inst.inst_rel occurrence
+          String.concat ""
+            (if occurrence = 0 then [ "prov_"; inst.inst_rel; "_" ]
+             else [ "prov_"; inst.inst_rel; "_"; string_of_int occurrence; "_" ])
         in
         List.map
           (fun (col, ty) ->
             {
-              Plan.prov_attr = Attr.fresh (prefix ^ "_" ^ col) ty;
+              Plan.prov_attr = Attr.fresh (prefix ^ col) ty;
               prov_rel = inst.inst_rel;
               prov_col = col;
             })

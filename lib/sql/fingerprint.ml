@@ -11,7 +11,8 @@ let normalize_token tok =
   match tok with
   | Token.Int_lit _ | Token.Float_lit _ | Token.String_lit _ | Token.Param _ ->
     "?"
-  | Token.Ident s -> String.lowercase_ascii s
+  (* the lexer has already lower-cased bare identifiers and keywords *)
+  | Token.Ident s -> s
   (* quoted identifiers are case-sensitive names, not literals: keep them *)
   | Token.Quoted_ident s -> "\"" ^ s ^ "\""
   | t -> Token.to_string t
@@ -44,16 +45,18 @@ let rec collapse_step = function
 
 let rec collapse_runs toks =
   let toks' = collapse_step toks in
-  if toks' = toks then toks else collapse_runs toks'
+  if List.equal String.equal toks' toks then toks else collapse_runs toks'
+
+let of_tokens tokens =
+  tokens
+  |> List.filter_map (fun { Token.token; _ } ->
+         match token with
+         | Token.Eof | Token.Semicolon -> None
+         | t -> Some (normalize_token t))
+  |> collapse_runs
+  |> String.concat " "
 
 let of_sql sql =
   match Lexer.tokenize sql with
   | Error _ -> fallback sql
-  | Ok tokens ->
-    tokens
-    |> List.filter_map (fun { Token.token; _ } ->
-           match token with
-           | Token.Eof | Token.Semicolon -> None
-           | t -> Some (normalize_token t))
-    |> collapse_runs
-    |> String.concat " "
+  | Ok tokens -> of_tokens tokens

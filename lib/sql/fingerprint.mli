@@ -8,3 +8,11 @@
     malformed one — gets a stable fingerprint. *)
 
 val of_sql : string -> string
+
+val of_tokens : Token.located list -> string
+(** The fingerprint of a statement the caller has already lexed:
+    [of_sql sql = of_tokens tokens] whenever [Lexer.tokenize sql] is
+    [Ok tokens]. *)
+
+val fallback : string -> string
+(** The fingerprint of a statement the lexer rejects. *)

@@ -96,12 +96,13 @@ let tokenize input =
         loop !j
       | None -> error (Printf.sprintf "malformed number %S" text) start
   and lex_ident i start =
-    let j = ref i in
+    let j = ref i and upper = ref false in
     while !j < n && is_ident_char input.[!j] do
+      if input.[!j] >= 'A' && input.[!j] <= 'Z' then upper := true;
       incr j
     done;
     let text = String.sub input start (!j - start) in
-    emit (Token.Ident (String.lowercase_ascii text)) start;
+    emit (Token.Ident (if !upper then String.lowercase_ascii text else text)) start;
     loop !j
   and loop i =
     if i >= n then begin

@@ -40,7 +40,17 @@ let reserved =
 (* [provenance] and [baserelation] are context-sensitive SQL-PLE keywords:
    they stay valid column names and aliases in plain SQL positions. *)
 
-let is_reserved s = List.mem s reserved
+(* The same words as [reserved], as one string match: the parser asks
+   about every bare identifier it meets, several times per statement. *)
+let is_reserved = function
+  | "select" | "from" | "where" | "group" | "having" | "order" | "limit"
+  | "offset" | "union" | "intersect" | "except" | "on" | "join" | "inner"
+  | "left" | "right" | "full" | "cross" | "outer" | "and" | "or" | "not"
+  | "as" | "by" | "asc" | "desc" | "in" | "is" | "null" | "like" | "between"
+  | "exists" | "case" | "when" | "then" | "else" | "end" | "distinct" | "all"
+  | "into" | "values" | "set" | "using" | "natural" ->
+    true
+  | _ -> false
 
 let expect st tok what =
   if Token.equal (peek st) tok then advance st
@@ -799,32 +809,28 @@ let parse_statement_inner st =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let on_tokens tokens f =
+  let st = { tokens = Array.of_list tokens; pos = 0 } in
+  try Ok (f st) with Parse_error e -> Error e
+
 let with_tokens input f =
   match Lexer.tokenize input with
   | Error { Lexer.message; pos } -> Error { message; pos }
-  | Ok tokens -> (
-    let st = { tokens = Array.of_list tokens; pos = 0 } in
-    try Ok (f st) with Parse_error e -> Error e)
+  | Ok tokens -> on_tokens tokens f
 
-let parse_query input =
-  with_tokens input (fun st ->
-      let q = parse_query_inner st in
-      ignore (accept st Token.Semicolon);
-      if not (Token.equal (peek st) Token.Eof) then
-        fail st
-          (Printf.sprintf "unexpected trailing input: %s"
-             (Token.to_string (peek st)));
-      q)
+(* [inner], then at most one semicolon, then the end of the input. *)
+let whole inner st =
+  let x = inner st in
+  ignore (accept st Token.Semicolon);
+  if not (Token.equal (peek st) Token.Eof) then
+    fail st
+      (Printf.sprintf "unexpected trailing input: %s"
+         (Token.to_string (peek st)));
+  x
 
-let parse_statement input =
-  with_tokens input (fun st ->
-      let s = parse_statement_inner st in
-      ignore (accept st Token.Semicolon);
-      if not (Token.equal (peek st) Token.Eof) then
-        fail st
-          (Printf.sprintf "unexpected trailing input: %s"
-             (Token.to_string (peek st)));
-      s)
+let parse_query input = with_tokens input (whole parse_query_inner)
+let statement_of_tokens tokens = on_tokens tokens (whole parse_statement_inner)
+let parse_statement input = with_tokens input (whole parse_statement_inner)
 
 let parse_script input =
   with_tokens input (fun st ->

@@ -12,6 +12,16 @@ val parse_query : string -> (Ast.query, error) result
 val parse_statement : string -> (Ast.statement, error) result
 (** Parses a single statement, allowing one trailing semicolon. *)
 
+val statement_of_tokens : Token.located list -> (Ast.statement, error) result
+(** [parse_statement] over tokens the caller has already lexed, so one
+    lexing pass can feed both the parser and {!Fingerprint.of_tokens}. *)
+
+val reserved : string list
+(** The words that can never be a bare alias or column reference. *)
+
+val is_reserved : string -> bool
+(** Membership in {!reserved}. *)
+
 val parse_script : string -> (Ast.statement list, error) result
 (** Parses a semicolon-separated sequence of statements. *)
 

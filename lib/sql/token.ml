@@ -52,4 +52,16 @@ let to_string = function
   | Semicolon -> ";"
   | Eof -> "<eof>"
 
-let equal (a : t) (b : t) = a = b
+let equal a b =
+  match a, b with
+  | Int_lit x, Int_lit y | Param x, Param y -> Int.equal x y
+  | Float_lit x, Float_lit y -> x = y
+  | String_lit x, String_lit y | Ident x, Ident y | Quoted_ident x, Quoted_ident y
+    ->
+    String.equal x y
+  | Lparen, Lparen | Rparen, Rparen | Comma, Comma | Dot, Dot | Star, Star
+  | Plus, Plus | Minus, Minus | Slash, Slash | Percent, Percent | Eq, Eq
+  | Neq, Neq | Lt, Lt | Leq, Leq | Gt, Gt | Geq, Geq | Concat, Concat
+  | Semicolon, Semicolon | Eof, Eof ->
+    true
+  | _ -> false

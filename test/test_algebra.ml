@@ -53,8 +53,11 @@ let expr_tests =
     case "substitute replaces mapped attrs only" (fun () ->
         let a = a_int "a" and b = a_int "b" in
         let e = Expr.Binop (Expr.Add, Expr.Attr a, Expr.Attr b) in
-        let map = Attr.Map.singleton a (Expr.Const (Value.Int 7)) in
-        match Expr.substitute map e with
+        let cols = [ (Expr.Const (Value.Int 7), a) ] in
+        let untouched = Expr.Binop (Expr.Sub, Expr.Attr b, Expr.Attr b) in
+        Alcotest.(check bool) "no column referenced: the same value" true
+          (Expr.substitute cols untouched == untouched);
+        match Expr.substitute cols e with
         | Expr.Binop (Expr.Add, Expr.Const (Value.Int 7), Expr.Attr b') ->
           Alcotest.(check bool) "" true (Attr.equal b b')
         | _ -> Alcotest.fail "unexpected substitution");

@@ -83,4 +83,33 @@ let error_tests =
         | Ok _ -> Alcotest.fail "expected error");
   ]
 
-let () = Alcotest.run "lexer" [ ("basic", basic_tests); ("errors", error_tests) ]
+(* The inputs above, through the one lexing pass the engine shares
+   between the parser and the fingerprint: the fingerprint of the tokens
+   is the fingerprint of the text, and text the lexer rejects gets the
+   raw-text fallback. *)
+let fingerprint_tests =
+  let module Fingerprint = Perm_sql.Fingerprint in
+  [
+    case "token fingerprint equals of_sql" (fun () ->
+        List.iter
+          (fun sql ->
+            match Lexer.tokenize sql with
+            | Ok tokens ->
+              Alcotest.(check string) sql (Fingerprint.of_sql sql)
+                (Fingerprint.of_tokens tokens)
+            | Error _ ->
+              Alcotest.(check string) sql (Fingerprint.fallback sql)
+                (Fingerprint.of_sql sql))
+          [ "SELECT Foo FROM bAr"; "12 3.5 1e3 2.5e-1"; "'it''s'"; "''";
+            "\"MyCol\""; "<= >= <> != = < > ||"; "( ) , . * ;";
+            "a -- comment here\nb"; "a /* multi\nline */ b"; "a - b";
+            "prov_messages_mid"; "t1"; "  \n\t "; "'abc"; "/* abc"; "select @";
+            "a\nb 'x" ]);
+    case "fallback collapses case and whitespace" (fun () ->
+        Alcotest.(check string) "" "select @ from t;"
+          (Fingerprint.of_sql "SELECT  @\n FROM\tT;"));
+  ]
+
+let () =
+  Alcotest.run "lexer"
+    [ ("basic", basic_tests); ("errors", error_tests); ("fingerprint", fingerprint_tests) ]

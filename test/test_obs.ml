@@ -25,6 +25,33 @@ let metrics_tests =
         Metrics.incr m ~by:41 "a";
         Alcotest.(check int) "a" 42 (Metrics.counter m "a");
         Alcotest.(check int) "never touched" 0 (Metrics.counter m "nope"));
+    case "a kind mismatch raises and releases the lock" (fun () ->
+        let m = Metrics.create () in
+        Metrics.set_gauge m "g" 1.;
+        Alcotest.check_raises "incr on a gauge"
+          (Invalid_argument "metric \"g\" is a gauge, not a counter") (fun () ->
+            Metrics.incr m "g");
+        Alcotest.check_raises "observe on a gauge"
+          (Invalid_argument "metric \"g\" is a gauge, not a histogram")
+          (fun () -> Metrics.observe m "g" 1.);
+        (* the next registry call must not block: run it on another domain
+           and give it a second *)
+        let done_ = Atomic.make false in
+        let d =
+          Domain.spawn (fun () ->
+              Metrics.incr m "after";
+              Atomic.set done_ true)
+        in
+        let deadline = Unix.gettimeofday () +. 1. in
+        while (not (Atomic.get done_)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        if not (Atomic.get done_) then
+          Alcotest.fail "registry still locked after a kind mismatch";
+        Domain.join d;
+        Alcotest.(check int) "after" 1 (Metrics.counter m "after");
+        Alcotest.(check (option (float 0.))) "gauge kept" (Some 1.)
+          (Metrics.gauge m "g"));
     case "gauges keep the last value" (fun () ->
         let m = Metrics.create () in
         Metrics.set_gauge m "g" 1.5;
@@ -105,8 +132,10 @@ let metrics_tests =
     case "reset empties the registry" (fun () ->
         let m = Metrics.create () in
         Metrics.incr m "a";
+        let g0 = Metrics.generation m in
         Metrics.reset m;
-        Alcotest.(check (list string)) "" [] (Metrics.names m));
+        Alcotest.(check (list string)) "" [] (Metrics.names m);
+        Alcotest.(check bool) "generation moved" true (Metrics.generation m <> g0));
   ]
 
 (* ------------------------------------------------------------------ *)

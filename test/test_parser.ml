@@ -248,6 +248,90 @@ let corpus =
     "SELECT a, (SELECT max(b) FROM s) AS mx FROM t ORDER BY 1";
   ]
 
+(* The reserved words are matched by a string [match]; these pin it to
+   the [reserved] list and to what the parser does with each word. *)
+let reserved_tests =
+  let items sql =
+    match Parser.parse_statement sql with
+    | Ok (Ast.St_query { body = Ast.Select s; _ }) -> Some s.Ast.items
+    | Ok _ | Error _ -> None
+  in
+  [
+    case "is_reserved is membership in reserved" (fun () ->
+        List.iter
+          (fun w ->
+            if not (Parser.is_reserved w) then Alcotest.failf "%S not reserved" w)
+          Parser.reserved;
+        List.iter
+          (fun w ->
+            if Parser.is_reserved w then Alcotest.failf "%S reserved" w)
+          [ "provenance"; "baserelation"; "a"; "selects"; "fro"; "nul"; "count";
+            "text"; "uid"; "mid"; ""; "SELECT" ]);
+    case "no reserved word is a bare alias" (fun () ->
+        List.iter
+          (fun w ->
+            match items (Printf.sprintf "SELECT a %s FROM t" w) with
+            | Some (Ast.Sel_expr (_, Some alias) :: _) when alias = w ->
+              Alcotest.failf "%S accepted as an alias" w
+            | _ -> ())
+          Parser.reserved);
+    case "no reserved word is a column reference" (fun () ->
+        List.iter
+          (fun w ->
+            List.iter
+              (fun sql ->
+                match items sql with
+                | Some (Ast.Sel_expr (Ast.Ref (None, r), _) :: _) when r = w ->
+                  Alcotest.failf "%S accepted as a column in %S" w sql
+                | _ -> ())
+              [ Printf.sprintf "SELECT %s FROM t" w;
+                Printf.sprintf "SELECT %s, a FROM t" w ])
+          Parser.reserved);
+    case "provenance and baserelation stay names" (fun () ->
+        (match items "SELECT provenance, baserelation FROM t" with
+        | Some
+            [ Ast.Sel_expr (Ast.Ref (None, "provenance"), None);
+              Ast.Sel_expr (Ast.Ref (None, "baserelation"), None) ] ->
+          ()
+        | _ -> Alcotest.fail "not two column references");
+        (match items "SELECT a provenance, b AS baserelation FROM t" with
+        | Some
+            [ Ast.Sel_expr (_, Some "provenance");
+              Ast.Sel_expr (_, Some "baserelation") ] ->
+          ()
+        | _ -> Alcotest.fail "not two aliases");
+        let s = select_of (parse_q "SELECT a FROM provenance, baserelation") in
+        Alcotest.(check int) "two tables" 2 (List.length s.Ast.from));
+  ]
+
+(* The engine lexes a statement once and fingerprints the tokens; that
+   must be the fingerprint [Fingerprint.of_sql] gives the text. *)
+let fingerprint_tests =
+  let module Fingerprint = Perm_sql.Fingerprint in
+  let module Lexer = Perm_sql.Lexer in
+  [
+    case "token fingerprint equals of_sql" (fun () ->
+        List.iter
+          (fun sql ->
+            match Lexer.tokenize sql with
+            | Ok tokens ->
+              Alcotest.(check string) sql (Fingerprint.of_sql sql)
+                (Fingerprint.of_tokens tokens)
+            | Error _ -> Alcotest.failf "%S does not lex" sql)
+          (corpus
+          @ [ "SELECT a FROM t WHERE a IN (1, 2, 3)";
+              "INSERT INTO t VALUES (1, 'x'), (2, 'y');";
+              "SELECT \"MixedCase\", $1 FROM T WHERE b = 2.5";
+              "SELEC 1 FROM"; "SELECT a FROM t WHERE" ]));
+    case "an unlexable statement falls back to its raw text" (fun () ->
+        let sql = "SELECT 'unterminated  FROM\tT" in
+        (match Lexer.tokenize sql with
+        | Ok _ -> Alcotest.fail "expected a lex error"
+        | Error _ -> ());
+        Alcotest.(check string) "" (Fingerprint.fallback sql) (Fingerprint.of_sql sql);
+        Alcotest.(check string) "" "select 'unterminated from t" (Fingerprint.of_sql sql));
+  ]
+
 let roundtrip_tests =
   [
     case "corpus round-trips" (fun () ->
@@ -339,6 +423,8 @@ let () =
       ("structure", structure_tests);
       ("sql-ple", sqlple_tests);
       ("errors", error_tests);
+      ("reserved", reserved_tests);
+      ("fingerprint", fingerprint_tests);
       ("roundtrip", roundtrip_tests);
       ("properties", property_tests);
     ]

@@ -157,6 +157,26 @@ let stat_statements_tests =
           "SELECT calls, errors FROM perm_stat_statements WHERE fingerprint = \
            'select nope from missing'"
           [ [ "1"; "1" ] ]);
+    case "a syntax error is counted under its fingerprint" (fun () ->
+        let e = engine () in
+        ignore (query_ok e "SELECT 1");
+        (match Engine.execute e "SELEC 1 FROM" with
+        | Ok _ -> Alcotest.fail "expected a syntax error"
+        | Error _ -> ());
+        check_rows e
+          "SELECT calls, errors FROM perm_stat_statements WHERE fingerprint = \
+           'selec ? from'"
+          [ [ "1"; "1" ] ];
+        Alcotest.(check int) "engine.errors" 1
+          (Metrics.counter (Engine.metrics e) "engine.errors");
+        (* the unlexable kind gets the raw-text fallback *)
+        ignore (Engine.execute e "SELECT 'open");
+        check_rows e
+          "SELECT calls, errors FROM perm_stat_statements WHERE fingerprint = \
+           'select ''open'"
+          [ [ "1"; "1" ] ];
+        Alcotest.(check int) "engine.errors" 2
+          (Metrics.counter (Engine.metrics e) "engine.errors"));
     case "the view is filterable, orderable and joinable" (fun () ->
         let e = forum_engine () in
         ignore (query_ok e "SELECT mid FROM messages");

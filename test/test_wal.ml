@@ -580,6 +580,54 @@ let test_kill_and_recover () =
     ];
   Fault.reset ()
 
+(* The wal.* gauges are set only when the status moved; after every
+   kind of change, and after a registry reset, they must still read what
+   [Engine.wal_status] reports (zeros when the WAL is off). *)
+let test_wal_gauges () =
+  let module Metrics = Perm_obs.Metrics in
+  let dir = temp_dir "perm_wal_gauges" in
+  let e = engine () in
+  let check what =
+    let m = Engine.metrics e in
+    let expect =
+      match Engine.wal_status e with
+      | None -> [ 0; 0; 0; 0; 0 ]
+      | Some s ->
+        [ s.Engine.ws_bytes; s.Engine.ws_records; s.Engine.ws_last_lsn;
+          s.Engine.ws_fsyncs; s.Engine.ws_epoch ]
+    in
+    let actual =
+      List.map
+        (fun n ->
+          match Metrics.gauge m ("wal." ^ n) with
+          | Some v -> int_of_float v
+          | None -> Alcotest.failf "%s: wal.%s missing" what n)
+        [ "bytes"; "records"; "last_lsn"; "fsyncs"; "epoch" ]
+    in
+    Alcotest.(check (list int)) what expect actual;
+    if Metrics.gauge m "wal.replay.truncated_bytes" = None then
+      Alcotest.failf "%s: wal.replay.truncated_bytes missing" what
+  in
+  ignore (enable_ok e dir);
+  ignore @@ exec_ok e "CREATE TABLE t (k INTEGER)";
+  check "after create";
+  ignore @@ exec_ok e "INSERT INTO t VALUES (1), (2)";
+  check "after insert";
+  (match Engine.checkpoint e with
+  | Ok () -> ()
+  | Error err -> Alcotest.failf "checkpoint: %s" (Err.to_string err));
+  check "after checkpoint";
+  ignore @@ exec_ok e "INSERT INTO t VALUES (3)";
+  Metrics.reset (Engine.metrics e);
+  ignore @@ exec_ok e "SELECT k FROM t";
+  check "after a registry reset";
+  Engine.disable_wal e;
+  check "after disable_wal";
+  ignore @@ exec_ok e "SELECT k FROM t";
+  check "a statement after disable_wal";
+  Engine.close e;
+  rm_rf dir
+
 let () =
   Alcotest.run "wal"
     [
@@ -619,6 +667,11 @@ let () =
             test_checkpoint_crash_windows;
           Alcotest.test_case "crash mid-checkpoint, then keep running" `Quick
             test_checkpoint_crash_then_continue;
+        ] );
+      ( "gauges",
+        [
+          Alcotest.test_case "wal.* gauges follow the status" `Quick
+            test_wal_gauges;
         ] );
       ( "chaos",
         [
