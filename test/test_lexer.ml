@@ -112,4 +112,4 @@ let fingerprint_tests =
 
 let () =
   Alcotest.run "lexer"
-    [ ("basic", basic_tests); ("errors", error_tests); ("fingerprint", fingerprint_tests) ]
+    [ ("basic", basic_tests); ("errors", error_tests); ("fprint", fingerprint_tests) ]

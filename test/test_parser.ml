@@ -424,7 +424,7 @@ let () =
       ("sql-ple", sqlple_tests);
       ("errors", error_tests);
       ("reserved", reserved_tests);
-      ("fingerprint", fingerprint_tests);
+      ("fprint", fingerprint_tests);
       ("roundtrip", roundtrip_tests);
       ("properties", property_tests);
     ]
