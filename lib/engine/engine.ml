@@ -351,8 +351,9 @@ let execute_parsed ?fp t sql (parsed : (Ast.statement, Err.t) result) =
       Metrics.observe t.metrics (derived_name t.phase_names name phase_metric) ms)
     phases;
   (* the WAL's size and replay history, so /metrics tracks log growth
-     between checkpoints *)
+     between checkpoints; both gauge families come back after a reset *)
   Wal_log.refresh_gauges t.wal;
+  refresh_spill_gauges t;
   (* counters above are already bumped, so a metric sample taken while
      recording statement stats sees this statement too *)
   if saved = None then begin

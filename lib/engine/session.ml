@@ -181,6 +181,9 @@ type t = {
   mutable spill_counts : spill_counts;
       (* replaced whole by [note_spill], the one writer, so another
          domain always reads a consistent snapshot *)
+  mutable spill_published : int;
+      (* the registry generation the executor.spill.* gauges were last
+         set in *)
   obs_lock : Mutex.t;
       (* Serializes engine-side telemetry-store *writes* (Profile,
          History, bundles) against observability-plane *reads*
@@ -225,7 +228,8 @@ let refresh_loss_gauges_unlocked t = loss_gauges t.metrics t.recorder t.history
 (* The executor.spill.* gauges mirror the engine's own spill counts.
    They are published (zeros included) at create, so dashboards and the
    prom_lint-validated /metrics scrape can alert on them without waiting
-   for a first spill, and then once per spill event. *)
+   for a first spill, then once per spill event, and again after a
+   statement that finds the registry reset ([refresh_spill_gauges]). *)
 let spill_fields c =
   [
     ("spills", c.sc_spills);
@@ -238,10 +242,15 @@ let spill_fields c =
 
 let publish_spill_counts t c =
   t.spill_counts <- c;
+  t.spill_published <- Metrics.generation t.metrics;
   List.iter
     (fun (name, v) ->
       Metrics.set_gauge t.metrics ("executor.spill." ^ name) (float_of_int v))
     (spill_fields c)
+
+let refresh_spill_gauges t =
+  if t.spill_published <> Metrics.generation t.metrics then
+    publish_spill_counts t t.spill_counts
 
 (* Every spill event of the engine's statements lands here, on the domain
    that runs the statement: it is counted, and its milestones go to the
@@ -319,6 +328,7 @@ let create () =
       spill_on = true;
       spill_dir = Filename.get_temp_dir_name ();
       spill_counts = no_spills;
+      spill_published = -1;
       obs_lock = Mutex.create ();
       recorder;
       forensics;

@@ -7,15 +7,57 @@ module Value = Perm_value.Value
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
 
-(* Row [p] of [b] as a tuple: what a run on disk holds, and each row of
-   a result. A loop, not [Array.map], so no closure is made per row. *)
-let brow (b : Batch.t) p =
-  let cols = b.Batch.cols in
-  let row = Array.make (Array.length cols) Value.Null in
-  for c = 0 to Array.length cols - 1 do
-    row.(c) <- cols.(c).(p)
-  done;
-  row
+(* Row [p] of the columns [cols] as a tuple: what a run on disk holds,
+   each row of a result, and a group's key. Up to 16 columns the row is
+   an array literal, one allocation whose cells are initialized in place;
+   wider rows are filled by a loop, one write barrier per cell. *)
+let row (cols : Value.t array array) p : Tuple.t =
+  match cols with
+  | [||] -> [||]
+  | [| c0 |] -> [| c0.(p) |]
+  | [| c0; c1 |] -> [| c0.(p); c1.(p) |]
+  | [| c0; c1; c2 |] -> [| c0.(p); c1.(p); c2.(p) |]
+  | [| c0; c1; c2; c3 |] -> [| c0.(p); c1.(p); c2.(p); c3.(p) |]
+  | [| c0; c1; c2; c3; c4 |] -> [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p) |]
+  | [| c0; c1; c2; c3; c4; c5 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p);
+       c8.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9; c10 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p); c10.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9; c10; c11 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p); c10.(p); c11.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9; c10; c11; c12 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p); c10.(p); c11.(p); c12.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9; c10; c11; c12; c13 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p); c10.(p); c11.(p); c12.(p); c13.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9; c10; c11; c12; c13; c14 |] ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p); c10.(p); c11.(p); c12.(p); c13.(p); c14.(p) |]
+  | [| c0; c1; c2; c3; c4; c5; c6; c7; c8; c9; c10; c11; c12; c13; c14; c15 |]
+    ->
+    [| c0.(p); c1.(p); c2.(p); c3.(p); c4.(p); c5.(p); c6.(p); c7.(p); c8.(p);
+       c9.(p); c10.(p); c11.(p); c12.(p); c13.(p); c14.(p); c15.(p) |]
+  | _ ->
+    let row = Array.make (Array.length cols) Value.Null in
+    for c = 0 to Array.length cols - 1 do
+      row.(c) <- cols.(c).(p)
+    done;
+    row
+
+let brow (b : Batch.t) p = row b.Batch.cols p
 
 (* Keep the live rows of [b] whose physical index passes [keep], in
    order, by narrowing the selection vector in place. *)

@@ -12,23 +12,6 @@ module Spill = Perm_storage.Spill
 open Eval
 open Gather
 
-(* Monomorphic hash tables for the single-column aggregate fast paths:
-   grouping on an immediate int avoids per-row key-tuple allocation and
-   polymorphic [caml_hash]; strings hash with the stdlib string hash. *)
-module Int_hash = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (x : int) = (x * 0x9e3779b1) land max_int
-end)
-
-module Str_hash = Hashtbl.Make (struct
-  type t = string
-
-  let equal (a : string) b = String.equal a b
-  let hash (s : string) = Hashtbl.hash s
-end)
-
 (* Hard ceiling for materialized state no operator can spill
    (hash-aggregate groups, DISTINCT / set-op seen-tables). With spill on
    the token carries no tuple budget — sorts and join builds degrade to
@@ -57,7 +40,7 @@ type agg_state = {
   mutable sum : Value.t;  (* running sum for Sum/Avg; Null until first value *)
   mutable sum_count : int;  (* non-null inputs seen, for Avg *)
   mutable extreme : Value.t;  (* Min/Max *)
-  seen : unit Tuple.Hash.t option;  (* distinct filter *)
+  seen : unit Value.Key_tbl.t option;  (* distinct filter *)
 }
 
 let new_agg_state (call : Plan.agg_call) =
@@ -66,7 +49,7 @@ let new_agg_state (call : Plan.agg_call) =
     sum = Value.Null;
     sum_count = 0;
     extreme = Value.Null;
-    seen = (if call.distinct then Some (Tuple.Hash.create 16) else None);
+    seen = (if call.distinct then Some (Value.Key_tbl.create 16) else None);
   }
 
 let agg_feed (call : Plan.agg_call) state (v : Value.t option) =
@@ -80,12 +63,9 @@ let agg_feed (call : Plan.agg_call) state (v : Value.t option) =
       match state.seen with
       | None -> true
       | Some seen ->
-        let key = [| v |] in
-        if Tuple.Hash.mem seen key then false
-        else begin
-          Tuple.Hash.replace seen key ();
-          true
-        end
+        (not (Value.Key_tbl.mem seen v))
+        && (Value.Key_tbl.add seen v ();
+            true)
     in
     if fresh then
       match agg with
@@ -160,112 +140,152 @@ let grouped_order (rank : int array) (gids : int array) =
     gids;
   order
 
+(* The flat group table: open addressing over [slots], each 0 (empty) or
+   a group id + 1, probed linearly; per group, in first-seen order, its
+   key's hash, its key and its value. At most half the slots are full. *)
+type 'g table = {
+  mutable slots : int array;
+  mutable hashes : int array;
+  mutable keys : Tuple.t array;
+  mutable vals : 'g array;
+  mutable size : int;
+}
+
+(* [Tuple.hash] of row [p] of the key columns [cols], read in place *)
+let row_hash cols p =
+  let h = ref 17 in
+  for c = 0 to Array.length cols - 1 do
+    h := (!h * 31) + Value.hash (Array.unsafe_get (Array.unsafe_get cols c) p)
+  done;
+  !h
+
+let rec row_equal (key : Tuple.t) cols p c =
+  c = Array.length cols
+  || Value.key_equal (Array.unsafe_get key c)
+       (Array.unsafe_get (Array.unsafe_get cols c) p)
+     && row_equal key cols p (c + 1)
+
+(* The group of row [p] of [cols], hashing [h], or [-1 - s] for the empty
+   slot [s] the row's key would go in; the probe starts at slot [s]. *)
+let rec find t h cols p s =
+  let id = Array.unsafe_get t.slots s in
+  if id = 0 then -1 - s
+  else if
+    Array.unsafe_get t.hashes (id - 1) = h
+    && row_equal (Array.unsafe_get t.keys (id - 1)) cols p 0
+  then id - 1
+  else find t h cols p ((s + 1) land (Array.length t.slots - 1))
+
+(* The first empty slot of [slots] from [s] on. *)
+let rec free slots s =
+  if slots.(s) = 0 then s else free slots ((s + 1) land (Array.length slots - 1))
+
+(* Room for more groups; [v] fills the new value slots. *)
+let grow t v =
+  let n = t.size in
+  let more a fill =
+    let b = Array.make (max 16 (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.hashes <- more t.hashes 0;
+  t.keys <- more t.keys [||];
+  t.vals <- more t.vals v
+
+(* File group [v] of key [key] (hashing [h]) in the empty slot [s]. *)
+let add t s h key v =
+  let g = t.size in
+  if g = Array.length t.hashes then grow t v;
+  t.hashes.(g) <- h;
+  t.keys.(g) <- key;
+  t.vals.(g) <- v;
+  t.slots.(s) <- g + 1;
+  t.size <- g + 1;
+  if 2 * t.size > Array.length t.slots then begin
+    let slots = Array.make (2 * Array.length t.slots) 0 in
+    let mask = Array.length slots - 1 in
+    for g = 0 to t.size - 1 do
+      slots.(free slots (t.hashes.(g) land mask)) <- g + 1
+    done;
+    t.slots <- slots
+  end
+
+(* The key columns of a batch, by physical index: a key attribute is its
+   column as is, another key expression is evaluated at the live rows. *)
+let key_columns lay (keys : Expr.t list) =
+  let column e =
+    match e with
+    | Expr.Attr a when Option.is_some (lay.pos a) ->
+      let i = Option.get (lay.pos a) in
+      fun b -> Batch.col b i
+    | e ->
+      let f = bexpr_of lay e in
+      fun b ->
+        let col = Array.make b.Batch.rows Value.Null in
+        Batch.iter_live (fun p -> col.(p) <- f b p) b;
+        col
+  in
+  let srcs = Array.of_list (List.map column keys) in
+  fun b -> Array.map (fun src -> src b) srcs
+
 (* The grouping kernel: [grouper ~spill ~what lay keys open_group b k]
    calls [k p g] on every live row [p] of batch [b], in order, with its
    group [g] under key identity ([Tuple.equal]); [open_group key] makes a
    key's group on its first row. Aggregation, group annotation, the
-   representative flag, DISTINCT, UNION and set-form INTERSECT/EXCEPT all
-   group through it, so a flag always agrees with the DISTINCT it stands
-   for. It runs the row loop itself, so finding a row's group costs no
-   closure call. A single attribute key of an immediate dtype hashes the unboxed
-   int or raw string; NULL has its own slot and off-dtype stragglers use
-   the tuple table. Past the budget the statement dies with
-   Resource_exhausted ([what] names the operator): the table cannot
-   spill. Called with [~absent:g], it only looks keys up: an unseen key
-   opens no group and gets [g]. *)
+   representative flag, DISTINCT, UNION and INTERSECT/EXCEPT all group
+   through it, so a flag always agrees with the DISTINCT it stands for.
+   It runs the row loop itself, so finding a row's group costs no closure
+   call. Every key, of one column or several, goes through one flat
+   table: a row is hashed and compared straight from the batch's key
+   columns, and its key is copied out only when it opens a group. Past
+   the budget the statement dies with Resource_exhausted ([what] names
+   the operator): the table cannot spill. Called with [~absent:g], it
+   only looks keys up: an unseen key opens no group and gets [g]. *)
 let grouper ~spill ~what lay (keys : Expr.t list) =
-  let gkey = key_filler lay keys in
-  let single =
-    match keys with
-    | [ Expr.Attr a ] -> Option.map (fun i -> (i, a.Attr.ty)) (lay.pos a)
-    | _ -> None
-  in
+  let kcols = key_columns lay keys in
   fun (open_group : Tuple.t -> 'g) ->
-    let groups = ref 0 in
-    let absent = ref None in
-    (* an unseen key's group, which [add] files under the key *)
-    let opened k add =
-      match !absent with
-      | Some g -> g
-      | None ->
-        incr groups;
-        budget_materialized spill ~what !groups;
-        let g = open_group k in
-        add g;
-        g
+    let t =
+      { slots = Array.make 64 0; hashes = [||]; keys = [||]; vals = [||]; size = 0 }
     in
-    let tuples = Tuple.Hash.create 64 in
-    let by_tuple k =
-      match Tuple.Hash.find_opt tuples k with
-      | Some g -> g
-      | None -> opened k (Tuple.Hash.replace tuples k)
-    in
-    (* a group of its own: NULL's, or a global aggregate's only one *)
-    let only key =
-      let slot = ref None in
-      fun () ->
-        match !slot with
-        | Some g -> g
-        | None -> opened key (fun g -> slot := Some g)
-    in
-    let by_null = only [| Value.Null |] in
-    let run =
-      match keys, single with
-      | [], _ ->
-        let global = only [||] in
-        fun b k ->
-          if Batch.live b > 0 then begin
-            let g = global () in
-            for i = 0 to Batch.live b - 1 do
-              k (if b.Batch.all then i else b.Batch.sel.(i)) g
-            done
-          end
-      | _, Some (ci, (Dtype.Int | Dtype.Date | Dtype.Bool)) -> (
-        let ints = Int_hash.create 64 in
-        let by_int k v =
-          match Int_hash.find_opt ints k with
-          | Some g -> g
-          | None -> opened [| v |] (Int_hash.replace ints k)
-        in
-        fun b k ->
-          let col = Batch.col b ci in
+    let global = ref None in
+    let run ?absent b k =
+      if keys = [] then begin
+        (* a global aggregate's only group *)
+        if Batch.live b > 0 then begin
+          let g =
+            match !global, absent with
+            | Some g, _ | None, Some g -> g
+            | None, None ->
+              budget_materialized spill ~what 1;
+              let g = open_group [||] in
+              global := Some g;
+              g
+          in
           for i = 0 to Batch.live b - 1 do
-            let p = if b.Batch.all then i else b.Batch.sel.(i) in
-            k p
-              (match Array.unsafe_get col p with
-              | (Value.Int n | Value.Date n) as v -> by_int n v
-              | Value.Bool n as v -> by_int (Bool.to_int n) v
-              | Value.Null -> by_null ()
-              | v -> by_tuple [| v |])
-          done)
-      | _, Some (ci, Dtype.Text) -> (
-        let strs = Str_hash.create 64 in
-        let by_str s v =
-          match Str_hash.find_opt strs s with
-          | Some g -> g
-          | None -> opened [| v |] (Str_hash.replace strs s)
-        in
-        fun b k ->
-          let col = Batch.col b ci in
-          for i = 0 to Batch.live b - 1 do
-            let p = if b.Batch.all then i else b.Batch.sel.(i) in
-            k p
-              (match Array.unsafe_get col p with
-              | Value.Text s as v -> by_str s v
-              | Value.Null -> by_null ()
-              | v -> by_tuple [| v |])
-          done)
-      | _ ->
-        fun b k ->
-          for i = 0 to Batch.live b - 1 do
-            let p = if b.Batch.all then i else b.Batch.sel.(i) in
-            k p (by_tuple (gkey b p))
+            k (if b.Batch.all then i else b.Batch.sel.(i)) g
           done
+        end
+      end
+      else
+        let cols = kcols b in
+        for i = 0 to Batch.live b - 1 do
+          let p = if b.Batch.all then i else b.Batch.sel.(i) in
+          let h = row_hash cols p in
+          let g = find t h cols p (h land (Array.length t.slots - 1)) in
+          k p
+            (if g >= 0 then Array.unsafe_get t.vals g
+             else
+               match absent with
+               | Some g -> g
+               | None ->
+                 budget_materialized spill ~what (t.size + 1);
+                 let key = row cols p in
+                 let v = open_group key in
+                 add t (-1 - g) h key v;
+                 v)
+        done
     in
-    fun ?absent:g b k ->
-      absent := g;
-      run b k
-
+    run
 (* A group's aggregates over batch rows: [fresh ()] is a group's initial
    states, [feed feeder states b p] feeds it a row (a direct call: it runs
    once per row), [results states] reads the aggregate values. *)

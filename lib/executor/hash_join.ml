@@ -77,6 +77,23 @@ let key_usable (null_safety : bool array) (key : Tuple.t) =
    -1. Read-only once built, so the parallel gather shares one build
    across its morsel tasks, each compiling its own lookup (key
    evaluators carry row cursors). *)
+(* Monomorphic hash tables for one-column join keys of an immediate
+   dtype: the unboxed int hashes with an integer mix, a string with the
+   stdlib string hash. *)
+module Int_hash = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (x : int) = (x * 0x9e3779b1) land max_int
+end)
+
+module Str_hash = Hashtbl.Make (struct
+  type t = string
+
+  let equal (a : string) b = String.equal a b
+  let hash (s : string) = Hashtbl.hash s
+end)
+
 type join_build = {
   jb_cols : Value.t array array;
   jb_next : int array;
@@ -131,10 +148,10 @@ let str_key (v : Value.t) =
 
 (* Build over the dense build input [bb], its key expressions [side]. A
    plain [=] key that is one column of the same immediate dtype [single]
-   on both sides goes through the grouping kernel's unboxed tables. Every
-   other key, and a build holding a value off the dtype, goes through the
-   tuple table under key identity ({!Tuple.equal}): a key with NULL or
-   NaN in a plain [=] column never matches. *)
+   on both sides goes through the unboxed tables above. Every other key,
+   and a build holding a value off the dtype, goes through the tuple
+   table under key identity ({!Tuple.equal}): a key with NULL or NaN in a
+   plain [=] column never matches. *)
 let build_join ~single ~null_safety side bb =
   let unboxed of_value (lay, keys) =
     let get = bexpr_of lay (List.hd keys) in

@@ -211,6 +211,7 @@ let apply_filter kernels b =
 
 type col_builder =
   | Share of int  (* plain attribute: share the column pointer when dense *)
+  | Fill of Value.t  (* a constant: one [Array.make], no per-row call *)
   | Compute of (Batch.t -> int -> Value.t)
 
 let project_builders lay cols =
@@ -222,19 +223,21 @@ let project_builders lay cols =
            match lay.pos a with
            | Some i -> Share i
            | None -> Compute (bexpr_of lay e))
+         | Expr.Const v -> Fill v
          | e -> Compute (bexpr_of lay e))
        cols)
 
 let apply_project builders b =
   let all_share =
-    Array.for_all (function Share _ -> true | Compute _ -> false) builders
+    Array.for_all (function Share _ -> true | Fill _ | Compute _ -> false) builders
   in
   if all_share then
     (* plain-attribute projection: share column pointers and keep the
        selection vector — no per-row copying even on filtered batches *)
     Batch.with_cols b
       (Array.map
-         (function Share i -> Batch.col b i | Compute _ -> assert false)
+         (function
+           | Share i -> Batch.col b i | Fill _ | Compute _ -> assert false)
          builders)
   else
     let n = Batch.live b in
@@ -252,6 +255,7 @@ let apply_project builders b =
               done;
               dst
             end
+          | Fill v -> Array.make n v
           | Compute f ->
             let dst = Array.make n Value.Null in
             for j = 0 to n - 1 do

@@ -92,8 +92,7 @@ let write_run cfg batches (rb, rp) kcols order : run =
   let f = Spill.create cfg in
   Array.iter
     (fun r ->
-      Spill.push f
-        (Array.map (fun col -> col.(r)) kcols, brow batches.(rb.(r)) rp.(r)))
+      Spill.push f (row kcols r, brow batches.(rb.(r)) rp.(r)))
     order;
   Spill.rewind f;
   cfg.Spill.note Spill.Run;

@@ -15,12 +15,7 @@ module Value_hash = Hashtbl.Make (Value_key)
 
 (* the distinct-value count's set: one entry per key under key identity,
    so NULL, NaN and 0.0/-0.0 each count once *)
-module Key_set = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.key_equal
-  let hash = Value.hash
-end)
+module Key_set = Value.Key_tbl
 
 (* Chaos-harness injection points (no-ops unless armed via Perm_fault). *)
 let fp_scan = Perm_fault.point "heap.scan"

@@ -109,13 +109,49 @@ let compare a b =
   | Date a, Date b -> Stdlib.compare a b
   | a, b -> Stdlib.compare (rank a) (rank b)
 
+(* An integer mix: two multiply-xorshift rounds, so every bit of [x]
+   reaches the low bits a power-of-two table indexes by. *)
+let mix x =
+  let x = x * 0x2545f4914f6cdd1d in
+  let x = x lxor (x lsr 29) in
+  let x = x * 0x1b03738712fad5c9 in
+  (x lxor (x lsr 32)) land max_int
+
+(* A float's bits, mixed; the sign bit, which an int cannot hold, flips
+   the result. *)
+let[@inline] float_bits f =
+  mix (Int64.to_int (Int64.bits_of_float f))
+  lxor (if f < 0. then 0x3a4f1f2e5d6c else 0)
+
+(* A float's hash: an integral float in the int range hashes as that int,
+   so [Int i] and [Float (float_of_int i)] meet ([-0.0] is integral and
+   hashes as 0); every NaN hashes alike; any other float hashes its bits.
+   Inlined, so the float is never boxed. *)
+let[@inline] hash_float f =
+  if f >= -4611686018427387904. && f < 4611686018427387904. then
+    let i = int_of_float f in
+    if float_of_int i = f then mix i else float_bits f
+  else if Float.is_nan f then 0x5eed
+  else float_bits f
+
+(* No case allocates. An int within +-2^53 is its own float's integer;
+   past that it equals its rounded float, so it hashes as that float. *)
 let hash = function
   | Null -> 0
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
-  | Bool b -> Hashtbl.hash b
+  | Int i ->
+    if i >= -9007199254740992 && i <= 9007199254740992 then mix i
+    else hash_float (float_of_int i)
+  | Float f -> hash_float f
+  | Bool b -> if b then 0x2b6a else 0x6c62
   | Text s -> Hashtbl.hash s
-  | Date d -> Hashtbl.hash (`Date d)
+  | Date d -> mix (d lxor 0x3c6ef372)
+
+module Key_tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = key_equal
+  let hash = hash
+end)
 
 let lift_cmp op a b =
   match a, b with

@@ -40,8 +40,14 @@ val compare : t -> t -> int
     well-typed plans but keeps the order total. *)
 
 val hash : t -> int
-(** Compatible with {!key_equal}: equal values hash equally (numeric
-    values hash via their float embedding, every NaN alike). *)
+(** Compatible with {!key_equal}: [key_equal a b] implies [hash a = hash
+    b]. Ints, integral floats in the int range, bools and dates hash by
+    an integer mix (an int past +-2^53 as its rounded float, which it
+    equals); every NaN hashes alike; text keeps the string hash. It
+    allocates nothing. *)
+
+module Key_tbl : Hashtbl.S with type key = t
+(** Tables keyed by values under key identity ({!key_equal}, {!hash}). *)
 
 (** {1 SQL operations — all return [Null] on [Null] input} *)
 

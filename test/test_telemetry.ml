@@ -333,6 +333,23 @@ let other_views_tests =
              'engine.statement.ms'"
         in
         Alcotest.(check int) "histogram row" 1 (List.length rs2.Engine.rows));
+    (* the executor.spill.* gauges, like the wal.* ones, come back at the
+       first statement after a registry reset, zeros included *)
+    case "spill gauges are republished after a metrics reset" (fun () ->
+        let e = engine () in
+        let m = Engine.metrics e in
+        let spills () = Metrics.gauge m "executor.spill.spills" in
+        Alcotest.(check (option (float 0.))) "published at create" (Some 0.)
+          (spills ());
+        Metrics.reset m;
+        Alcotest.(check (option (float 0.))) "gone with the reset" None
+          (spills ());
+        ignore (query_ok e "SELECT 1");
+        Alcotest.(check (option (float 0.))) "back after one statement"
+          (Some 0.) (spills ());
+        Alcotest.(check (option (float 0.))) "executor.spill.bytes too"
+          (Some 0.) (Metrics.gauge m "executor.spill.bytes");
+        Engine.close e);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -156,6 +156,69 @@ let tristate_tests =
         Alcotest.(check bool) "" false (is_true Unknown));
   ]
 
+(* [key_equal a b] implies [hash a = hash b] at the edges of the numeric
+   embedding: signed zeros, NaN payloads, ints around +-2^53 and at the
+   ends of the int range against their floats, and floats past it. *)
+let nan_payload = Int64.float_of_bits 0x7ff8_0000_0000_0001L
+let neg_nan = Int64.float_of_bits 0xfff8_0000_0000_0000L
+let two53 = 1 lsl 53
+
+let key_hash_pairs =
+  [
+    ("0.0 / -0.0", f 0.0, f (-0.0));
+    ("0 / -0.0", i 0, f (-0.0));
+    ("nan / nan with a payload", f Float.nan, f nan_payload);
+    ("nan / negative nan", f Float.nan, f neg_nan);
+    ("2^53", i two53, f (float_of_int two53));
+    ("-2^53", i (-two53), f (float_of_int (-two53)));
+    ("2^53+1 / its rounded float", i (two53 + 1), f (float_of_int (two53 + 1)));
+    ("-(2^53+1) / its rounded float", i (-two53 - 1),
+     f (float_of_int (-two53 - 1)));
+    ("2^53+1 / 2^53", i (two53 + 1), f 9007199254740992.);
+    ("max_int / 2^62", i max_int, f (float_of_int max_int));
+    ("min_int / -2^62", i min_int, f (float_of_int min_int));
+    ("2^62", f 4611686018427387904., f (Float.of_int max_int));
+    ("1e19", f 1e19, f 1e19);
+    ("-1e300", f (-1e300), f (-1e300));
+    ("infinity", f Float.infinity, f Float.infinity);
+  ]
+
+let hash_tests =
+  List.map
+    (fun (name, a, b) ->
+      case ("key_equal implies same hash: " ^ name) (fun () ->
+          Alcotest.(check bool) "key_equal" true (Value.key_equal a b);
+          Alcotest.(check int) "hash" (Value.hash a) (Value.hash b)))
+    key_hash_pairs
+  @ [
+      case "hash separates nearby keys" (fun () ->
+          let distinct =
+            List.sort_uniq compare
+              (List.map Value.hash
+                 [ i 1; i 2; f 1.5; f 1e19; f (-1e19); f Float.infinity;
+                   f Float.neg_infinity; f Float.nan; b true; b false;
+                   s "1"; nl ])
+          in
+          Alcotest.(check int) "12 values, 12 hashes" 12 (List.length distinct));
+      case "hash allocates nothing" (fun () ->
+          let vs =
+            [| i 7; i (two53 + 3); i max_int; f 2.5; f (-0.0); f Float.nan;
+               f 1e19; b true; Value.Date 19000; nl; s "abc" |]
+          in
+          let acc = ref 0 in
+          let before = Gc.minor_words () in
+          for _ = 1 to 1000 do
+            for k = 0 to Array.length vs - 1 do
+              acc := !acc lxor Value.hash vs.(k)
+            done
+          done;
+          let words = Gc.minor_words () -. before in
+          ignore (Sys.opaque_identity !acc);
+          Alcotest.(check bool)
+            (Printf.sprintf "%.0f words for 11,000 hashes" words)
+            true (words < 100.));
+    ]
+
 (* property tests *)
 let arb_value =
   QCheck.(
@@ -167,6 +230,38 @@ let arb_value =
         map (fun b -> Value.Bool b) bool;
         map (fun s -> Value.Text s) (string_small_of (Gen.char_range 'a' 'e'));
       ])
+
+(* Keys from a small pool, so pairs are often key_equal: ints and their
+   floats near 0, +-2^53 and the ends of the int range, signed zeros,
+   NaNs, dates, bools, text. *)
+let arb_key =
+  let ints =
+    [ 0; 1; -1; 3; two53 - 1; two53; two53 + 1; two53 + 2; -two53; -two53 - 1;
+      max_int; min_int; max_int - 1 ]
+  in
+  QCheck.(
+    oneof
+      [
+        always Value.Null;
+        map (fun n -> Value.Int n) (oneofl ints);
+        map (fun n -> Value.Float (float_of_int n)) (oneofl ints);
+        map (fun x -> Value.Float x)
+          (oneofl
+             [ 0.0; -0.0; Float.nan; nan_payload; neg_nan; 0.5; 1e19; -1e19;
+               Float.infinity; 4611686018427387904.; -4611686018427387904. ]);
+        map (fun b -> Value.Bool b) bool;
+        map (fun d -> Value.Date d) (oneofl [ 0; 1; 3; -1 ]);
+        map (fun s -> Value.Text s) (oneofl [ ""; "a"; "0" ]);
+      ])
+
+(* the values [v] could be key_equal to: its numeric neighbours *)
+let twins = function
+  | Value.Int n ->
+    [ Value.Float (float_of_int n); Value.Int (n + 1); Value.Int (n - 1) ]
+  | Value.Float x ->
+    [ Value.Float (-.x); Value.Float (Float.succ x); Value.Float (Float.pred x) ]
+    @ (if Float.abs x < 4.6e18 then [ Value.Int (int_of_float x) ] else [])
+  | v -> [ v ]
 
 let prop_tests =
   [
@@ -193,6 +288,19 @@ let prop_tests =
            QCheck.assume (Value.equal a b);
            Value.hash a = Value.hash b));
     qcheck
+      (QCheck.Test.make ~name:"key_equal implies same hash" ~count:1000
+         (QCheck.pair arb_key arb_key)
+         (fun (a, b) ->
+           QCheck.assume (Value.key_equal a b);
+           Value.hash a = Value.hash b));
+    qcheck
+      (QCheck.Test.make ~name:"key_equal implies same hash (twins)" ~count:1000
+         arb_key
+         (fun a ->
+           List.for_all
+             (fun b -> (not (Value.key_equal a b)) || Value.hash a = Value.hash b)
+             (twins a)));
+    qcheck
       (QCheck.Test.make ~name:"sql_eq is null iff an operand is null" ~count:500
          (QCheck.pair arb_value arb_value)
          (fun (a, b) ->
@@ -211,6 +319,7 @@ let () =
     [
       ("dtype", dtype_tests);
       ("equality-order", equality_tests);
+      ("hash", hash_tests);
       ("sql-ops", sql_op_tests);
       ("like", like_tests);
       ("cast", cast_tests);

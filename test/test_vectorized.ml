@@ -616,6 +616,118 @@ let suite_set_ops =
         Engine.close e);
   ]
 
+(* The flat group table at scale: 7,000 rows of [gk] hold over 5,000
+   distinct (a, b) keys, so the table grows several times. Column [a]
+   holds NULL, NaN, 0.0 and -0.0 (rows 2 and 3 share b = 1, so 0.0 and
+   -0.0 meet in one key) and integral floats that equal an int; rows
+   6,000 and up repeat every third earlier row. A UNION ALL of [a] with
+   the int column [b] mixes ints and floats in one key column, and as a
+   single-column key it holds values off the column's float dtype. *)
+let load_group_keys e =
+  let a i =
+    match i mod 50 with
+    | 0 -> "NULL"
+    | 1 -> "CAST('nan' AS float)"
+    | 2 -> "0.0"
+    | 3 -> "-0.0"
+    | _ -> if i mod 2 = 0 then Printf.sprintf "%d.0" (i / 2) else Printf.sprintf "%d.5" (i mod 997)
+  in
+  let row i =
+    let j = if i >= 6000 then (i - 6000) * 3 else i in
+    Printf.sprintf "(%s, %d, 't%d')" (a j) (j / 2) (j mod 97)
+  in
+  exec_all e
+    [
+      "CREATE TABLE gk (a float, b int, c text)";
+      "INSERT INTO gk VALUES " ^ String.concat ", " (List.init 7000 row);
+    ]
+
+let mixed = "(SELECT a AS x, b AS y, c FROM gk UNION ALL SELECT b, b, c FROM gk \
+             WHERE b % 5 = 0) u"
+let mixed_one = "(SELECT a AS x FROM gk UNION ALL SELECT b FROM gk) u"
+
+let group_table_queries =
+  [
+    "SELECT a, b, count(*) FROM gk GROUP BY a, b";
+    "SELECT c, b, sum(b), min(a) FROM gk GROUP BY c, b";
+    "SELECT x, y, count(*), min(c) FROM " ^ mixed ^ " GROUP BY x, y";
+    "SELECT x, count(*) FROM " ^ mixed_one ^ " GROUP BY x";
+    "SELECT DISTINCT a, b FROM gk";
+    "SELECT DISTINCT x FROM " ^ mixed_one;
+    "SELECT DISTINCT x, y FROM " ^ mixed;
+    "SELECT a, b FROM gk UNION SELECT b, b FROM gk";
+    "SELECT a FROM gk UNION SELECT b FROM gk";
+    "SELECT PROVENANCE x, count(*) FROM (SELECT DISTINCT a AS x, b FROM gk) d \
+     GROUP BY x";
+    "SELECT PROVENANCE DISTINCT x, y FROM " ^ mixed;
+  ]
+  @ List.map
+      (fun op -> Printf.sprintf "SELECT a, b FROM gk %s SELECT b, b FROM gk" op)
+      [ "INTERSECT"; "EXCEPT"; "INTERSECT ALL"; "EXCEPT ALL" ]
+
+let suite_group_table =
+  [
+    case "over 5,000 two-column keys: row oracle = batch paths" (fun () ->
+        let e = engine () in
+        load_group_keys e;
+        let groups sql = List.length (query_ok e sql).Engine.rows in
+        Alcotest.(check bool) "over 5,000 distinct (a, b)" true
+          (groups "SELECT DISTINCT a, b FROM gk" > 5000);
+        Alcotest.(check int) "0.0 and -0.0 are one key" 1
+          (groups "SELECT DISTINCT a, b FROM gk WHERE b = 1");
+        Alcotest.(check int) "int 3 meets float 3.0" 1
+          (groups ("SELECT DISTINCT x FROM " ^ mixed_one ^ " WHERE x = 3"));
+        List.iter (check_against_oracle e) group_table_queries;
+        Engine.close e);
+    case "count(DISTINCT) under key identity: row oracle = batch paths"
+      (fun () ->
+        let e = engine () in
+        load_group_keys e;
+        load_join_keys e;
+        List.iter (check_against_oracle e)
+          [
+            "SELECT count(DISTINCT k) FROM kf";
+            "SELECT b, count(DISTINCT k), count(k) FROM kf GROUP BY b";
+            "SELECT count(DISTINCT x) FROM " ^ mixed_one;
+            "SELECT y % 7, count(DISTINCT x) FROM " ^ mixed ^ " GROUP BY y % 7";
+            "SELECT count(DISTINCT a), sum(DISTINCT a) FROM gk WHERE b < 40";
+          ];
+        (* 0.0 and -0.0 count once, every NaN once; int 3 and float 3.0
+           once *)
+        check_rows e "SELECT count(DISTINCT k) FROM kf WHERE k = 0 OR k <> k"
+          [ [ "2" ] ];
+        check_rows e
+          ("SELECT count(DISTINCT x), count(x) FROM " ^ mixed_one
+         ^ " WHERE x = 3")
+          [ [ "1"; "5" ] ];
+        Engine.close e);
+    case "past the budget, the group table's message is unchanged" (fun () ->
+        let e = engine () in
+        load_group_keys e;
+        Engine.set_spill e true;
+        Engine.set_tuple_budget e 100;
+        List.iter
+          (fun (what, sql) ->
+            match Engine.execute_err e sql with
+            | Ok _ -> Alcotest.failf "%S ran within a budget of 100" sql
+            | Error err ->
+              Alcotest.(check string) (sql ^ " [kind]") "resource_exhausted"
+                (Perm_err.kind_label err.Perm_err.kind);
+              Alcotest.(check string) sql
+                (Printf.sprintf
+                   "tuple budget exceeded: %s holds 101 rows (budget 100, not \
+                    spillable) "
+                   what)
+                (List.hd (String.split_on_char '[' err.Perm_err.msg)))
+          [
+            ("GROUP BY", "SELECT a, b, count(*) FROM gk GROUP BY a, b");
+            ("DISTINCT", "SELECT DISTINCT a, b FROM gk");
+            ("UNION", "SELECT a, b FROM gk UNION SELECT b, b FROM gk");
+            ("INTERSECT/EXCEPT", "SELECT a, b FROM gk EXCEPT SELECT b, b FROM gk");
+          ];
+        Engine.close e);
+  ]
+
 (* An ORDER BY over a group annotation's head columns sorts the groups
    and emits each group's rows in input order: exactly the stable row
    sort's order, ties between groups, a HAVING in between, LIMIT above,
@@ -717,6 +829,7 @@ let () =
       ("profiler", suite_profiler);
       ("join-keys", suite_join_keys);
       ("set-ops", suite_set_ops);
+      ("group-table", suite_group_table);
       ("sorted-groups", suite_sorted_groups);
       ("morsel-sizing", suite_morsel_sizing);
     ]
