@@ -5,7 +5,6 @@
 module Plan = Perm_algebra.Plan
 module Expr = Perm_algebra.Expr
 module Value = Perm_value.Value
-module Dtype = Perm_value.Dtype
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
 module Spill = Perm_storage.Spill
@@ -235,57 +234,38 @@ let key_columns lay (keys : Expr.t list) =
    representative flag, DISTINCT, UNION and INTERSECT/EXCEPT all group
    through it, so a flag always agrees with the DISTINCT it stands for.
    It runs the row loop itself, so finding a row's group costs no closure
-   call. Every key, of one column or several, goes through one flat
-   table: a row is hashed and compared straight from the batch's key
-   columns, and its key is copied out only when it opens a group. Past
-   the budget the statement dies with Resource_exhausted ([what] names
-   the operator): the table cannot spill. Called with [~absent:g], it
-   only looks keys up: an unseen key opens no group and gets [g]. *)
+   call. Every key, of no column (a global aggregate's one group), one
+   or several, goes through one flat table: a row is hashed and compared
+   straight from the batch's key columns, and its key is copied out only
+   when it opens a group. Past the budget the statement dies with
+   Resource_exhausted ([what] names the operator): the table cannot
+   spill. Called with [~absent:g], it only looks keys up: an unseen key
+   opens no group and gets [g]. *)
 let grouper ~spill ~what lay (keys : Expr.t list) =
   let kcols = key_columns lay keys in
   fun (open_group : Tuple.t -> 'g) ->
     let t =
       { slots = Array.make 64 0; hashes = [||]; keys = [||]; vals = [||]; size = 0 }
     in
-    let global = ref None in
-    let run ?absent b k =
-      if keys = [] then begin
-        (* a global aggregate's only group *)
-        if Batch.live b > 0 then begin
-          let g =
-            match !global, absent with
-            | Some g, _ | None, Some g -> g
-            | None, None ->
-              budget_materialized spill ~what 1;
-              let g = open_group [||] in
-              global := Some g;
-              g
-          in
-          for i = 0 to Batch.live b - 1 do
-            k (if b.Batch.all then i else b.Batch.sel.(i)) g
-          done
-        end
-      end
-      else
-        let cols = kcols b in
-        for i = 0 to Batch.live b - 1 do
-          let p = if b.Batch.all then i else b.Batch.sel.(i) in
-          let h = row_hash cols p in
-          let g = find t h cols p (h land (Array.length t.slots - 1)) in
-          k p
-            (if g >= 0 then Array.unsafe_get t.vals g
-             else
-               match absent with
-               | Some g -> g
-               | None ->
-                 budget_materialized spill ~what (t.size + 1);
-                 let key = row cols p in
-                 let v = open_group key in
-                 add t (-1 - g) h key v;
-                 v)
-        done
-    in
-    run
+    fun ?absent b k ->
+      let cols = kcols b in
+      for i = 0 to Batch.live b - 1 do
+        let p = if b.Batch.all then i else b.Batch.sel.(i) in
+        let h = row_hash cols p in
+        let g = find t h cols p (h land (Array.length t.slots - 1)) in
+        k p
+          (if g >= 0 then Array.unsafe_get t.vals g
+           else
+             match absent with
+             | Some g -> g
+             | None ->
+               budget_materialized spill ~what (t.size + 1);
+               let key = row cols p in
+               let v = open_group key in
+               add t (-1 - g) h key v;
+               v)
+      done
+
 (* A group's aggregates over batch rows: [fresh ()] is a group's initial
    states, [feed feeder states b p] feeds it a row (a direct call: it runs
    once per row), [results states] reads the aggregate values. *)

@@ -13,9 +13,6 @@ end
 
 module Value_hash = Hashtbl.Make (Value_key)
 
-(* the distinct-value count's set: one entry per key under key identity,
-   so NULL, NaN and 0.0/-0.0 each count once *)
-module Key_set = Value.Key_tbl
 
 (* Chaos-harness injection points (no-ops unless armed via Perm_fault). *)
 let fp_scan = Perm_fault.point "heap.scan"
@@ -212,11 +209,13 @@ let distinct_estimate t col =
   if col < 0 || col >= Array.length t.distinct then
     invalid_arg "Heap.distinct_estimate: column out of range";
   if t.distinct.(col) < 0 then begin
-    let set = Key_set.create 64 in
-    let add v = Key_set.replace set v () in
+    (* one entry per key under key identity, so NULL, NaN and 0.0/-0.0
+       each count once *)
+    let set = Value.Key_tbl.create 64 in
+    let add v = Value.Key_tbl.replace set v () in
     Array.iter (fun (b : Batch.t) -> Array.iter add b.cols.(col)) t.chunks;
     Vec.iteri (fun _ v -> add v) t.tail.(col);
-    t.distinct.(col) <- Key_set.length set
+    t.distinct.(col) <- Value.Key_tbl.length set
   end;
   t.distinct.(col)
 
