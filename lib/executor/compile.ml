@@ -139,15 +139,18 @@ let sorted_groups (child : Plan.t) keys =
     Some (ga, Some (child, pred))
   | _ -> None
 
-let rec compile_batch cx (plan : Plan.t) : bop =
+(* [reads], when given, tells which output columns the parent reads; a
+   group annotation gathers only those (a projection passes it to its
+   child, no other operator does). *)
+let rec compile_batch ?reads cx (plan : Plan.t) : bop =
   match cx.gather with
   | Some (root, gathered) when root == plan -> gathered
   | _ ->
     (* children compile, and so wrap, before their parent *)
-    let op = compile_batch_node cx plan in
+    let op = compile_batch_node ?reads cx plan in
     cx.bwrap plan op
 
-and compile_batch_node cx (plan : Plan.t) : bop =
+and compile_batch_node ?reads cx (plan : Plan.t) : bop =
   let batch_rows = cx.batch_rows in
   match plan with
   | Plan.Scan { table; _ } ->
@@ -176,8 +179,16 @@ and compile_batch_node cx (plan : Plan.t) : bop =
         compiled;
       slice_columns ~batch_rows cols n
   | Plan.Project { child; cols } ->
-    let builders = project_builders (layout cx (Plan.schema child)) cols in
-    let run_child = compile_batch cx child in
+    let lay = layout cx (Plan.schema child) in
+    let builders = project_builders lay cols in
+    let read = Array.make (List.length (Plan.schema child)) false in
+    List.iter
+      (fun (e, _) ->
+        Attr.Set.iter
+          (fun a -> Option.iter (fun i -> read.(i) <- true) (lay.pos a))
+          (Expr.attrs e))
+      cols;
+    let run_child = compile_batch ~reads:(Array.get read) cx child in
     fun () -> Seq.map (apply_project builders) (run_child ())
   | Plan.Filter { child; pred } ->
     let kernels = filter_kernels (layout cx (Plan.schema child)) pred in
@@ -189,7 +200,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
   | Plan.Aggregate { child; group_by; aggs } ->
     compile_batch_aggregate cx child group_by aggs
   | Plan.Group_annotate { child; group_by; aggs; rep } ->
-    compile_batch_group_annotate cx child group_by aggs rep
+    compile_batch_group_annotate ?reads cx child group_by aggs rep
   | Plan.Mark_first { child; keys; among; _ } ->
     (* the flag column is the input's with TRUE on the first row of every
        key among the representative rows *)
@@ -236,7 +247,7 @@ and compile_batch_node cx (plan : Plan.t) : bop =
       (* the annotation sorts its groups, and the filter between them is
          its group-level keep: both nodes still count their rows *)
       let op =
-        compile_batch_group_annotate cx child group_by aggs rep
+        compile_batch_group_annotate ?reads cx child group_by aggs rep
           ~sorted:(keys, Option.map snd filter, sort)
       in
       let run = cx.bwrap ga op in
@@ -466,29 +477,17 @@ and compile_batch_aggregate cx child group_by aggs =
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
-        let order = ref [] in
-        let group_of =
-          group_of (fun key ->
-              let states = fresh () in
-              order := (key, states) :: !order;
-              states)
-        in
+        let gs, open_group = group_store fresh in
+        let group_of = group_of open_group in
         Seq.iter
-          (fun b -> group_of b (fun p states -> feed feeder states b p))
+          (fun b ->
+            group_of b (fun p g -> feed feeder (Vec.get gs.states g) b p))
           (run_child ());
-        let groups =
-          if group_by = [] && !order = [] then [| ([||], results (fresh ())) |]
-          else
-            Array.of_list
-              (List.rev_map (fun (key, states) -> (key, results states)) !order)
-        in
-        let keys = List.length group_by in
+        if group_by = [] && Vec.length gs.keys = 0 then
+          ignore (open_group [||]);
         slice_columns ~batch_rows:cx.batch_rows
-          (Array.init arity (fun c ->
-               Array.map
-                 (fun (key, res) -> if c < keys then key.(c) else res.(c - keys))
-                 groups))
-          (Array.length groups) ())
+          (head_columns results ~arity gs)
+          (Vec.length gs.keys) ())
 
 (* In memory the annotation keeps the input batches (immutable once
    emitted) and addresses rows as (batch, position), so no row is
@@ -507,7 +506,7 @@ and compile_batch_aggregate cx child group_by aggs =
    follow in input order. Groups are contiguous in first-seen order, so
    this is the stable row sort's order. Past the threshold the merged
    stream is filtered and sorted as rows. *)
-and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
+and compile_batch_group_annotate ?sorted ?reads cx child group_by aggs rep =
   let batch_rows = cx.batch_rows in
   let child_schema = Plan.schema child in
   let lay = layout cx child_schema in
@@ -531,57 +530,48 @@ and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
     | Some (_, Some pred, _) -> filter_kernels head_lay pred
     | _ -> []
   in
-  (* each group's output position, -1 for the groups left out *)
-  let rank_groups heads =
-    let rank = Array.make (Array.length heads) (-1) in
+  (* each group's output position, -1 for the groups left out: those
+     left [unkeyed], and those the filter drops *)
+  let rank_groups (gs : groups) heads =
+    let n = Vec.length gs.keys in
+    let rank = Array.make n (-1) in
+    let ids = indices n (fun g -> Vec.get gs.keys g != unkeyed) in
     (match sorted with
-    | None ->
-      Array.iteri (fun g h -> if Option.is_some h then rank.(g) <- g) heads
+    | None -> Array.iter (fun g -> rank.(g) <- g) ids
     | Some (skeys, _, _) -> (
       Perm_fault.trip fp_sort;
       let skeys = sort_keys head_lay skeys in
-      let ids = indices (Array.length heads) (fun g -> heads.(g) <> None) in
-      let hb =
-        Batch.of_rows ~arity:head_arity
-          (Array.map (fun g -> Option.get heads.(g)) ids)
-          ~pos:0 ~len:(Array.length ids)
-      in
+      (* the keyed groups' heads, as a selection over the head columns *)
+      let hb = Batch.with_sel (Batch.dense heads n) ids (Array.length ids) in
       match apply_filter keep hb with
       | None -> ()
       | Some hb ->
         let (_, rp), _, perm = sort_rows skeys ~runs:false [| hb |] in
-        Array.iteri (fun r j -> rank.(ids.(rp.(j))) <- r) perm));
+        Array.iteri (fun r j -> rank.(rp.(j)) <- r) perm));
     rank
   in
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
-        let groups = ref [] and count = ref 0 in
+        (* with a flag, a group is [unkeyed] until its first
+           representative row; a group no representative reaches is no
+           group of the original aggregate: like the rejoin it stands for,
+           emit none of its rows *)
+        let gs, open_group = group_store fresh in
         let group_of =
           group_of (fun key ->
-              let head = if rep = None || keys = [] then Some key else None in
-              let g = (!count, ref head, fresh ()) in
-              incr count;
-              groups := g :: !groups;
-              g)
+              open_group (if rep = None || keys = [] then key else unkeyed))
         in
         let assign b k =
-          group_of b (fun p (gid, key, states) ->
+          group_of b (fun p g ->
               if represents b p then begin
-                if Option.is_none !key then key := Some (gkey b p);
-                feed feeder states b p
+                if Vec.get gs.keys g == unkeyed then
+                  Vec.set gs.keys g (gkey b p);
+                feed feeder (Vec.get gs.states g) b p
               end;
-              k p gid)
+              k p g)
         in
-        (* a group no representative reaches is no group of the original
-           aggregate: like the rejoin it stands for, emit none of its rows *)
-        let heads () =
-          Array.of_list
-            (List.rev_map
-               (fun (_, key, states) ->
-                 Option.map (fun key -> Array.append key (results states)) !key)
-               !groups)
-        in
+        let heads () = head_columns results ~arity:head_arity gs in
         match input_of cx.spill (run_child ()) with
         | Fits s ->
           let batches = Array.of_seq s in
@@ -597,10 +587,9 @@ and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
               ()
           else
             let heads = heads () in
-            gather_rows
-              ~heads:(Array.map (Option.value ~default:[||]) heads, gids)
-              ~batch_rows ~arity:child_arity batches (rb, rp)
-              (grouped_order (rank_groups heads) gids)
+            gather_rows ?reads ~heads:(heads, gids) ~batch_rows
+              ~arity:child_arity batches (rb, rp)
+              (grouped_order (rank_groups gs heads) gids)
               ()
         | Spills (cfg, pieces) ->
           cfg.Spill.note Spill.Spilled;
@@ -611,12 +600,16 @@ and compile_batch_group_annotate ?sorted cx child group_by aggs rep =
                    let rb, rp, gids = number_rows ~each:assign piece in
                    write_run cfg piece (rb, rp)
                      [| Array.map (fun g -> Value.Int g) gids |]
-                     (grouped_order (Array.init !count Fun.id) gids))
+                     (grouped_order
+                        (Array.init (Vec.length gs.keys) Fun.id)
+                        gids))
                  pieces)
           in
           let heads = heads () in
           let head = function
-            | Value.Int g -> heads.(g)
+            | Value.Int g when Vec.get gs.keys g != unkeyed ->
+              Some (row heads g)
+            | Value.Int _ -> None
             | _ -> err "internal: untagged group annotation row"
           in
           let merged =

@@ -67,9 +67,11 @@ let over_row_limit limit =
          Printf.sprintf "row limit exceeded (limit %d)" limit ))
 
 (* Root materialization: the one place every result passes through, so the
-   row-limit guardrail and the live row-progress counter live here. *)
+   row-limit guardrail and the live row-progress counter live here. The
+   batches are kept as they arrive and their rows built from the last one
+   back, so the list needs no reversal. *)
 let materialize_batches ?row_limit ?progress (bs : Batch.t Seq.t) =
-  let acc = ref [] in
+  let kept = ref [] in
   let count = ref 0 in
   Seq.iter
     (fun b ->
@@ -79,9 +81,16 @@ let materialize_batches ?row_limit ?progress (bs : Batch.t Seq.t) =
       | Some limit when !count + n > limit -> over_row_limit limit
       | _ -> ());
       count := !count + n;
-      Batch.iter_live (fun p -> acc := Gather.brow b p :: !acc) b)
+      kept := b :: !kept)
     bs;
-  List.rev !acc
+  List.fold_left
+    (fun rows b ->
+      let rows = ref rows in
+      for i = Batch.live b - 1 downto 0 do
+        rows := Gather.brow b (Batch.idx b i) :: !rows
+      done;
+      !rows)
+    [] !kept
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented execution (EXPLAIN ANALYZE, \trace on)                 *)

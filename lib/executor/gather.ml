@@ -97,16 +97,14 @@ let number_rows ?(each = fun b k -> Batch.iter_live (fun p -> k p 0) b) batches
 
 (* Emit numbered rows in [order] as dense batches of at most [batch_rows]
    rows, gathering each column once per batch in a plain loop. [heads]
-   prepends a group's head to each row: row [r] gets the columns of
-   [fst heads] at index [(snd heads).(r)]. *)
-let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
-    order =
+   prepends a group's head to each row: row [r] gets, from each column of
+   [fst heads], the value at its group [(snd heads).(r)]. An output column
+   that [reads] leaves out is not gathered: it is empty. *)
+let gather_rows ?(reads = fun _ -> true) ?(heads = ([||], [||])) ~batch_rows
+    ~arity batches (rb, rp) order =
   let n = Array.length order in
-  let head_rows, gids = heads in
-  let head_arity =
-    if Array.length gids = 0 || n = 0 then 0
-    else Array.length head_rows.(gids.(order.(0)))
-  in
+  let head_cols, gids = heads in
+  let head_arity = Array.length head_cols in
   let size = max 1 batch_rows in
   let srcs =
     Array.init arity (fun c -> Array.map (fun b -> Batch.col b c) batches)
@@ -116,10 +114,10 @@ let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
     (fun i ->
       let start = i * size in
       let len = min size (n - start) in
-      let head c =
+      let head (col : Value.t array) =
         let out = Array.make len Value.Null in
         for j = 0 to len - 1 do
-          out.(j) <- head_rows.(gids.(order.(start + j))).(c)
+          out.(j) <- col.(gids.(order.(start + j)))
         done;
         out
       in
@@ -132,7 +130,13 @@ let gather_rows ?(heads = ([||], [||])) ~batch_rows ~arity batches (rb, rp)
         out
       in
       Batch.dense
-        (Array.append (Array.init head_arity head) (Array.map column srcs))
+        (Array.append
+           (Array.mapi
+              (fun c col -> if reads c then head col else [||])
+              head_cols)
+           (Array.mapi
+              (fun c src -> if reads (head_arity + c) then column src else [||])
+              srcs))
         len)
 
 (* Columns of [n] rows as dense batches of at most [batch_rows] rows. *)
@@ -146,9 +150,19 @@ let slice_columns ~batch_rows (cols : Value.t array array) n : Batch.t Seq.t =
       if len = n then Batch.dense cols n
       else Batch.dense (Array.map (fun col -> Array.sub col pos len) cols) len)
 
+(* The values [get 0 .. get (n - 1)] as a fresh column, made with an
+   immediate fill and then written: [Array.init] or [Array.map] past 256
+   words from a young first value would force a minor collection. *)
+let column n get =
+  let col = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    col.(i) <- get i
+  done;
+  col
+
 (* The [arity] columns of a row array. *)
 let columns_of_rows ~arity (rows : Tuple.t array) =
-  Array.init arity (fun c -> Array.map (fun row -> row.(c)) rows)
+  Array.init arity (fun c -> column (Array.length rows) (fun i -> rows.(i).(c)))
 
 (* Default batch slicing for providers without native columnar storage. *)
 let batches_of_columns ~batch_rows cols n =
@@ -158,10 +172,17 @@ let batches_of_list ~arity ~batch_rows rows =
   let rows = Array.of_list rows in
   batches_of_columns ~batch_rows (columns_of_rows ~arity rows) (Array.length rows)
 
-(* The live rows of [batches] as one dense batch of [arity] columns. *)
+(* The live rows of [batches] as one dense batch of [arity] columns:
+   dense batches' columns are concatenated whole, others gathered. *)
 let concat_live ~arity (batches : Batch.t array) =
   match batches with
   | [| b |] when Batch.is_dense b -> b
+  | _ when Array.for_all Batch.is_dense batches ->
+    Batch.dense
+      (Array.init arity (fun c ->
+           Array.concat
+             (Array.to_list (Array.map (fun b -> Batch.col b c) batches))))
+      (Array.fold_left (fun n b -> n + b.Batch.rows) 0 batches)
   | _ -> (
     let rb, rp, _ = number_rows batches in
     let n = Array.length rb in

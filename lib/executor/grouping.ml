@@ -8,6 +8,7 @@ module Value = Perm_value.Value
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
 module Spill = Perm_storage.Spill
+module Vec = Perm_storage.Vec
 open Eval
 open Gather
 
@@ -179,17 +180,21 @@ let rec find t h cols p s =
 let rec free slots s =
   if slots.(s) = 0 then s else free slots ((s + 1) land (Array.length slots - 1))
 
-(* Room for more groups; [v] fills the new value slots. *)
+(* Room for more groups, [v] the first group's value. A full table
+   doubles by appending each array to itself, and the copied half is
+   overwritten as groups open: an [Array.make] past 256 words filled with
+   a young value would force a minor collection. *)
 let grow t v =
-  let n = t.size in
-  let more a fill =
-    let b = Array.make (max 16 (2 * n)) fill in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  t.hashes <- more t.hashes 0;
-  t.keys <- more t.keys [||];
-  t.vals <- more t.vals v
+  if t.size = 0 then begin
+    t.hashes <- Array.make 16 0;
+    t.keys <- Array.make 16 [||];
+    t.vals <- Array.make 16 v
+  end
+  else begin
+    t.hashes <- Array.append t.hashes t.hashes;
+    t.keys <- Array.append t.keys t.keys;
+    t.vals <- Array.append t.vals t.vals
+  end
 
 (* File group [v] of key [key] (hashing [h]) in the empty slot [s]. *)
 let add t s h key v =
@@ -265,6 +270,43 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
                add t (-1 - g) h key v;
                v)
       done
+
+(* Per group, by id in first-seen order, what a grouping operator keeps:
+   its key, and its aggregate states. Group ids are the grouper's values,
+   so its table holds no pointer. A group annotation's group with a
+   representative flag is [unkeyed] until its first representative row
+   gives it a key. *)
+type groups = { keys : Tuple.t Vec.t; states : agg_state array Vec.t }
+
+let unkeyed : Tuple.t = [| Value.Null |]
+
+(* A fresh group store and the [open_group] that files a group in it
+   under [key], with states [fresh ()]. *)
+let group_store fresh =
+  let gs = { keys = Vec.create (); states = Vec.create () } in
+  ( gs,
+    fun key ->
+      Vec.push gs.keys key;
+      Vec.push gs.states (fresh ());
+      Vec.length gs.keys - 1 )
+
+(* The head columns of the groups, by id: each group's key columns, then
+   its aggregate values ([results] of its states); NULL throughout for a
+   group left [unkeyed]. Each column is made with an immediate fill and
+   then written ({!Gather.column}). *)
+let head_columns results ~arity gs =
+  let n = Vec.length gs.keys in
+  let cols = Array.init arity (fun _ -> Array.make n Value.Null) in
+  for g = 0 to n - 1 do
+    let key = Vec.get gs.keys g in
+    if key != unkeyed then begin
+      let res = results (Vec.get gs.states g) and nk = Array.length key in
+      for c = 0 to arity - 1 do
+        cols.(c).(g) <- (if c < nk then key.(c) else res.(c - nk))
+      done
+    end
+  done;
+  cols
 
 (* A group's aggregates over batch rows: [fresh ()] is a group's initial
    states, [feed feeder states b p] feeds it a row (a direct call: it runs

@@ -211,7 +211,7 @@ let apply_filter kernels b =
 
 type col_builder =
   | Share of int  (* plain attribute: share the column pointer when dense *)
-  | Fill of Value.t  (* a constant: one [Array.make], no per-row call *)
+  | Fill of Value.t  (* a constant: one [Array.fill], no per-row call *)
   | Compute of (Batch.t -> int -> Value.t)
 
 let project_builders lay cols =
@@ -255,7 +255,13 @@ let apply_project builders b =
               done;
               dst
             end
-          | Fill v -> Array.make n v
+          | Fill v ->
+            (* filled after the make: [Array.make] past 256 words with a
+               young value (a constant parsed with the statement) would
+               force a minor collection *)
+            let dst = Array.make n Value.Null in
+            Array.fill dst 0 n v;
+            dst
           | Compute f ->
             let dst = Array.make n Value.Null in
             for j = 0 to n - 1 do

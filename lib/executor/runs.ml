@@ -148,7 +148,7 @@ let sort_rows (gets, desc) ~runs batches =
   let kcols =
     if n > 1 || runs then
       Array.map
-        (fun get -> Array.init n (fun r -> get batches.(rb.(r)) rp.(r)))
+        (fun get -> column n (fun r -> get batches.(rb.(r)) rp.(r)))
         gets
     else [||]
   in

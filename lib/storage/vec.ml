@@ -8,17 +8,22 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)
 
+(* A full vector doubles by appending its array to itself; pushes
+   overwrite the copied half. [Array.make] past 256 words filled with a
+   young value (the element being pushed) would force a minor
+   collection. *)
 let grow t elt =
-  let cap = Array.length t.data in
-  let new_cap = if cap = 0 then 16 else cap * 2 in
-  let data = Array.make new_cap elt in
-  Array.blit t.data 0 data 0 t.len;
-  t.data <- data
+  t.data <-
+    (if t.len = 0 then Array.make 16 elt else Array.append t.data t.data)
 
 let push t x =
   if t.len = Array.length t.data then grow t x;
   t.data.(t.len) <- x;
   t.len <- t.len + 1
+
+let set t i x =
+  if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
+  t.data.(i) <- x
 
 let clear t =
   t.data <- [||];

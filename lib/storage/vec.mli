@@ -1,5 +1,6 @@
 (** A growable array, used for the unsealed tail of a heap relation's
-    columns. (OCaml 5.1 predates [Dynarray].) *)
+    columns and for the executor's per-group stores. (OCaml 5.1 predates
+    [Dynarray].) *)
 
 type 'a t
 
@@ -11,6 +12,11 @@ val copy : 'a t -> 'a t
 val length : 'a t -> int
 val get : 'a t -> int -> 'a
 val push : 'a t -> 'a -> unit
+
+(** [set t i x] replaces element [i].
+    @raise Invalid_argument when the index is out of bounds. *)
+val set : 'a t -> int -> 'a -> unit
+
 val clear : 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

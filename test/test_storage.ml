@@ -27,6 +27,30 @@ let vec_tests =
           (fun () -> ignore (Vec.get v (-1)));
         Alcotest.check_raises "past end" (Invalid_argument "Vec.get: index out of bounds")
           (fun () -> ignore (Vec.get v 1)));
+    (* growth past 256 elements appends the array to itself: every
+       element survives, [set] replaces one, and pushing fresh values
+       forces no minor collection (an [Array.make] filled with one would) *)
+    case "growth and set, without forced collections" (fun () ->
+        let v = Vec.create () in
+        Gc.minor ();
+        let before = (Gc.quick_stat ()).Gc.minor_collections in
+        for k = 0 to 2999 do
+          Vec.push v (string_of_int k)
+        done;
+        let forced = (Gc.quick_stat ()).Gc.minor_collections - before in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d minor collections for 3,000 pushes" forced)
+          true (forced <= 1);
+        Alcotest.(check int) "length" 3000 (Vec.length v);
+        for k = 0 to 2999 do
+          Alcotest.(check string) "element" (string_of_int k) (Vec.get v k)
+        done;
+        Vec.set v 300 "x";
+        Alcotest.(check string) "set" "x" (Vec.get v 300);
+        Alcotest.(check string) "neighbour" "301" (Vec.get v 301);
+        Alcotest.check_raises "set past end"
+          (Invalid_argument "Vec.set: index out of bounds") (fun () ->
+            Vec.set v 3000 "y"));
     case "to_list round trip" (fun () ->
         let l = [ 3; 1; 4; 1; 5 ] in
         Alcotest.(check (list int)) "" l (Vec.to_list (Vec.of_list l)));
