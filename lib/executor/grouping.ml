@@ -178,7 +178,8 @@ let rec find t h cols p s =
 
 (* The first empty slot of [slots] from [s] on. *)
 let rec free slots s =
-  if slots.(s) = 0 then s else free slots ((s + 1) land (Array.length slots - 1))
+  if slots.(s) = 0 then s
+  else free slots ((s + 1) land (Array.length slots - 1))
 
 (* Room for more groups, [v] the first group's value. A full table
    doubles by appending each array to itself, and the copied half is
@@ -250,7 +251,13 @@ let grouper ~spill ~what lay (keys : Expr.t list) =
   let kcols = key_columns lay keys in
   fun (open_group : Tuple.t -> 'g) ->
     let t =
-      { slots = Array.make 64 0; hashes = [||]; keys = [||]; vals = [||]; size = 0 }
+      {
+        slots = Array.make 64 0;
+        hashes = [||];
+        keys = [||];
+        vals = [||];
+        size = 0;
+      }
     in
     fun ?absent b k ->
       let cols = kcols b in

@@ -229,7 +229,9 @@ let project_builders lay cols =
 
 let apply_project builders b =
   let all_share =
-    Array.for_all (function Share _ -> true | Fill _ | Compute _ -> false) builders
+    Array.for_all
+      (function Share _ -> true | Fill _ | Compute _ -> false)
+      builders
   in
   if all_share then
     (* plain-attribute projection: share column pointers and keep the
