@@ -630,7 +630,8 @@ let load_group_keys e =
     | 1 -> "CAST('nan' AS float)"
     | 2 -> "0.0"
     | 3 -> "-0.0"
-    | _ -> if i mod 2 = 0 then Printf.sprintf "%d.0" (i / 2) else Printf.sprintf "%d.5" (i mod 997)
+    | _ when i mod 2 = 0 -> Printf.sprintf "%d.0" (i / 2)
+    | _ -> Printf.sprintf "%d.5" (i mod 997)
   in
   let row i =
     let j = if i >= 6000 then (i - 6000) * 3 else i in
@@ -642,8 +643,9 @@ let load_group_keys e =
       "INSERT INTO gk VALUES " ^ String.concat ", " (List.init 7000 row);
     ]
 
-let mixed = "(SELECT a AS x, b AS y, c FROM gk UNION ALL SELECT b, b, c FROM gk \
-             WHERE b % 5 = 0) u"
+let mixed =
+  "(SELECT a AS x, b AS y, c FROM gk UNION ALL SELECT b, b, c FROM gk WHERE \
+   b % 5 = 0) u"
 let mixed_one = "(SELECT a AS x FROM gk UNION ALL SELECT b FROM gk) u"
 
 let group_table_queries =
