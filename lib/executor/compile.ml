@@ -5,7 +5,6 @@ module Plan = Perm_algebra.Plan
 module Expr = Perm_algebra.Expr
 module Attr = Perm_algebra.Attr
 module Value = Perm_value.Value
-module Dtype = Perm_value.Dtype
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
 module Spill = Perm_storage.Spill
@@ -86,15 +85,6 @@ let join_keys left right pred =
   match pred with
   | None -> ([], [])
   | Some p -> split_join_pred (Plan.schema left) (Plan.schema right) p
-
-(* The dtype of a plain [=] key that is one column of the same immediate
-   dtype on both sides: the key the unboxed tables hold. *)
-let single_key = function
-  | [ { l_expr = Expr.Attr a; r_expr = Expr.Attr b; null_safe = false } ]
-    when a.Attr.ty = b.Attr.ty
-         && List.mem a.Attr.ty Dtype.[ Int; Date; Bool; Text ] ->
-    Some a.Attr.ty
-  | _ -> None
 
 (* A join's residual conjuncts over row [p] of a left batch and row [r]
    of the build columns [cols]: the batch evaluator reads the left row,
@@ -323,12 +313,7 @@ and compile_join_build cx (join : Plan.t) : unit -> build_side =
     | _ -> err "internal: join build over a non-join node"
   in
   let keys, _ = join_keys left right pred in
-  let r_lay = layout cx (Plan.schema right) in
-  let build =
-    build_join ~single:(single_key keys)
-      ~null_safety:(Array.of_list (List.map (fun k -> k.null_safe) keys))
-      (r_lay, List.map (fun k -> k.r_expr) keys)
-  in
+  let build = build_join (layout cx (Plan.schema right)) keys in
   let arity = List.length (Plan.schema right) in
   let run_right = compile_batch cx right in
   fun () ->
@@ -370,10 +355,9 @@ and compile_batch_join cx plan kind left right pred =
     in
     let keys, residual = join_keys left right pred in
     let l_lay = layout cx left_schema in
-    let lkeys = (l_lay, List.map (fun k -> k.l_expr) keys) in
     let residual = residual_of cx left_schema right_schema residual in
     let probe ~kind ~matched_right ~tap jb =
-      probe_batch ~kind ~batch_rows ~jb ~head:(jb.jb_head lkeys)
+      probe_batch ~kind ~batch_rows ~jb ~head:(join_head jb l_lay keys)
         ~residual:(Option.map (fun f -> f jb.jb_cols) residual)
         ~matched_right ~pads:(Option.is_none tap) ?tap
     in

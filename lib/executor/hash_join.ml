@@ -6,7 +6,6 @@ module Plan = Perm_algebra.Plan
 module Expr = Perm_algebra.Expr
 module Attr = Perm_algebra.Attr
 module Value = Perm_value.Value
-module Dtype = Perm_value.Dtype
 module Tuple = Perm_storage.Tuple
 module Batch = Perm_storage.Batch
 module Spill = Perm_storage.Spill
@@ -53,140 +52,125 @@ let split_join_pred left_schema right_schema pred =
     (fun c -> match key c with Some k -> Either.Left k | None -> Either.Right c)
     (Expr.conjuncts pred)
 
-(* a plain SQL = key never matches when NULL or NaN; the hash table
-   itself matches under key identity *)
-let key_usable (null_safety : bool array) (key : Tuple.t) =
-  let n = Array.length key in
-  let sql_matchable = function
-    | Value.Null -> false
-    | Value.Float f -> not (Float.is_nan f)
-    | _ -> true
-  in
-  let rec go i =
-    i >= n || ((null_safety.(i) || sql_matchable key.(i)) && go (i + 1))
-  in
-  go 0
-
 (* ---- hash join build and probe ----------------------------------- *)
 
-(* A hash-join build: the build input as dense columns, its rows chained
-   by key in ascending row order ([next.(i)] is the next row with row
-   [i]'s key, -1 ends a chain), and [head (lay, keys)], which compiles
-   the chain-head lookup for the probe-side key expressions over [lay]:
-   the first build row whose key matches probe row [p] of batch [b], or
-   -1. Read-only once built, so the parallel gather shares one build
-   across its morsel tasks, each compiling its own lookup (key
-   evaluators carry row cursors). *)
-(* Monomorphic hash tables for one-column join keys of an immediate
-   dtype: the unboxed int hashes with an integer mix, a string with the
-   stdlib string hash. *)
-module Int_hash = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (x : int) = (x * 0x9e3779b1) land max_int
-end)
-
-module Str_hash = Hashtbl.Make (struct
-  type t = string
-
-  let equal (a : string) b = String.equal a b
-  let hash (s : string) = Hashtbl.hash s
-end)
-
+(* A hash-join build: the build input as dense columns [jb_cols], and one
+   flat table over its key columns [jb_keys] (a key attribute is its
+   column as is). [jb_slots], a power of two at least twice the rows and
+   probed linearly, holds per slot the first build row of a key's chain,
+   or -1; [jb_hashes.(i)] is row [i]'s key hash and [jb_next.(i)] the
+   next row with its key (-1 ends a chain), so every chain runs in
+   ascending row order. A row with NULL or NaN in a plain [=] key column
+   joins no chain; null-safe columns match under key identity.
+   [jb_unique]: no two rows share a key. Read-only once built, so the
+   parallel gather shares one build across its morsel tasks, each
+   compiling its own lookup ({!join_head}). *)
 type join_build = {
   jb_cols : Value.t array array;
+  jb_keys : Value.t array array;
+  jb_slots : int array;
+  jb_hashes : int array;
   jb_next : int array;
-  jb_head : layout * Expr.t list -> Batch.t -> int -> int;
+  mutable jb_unique : bool;
 }
 
-exception Off_dtype
+(* Whether row [p] of the key columns [cols] can match, from column [c]
+   on: no NULL or NaN in a plain [=] column. *)
+let rec usable safe cols p c =
+  c = Array.length cols
+  || (Array.unsafe_get safe c
+     ||
+     match Array.unsafe_get (Array.unsafe_get cols c) p with
+     | Value.Null -> false
+     | Value.Float f -> not (Float.is_nan f)
+     | _ -> true)
+     && usable safe cols p (c + 1)
 
-(* A join build over keys hashed in [H]: [build key side bb] links the
-   rows of the dense build input [bb] by [key side] last to first, so
-   every chain runs in ascending row order; a probe side's lookup reads
-   [key] over its own layout. [key] raises [Exit] for a row whose key
-   never matches; [Off_dtype] from the build leaves the table to the
-   caller, from a probe it matches nothing. *)
-module Chains (H : Hashtbl.S) = struct
-  let build key side (bb : Batch.t) =
+(* Whether row [r] of the key columns [a] and row [p] of [b] hold one key
+   under key identity, from column [c] on. *)
+let rec same_key a r b p c =
+  c = Array.length a
+  || Value.key_equal
+       (Array.unsafe_get (Array.unsafe_get a c) r)
+       (Array.unsafe_get (Array.unsafe_get b c) p)
+     && same_key a r b p (c + 1)
+
+(* The slot of the chain of row [p] of the key columns [cols], hashing
+   [h], or the empty slot its key would take; the search starts at slot
+   [s]. *)
+let rec slot jb h cols p s =
+  let r = Array.unsafe_get jb.jb_slots s in
+  if
+    r < 0
+    || (Array.unsafe_get jb.jb_hashes r = h && same_key jb.jb_keys r cols p 0)
+  then s
+  else slot jb h cols p ((s + 1) land (Array.length jb.jb_slots - 1))
+
+(* The first build row whose key matches row [p] of the probe key columns
+   [cols], or -1 (a key with NULL or NaN in a plain [=] column finds no
+   chain: no build row holds one). *)
+let first_match jb cols p =
+  let h = row_hash cols p in
+  Array.unsafe_get jb.jb_slots
+    (slot jb h cols p (h land (Array.length jb.jb_slots - 1)))
+
+(* [build_join lay keys bb] chains the rows of the dense build input [bb]
+   by the right sides of the key pairs [keys], over [lay], last to first,
+   so every chain runs in ascending row order. *)
+let build_join lay keys =
+  let kcols = key_columns lay (List.map (fun k -> k.r_expr) keys) in
+  let safe = Array.of_list (List.map (fun k -> k.null_safe) keys) in
+  fun (bb : Batch.t) ->
     let n = bb.Batch.rows in
-    let next = Array.make n (-1) and tbl = H.create 256 and bkey = key side in
-    for i = n - 1 downto 0 do
-      match bkey bb i with
-      | k ->
-        next.(i) <- (try H.find tbl k with Not_found -> -1);
-        H.replace tbl k i
-      | exception Exit -> ()
-    done;
-    let head side =
-      let key = key side in
-      fun b p -> try H.find tbl (key b p) with Not_found | Exit | Off_dtype -> -1
+    let rec size k = if k >= 2 * n then k else size (2 * k) in
+    let jb =
+      {
+        jb_cols = bb.Batch.cols;
+        jb_keys = kcols bb;
+        jb_slots = Array.make (size 1) (-1);
+        jb_hashes = Array.make n 0;
+        jb_next = Array.make n (-1);
+        jb_unique = true;
+      }
     in
-    { jb_cols = bb.Batch.cols; jb_next = next; jb_head = head }
-end
+    let keys = jb.jb_keys and mask = Array.length jb.jb_slots - 1 in
+    for i = n - 1 downto 0 do
+      if usable safe keys i 0 then begin
+        let h = row_hash keys i in
+        jb.jb_hashes.(i) <- h;
+        let s = slot jb h keys i (h land mask) in
+        let r = jb.jb_slots.(s) in
+        if r >= 0 then jb.jb_unique <- false;
+        jb.jb_next.(i) <- r;
+        jb.jb_slots.(s) <- i
+      end
+    done;
+    jb
 
-module Int_chains = Chains (Int_hash)
-module Str_chains = Chains (Str_hash)
-module Tuple_chains = Chains (Tuple.Hash)
+(* The probe side's lookup, for the left sides of the key pairs [keys]
+   over [lay]: given a probe batch, its key columns are evaluated once,
+   and row [p] gets its first matching build row, or -1. *)
+let join_head jb lay keys =
+  let kcols = key_columns lay (List.map (fun k -> k.l_expr) keys) in
+  fun b -> first_match jb (kcols b)
 
-(* The unboxed key of a value of a one-column key of dtype [dt]: the raw
-   int of an int, date or bool, the string of a text. NULL never matches
-   ([Exit]); a value off the dtype raises [Off_dtype]. *)
-let int_key dt (v : Value.t) =
-  match dt, v with
-  | Dtype.Int, Value.Int n | Dtype.Date, Value.Date n -> n
-  | Dtype.Bool, Value.Bool b -> Bool.to_int b
-  | _, Value.Null -> raise Exit
-  | _ -> raise Off_dtype
-
-let str_key (v : Value.t) =
-  match v with
-  | Value.Text s -> s
-  | Value.Null -> raise Exit
-  | _ -> raise Off_dtype
-
-(* Build over the dense build input [bb], its key expressions [side]. A
-   plain [=] key that is one column of the same immediate dtype [single]
-   on both sides goes through the unboxed tables above. Every other key,
-   and a build holding a value off the dtype, goes through the tuple
-   table under key identity ({!Tuple.equal}): a key with NULL or NaN in a
-   plain [=] column never matches. *)
-let build_join ~single ~null_safety side bb =
-  let unboxed of_value (lay, keys) =
-    let get = bexpr_of lay (List.hd keys) in
-    fun b p -> of_value (get b p)
-  in
-  let tuples () =
-    let usable = key_usable null_safety in
-    Tuple_chains.build
-      (fun (lay, keys) ->
-        let fill = key_filler lay keys in
-        fun b p -> match fill b p with k when usable k -> k | _ -> raise Exit)
-      side bb
-  in
-  try
-    match single with
-    | Some Dtype.Text -> Str_chains.build (unboxed str_key) side bb
-    | Some dt -> Int_chains.build (unboxed (int_key dt)) side bb
-    | None -> tuples ()
-  with Off_dtype -> tuples ()
+(* The first [n] cells of [idx] as a column of [src]: [src.(idx.(j))] at
+   [j], NULL where [idx.(j)] is -1 (a pad, or a row passed over). *)
+let gather_idx n (idx : int array) (src : Value.t array) =
+  let dst = Array.make n Value.Null in
+  for j = 0 to n - 1 do
+    let i = Array.unsafe_get idx j in
+    if i >= 0 then Array.unsafe_set dst j src.(i)
+  done;
+  dst
 
 (* [n] (left, build) row pairs as a dense batch: [lcols] gathered at
    [lidx], [rcols] at [ridx], NULL where an index is -1 (a pad). *)
 let pairs_batch lcols lidx rcols ridx n =
-  let gather idx (src : Value.t array) =
-    let dst = Array.make n Value.Null in
-    for j = 0 to n - 1 do
-      let i = Array.unsafe_get idx j in
-      if i >= 0 then Array.unsafe_set dst j src.(i)
-    done;
-    dst
-  in
   Batch.dense
     (Array.append
-       (Array.map (gather lidx) lcols)
-       (Array.map (gather ridx) rcols))
+       (Array.map (gather_idx n lidx) lcols)
+       (Array.map (gather_idx n ridx) rcols))
     n
 
 (* The row pairs [(lidx.(j), ridx.(j))] as dense batches of at most
@@ -209,34 +193,60 @@ let unmatched_build ~l_arity ~batch_rows jb (matched : bool array) =
     (Array.make (Array.length idx) (-1))
     jb.jb_cols idx
 
-(* Probe one left batch against a join build, [head] its compiled chain
-   lookup and [residual] the non-key conjuncts over (left row, build
-   row). Semi/Anti narrow the selection vector in place; the expanding
-   kinds collect (left physical index, build row) pairs and flush them
-   into dense output batches capped at [batch_rows], so giant expansions
-   stay streamed and the cancel token keeps batch-granular kill latency.
-   A left row's matches come in chain order: ascending build-row order.
-   Without [pads], a LEFT/FULL probe emits only matches (the Grace join
-   pads once every chunk has probed). [tap] is handed each output batch
-   of the expanding kinds with its rows' positions in [lb]. *)
+(* The [n] pairs [(lidx.(j), ridx.(j))] of a probe of [lb] in which every
+   live row is paired at most once, as [lb] itself: its columns shared,
+   the build columns [rcols] appended, gathered at its physical rows, and
+   its selection narrowed to [lidx]. *)
+let pass_through (lb : Batch.t) lidx ridx n rcols =
+  let phys = Array.make lb.Batch.rows (-1) in
+  for j = 0 to n - 1 do
+    phys.(lidx.(j)) <- ridx.(j)
+  done;
+  let cols = Array.map (gather_idx lb.Batch.rows phys) rcols in
+  Batch.with_sel
+    (Batch.with_cols lb (Array.append lb.Batch.cols cols))
+    (Array.sub lidx 0 n) n
+
+(* Probe one left batch against a join build, [head] its chain lookup
+   ({!join_head}) and [residual] the non-key conjuncts over (left row,
+   build row). Semi/Anti narrow the selection vector in place; the
+   expanding kinds collect (left physical index, build row) pairs and
+   flush them into dense output batches capped at [batch_rows], so giant
+   expansions stay streamed and the cancel token keeps batch-granular
+   kill latency. A left row's matches come in chain order: ascending
+   build-row order. Over unique build keys, outside the Grace join, a
+   row matches at most once: a batch's pairs are flushed once, as the
+   probe batch itself ({!pass_through}) when that writes fewer cells than
+   the dense gather. Without [pads], a LEFT/FULL probe emits only matches
+   (the Grace join pads once every chunk has probed). [tap] is handed
+   each output batch of the expanding kinds with its rows' positions in
+   [lb]. *)
 let probe_batch ~kind ~batch_rows ~(jb : join_build) ~head
     ~(residual : (Batch.t -> int -> int -> bool) option)
     ~(matched_right : bool array option) ~pads ?tap (lb : Batch.t) :
     Batch.t list =
-  let next = jb.jb_next in
+  let next = jb.jb_next and find = head lb in
   let ok p r = match residual with None -> true | Some f -> f lb p r in
+  let pad = pads && (kind = Plan.Left || kind = Plan.Full) in
   match kind with
   | Plan.Semi | Plan.Anti ->
     let want = kind = Plan.Semi in
     let rec hit p r = r >= 0 && (ok p r || hit p next.(r)) in
-    Option.to_list (narrow_live (fun p -> hit p (head lb p) = want) lb)
+    Option.to_list (narrow_live (fun p -> hit p (find p) = want) lb)
   | Plan.Inner | Plan.Cross | Plan.Left | Plan.Full ->
-    let cap = max 1 batch_rows in
+    let unique = jb.jb_unique && Option.is_none tap in
+    let cap = max 1 (if unique then Batch.live lb else batch_rows) in
     let lidx = Array.make cap 0 and ridx = Array.make cap 0 in
     let cnt = ref 0 and out = ref [] in
+    let l_arity = Array.length lb.Batch.cols
+    and r_arity = Array.length jb.jb_cols in
     let flush () =
       if !cnt > 0 then begin
-        let b = pairs_batch lb.Batch.cols lidx jb.jb_cols ridx !cnt in
+        let b =
+          if unique && r_arity * lb.Batch.rows <= (l_arity + r_arity) * !cnt
+          then pass_through lb lidx ridx !cnt jb.jb_cols
+          else pairs_batch lb.Batch.cols lidx jb.jb_cols ridx !cnt
+        in
         Option.iter (fun f -> f b (Array.sub lidx 0 !cnt)) tap;
         out := b :: !out;
         cnt := 0
@@ -248,10 +258,9 @@ let probe_batch ~kind ~batch_rows ~(jb : join_build) ~head
       incr cnt;
       if !cnt = cap then flush ()
     in
-    let pad = pads && (kind = Plan.Left || kind = Plan.Full) in
     Batch.iter_live
       (fun p ->
-        let any = ref false and r = ref (head lb p) in
+        let any = ref false and r = ref (find p) in
         while !r >= 0 do
           if ok p !r then begin
             any := true;

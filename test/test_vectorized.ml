@@ -730,6 +730,139 @@ let suite_group_table =
         Engine.close e);
   ]
 
+(* Hash-join tables: [jb] and [jd] hold 5,000 build rows each, [jb]
+   with unique keys in [k] and in [f] (NULL and NaN repeat, but join no
+   chain; -0.0 once), [jd] with 100 keys of 50 rows in [k] and in [f]
+   (NULL, NaN, 0.0 and -0.0 among them). The probe table [jp] (300
+   rows): [k] matches a unique [jb.k] on every row, [s] on one row in
+   five, [m] matches a [jd.k] chain on two rows in three; [f] holds NULL,
+   NaN, 0.0, -0.0 and integral floats; [t] completes a two-column key on
+   two rows in three. *)
+let load_join_tables e =
+  let f_of i = function
+    | 0 -> "NULL"
+    | 1 -> "CAST('nan' AS float)"
+    | 2 -> "0.0"
+    | 3 -> "-0.0"
+    | _ -> Printf.sprintf "%d.0" i
+  in
+  let values n row = String.concat ", " (List.init n row) in
+  exec_all e
+    [
+      "CREATE TABLE jb (k int, f float, v int, t text)";
+      "INSERT INTO jb VALUES "
+      ^ values 5000 (fun i ->
+            Printf.sprintf "(%d, %s, %d, 't%d')" i
+              (if i = 4 then "-0.0" else if i mod 100 < 2 then f_of i (i mod 100)
+               else f_of i 9)
+              i (i mod 7));
+      "CREATE TABLE jd (k int, f float, v int, t text)";
+      "INSERT INTO jd VALUES "
+      ^ values 5000 (fun i ->
+            Printf.sprintf "(%d, %s, %d, 't%d')" (i mod 100)
+              (f_of (i mod 100) (i mod 100)) i (i mod 3));
+      "CREATE TABLE jp (k int, s int, m int, f float, v int, t text)";
+      "INSERT INTO jp VALUES "
+      ^ values 300 (fun i ->
+            Printf.sprintf "(%d, %d, %d, %s, %d, %s)" (i * 7)
+              (if i mod 5 = 0 then i else 10000 + i)
+              (i mod 150)
+              (f_of (i * 7) (if i mod 10 < 4 then i mod 10 else 9))
+              i
+              (if i mod 3 = 0 then "'x'" else Printf.sprintf "'t%d'" (i mod 3)));
+    ]
+
+let join_table_queries =
+  let sel = "SELECT l.v, l.k, r.v, r.k FROM " in
+  [
+    (* unique builds: most probe rows match, or few *)
+    sel ^ "jp l LEFT JOIN jb r ON l.k = r.k";
+    sel ^ "(SELECT * FROM jp WHERE v % 4 = 0) l LEFT JOIN jb r ON l.k = r.k";
+    sel ^ "jp l LEFT JOIN jb r ON l.s = r.k";
+    sel ^ "jp l FULL JOIN jb r ON l.s = r.k";
+    sel ^ "jb l RIGHT JOIN jp r ON l.k = r.k";
+    sel ^ "jd l JOIN jp r ON l.k = r.v";
+    sel ^ "jd l JOIN jp r ON l.k = r.v AND l.v < 2500";
+    sel ^ "jd l JOIN jp r ON l.k = r.v AND r.t <> 'x'";
+    sel ^ "jb l JOIN jp r ON l.k = r.k";
+    sel ^ "jp l LEFT JOIN jb r ON l.k = r.k AND l.t = r.t";
+    sel ^ "jp l LEFT JOIN jb r ON l.k = r.k AND l.v < r.v - 3000";
+    (* NULL, NaN, 0.0 / -0.0, int against float *)
+    "SELECT l.v, l.f, r.v, r.f FROM jp l LEFT JOIN jb r ON l.f = r.f";
+    "SELECT l.v, l.f, r.v, r.f FROM jp l FULL JOIN jd r ON l.f = r.f";
+    "SELECT l.v, l.k, r.v, r.f FROM jp l LEFT JOIN jb r ON l.k = r.f";
+    "SELECT l.v, l.f, r.v, r.k FROM jp l JOIN jd r ON l.f = r.k";
+    (* long chains *)
+    sel ^ "jp l LEFT JOIN jd r ON l.m = r.k";
+    sel ^ "jd l RIGHT JOIN jp r ON l.k = r.m";
+    sel ^ "jp l LEFT JOIN jd r ON l.m = r.k AND l.t = r.t";
+    sel ^ "jp l LEFT JOIN jd r ON l.v % 97 = r.v % 97";
+    sel ^ "jp l JOIN jb r ON l.v % 97 = r.v % 97";
+    (* semi and anti joins *)
+    "SELECT l.v FROM jp l WHERE l.s IN (SELECT k FROM jb)";
+    "SELECT l.v FROM jp l WHERE l.s NOT IN (SELECT k FROM jb)";
+    "SELECT l.v FROM jp l WHERE l.f IN (SELECT f FROM jd)";
+    "SELECT l.v FROM jp l WHERE l.m NOT IN (SELECT k FROM jd)";
+    (* null-safe keys: a LIMIT's provenance rejoins on every column *)
+    "SELECT PROVENANCE f, t FROM (SELECT f, t FROM jb LIMIT 300) x";
+    "SELECT PROVENANCE f, k FROM (SELECT f, k FROM jd LIMIT 100) x";
+  ]
+
+let suite_join_table =
+  [
+    case "5,000-row builds, unique and chained: row oracle = batch paths"
+      (fun () ->
+        let e = engine () in
+        load_join_tables e;
+        let chunks () = (Engine.spill_counts e).Engine.sc_chunks in
+        let chunks0 = chunks () in
+        List.iter
+          (fun sql ->
+            let oracle = row_oracle e sql in
+            let check mode =
+              Alcotest.(check rows_testable)
+                (Printf.sprintf "%s [row oracle = %s]" sql mode)
+                oracle (ordered_rows e sql)
+            in
+            each_mode e check;
+            (* past the budget, a 5,000-row build is a Grace join *)
+            Engine.set_tuple_budget e 1000;
+            check "Grace join";
+            Engine.set_tuple_budget e 0)
+          join_table_queries;
+        Alcotest.(check bool) "the Grace join ran" true (chunks () > chunks0);
+        Engine.close e);
+    case "a two-column key allocates under a minor word per probe row"
+      (fun () ->
+        let e = engine () in
+        load_join_tables e;
+        (* per-batch costs stay out of the slope at the default batch *)
+        Engine.set_batch_rows e Executor.default_batch_rows;
+        Engine.set_parallel e Engine.Par_off;
+        (* [jb] probes 1,000 or 5,000 rows; [jp], the smaller, is built *)
+        let words probe_rows =
+          let sql =
+            Printf.sprintf
+              "SELECT count(*) FROM jb l JOIN jp r ON l.k = r.k AND l.t = r.t \
+               WHERE l.v < %d"
+              probe_rows
+          in
+          ignore (query_ok e sql);
+          let best = ref infinity in
+          for _ = 1 to 3 do
+            let w0 = Gc.minor_words () in
+            ignore (query_ok e sql);
+            best := Float.min !best (Gc.minor_words () -. w0)
+          done;
+          !best
+        in
+        let slope = (words 5000 -. words 1000) /. 4000. in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.2f minor words per extra probe row" slope)
+          true (slope < 1.);
+        Engine.close e);
+  ]
+
 (* An ORDER BY over a group annotation's head columns sorts the groups
    and emits each group's rows in input order: exactly the stable row
    sort's order, ties between groups, a HAVING in between, LIMIT above,
@@ -832,6 +965,7 @@ let () =
       ("join-keys", suite_join_keys);
       ("set-ops", suite_set_ops);
       ("group-table", suite_group_table);
+      ("join-table", suite_join_table);
       ("sorted-groups", suite_sorted_groups);
       ("morsel-sizing", suite_morsel_sizing);
     ]
