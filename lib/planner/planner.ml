@@ -469,6 +469,32 @@ let rec pushdown (plan : Plan.t) : Plan.t =
   | Plan.Filter { child; pred } ->
     let conjuncts = Expr.conjuncts pred in
     List.fold_left (fun acc c -> with_filter acc c) child conjuncts
+  | Plan.Join { kind = (Plan.Inner | Plan.Left) as kind; left; right; pred = Some p }
+    ->
+    (* an inner join's ON conjuncts over one side filter that side, as the
+       comma spelling's WHERE does (an inner join left with none is the
+       comma's cross join); a LEFT join's over its right side filter its
+       right input (those over its left side decide padding, not
+       survival, and stay) *)
+    let over side c =
+      let a = Expr.attrs c in
+      (not (Attr.Set.is_empty a)) && attrs_subset a (Plan.schema side)
+    in
+    let l, rest =
+      List.partition
+        (fun c -> kind = Plan.Inner && over left c)
+        (Expr.conjuncts p)
+    in
+    let r, rest = List.partition (over right) rest in
+    if l = [] && r = [] then plan
+    else
+      Plan.Join
+        {
+          kind = (if rest = [] && kind = Plan.Inner then Plan.Cross else kind);
+          left = List.fold_left with_filter left l;
+          right = List.fold_left with_filter right r;
+          pred = (if rest = [] then None else Some (Expr.conjoin rest));
+        }
   | p -> p
 
 (* ------------------------------------------------------------------ *)

@@ -210,6 +210,42 @@ let join_tests =
         Alcotest.(check bool) "a hash join, not a cross product" false
           (contains ~needle:"CrossJoin"
              (Pretty.plan_to_string ~show_attrs:false comma)));
+    case "an inner join's one-side ON conjuncts are pushed as WHERE's are"
+      (fun () ->
+        let e = forum_engine () in
+        let plan sql =
+          match Engine.plan_query e sql with
+          | Ok (_, optimized) -> optimized
+          | Error msg -> Alcotest.fail msg
+        in
+        let comma =
+          plan
+            "SELECT m.text, u.name FROM messages m, users u WHERE m.uid = u.uid \
+             AND m.mid > 3"
+        and on =
+          plan
+            "SELECT m.text, u.name FROM messages m JOIN users u ON m.uid = \
+             u.uid AND m.mid > 3"
+        in
+        Alcotest.(check string) "same plan"
+          (Perm_executor.Executor.plan_hash comma)
+          (Perm_executor.Executor.plan_hash on);
+        (* no conjunct left over both sides: the comma's cross join *)
+        Alcotest.(check string) "same cross join"
+          (Perm_executor.Executor.plan_hash
+             (plan
+                "SELECT m.text, u.name FROM messages m, users u WHERE m.mid > 3"))
+          (Perm_executor.Executor.plan_hash
+             (plan
+                "SELECT m.text, u.name FROM messages m JOIN users u ON m.mid > 3"));
+        (* a LEFT join's right-side ON conjunct filters its right input;
+           its left-side one decides padding and stays in the join *)
+        Alcotest.(check string) "LEFT join"
+          "Project(LeftJoin(Scan(messages), Select(Scan(users))))"
+          (Pretty.plan_summary
+             (plan
+                "SELECT m.text, u.name FROM messages m LEFT JOIN users u ON \
+                 m.uid = u.uid AND u.uid > 1 AND m.mid > 3")));
     case "the smaller input is the build side" (fun () ->
         (* 1,428 of 10,000 messages against 22,615 approvals: the filtered
            messages swap to the right; the projection above restores the
