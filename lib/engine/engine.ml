@@ -431,7 +431,15 @@ let execute_err t sql =
 (* The legacy stringly surface: same pipeline, message-only errors. *)
 let execute t sql = Result.map_error Err.to_string (execute_err t sql)
 
-let execute_script t sql = each_statement sql (execute_statement t)
+(* A script that does not parse is finalized as one failed statement
+   under the raw-text fingerprint, as {!execute_err} finalizes one. *)
+let execute_script t sql =
+  let unparsed msg =
+    execute_parsed ~fp:(Fingerprint.fallback sql) t sql (Error (Err.parse msg))
+    |> Result.map (fun o -> [ o ])
+    |> Result.map_error Err.to_string
+  in
+  each_statement ~unparsed sql (execute_statement t)
 
 let query t sql =
   let* outcome = execute t sql in

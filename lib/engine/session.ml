@@ -583,10 +583,11 @@ let with_query sql f =
   | Ok q -> f q
 
 (* Each statement of the script [sql] through [run] (with its canonical
-   text), in order, up to the first error. *)
-let each_statement sql run =
+   text), in order, up to the first error. A script that does not parse
+   runs nothing: its syntax error goes to [unparsed]. *)
+let each_statement ?(unparsed = fun msg -> Error msg) sql run =
   match Parser.parse_script sql with
-  | Error e -> Error (Parser.error_to_string ~input:sql e)
+  | Error e -> unparsed (Parser.error_to_string ~input:sql e)
   | Ok statements ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)

@@ -177,6 +177,25 @@ let stat_statements_tests =
           [ [ "1"; "1" ] ];
         Alcotest.(check int) "engine.errors" 2
           (Metrics.counter (Engine.metrics e) "engine.errors"));
+    case "a script that fails to parse runs nothing and is counted"
+      (fun () ->
+        let e = engine () in
+        (match Engine.execute_script e "CREATE TABLE t (a int); SELEC 1 FROM;" with
+        | Ok _ -> Alcotest.fail "expected a syntax error"
+        | Error _ -> ());
+        let m = Engine.metrics e in
+        Alcotest.(check int) "engine.statements" 1
+          (Metrics.counter m "engine.statements");
+        Alcotest.(check int) "engine.errors" 1 (Metrics.counter m "engine.errors");
+        (* nothing ran: the CREATE TABLE before the error did not *)
+        check_count e "SELECT * FROM perm_stat_statements" 1;
+        check_rows e
+          "SELECT calls, errors FROM perm_stat_statements WHERE fingerprint = \
+           'create table t (a int); selec 1 from;'"
+          [ [ "1"; "1" ] ];
+        match Engine.execute e "SELECT * FROM t" with
+        | Ok _ -> Alcotest.fail "the script's CREATE TABLE ran"
+        | Error _ -> ());
     case "the view is filterable, orderable and joinable" (fun () ->
         let e = forum_engine () in
         ignore (query_ok e "SELECT mid FROM messages");
