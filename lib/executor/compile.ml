@@ -195,7 +195,7 @@ and compile_batch_node ?reads cx (plan : Plan.t) : bop =
     (* the flag column is the input's with TRUE on the first row of every
        key among the representative rows *)
     let lay = layout cx (Plan.schema child) in
-    let group_of =
+    let table =
       grouper ~spill:cx.spill ~what:"DISTINCT" lay
         (List.map (fun a -> Expr.Attr a) keys)
     in
@@ -203,31 +203,26 @@ and compile_batch_node ?reads cx (plan : Plan.t) : bop =
     let run_child = compile_batch cx child in
     fun () ->
       Seq.memoize (fun () ->
-          let firsts = firsts group_of in
+          let t = table () in
           Seq.map
             (fun b ->
-              let first =
-                Option.fold ~none:[||] ~some:firsts
-                  (Option.fold among ~none:(Some b) ~some:(fun f ->
-                       narrow_live (f b) b))
-              in
-              let flag p =
-                if p < Array.length first && first.(p) then Value.Bool true
-                else Value.Bool false
-              in
-              Batch.with_cols b
-                (Array.append b.Batch.cols [| Array.init b.Batch.rows flag |]))
+              let flags = Array.make b.Batch.rows (Value.Bool false) in
+              Option.iter
+                (fun b -> mark_firsts t b flags)
+                (Option.fold among ~none:(Some b) ~some:(fun f ->
+                     narrow_live (f b) b));
+              Batch.with_cols b (Array.append b.Batch.cols [| flags |]))
             (run_child ()) ())
   | Plan.Distinct child ->
     let schema = Plan.schema child in
-    let group_of =
+    let table =
       grouper ~spill:cx.spill ~what:"DISTINCT" (layout cx schema)
         (List.map (fun a -> Expr.Attr a) schema)
     in
     let run_child = compile_batch cx child in
     fun () ->
       Seq.memoize (fun () ->
-          Seq.filter_map (first_rows group_of) (run_child ()) ())
+          Seq.filter_map (first_rows (table ())) (run_child ()) ())
   | Plan.Set_op { kind; all; left; right; attrs } ->
     compile_batch_set_op cx kind all left right attrs
   | Plan.Sort { child; keys } -> (
@@ -452,37 +447,41 @@ and compile_batch_apply cx kind left right =
 
 and compile_batch_aggregate cx child group_by aggs =
   let lay = layout cx (Plan.schema child) in
-  let group_of =
+  let table =
     grouper ~spill:cx.spill ~what:"GROUP BY" lay (List.map fst group_by)
   in
-  let fresh, feeder, results = agg_feeder lay aggs in
+  let states = agg_states lay aggs in
   let run_child = compile_batch cx child in
-  let arity = List.length group_by + List.length aggs in
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
-        let gs, open_group = group_store fresh in
-        let group_of = group_of open_group in
+        let t = table () and st = states () in
         Seq.iter
           (fun b ->
-            group_of b (fun p g -> feed feeder (Vec.get gs.states g) b p))
+            let ids = group_ids t b in
+            feed st b ids t.size)
           (run_child ());
-        if group_by = [] && Vec.length gs.keys = 0 then
-          ignore (open_group [||]);
-        slice_columns ~batch_rows:cx.batch_rows
-          (head_columns results ~arity gs)
-          (Vec.length gs.keys) ())
+        (* a global aggregate has its one group over no rows too *)
+        let n = if group_by = [] then max 1 t.size else t.size in
+        slice_columns ~batch_rows:cx.batch_rows (head_columns t.keys st n) n ())
 
 (* In memory the annotation keeps the input batches (immutable once
-   emitted) and addresses rows as (batch, position), so no row is
-   materialized as a tuple: output columns gather straight from the input
-   columns, in group order ({!grouped_order}). Past the threshold each
-   piece of the input is put in group order the same way and written as
-   a run keyed by group id; the merge (ties to the earlier piece) gives
-   the same order while only group states stay in memory. Every run is
-   written before the merge starts, so every group is final by then.
-   With a representative flag, only flagged rows feed the aggregates, and
-   a group's first flagged row gives it its key.
+   emitted) and each batch's group ids. When the ids run in first-seen
+   order, each group's rows one after another ({!contiguous}), and no
+   ORDER BY sorts the groups, the input is already in output order: each
+   input batch passes through with the head columns appended, read at
+   its rows' ids ({!heads_at}). Otherwise rows are addressed as (batch,
+   position), so no row is materialized as a tuple: output columns
+   gather straight from the input columns, in group order
+   ({!grouped_order}). Past the threshold each piece of the input is put
+   in group order the same way and written as a run keyed by group id;
+   the merge (ties to the earlier piece) gives the same order while only
+   group states stay in memory. Every run is written before the merge
+   starts, so every group is final by then. With a representative flag,
+   only flagged rows feed the aggregates, and a group's first flagged row
+   gives it its key ({!note_keys}); a group no flagged row reaches is no
+   group of the original aggregate: like the rejoin it stands for, emit
+   none of its rows.
 
    [sorted] is an ORDER BY over the head columns, with the filter under
    it ({!sorted_groups}), and the sort it replaces. In memory the filter
@@ -495,12 +494,9 @@ and compile_batch_group_annotate ?sorted ?reads cx child group_by aggs rep =
   let child_schema = Plan.schema child in
   let lay = layout cx child_schema in
   let keys = List.map fst group_by in
-  let gkey = key_filler lay keys in
-  let group_of = grouper ~spill:cx.spill ~what:"GROUP BY" lay keys in
-  let fresh, feeder, results = agg_feeder lay aggs in
-  let represents =
-    match rep with None -> fun _ _ -> true | Some e -> bpred_of lay e
-  in
+  let table = grouper ~spill:cx.spill ~what:"GROUP BY" lay keys in
+  let states = agg_states lay aggs in
+  let represents = Option.map (filter_kernels lay) rep in
   let run_child = compile_batch cx child in
   let child_arity = List.length child_schema in
   let head_schema =
@@ -515,11 +511,10 @@ and compile_batch_group_annotate ?sorted ?reads cx child group_by aggs rep =
     | _ -> []
   in
   (* each group's output position, -1 for the groups left out: those
-     left [unkeyed], and those the filter drops *)
-  let rank_groups (gs : groups) heads =
-    let n = Vec.length gs.keys in
+     left unkeyed, and those the filter drops *)
+  let rank_groups keyed n heads =
     let rank = Array.make n (-1) in
-    let ids = indices n (fun g -> Vec.get gs.keys g != unkeyed) in
+    let ids = indices n (fun g -> keyed = [||] || keyed.(g)) in
     (match sorted with
     | None -> Array.iter (fun g -> rank.(g) <- g) ids
     | Some (skeys, _, _) -> (
@@ -534,65 +529,97 @@ and compile_batch_group_annotate ?sorted ?reads cx child group_by aggs rep =
         Array.iteri (fun r j -> rank.(rp.(j)) <- r) perm));
     rank
   in
+  (* rows numbered in input order, and each row's group *)
+  let numbered batches ids =
+    let rb, rp = number_rows batches in
+    let gids = Array.make (Array.length rb) 0 in
+    Array.iteri (fun r b -> gids.(r) <- ids.(b).(rp.(r))) rb;
+    (rb, rp, gids)
+  in
   fun () ->
     Seq.memoize (fun () ->
         Perm_fault.trip fp_agg_merge;
-        (* with a flag, a group is [unkeyed] until its first
-           representative row; a group no representative reaches is no
-           group of the original aggregate: like the rejoin it stands for,
-           emit none of its rows *)
-        let gs, open_group = group_store fresh in
-        let group_of =
-          group_of (fun key ->
-              open_group (if rep = None || keys = [] then key else unkeyed))
+        let t = table () and st = states () in
+        let rk =
+          match represents with
+          | Some _ when keys <> [] -> Some (rep_keys ())
+          | _ -> None
         in
-        let assign b k =
-          group_of b (fun p g ->
-              if represents b p then begin
-                if Vec.get gs.keys g == unkeyed then
-                  Vec.set gs.keys g (gkey b p);
-                feed feeder (Vec.get gs.states g) b p
-              end;
-              k p g)
+        let last = ref (-1) and buffer = ref [||] in
+        (* one grouping pass over a batch: its ids, kept *)
+        let assign b =
+          let cols = t.key_cols b and ids = Array.make b.Batch.rows 0 in
+          fill_ids ~absent:false t cols b ids;
+          last := contiguous ids b !last;
+          if Array.length !buffer < b.Batch.rows then
+            buffer := Array.make b.Batch.rows 0;
+          Option.iter
+            (fun rb ->
+              feed st rb ids t.size;
+              Option.iter (fun rk -> note_keys rk t cols rb ids) rk)
+            (Option.fold represents ~none:(Some b) ~some:(fun k ->
+                 apply_filter ~buffer:!buffer k b));
+          ids
         in
-        let heads () = head_columns results ~arity:head_arity gs in
+        (* once every row is assigned: which groups are keyed, and the
+           head columns *)
+        let keyed () =
+          match rk with
+          | Some rk ->
+            if Array.length rk.keyed < t.size then
+              rk.keyed <- extend false rk.keyed t.size;
+            rk.keyed
+          | None -> [||]
+        in
+        let heads () =
+          let heads = head_columns t.keys st t.size in
+          Option.iter
+            (fun rk ->
+              Hashtbl.iter
+                (fun g key -> Array.iteri (fun c v -> heads.(c).(g) <- v) key)
+                rk.apart)
+            rk;
+          heads
+        in
         match input_of cx.spill (run_child ()) with
         | Fits s ->
           let batches = Array.of_seq s in
-          let rb, rp, gids = number_rows ~each:assign batches in
-          if gids = [||] && group_by = [] then
+          let ids = Array.map assign batches in
+          if t.size = 0 && group_by = [] then
             Seq.filter_map (apply_filter keep)
-              (Seq.return
-                 (Batch.dense
-                    (Array.append
-                       (Array.map (fun v -> [| v |]) (results (fresh ())))
-                       (Array.make child_arity [| Value.Null |]))
-                    1))
+              (slice_columns ~batch_rows
+                 (Array.append (head_columns [||] st 1)
+                    (Array.make child_arity [| Value.Null |]))
+                 1)
               ()
           else
-            let heads = heads () in
-            gather_rows ?reads ~heads:(heads, gids) ~batch_rows
-              ~arity:child_arity batches (rb, rp)
-              (grouped_order (rank_groups gs heads) gids)
-              ()
+            let heads = heads () and keyed = keyed () in
+            if sorted = None && !last <> -2 then
+              Seq.filter_map
+                (fun k -> heads_at ?reads heads keyed batches.(k) ids.(k))
+                (Seq.init (Array.length batches) Fun.id)
+                ()
+            else
+              let rb, rp, gids = numbered batches ids in
+              gather_rows ?reads ~heads:(heads, gids) ~batch_rows
+                ~arity:child_arity batches (rb, rp)
+                (grouped_order (rank_groups keyed t.size heads) gids)
+                ()
         | Spills (cfg, pieces) ->
           cfg.Spill.note Spill.Spilled;
           let runs =
             Array.of_seq
               (Seq.map
                  (fun piece ->
-                   let rb, rp, gids = number_rows ~each:assign piece in
+                   let rb, rp, gids = numbered piece (Array.map assign piece) in
                    write_run cfg piece (rb, rp)
                      [| Array.map (fun g -> Value.Int g) gids |]
-                     (grouped_order
-                        (Array.init (Vec.length gs.keys) Fun.id)
-                        gids))
+                     (grouped_order (Array.init t.size Fun.id) gids))
                  pieces)
           in
-          let heads = heads () in
+          let heads = heads () and keyed = keyed () in
           let head = function
-            | Value.Int g when Vec.get gs.keys g != unkeyed ->
-              Some (row heads g)
+            | Value.Int g when keyed = [||] || keyed.(g) -> Some (row heads g)
             | Value.Int _ -> None
             | _ -> err "internal: untagged group annotation row"
           in
@@ -611,17 +638,17 @@ and compile_batch_set_op cx kind all left right attrs =
   let run_right = compile_batch cx right in
   (* the branches are positional, so one layout over the output
      attributes (unified types) reads both *)
-  let grouper what =
+  let table what =
     grouper ~spill:cx.spill ~what (layout cx attrs)
       (List.map (fun a -> Expr.Attr a) attrs)
   in
   match kind, all with
   | Plan.Union, true -> fun () -> Seq.append (run_left ()) (run_right ())
   | Plan.Union, false ->
-    let group_of = grouper "UNION" in
+    let table = table "UNION" in
     fun () ->
       Seq.memoize (fun () ->
-          Seq.filter_map (first_rows group_of)
+          Seq.filter_map (first_rows (table ()))
             (Seq.append (run_left ()) (run_right ()))
             ())
   | (Plan.Intersect | Plan.Except), _ ->
@@ -629,28 +656,26 @@ and compile_batch_set_op cx kind all left right attrs =
        only look up: under ALL each right row cancels one left row of its
        group, and the set forms keep the first of the surviving left rows
        of a key *)
-    let counts = grouper "INTERSECT/EXCEPT" in
-    let survivors = grouper "INTERSECT/EXCEPT" in
-    let keeps =
-      let cancels c = !c > 0 && (decr c; true) in
-      match kind, all with
-      | Plan.Intersect, true -> cancels
-      | Plan.Except, true -> fun c -> not (cancels c)
-      | _ ->
-        let want = kind = Plan.Intersect in
-        fun c -> !c > 0 = want
-    in
+    let right = table "INTERSECT/EXCEPT" in
+    let survivors = table "INTERSECT/EXCEPT" in
+    let intersect = kind = Plan.Intersect in
     fun () ->
       Seq.memoize (fun () ->
-          let count_of = counts (fun _ -> ref 0) in
-          Seq.iter (fun b -> count_of b (fun _ c -> incr c)) (run_right ());
-          let none = ref 0 in
+          let t = right () and counts = ref [||] in
+          Seq.iter
+            (fun b ->
+              let ids = group_ids t b in
+              if t.size > Array.length !counts then
+                counts := extend 0 !counts (max 16 (2 * t.size));
+              count_rows !counts b ids)
+            (run_right ());
           let left =
             Seq.filter_map
               (fun b ->
-                let keep = Array.make b.Batch.rows false in
-                count_of ~absent:none b (fun p c -> keep.(p) <- keeps c);
-                narrow_live (Array.get keep) b)
+                keep_rows
+                  (Survivors { intersect; all; counts = !counts })
+                  b
+                  (group_ids ~absent:true t b))
               (run_left ())
           in
-          (if all then left else Seq.filter_map (first_rows survivors) left) ())
+          (if all then left else Seq.filter_map (first_rows (survivors ())) left) ())

@@ -41,6 +41,12 @@ let no_outer : resolver = fun _ -> None
 
 let unwrap = function Ok v -> v | Error msg -> err msg
 
+(* [Value.arith], its error a runtime error: no [result] per value *)
+let arith op a b =
+  match Value.arith op a b with
+  | v -> v
+  | exception Value.Arith_error msg -> err msg
+
 (* Constant subtrees built from Binop/Unop/Cast over literals: safe to
    evaluate once at compile time. Func is excluded deliberately (builtins
    may grow impure members), as is anything touching a row. *)
@@ -131,10 +137,10 @@ and compile_binop lay op a b =
       else
         Tristate.to_value
           Tristate.(va ||| unwrap (Tristate.of_value (fb b p)))
-  | Expr.Add -> fun b p -> unwrap (Value.add (fa b p) (fb b p))
-  | Expr.Sub -> fun b p -> unwrap (Value.sub (fa b p) (fb b p))
-  | Expr.Mul -> fun b p -> unwrap (Value.mul (fa b p) (fb b p))
-  | Expr.Div -> fun b p -> unwrap (Value.div (fa b p) (fb b p))
+  | Expr.Add -> fun b p -> arith Value.Add (fa b p) (fb b p)
+  | Expr.Sub -> fun b p -> arith Value.Sub (fa b p) (fb b p)
+  | Expr.Mul -> fun b p -> arith Value.Mul (fa b p) (fb b p)
+  | Expr.Div -> fun b p -> arith Value.Div (fa b p) (fb b p)
   | Expr.Mod -> (
     fun b p ->
       match fa b p, fb b p with
@@ -162,13 +168,3 @@ let row_free outer e =
 let bpred_of lay e =
   let f = bexpr_of lay e in
   fun b p -> Tristate.is_true (unwrap (Tristate.of_value (f b p)))
-(* Multi-column key extraction by physical index (join keys, group keys). *)
-let key_filler lay exprs : Batch.t -> int -> Tuple.t =
-  let gets = Array.of_list (List.map (bexpr_of lay) exprs) in
-  let n = Array.length gets in
-  fun b p ->
-    let key = Array.make n Value.Null in
-    for i = 0 to n - 1 do
-      key.(i) <- (Array.unsafe_get gets i) b p
-    done;
-    key

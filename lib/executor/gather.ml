@@ -75,25 +75,22 @@ let narrow_live (keep : int -> bool) b =
   if !m = 0 then None else Some (Batch.with_sel b sel !m)
 
 (* Number the live rows of kept batches in order: row [r] is position
-   [rp.(r)] of batch [rb.(r)], tagged [tags.(r)] by [each] ([each b k]
-   calls [k p tag] on the live rows of [b] in order; a {!grouper} tags
-   them with their groups). Operators that see their whole input before
-   emitting (sorts, group annotation) keep the immutable batches and
-   address rows this way instead of materializing tuples. *)
-let number_rows ?(each = fun b k -> Batch.iter_live (fun p -> k p 0) b) batches
-    =
+   [rp.(r)] of batch [rb.(r)]. Operators that see their whole input
+   before emitting (sorts, group annotation) keep the immutable batches
+   and address rows this way instead of materializing tuples. *)
+let number_rows batches =
   let n = Array.fold_left (fun acc b -> acc + Batch.live b) 0 batches in
-  let rb = Array.make n 0 and rp = Array.make n 0 and tags = Array.make n 0 in
+  let rb = Array.make n 0 and rp = Array.make n 0 in
   let k = ref 0 in
   Array.iteri
     (fun bi b ->
-      each b (fun p tag ->
-          rb.(!k) <- bi;
-          rp.(!k) <- p;
-          tags.(!k) <- tag;
-          incr k))
+      for i = 0 to Batch.live b - 1 do
+        rb.(!k) <- bi;
+        rp.(!k) <- Batch.idx b i;
+        incr k
+      done)
     batches;
-  (rb, rp, tags)
+  (rb, rp)
 
 (* Emit numbered rows in [order] as dense batches of at most [batch_rows]
    rows, gathering each column once per batch in a plain loop. [heads]
@@ -139,7 +136,8 @@ let gather_rows ?(reads = fun _ -> true) ?(heads = ([||], [||])) ~batch_rows
               srcs))
         len)
 
-(* Columns of [n] rows as dense batches of at most [batch_rows] rows. *)
+(* Columns of [n] rows (or more: the rest is left out) as dense batches
+   of at most [batch_rows] rows. *)
 let slice_columns ~batch_rows (cols : Value.t array array) n : Batch.t Seq.t =
   let size = max 1 batch_rows in
   Seq.init
@@ -147,7 +145,8 @@ let slice_columns ~batch_rows (cols : Value.t array array) n : Batch.t Seq.t =
     (fun i ->
       let pos = i * size in
       let len = min size (n - pos) in
-      if len = n then Batch.dense cols n
+      if len = n && Array.for_all (fun col -> Array.length col = n) cols then
+        Batch.dense cols n
       else Batch.dense (Array.map (fun col -> Array.sub col pos len) cols) len)
 
 (* The values [get 0 .. get (n - 1)] as a fresh column, made with an
@@ -184,14 +183,22 @@ let concat_live ~arity (batches : Batch.t array) =
              (Array.to_list (Array.map (fun b -> Batch.col b c) batches))))
       (Array.fold_left (fun n b -> n + b.Batch.rows) 0 batches)
   | _ -> (
-    let rb, rp, _ = number_rows batches in
+    let rb, rp = number_rows batches in
     let n = Array.length rb in
     match gather_rows ~batch_rows:n ~arity batches (rb, rp) (Array.init n Fun.id) () with
     | Seq.Cons (b, _) -> b
     | Seq.Nil -> Batch.dense (Array.make arity [||]) 0)
 
 (* The indices [0 .. n-1] where [f] holds, ascending. *)
-let indices n f = Array.of_seq (Seq.filter f (Seq.init n Fun.id))
+let indices n f =
+  let out = Array.make n 0 and m = ref 0 in
+  for i = 0 to n - 1 do
+    if f i then begin
+      out.(!m) <- i;
+      incr m
+    end
+  done;
+  Array.sub out 0 !m
 
 (* Stream the rows [next] yields as dense batches of at most [batch_rows]
    rows, pulling one batch's worth at a time (rows read back from spill

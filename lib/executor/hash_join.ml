@@ -86,15 +86,6 @@ let rec usable safe cols p c =
      | _ -> true)
      && usable safe cols p (c + 1)
 
-(* Whether row [r] of the key columns [a] and row [p] of [b] hold one key
-   under key identity, from column [c] on. *)
-let rec same_key a r b p c =
-  c = Array.length a
-  || Value.key_equal
-       (Array.unsafe_get (Array.unsafe_get a c) r)
-       (Array.unsafe_get (Array.unsafe_get b c) p)
-     && same_key a r b p (c + 1)
-
 (* The slot of the chain of row [p] of the key columns [cols], hashing
    [h], or the empty slot its key would take; the search starts at slot
    [s]. *)
@@ -102,7 +93,7 @@ let rec slot jb h cols p s =
   let r = Array.unsafe_get jb.jb_slots s in
   if
     r < 0
-    || (Array.unsafe_get jb.jb_hashes r = h && same_key jb.jb_keys r cols p 0)
+    || (Array.unsafe_get jb.jb_hashes r = h && row_equal jb.jb_keys r cols p 0)
   then s
   else slot jb h cols p ((s + 1) land (Array.length jb.jb_slots - 1))
 

@@ -196,12 +196,21 @@ let filter_kernels lay pred = List.map (conjunct_kernel lay) (Expr.conjuncts pre
 
 (* Conjunct-wise narrowing evaluates exactly the (row, conjunct) pairs a
    short-circuiting AND would: rows failing conjunct i never see conjunct
-   i+1. *)
-let apply_filter kernels b =
+   i+1. A [buffer] of at least [b]'s rows holds the selection instead of
+   a fresh array: the batch is then only valid until its next use. *)
+let apply_filter ?(buffer = [||]) kernels b =
   let n0 = Batch.live b in
   if n0 = 0 then None
   else
-    let sel = Batch.sel_array b in
+    let sel =
+      if Array.length buffer < b.Batch.rows then Batch.sel_array b
+      else begin
+        for i = 0 to n0 - 1 do
+          buffer.(i) <- Batch.idx b i
+        done;
+        buffer
+      end
+    in
     let n =
       List.fold_left (fun n k -> if n = 0 then 0 else k b sel n) n0 kernels
     in

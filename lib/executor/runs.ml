@@ -142,7 +142,7 @@ let sort_keys lay keys =
    numbering, the key columns and the permutation. A lone row is never
    compared, so its keys are evaluated only for a run ([runs]). *)
 let sort_rows (gets, desc) ~runs batches =
-  let rb, rp, _ = number_rows batches in
+  let rb, rp = number_rows batches in
   let n = Array.length rb in
   let perm = Array.init n Fun.id in
   let kcols =

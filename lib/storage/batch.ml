@@ -40,10 +40,17 @@ let idx b i = if b.all then i else b.sel.(i)
 
 let col b c = b.cols.(c)
 
+(* Columns are made with an immediate fill and then written: [Array.init]
+   past 256 words from a young first value would force a minor
+   collection. *)
 let of_rows ~arity (rows : Value.t array array) ~pos ~len =
-  let cols = Array.init arity (fun c ->
-      Array.init len (fun i -> rows.(pos + i).(c)))
-  in
+  let cols = Array.init arity (fun _ -> Array.make len Value.Null) in
+  for c = 0 to arity - 1 do
+    let col = cols.(c) in
+    for i = 0 to len - 1 do
+      col.(i) <- rows.(pos + i).(c)
+    done
+  done;
   dense cols len
 
 (* Fresh array of live physical indices (used by kernels that narrow). *)
@@ -63,7 +70,14 @@ let compact b =
   else
     let n = b.nsel in
     let cols =
-      Array.map (fun col -> Array.init n (fun i -> col.(b.sel.(i)))) b.cols
+      Array.map
+        (fun col ->
+          let out = Array.make n Value.Null in
+          for i = 0 to n - 1 do
+            out.(i) <- col.(b.sel.(i))
+          done;
+          out)
+        b.cols
     in
     dense cols n
 

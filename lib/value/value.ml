@@ -173,37 +173,47 @@ let sql_leq a b = lift_cmp ( <= ) a b
 let sql_gt a b = lift_cmp ( > ) a b
 let sql_geq a b = lift_cmp ( >= ) a b
 
-let numeric_op name iop fop a b =
+(* The arithmetic core: the value, or [Arith_error] with the message.
+   It allocates only its result, so the evaluator and the aggregates call
+   it per row; the [result] forms below wrap it. *)
+exception Arith_error of string
+
+type arith = Add | Sub | Mul | Div
+
+let arith_name = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
+
+let arith op a b =
   match a, b with
-  | Null, _ | _, Null -> Ok Null
-  | Int a, Int b -> Ok (Int (iop a b))
-  | Float a, Float b -> Ok (Float (fop a b))
-  | Int a, Float b -> Ok (Float (fop (float_of_int a) b))
-  | Float a, Int b -> Ok (Float (fop a (float_of_int b)))
+  | Null, _ | _, Null -> Null
+  | _, (Int 0 | Float 0.) when op = Div -> raise (Arith_error "division by zero")
+  | Int a, Int b -> (
+    match op with Add -> Int (a + b) | Sub -> Int (a - b) | Mul -> Int (a * b)
+    | Div -> Int (a / b))
+  | (Int _ | Float _), (Int _ | Float _) -> (
+    let a = match a with Int i -> float_of_int i | Float f -> f | _ -> 0.
+    and b = match b with Int i -> float_of_int i | Float f -> f | _ -> 0. in
+    match op with
+    | Add -> Float (a +. b)
+    | Sub -> Float (a -. b)
+    | Mul -> Float (a *. b)
+    | Div -> Float (a /. b))
+  | (Date d, Int n | Int n, Date d) when op = Add -> Date (d + n)
+  | Date d, Int n when op = Sub -> Date (d - n)
+  | Date a, Date b when op = Sub -> Int (a - b)
   | a, b ->
-    Error
-      (Printf.sprintf "cannot apply %s to %s and %s" name
-         (Dtype.to_string (type_of a))
-         (Dtype.to_string (type_of b)))
+    raise
+      (Arith_error
+         (Printf.sprintf "cannot apply %s to %s and %s" (arith_name op)
+            (Dtype.to_string (type_of a))
+            (Dtype.to_string (type_of b))))
 
-let add a b =
-  match a, b with
-  | Date d, Int n | Int n, Date d -> Ok (Date (d + n))
-  | a, b -> numeric_op "+" ( + ) ( +. ) a b
+let arith_result op a b =
+  match arith op a b with v -> Ok v | exception Arith_error msg -> Error msg
 
-let sub a b =
-  match a, b with
-  | Date d, Int n -> Ok (Date (d - n))
-  | Date a, Date b -> Ok (Int (a - b))
-  | a, b -> numeric_op "-" ( - ) ( -. ) a b
-let mul a b = numeric_op "*" ( * ) ( *. ) a b
-
-let div a b =
-  match a, b with
-  | Null, _ | _, Null -> Ok Null
-  | _, Int 0 -> Error "division by zero"
-  | _, Float 0. -> Error "division by zero"
-  | a, b -> numeric_op "/" ( / ) ( /. ) a b
+let add = arith_result Add
+let sub = arith_result Sub
+let mul = arith_result Mul
+let div = arith_result Div
 
 let neg = function
   | Null -> Ok Null

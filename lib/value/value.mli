@@ -74,6 +74,14 @@ val date_of_string : string -> (t, string) result
     [add]/[sub] also implement date arithmetic: [date + int] / [date - int]
     shift by days, [date - date] is the day difference. *)
 
+exception Arith_error of string
+
+type arith = Add | Sub | Mul | Div
+
+val arith : arith -> t -> t -> t
+(** The arithmetic core: allocates only its result and raises
+    [Arith_error] with the message the [result] forms below return. *)
+
 val add : t -> t -> (t, string) result
 val sub : t -> t -> (t, string) result
 val mul : t -> t -> (t, string) result

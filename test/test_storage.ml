@@ -341,6 +341,41 @@ let store_tests =
         Alcotest.(check (list string)) "" [ "a"; "b" ] (Store.table_names st));
   ]
 
+(* A column array past 256 words filled from a young value makes OCaml
+   empty the minor heap first; batch columns are filled after an
+   immediate [Array.make] instead. *)
+let batch_tests =
+  let minor_collections f =
+    (* the values are made after a collection, so they are young and the
+       minor heap has room for everything [f] allocates there *)
+    Gc.minor ();
+    let n = 1025 in
+    let col = Array.make n Perm_value.Value.Null in
+    for k = 0 to n - 1 do
+      col.(k) <- Perm_value.Value.Float (float_of_int k +. 0.5)
+    done;
+    let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+    f col;
+    (Gc.quick_stat ()).Gc.minor_collections - c0
+  in
+  [
+    case "compacting 1,024 fresh values runs no minor collection" (fun () ->
+        Alcotest.(check int) "minor collections" 0
+          (minor_collections (fun col ->
+               let sel = Array.init 1024 (fun k -> k + 1) in
+               let b = Batch.with_sel (Batch.dense [| col; col |] 1025) sel 1024 in
+               let c = Batch.compact b in
+               Alcotest.(check int) "rows" 1024 c.Batch.rows)));
+    case "1,024 rows of fresh values become columns with no minor collection"
+      (fun () ->
+        Alcotest.(check int) "minor collections" 0
+          (minor_collections (fun col ->
+               let rows = Array.make (Array.length col) [||] in
+               Array.iteri (fun k v -> rows.(k) <- [| v; v |]) col;
+               let b = Batch.of_rows ~arity:2 rows ~pos:1 ~len:1024 in
+               Alcotest.(check int) "rows" 1024 b.Batch.rows)));
+  ]
+
 let () =
   Alcotest.run "storage"
     [
@@ -349,4 +384,5 @@ let () =
       ("heap", heap_tests);
       ("chunks", chunk_tests);
       ("store", store_tests);
+      ("batch", batch_tests);
     ]

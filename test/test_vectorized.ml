@@ -338,15 +338,16 @@ let suite_one_pass =
         let module D = Perm_value.Dtype in
         let e = key_engine () in
         let k = A.fresh "k" D.Float and flag = A.fresh "rep" D.Bool in
-        let attrs = [ k; A.fresh "g" D.Int; A.fresh "v" D.Int; A.fresh "t" D.Text ] in
+        let g = A.fresh "g" D.Int in
+        let attrs = [ k; g; A.fresh "v" D.Int; A.fresh "t" D.Text ] in
         let marked =
           P.Mark_first
             { child = P.Scan { table = "kt"; attrs }; keys = [ k ]; among = None; flag }
         in
-        let annotate group_by rep =
+        let annotate ?(child = marked) group_by rep =
           P.Group_annotate
             {
-              child = marked;
+              child;
               group_by;
               aggs =
                 [ { P.agg = P.Count_star; distinct = false; arg = None;
@@ -381,6 +382,18 @@ let suite_one_pass =
                row reaches *)
             ( "group by CAST(k AS text)",
               annotate [ (X.Cast (X.Attr k, D.Text), A.fresh "s" D.Text) ] (X.Attr flag),
+              [ "nan|1"; "nan|1"; "0|1"; "null|1"; "null|1"; "1.5|1"; "1.5|1"; "2.5|1" ] );
+            (* without the last -0.0 row the input arrives grouped and
+               passes through; group '-0' still emits nothing *)
+            ( "group by CAST(k AS text), grouped",
+              annotate
+                ~child:
+                  (P.Filter
+                     {
+                       child = marked;
+                       pred = X.Binop (X.Neq, X.Attr g, X.Const (Value.Int 7));
+                     })
+                [ (X.Cast (X.Attr k, D.Text), A.fresh "s" D.Text) ] (X.Attr flag),
               [ "nan|1"; "nan|1"; "0|1"; "null|1"; "null|1"; "1.5|1"; "1.5|1"; "2.5|1" ] );
             ( "global, nothing flagged",
               annotate [] (X.Const (Value.Bool false)),
@@ -863,6 +876,265 @@ let suite_join_table =
         Engine.close e);
   ]
 
+(* Group ids. [pg] holds 600 groups of [k] stored one after another
+   (group k holds k mod 13 + 1 rows, so groups straddle every batch
+   boundary), [ps] the same rows scattered. [w] is 0.0 on the first
+   three rows of group 12 and -0.0 on its other ten, which a DISTINCT
+   merges. *)
+let load_group_ids e =
+  let rows = ref [] and i = ref 0 in
+  for k = 0 to 599 do
+    let n = (k mod 13) + 1 in
+    for j = 0 to n - 1 do
+      let w =
+        if k = 12 then if j < 3 then "0.0" else "-0.0"
+        else Printf.sprintf "%d.5" (k mod 11)
+      in
+      rows := Printf.sprintf "(%d, %d, 't%d', %s)" k !i (j mod 5) w :: !rows;
+      incr i
+    done
+  done;
+  let rows = Array.of_list (List.rev !rows) in
+  let n = Array.length rows in
+  let scattered = Array.init n (fun r -> rows.(r * 7919 mod n)) in
+  let insert name rows =
+    Printf.sprintf "INSERT INTO %s VALUES %s" name
+      (String.concat ", " (Array.to_list rows))
+  in
+  exec_all e
+    [
+      "CREATE TABLE pg (k int, v int, t text, w float)";
+      insert "pg" rows;
+      "CREATE TABLE ps (k int, v int, t text, w float)";
+      insert "ps" scattered;
+    ];
+  n
+
+let group_id_queries table =
+  List.map
+    (fun q -> Printf.sprintf q table)
+    [
+      (* one group *)
+      "SELECT PROVENANCE count(*), sum(v) FROM %s";
+      "SELECT PROVENANCE k, count(*) FROM %s WHERE k = 12 GROUP BY k";
+      (* many groups *)
+      "SELECT PROVENANCE k, count(*), sum(v), min(t), max(w) FROM %s GROUP BY k";
+      "SELECT PROVENANCE k, w, count(DISTINCT t), avg(v) FROM %s GROUP BY k, w";
+      (* the projection reads some head columns, or none *)
+      "SELECT PROVENANCE sum(v) FROM %s GROUP BY k";
+      "SELECT PROVENANCE v FROM (SELECT k, count(*) AS c, min(v) AS v FROM %s \
+       GROUP BY k) g";
+      (* a DISTINCT below: the rejoin (a CAST of a float key tells the
+         -0.0 witnesses apart), or a representative flag *)
+      "SELECT PROVENANCE s, count(*) FROM (SELECT DISTINCT w AS s FROM %s) d \
+       GROUP BY CAST(s AS text), s";
+      "SELECT PROVENANCE k, count(*) FROM (SELECT DISTINCT k, v %% 2 AS b FROM \
+       %s) d GROUP BY k";
+      (* an ORDER BY over the heads *)
+      "SELECT PROVENANCE k, count(*) AS c FROM %s GROUP BY k ORDER BY c DESC, k";
+    ]
+
+(* A key's group keeps its first row's values, or under a representative
+   flag its first representative row's: 1 and 1.0, 0, -0.0 and 0.0 are
+   one key that prints as that row's. The rows are [ti]'s (ints) then
+   [tf]'s (floats) where [k] is 1, 0 or either; the flag is [g > 1]. *)
+let first_row_keys =
+  let rows key n = List.init n (fun _ -> key) in
+  [
+    ("1 then 1.0", Some 1, false, rows "1|2" 2);
+    ("1 then 1.0, flagged", Some 1, true, rows "1.0|1" 2);
+    ("0, -0.0, 0.0", Some 0, false, rows "0|4" 4);
+    ("0, -0.0, 0.0, flagged", Some 0, true, rows "-0.0|2" 4);
+    ("two keys, not grouped", None, true, rows "1.0|1" 2 @ rows "-0.0|2" 4);
+  ]
+
+let suite_group_ids =
+  [
+    case "the pass-through returns the gather's rows in the gather's order"
+      (fun () ->
+        let e = engine () in
+        let n = load_group_ids e in
+        let spills () = (Engine.spill_counts e).Engine.sc_spills in
+        List.iter
+          (fun sql ->
+            check_against_oracle e sql;
+            (* past the budget the annotation spills its pieces as runs;
+               its group table, of 600 groups, stays within it *)
+            let oracle = row_oracle e sql and s0 = spills () in
+            Engine.set_tuple_budget e 1500;
+            Alcotest.(check rows_testable) (sql ^ " [spilled]") oracle
+              (ordered_rows e sql);
+            Engine.set_tuple_budget e 0;
+            if not (contains ~needle:"WHERE k = 12" sql) then
+              Alcotest.(check bool) (sql ^ " [spilled]") true (spills () > s0))
+          (group_id_queries "pg" @ group_id_queries "ps");
+        (* grouped input passes through: it allocates no row numbering,
+           order or gathered child columns, which the scattered rows do *)
+        Engine.set_batch_rows e Executor.default_batch_rows;
+        Engine.set_parallel e Engine.Par_off;
+        let words table =
+          let sql =
+            Printf.sprintf
+              "SELECT PROVENANCE k, count(*), sum(v) FROM %s GROUP BY k" table
+          in
+          ignore (query_ok e sql);
+          let best = ref infinity in
+          for _ = 1 to 3 do
+            let b0 = Gc.allocated_bytes () in
+            ignore (query_ok e sql);
+            best := Float.min !best (Gc.allocated_bytes () -. b0)
+          done;
+          !best /. float_of_int (Sys.word_size / 8)
+        in
+        let saved = (words "ps" -. words "pg") /. float_of_int n in
+        Alcotest.(check bool)
+          (Printf.sprintf "grouped input allocates %.1f words less per row" saved)
+          true (saved > 4.);
+        Engine.close e);
+    case "a group's key is its first row's, or first representative's"
+      (fun () ->
+        let module A = Perm_algebra.Attr in
+        let module P = Perm_algebra.Plan in
+        let module X = Perm_algebra.Expr in
+        let module D = Perm_value.Dtype in
+        let e = engine () in
+        exec_all e
+          [
+            "CREATE TABLE ti (k int, g int)";
+            "INSERT INTO ti VALUES (1, 1), (0, 1)";
+            "CREATE TABLE tf (k float, g int)";
+            "INSERT INTO tf VALUES (1.0, 2), (-0.0, 2), (0.0, 2), (0.0, 1)";
+          ];
+        let k = A.fresh "k" D.Float and g = A.fresh "g" D.Int in
+        let side table =
+          let k' = A.fresh "k" (if table = "ti" then D.Int else D.Float)
+          and g' = A.fresh "g" D.Int in
+          (P.Scan { table; attrs = [ k'; g' ] }, k', g')
+        in
+        let run plan =
+          match Engine.run_plan e plan with
+          | Ok rows ->
+            List.map
+              (fun r -> String.concat "|" (List.filteri (fun i _ -> i < 2) r))
+              (strings_of_rows rows)
+          | Error msg -> Alcotest.fail msg
+        in
+        List.iter
+          (fun (name, key, flagged, expected) ->
+            let pick (scan, k', g') =
+              let keep =
+                match key with
+                | Some i -> X.Binop (X.Eq, X.Attr k', X.Const (Value.Int i))
+                | None -> X.Binop (X.Geq, X.Attr k', X.Const (Value.Int 0))
+              in
+              P.Project
+                {
+                  child = P.Filter { child = scan; pred = keep };
+                  cols =
+                    [ (X.Attr k', A.fresh "k" k'.A.ty); (X.Attr g', A.fresh "g" D.Int) ];
+                }
+            in
+            let left = pick (side "ti") and right = pick (side "tf") in
+            let union =
+              P.Set_op
+                { kind = P.Union; all = true; left; right; attrs = [ k; g ] }
+            in
+            let plan =
+              P.Group_annotate
+                {
+                  child = union;
+                  group_by = [ (X.Attr k, A.fresh "key" D.Float) ];
+                  aggs =
+                    [ { P.agg = P.Count_star; distinct = false; arg = None;
+                        agg_out = A.fresh "c" D.Int } ];
+                  rep =
+                    (if flagged then
+                       Some (X.Binop (X.Gt, X.Attr g, X.Const (Value.Int 1)))
+                     else None);
+                }
+            in
+            List.iter
+              (fun bn ->
+                Engine.set_batch_rows e bn;
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s [batch_rows=%d]" name bn)
+                  expected (run plan);
+                Engine.set_tuple_budget e 2;
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s [spilled, batch_rows=%d]" name bn)
+                  expected (run plan);
+                Engine.set_tuple_budget e 0)
+              batch_sizes;
+            Alcotest.(check (list string)) (name ^ " [reference]") expected
+              (List.map
+                 (fun r -> String.concat "|" (List.filteri (fun i _ -> i < 2) r))
+                 (strings_of_rows (Reference.eval_plan e plan))))
+          first_row_keys;
+        Engine.set_batch_rows e Executor.default_batch_rows;
+        Engine.close e);
+    case "a group allocates no block of its own" (fun () ->
+        let e = engine () in
+        exec_all e
+          [
+            "CREATE TABLE gt (k int, v int)";
+            "INSERT INTO gt VALUES "
+            ^ String.concat ", "
+                (List.init 5000 (fun i -> Printf.sprintf "(%d, %d)" i (i mod 10)));
+          ];
+        (* per-batch costs stay out of the slope at the default batch *)
+        Engine.set_batch_rows e Executor.default_batch_rows;
+        Engine.set_parallel e Engine.Par_off;
+        let words prefix groups =
+          let sql =
+            Printf.sprintf
+              "SELECT %sk, count(*), sum(v) FROM gt WHERE k < %d GROUP BY k"
+              prefix groups
+          in
+          ignore (query_ok e sql);
+          let best = ref infinity in
+          for _ = 1 to 3 do
+            let w0 = Gc.minor_words () in
+            ignore (query_ok e sql);
+            best := Float.min !best (Gc.minor_words () -. w0)
+          done;
+          !best
+        in
+        List.iter
+          (fun (prefix, bound) ->
+            let slope = (words prefix 5000 -. words prefix 1000) /. 4000. in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %.2f minor words per extra group" prefix slope)
+              true (slope < bound))
+          [ ("", 14.); ("PROVENANCE ", 14.) ];
+        Engine.close e);
+    case "arithmetic allocates only its values" (fun () ->
+        let e = engine () in
+        exec_all e
+          [
+            "CREATE TABLE ar (a int)";
+            "INSERT INTO ar VALUES "
+            ^ String.concat ", " (List.init 5000 (fun i -> Printf.sprintf "(%d)" i));
+          ];
+        Engine.set_batch_rows e Executor.default_batch_rows;
+        Engine.set_parallel e Engine.Par_off;
+        let words rows =
+          let sql = Printf.sprintf "SELECT sum(a * 2) FROM ar WHERE a < %d" rows in
+          ignore (query_ok e sql);
+          let best = ref infinity in
+          for _ = 1 to 3 do
+            let w0 = Gc.minor_words () in
+            ignore (query_ok e sql);
+            best := Float.min !best (Gc.minor_words () -. w0)
+          done;
+          !best
+        in
+        let slope = (words 5000 -. words 1000) /. 4000. in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.2f minor words per extra row" slope)
+          true (slope < 6.);
+        Engine.close e);
+  ]
+
 (* An ORDER BY over a group annotation's head columns sorts the groups
    and emits each group's rows in input order: exactly the stable row
    sort's order, ties between groups, a HAVING in between, LIMIT above,
@@ -966,6 +1238,7 @@ let () =
       ("set-ops", suite_set_ops);
       ("group-table", suite_group_table);
       ("join-table", suite_join_table);
+      ("group-ids", suite_group_ids);
       ("sorted-groups", suite_sorted_groups);
       ("morsel-sizing", suite_morsel_sizing);
     ]
